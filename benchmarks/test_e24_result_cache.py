@@ -8,8 +8,15 @@ scenarios:
 
 * **read_scaleout** — a read-mostly point-lookup workload (98% reads,
   zipf-ish hot set) through the full middleware stack, cache on vs off.
-  The cache answers hot reads before parsing, routing or execution, so
-  the assertion pins a >=5x throughput gain.
+  The cache answers hot reads before routing or execution.  Two gates:
+  the throughput ratio (>=3.2x), and — because that ratio shrinks
+  whenever the *uncached* path gets faster — the cost of one hit against
+  the same statement on a bare replica engine (<=0.24), which only
+  moves when the hit path itself does.  (The ratio floor was 5x while
+  the cache-off arm re-parsed and re-analyzed every statement.  PR 12's
+  statement cache made that arm ~2.5x faster; a hit costs what it did,
+  ~6 us, and the ~8% of reads that miss plus the writes now bound the
+  ratio near 5x even for a free hit, so the same cache measures ~3.7x.)
 * **invalidation_storm** — warm cache, then a write burst over the whole
   keyspace.  Every post-burst read must observe the new values (the
   writeset stream kills entries at key granularity), after which the
@@ -23,8 +30,9 @@ scenarios:
   cache entirely.
 
 Results land in ``BENCH_e24.json``.  Correctness assertions are
-deterministic; the >=5x speedup is wall-clock but the hit path skips
-parse+route+execute entirely, leaving orders of magnitude of headroom.
+deterministic; both read_scaleout gates are wall-clock but same-process
+ratios (a hit skips route+execute; the engine read is the least any
+execution of the statement can cost).
 """
 
 import json
@@ -39,7 +47,10 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_e24.json"
 SEED = 24
 KEYSPACE = 500
 HOT_KEYS = 64
-MIN_SPEEDUP = 5.0
+MIN_SPEEDUP = 3.2
+#: one cache hit through the middleware / the statement on a bare engine
+MAX_HIT_COST = 0.24
+POINT_READ = "SELECT v FROM kv WHERE k = ?"
 
 
 def make_cluster(consistency, cached, replication="writeset"):
@@ -71,37 +82,71 @@ def mixed_ops(count: int, rng: random.Random):
     return ops
 
 
-def run_read_scaleout(ops_count: int = 2000):
+def run_read_scaleout(ops_count: int = 2000, rounds: int = 3):
+    """Both arms ``rounds`` times, alternating, fastest run of each kept:
+    the floor sits close under the measured ratio, so one slow spell of
+    the machine must not be able to decide it."""
     schedule = mixed_ops(ops_count, random.Random(SEED))
-    out = {}
-    for cached in (False, True):
-        mw = make_cluster("gsi", cached)
-        session = mw.connect(database="shop")
-        version = 0
-        start = time.perf_counter()
-        for kind, key in schedule:
-            if kind == "read":
-                session.execute("SELECT v FROM kv WHERE k = ?", [key])
-            else:
-                version += 1
-                session.execute("UPDATE kv SET v = ? WHERE k = ?",
-                                [version, key])
-        elapsed = time.perf_counter() - start
-        session.close()
-        label = "cache_on" if cached else "cache_off"
-        out[label] = {
-            "ops_per_sec": ops_count / elapsed if elapsed > 0 else
-            float("inf"),
-        }
-        if cached:
-            snap = mw.result_cache.snapshot()
-            out[label]["hit_rate"] = snap["hit_rate"]
-            out[label]["fills"] = snap["fills"]
-            out[label]["cache_bypassed_reads"] = \
-                mw.config.balancer.cache_bypasses
+    fastest = {False: float("inf"), True: float("inf")}
+    for _ in range(rounds):
+        for cached in (False, True):
+            mw = make_cluster("gsi", cached)
+            session = mw.connect(database="shop")
+            version = 0
+            start = time.perf_counter()
+            for kind, key in schedule:
+                if kind == "read":
+                    session.execute(POINT_READ, [key])
+                else:
+                    version += 1
+                    session.execute("UPDATE kv SET v = ? WHERE k = ?",
+                                    [version, key])
+            fastest[cached] = min(fastest[cached],
+                                  time.perf_counter() - start)
+            session.close()
+    # the counters repeat exactly; read them off the last cached cluster
+    snap = mw.result_cache.snapshot()
+    out = {
+        "cache_off": {"ops_per_sec": ops_count / fastest[False]},
+        "cache_on": {
+            "ops_per_sec": ops_count / fastest[True],
+            "hit_rate": snap["hit_rate"],
+            "fills": snap["fills"],
+            "cache_bypassed_reads": mw.config.balancer.cache_bypasses,
+        },
+    }
     out["speedup"] = (out["cache_on"]["ops_per_sec"]
                       / out["cache_off"]["ops_per_sec"])
+    out.update(run_hit_path(mw))
     return out
+
+
+def run_hit_path(mw, laps: int = 10, lap_ops: int = 500):
+    """What one hit costs, next to the same statement executed on a
+    bare replica engine (no middleware at all).  Laps alternate and the
+    fastest of each side is kept, so a slow spell of the machine lands
+    on both or on neither."""
+    session = mw.connect(database="shop")
+    connection = mw.replicas[0].engine.connect(database="shop")
+    for key in range(HOT_KEYS):
+        session.execute(POINT_READ, [key])      # make every lap all hits
+
+    def lap(target):
+        start = time.perf_counter()
+        for n in range(lap_ops):
+            target.execute(POINT_READ, [n % HOT_KEYS])
+        return (time.perf_counter() - start) / lap_ops * 1e6
+
+    hits = mw.result_cache.stats["hits"]
+    hit_us = engine_us = float("inf")
+    for _ in range(laps):
+        hit_us = min(hit_us, lap(session))
+        engine_us = min(engine_us, lap(connection))
+    assert mw.result_cache.stats["hits"] - hits == laps * lap_ops
+    session.close()
+    connection.close()
+    return {"hit_us": hit_us, "engine_read_us": engine_us,
+            "hit_cost_vs_engine_read": hit_us / engine_us}
 
 
 def run_invalidation_storm():
@@ -235,6 +280,12 @@ def test_e24_result_cache(benchmark):
                    round(scaleout["speedup"], 2))
     report.add_row("read_scaleout", "hit rate",
                    round(scaleout["cache_on"]["hit_rate"], 3))
+    report.add_row("read_scaleout", "us per hit",
+                   round(scaleout["hit_us"], 2))
+    report.add_row("read_scaleout", "us per bare engine read",
+                   round(scaleout["engine_read_us"], 2))
+    report.add_row("read_scaleout", "hit cost / engine read",
+                   round(scaleout["hit_cost_vs_engine_read"], 3))
     storm = results["invalidation_storm"]
     for metric in ("warm_entries", "invalidated_entries",
                    "stale_values_after_storm", "recovered_hits"):
@@ -253,6 +304,10 @@ def test_e24_result_cache(benchmark):
     assert scaleout["speedup"] >= MIN_SPEEDUP, \
         (f"cache-on read-mostly throughput only "
          f"{scaleout['speedup']:.1f}x cache-off (need {MIN_SPEEDUP}x)")
+    assert scaleout["hit_cost_vs_engine_read"] <= MAX_HIT_COST, \
+        (f"a cache hit costs {scaleout['hit_us']:.1f} us, "
+         f"{scaleout['hit_cost_vs_engine_read']:.2f} of a bare engine "
+         f"read (at most {MAX_HIT_COST})")
     assert scaleout["cache_on"]["hit_rate"] >= 0.5
 
     # scenario B: invalidation is complete and key-granular
@@ -276,6 +331,7 @@ def test_e24_result_cache(benchmark):
         "keyspace": KEYSPACE,
         "hot_keys": HOT_KEYS,
         "min_speedup": MIN_SPEEDUP,
+        "max_hit_cost": MAX_HIT_COST,
         "read_scaleout": scaleout,
         "invalidation_storm": storm,
         "consistency_check": {

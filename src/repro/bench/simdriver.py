@@ -18,14 +18,13 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.nodes import NodeDown
 from ..cluster.sim import Environment, Store
 from ..core.admission import AdmissionGate
-from ..core.analysis import analyze
+from ..core.analysis import analyze_cached
 from ..core.applysched import conflict_groups, item_units, lane_makespan
 from ..core.costmodel import CostModel
 from ..core.loadbalancer import RoutingContext
 from ..core.middleware import MiddlewareSession, ReplicationMiddleware
 from ..metrics.perf import LatencyRecorder, ThroughputMeter, TimeSeries
 from ..sqlengine import ast_nodes as ast
-from ..sqlengine.parser import parameterize_literals, parse_script
 from ..workloads.generator import TxnSpec, Workload
 from ..workloads.openloop import OpenLoopWorkload, RateCurve, arrival_times
 
@@ -104,16 +103,6 @@ class TimedCluster:
             middleware.group_commit.record_flush = True
         self._running = True
         self._signals: Dict[str, Store] = {}
-        self._analysis_cache: Dict[str, list] = {}
-        self._param_fail: set = set()
-        # sql -> (template pairs, extracted values): hot Zipf keys skip
-        # the rewrite regex on repeat appearances
-        self._param_memo: Dict[str, tuple] = {}
-        # Driver-side auto-parameterization: key-bearing point statements
-        # share one parsed+analyzed template instead of thrashing the
-        # analysis cache (one entry per key value).  Disabled = the
-        # BENCH_e23-era parse-per-key behaviour (the E28 compat arm).
-        self.auto_parameterize = True
         if middleware.config.propagation == "async":
             self._start_apply_workers()
 
@@ -224,43 +213,6 @@ class TimedCluster:
                 pass
             return (self.env.now - start, False, type(exc).__name__)
 
-    def _statements_of(self, sql: str,
-                       allow_params: bool = True) -> Tuple[list, list]:
-        """Parsed+analyzed statements for ``sql`` plus extracted params.
-
-        Key-bearing point statements are auto-parameterized first so the
-        whole key space shares one cached template; everything else is
-        cached under its own text (stable strings like BEGIN/COMMIT)."""
-        cached = self._analysis_cache.get(sql)
-        if cached is not None:
-            return cached, []
-        if allow_params and self.auto_parameterize:
-            memo = self._param_memo.get(sql)
-            if memo is not None:
-                return memo
-            prepared = parameterize_literals(sql)
-            if prepared is not None:
-                template, values = prepared
-                pairs = self._analysis_cache.get(template)
-                if pairs is None and template not in self._param_fail:
-                    try:
-                        pairs = [(stmt, analyze(stmt))
-                                 for stmt in parse_script(template)]
-                    except Exception:  # noqa: BLE001 — unparsable template
-                        self._param_fail.add(template)
-                        pairs = None
-                    else:
-                        if len(self._analysis_cache) < 4096:
-                            self._analysis_cache[template] = pairs
-                if pairs is not None:
-                    if len(self._param_memo) < 8192:
-                        self._param_memo[sql] = (pairs, values)
-                    return pairs, values
-        pairs = [(stmt, analyze(stmt)) for stmt in parse_script(sql)]
-        if len(self._analysis_cache) < 4096:
-            self._analysis_cache[sql] = pairs
-        return pairs, []
-
     def _timed_statement(self, session: MiddlewareSession, sql: str,
                          params: list):
         """One SQL string with simulated timing.  Inside a traced request
@@ -290,11 +242,10 @@ class TimedCluster:
         # client -> middleware hop + middleware processing
         yield self.env.timeout(self.client_latency
                                + self.cost.middleware_cost())
-        pairs, extracted = self._statements_of(sql,
-                                               allow_params=not params)
-        if extracted:
-            params = extracted
-        for statement, info in pairs:
+        # the middleware's own statement cache: key-bearing point
+        # statements share one parsed (and, by identity, analyzed) template
+        statements, sql, params = middleware.statements.lookup(sql, params)
+        for statement in statements:
             if isinstance(statement, (ast.BeginStatement,
                                       ast.RollbackStatement)):
                 session.execute_one_parsed(statement, sql, params)
@@ -302,6 +253,7 @@ class TimedCluster:
             if isinstance(statement, ast.CommitStatement):
                 yield from self._timed_commit(session, statement, sql, params)
                 continue
+            info = analyze_cached(statement)
             if info.is_read_only:
                 yield from self._timed_read(session, statement, info, sql,
                                             params)
@@ -928,9 +880,6 @@ class TimedShardedCluster:
             lock = Store(env)
             lock.put(1)
             self._order_locks.append(lock)
-        self._analysis_cache: Dict[str, list] = {}
-        self._param_memo: Dict[str, tuple] = {}
-        self._param_fail: set = set()
 
     @property
     def middleware(self):
@@ -961,46 +910,11 @@ class TimedShardedCluster:
                 pass
             return (self.env.now - start, False, type(exc).__name__)
 
-    def _statements_of(self, sql: str,
-                       allow_params: bool = True) -> Tuple[list, list]:
-        cached = self._analysis_cache.get(sql)
-        if cached is not None:
-            return cached, []
-        if allow_params:
-            memo = self._param_memo.get(sql)
-            if memo is not None:
-                return memo
-            prepared = parameterize_literals(sql)
-            if prepared is not None:
-                template, values = prepared
-                pairs = self._analysis_cache.get(template)
-                if pairs is None and template not in self._param_fail:
-                    try:
-                        pairs = [(stmt, analyze(stmt))
-                                 for stmt in parse_script(template)]
-                    except Exception:  # noqa: BLE001 — unparsable template
-                        self._param_fail.add(template)
-                        pairs = None
-                    else:
-                        if len(self._analysis_cache) < 4096:
-                            self._analysis_cache[template] = pairs
-                if pairs is not None:
-                    if len(self._param_memo) < 8192:
-                        self._param_memo[sql] = (pairs, values)
-                    return pairs, values
-        pairs = [(stmt, analyze(stmt)) for stmt in parse_script(sql)]
-        if len(self._analysis_cache) < 4096:
-            self._analysis_cache[sql] = pairs
-        return pairs, []
-
     def _timed_statement(self, session, sql: str, params: list):
         yield self.env.timeout(self.client_latency
                                + self.cost.middleware_cost())
-        pairs, extracted = self._statements_of(sql,
-                                               allow_params=not params)
-        if extracted:
-            params = extracted
-        for statement, info in pairs:
+        statements, sql, params = self.cluster.statements.lookup(sql, params)
+        for statement in statements:
             if isinstance(statement, (ast.BeginStatement,
                                       ast.RollbackStatement)):
                 session.execute_one_parsed(statement, sql, params)
@@ -1016,7 +930,8 @@ class TimedShardedCluster:
                 if route.get("kind") == "commit":
                     yield from self._charge_commit(route.get("commit"))
                 continue
-            yield from self._charge_statement(info, route)
+            yield from self._charge_statement(analyze_cached(statement),
+                                              route)
             if route["write"] and autocommit:
                 # an implicit commit ran inside the statement (either the
                 # group session's autocommit or the router's implicit

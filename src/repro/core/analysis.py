@@ -19,6 +19,7 @@ was parsed here — so a trace shows not just *where* a statement went but
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Set, Tuple
 
 from ..sqlengine import ast_nodes as ast
@@ -175,12 +176,10 @@ def analyze_cached(statement: ast.Statement) -> StatementInfo:
     """:func:`analyze` memoized by statement identity.
 
     The composed request path walks every statement at the shard router
-    *and again* inside the chosen group's middleware; for the
-    parse-cached templates a driver replays millions of times, the
-    second walk is pure overhead.  Statements whose analysis found
-    nondeterministic calls are never memoized — the middleware may
-    rewrite those trees in place (``rewrite_nondeterministic``), which
-    would invalidate a cached info."""
+    *and again* inside the chosen group's middleware; for the cached
+    trees the statement cache hands out, the second walk is pure
+    overhead.  Sound because shared trees are never mutated
+    (``rewrite_nondeterministic`` returns a copy)."""
     if not CACHE_ENABLED:
         return analyze(statement)
     key = id(statement)
@@ -188,8 +187,6 @@ def analyze_cached(statement: ast.Statement) -> StatementInfo:
     if hit is not None and hit[0] is statement:
         return hit[1]
     info = analyze(statement)
-    if info.nondeterministic_calls:
-        return info
     if len(_analysis_cache) >= _CACHE_CAPACITY:
         _analysis_cache.clear()
     _analysis_cache[key] = (statement, info)
@@ -290,90 +287,118 @@ def _walk_expr(expr, info: StatementInfo, in_write: bool) -> None:
         _walk_select(expr.select, info, in_write)
 
 
+def _rebuilt(node, **fields):
+    """``node`` itself when every field already holds the given value,
+    else a shallow copy carrying the new ones."""
+    changed = {name: value for name, value in fields.items()
+               if value is not getattr(node, name)}
+    if not changed:
+        return node
+    clone = copy.copy(node)
+    for name, value in changed.items():
+        setattr(clone, name, value)
+    return clone
+
+
+def _each(items, rewrite):
+    """``items`` itself when ``rewrite`` changed none of them."""
+    if not items:
+        return items
+    out = [rewrite(item) for item in items]
+    if all(new is old for new, old in zip(out, items)):
+        return items
+    return out
+
+
 def rewrite_nondeterministic(statement: ast.Statement,
                              now_value: float) -> Tuple[ast.Statement, int]:
     """Replace rewritable time macros with ``now_value`` in place of the
     function call (the middleware chose the value once, so every replica
-    computes identical rows).  Returns (statement, replacements).
+    computes identical rows).  Returns (rewritten statement, replacements).
 
-    The statement tree is rewritten *in place* on a best-effort basis —
-    parse trees are cheap to re-parse, and middleware re-parses per
-    transaction anyway.
+    ``statement`` is left untouched — parsed trees are shared through the
+    statement cache, and a tree rewritten in place would freeze ``NOW()``
+    at its first value.  The result copies only the spine above each
+    replaced call and shares every other node with the input.
     """
     count = [0]
 
     def rewrite(expr):
-        if expr is None:
-            return None
         if isinstance(expr, ast.FunctionCall):
             if expr.name in _REWRITABLE:
                 count[0] += 1
                 return ast.Literal(now_value)
-            expr.args = [rewrite(arg) for arg in expr.args]
-            return expr
+            return _rebuilt(expr, args=_each(expr.args, rewrite))
         if isinstance(expr, ast.BinaryOp):
-            expr.left = rewrite(expr.left)
-            expr.right = rewrite(expr.right)
-            return expr
+            return _rebuilt(expr, left=rewrite(expr.left),
+                            right=rewrite(expr.right))
         if isinstance(expr, ast.UnaryOp):
-            expr.operand = rewrite(expr.operand)
-            return expr
+            return _rebuilt(expr, operand=rewrite(expr.operand))
         if isinstance(expr, ast.InList):
-            expr.expr = rewrite(expr.expr)
-            if expr.items:
-                expr.items = [rewrite(item) for item in expr.items]
-            if expr.subquery is not None:
-                rewrite_select(expr.subquery)
-            return expr
+            subquery = expr.subquery
+            if subquery is not None:
+                subquery = rewrite_select(subquery)
+            return _rebuilt(expr, expr=rewrite(expr.expr),
+                            items=_each(expr.items, rewrite),
+                            subquery=subquery)
         if isinstance(expr, ast.Between):
-            expr.expr = rewrite(expr.expr)
-            expr.low = rewrite(expr.low)
-            expr.high = rewrite(expr.high)
-            return expr
+            return _rebuilt(expr, expr=rewrite(expr.expr),
+                            low=rewrite(expr.low), high=rewrite(expr.high))
         if isinstance(expr, ast.Like):
-            expr.expr = rewrite(expr.expr)
-            expr.pattern = rewrite(expr.pattern)
-            return expr
+            return _rebuilt(expr, expr=rewrite(expr.expr),
+                            pattern=rewrite(expr.pattern))
         if isinstance(expr, ast.IsNull):
-            expr.expr = rewrite(expr.expr)
-            return expr
+            return _rebuilt(expr, expr=rewrite(expr.expr))
         if isinstance(expr, ast.Case):
-            expr.whens = [(rewrite(c), rewrite(r)) for c, r in expr.whens]
-            expr.default = rewrite(expr.default)
-            return expr
+            return _rebuilt(expr, whens=_each(expr.whens, rewrite_pair),
+                            default=rewrite(expr.default))
         if isinstance(expr, (ast.ScalarSubquery, ast.ExistsSubquery)):
-            rewrite_select(expr.select)
-            return expr
+            return _rebuilt(expr, select=rewrite_select(expr.select))
         return expr
 
-    def rewrite_select(select: ast.SelectStatement) -> None:
-        select.columns = [(rewrite(e), a) for e, a in select.columns]
-        rewrite_source(select.source)
-        select.where = rewrite(select.where)
-        select.group_by = [rewrite(e) for e in select.group_by]
-        select.having = rewrite(select.having)
-        select.order_by = [(rewrite(e), asc) for e, asc in select.order_by]
+    def rewrite_pair(pair):
+        # (expr, alias) / (expr, ascending) / (condition, result) /
+        # (column, expr): non-expression members pass through
+        out = tuple(rewrite(member) if isinstance(member, ast.Expression)
+                    else member for member in pair)
+        if all(new is old for new, old in zip(out, pair)):
+            return pair
+        return out
 
-    def rewrite_source(source) -> None:
+    def rewrite_select(select: ast.SelectStatement) -> ast.SelectStatement:
+        return _rebuilt(
+            select,
+            columns=_each(select.columns, rewrite_pair),
+            source=rewrite_source(select.source),
+            where=rewrite(select.where),
+            group_by=_each(select.group_by, rewrite),
+            having=rewrite(select.having),
+            order_by=_each(select.order_by, rewrite_pair))
+
+    def rewrite_source(source):
         if isinstance(source, ast.Join):
-            rewrite_source(source.left)
-            rewrite_source(source.right)
-            source.condition = rewrite(source.condition)
-        elif isinstance(source, ast.SubquerySource):
-            rewrite_select(source.select)
+            return _rebuilt(source, left=rewrite_source(source.left),
+                            right=rewrite_source(source.right),
+                            condition=rewrite(source.condition))
+        if isinstance(source, ast.SubquerySource):
+            return _rebuilt(source, select=rewrite_select(source.select))
+        return source
 
     if isinstance(statement, ast.SelectStatement):
-        rewrite_select(statement)
+        statement = rewrite_select(statement)
     elif isinstance(statement, ast.InsertStatement):
-        if statement.rows:
-            statement.rows = [[rewrite(e) for e in row]
-                              for row in statement.rows]
-        if statement.select is not None:
-            rewrite_select(statement.select)
+        select = statement.select
+        if select is not None:
+            select = rewrite_select(select)
+        statement = _rebuilt(
+            statement,
+            rows=_each(statement.rows, lambda row: _each(row, rewrite)),
+            select=select)
     elif isinstance(statement, ast.UpdateStatement):
-        statement.assignments = [(c, rewrite(e))
-                                 for c, e in statement.assignments]
-        statement.where = rewrite(statement.where)
+        statement = _rebuilt(
+            statement,
+            assignments=_each(statement.assignments, rewrite_pair),
+            where=rewrite(statement.where))
     elif isinstance(statement, ast.DeleteStatement):
-        statement.where = rewrite(statement.where)
+        statement = _rebuilt(statement, where=rewrite(statement.where))
     return statement, count[0]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import ast_nodes as ast
@@ -37,7 +36,7 @@ from .mvcc import (
     CommitClock, READ_COMMITTED, READ_UNCOMMITTED, REPEATABLE_READ,
     SERIALIZABLE, SNAPSHOT,
 )
-from .parser import parameterize_literals, parse_script
+from .stmtcache import CAPACITY, StatementCache
 from .storage import Table
 from .transactions import Transaction, TransactionStatus
 
@@ -307,7 +306,7 @@ class Engine:
     def __init__(self, name: str = "engine", dialect: Optional[Dialect] = None,
                  seed: Optional[int] = None,
                  binlog_capacity: Optional[int] = None,
-                 parse_cache_capacity: int = 4096):
+                 parse_cache_capacity: int = CAPACITY):
         self.name = name
         self.dialect = dialect or generic()
         self.databases: Dict[str, Database] = {}
@@ -327,8 +326,7 @@ class Engine:
         # Parsed-statement cache with LRU eviction: long-running sessions
         # with churning SQL text keep their hot statements cached instead
         # of the cache freezing once it fills.
-        self._parse_cache: "OrderedDict[str, List[ast.Statement]]" = OrderedDict()
-        self._parse_cache_capacity = max(1, parse_cache_capacity)
+        self._parse_cache = StatementCache(parse_cache_capacity)
         # Index-backed access paths can be disabled to measure the
         # sequential-scan baseline (benchmark E23); results are identical.
         self.use_indexes = True
@@ -337,11 +335,6 @@ class Engine:
         # key values share one parsed template (E28 hot path).  Disabled
         # = the BENCH_e23-era parse-per-key behaviour.
         self.auto_parameterize = True
-        self._param_fail: set = set()
-        # sql text -> (parsed template statements, extracted values):
-        # repeated statements (hot Zipf keys) skip the rewrite regex and
-        # the template lookup entirely.
-        self._param_memo: "OrderedDict[str, tuple]" = OrderedDict()
         # Autovacuum: run :meth:`vacuum` every N commits so update-heavy
         # runs keep version chains bounded (a hot Zipf key otherwise
         # accumulates one dead version per update and every read walks
@@ -398,18 +391,12 @@ class Engine:
     # -- parsing ----------------------------------------------------------------
 
     def parse(self, sql: str) -> List[ast.Statement]:
-        cached = self._parse_cache.get(sql)
-        if cached is not None:
-            self._parse_cache.move_to_end(sql)
-            self.stats["parse_cache_hits"] += 1
-        else:
-            cached = parse_script(sql)
-            self.stats["parse_cache_misses"] += 1
-            self._parse_cache[sql] = cached
-            while len(self._parse_cache) > self._parse_cache_capacity:
-                self._parse_cache.popitem(last=False)
-        self.stats["statements"] += len(cached)
-        return cached
+        cache = self._parse_cache
+        misses = cache.misses
+        statements = cache.parse(sql)
+        self._count_parse(misses)
+        self.stats["statements"] += len(statements)
+        return statements
 
     def prepare_parameterized(self, sql: str):
         """Auto-parameterize ``sql`` and parse the template through the
@@ -417,30 +404,23 @@ class Engine:
         the statement is not rewritable (the caller then parses the
         original text).  Templates that fail to parse are remembered so
         a pathological shape costs one attempt, not one per key."""
-        memo = self._param_memo.get(sql)
-        if memo is not None:
-            self._param_memo.move_to_end(sql)
-            # the memo fronts the parse cache: a hit here is a (cheaper)
-            # parse-cache hit and must count as one
+        cache = self._parse_cache
+        misses = cache.misses
+        entry = cache.rewritten(sql)
+        if entry is None:
+            return None
+        self._count_parse(misses)
+        statements, _template, values = entry
+        self.stats["statements"] += len(statements)
+        return statements, values
+
+    def _count_parse(self, misses_before: int) -> None:
+        # a text remembered with its values fronts the template's entry:
+        # a hit there is a (cheaper) parse-cache hit and counts as one
+        if self._parse_cache.misses == misses_before:
             self.stats["parse_cache_hits"] += 1
-            return memo
-        prepared = parameterize_literals(sql)
-        if prepared is None:
-            return None
-        template, values = prepared
-        if template in self._param_fail:
-            return None
-        try:
-            statements = self.parse(template)
-        except SQLError:
-            if len(self._param_fail) < 1024:
-                self._param_fail.add(template)
-            return None
-        memo = (statements, values)
-        self._param_memo[sql] = memo
-        while len(self._param_memo) > self._parse_cache_capacity:
-            self._param_memo.popitem(last=False)
-        return memo
+        else:
+            self.stats["parse_cache_misses"] += 1
 
     # -- transactions -------------------------------------------------------------
 

@@ -31,10 +31,14 @@ def parse(sql: str) -> ast.Statement:
 # integer literals to positional params turns the whole key space into
 # one cache entry.  Conservative on purpose: integers only (never inside
 # identifiers, floats, or strings — the quote gate skips those
-# statements entirely), single statements, DML verbs only.
+# statements entirely), single statements, DML verbs only, and nothing
+# from the first ORDER BY on (``ORDER BY 2`` is an output-column
+# ordinal, not a value — as a bound parameter it would sort by a
+# constant).
 _INT_LITERAL_RE = re.compile(r"(?<![\w.])(\d+)(?![\w.])")
 _PARAM_VERB_RE = re.compile(r"^\s*(?:SELECT|UPDATE|DELETE|INSERT)\b",
                             re.IGNORECASE)
+_ORDER_BY_RE = re.compile(r"\bORDER\s+BY\b", re.IGNORECASE)
 
 
 def parameterize_literals(sql: str) -> Optional[Tuple[str, List[int]]]:
@@ -56,10 +60,12 @@ def parameterize_literals(sql: str) -> Optional[Tuple[str, List[int]]]:
         values.append(int(match.group(1)))
         return "?"
 
-    template = _INT_LITERAL_RE.sub(_sub, sql)
+    order_by = _ORDER_BY_RE.search(sql)
+    head = sql if order_by is None else sql[:order_by.start()]
+    template = _INT_LITERAL_RE.sub(_sub, head)
     if not values:
         return None
-    return template, values
+    return template + sql[len(head):], values
 
 
 def parse_script(sql: str) -> List[ast.Statement]:

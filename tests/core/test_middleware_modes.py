@@ -6,7 +6,8 @@ from repro.core import (
     ClusterDivergence, MiddlewareConfig, MiddlewareDown, ReplicationMiddleware,
     UnsupportedStatementError, protocol_by_name,
 )
-from repro.sqlengine import SerializationError
+from repro.sqlengine import SerializationError, parse_script
+from repro.sqlengine.ast_nodes import FunctionCall
 
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
 
@@ -63,6 +64,33 @@ class TestStatementMode:
             c = replica.engine.connect(database="shop")
             values.add(c.execute("SELECT ts FROM stamped").scalar())
         assert len(values) == 1  # identical constant everywhere
+
+    def test_now_rewritten_afresh_on_a_reused_tree(self, statement_cluster):
+        """The rewrite must not write into the tree it is given: the
+        timed drivers and the statement cache execute one parsed tree
+        many times, and each execution gets the time it ran at."""
+        mw = statement_cluster
+        clock = [1.0]
+        mw.monitor.time_source = lambda: clock[0]
+        session = mw.connect(database="shop")
+        session.execute("CREATE TABLE stamped (id INT, ts FLOAT)")
+        sql = "INSERT INTO stamped VALUES (?, NOW())"
+        statement = parse_script(sql)[0]
+        session.execute_one_parsed(statement, sql, [1])
+        clock[0] = 102.0
+        session.execute_one_parsed(statement, sql, [2])
+        # the same text through the public door, twice (one cached tree)
+        clock[0] = 203.0
+        session.execute("INSERT INTO stamped VALUES (3, NOW())")
+        clock[0] = 304.0
+        session.execute("INSERT INTO stamped VALUES (4, NOW())")
+        session.close()
+        assert isinstance(statement.rows[0][1], FunctionCall)  # untouched
+        for replica in mw.replicas:
+            c = replica.engine.connect(database="shop")
+            assert c.execute(
+                "SELECT id, ts FROM stamped ORDER BY id").rows == [
+                    (1, 1.0), (2, 102.0), (3, 203.0), (4, 304.0)]
 
     def test_rand_rejected_under_rewrite_policy(self, statement_cluster):
         session = statement_cluster.connect(database="shop")
