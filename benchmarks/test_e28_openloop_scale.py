@@ -17,20 +17,20 @@ Three arms:
   simulated cluster at a sustainable arrival rate; records sustained
   ops/s and asserts the run stayed healthy (goodput ~= issued, p99
   inside the deadline) at that scale.
-* **hot path** (wall-clock ratio): the same Zipf statement stream
-  driven straight at one engine, fast configuration (type-dispatched
-  expression evaluation + auto-parameterized statement templates) vs
-  the BENCH_e23-era compat engine (isinstance dispatch, parse per key
-  value).  Results must be identical; the sustained-ops ratio is the
-  hot-path regression floor (>= 1.3x).
+* **hot path** (wall-clock, counted): the same Zipf statement stream
+  driven straight at one engine.  Its speed is recorded, not gated here
+  — the repository benchmark (``BENCHMARK.json``) judges speed on parent
+  and change; this arm gates what makes it fast and repeats exactly:
+  the result digest equals its closed form, literal texts share their
+  template's trees (parse-cache hits), every read is an index probe,
+  and the access shape compiles a handful of times, not once per key.
 * **overload** (simulated time): identical arrivals with and without
   the admission gate under a 2x flash crowd; goodput with admission
   must be >= 1.5x goodput without, and no admitted-then-acked commit
   may be shed (``acked_then_shed == 0`` — the E28 invariant).
 
 Results land in ``BENCH_e28.json``; assertions pin the deterministic
-simulated-time results and the fast/compat ratio, never absolute
-wall-clock numbers.
+simulated-time results and counts, never wall-clock numbers.
 """
 
 import gc
@@ -44,7 +44,6 @@ from repro.bench.simdriver import SessionArrivalDriver, TimedCluster
 from repro.cluster.sim import Environment
 from repro.core.admission import default_gate
 from repro.sqlengine import Engine
-from repro.sqlengine.expressions import use_compat_dispatch
 from repro.workloads.openloop import (
     ConstantRate,
     FlashCrowd,
@@ -66,7 +65,10 @@ MIN_SESSIONS = 100_000
 # long enough that the distinct-key population exceeds the parse cache,
 # as it does over the 2*10^5 transactions of the steady arm
 HOTPATH_OPS = 20_000
-MIN_SPEEDUP = 1.3
+HOTPATH_ROWS = 1000
+# two statement shapes over one table: anything near this many memo
+# misses means a memo stopped hitting
+MAX_MEMO_MISSES = 4
 
 # overload arm: base rate beyond the cluster's service capacity once the
 # 2x flash crowd lands; short deadline models an impatient client
@@ -117,30 +119,40 @@ def _hotpath_statements() -> list:
             for _ in range(HOTPATH_OPS)]
 
 
-def run_hotpath(statements: list, fast: bool) -> dict:
-    """The E28 statement stream against one engine.  ``fast=False``
-    restores the BENCH_e23-era hot path: isinstance-chain expression
-    evaluation and one parse per distinct key value."""
-    engine = Engine(f"e28_{int(fast)}")
-    engine.auto_parameterize = fast
+def _expected_digest(statements: list) -> int:
+    """The closed form of :func:`run_hotpath`'s digest: a read of a
+    seeded key returns how many updates of that key preceded it."""
+    updates: dict = {}
+    digest = 0
+    for sql in statements:
+        key = int(sql.rsplit(" ", 1)[1])
+        if key >= HOTPATH_ROWS:
+            continue
+        if sql.startswith("UPDATE"):
+            updates[key] = updates.get(key, 0) + 1
+        else:
+            digest = (digest * 31 + hash((updates.get(key, 0),))) \
+                & 0xFFFFFFFF
+    return digest
+
+
+def run_hotpath(statements: list) -> dict:
+    """The E28 statement stream against one engine."""
+    engine = Engine("e28")
     engine.create_database("shop")
     conn = engine.connect(database="shop")
     conn.execute("CREATE TABLE sessions_kv "
                  "(k INT PRIMARY KEY, v INT, pad VARCHAR(40))")
-    for key in range(1000):
+    for key in range(HOTPATH_ROWS):
         conn.execute(f"INSERT INTO sessions_kv (k, v, pad) "
                      f"VALUES ({key}, 0, 'pad{key}')")
-    use_compat_dispatch(not fast)
-    try:
-        digest = 0
-        begin = time.perf_counter()
-        for sql in statements:
-            result = conn.execute(sql)
-            if result.rows:
-                digest = (digest * 31 + hash(result.rows[0])) & 0xFFFFFFFF
-        wall = time.perf_counter() - begin
-    finally:
-        use_compat_dispatch(False)
+    digest = 0
+    begin = time.perf_counter()
+    for sql in statements:
+        result = conn.execute(sql)
+        if result.rows:
+            digest = (digest * 31 + hash(result.rows[0])) & 0xFFFFFFFF
+    wall = time.perf_counter() - begin
     return {
         "ops": len(statements),
         "wall_seconds": wall,
@@ -148,6 +160,8 @@ def run_hotpath(statements: list, fast: bool) -> dict:
         "digest": digest,
         "parse_cache_hits": engine.stats["parse_cache_hits"],
         "seq_scans": engine.stats["seq_scans"],
+        "access_shape_misses": engine.database("shop").table(
+            "sessions_kv").access_shapes.misses,
     }
 
 
@@ -179,24 +193,11 @@ def run_overload(admitted: bool) -> dict:
 def test_e28_openloop_scale(benchmark):
     statements = _hotpath_statements()
 
-    def best_of(runs: int, fast: bool) -> dict:
-        """Best of ``runs`` fresh engines — damps allocator/GC noise so
-        the gated ratio reflects the hot path, not heap history."""
-        best = None
-        for _ in range(runs):
-            gc.collect()
-            arm = run_hotpath(statements, fast=fast)
-            if best is None or arm["ops_per_sec"] > best["ops_per_sec"]:
-                best = arm
-        return best
-
     def experiment():
-        # the wall-clock-sensitive engine arms run first, before the
-        # 10^5-session arm fills the heap with simulation state
-        results = {
-            "hotpath_fast": best_of(2, fast=True),
-            "hotpath_compat": best_of(2, fast=False),
-        }
+        # the wall-clock engine arm runs first, before the 10^5-session
+        # arm fills the heap with simulation state
+        gc.collect()
+        results = {"hotpath": run_hotpath(statements)}
         gc.collect()
         results["steady"] = run_steady()
         gc.collect()
@@ -207,11 +208,9 @@ def test_e28_openloop_scale(benchmark):
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
     steady = results["steady"]
-    fast = results["hotpath_fast"]
-    compat = results["hotpath_compat"]
+    hotpath = results["hotpath"]
     bare = results["overload_bare"]
     gated = results["overload_admission"]
-    speedup = fast["ops_per_sec"] / compat["ops_per_sec"]
     goodput_ratio = gated["goodput_txns"] / max(bare["goodput_txns"], 1)
 
     report = Report(
@@ -222,9 +221,8 @@ def test_e28_openloop_scale(benchmark):
         steady["goodput_txns"], round(steady["p99_latency"], 4),
         steady["shed_txns"],
         f"{steady['sustained_ops_per_sec']:.0f} ops/s wall")
-    for name, arm in (("hotpath/fast", fast), ("hotpath/compat", compat)):
-        report.add_row(name, "", arm["ops"], "", "", "",
-                       f"{arm['ops_per_sec']:.0f} engine ops/s")
+    report.add_row("hotpath", "", hotpath["ops"], "", "", "",
+                   f"{hotpath['ops_per_sec']:.0f} engine ops/s")
     for name, arm in (("overload/bare", bare),
                       ("overload/admission", gated)):
         report.add_row(
@@ -232,8 +230,7 @@ def test_e28_openloop_scale(benchmark):
             arm["goodput_txns"], round(arm["p99_latency"], 4),
             arm["shed_txns"],
             f"shed {arm['shed_rate']:.0%}, err {arm['error_rate']:.2%}")
-    report.note(f"hot-path speedup {speedup:.2f}x (floor {MIN_SPEEDUP}x); "
-                f"overload goodput ratio {goodput_ratio:.2f}x "
+    report.note(f"overload goodput ratio {goodput_ratio:.2f}x "
                 f"(floor {MIN_GOODPUT_RATIO}x)")
     report.show()
 
@@ -247,15 +244,14 @@ def test_e28_openloop_scale(benchmark):
     assert steady["trace"]["spans_sampled_out"] > 0
     assert steady["trace"]["retained_traces"] > 0
 
-    # -- hot path: fast engine clears the e23-era ceiling ---------------
-    assert fast["digest"] == compat["digest"], \
-        "fast and compat engines disagree on query results"
-    assert speedup >= MIN_SPEEDUP, \
-        f"hot-path speedup {speedup:.2f}x under the {MIN_SPEEDUP}x floor"
-    # the speedup is structural, not noise: templates hit the parse
-    # cache and index probes survived parameterization
-    assert fast["parse_cache_hits"] > HOTPATH_OPS * 0.9
-    assert fast["seq_scans"] == 0
+    # -- hot path: right answers, through the structures that make it
+    # fast — templates hit the parse cache, index probes survived
+    # parameterization, the access shape compiled once per statement
+    assert hotpath["digest"] == _expected_digest(statements), \
+        "the engine disagrees with the closed form of its own stream"
+    assert hotpath["parse_cache_hits"] > HOTPATH_OPS * 0.9
+    assert hotpath["seq_scans"] == 0
+    assert hotpath["access_shape_misses"] <= MAX_MEMO_MISSES
 
     # -- overload: graceful degradation under the 2x flash crowd --------
     assert bare["sessions_arrived"] == gated["sessions_arrived"], \
@@ -289,10 +285,7 @@ def test_e28_openloop_scale(benchmark):
         },
         "hotpath": {
             "ops": HOTPATH_OPS,
-            "fast": fast,
-            "compat": compat,
-            "speedup": speedup,
-            "min_speedup": MIN_SPEEDUP,
+            "fast": hotpath,
         },
         "overload": {
             "rate": OVERLOAD_RATE,
@@ -308,6 +301,5 @@ def test_e28_openloop_scale(benchmark):
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     benchmark.extra_info["sessions"] = steady["sessions_arrived"]
-    benchmark.extra_info["speedup"] = round(speedup, 3)
     benchmark.extra_info["goodput_ratio"] = round(goodput_ratio, 3)
     benchmark.extra_info["acked_then_shed"] = snapshot["acked_then_shed"]

@@ -20,20 +20,22 @@ gate — while the E22-style chaos harness kills one group's middleware
   reads** and **zero missing rows** on a monotonic probe that spans
   moving keys *and* the killed group's keys, p99 within the E28
   deadline, and the outage window provably overlapping the reshard.
-* **hotpath** (wall clock): the composed per-statement path — router
-  route-plan memo + compiled key plans (PR 10), ``analyze`` memo, and
-  the engine's compiled access-plan shapes — against the same stack
-  with every cache toggled off.  Best-of-N per arm (noise floors, the
-  E28 convention); results must be bit-identical and the fast arm
-  >= MIN_HOTPATH x.
+* **hotpath** (wall clock, counted): point reads down the composed
+  per-statement path — router route plans with compiled key plans, the
+  ``analyze`` memo, and the engine's compiled access shapes.  Its speed
+  is recorded, not gated here — the repository benchmark
+  (``BENCHMARK.json``) judges speed on parent and change; this arm
+  gates the counts that make it fast and repeat exactly: every memo
+  misses a handful of times over the whole arm, nothing scans, and the
+  digest equals its closed form.
 * **trace** (state only): one traced pass over the composed stack —
   point ops, a cross-shard 2PC commit, a live split, a kill+promote —
   and the union of span names it emits, pinned against the vocabulary
   documented in ``docs/TOPOLOGY.md`` so trace-driven diagnosis and the
   docs cannot drift apart.
 
-Results land in ``BENCH_e30.json``; simulated-time gates are
-deterministic, the wall-clock arm gates only on the fast/compat ratio.
+Results land in ``BENCH_e30.json``; every gate is a simulated-time
+result or a count, never a wall-clock number.
 """
 
 import json
@@ -49,7 +51,6 @@ from repro.core import analysis
 from repro.core.admission import default_gate
 from repro.core.errors import MiddlewareDown
 from repro.shard import HashSharder, OnlineReshard, RangeSharder, ReshardError
-from repro.sqlengine import planner
 from repro.sqlengine.parser import parse_script
 from repro.workloads.generator import TxnSpec
 from repro.workloads.openloop import ConstantRate, FlashCrowd, OpenLoopWorkload
@@ -76,10 +77,10 @@ PROBE_INTERVAL = 0.02
 
 # hotpath arm
 HOTPATH_OPS = 12000
-HOTPATH_WARMUP = 500
-HOTPATH_TRIALS = 4
 HOTPATH_KEYS = 64
-MIN_HOTPATH = 1.2
+# one statement shape: anything near this many misses in one memo means
+# it stopped hitting
+MAX_MEMO_MISSES = 4
 
 # the composed span vocabulary (docs/TOPOLOGY.md) that one traced pass
 # over the full stack must cover
@@ -249,20 +250,13 @@ def run_drill() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario B: the composed hot path, caches on vs off
+# scenario B: the composed hot path
 # ---------------------------------------------------------------------------
 
-def _set_hotpath_caches(cluster, fast: bool) -> None:
-    analysis.CACHE_ENABLED = fast
-    planner.PLAN_CACHE_ENABLED = fast
-    cluster.route_caching = fast
-
-
-def run_hotpath(fast: bool) -> dict:
+def run_hotpath() -> dict:
     """Point reads through the full composed stack (router -> pair ->
-    middleware -> engine), wall clock.  ``fast=False`` switches every
-    PR-10 cache off: per-call ``analyze`` in router and middleware,
-    interpreted shard-key extraction, per-call access planning."""
+    middleware -> engine), wall clock, with the per-statement memos'
+    miss counts over the whole arm."""
     cluster = build_composed_cluster(shards=2, replicas=1, name="e30hp")
     cluster.tracer.enabled = False
     for pair in cluster.pairs:
@@ -275,26 +269,30 @@ def run_hotpath(fast: bool) -> dict:
         session.execute(f"INSERT INTO kv (k, v) VALUES ({key}, {key})")
     sql = "SELECT v FROM kv WHERE k = ?"
     statement = parse_script(sql)[0]
+    engines = [replica.engine for group in cluster.groups
+               for replica in group.replicas]
+    memos = {"route_plans": [cluster.route_plans],
+             "analyses": [analysis.analyses],
+             "access_shapes": [engine.database("shop").table("kv")
+                               .access_shapes for engine in engines]}
 
-    def one_run() -> float:
-        for i in range(HOTPATH_WARMUP):
-            session.execute_one_parsed(statement, sql, [i % HOTPATH_KEYS])
-        start = time.perf_counter()
-        for i in range(HOTPATH_OPS):
-            session.execute_one_parsed(statement, sql, [i % HOTPATH_KEYS])
-        return HOTPATH_OPS / (time.perf_counter() - start)
+    def misses() -> dict:
+        return {name: sum(memo.misses for memo in group)
+                for name, group in memos.items()}
 
-    try:
-        _set_hotpath_caches(cluster, fast)
-        best = max(one_run() for _ in range(HOTPATH_TRIALS))
-        digest = 0
-        for i in range(HOTPATH_KEYS):
-            digest += session.execute_one_parsed(
-                statement, sql, [i]).rows[0][0]
-    finally:
-        _set_hotpath_caches(cluster, True)
-    return {"ops_per_sec": best, "digest": digest,
-            "trials": HOTPATH_TRIALS, "ops": HOTPATH_OPS}
+    before = misses()
+    digest = 0
+    start = time.perf_counter()
+    for i in range(HOTPATH_OPS):
+        digest += session.execute_one_parsed(
+            statement, sql, [i % HOTPATH_KEYS]).rows[0][0]
+    wall = time.perf_counter() - start
+    after = misses()
+    return {"ops": HOTPATH_OPS, "ops_per_sec": HOTPATH_OPS / wall,
+            "digest": digest,
+            "seq_scans": sum(e.stats["seq_scans"] for e in engines),
+            "memo_misses": {name: after[name] - before[name]
+                            for name in after}}
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +355,14 @@ def test_e30_composed_tier(benchmark):
     def experiment():
         return {
             "drill": run_drill(),
-            "hotpath_fast": run_hotpath(fast=True),
-            "hotpath_compat": run_hotpath(fast=False),
+            "hotpath": run_hotpath(),
             "trace": run_trace(),
         }
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
     drill = results["drill"]
-    fast = results["hotpath_fast"]
-    compat = results["hotpath_compat"]
+    hotpath = results["hotpath"]
     trace = results["trace"]
-    speedup = fast["ops_per_sec"] / compat["ops_per_sec"]
     probe = drill["probe"]
     reshard = drill["reshard"]
 
@@ -397,12 +392,11 @@ def test_e30_composed_tier(benchmark):
                    "/".join(str(n) for n in drill["rows_per_group"]),
                    f"map v{drill['map_version']}, "
                    f"{drill['dual_writes']} dual writes")
-    report.add_row("hotpath", "fast ops/s", round(fast["ops_per_sec"]),
-                   f"best of {HOTPATH_TRIALS}")
-    report.add_row("hotpath", "compat ops/s", round(compat["ops_per_sec"]),
-                   "all caches off")
-    report.add_row("hotpath", "speedup", f"{speedup:.2f}x",
-                   f"floor {MIN_HOTPATH}x")
+    report.add_row("hotpath", "ops/s", round(hotpath["ops_per_sec"]),
+                   "recorded, not gated")
+    report.add_row("hotpath", "memo misses",
+                   "/".join(str(n) for n in hotpath["memo_misses"].values()),
+                   "/".join(hotpath["memo_misses"]))
     report.add_row("trace", "span names", len(trace["span_names"]),
                    "missing: " + (", ".join(trace["missing"]) or "none"))
     report.show()
@@ -438,11 +432,13 @@ def test_e30_composed_tier(benchmark):
     assert drill["p99_latency"] <= DEADLINE
     assert drill["acked_commits"] > 0
 
-    # -- scenario B: the composed hot path pays for itself --------------
-    assert fast["digest"] == compat["digest"], \
-        "fast and compat arms disagree on query results"
-    assert speedup >= MIN_HOTPATH, \
-        f"composed hot path {speedup:.2f}x under the {MIN_HOTPATH}x floor"
+    # -- scenario B: the composed hot path stays on its memos ----------
+    assert hotpath["digest"] == sum(
+        i % HOTPATH_KEYS for i in range(HOTPATH_OPS))
+    assert hotpath["seq_scans"] == 0
+    for name, misses in hotpath["memo_misses"].items():
+        assert misses <= MAX_MEMO_MISSES, \
+            f"{name} missed {misses} times on one statement shape"
 
     # -- scenario C: the documented span vocabulary is live -------------
     assert trace["missing"] == [], \
@@ -451,13 +447,8 @@ def test_e30_composed_tier(benchmark):
     payload = {
         "experiment": "e30_composed_tier",
         "seed": SEED,
-        "min_hotpath": MIN_HOTPATH,
         "drill": drill,
-        "hotpath": {
-            "speedup": speedup,
-            "fast": fast,
-            "compat": compat,
-        },
+        "hotpath": hotpath,
         "trace": trace,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -465,5 +456,4 @@ def test_e30_composed_tier(benchmark):
     benchmark.extra_info["acked_commit_loss"] = (
         drill["acked_update_txns"] - drill["sum_v"])
     benchmark.extra_info["stale_reads"] = probe["stale_reads"]
-    benchmark.extra_info["hotpath_speedup"] = round(speedup, 3)
     benchmark.extra_info["group_promotions"] = drill["group_promotions"]

@@ -16,6 +16,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..sqlengine.executor import Result
+from ..sqlengine.stmtcache import Memo
 from .dependencies import ReadDependencies
 
 Clock = Callable[[], float]
@@ -28,22 +29,20 @@ def _zero_clock() -> float:
     return 0.0
 
 
-# Parameterized workloads repeat the same statement text thousands of
-# times; memoizing normalization keeps the hit path allocation-free.
-_NORMALIZE_MEMO: Dict[str, str] = {}
-_NORMALIZE_MEMO_LIMIT = 4096
+#: statement text -> its normalized spelling.  Parameterized workloads
+#: repeat the same text thousands of times; memoizing normalization
+#: keeps the hit path allocation-free.
+normalized_texts = Memo()
 
 
 def normalize_statement(sql: str) -> str:
     """Collapse whitespace and trailing semicolons so trivially-different
     spellings of the same statement share one cache slot.  Case is left
     alone — folding it would corrupt string literals."""
-    normalized = _NORMALIZE_MEMO.get(sql)
+    normalized = normalized_texts.get(sql)
     if normalized is None:
         normalized = " ".join(sql.split()).rstrip("; ")
-        if len(_NORMALIZE_MEMO) >= _NORMALIZE_MEMO_LIMIT:
-            _NORMALIZE_MEMO.clear()
-        _NORMALIZE_MEMO[sql] = normalized
+        normalized_texts.put(sql, normalized)
     return normalized
 
 

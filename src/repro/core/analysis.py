@@ -24,6 +24,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..sqlengine import ast_nodes as ast
 from ..sqlengine.functions import NONDETERMINISTIC_FUNCTIONS
+from ..sqlengine.stmtcache import Memo
 
 # Functions a middleware can safely replace with a single value computed
 # once (same value for every row and replica).
@@ -161,15 +162,9 @@ def analyze(statement: ast.Statement) -> StatementInfo:
 
 # -- memoized analysis ------------------------------------------------------
 
-#: toggle for A/B benchmarking (the E30 compat arm runs with the memo off)
-CACHE_ENABLED = True
-_CACHE_CAPACITY = 4096
-#: id(statement) -> (statement, info).  Each entry keeps a strong
-#: reference to the statement so its id can never be recycled while the
-#: memo holds it (AST nodes use __slots__, so the info cannot be stashed
-#: on the node).  Cleared wholesale at capacity: statements are
-#: parse-cache residents, so the working set re-warms in one pass.
-_analysis_cache: dict = {}
+#: statement identity -> :class:`StatementInfo`, for the shared read-only
+#: trees the statement caches hand out
+analyses = Memo()
 
 
 def analyze_cached(statement: ast.Statement) -> StatementInfo:
@@ -180,16 +175,10 @@ def analyze_cached(statement: ast.Statement) -> StatementInfo:
     trees the statement cache hands out, the second walk is pure
     overhead.  Sound because shared trees are never mutated
     (``rewrite_nondeterministic`` returns a copy)."""
-    if not CACHE_ENABLED:
-        return analyze(statement)
-    key = id(statement)
-    hit = _analysis_cache.get(key)
-    if hit is not None and hit[0] is statement:
-        return hit[1]
-    info = analyze(statement)
-    if len(_analysis_cache) >= _CACHE_CAPACITY:
-        _analysis_cache.clear()
-    _analysis_cache[key] = (statement, info)
+    info = analyses.get_for(statement)
+    if info is None:
+        info = analyze(statement)
+        analyses.put_for(statement, info)
     return info
 
 

@@ -23,6 +23,7 @@ from ..sqlengine.executor import Result
 from ..sqlengine.parser import parse_script
 from .analysis import analyze
 from .errors import MiddlewareError, UnsupportedStatementError
+from .keyplan import compile_where_plan, literal_value
 from .middleware import ReplicationMiddleware
 
 
@@ -209,10 +210,8 @@ class PartitionedSession:
         """Partition indices this statement pins, or None for 'all'."""
         if isinstance(statement, ast.InsertStatement):
             return self._route_insert(statement, spec, params)
-        where = getattr(statement, "where", None)
-        if isinstance(statement, ast.SelectStatement):
-            where = statement.where
-        values = _key_values_from_where(where, spec.key_column, params)
+        plan = compile_where_plan(statement, spec.table, spec.key_column)
+        values = plan(params) if plan is not None else None
         if values is None:
             return None
         indices = sorted({
@@ -231,7 +230,7 @@ class PartitionedSession:
         indices = set()
         for row in statement.rows:
             expr = row[key_index]
-            value = _literal_value(expr, params)
+            value = literal_value(expr, params)
             if value is None:
                 return None
             indices.add(spec.partitioner.partition_for(value))
@@ -257,58 +256,3 @@ class PartitionedSession:
             for session in sessions
         ]
         return plan.merge(results)
-
-
-# ---------------------------------------------------------------------------
-# predicate extraction
-# ---------------------------------------------------------------------------
-
-def _literal_value(expr, params: List[Any]):
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param) and expr.index < len(params):
-        return params[expr.index]
-    return None
-
-
-def _key_values_from_where(where, key_column: str,
-                           params: List[Any]) -> Optional[List[Any]]:
-    """Values the WHERE clause pins ``key_column`` to, or None.
-
-    Recognizes ``key = literal``, ``key IN (literals)`` and conjunctions
-    containing either; disjunctions merge both sides' pins.
-    """
-    if where is None:
-        return None
-    if isinstance(where, ast.BinaryOp):
-        if where.op == "AND":
-            left = _key_values_from_where(where.left, key_column, params)
-            right = _key_values_from_where(where.right, key_column, params)
-            if left is not None and right is not None:
-                both = [v for v in left if v in right]
-                return both or left
-            return left if left is not None else right
-        if where.op == "OR":
-            left = _key_values_from_where(where.left, key_column, params)
-            right = _key_values_from_where(where.right, key_column, params)
-            if left is None or right is None:
-                return None
-            return left + right
-        if where.op == "=":
-            column, literal = None, None
-            if isinstance(where.left, ast.ColumnRef):
-                column, literal = where.left, where.right
-            elif isinstance(where.right, ast.ColumnRef):
-                column, literal = where.right, where.left
-            if column is not None and column.name.lower() == key_column:
-                value = _literal_value(literal, params)
-                if value is not None:
-                    return [value]
-        return None
-    if isinstance(where, ast.InList) and not where.negated \
-            and isinstance(where.expr, ast.ColumnRef) \
-            and where.expr.name.lower() == key_column and where.items:
-        values = [_literal_value(item, params) for item in where.items]
-        if all(v is not None for v in values):
-            return values
-    return None

@@ -20,8 +20,8 @@ from ..sqlengine.executor import Result
 from .analysis import analyze
 from ..sqlengine.parser import parse_script
 from .errors import MiddlewareError, ReplicaUnavailable
+from .keyplan import compile_where_plan, literal_value
 from .middleware import ReplicationMiddleware
-from .partitioning import _key_values_from_where, _literal_value
 from ..sqlengine import ast_nodes as ast
 
 
@@ -222,12 +222,12 @@ class WanSession:
                 and statement.columns and statement.rows:
             lowered = [c.lower() for c in statement.columns]
             if column in lowered:
-                value = _literal_value(
+                value = literal_value(
                     statement.rows[0][lowered.index(column)], params)
                 return str(value) if value is not None else None
             return None
-        where = getattr(statement, "where", None)
-        values = _key_values_from_where(where, column, params)
+        plan = compile_where_plan(statement, None, column)
+        values = plan(params) if plan is not None else None
         if values:
             return str(values[0])
         return None

@@ -35,20 +35,12 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import UnsupportedStatementError
+from ..core.keyplan import literal_value
 from ..sqlengine import ast_nodes as ast
 from ..sqlengine.executor import Result
 from ..sqlengine.expressions import sort_key
 
 MERGEABLE_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
-
-
-def literal_value(expr, params: Sequence[Any]) -> Optional[Any]:
-    """The Python value of a literal or bound parameter, else None."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param) and expr.index < len(params):
-        return params[expr.index]
-    return None
 
 
 def _is_aggregate(expr) -> bool:

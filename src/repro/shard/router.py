@@ -42,13 +42,13 @@ to the new leader.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..core.admission import AdmissionGate
 from ..core.analysis import StatementInfo, analyze
 from ..core.errors import FencedOut, MiddlewareDown, UnsupportedStatementError
+from ..core.keyplan import KeyPlan, compile_key_plan, literal_value
 from ..core.middleware import MiddlewareSession, ReplicationMiddleware
-from ..core.partitioning import _key_values_from_where, _literal_value
 from ..obs.tracing import Tracer
 from ..sqlengine import ast_nodes as ast
 from ..sqlengine.executor import Result
@@ -57,7 +57,7 @@ from ..sqlengine.executor import Result
 # without it.  ROADMAP item 2 has the follow-up that repoints that
 # boundary at sqlengine.stmtcache.parse_script and deletes this line.
 from ..sqlengine.parser import parse_script  # noqa: F401
-from ..sqlengine.stmtcache import StatementCache
+from ..sqlengine.stmtcache import Memo, StatementCache
 from .merge import plan_scatter
 from .shardmap import ShardMap, ShardMapLog, Sharder, ShardSpec
 from .twopc import TwoPCCoordinator
@@ -79,160 +79,6 @@ class ForwardingRule:
 
     def matches(self, table: str, value: Any) -> bool:
         return table == self.table and self.contains(value)
-
-
-# -- compiled key plans ------------------------------------------------------
-#
-# ``_key_values_from_where`` walks the WHERE tree on every call deciding
-# the same AST-shape questions each time.  These compilers make those
-# decisions once per (statement, spec) and return a closure over the
-# parameter slots, mirroring the interpreter's semantics exactly
-# (including the "a NULL key value means unpinned" rule).  ``None``
-# means "this statement never pins" — a constant the interpreter could
-# only rediscover per call.
-
-KeyPlan = Optional[Callable[[List[Any]], Optional[List[Any]]]]
-
-#: "no compiled plan — interpret per call"; distinct from ``None``,
-#: which is a compiled constant meaning "this statement never pins"
-_NO_PLAN = object()
-
-
-def _compile_key_plan(statement: ast.Statement, spec: ShardSpec) -> KeyPlan:
-    if isinstance(statement, ast.InsertStatement):
-        return _compile_insert_plan(statement, spec)
-    return _compile_where_plan(getattr(statement, "where", None),
-                               spec.key_column)
-
-
-def _compile_insert_plan(statement: ast.InsertStatement,
-                         spec: ShardSpec) -> KeyPlan:
-    if statement.columns is None or statement.rows is None:
-        raise UnsupportedStatementError(
-            f"INSERT into sharded table {spec.table!r} must list its "
-            f"columns including the shard key {spec.key_column!r}")
-    lowered = [c.lower() for c in statement.columns]
-    if spec.key_column not in lowered:
-        raise UnsupportedStatementError(
-            f"INSERT into sharded table {spec.table!r} without the "
-            f"shard key {spec.key_column!r}: the row cannot be placed")
-    key_index = lowered.index(spec.key_column)
-    getters: List[Tuple[str, Any]] = []
-    for row in statement.rows:
-        expr = row[key_index]
-        if isinstance(expr, ast.Literal):
-            getters.append(("lit", expr.value))
-        elif isinstance(expr, ast.Param):
-            getters.append(("param", expr.index))
-        else:
-            raise UnsupportedStatementError(
-                "INSERT shard-key values must be literals or bound "
-                "parameters")
-
-    def plan(params: List[Any]) -> Optional[List[Any]]:
-        values = []
-        for kind, slot in getters:
-            if kind == "lit":
-                value = slot
-            else:
-                value = params[slot] if slot < len(params) else None
-                if value is None:
-                    raise UnsupportedStatementError(
-                        "INSERT shard-key values must be literals or "
-                        "bound parameters")
-            values.append(value)
-        return values
-
-    return plan
-
-
-def _compile_where_plan(where, key_column: str) -> KeyPlan:
-    if where is None:
-        return None
-    if isinstance(where, ast.BinaryOp):
-        if where.op == "AND":
-            left = _compile_where_plan(where.left, key_column)
-            right = _compile_where_plan(where.right, key_column)
-            if left is None:
-                return right
-            if right is None:
-                return left
-
-            def both(params, left=left, right=right):
-                left_values = left(params)
-                right_values = right(params)
-                if left_values is not None and right_values is not None:
-                    pinned = [v for v in left_values if v in right_values]
-                    return pinned or left_values
-                return (left_values if left_values is not None
-                        else right_values)
-
-            return both
-        if where.op == "OR":
-            left = _compile_where_plan(where.left, key_column)
-            right = _compile_where_plan(where.right, key_column)
-            if left is None or right is None:
-                return None
-
-            def either(params, left=left, right=right):
-                left_values = left(params)
-                right_values = right(params)
-                if left_values is None or right_values is None:
-                    return None
-                return left_values + right_values
-
-            return either
-        if where.op == "=":
-            column = literal = None
-            if isinstance(where.left, ast.ColumnRef):
-                column, literal = where.left, where.right
-            elif isinstance(where.right, ast.ColumnRef):
-                column, literal = where.right, where.left
-            if column is not None and column.name.lower() == key_column:
-                if isinstance(literal, ast.Literal):
-                    if literal.value is None:
-                        return None
-                    value = literal.value
-                    return lambda params, value=value: [value]
-                if isinstance(literal, ast.Param):
-                    index = literal.index
-
-                    def pin(params, index=index):
-                        value = (params[index] if index < len(params)
-                                 else None)
-                        return None if value is None else [value]
-
-                    return pin
-            return None
-        return None
-    if isinstance(where, ast.InList) and not where.negated \
-            and isinstance(where.expr, ast.ColumnRef) \
-            and where.expr.name.lower() == key_column and where.items:
-        entries: List[Tuple[str, Any]] = []
-        for item in where.items:
-            if isinstance(item, ast.Literal):
-                if item.value is None:
-                    return None
-                entries.append(("lit", item.value))
-            elif isinstance(item, ast.Param):
-                entries.append(("param", item.index))
-            else:
-                return None
-
-        def inlist(params, entries=tuple(entries)):
-            values = []
-            for kind, slot in entries:
-                if kind == "lit":
-                    values.append(slot)
-                else:
-                    value = params[slot] if slot < len(params) else None
-                    if value is None:
-                        return None
-                    values.append(value)
-            return values
-
-        return inlist
-    return None
 
 
 class ShardedCluster:
@@ -285,8 +131,9 @@ class ShardedCluster:
         # text front door: every session's execute(sql) resolves through
         # this one cache, so one shape is one tree for all of them
         self.statements = StatementCache()
-        self.route_caching = True
-        self._route_plans: Dict[int, tuple] = {}
+        # statement identity -> (info, spec, key plan), valid for one
+        # map version
+        self.route_plans = Memo()
         self.stats: Dict[str, int] = {
             "single_shard": 0, "scatter_reads": 0, "multi_shard_writes": 0,
             "broadcast": 0, "single_shard_commits": 0, "twopc_commits": 0,
@@ -326,7 +173,7 @@ class ShardedCluster:
         # registration does not advance the map version, and a shape
         # already seen through the text door keeps its tree: drop the
         # plans that routed it as an unsharded table
-        self._route_plans.clear()
+        self.route_plans.clear()
         self.map_log.append("table_registered", table=spec.table,
                             key_column=spec.key_column,
                             sharder=sharder.kind,
@@ -352,32 +199,27 @@ class ShardedCluster:
     # -- route-plan memo -------------------------------------------------
 
     def _route_plan(self, statement: ast.Statement) -> tuple:
-        """``(statement, info, map_version, spec, key_plan)`` memoized by
-        statement identity — the open-loop drivers replay a small set of
-        parse-cached templates, so the analysis walk, the spec lookup and
-        the WHERE-shape inspection are all loop-invariant; only the bound
-        parameters change per call.  Each entry holds a strong reference
-        to the statement so its id cannot be recycled while cached, and
-        entries self-invalidate when a reshard advances the map version
-        (the key plan bakes in the spec)."""
-        key = id(statement)
-        plan = self._route_plans.get(key)
-        if plan is not None and plan[0] is statement \
-                and plan[2] == self.map.version:
-            return plan
-        info = analyze(statement)
-        spec = None
-        for table in info.all_tables():
-            spec = self.map.spec_of(table)
-            if spec is not None:
-                break
-        key_plan = None
-        if spec is not None and not info.is_ddl:
-            key_plan = _compile_key_plan(statement, spec)
-        plan = (statement, info, self.map.version, spec, key_plan)
-        if len(self._route_plans) >= 4096:
-            self._route_plans.clear()
-        self._route_plans[key] = plan
+        """``(info, spec, key_plan)`` memoized by statement identity —
+        clients replay a small set of cached templates, so the analysis
+        walk, the spec lookup and the WHERE-shape inspection are all
+        loop-invariant; only the bound parameters change per call.
+        Entries are stamped with the map version (the key plan bakes in
+        the spec), so a reshard flip recompiles them."""
+        version = self.map.version
+        plan = self.route_plans.get_for(statement, version)
+        if plan is None:
+            info = analyze(statement)
+            spec = None
+            for table in info.all_tables():
+                spec = self.map.spec_of(table)
+                if spec is not None:
+                    break
+            key_plan = None
+            if spec is not None and not info.is_ddl:
+                key_plan = compile_key_plan(statement, spec.table,
+                                            spec.key_column)
+            plan = (info, spec, key_plan)
+            self.route_plans.put_for(statement, plan, version)
         return plan
 
     # -- sessions / cluster plumbing ------------------------------------
@@ -620,13 +462,7 @@ class ShardedSession:
             return self._rollback()
 
         cluster = self.cluster
-        if cluster.route_caching:
-            _stmt, info, _version, spec, key_plan = \
-                cluster._route_plan(statement)
-        else:
-            info = analyze(statement)
-            _table, spec = self._sharded_table_of(info)
-            key_plan = _NO_PLAN
+        info, spec, key_plan = cluster._route_plan(statement)
         span = cluster.tracer.start_span(
             "shard.route", session=self.id, sql=sql_text[:80],
             map_version=cluster.map.version)
@@ -635,8 +471,7 @@ class ShardedSession:
                 return self._dispatch_global(statement, sql_text, params,
                                              info, span)
             span.set_tag("table", spec.table)
-            targets = self._resolve_targets(statement, spec, params, info,
-                                            key_plan)
+            targets = self._resolve_targets(spec, params, info, key_plan)
             span.set_tag("targets", len(targets))
             if len(targets) == 1:
                 span.set_tag("kind", "single")
@@ -659,30 +494,13 @@ class ShardedSession:
         finally:
             span.end()
 
-    def _sharded_table_of(self, info: StatementInfo):
-        for table in info.all_tables():
-            spec = self.cluster.map.spec_of(table)
-            if spec is not None:
-                return spec.table, spec
-        return None, None
-
     # -- target resolution ----------------------------------------------
 
-    def _resolve_targets(self, statement: ast.Statement, spec: ShardSpec,
-                         params: List[Any], info: StatementInfo,
-                         key_plan=_NO_PLAN) -> Set[int]:
+    def _resolve_targets(self, spec: ShardSpec, params: List[Any],
+                         info: StatementInfo, key_plan: KeyPlan) -> Set[int]:
         cluster = self.cluster
         rules = cluster.rules_for(spec.table)
-        if key_plan is _NO_PLAN:
-            # uncompiled path: interpret the WHERE/VALUES shape per call
-            if isinstance(statement, ast.InsertStatement):
-                keys = self._insert_key_values(statement, spec, params)
-            else:
-                where = getattr(statement, "where", None)
-                keys = _key_values_from_where(where, spec.key_column,
-                                              params)
-        else:
-            keys = key_plan(params) if key_plan is not None else None
+        keys = key_plan(params) if key_plan is not None else None
         if keys is None:
             # unpinned: every owning group.  Reads skip a dual-write
             # destination (it holds the moving rows too — counting them
@@ -703,30 +521,6 @@ class ShardedSession:
                         cluster.stats.setdefault("dual_writes", 0)
                         cluster.stats["dual_writes"] += 1
         return targets
-
-    def _insert_key_values(self, statement: ast.InsertStatement,
-                           spec: ShardSpec,
-                           params: List[Any]) -> Optional[List[Any]]:
-        if statement.columns is None or statement.rows is None:
-            raise UnsupportedStatementError(
-                f"INSERT into sharded table {spec.table!r} must list its "
-                f"columns including the shard key {spec.key_column!r}")
-        lowered = [c.lower() for c in statement.columns]
-        if spec.key_column not in lowered:
-            raise UnsupportedStatementError(
-                f"INSERT into sharded table {spec.table!r} without the "
-                f"shard key {spec.key_column!r}: the row cannot be placed")
-        key_index = lowered.index(spec.key_column)
-        values = []
-        for row in statement.rows:
-            expr = row[key_index]
-            value = _literal_value(expr, params)
-            if value is None and not isinstance(expr, ast.Literal):
-                raise UnsupportedStatementError(
-                    "INSERT shard-key values must be literals or bound "
-                    "parameters")
-            values.append(value)
-        return values
 
     # -- dispatch paths --------------------------------------------------
 
@@ -809,7 +603,7 @@ class ShardedSession:
         rules = self.cluster.rules_for(spec.table)
         by_group: Dict[int, list] = {}
         for row in statement.rows:
-            value = _literal_value(row[key_index], params)
+            value = literal_value(row[key_index], params)
             owner = spec.shard_for(value)
             by_group.setdefault(owner, []).append(row)
             for rule in rules:

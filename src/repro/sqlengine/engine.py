@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast_nodes as ast
 from .auth import User, UserStore
@@ -36,7 +36,7 @@ from .mvcc import (
     CommitClock, READ_COMMITTED, READ_UNCOMMITTED, REPEATABLE_READ,
     SERIALIZABLE, SNAPSHOT,
 )
-from .stmtcache import CAPACITY, StatementCache
+from .stmtcache import CAPACITY, Prepared, StatementCache
 from .storage import Table
 from .transactions import Transaction, TransactionStatus
 
@@ -192,17 +192,10 @@ class Connection:
         """Parse and execute ``sql`` (one or more ``;``-separated
         statements); returns the result of the last one."""
         self._check_usable()
-        engine = self.engine
-        statements = None
-        if not params and engine.auto_parameterize:
-            prepared = engine.prepare_parameterized(sql)
-            if prepared is not None:
-                statements, params = prepared
-        if statements is None:
-            statements = engine.parse(sql)
+        statements, sql, params = self.engine.lookup(sql, params)
         result = Result()
         for statement in statements:
-            result = self._execute_one(statement, sql, params or [])
+            result = self._execute_one(statement, sql, list(params))
         return result
 
     def execute_statement(self, statement: ast.Statement,
@@ -330,11 +323,6 @@ class Engine:
         # Index-backed access paths can be disabled to measure the
         # sequential-scan baseline (benchmark E23); results are identical.
         self.use_indexes = True
-        # Auto-parameterization: rewrite bare integer literals to ``?``
-        # before the parse cache, so point statements that differ only in
-        # key values share one parsed template (E28 hot path).  Disabled
-        # = the BENCH_e23-era parse-per-key behaviour.
-        self.auto_parameterize = True
         # Autovacuum: run :meth:`vacuum` every N commits so update-heavy
         # runs keep version chains bounded (a hot Zipf key otherwise
         # accumulates one dead version per update and every read walks
@@ -391,36 +379,31 @@ class Engine:
     # -- parsing ----------------------------------------------------------------
 
     def parse(self, sql: str) -> List[ast.Statement]:
-        cache = self._parse_cache
-        misses = cache.misses
-        statements = cache.parse(sql)
-        self._count_parse(misses)
-        self.stats["statements"] += len(statements)
+        """The trees of exactly ``sql``, counted into ``stats``."""
+        misses = self._parse_cache.misses
+        statements = self._parse_cache.parse(sql)
+        self._count_parse(misses, statements)
         return statements
 
-    def prepare_parameterized(self, sql: str):
-        """Auto-parameterize ``sql`` and parse the template through the
-        parse cache.  Returns ``(statements, values)`` or ``None`` when
-        the statement is not rewritable (the caller then parses the
-        original text).  Templates that fail to parse are remembered so
-        a pathological shape costs one attempt, not one per key."""
-        cache = self._parse_cache
-        misses = cache.misses
-        entry = cache.rewritten(sql)
-        if entry is None:
-            return None
-        self._count_parse(misses)
-        statements, _template, values = entry
-        self.stats["statements"] += len(statements)
-        return statements, values
+    def lookup(self, sql: str,
+               params: Optional[Sequence[Any]] = None) -> Prepared:
+        """``StatementCache.lookup`` counted into ``stats``: literal-inlined
+        point statements share their ``?`` template's trees, so text that
+        differs only in key values parses once."""
+        misses = self._parse_cache.misses
+        prepared = self._parse_cache.lookup(sql, params)
+        self._count_parse(misses, prepared[0])
+        return prepared
 
-    def _count_parse(self, misses_before: int) -> None:
+    def _count_parse(self, misses_before: int,
+                     statements: List[ast.Statement]) -> None:
         # a text remembered with its values fronts the template's entry:
         # a hit there is a (cheaper) parse-cache hit and counts as one
         if self._parse_cache.misses == misses_before:
             self.stats["parse_cache_hits"] += 1
         else:
             self.stats["parse_cache_misses"] += 1
+        self.stats["statements"] += len(statements)
 
     # -- transactions -------------------------------------------------------------
 

@@ -54,51 +54,15 @@ class EvalContext:
 def evaluate(expr: ast.Expression, ctx: EvalContext) -> Any:
     """Evaluate ``expr`` in ``ctx`` and return a plain Python value.
 
-    Dispatch is one dict lookup on the node's concrete class instead of
-    an isinstance chain — ``evaluate`` runs once per row per predicate,
-    so it is the innermost loop of every scan (ROADMAP item 4).
-    Subclassed nodes (or compat mode, see :func:`use_compat_dispatch`)
-    fall back to the chain.
+    Dispatch is one dict lookup on the node's concrete class —
+    ``evaluate`` runs once per row per predicate, so it is the innermost
+    loop of every scan.  ``_DISPATCH`` declares every concrete
+    ``ast.Expression`` class; anything else is not evaluable.
     """
-    handler = _active_dispatch.get(expr.__class__)
-    if handler is not None:
-        return handler(expr, ctx)
-    return _evaluate_compat(expr, ctx)
-
-
-def _evaluate_compat(expr: ast.Expression, ctx: EvalContext) -> Any:
-    """The historical isinstance-chain evaluator.  Kept both as the
-    fallback for Expression subclasses and as the "BENCH_e23-era"
-    reference arm E28 measures the dispatch rework against."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        return _eval_param(expr, ctx)
-    if isinstance(expr, ast.ColumnRef):
-        return _resolve_column(expr, ctx)
-    if isinstance(expr, ast.BinaryOp):
-        return _eval_binary(expr, ctx)
-    if isinstance(expr, ast.UnaryOp):
-        return _eval_unary(expr, ctx)
-    if isinstance(expr, ast.FunctionCall):
-        return _eval_function(expr, ctx)
-    if isinstance(expr, ast.InList):
-        return _eval_in(expr, ctx)
-    if isinstance(expr, ast.Between):
-        return _eval_between(expr, ctx)
-    if isinstance(expr, ast.Like):
-        return _eval_like(expr, ctx)
-    if isinstance(expr, ast.IsNull):
-        return _eval_isnull(expr, ctx)
-    if isinstance(expr, ast.Case):
-        return _eval_case(expr, ctx)
-    if isinstance(expr, ast.ScalarSubquery):
-        return _eval_scalar_subquery(expr, ctx)
-    if isinstance(expr, ast.ExistsSubquery):
-        return _eval_exists(expr, ctx)
-    if isinstance(expr, ast.Star):
-        raise TypeError_("'*' is only valid in a select list or COUNT(*)")
-    raise TypeError_(f"cannot evaluate expression {expr!r}")
+    handler = _DISPATCH.get(expr.__class__)
+    if handler is None:
+        raise TypeError_(f"cannot evaluate expression {expr!r}")
+    return handler(expr, ctx)
 
 
 def _eval_literal(expr: ast.Literal, ctx: EvalContext) -> Any:
@@ -136,41 +100,6 @@ def _eval_exists(expr: ast.ExistsSubquery, ctx: EvalContext) -> Any:
 
 def _eval_star(expr: ast.Star, ctx: EvalContext) -> Any:
     raise TypeError_("'*' is only valid in a select list or COUNT(*)")
-
-
-def _build_dispatch() -> Dict[type, Any]:
-    return {
-        ast.Literal: _eval_literal,
-        ast.Param: _eval_param,
-        ast.ColumnRef: _resolve_column,
-        ast.BinaryOp: _eval_binary,
-        ast.UnaryOp: _eval_unary,
-        ast.FunctionCall: _eval_function,
-        ast.InList: _eval_in,
-        ast.Between: _eval_between,
-        ast.Like: _eval_like,
-        ast.IsNull: _eval_isnull,
-        ast.Case: _eval_case,
-        ast.ScalarSubquery: _eval_scalar_subquery,
-        ast.ExistsSubquery: _eval_exists,
-        ast.Star: _eval_star,
-    }
-
-
-_DISPATCH: Dict[type, Any] = {}  # populated below, after handlers exist
-_active_dispatch: Dict[type, Any] = _DISPATCH
-
-
-def use_compat_dispatch(enabled: bool) -> None:
-    """Route every ``evaluate`` through the isinstance-chain reference
-    implementation (True) or the type-dispatch table (False).  E28 uses
-    this to measure the same run both ways; semantics are identical."""
-    global _active_dispatch
-    _active_dispatch = {} if enabled else _DISPATCH
-
-
-def compat_dispatch_enabled() -> bool:
-    return _active_dispatch is not _DISPATCH
 
 
 def is_true(value: Any) -> bool:
@@ -425,4 +354,19 @@ def sort_key(value: Any) -> tuple:
     return (1, 3, str(value))
 
 
-_DISPATCH.update(_build_dispatch())
+_DISPATCH: Dict[type, Any] = {
+    ast.Literal: _eval_literal,
+    ast.Param: _eval_param,
+    ast.ColumnRef: _resolve_column,
+    ast.BinaryOp: _eval_binary,
+    ast.UnaryOp: _eval_unary,
+    ast.FunctionCall: _eval_function,
+    ast.InList: _eval_in,
+    ast.Between: _eval_between,
+    ast.Like: _eval_like,
+    ast.IsNull: _eval_isnull,
+    ast.Case: _eval_case,
+    ast.ScalarSubquery: _eval_scalar_subquery,
+    ast.ExistsSubquery: _eval_exists,
+    ast.Star: _eval_star,
+}

@@ -191,14 +191,9 @@ def evaluate_value(expr: ast.Expression, ctx):
 #
 # Conjunct extraction and index choice depend only on the statement shape
 # and the table schema, not on parameter values, so they are compiled once
-# per (WHERE clause, table) and revalidated against ``table.schema_epoch``.
-# Re-executions of a cached statement only re-evaluate the probe-key
-# values.  ``PLAN_CACHE_ENABLED`` is a module toggle so benchmarks can
-# A/B the compiled path against per-call planning.
-
-PLAN_CACHE_ENABLED = True
-_PLAN_CACHE_CAPACITY = 4096
-_plan_cache: dict = {}
+# per (WHERE clause, table, binding) and revalidated against
+# ``table.schema_epoch``.  Re-executions of a cached statement only
+# re-evaluate the probe-key values.
 
 
 class _ProbeShape:
@@ -214,33 +209,28 @@ class _ProbeShape:
         self.columns = columns  # [(exprs, column_type)] per key column
 
 
+_UNCOMPILED = object()   # a compiled shape may be None ("always scans")
+
+
 def plan_table_access_cached(table: Table, binding: str,
                              where: Optional[ast.Expression],
                              ctx) -> AccessPlan:
     """Memoized :func:`plan_table_access`.
 
-    Entries are keyed by object identity of the WHERE clause and table
-    (the parse cache keeps statement trees alive, so identity is stable)
-    and carry strong references, which also guards against ``id()``
-    reuse.  A shape is recompiled whenever ``table.schema_epoch`` moves
-    (new/dropped index, added column).  The cache is cleared wholesale at
-    capacity — repopulating a working set is cheaper than tracking LRU
-    order on the hot path.
+    The shapes live on the table they describe (``table.access_shapes``),
+    keyed by the identity of the WHERE clause — the statement caches
+    keep the trees alive — and the binding it is read under, so both
+    sides of a self-join keep their own shape.  A shape is recompiled
+    whenever ``table.schema_epoch`` moves (new/dropped index, added
+    column).
     """
-    if not PLAN_CACHE_ENABLED:
-        return plan_table_access(table, binding, where, ctx)
     if where is None or not table.indexes:
         return AccessPlan(SEQ_SCAN, table)
-    key = (id(where), id(table))
-    hit = _plan_cache.get(key)
-    if hit is None or hit[0] is not where or hit[1] is not table \
-            or hit[2] != table.schema_epoch or hit[3] != binding:
+    shapes = table.access_shapes
+    shape = shapes.get_for(where, table.schema_epoch, binding, _UNCOMPILED)
+    if shape is _UNCOMPILED:
         shape = _compile_shape(table, binding, where)
-        if len(_plan_cache) >= _PLAN_CACHE_CAPACITY:
-            _plan_cache.clear()
-        hit = (where, table, table.schema_epoch, binding, shape)
-        _plan_cache[key] = hit
-    shape = hit[4]
+        shapes.put_for(where, shape, table.schema_epoch, binding)
     if shape is None:
         return AccessPlan(SEQ_SCAN, table)
     return _probe_from_shape(table, shape, ctx)

@@ -9,16 +9,19 @@ rewritten to a ``?`` template (:func:`parameterize_literals`) and share
 that template's trees.
 
 The cache hands out the *same* tree objects for the same shape.  That is
-the point: the route-plan, analysis and access-plan memos downstream are
+the point: the route-plan, analysis and access-shape memos downstream are
 keyed by tree identity and only hit when the tree is reused.  It is also
 the contract — cached trees are shared across sessions, groups and
 replicas and must be treated as read-only.
+
+Those memos, and this cache, are all one :class:`Memo`: one capacity,
+LRU eviction, ``hits`` / ``misses`` / ``evictions`` on every instance.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from . import ast_nodes as ast
 from .errors import SQLError
@@ -38,7 +41,75 @@ Prepared = Tuple[List[ast.Statement], str, Sequence[Any]]
 _UNPARSABLE = (None, "", ())
 
 
-class StatementCache:
+class Memo:
+    """A bounded LRU with ``hits`` / ``misses`` / ``evictions`` counters:
+    the one mechanism behind every per-statement memo in the stack.
+
+    ``get`` / ``put`` key by value.  ``get_for`` / ``put_for`` key by the
+    *identity* of an object that cannot be hashed by value or carry the
+    result itself (an AST node: ``__slots__``, shared, read-only), plus
+    an optional hashable ``key``.  The entry keeps a strong reference to
+    that object and a hit requires ``is``, so a recycled ``id()`` can
+    never answer for a dead one; it also carries the caller's ``stamp``
+    (a schema epoch, a map version) and a hit requires it unchanged, so
+    a stale entry is a miss that the next ``put_for`` overwrites in
+    place.  The least recently used entry is evicted at capacity."""
+
+    __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
+
+    def __init__(self, capacity: int = CAPACITY):
+        self.capacity = max(1, capacity)
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def get(self, key: Hashable) -> Any:
+        """The value stored under ``key``, or ``None`` (never a value)."""
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        entries = self._entries
+        entries[key] = value
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+            self.evictions += 1
+
+    def get_for(self, anchor: object, stamp: Any = None,
+                key: Hashable = None, default: Any = None) -> Any:
+        """The value stored for the object ``anchor`` (and ``key``) under
+        an unchanged ``stamp``, else ``default``."""
+        slot_key = (id(anchor), key)
+        slot = self._entries.get(slot_key)
+        if slot is None or slot[0] is not anchor or slot[1] != stamp:
+            self.misses += 1
+            return default
+        self._entries.move_to_end(slot_key)
+        self.hits += 1
+        return slot[2]
+
+    def put_for(self, anchor: object, value: Any, stamp: Any = None,
+                key: Hashable = None) -> None:
+        self.put((id(anchor), key), (anchor, stamp, value))
+
+    def clear(self) -> None:
+        """Drop every entry (the counters keep counting)."""
+        self._entries.clear()
+
+
+class StatementCache(Memo):
     """Bounded LRU from SQL text to parsed statements.
 
     A text maps either to its own trees (``values == ()``) or, when it
@@ -48,18 +119,7 @@ class StatementCache:
     capacity.  A text that fails to parse raises its ``ParseError`` on
     every call and is never stored as a success."""
 
-    def __init__(self, capacity: int = CAPACITY):
-        self.capacity = max(1, capacity)
-        self._entries: "OrderedDict[str, Prepared]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, sql: str) -> bool:
-        return sql in self._entries
+    __slots__ = ()
 
     def parse(self, sql: str) -> List[ast.Statement]:
         """The trees of exactly ``sql`` (no literal rewriting)."""
@@ -70,7 +130,7 @@ class StatementCache:
             return entry[0]
         statements = parse_script(sql)
         self.misses += 1
-        self._store(sql, (statements, sql, ()))
+        self.put(sql, (statements, sql, ()))
         return statements
 
     def lookup(self, sql: str,
@@ -108,15 +168,8 @@ class StatementCache:
         try:
             statements = self.parse(template)
         except SQLError:
-            self._store(template, _UNPARSABLE)
+            self.put(template, _UNPARSABLE)
             return None
         entry = (statements, template, tuple(values))
-        self._store(sql, entry)
+        self.put(sql, entry)
         return entry
-
-    def _store(self, sql: str, entry: Prepared) -> None:
-        entries = self._entries
-        entries[sql] = entry
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1

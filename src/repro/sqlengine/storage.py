@@ -23,6 +23,7 @@ import itertools
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .errors import IntegrityError, NameError_
+from .stmtcache import Memo
 from .types import Column, coerce
 
 
@@ -80,6 +81,9 @@ class Table:
         # Bumped on any schema change (columns, indexes); compiled access
         # plans (repro.sqlengine.planner) revalidate against it.
         self.schema_epoch = 0
+        #: the planner's compiled access shapes for this table; owned
+        #: here so they die with the rows they describe
+        self.access_shapes = Memo()
         self.last_inserted_id: Optional[int] = None
         pk_columns = tuple(
             c.name.lower() for c in self.columns if c.primary_key)

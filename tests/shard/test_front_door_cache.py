@@ -18,7 +18,7 @@ from repro.bench.harness import build_cluster, build_composed_cluster
 from repro.cache import ResultCacheConfig
 from repro.core import analysis
 from repro.shard import HashSharder
-from repro.sqlengine import parse_script, planner
+from repro.sqlengine import parse_script
 from repro.sqlengine.stmtcache import CAPACITY
 
 KV = "CREATE TABLE kv (k INT PRIMARY KEY, v INT, s VARCHAR(20))"
@@ -199,36 +199,62 @@ def test_shape_seen_before_its_table_is_registered_routes_by_the_spec():
 
 # -- memo counts -------------------------------------------------------------
 
-def memo_sizes(cluster):
-    return (len(cluster._route_plans), len(analysis._analysis_cache),
-            len(planner._plan_cache))
+def shape_memos(cluster):
+    """The access-shape memo of every ``kv`` table instance."""
+    return [replica.engine.database("shop").table("kv").access_shapes
+            for group in cluster.groups for replica in group.replicas]
+
+
+def memos(cluster):
+    """``[route plans, analyses, *access shapes]``."""
+    return [cluster.route_plans, analysis.analyses, *shape_memos(cluster)]
+
+
+def counters(memo_list):
+    return [(memo.hits, memo.misses, memo.evictions) for memo in memo_list]
+
+
+def counted_since(memo_list, before):
+    """Summed ``(hits, misses, evictions)`` since ``before``."""
+    deltas = [tuple(now - then for now, then in zip(after, start))
+              for after, start in zip(counters(memo_list), before)]
+    return tuple(sum(column) for column in zip(*deltas))
 
 
 def test_one_shape_is_one_entry_in_every_memo():
     cluster = sharded_door()
     seed_rows(cluster)
-    analysis._analysis_cache.clear()
-    planner._plan_cache.clear()
-    cluster._route_plans.clear()
+    analysis.analyses.clear()
+    cluster.route_plans.clear()
+    shapes = shape_memos(cluster)
+    for memo in shapes:
+        memo.clear()
+    routes, analyses = cluster.route_plans, analysis.analyses
     cache = cluster.statements
     session = cluster.connect(database="shop")
 
     hits, misses = cache.hits, cache.misses
+    before = counters(memos(cluster))
     for n in range(1000):
         session.execute("SELECT s FROM kv WHERE k = ?", [n % ROWS])
     assert (cache.hits - hits, cache.misses - misses) == (999, 1)
-    routes, analyses, plans = memo_sizes(cluster)
-    assert routes == 1 and analyses == 1
-    # one access-plan shape per table instance the reads were balanced to
-    assert 1 <= plans <= 4
+    assert len(routes) == 1 and len(analyses) == 1
+    assert counted_since([routes], before[:1]) == (999, 1, 0)
+    assert counted_since([analyses], before[1:2]) == (999, 1, 0)
+    # one access shape per table instance the reads were balanced to:
+    # each missed once and hit ever after
+    plans = sum(len(memo) for memo in shapes)
+    assert 1 <= plans <= 4 and max(len(memo) for memo in shapes) == 1
+    assert counted_since(shapes, before[2:]) == (1000 - plans, plans, 0)
 
     hits, misses = cache.hits, cache.misses
     for n in range(1000):
         session.execute(f"SELECT v, s FROM kv WHERE k = {n}")
     assert (cache.hits - hits, cache.misses - misses) == (999, 1)
-    routes, analyses, plans = memo_sizes(cluster)
-    assert routes == 2 and analyses == 2
-    assert plans <= 8
+    assert len(routes) == 2 and len(analyses) == 2
+    assert sum(len(memo) for memo in shapes) <= 8
+    assert max(len(memo) for memo in shapes) <= 2
+    assert counted_since([routes, analyses], before[:2]) == (3996, 4, 0)
     session.close()
 
 
@@ -238,13 +264,21 @@ def test_distinct_texts_leave_every_cache_bounded():
     cache = cluster.statements
     session = cluster.connect(database="shop")
     evictions = cache.evictions
+    before = counters(memos(cluster))
     for n in range(10_000):
         session.execute(f"SELECT v FROM kv WHERE k = 1 AND s <> 'x{n}'")
     session.close()
     assert len(cache) == CAPACITY
     assert cache.evictions - evictions >= 10_000 - CAPACITY
-    for size in memo_sizes(cluster):
-        assert size <= CAPACITY
+    for memo in memos(cluster):
+        assert len(memo) <= CAPACITY
+    # the memos that saw every text evicted one by one — they are full,
+    # not reset to empty
+    assert len(cluster.route_plans) == len(analysis.analyses) == CAPACITY
+    for memo, (_hits, _misses, evicted) in zip(memos(cluster)[:2], before):
+        assert memo.evictions - evicted >= 10_000 - CAPACITY
+    assert counted_since(shape_memos(cluster), before[2:])[2] > 0
+    assert max(len(memo) for memo in shape_memos(cluster)) == CAPACITY
     for group in cluster.groups:
         assert len(group.statements) <= CAPACITY
 

@@ -3,6 +3,7 @@ parameterized shard keys, and the map-version flip (routing + cache)."""
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.cache import ResultCacheConfig
 from repro.core.errors import MiddlewareDown, UnsupportedStatementError
 from repro.shard import HashSharder
@@ -44,6 +45,47 @@ def test_in_list_on_one_shard_stays_single():
     result = session.execute("SELECT SUM(v) FROM kv WHERE k IN (0, 2, 4)")
     assert result.rows == [(60,)]
     assert cluster.stats["single_shard"] == before + 1
+
+
+def test_same_named_column_of_another_table_does_not_pin():
+    """``dim.k`` is not the shard key of ``kv``: a predicate on it must
+    not send the join to the one shard that owns ``kv.k = 5``."""
+    cluster = build_sharded_cluster(shards=2, replicas=2)
+    session = cluster.connect(database="shop")
+    session.execute("CREATE TABLE kv (k INT PRIMARY KEY, g INT, v INT)")
+    session.execute("CREATE TABLE dim (id INT PRIMARY KEY, k INT, "
+                    "name VARCHAR(8))")
+    cluster.register_table("kv", "k", HashSharder(2))
+    for k in range(8):
+        session.execute(f"INSERT INTO kv (k, g, v) VALUES ({k}, {k % 2}, 0)")
+    session.execute("INSERT INTO dim (id, k, name) VALUES (0, 5, 'a')")
+    session.execute("INSERT INTO dim (id, k, name) VALUES (1, 5, 'b')")
+    join = ("SELECT kv.k, dim.name FROM kv JOIN dim ON kv.g = dim.id "
+            "WHERE {} ORDER BY kv.k")
+    expected = [(k, "ab"[k % 2]) for k in range(8)]
+
+    before = dict(cluster.stats)
+    assert session.execute(join.format("dim.k + 0 = 5")).rows == expected
+    assert session.execute(join.format("dim.k = 5")).rows == expected
+    assert session.execute(join.format("dim.k IN (5)")).rows == expected
+    assert cluster.stats["scatter_reads"] == before["scatter_reads"] + 3
+    assert cluster.stats["single_shard"] == before["single_shard"]
+
+    # the sharded table's own key still pins, by name or by alias; an
+    # unqualified k in a two-table statement is anybody's and does not
+    assert session.execute(join.format("kv.k = 5")).rows == [(5, "b")]
+    aliased = ("SELECT a.k, d.name FROM kv a JOIN dim d ON a.g = d.id "
+               "WHERE {} ORDER BY a.k")
+    assert session.execute(aliased.format("a.k = 5")).rows == [(5, "b")]
+    assert cluster.stats["single_shard"] == before["single_shard"] + 2
+    assert session.execute(aliased.format("d.k = 5")).rows == expected
+    session.execute("CREATE TABLE tag (id INT PRIMARY KEY, label VARCHAR(8))")
+    session.execute("INSERT INTO tag (id, label) VALUES (1, 'odd')")
+    assert session.execute(
+        "SELECT kv.k, tag.label FROM kv JOIN tag ON kv.g = tag.id "
+        "WHERE k = 5").rows == [(5, "odd")]
+    assert cluster.stats["single_shard"] == before["single_shard"] + 2
+    session.close()
 
 
 def test_unpinned_read_scatters_everywhere(hash_cluster):
@@ -123,6 +165,18 @@ def test_insert_without_shard_key_column_is_rejected(hash_cluster):
         session.execute("INSERT INTO kv (v) VALUES (1)")
     with pytest.raises(UnsupportedStatementError, match="columns"):
         session.execute("INSERT INTO kv VALUES (99, 1)")
+
+
+def test_insert_with_unplaceable_key_value_is_rejected(hash_cluster):
+    session = hash_cluster.connect(database="shop")
+    with pytest.raises(UnsupportedStatementError, match="literals or bound"):
+        session.execute("INSERT INTO kv (k, v) VALUES (1 + 1, 0)")
+    # a bound key that is NULL or was never bound cannot be placed either
+    with pytest.raises(UnsupportedStatementError, match="literals or bound"):
+        session.execute("INSERT INTO kv (k, v) VALUES (?, ?)", [None, 0])
+    with pytest.raises(UnsupportedStatementError, match="literals or bound"):
+        session.execute("INSERT INTO kv (k, v) VALUES (50, ?), (?, 0)", [0])
+    assert session.execute("SELECT COUNT(*) FROM kv").rows == [(10,)]
 
 
 def test_parameterized_shard_key_routes_like_literal():

@@ -146,3 +146,26 @@ def test_missing_param_raises(c):
 def test_string_number_comparison_permissive(c):
     assert scalar(c, "'5' = 5") is True
     assert scalar(c, "'abc' = 5") is False
+
+
+def test_dispatch_table_declares_every_expression_class():
+    from repro.sqlengine import ast_nodes as ast
+    from repro.sqlengine.expressions import (
+        _DISPATCH, EvalContext, evaluate,
+    )
+
+    def concrete(cls):
+        found = set()
+        for sub in cls.__subclasses__():
+            found |= {sub} | concrete(sub)
+        return found
+
+    assert set(_DISPATCH) == concrete(ast.Expression)
+
+    class Undeclared(ast.Literal):
+        __slots__ = ()
+
+    # no fallback walks the class hierarchy: a node the table does not
+    # name is not evaluable, even when it subclasses one that is
+    with pytest.raises(TypeError_, match="cannot evaluate"):
+        evaluate(Undeclared(1), EvalContext(None, None))

@@ -8,12 +8,17 @@ the index-choice ranking, the EXPLAIN surface, and the LRU eviction of
 the parse cache.
 """
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import Engine, ParseError, generic, parse
 from repro.sqlengine.expressions import EvalContext
 from repro.sqlengine.planner import (
     INDEX_PROBE, SEQ_SCAN, equality_candidates, plan_table_access,
+    plan_table_access_cached,
 )
 
 
@@ -199,3 +204,98 @@ class TestParseCacheLRU:
         for n in range(50):
             engine.parse(f"SELECT {n}")
         assert len(engine._parse_cache) == 8
+
+
+# -- the access-shape memo against the per-call planner ---------------------
+
+_COLUMNS = ("id", "items.id", "sku", "qty", "region", "items.region")
+_VALUES = ("1", "7", "'sku3'", "'r1'", "NULL", "?", "1 + 1")
+_ATOMS = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_COLUMNS),
+              st.sampled_from(_VALUES)),
+    st.builds("{} = {}".format, st.sampled_from(_VALUES),
+              st.sampled_from(_COLUMNS)),
+    st.builds("{} IN ({})".format, st.sampled_from(_COLUMNS),
+              st.lists(st.sampled_from(_VALUES), min_size=1,
+                       max_size=3).map(", ".join)),
+    st.builds("{} > {}".format, st.sampled_from(_COLUMNS),
+              st.sampled_from(_VALUES)),
+)
+_WHERES = st.recursive(
+    _ATOMS,
+    lambda inner: st.builds("({} {} {})".format, inner,
+                            st.sampled_from(("AND", "AND", "OR")), inner),
+    max_leaves=5)
+_SCHEMA_CHANGES = (
+    "CREATE INDEX idx_qty ON items (qty)",
+    "DROP INDEX idx_region",
+    "ALTER TABLE items ADD COLUMN note VARCHAR",
+    "CREATE INDEX idx_rq ON items (region, qty)",
+)
+
+
+def _plan_facts(access_plan):
+    return (access_plan.kind,
+            access_plan.index.name if access_plan.index else None,
+            sorted(access_plan.keys, key=repr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(where_sql=_WHERES,
+       params=st.lists(st.sampled_from((1, 7, "r1", "sku3", None)),
+                       max_size=6),
+       changes=st.permutations(_SCHEMA_CHANGES))
+def test_cached_planner_is_the_reference_planner(where_sql, params, changes):
+    """One WHERE tree, planned before and after every schema change: the
+    memoized planner and the per-call reference agree every time."""
+    engine = Engine("shapes", dialect=generic())
+    engine.create_database("shop")
+    conn = engine.connect(database="shop")
+    conn.execute(
+        "CREATE TABLE items (id INT PRIMARY KEY, sku VARCHAR UNIQUE, "
+        "qty INT, region VARCHAR)")
+    conn.execute("CREATE INDEX idx_region ON items (region)")
+    items = engine.database("shop").table("items")
+    where = where_of(f"SELECT * FROM items WHERE {where_sql}")
+    ctx = EvalContext(None, None, params=params)
+    for change in ("SELECT 1",) + tuple(changes):
+        conn.execute(change)
+        for _repeat in range(2):
+            cached = plan_table_access_cached(items, "items", where, ctx)
+            reference = plan_table_access(items, "items", where, ctx)
+            assert _plan_facts(cached) == _plan_facts(reference)
+    assert len(items.access_shapes) <= 1
+
+
+class TestAccessShapeMemo:
+    def test_shapes_die_with_their_engine(self):
+        engine = Engine("doomed", dialect=generic())
+        engine.create_database("shop")
+        conn = engine.connect(database="shop")
+        conn.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+        conn.execute("INSERT INTO kv VALUES (1, 10)")
+        assert conn.execute("SELECT v FROM kv WHERE k = 1").scalar() == 10
+        assert engine.stats["index_probes"] >= 1
+        table_ref = weakref.ref(engine.database("shop").table("kv"))
+        conn.close()
+        del conn, engine
+        gc.collect()
+        # nothing outside the engine — no module-level memo — keeps its
+        # rows and version chains reachable
+        assert table_ref() is None
+
+    def test_self_join_compiles_once_per_binding(self, conn):
+        conn.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+        for k in range(4):
+            conn.execute("INSERT INTO kv VALUES (?, ?)", [k, k * 10])
+        shapes = conn.engine.database("shop").table("kv").access_shapes
+        misses, hits = shapes.misses, shapes.hits
+        for n in range(100):
+            assert conn.execute(
+                "SELECT a.v, b.v FROM kv a JOIN kv b ON a.v <> b.v "
+                "WHERE a.k = ? AND b.k = ?", [n % 4, (n + 1) % 4]).rows \
+                == [(n % 4 * 10, (n + 1) % 4 * 10)]
+        # one shape per binding, compiled once each, hit ever after
+        assert shapes.misses - misses == 2
+        assert shapes.hits - hits == 198
+        assert len(shapes) == 2

@@ -1,11 +1,14 @@
 """The shared statement cache: one shape, one tree, bounded, honest
-about parse errors."""
+about parse errors — and the bounded, counted LRU under it and under
+every other per-statement memo."""
+
+import weakref
 
 import pytest
 
 from repro.sqlengine import Engine, ParseError
 from repro.sqlengine.parser import parameterize_literals
-from repro.sqlengine.stmtcache import StatementCache
+from repro.sqlengine.stmtcache import CAPACITY, Memo, StatementCache
 
 
 def test_literal_texts_share_their_template():
@@ -96,26 +99,94 @@ def test_order_by_ordinal_survives_literal_rewriting():
         == [(2, 10), (3, 20), (1, 30)]
 
 
-def test_engine_keeps_its_prepare_contract_and_counts_by_increment():
+def test_engine_lookup_shares_templates_and_counts_by_increment():
     engine = Engine("contract")
-    # not rewritable: None, nothing parsed, nothing counted
-    assert engine.prepare_parameterized("SELECT v FROM kv WHERE s = 'x'") \
-        is None
-    assert engine.prepare_parameterized("BEGIN") is None
-    assert engine.stats["parse_cache_misses"] == 0
-    assert "BEGIN" not in engine._parse_cache
+    # not rewritable: its own trees, one parse, one count
+    text = "SELECT v FROM kv WHERE s = 'x'"
+    statements, sql, values = engine.lookup(text)
+    assert (sql, values) == (text, ()) and text in engine._parse_cache
+    assert engine.stats["parse_cache_misses"] == 1
+    assert engine.stats["statements"] == 1
+    engine.stats.update(parse_cache_misses=0, statements=0)
 
-    statements, values = engine.prepare_parameterized(
+    statements, template, values = engine.lookup(
         "SELECT v FROM kv WHERE k = 7")
-    again, other = engine.prepare_parameterized(
-        "SELECT v FROM kv WHERE k = 8")
+    again, _template, other = engine.lookup("SELECT v FROM kv WHERE k = 8")
+    assert template == "SELECT v FROM kv WHERE k = ?"
     assert again is statements and (values, other) == ((7,), (8,))
-    engine.prepare_parameterized("SELECT v FROM kv WHERE k = 7")
+    engine.lookup("SELECT v FROM kv WHERE k = 7")
     assert engine.stats["parse_cache_misses"] == 1
     assert engine.stats["parse_cache_hits"] == 2
     assert engine.stats["statements"] == 3
+    # bound parameters: the text as sent, never rewritten
+    assert engine.lookup("SELECT v FROM kv WHERE k = 7", [1])[1:] \
+        == ("SELECT v FROM kv WHERE k = 7", [1])
 
     # the entries are counters of their own, not a mirror of the cache's
     engine.stats["parse_cache_hits"] = 0
     engine.parse("SELECT v FROM kv WHERE k = ?")
     assert engine.stats["parse_cache_hits"] == 1
+
+
+# -- the Memo every per-statement memo is an instance of --------------------
+
+def test_memo_evicts_least_recently_used_and_counts():
+    memo = Memo(capacity=3)
+    for key in "abc":
+        assert memo.get(key) is None
+        memo.put(key, key.upper())
+    assert (memo.hits, memo.misses, memo.evictions) == (0, 3, 0)
+    assert memo.get("a") == "A"         # refresh a: b is now the oldest
+    memo.put("d", "D")
+    assert "b" not in memo and "a" in memo and len(memo) == 3
+    assert (memo.hits, memo.misses, memo.evictions) == (1, 3, 1)
+    # one entry goes per entry over capacity: full, never reset to empty
+    for n in range(100):
+        memo.put(n, n)
+        assert len(memo) == 3
+    assert memo.evictions == 101
+    memo.put(99, "again")               # overwriting evicts nothing
+    assert memo.evictions == 101 and memo.get(99) == "again"
+    assert Memo().capacity == CAPACITY and Memo(0).capacity == 1
+    memo.clear()
+    assert len(memo) == 0 and memo.evictions == 101
+
+
+class _Node:
+    __slots__ = ("__weakref__",)
+
+
+def test_memo_identity_keys_guard_stamp_and_sub_key():
+    memo = Memo(capacity=4)
+    node, other = _Node(), _Node()
+    assert memo.get_for(node) is None
+    memo.put_for(node, "plain")
+    memo.put_for(node, "left", key="a")
+    memo.put_for(node, None, stamp=7, key="none")
+    assert memo.get_for(node) == "plain"
+    assert memo.get_for(node, key="a") == "left"
+    assert memo.get_for(other) is None and memo.get_for(node, key="b") is None
+    # a stored None is a hit, told from a miss by the caller's default
+    missing = object()
+    assert memo.get_for(node, 7, "none", missing) is None
+    assert memo.get_for(node, 8, "none", missing) is missing
+    assert (memo.hits, memo.misses) == (3, 4)
+    # a moved stamp is a miss, and the refill takes the same slot
+    memo.put_for(node, "fresh", stamp=8, key="none")
+    assert len(memo) == 3 and memo.get_for(node, 8, "none") == "fresh"
+
+
+def test_memo_identity_keys_survive_id_reuse():
+    memo = Memo()
+    node = _Node()
+    memo.put_for(node, "mine")
+    # the entry pins its anchor, so its id cannot be recycled while cached
+    alive = weakref.ref(node)
+    recorded = id(node)
+    del node
+    assert alive() is not None
+    # and were an id ever to collide, the ``is`` check refuses the entry
+    impostor = _Node()
+    memo._entries[(id(impostor), None)] = memo._entries.pop((recorded, None))
+    assert memo.get_for(impostor) is None
+    assert memo.get_for(alive()) is None     # moved away above

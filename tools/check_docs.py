@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run as a CI job.
 
-Three guarantees, all stdlib:
+Four guarantees, all stdlib:
 
 1. every relative Markdown link in the repo's ``*.md`` files resolves
    to an existing file or directory (external ``http(s)``/``mailto``
@@ -14,12 +14,16 @@ Three guarantees, all stdlib:
 3. every experiment ``benchmarks/test_eNN_*.py`` has a ``| ENN |``
    row in both ``EXPERIMENTS.md`` and ``DESIGN.md``'s per-experiment
    index — the drift E24 once exhibited;
-4. every span name the docs advertise exists in the code: inside any
-   ``docs/*.md`` section whose heading mentions "span", each backticked
-   lowercase dotted token (``mw.statement``, ``shard.2pc.prepare``, …)
-   must appear as literal text somewhere under ``src/repro/``.  Module
-   paths (``repro.*``) and class attributes (leading capital) are
-   exempt.  This is what keeps TOPOLOGY.md's vocabulary honest.
+4. every name the docs advertise exists in the code.  Span names:
+   inside any ``docs/*.md`` section whose heading mentions "span", each
+   backticked lowercase dotted token (``mw.statement``,
+   ``shard.2pc.prepare``, …) must appear as literal text somewhere under
+   ``src/repro/``.  Memo names: inside any section whose heading
+   mentions "memo", the last identifier of each backticked lowercase
+   name (``cluster.route_plans`` -> ``route_plans``, ``evictions``)
+   must appear as a word under ``src/repro/``.  Module paths
+   (``repro.*``) and class names (leading capital) are exempt.  This is
+   what keeps TOPOLOGY.md's and OBSERVABILITY.md's vocabulary honest.
 
 Exit code 0 = all green; 1 = problems, printed one per line.
 """
@@ -111,17 +115,17 @@ def check_experiment_rows(problems):
 #: dotted nowhere) and snake_case tags don't qualify; `repro.*` module
 #: paths are filtered at the call site.
 SPAN_TOKEN = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_*]+)+)`")
+#: a memo or counter name: a code span that is nothing but a lowercase,
+#: possibly dotted, identifier (`table.access_shapes`, `hits`)
+MEMO_TOKEN = re.compile(r"`((?:[a-z_][a-z0-9_]*\.)*[a-z_][a-z0-9_]*)`")
 HEADING = re.compile(r"^#+\s*(.*)")
 
 
-def check_span_vocabulary(problems):
-    root = REPO / "src" / "repro"
-    sources = "\n".join(
-        path.read_text()
-        for path in sorted(root.rglob("*.py"))
-        if not SKIP_DIRS.intersection(p.name for p in path.parents))
+def advertised(keyword, token):
+    """``(where, name)`` for every ``token`` match in a ``docs/*.md``
+    section whose heading mentions ``keyword``, module paths excluded."""
     for path in sorted((REPO / "docs").glob("*.md")):
-        in_span_section = False
+        in_section = False
         in_fence = False
         for number, line in enumerate(
                 path.read_text().splitlines(), start=1):
@@ -132,20 +136,34 @@ def check_span_vocabulary(problems):
                 continue
             heading = HEADING.match(line)
             if heading:
-                in_span_section = "span" in heading.group(1).lower()
+                in_section = keyword in heading.group(1).lower()
                 continue
-            if not in_span_section:
+            if not in_section:
                 continue
-            for token in SPAN_TOKEN.findall(line):
-                if token.startswith("repro."):
-                    continue
-                # `reshard.*`-style families check their prefix
-                literal = token.rstrip("*").rstrip(".")
-                if literal not in sources:
-                    problems.append(
-                        f"{path.relative_to(REPO)}:{number}: span "
-                        f"`{token}` is not emitted anywhere in "
-                        f"src/repro/")
+            for name in token.findall(line):
+                if not name.startswith("repro."):
+                    yield f"{path.relative_to(REPO)}:{number}", name
+
+
+def check_vocabulary(problems):
+    root = REPO / "src" / "repro"
+    sources = "\n".join(
+        path.read_text()
+        for path in sorted(root.rglob("*.py"))
+        if not SKIP_DIRS.intersection(p.name for p in path.parents))
+    for where, name in advertised("span", SPAN_TOKEN):
+        # `reshard.*`-style families check their prefix
+        literal = name.rstrip("*").rstrip(".")
+        if literal not in sources:
+            problems.append(
+                f"{where}: span `{name}` is not emitted anywhere in "
+                f"src/repro/")
+    for where, name in advertised("memo", MEMO_TOKEN):
+        attribute = name.rsplit(".", 1)[-1]
+        if not re.search(rf"\b{attribute}\b", sources):
+            problems.append(
+                f"{where}: memo name `{name}`: nothing under src/repro/ "
+                f"is called {attribute!r}")
 
 
 def main() -> int:
@@ -153,7 +171,7 @@ def main() -> int:
     check_links(problems)
     check_architecture_coverage(problems)
     check_experiment_rows(problems)
-    check_span_vocabulary(problems)
+    check_vocabulary(problems)
     for problem in problems:
         print(problem)
     count = len(problems)
