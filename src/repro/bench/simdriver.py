@@ -99,8 +99,6 @@ class TimedCluster:
             self._cert_lock = Store(env)
             self._cert_lock.put(1)
         self._gc_current: Optional[_Gather] = None
-        if group_commit_window > 0:
-            middleware.group_commit.record_flush = True
         self._running = True
         self._signals: Dict[str, Store] = {}
         if middleware.config.propagation == "async":

@@ -1,10 +1,36 @@
-"""Group commit for the writeset pipeline.
+"""The commit pipeline, and group commit through it.
 
-The certifier is a serial total-order point (paper section 2.2): every
-update transaction pays an ordering round, a certification check, a log
-append and a propagation enqueue *per transaction*.  The classic fix is
-group commit — collect the commit requests that arrive within a short
-window and push them through the serial point as one batch:
+Every globally ordered unit — a DDL broadcast, a statement-mode commit,
+a writeset commit, a cross-shard 2PC commit, a 2PC presumed-abort no-op
+and a reshard install — runs a subset of ONE stage order, written once
+in :class:`GroupCommitCoordinator` (docs/ARCHITECTURE.md has the table
+of which kind runs which stage):
+
+1. obtain the seq (``certify`` | ``assign_seq`` | handed over by a 2PC
+   prepare | ``rescind`` for a no-op);
+2. :meth:`~GroupCommitCoordinator.prepare` — commit ledger PENDING,
+   ``ship_prepare`` to the HA standby;
+3. make the unit durable on the replicas that hold it (the only
+   path-specific stage: the origin drains its prefix and commits; under
+   statement replication the replicas committed before sequencing);
+4. ``RecoveryLog.append``;
+5. propagate: one frame per destination replica;
+6. ``consistency.note_commit`` for the client session, if there is one;
+7. ledger COMMITTED + ``ship_ack`` (a no-op ships ``ship_resolve_noop``);
+8. ``publish_certified``: one ``CertifiedWrite`` per seq;
+9. ``maybe_prune_certifier``.
+
+Stages 1-4 are the first half, 5-9 the second.  What differs between
+unit kinds is data on the :class:`CommitRequest`, not a copy of the
+sequence.  The subscribers are direct calls at the stage that owns
+them; a new consumer of the commit stream is one more call there.
+
+Group commit is the reason for the two halves.  The certifier is a
+serial total-order point (paper section 2.2): every update transaction
+pays an ordering round, a certification check, a log append and a
+propagation enqueue *per transaction*.  The classic fix is to collect
+the commit requests that arrive within a short window and push them
+through the serial point as one batch:
 
 * one certifier batch (one log append, one standby-sync round when the
   certifier is replicated) certifies the whole group, with intra-batch
@@ -13,10 +39,10 @@ window and push them through the serial point as one batch:
 * one multi-writeset *frame* per destination replica carries the whole
   group instead of one queue entry per transaction;
 * per-commit semantics that correctness depends on are preserved per
-  contained transaction: HA state shipping still runs prepare before the
-  local commit and ack before the client sees the result, the cache
-  invalidation stream still sees one ``CertifiedWrite`` per commit, and
-  the recovery log still records every transaction individually.
+  contained transaction: every member runs its own first half inside
+  the gather, and the flush runs the second half for all of them —
+  ack before the client sees the result, one ``CertifiedWrite`` and one
+  recovery-log entry per commit.
 
 :class:`GroupCommitCoordinator` runs in two modes.  In *immediate* mode
 (the default untimed path) every ``submit`` is a batch of one and the
@@ -38,23 +64,42 @@ recovery join all read that watermark and stay correct.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sqlengine import SerializationError
 from .applysched import ApplyUnit
 from .certifier import CertifierDown
 from .replica import ApplyItem
-from .writesets import invalidation_keys
+from .writesets import conflict_keys, invalidation_keys
 
 
 class CommitRequest:
-    """One transaction's certification + commit request."""
+    """One sequenced unit on its way through the commit pipeline.
+
+    ``kind`` is the recovery-log / shipping kind (``"writeset"``:
+    ``entries`` are writeset changes; ``"statements"``: ``entries`` are
+    ``(sql, params)`` pairs).  ``origin`` + ``connection`` are the
+    replica that executed a writeset transaction and its open
+    connection; ``holders`` are the replicas that hold the unit's
+    effects once it is durable and therefore receive no frame (the
+    origin; under statement replication every replica that committed).
+    A unit without a client session (install, no-op) passes ``user`` /
+    ``database`` / ``txn_id`` itself.
+    """
 
     __slots__ = ("session", "origin", "connection", "start_seq", "keys",
-                 "entries", "tables")
+                 "entries", "tables", "kind", "publish_kind", "holders",
+                 "sync_apply", "noop", "user", "database", "txn_id",
+                 "seq", "unit")
 
-    def __init__(self, session, origin, connection, start_seq: int,
-                 keys, entries, tables):
+    def __init__(self, session=None, origin=None, connection=None,
+                 start_seq: int = 0, keys=frozenset(), entries=(),
+                 tables=(), kind: str = "writeset",
+                 publish_kind: str = "writeset", holders: Sequence = (),
+                 sync_apply: bool = False, noop: bool = False,
+                 user: Optional[str] = None,
+                 database: Optional[str] = None,
+                 txn_id: Optional[str] = None):
         self.session = session
         self.origin = origin
         self.connection = connection
@@ -62,25 +107,48 @@ class CommitRequest:
         self.keys = keys
         self.entries = entries
         self.tables = tables
+        self.kind = kind
+        # kind of the published CertifiedWrite: "ddl" and "opaque"
+        # invalidate everything cached, which the log kind cannot say
+        self.publish_kind = publish_kind
+        self.holders = holders if origin is None else (origin,)
+        # frames are applied before the unit is acknowledged whatever
+        # the propagation mode (see GroupCommitCoordinator.install)
+        self.sync_apply = sync_apply
+        # a prepared 2PC entry that aborted: acknowledged to the standby
+        # with ship_resolve_noop instead of ship_ack
+        self.noop = noop
+        if session is not None:
+            user, database = session.user, session.database
+            txn_id = session.client_txn_id
+        self.user = user
+        self.database = database
+        self.txn_id = txn_id
+        self.seq = 0
+        self.unit: Optional[ApplyUnit] = None
+
+    @property
+    def span(self):
+        """The committing session's live statement span, if any."""
+        session = self.session
+        return session.active_span if session is not None else None
 
 
 class GroupCommitCoordinator:
-    """Batches writeset commits through the certifier and propagation."""
+    """Runs the commit sequence; batches writeset commits through it."""
 
     def __init__(self, middleware, max_batch: int = 64):
         self.middleware = middleware
         self.max_batch = max_batch
         self._gathering = False
-        self._staged: List[ApplyUnit] = []
-        self._records: List[tuple] = []  # (session, unit, origin)
+        self._requests: List[CommitRequest] = []  # first half done
         self.stats: Dict[str, int] = {
             "batches": 0, "batched_commits": 0, "max_batch": 0,
             "frames": 0, "frame_units": 0,
         }
-        # Optional audit hooks (E27): every certification decision, and
-        # the frame layout of the last flush for timed cost charging.
+        # Optional audit hook (E27): every certification decision.
         self.equivalence_log: Optional[List[Dict[str, Any]]] = None
-        self.record_flush = False
+        # Frame layout of the last propagation, for timed cost charging.
         self.last_flush: Optional[Dict[str, Any]] = None
 
     @property
@@ -96,6 +164,10 @@ class GroupCommitCoordinator:
             yield self
         finally:
             self._flush()
+
+    # ------------------------------------------------------------------
+    # entry points, one per way of obtaining the seq
+    # ------------------------------------------------------------------
 
     def submit(self, request: CommitRequest) -> int:
         """Certify and locally commit one transaction.  Outside a gather
@@ -115,38 +187,186 @@ class GroupCommitCoordinator:
         finally:
             self._flush()
 
-    def commit_prepared(self, request: CommitRequest, seq: int) -> int:
+    def commit_sequenced(self, request: CommitRequest) -> int:
+        """Order-only units, sequenced with ``assign_seq`` and no
+        conflict check: a DDL broadcast or a statement-mode commit (the
+        replicas in ``request.holders`` committed already) and an
+        install (no replica holds it yet)."""
+        middleware = self.middleware
+        span = middleware.tracer.child_span(
+            "certify", request.span, kind=request.publish_kind,
+            keys=len(request.keys))
+        seq = middleware.certifier.assign_seq(request.keys)
+        span.set_tag("seq", seq)
+        span.end()
+        self.prepare(request, seq)
+        self._harden(request)
+        self._complete([request])
+        return seq
+
+    def commit_prepared(self, request: CommitRequest) -> int:
         """Phase 2 of a cross-shard 2PC commit (``repro.shard.twopc``):
         the transaction was already *prepared* — certified by this
-        group's certifier (which assigned ``seq``) and shipped to the HA
-        standby — and the coordinator decided commit.  Run the rest of
-        this group's ordinary pipeline: prefix drain, local commit,
-        recovery-log append, propagation, HA ack, cache publish."""
+        group's certifier and handed to :meth:`prepare` with the seq it
+        won — and the coordinator decided commit.  Run the rest of the
+        sequence."""
+        self._harden(request)
+        self._complete([request])
+        return request.seq
+
+    def abort_prepared(self, request: CommitRequest) -> None:
+        """The other 2PC outcome (presumed abort) for a prepared entry:
+        its certifier footprint is rescinded and the consumed seq is
+        filled with an empty no-op unit — an empty recovery-log entry,
+        an empty frame to every replica, ``ship_resolve_noop`` to the
+        standby and an empty-footprint publish that moves the cache
+        invalidator's watermark past the seq.  Watermarks stay gapless;
+        the write disappears.  The caller rolls the session back."""
+        self.middleware.certifier.rescind(request.seq)
+        noop = CommitRequest(entries=[], noop=True, user=request.user,
+                             database=request.database)
+        noop.seq = request.seq
+        self._harden(noop)
+        self._complete([noop])
+
+    def install(self, entries, tables, user: str = "reshard",
+                database: Optional[str] = None,
+                txn_id: Optional[str] = None) -> int:
+        """Install already-committed facts (a reshard's snapshot copy,
+        its recovery-log join batch, a replayed 2PC decision) as one
+        ordered writeset unit.  Returns the assigned seq.
+
+        Order-only sequencing is correct because the router never sends
+        client writes for the moving keys to the destination group
+        before the dual-write window, so nothing can race these installs
+        on the same rows.  ``sync_apply``: no replica holds the rows yet
+        and no client session carries a token that would make a later
+        read wait for them, so every replica applies them before the
+        install returns, also under asynchronous propagation."""
+        return self.commit_sequenced(CommitRequest(
+            keys=conflict_keys(entries), entries=entries,
+            tables=sorted(tables), sync_apply=True, user=user,
+            database=database, txn_id=txn_id))
+
+    def changes_since(self, seq: int) -> Tuple[List[Dict[str, Any]], int]:
+        """The read side of :meth:`install` (the E12 join): every
+        writeset change sequenced after ``seq``, in order, and the seq
+        of the last unit looked at.  Statement units are skipped — a DDL
+        broadcast reaches every group directly."""
+        changes: List[Dict[str, Any]] = []
+        for entry in self.middleware.recovery_log.entries_since(seq):
+            seq = max(seq, entry.seq)
+            if entry.kind == "writeset":
+                changes.extend(entry.payload)
+        return changes, seq
+
+    # ------------------------------------------------------------------
+    # the stages
+    # ------------------------------------------------------------------
+
+    def prepare(self, request: CommitRequest, seq: int) -> None:
+        """Stage 2, HA phase 1: record the client txn as PENDING and
+        mirror the unit to the standby, before the commit becomes
+        durable (writeset mode; a 2PC prepare stops here until the
+        decision) or at sequencing time (statement mode, where the
+        replicas committed first)."""
+        request.seq = seq
         middleware = self.middleware
-        session = request.session
+        if middleware.commit_ledger is not None \
+                and request.txn_id is not None:
+            middleware.commit_ledger.prepare(request.txn_id, seq)
+        if middleware.state_shipper is not None:
+            middleware.state_shipper.ship_prepare(request)
+
+    def _harden(self, request: CommitRequest) -> None:
+        """Stages 3-4: durable on the replicas that hold the unit, then
+        the recovery log; a writeset unit is staged for propagation."""
+        middleware = self.middleware
+        seq = request.seq
         origin = request.origin
-        middleware.drain_replica(origin.name, up_to_seq=seq - 1)
-        commit_span = middleware.tracer.child_span(
-            "replica.commit", session.active_span, replica=origin.name)
-        with commit_span:
-            request.connection.commit()
-        origin.applied_seq = max(origin.applied_seq, seq)
+        if request.connection is not None:
+            # Prefix discipline: everything certified before this
+            # transaction and already propagated must be applied at the
+            # origin first.  Units staged in the *same* batch are
+            # handled by the flush (the origin's frame applies
+            # synchronously there).
+            middleware.drain_replica(origin.name, up_to_seq=seq - 1)
+            with middleware.tracer.child_span(
+                    "replica.commit", request.span, replica=origin.name):
+                request.connection.commit()
+        for replica in request.holders:
+            replica.applied_seq = max(replica.applied_seq, seq)
         middleware.recovery_log.append(
-            seq, "writeset", request.entries, tables=request.tables,
-            user=session.user, database=session.database)
-        unit = ApplyUnit(seq, request.entries, tuple(request.tables),
-                         keys=request.keys, origin=origin.name,
-                         enqueued_at=middleware.monitor.peek())
-        self._propagate([unit])
-        middleware.config.consistency.note_commit(session.view, seq)
-        middleware._ship_ack(session, seq)
-        middleware.publish_certified(
-            seq, keys=invalidation_keys(request.entries, origin.engine),
-            tables={(e["database"], e["table"]) for e in request.entries},
-            kind="writeset", database=session.database,
-            entries=request.entries)
+            seq, request.kind, request.entries, tables=request.tables,
+            user=request.user, database=request.database)
+        if request.kind != "writeset":
+            return  # statement replication already ran it everywhere
+        prop_span = middleware.tracer.child_span(
+            "propagate", request.span, seq=seq,
+            mode=middleware.config.propagation,
+            batched=len(self._requests) > 0)
+        trace_ref = ((prop_span.trace_id, prop_span.span_id)
+                     if prop_span else None)
+        prop_span.end()
+        request.unit = ApplyUnit(
+            seq, request.entries, tuple(request.tables), keys=request.keys,
+            origin=origin.name if origin is not None else None,
+            enqueued_at=middleware.monitor.peek(), trace_ref=trace_ref)
+
+    def _complete(self, requests: List[CommitRequest]) -> None:
+        """Stages 5-9 for units whose first half is done: one frame per
+        destination for all of them, then per unit in seq order the
+        session token, the HA ack and the certified stream — an acked
+        commit can never be lost by a promotion, and the cache
+        invalidator sees each commit's own keys and seq."""
+        middleware = self.middleware
+        staged = [r.unit for r in requests if r.unit is not None]
+        if staged:
+            self._propagate(staged,
+                            sync=any(r.sync_apply for r in requests))
+        note_commit = middleware.config.consistency.note_commit
+        for request in requests:
+            if request.session is not None:
+                note_commit(request.session.view, request.seq)
+            self._acknowledge(request)
+            if request.kind == "writeset":
+                entries = request.entries
+                holder = request.origin \
+                    or next(iter(middleware.online_replicas()), None)
+                keys = invalidation_keys(
+                    entries, holder.engine if holder else None)
+                tables = {(e["database"], e["table"]) for e in entries}
+            else:
+                # empty-footprint commits (e.g. SELECT FOR UPDATE only)
+                # still publish: the event advances the invalidator's
+                # freshness watermark
+                entries = None
+                keys = request.keys
+                tables = _qualified(request.tables, request.database)
+            middleware.publish_certified(
+                request.seq, keys=keys, tables=tables,
+                kind=request.publish_kind, database=request.database,
+                entries=entries)
         middleware.maybe_prune_certifier()
-        return seq
+
+    def _acknowledge(self, request: CommitRequest) -> None:
+        """Stage 7, HA phase 2: the commit is durable everywhere the
+        propagation mode requires — flip the ledger to COMMITTED and
+        ship the session token.  Always precedes the client
+        acknowledgement, so an acked commit can never be lost by a
+        promotion (RPO = 0)."""
+        middleware = self.middleware
+        shipper = middleware.state_shipper
+        if request.noop:
+            if shipper is not None:
+                shipper.ship_resolve_noop(request)
+            return
+        if middleware.commit_ledger is not None \
+                and request.txn_id is not None:
+            middleware.commit_ledger.mark_committed(request.txn_id,
+                                                    request.seq)
+        if shipper is not None:
+            shipper.ship_ack(request)
 
     # ------------------------------------------------------------------
     # internals
@@ -155,17 +375,14 @@ class GroupCommitCoordinator:
     def _begin(self) -> None:
         self.middleware.certifier.begin_batch()
         self._gathering = True
-        self._staged = []
-        self._records = []
+        self._requests = []
 
     def _certify_and_commit(self, request: CommitRequest) -> int:
         middleware = self.middleware
-        session = request.session
-        origin = request.origin
         span = middleware.tracer.child_span(
-            "certify", session.active_span, kind="writeset",
+            "certify", request.span, kind="writeset",
             keys=len(request.keys), start_seq=request.start_seq,
-            batch_size=len(self._staged) + 1)
+            batch_size=len(self._requests) + 1)
         try:
             outcome = middleware.certifier.certify(request.start_seq,
                                                    request.keys)
@@ -188,81 +405,35 @@ class GroupCommitCoordinator:
             request.connection.rollback()
             middleware.stats["aborts"] += 1
             middleware.stats["certification_aborts"] += 1
-            origin.stats["aborts"] += 1
+            request.origin.stats["aborts"] += 1
             raise SerializationError(
                 f"certification failed: conflicts with global seq "
                 f"{outcome.conflict_seq} (first-committer-wins)")
         span.set_tag("seq", outcome.seq)
         span.end()
-        seq = outcome.seq
-        # HA phase 1 (repro.ha): the shipped PENDING entry reaches the
-        # standby before the local commit becomes durable — per contained
-        # transaction, batching changes nothing here.
-        middleware._ship_prepare(session, seq, request.keys, "writeset",
-                                 request.entries, request.tables)
-        # Prefix discipline: everything certified before this transaction
-        # and already propagated must be applied locally first.  Units
-        # staged in *this* batch are handled by the flush (the origin's
-        # frame applies synchronously there).
-        middleware.drain_replica(origin.name, up_to_seq=seq - 1)
-        commit_span = middleware.tracer.child_span(
-            "replica.commit", session.active_span, replica=origin.name)
-        with commit_span:
-            request.connection.commit()
-        origin.applied_seq = max(origin.applied_seq, seq)
-        middleware.recovery_log.append(
-            seq, "writeset", request.entries, tables=request.tables,
-            user=session.user, database=session.database)
-        prop_span = middleware.tracer.child_span(
-            "propagate", session.active_span, seq=seq,
-            mode=middleware.config.propagation,
-            batched=len(self._staged) > 0)
-        trace_ref = ((prop_span.trace_id, prop_span.span_id)
-                     if prop_span else None)
-        prop_span.end()
-        unit = ApplyUnit(seq, request.entries, tuple(request.tables),
-                         keys=request.keys, origin=origin.name,
-                         enqueued_at=middleware.monitor.peek(),
-                         trace_ref=trace_ref)
-        self._staged.append(unit)
-        self._records.append((session, unit, origin))
-        middleware.config.consistency.note_commit(session.view, seq)
-        return seq
+        self.prepare(request, outcome.seq)
+        self._harden(request)
+        self._requests.append(request)
+        return outcome.seq
 
     def _flush(self) -> None:
-        middleware = self.middleware
-        staged = self._staged
-        records = self._records
-        self._staged = []
-        self._records = []
+        requests = self._requests
+        self._requests = []
         self._gathering = False
-        middleware.certifier.end_batch()
-        if staged:
+        self.middleware.certifier.end_batch()
+        if requests:
             self.stats["batches"] += 1
-            self.stats["batched_commits"] += len(staged)
+            self.stats["batched_commits"] += len(requests)
             self.stats["max_batch"] = max(self.stats["max_batch"],
-                                          len(staged))
-            self._propagate(staged)
-            for session, unit, origin in records:
-                # HA phase 2 + certified stream, per contained commit and
-                # in seq order: an acked commit can never be lost by a
-                # promotion, and the cache invalidator sees each commit's
-                # own keys and seq.
-                middleware._ship_ack(session, unit.seq)
-                middleware.publish_certified(
-                    unit.seq,
-                    keys=invalidation_keys(unit.entries, origin.engine),
-                    tables={(e["database"], e["table"])
-                            for e in unit.entries},
-                    kind="writeset", database=session.database,
-                    entries=unit.entries)
-        middleware.maybe_prune_certifier()
+                                          len(requests))
+        self._complete(requests)
 
-    def _propagate(self, staged: List[ApplyUnit]) -> None:
+    def _propagate(self, staged: List[ApplyUnit], sync: bool) -> None:
         """One frame per destination replica for the whole batch.  A
         frame of one keeps the historical plain-writeset item shape."""
         middleware = self.middleware
-        origins: Set[str] = {unit.origin for unit in staged}
+        sync = sync or middleware.config.propagation == "sync"
+        origins: Set[Optional[str]] = {unit.origin for unit in staged}
         frames: Dict[str, List[ApplyUnit]] = {}
         sync_applied: Set[str] = set()
         for replica in middleware.replicas:
@@ -276,8 +447,7 @@ class GroupCommitCoordinator:
             # Origins committed mid-batch already advertise their own
             # seq; the watermark rule requires their co-batch prefix to
             # land before anything else observes them (see module doc).
-            if middleware.config.propagation == "sync" \
-                    or replica.name in origins:
+            if sync or replica.name in origins:
                 sync_applied.add(replica.name)
                 middleware._apply_item(replica, item)
             else:
@@ -286,8 +456,7 @@ class GroupCommitCoordinator:
                     middleware.on_apply_enqueued(replica, item)
         self.stats["frames"] += len(frames)
         self.stats["frame_units"] += sum(len(u) for u in frames.values())
-        if self.record_flush:
-            self.last_flush = {"frames": frames, "sync": sync_applied}
+        self.last_flush = {"frames": frames, "sync": sync_applied}
 
     @staticmethod
     def _frame_item(units: List[ApplyUnit], now: float) -> ApplyItem:
@@ -304,3 +473,17 @@ class GroupCommitCoordinator:
         return ApplyItem(units[-1].seq, "writeset_batch", list(units),
                          tuple(tables), enqueued_at=now,
                          trace_ref=units[0].trace_ref)
+
+
+def _qualified(names, database: Optional[str]) -> set:
+    """Raw ``table`` / ``db.table`` strings -> ``(db, table)`` pairs
+    against the unit's default database."""
+    keys = set()
+    for name in names:
+        name = str(name).lower()
+        if "." in name:
+            qualifier, _, table = name.partition(".")
+            keys.add((qualifier, table))
+        elif database is not None:
+            keys.add((database.lower(), name))
+    return keys

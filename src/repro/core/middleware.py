@@ -193,9 +193,10 @@ class ReplicationMiddleware:
             "certification_aborts": 0, "freshness_waits": 0,
             "certifier_pruned": 0,
         }
-        # Group commit (repro.core.groupcommit): the writeset commit path
-        # always runs through the coordinator — a batch of one outside a
-        # gather, real multi-commit batches under the timed driver.
+        # The commit pipeline (repro.core.groupcommit): every sequenced
+        # unit runs the coordinator's one stage order; a writeset commit
+        # is a batch of one outside a gather, real multi-commit batches
+        # under the timed driver.
         self.group_commit = GroupCommitCoordinator(
             self, max_batch=self.config.group_commit_max)
         # Hook used by the timed driver to wake per-replica apply workers
@@ -365,32 +366,6 @@ class ReplicationMiddleware:
                 f"middleware {self.name!r} holds epoch {self.epoch} but "
                 f"the cluster advanced to {self.fence.epoch}; this "
                 "instance was deposed")
-
-    # -- state shipping (repro.ha) -------------------------------------
-
-    def _ship_prepare(self, session, seq: int, keys, kind: str, payload,
-                      tables: Sequence[str]) -> None:
-        """Phase 1 of the HA commit shipping: record the client txn as
-        PENDING and mirror the update unit to the standby, before the
-        commit becomes durable (writeset mode) or at sequencing time
-        (statement/DDL mode, where replicas committed first)."""
-        txn_id = getattr(session, "client_txn_id", None)
-        if self.commit_ledger is not None and txn_id is not None:
-            self.commit_ledger.prepare(txn_id, seq)
-        if self.state_shipper is not None:
-            self.state_shipper.ship_prepare(session, seq, keys, kind,
-                                            payload, tables)
-
-    def _ship_ack(self, session, seq: int) -> None:
-        """Phase 2: the commit is durable everywhere the propagation
-        mode requires — flip the ledger to COMMITTED and ship the
-        session token.  Always precedes the client acknowledgement, so
-        an acked commit can never be lost by a promotion (RPO = 0)."""
-        txn_id = getattr(session, "client_txn_id", None)
-        if self.commit_ledger is not None and txn_id is not None:
-            self.commit_ledger.mark_committed(txn_id, seq)
-        if self.state_shipper is not None:
-            self.state_shipper.ship_ack(session, seq)
 
     # ------------------------------------------------------------------
     # middleware failure (SPOF experiments)
@@ -696,6 +671,7 @@ class MiddlewareSession:
         self._txn_tables_written: set = set()
         self._txn_start_seq = 0
         self._txn_is_write = False
+        self._txn_isolation: Optional[str] = None
         self._txn_lock_id: Optional[int] = None
         self._local_replica: Optional[str] = None  # writeset mode
         # temp-table pinning (section 4.1.4)
@@ -1289,7 +1265,7 @@ class MiddlewareSession:
                 "temporary tables are unrecoverable (section 4.1.4)")
         connection = self._pinned_connection_for(replica)
         if self.in_transaction and not connection.in_transaction:
-            connection.begin(getattr(self, "_txn_isolation", None))
+            connection.begin(self._txn_isolation)
             self._txn_connections[replica.name] = connection
         return self._traced_execute(replica, connection, statement,
                                     sql_text, params)
@@ -1462,24 +1438,11 @@ class MiddlewareSession:
                 else self._read_connection(replica)
             result = self._traced_execute(replica, connection, statement,
                                           sql_text, params)
-        span = middleware.tracer.child_span("certify", self.active_span,
-                                            kind="ddl")
-        seq = middleware.certifier.assign_seq()
-        span.set_tag("seq", seq)
-        span.end()
-        middleware._ship_prepare(
-            self, seq, frozenset(), "statements",
-            [(sql_text, list(params))], sorted(info.tables_written))
-        middleware.recovery_log.append(
-            seq, "statements", [(sql_text, list(params))],
-            tables=sorted(info.tables_written), user=self.user,
-            database=self.database)
-        for replica in middleware.online_replicas():
-            replica.applied_seq = max(replica.applied_seq, seq)
-        middleware._ship_ack(self, seq)
-        middleware.publish_certified(
-            seq, tables=self._published_tables(info.tables_written),
-            kind="ddl", database=self.database)
+        # already executed everywhere: only the ordered tail is left
+        middleware.group_commit.commit_sequenced(CommitRequest(
+            self, entries=[(sql_text, list(params))],
+            tables=sorted(info.tables_written), kind="statements",
+            publish_kind="ddl", holders=middleware.online_replicas()))
         return result
 
     def _ensure_local_replica(self) -> Replica:
@@ -1552,7 +1515,7 @@ class MiddlewareSession:
         return connection
 
     def _choose_isolation(self, replica: Replica) -> Optional[str]:
-        requested = getattr(self, "_txn_isolation", None)
+        requested = self._txn_isolation
         if requested is not None:
             return requested
         if self.middleware.config.replication == "writeset" \
@@ -1586,74 +1549,38 @@ class MiddlewareSession:
         middleware = self.middleware
         committed = []
         for name, connection in list(self._txn_connections.items()):
+            replica = middleware.replica_by_name(name)
             try:
                 connection.commit()
-                committed.append(name)
+                committed.append(replica)
             except ConnectionError_:
-                self._note_replica_failure(middleware.replica_by_name(name))
+                self._note_replica_failure(replica)
         if not committed:
             middleware.stats["aborts"] += 1
             raise NoReplicaAvailable("commit failed on every replica")
-        footprints = frozenset(self._txn_footprints)
-        span = middleware.tracer.child_span(
-            "certify", self.active_span, kind="statements",
-            keys=len(footprints))
-        seq = middleware.certifier.assign_seq(footprints)
-        span.set_tag("seq", seq)
-        span.end()
-        middleware._ship_prepare(
-            self, seq, footprints, "statements",
-            list(self._txn_statements),
-            sorted(self._txn_tables_written))
-        middleware.recovery_log.append(
-            seq, "statements", list(self._txn_statements),
-            tables=sorted(self._txn_tables_written), user=self.user,
-            database=self.database)
-        for name in committed:
-            replica = middleware.replica_by_name(name)
-            replica.applied_seq = max(replica.applied_seq, seq)
-        middleware.config.consistency.note_commit(self.view, seq)
-        middleware._ship_ack(self, seq)
         if self._txn_had_ddl:
             kind = "ddl"
         elif self._txn_had_opaque:
             kind = "opaque"
         else:
             kind = "statements"
-        # empty-footprint commits (e.g. SELECT FOR UPDATE only) still
-        # publish: the event advances the invalidator's freshness watermark
-        middleware.publish_certified(
-            seq, keys=footprints,
-            tables=self._published_tables(self._txn_tables_written),
-            kind=kind, database=self.database)
-        middleware.maybe_prune_certifier()
+        middleware.group_commit.commit_sequenced(CommitRequest(
+            self, keys=frozenset(self._txn_footprints),
+            entries=list(self._txn_statements),
+            tables=sorted(self._txn_tables_written),
+            kind="statements", publish_kind=kind, holders=committed))
 
     def _commit_writeset_mode(self) -> None:
-        middleware = self.middleware
-        replica = middleware.replica_by_name(self._local_replica)
-        if not replica.is_online or replica.engine.crashed:
-            # The local replica died before certification: nothing global
-            # has happened yet, so this failure is unambiguous — retry
-            # layers may safely replay the transaction on a survivor.
-            # (A crash *after* certify/commit stays ambiguous, 4.3.3.)
-            raise ReplicaUnavailable(
-                f"local replica {replica.name!r} died before commit")
-        connection = self._txn_connections[replica.name]
-        txn = connection.txn
-        entries = extract_writeset_engine(txn) if txn is not None else []
-        if not entries:
-            connection.commit()
-            return
-        # The whole certify -> ship_prepare -> prefix drain -> commit ->
-        # recovery-log -> propagate -> ship_ack -> publish sequence lives
-        # in the group-commit coordinator: a batch of one outside a
-        # gather (identical to the historical per-transaction pipeline),
-        # a shared certifier batch and one frame per replica inside one.
-        request = CommitRequest(
-            session=self, origin=replica, connection=connection,
-            start_seq=self._txn_start_seq, keys=conflict_keys(entries),
-            entries=entries, tables=sorted(self._txn_tables_written))
-        middleware.group_commit.submit(request)
+        # The whole certify -> prepare -> prefix drain -> commit ->
+        # recovery-log -> propagate -> ack -> publish sequence lives in
+        # the group-commit coordinator: a batch of one outside a gather
+        # (identical to the historical per-transaction pipeline), a
+        # shared certifier batch and one frame per replica inside one.
+        request = self.stage_commit_request()
+        if request is None:
+            self._txn_connections[self._local_replica].commit()
+        else:
+            self.middleware.group_commit.submit(request)
 
     def stage_commit_request(self) -> Optional[CommitRequest]:
         """Build this transaction's :class:`CommitRequest` without
@@ -1668,6 +1595,10 @@ class MiddlewareSession:
         middleware = self.middleware
         replica = middleware.replica_by_name(self._local_replica)
         if not replica.is_online or replica.engine.crashed:
+            # The local replica died before certification: nothing global
+            # has happened yet, so this failure is unambiguous — retry
+            # layers may safely replay the transaction on a survivor.
+            # (A crash *after* certify/commit stays ambiguous, 4.3.3.)
             raise ReplicaUnavailable(
                 f"local replica {replica.name!r} died before commit")
         connection = self._txn_connections[replica.name]
@@ -1679,19 +1610,6 @@ class MiddlewareSession:
             session=self, origin=replica, connection=connection,
             start_seq=self._txn_start_seq, keys=conflict_keys(entries),
             entries=entries, tables=sorted(self._txn_tables_written))
-
-    def _published_tables(self, names) -> set:
-        """Raw ``table`` / ``db.table`` strings -> ``(db, table)`` pairs
-        against this session's default database."""
-        keys = set()
-        for name in names:
-            name = str(name).lower()
-            if "." in name:
-                database, _, table = name.partition(".")
-                keys.add((database, table))
-            elif self.database is not None:
-                keys.add((self.database.lower(), name))
-        return keys
 
     def _rollback_transaction(self) -> None:
         if not self.in_transaction:

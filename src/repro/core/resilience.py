@@ -471,10 +471,10 @@ class ResilienceCoordinator:
             snapshot = None
             if is_commit and session.in_transaction and session._txn_is_write:
                 snapshot = (list(session._txn_statements),
-                            getattr(session, "_txn_isolation", None))
+                            session._txn_isolation)
             # the mw.statement span opened by _execute_one — retry /
             # breaker / deadline decisions land on it as span events
-            span = getattr(session, "active_span", None)
+            span = session.active_span
             try:
                 return session._dispatch_one(statement, sql_text, params)
             except RequestTimeout:
@@ -581,7 +581,7 @@ class ResilienceCoordinator:
             statements, isolation = snapshot
         elif session.in_transaction:
             statements = list(session._txn_statements)
-            isolation = getattr(session, "_txn_isolation", None)
+            isolation = session._txn_isolation
         else:
             return
         if session.in_transaction:
@@ -597,7 +597,7 @@ class ResilienceCoordinator:
             self._replaying = False
         self.stats["replays"] += 1
         session.failover_replays += 1
-        span = getattr(session, "active_span", None)
+        span = session.active_span
         if span:
             span.event("txn_replayed", statements=len(statements))
         self.middleware.monitor.record(

@@ -147,7 +147,7 @@ class TransactionContext:
                 "(section 4.3.3: the transaction lives at one replica)")
         context = cls(
             statements=list(session._txn_statements),
-            isolation=getattr(session, "_txn_isolation", None),
+            isolation=session._txn_isolation,
             last_commit_seq=session.view.last_commit_seq,
             last_seen_seq=session.view.last_seen_seq,
             user=session.user, database=session.database,

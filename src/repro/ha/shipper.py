@@ -28,8 +28,6 @@ are instantaneous and time is charged separately.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple
-
 from .state import ShippedCommit, StandbyState
 
 
@@ -69,34 +67,44 @@ class StateShipper:
 
     # -- the per-commit synchronous path ------------------------------------
 
-    def ship_prepare(self, session, seq: int, keys: FrozenSet, kind: str,
-                     payload, tables: Sequence[str]) -> ShippedCommit:
+    def ship_prepare(self, request) -> ShippedCommit:
+        """``request`` is the unit's ``CommitRequest``
+        (:mod:`repro.core.groupcommit`); a unit without a client session
+        (reshard install, 2PC no-op) ships with no client id and no
+        token."""
+        session = request.session
+        seq = request.seq
         shipped = ShippedCommit(
-            seq, frozenset(keys), kind, payload, tuple(tables),
-            user=session.user, database=session.database,
-            txn_id=session.client_txn_id, client_id=session.client_id)
+            seq, frozenset(request.keys), request.kind, request.entries,
+            tuple(request.tables), user=request.user,
+            database=request.database, txn_id=request.txn_id,
+            client_id=session.client_id if session is not None else None)
         self.state.apply_prepare(shipped)
         self._inflight[seq] = shipped
         self.stats["prepares"] += 1
-        span = getattr(session, "active_span", None)
+        span = request.span
         if span:
             span.event("ha.ship", phase="prepare", seq=seq)
         return shipped
 
-    def ship_ack(self, session, seq: int) -> None:
+    def ship_ack(self, request) -> None:
+        seq = request.seq
         shipped = self._inflight.pop(seq, None)
         if shipped is None:
             return
-        shipped.session_token = self._session_token(session)
+        if request.session is not None:
+            view = request.session.view
+            shipped.session_token = (view.last_commit_seq,
+                                     view.last_seen_seq)
         self.state.apply_ack(shipped)
         self.state.sticky = dict(self.middleware.config.balancer._sticky)
         self.state.master_name = self.middleware._master_name
         self.stats["acks"] += 1
-        span = getattr(session, "active_span", None)
+        span = request.span
         if span:
             span.event("ha.ship", phase="ack", seq=seq)
 
-    def ship_resolve_noop(self, session, seq: int) -> None:
+    def ship_resolve_noop(self, request) -> None:
         """Resolve a prepared-but-aborted entry (cross-shard 2PC presumed
         abort, ``repro.shard.twopc``) as an empty no-op at the same seq:
         the shipped PENDING entry's keys/payload/tables are rewritten to
@@ -105,6 +113,7 @@ class StateShipper:
         watermark advances past the consumed seq.  A promotion after this
         point can never resurrect the aborted writeset — there is nothing
         left to resurrect."""
+        seq = request.seq
         shipped = self._inflight.pop(seq, None)
         if shipped is None:
             return
@@ -121,16 +130,6 @@ class StateShipper:
                 break
         self.state.apply_ack(shipped)
         self.stats["acks"] += 1
-        span = getattr(session, "active_span", None)
-        if span:
-            span.event("ha.ship", phase="resolve_noop", seq=seq)
-
-    @staticmethod
-    def _session_token(session) -> Optional[Tuple[int, int]]:
-        view = getattr(session, "view", None)
-        if view is None:
-            return None
-        return (view.last_commit_seq, view.last_seen_seq)
 
     def __repr__(self) -> str:
         return (f"StateShipper({self.middleware.name!r}, "

@@ -7,7 +7,7 @@ from .reshard import OnlineReshard, ReshardError
 from .router import ForwardingRule, ShardedCluster, ShardedSession
 from .shardmap import (HashSharder, MapLogRecord, RangeSharder, ShardMap,
                        ShardMapLog, ShardSpec, Sharder, stable_hash)
-from .twopc import TwoPCCoordinator, install_unit
+from .twopc import TwoPCCoordinator
 
 __all__ = [
     "ScatterPlan", "plan_scatter",
@@ -15,5 +15,5 @@ __all__ = [
     "ForwardingRule", "ShardedCluster", "ShardedSession",
     "HashSharder", "MapLogRecord", "RangeSharder", "ShardMap",
     "ShardMapLog", "ShardSpec", "Sharder", "stable_hash",
-    "TwoPCCoordinator", "install_unit",
+    "TwoPCCoordinator",
 ]

@@ -11,9 +11,11 @@ dual-write window, phase by phase:
    by construction, in the source recovery log after the join point.
 2. **copy** (:meth:`copy_chunk`, resumable): install the snapshot rows
    into the destination group in bounded chunks, each an ordered
-   writeset unit (certifier seq + recovery-log entry + apply on every
-   destination replica), so the destination stays internally convergent
-   and could itself recover mid-copy.
+   writeset unit through the destination's own commit sequence
+   (``GroupCommitCoordinator.install``: certifier seq, shipped to its HA
+   standby, recovery-log entry, applied on every destination replica),
+   so the destination stays internally convergent and could itself
+   recover — or promote its standby — mid-copy.
 3. **catch-up** (:meth:`catch_up`, repeatable): replay the source
    recovery-log tail since the join point, filtered to the moving keys,
    onto the destination — the same join a new replica uses in E12 —
@@ -47,7 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..core.errors import MiddlewareError
 from .router import ForwardingRule, ShardedCluster
 from .shardmap import RangeSharder
-from .twopc import install_unit
 
 
 class ReshardError(MiddlewareError):
@@ -161,7 +162,7 @@ class OnlineReshard:
         span = cluster.tracer.start_span(
             "reshard.begin", table=self.table, src=self.src, dst=self.dst)
         source = cluster.groups[self.src]
-        self._join_seq = source.certifier.current_seq
+        self._join_seq = source.global_seq
         rows, columns = self._read_source_rows()
         pk_columns = self._pk_columns(source)
         key_index = [c.lower() for c in columns].index(self.spec.key_column)
@@ -199,9 +200,8 @@ class OnlineReshard:
         span = self.cluster.tracer.start_span(
             "reshard.copy", table=self.table, rows=len(chunk),
             remaining=len(self._pending))
-        install_unit(self.cluster.groups[self.dst], chunk,
-                     tables=[self.table], user=self.user,
-                     database=self.database)
+        self.cluster.groups[self.dst].group_commit.install(
+            chunk, [self.table], user=self.user, database=self.database)
         span.end()
         self.stats["rows_copied"] += len(chunk)
         if not self._pending:
@@ -220,9 +220,9 @@ class OnlineReshard:
             span = self.cluster.tracer.start_span(
                 "reshard.catchup", table=self.table, entries=len(entries),
                 from_seq=self._join_seq, to_seq=tail_seq)
-            install_unit(self.cluster.groups[self.dst], entries,
-                         tables=[self.table], user=self.user,
-                         database=self.database)
+            self.cluster.groups[self.dst].group_commit.install(
+                entries, [self.table], user=self.user,
+                database=self.database)
             span.end()
         self._join_seq = tail_seq
         self.stats["entries_joined"] += len(entries)
@@ -230,21 +230,17 @@ class OnlineReshard:
         return len(entries)
 
     def _tail_entries(self):
-        source = self.cluster.groups[self.src]
+        changes, tail_seq = self.cluster.groups[self.src] \
+            .group_commit.changes_since(self._join_seq)
         key_column = self.spec.key_column
         filtered: List[Dict[str, Any]] = []
-        tail_seq = self._join_seq
-        for entry in source.recovery_log.entries_since(self._join_seq):
-            tail_seq = max(tail_seq, entry.seq)
-            if entry.kind != "writeset":
-                continue  # DDL broadcasts reached every group directly
-            for change in entry.payload:
-                if change["table"] != self.table:
-                    continue
-                values = change.get("new_values") \
-                    or change.get("old_values") or {}
-                if self.contains(values.get(key_column)):
-                    filtered.append(change)
+        for change in changes:
+            if change["table"] != self.table:
+                continue
+            values = change.get("new_values") \
+                or change.get("old_values") or {}
+            if self.contains(values.get(key_column)):
+                filtered.append(change)
         return filtered, tail_seq
 
     # -- phase 4: dual-write window -------------------------------------
@@ -301,9 +297,9 @@ class OnlineReshard:
         cluster.install_map(new_map)
         deletes = self._source_delete_entries()
         if deletes:
-            install_unit(cluster.groups[self.src], deletes,
-                         tables=[self.table], user=self.user,
-                         database=self.database)
+            cluster.groups[self.src].group_commit.install(
+                deletes, [self.table], user=self.user,
+                database=self.database)
         self.stats["rows_deleted"] = len(deletes)
         if self._rule in cluster.forwarding:
             cluster.forwarding.remove(self._rule)

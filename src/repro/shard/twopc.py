@@ -22,13 +22,18 @@ record present -> replay it; absent -> presumed abort.
 prefix drain, local commit, recovery-log append, propagation frame, HA
 ack, cache publish — via ``GroupCommitCoordinator.commit_prepared``.
 
-**Abort** (some participant failed certification): prepared groups
-*rescind* their certifier entries (the footprint becomes empty so it can
-never abort a later transaction against a write that never happened) and
-the consumed sequence number is filled with an **empty no-op commit** so
+**Abort** (some participant failed certification), via
+``GroupCommitCoordinator.abort_prepared``: prepared groups *rescind*
+their certifier entries (the footprint becomes empty so it can never
+abort a later transaction against a write that never happened) and the
+consumed sequence number is filled with an **empty no-op commit** so
 replica watermarks stay gapless; the HA standby's PENDING entry is
 rewritten to the same no-op before the ack, so a promotion can never
 resurrect the aborted writeset.
+
+This module decides; every step that touches a group's certifier log,
+recovery log, replicas or standby is the group's own commit sequence
+(``repro.core.groupcommit``).
 
 Because each group certifies with its own certifier against its own
 local writeset, per-group outcomes are bit-identical to what a
@@ -43,7 +48,6 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import FencedOut, MiddlewareDown
-from ..core.writesets import invalidation_keys
 from ..sqlengine import SerializationError
 
 
@@ -116,9 +120,7 @@ class TwoPCCoordinator:
                                  request, outcome.seq))
                 # prepare = certify + ship: the standby learns about the
                 # in-doubt entry before any group commits it
-                middleware._ship_prepare(group_session, outcome.seq,
-                                         request.keys, "writeset",
-                                         request.entries, request.tables)
+                middleware.group_commit.prepare(request, outcome.seq)
             except MiddlewareDown as exc:
                 # this participant's middleware died (or was fenced out)
                 # mid-prepare: presumed abort.  Its own in-doubt state is
@@ -162,7 +164,7 @@ class TwoPCCoordinator:
                     "shard.2pc.commit", parent_span, txn=txn_id,
                     shard=middleware.name, seq=seq)
                 with span:
-                    middleware.group_commit.commit_prepared(request, seq)
+                    middleware.group_commit.commit_prepared(request)
                 middleware.stats["commits"] += 1
                 group_session._end_transaction()
             for index, group_session in plain:
@@ -185,7 +187,8 @@ class TwoPCCoordinator:
                 "shard.2pc.abort", parent_span, txn=txn_id,
                 shard=middleware.name, seq=seq)
             with span:
-                self._resolve_abort(middleware, group_session, seq)
+                middleware.group_commit.abort_prepared(request)
+            self.stats["rescinds"] += 1
             if not group_session.closed:
                 group_session._rollback_transaction()
         for index, group_session in plain:
@@ -225,12 +228,9 @@ class TwoPCCoordinator:
             if cluster.pairs[index] is not None:
                 exc.retry_after_failover = True
             raise exc
-        session = request.session
-        seq = install_unit(leader, request.entries, tables=request.tables,
-                           user=session.user, database=session.database)
-        client_txn = getattr(session, "client_txn_id", None)
-        if leader.commit_ledger is not None and client_txn is not None:
-            leader.commit_ledger.mark_committed(client_txn, seq)
+        seq = leader.group_commit.install(
+            request.entries, request.tables, user=request.user,
+            database=request.database, txn_id=request.txn_id)
         self.stats.setdefault("decision_replays", 0)
         self.stats["decision_replays"] += 1
         span = cluster.tracer.child_span(
@@ -238,78 +238,3 @@ class TwoPCCoordinator:
             shard=leader.name, seq=seq, replayed=True)
         span.end()
         return seq
-
-    # ------------------------------------------------------------------
-
-    def _resolve_abort(self, middleware, group_session, seq: int) -> None:
-        """Turn a prepared-but-aborted entry into a no-op commit at the
-        same seq: empty certifier footprint, empty recovery-log entry,
-        empty apply unit to every replica, no-op resolution shipped to
-        the standby.  Watermarks stay gapless; the write disappears."""
-        middleware.certifier.rescind(seq)
-        self.stats["rescinds"] += 1
-        middleware.recovery_log.append(
-            seq, "writeset", [], tables=[], user=group_session.user,
-            database=group_session.database)
-        self._fill_noop(middleware, seq)
-        if middleware.state_shipper is not None:
-            middleware.state_shipper.ship_resolve_noop(group_session, seq)
-        # empty-footprint publish: advances the cache invalidator's
-        # freshness watermark past the consumed seq (invalidates nothing)
-        middleware.publish_certified(
-            seq, keys=frozenset(), tables=set(), kind="writeset",
-            database=group_session.database, entries=[])
-
-    @staticmethod
-    def _fill_noop(middleware, seq: int) -> None:
-        from ..core.replica import ApplyItem
-        now = middleware.monitor.peek()
-        for replica in middleware.replicas:
-            if not replica.is_online:
-                continue  # it resynchronizes from the recovery log
-            item = ApplyItem(seq, "writeset", [], (), enqueued_at=now)
-            if middleware.config.propagation == "sync":
-                middleware._apply_item(replica, item)
-            else:
-                replica.enqueue(item)
-                if middleware.on_apply_enqueued is not None:
-                    middleware.on_apply_enqueued(replica, item)
-
-
-def install_unit(middleware, entries, tables=None, user: str = "reshard",
-                 database: Optional[str] = None) -> int:
-    """Install already-committed facts (a reshard's snapshot copy or
-    recovery-log join batch) into ``middleware`` as one ordered writeset
-    unit: a certifier sequence, a recovery-log entry, a synchronous
-    apply on every online replica, and a cache publish.  Returns the
-    assigned seq.
-
-    Order-only sequencing (``assign_seq``) is correct here because the
-    router never sends client writes for the moving keys to the
-    destination group before the dual-write window, so nothing can race
-    these installs on the same rows.
-    """
-    from ..core.replica import ApplyItem
-    from ..core.writesets import conflict_keys
-    keys = conflict_keys(entries)
-    seq = middleware.certifier.assign_seq(keys)
-    tables = sorted(tables if tables is not None
-                    else {e["table"] for e in entries})
-    middleware.recovery_log.append(seq, "writeset", entries, tables=tables,
-                                   user=user, database=database)
-    now = middleware.monitor.peek()
-    for replica in middleware.replicas:
-        if not replica.is_online:
-            continue
-        middleware._apply_item(
-            replica, ApplyItem(seq, "writeset", entries, tuple(tables),
-                               enqueued_at=now))
-    origin = middleware.online_replicas()[0] \
-        if middleware.online_replicas() else None
-    middleware.publish_certified(
-        seq,
-        keys=invalidation_keys(entries, origin.engine) if origin
-        else frozenset(),
-        tables={(e["database"], e["table"]) for e in entries},
-        kind="writeset", database=database, entries=entries)
-    return seq

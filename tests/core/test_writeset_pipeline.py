@@ -9,6 +9,9 @@ footprints).  Everything else — frames, parallel apply groups, pruning —
 is an optimization layered on top of that invariant.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,8 @@ from repro.core.applysched import (
     ApplyUnit, conflict_groups, item_units, lane_makespan,
 )
 from repro.core.certifier import Certifier
-from repro.core.replica import ApplyItem
+from repro.core.recoverylog import RecoveryLog
+from repro.core.replica import ApplyItem, Replica
 from repro.sqlengine import SerializationError
 
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
@@ -431,3 +435,306 @@ class TestAutoPrune:
         session.close()
         assert mw.certifier.pruned_total == 0
         assert mw.certifier.log_length() >= 30
+
+
+# ---------------------------------------------------------------------------
+# one commit sequence: every unit kind runs a subset of the same stage order
+# ---------------------------------------------------------------------------
+
+STAGES = ("prepare", "durable", "log", "propagate", "ack", "publish")
+
+#: the stages each unit kind runs (docs/ARCHITECTURE.md has the same
+#: table with the reasons).  "durable" is the path-specific first-half
+#: step; an install and a no-op have none — nothing holds them until
+#: the frames of the propagate stage land.
+RUNS = {
+    "ddl": ("prepare", "durable", "log", "ack", "publish"),
+    "statements": ("prepare", "durable", "log", "ack", "publish"),
+    "writeset": STAGES,
+    "writeset_batch": STAGES,
+    "2pc_commit": STAGES,
+    "2pc_noop": ("prepare", "log", "propagate", "ack", "publish"),
+    "install": ("prepare", "log", "propagate", "ack", "publish"),
+}
+
+
+class _Ledger:
+    def __init__(self, events):
+        self.events = events
+
+    def prepare(self, txn_id, seq):
+        self.events.append(("ledger.prepare", seq))
+
+    def mark_committed(self, txn_id, seq=None):
+        self.events.append(("ledger.commit", seq))
+
+
+class _Shipper:
+    def __init__(self, events):
+        self.events = events
+
+    def ship_prepare(self, request):
+        self.events.append(("prepare", request.seq))
+
+    def ship_ack(self, request):
+        self.events.append(("ack", request.seq))
+
+    def ship_resolve_noop(self, request):
+        self.events.append(("ack", request.seq))
+        self.events.append(("resolve_noop", request.seq))
+
+
+class _Log(RecoveryLog):
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def append(self, seq, *args, **kwargs):
+        self.events.append(("log", seq))
+        return super().append(seq, *args, **kwargs)
+
+
+def record_stages(mw):
+    """Swap in recording doubles for every subscriber of the commit
+    sequence; returns the shared ``[(stage, seq)]`` list.  "durable" is
+    a replica's watermark reaching the seq outside a propagation frame,
+    "propagate" one entry per unit handed to the frame builder."""
+    events = []
+    mw.commit_ledger = _Ledger(events)
+    mw.state_shipper = _Shipper(events)
+    mw.recovery_log = _Log(events)
+    mw.on_certified(lambda event: events.append(("publish", event.seq)))
+    propagating = []
+    propagate = mw.group_commit._propagate
+
+    def recording_propagate(staged, sync):
+        events.extend(("propagate", unit.seq) for unit in staged)
+        propagating.append(True)
+        try:
+            propagate(staged, sync)
+        finally:
+            propagating.pop()
+    mw.group_commit._propagate = recording_propagate
+
+    class Watched(Replica):
+        @property
+        def applied_seq(self):
+            return self.__dict__["applied_seq"]
+
+        @applied_seq.setter
+        def applied_seq(self, value):
+            if value > self.__dict__["applied_seq"] and not propagating:
+                events.append(("durable", value))
+            self.__dict__["applied_seq"] = value
+
+    for replica in mw.replicas:
+        replica.__class__ = Watched
+    return events
+
+
+#: a one-row writeset, as a reshard copy chunk would carry it
+NEW_ROW = [{"database": "shop", "table": "kv", "op": "INSERT",
+            "primary_key": (100,), "old_values": None,
+            "new_values": {"k": 100, "v": 1}}]
+
+
+def _begin_update(mw, key, txn):
+    session = mw.connect(database="shop")
+    session.client_txn_id = txn
+    session.begin()
+    session.execute(f"UPDATE kv SET v = v + 1 WHERE k = {key}")
+    return session
+
+
+def _prepare_2pc(mw):
+    session = _begin_update(mw, 2, "t-2pc")
+    request = session.stage_commit_request()
+    outcome = mw.certifier.certify(request.start_seq, request.keys)
+    assert outcome.ok
+    mw.group_commit.prepare(request, outcome.seq)
+    return session, request
+
+
+def drive(kind):
+    """Run one unit of ``kind``; returns (events, its seqs)."""
+    if kind == "statements":
+        mw = ReplicationMiddleware(
+            make_replicas(3, schema=KV_SCHEMA),
+            MiddlewareConfig(replication="statement"))
+        seed_kv(mw, rows=4)
+    else:
+        mw = build()
+    events = record_stages(mw)
+    before = mw.global_seq
+    if kind == "ddl":
+        session = mw.connect(database="shop")
+        session.client_txn_id = "t-ddl"
+        session.execute("CREATE TABLE extra (a INT PRIMARY KEY)")
+    elif kind in ("statements", "writeset"):
+        session = mw.connect(database="shop")
+        session.client_txn_id = "t-one"
+        session.execute("UPDATE kv SET v = 5 WHERE k = 1")
+    elif kind == "writeset_batch":
+        sessions = [_begin_update(mw, key, f"t-{key}") for key in range(3)]
+        with mw.group_commit.batch():
+            for session in sessions:
+                session.commit()
+    elif kind == "2pc_commit":
+        session, request = _prepare_2pc(mw)
+        mw.group_commit.commit_prepared(request)
+        session._end_transaction()
+    elif kind == "2pc_noop":
+        session, request = _prepare_2pc(mw)
+        mw.group_commit.abort_prepared(request)
+        session._rollback_transaction()
+    else:
+        assert kind == "install"
+        mw.group_commit.install(
+            NEW_ROW, ["kv"], database="shop", txn_id="t-install")
+    assert mw.check_convergence()
+    return mw, events, list(range(before + 1, mw.global_seq + 1))
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_every_unit_kind_runs_the_one_stage_order(kind):
+    expected = RUNS[kind]
+    # "the same relative order": what a kind runs is a subsequence of
+    # the one canonical order, never a permutation of it
+    assert [stage for stage in STAGES if stage in expected] \
+        == list(expected)
+    mw, events, seqs = drive(kind)
+    assert len(seqs) == (3 if kind == "writeset_batch" else 1)
+    for seq in seqs:
+        mine = [stage for stage, s in events if s == seq]
+        order = [stage for stage in dict.fromkeys(mine) if stage in STAGES]
+        assert order == list(expected), (kind, seq, events)
+        assert mine.count("log") == 1        # one recovery-log entry
+        assert mine.count("publish") == 1    # one CertifiedWrite
+        assert mine.count("prepare") == 1 and mine.count("ack") == 1
+        # the ledger flips right beside the shipment it describes
+        assert mine[mine.index("prepare") - 1] == "ledger.prepare"
+        if kind == "2pc_noop":
+            # ship_resolve_noop instead of ship_ack; the aborted client
+            # txn is never marked COMMITTED
+            assert "resolve_noop" in mine and "ledger.commit" not in mine
+        else:
+            assert mine[mine.index("ack") - 1] == "ledger.commit"
+    assert [e.seq for e in mw.recovery_log.entries][-len(seqs):] == seqs
+    assert all(r.applied_seq == seqs[-1] for r in mw.replicas)
+    if kind == "writeset_batch":
+        # the gather defers the second half: three first halves, then
+        # one propagation for all of them, then acks in seq order
+        stages = [stage for stage, s in events
+                  if s in seqs and stage in STAGES]
+        first_propagate = stages.index("propagate")
+        assert stages[:first_propagate].count("log") == 3
+        assert "ack" not in stages[:first_propagate]
+        assert [s for stage, s in events if stage == "ack"] == seqs
+
+
+# -- the drifts between the old hand-written copies, each settled ----------
+
+def test_ddl_notes_the_commit_and_prunes_like_any_other_unit():
+    """The DDL copy used to skip ``note_commit`` and the certifier
+    prune: the session that created a table now carries a token at the
+    DDL's seq, and a DDL-only stream keeps the certifier log bounded."""
+    mw = build(certifier_prune_watermark=4)
+    session = mw.connect(database="shop")
+    for index in range(12):
+        session.execute(f"CREATE TABLE t{index} (a INT PRIMARY KEY)")
+    assert session.view.last_commit_seq == mw.global_seq
+    assert mw.certifier.log_length() <= 4
+    assert mw.stats["certifier_pruned"] > 0
+
+
+def test_a_2pc_commit_opens_the_propagate_span():
+    """``commit_prepared`` used to skip the ``propagate`` span, so a
+    2PC commit's ``replica.apply`` spans could not be linked and had no
+    ``propagation_lag``."""
+    mw = build()
+    session, request = _prepare_2pc(mw)
+    root = mw.tracer.start_span("mw.statement")
+    session.active_span = root
+    mw.group_commit.commit_prepared(request)
+    session.active_span = None
+    root.end()
+    session._end_transaction()
+    spans = mw.tracer.trace(root.trace_id)
+    propagate = next(s for s in spans if s.name == "propagate")
+    applies = [s for s in spans if s.name == "replica.apply"]
+    assert len(applies) == len(mw.replicas) - 1
+    for span in applies:
+        assert span.parent_id == propagate.span_id
+        assert "propagation_lag" in span.tags
+
+
+def test_install_applies_synchronously_under_async_propagation():
+    """Kept on purpose (``CommitRequest.sync_apply``): an install has no
+    origin replica and no client session whose token would make a later
+    read wait, so it is on every replica when it returns; the no-op
+    that fills an aborted 2PC seq follows the propagation mode."""
+    mw = build(propagation="async")
+    mw.group_commit.install(NEW_ROW, ["kv"], database="shop")
+    assert all(not r.apply_queue for r in mw.replicas)
+    assert all(r.applied_seq == mw.global_seq for r in mw.replicas)
+    session, request = _prepare_2pc(mw)
+    mw.group_commit.abort_prepared(request)
+    session._rollback_transaction()
+    assert [len(r.apply_queue) for r in mw.replicas] == [1, 1, 1]
+    mw.pump()
+    assert all(r.applied_seq == mw.global_seq for r in mw.replicas)
+    assert mw.check_convergence()
+
+
+# -- structure: each sequenced-unit primitive has exactly one calling module
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: primitive -> the one module that may call it.  ``recovery_log.append``
+#: has one listed exception: promotion hydrates the standby's *own* log
+#: from the shipped mirror, which is not a new unit.
+ONE_CALLER = {
+    "recovery_log.append": "core/groupcommit.py",
+    "publish_certified": "core/groupcommit.py",
+    "ship_prepare": "core/groupcommit.py",
+    "ship_ack": "core/groupcommit.py",
+    "ship_resolve_noop": "core/groupcommit.py",
+    "assign_seq": "core/groupcommit.py",
+    "rescind": "core/groupcommit.py",
+}
+HYDRATION = ("recovery_log.append", "ha/promotion.py")
+
+
+def _called_names(tree):
+    """Dotted tails of every call target: ``a.b.c()`` yields ``c`` and
+    ``b.c``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute):
+            yield node.func.attr
+            owner = node.func.value
+            if isinstance(owner, ast.Attribute):
+                yield f"{owner.attr}.{node.func.attr}"
+
+
+def test_sequencing_primitives_are_called_from_one_module():
+    callers = {name: set() for name in ONE_CALLER}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for name in _called_names(ast.parse(path.read_text())):
+            if name in callers and (name, module) != HYDRATION:
+                callers[name].add(module)
+    assert callers == {name: {module}
+                       for name, module in ONE_CALLER.items()}
+
+
+def test_shard_tier_stays_off_a_groups_private_members():
+    """``shard/`` decides and routes; whatever touches a group's logs,
+    replicas or standby is the group's own commit sequence."""
+    forbidden = {"recovery_log", "assign_seq", "rescind", "_apply_item",
+                 "on_apply_enqueued", "state_shipper", "commit_ledger"}
+    for module in ("shard/twopc.py", "shard/reshard.py"):
+        tree = ast.parse((SRC / module).read_text())
+        used = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)}
+        assert not used & forbidden, (module, used & forbidden)

@@ -40,9 +40,9 @@ def install_crash(pair: HAPair, phase: str) -> None:
       (replay dedups directly).
     """
     assert phase in PHASES, phase
-    middleware = pair.active
-    orig_prepare = middleware._ship_prepare
-    orig_ack = middleware._ship_ack
+    pipeline = pair.active.group_commit
+    orig_prepare = pipeline.prepare
+    orig_ack = pipeline._acknowledge
 
     def crash():
         pair.kill_active()
@@ -50,23 +50,23 @@ def install_crash(pair: HAPair, phase: str) -> None:
         raise MiddlewareDown(f"injected crash at {phase}")
 
     if phase == "before_prepare":
-        def prep(session, seq, keys, kind, payload, tables):
+        def prep(request, seq):
             crash()
-        middleware._ship_prepare = prep
+        pipeline.prepare = prep
     elif phase == "after_prepare":
-        def prep(session, seq, keys, kind, payload, tables):
-            orig_prepare(session, seq, keys, kind, payload, tables)
+        def prep(request, seq):
+            orig_prepare(request, seq)
             crash()
-        middleware._ship_prepare = prep
+        pipeline.prepare = prep
     elif phase == "before_ack":
-        def ack(session, seq):
+        def ack(request):
             crash()
-        middleware._ship_ack = ack
+        pipeline._acknowledge = ack
     else:  # after_ack
-        def ack(session, seq):
-            orig_ack(session, seq)
+        def ack(request):
+            orig_ack(request)
             crash()
-        middleware._ship_ack = ack
+        pipeline._acknowledge = ack
 
 
 def kv_values(middleware, database: str = DATABASE):

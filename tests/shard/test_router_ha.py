@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import build_cluster, build_composed_cluster
 from repro.core.errors import FencedOut, MiddlewareDown
+from repro.core.failover import FailoverManager
 from repro.ha import HAPair
 from repro.shard import (
     HashSharder, OnlineReshard, RangeSharder, ShardedCluster,
@@ -175,8 +176,8 @@ def test_participant_death_after_decision_replays_commit():
     group0 = cluster.groups[0]
     original = group0.group_commit.commit_prepared
 
-    def commit_then_kill_other(request, seq):
-        result = original(request, seq)
+    def commit_then_kill_other(request):
+        result = original(request)
         cluster.pairs[1].kill_active()
         cluster.pairs[1].promote()
         return result
@@ -192,6 +193,51 @@ def test_participant_death_after_decision_replays_commit():
     assert _value(cluster, 0) == 1
     assert _value(cluster, 1) == 1
     assert cluster.check_convergence()
+
+
+# ---------------------------------------------------------------------------
+# a reshard's installs reach the standby like any other sequenced unit
+# ---------------------------------------------------------------------------
+
+def assert_log_complete(leader):
+    """The leader's recovery log is the whole sequenced history: gapless
+    from 1 to its head, the head is what the replicas have applied, and
+    the certifier never hands out a logged seq again."""
+    seqs = [entry.seq for entry in leader.recovery_log.entries]
+    head = leader.recovery_log.head_seq
+    assert seqs == list(range(1, head + 1)), seqs
+    assert head == max(r.applied_seq for r in leader.online_replicas())
+    assert leader.certifier.current_seq >= head
+
+
+def test_promotion_after_reshard_keeps_the_recovery_log_gapless():
+    """The destination's leader dies after the copy.  The copied rows
+    and the source-side deletes are sequenced units like any other, so
+    they were shipped: the promoted leader's log has no hole, and a
+    replica that was down during the copy fails back incrementally
+    instead of being re-cloned by the full-resync safety net."""
+    cluster = make_composed_kv(
+        shards=2, rows=8, sharder=RangeSharder([999], [0, 1]))
+    lagging = cluster.groups[1].replicas[1]
+    lagging.engine.crash()
+    lagging.mark_failed()
+    OnlineReshard.split_range(cluster, "kv", 3, dst=1,
+                              database="shop").run()
+    for index, pair in enumerate(cluster.pairs):
+        leader = cluster.groups[index]
+        assert pair.shipper.state.seq == leader.global_seq
+        assert [c.seq for c in pair.shipper.state.commits] \
+            == [e.seq for e in leader.recovery_log.entries]
+    cluster.pairs[1].kill_active()
+    cluster.pairs[1].promote()
+    promoted = cluster.groups[1]
+    assert_log_complete(promoted)
+    assert promoted.certifier.log_length() == promoted.recovery_log.head_seq
+    replayed = FailoverManager(promoted).failback(lagging.name)
+    assert replayed == 1                      # the copy it missed
+    assert not promoted.monitor.events_of("failback_full_resync")
+    assert cluster.check_convergence()
+    assert _value(cluster, 3) == 30           # a moved row, new owner
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +311,5 @@ def test_overlap_of_reshard_and_promotion_never_loses_acked_writes(data):
         f"acked {acked} writes but the table sums to {total}"
     assert cluster.map.version == 2
     assert cluster.check_convergence()
+    for leader in cluster.groups:
+        assert_log_complete(leader)

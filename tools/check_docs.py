@@ -158,12 +158,13 @@ def check_vocabulary(problems):
             problems.append(
                 f"{where}: span `{name}` is not emitted anywhere in "
                 f"src/repro/")
-    for where, name in advertised("memo", MEMO_TOKEN):
-        attribute = name.rsplit(".", 1)[-1]
-        if not re.search(rf"\b{attribute}\b", sources):
-            problems.append(
-                f"{where}: memo name `{name}`: nothing under src/repro/ "
-                f"is called {attribute!r}")
+    for keyword in ("memo", "pipeline"):
+        for where, name in advertised(keyword, MEMO_TOKEN):
+            attribute = name.rsplit(".", 1)[-1]
+            if not re.search(rf"\b{attribute}\b", sources):
+                problems.append(
+                    f"{where}: {keyword} name `{name}`: nothing under "
+                    f"src/repro/ is called {attribute!r}")
 
 
 def main() -> int:
