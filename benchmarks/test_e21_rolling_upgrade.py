@@ -37,13 +37,9 @@ def run_upgrade(style: str) -> dict:
             yield env.timeout(PER_NODE_TIME)      # patching the node
             replica.engine.dialect = replica.engine.dialect.with_version(
                 "9.9")
-            # re-add via the recovery log; replay what was missed
-            for entry in middleware.recovery_log.entries_since(
-                    replica.applied_seq):
-                middleware.recovery_log.replay_entry(replica.engine, entry)
-                replica.applied_seq = entry.seq
-            replica.apply_queue.clear()
-            replica.set_state(ReplicaState.ONLINE)
+            # re-add: it rejoins from its own state, replaying what it
+            # missed from the recovery log
+            manager.backup.join(replica)
 
     def full_stop():
         yield env.timeout(UPGRADE_START)

@@ -1,4 +1,5 @@
-"""Cluster-consistent backup coordination (paper section 4.4.1).
+"""Cluster-consistent backup and the replica join (paper sections 4.4.1,
+4.4.2).
 
 "It is necessary for the replication middleware to collaborate with the
 replica and the backup tool, to make sure that the dumped data is
@@ -8,6 +9,15 @@ ones must be replayed."
 
 A :class:`ClusterBackup` is an engine dump **tagged with the global
 sequence number** it contains, so restore + recovery-log replay is exact.
+That pair is also how any copy of the data joins the cluster, so the
+join lives here, written once: :meth:`BackupCoordinator.take_snapshot`
+(the state at S), :meth:`~BackupCoordinator.catch_up` (the log tail
+after S) and :meth:`~BackupCoordinator.join` (snapshot → tail → verify
+→ cut over).  Replica add, rolling-upgrade re-add, failback, restore and
+donor resume (``core.management``, ``core.failover``) choose the source,
+pay their availability cost and record their event; none of them moves
+data itself.
+
 Cold backup takes the donor offline first (cheap dump, capacity loss);
 hot backup dumps a serving replica (no capacity loss; in the timed
 benchmarks the donor is slowed while dumping — the Oracle redo-log
@@ -16,7 +26,7 @@ amplification effect the paper mentions).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..sqlengine.backup import BackupOptions, EngineDump, dump_engine, restore_engine
 from .errors import ReplicaUnavailable
@@ -44,98 +54,137 @@ class ClusterBackup:
 
 
 class BackupCoordinator:
-    """Middleware-coordinated backup/restore."""
+    """Middleware-coordinated backup, restore and replica join."""
 
     def __init__(self, middleware: ReplicationMiddleware):
         self.middleware = middleware
-        self._checkpoint_counter = 0
-
-    def _next_checkpoint(self, prefix: str) -> str:
-        self._checkpoint_counter += 1
-        return f"{prefix}-{self._checkpoint_counter}"
 
     # ------------------------------------------------------------------
-    # taking backups
+    # the state at S
     # ------------------------------------------------------------------
 
-    def hot_backup(self, replica_name: str,
-                   options: Optional[BackupOptions] = None) -> ClusterBackup:
-        """Dump a replica while it keeps serving.
+    def most_caught_up(self) -> Optional[Replica]:
+        """The online replica with the highest applied watermark: the
+        default snapshot source and the join's verification reference.
+        A joining replica is RECOVERING, so it is never its own peer."""
+        return max(self.middleware.online_replicas(),
+                   key=lambda r: r.applied_seq, default=None)
 
-        The donor must be caught up to the checkpoint, otherwise the dump
-        would be missing updates the checkpoint claims it contains.
+    def take_snapshot(self, source: Optional[Replica] = None,
+                      offline: bool = False) -> ClusterBackup:
+        """Dump ``source`` (default: the most caught-up online replica),
+        tagged with the sequence number the dump contains.
+
+        The source is drained first, so S is as close to the log head as
+        the source can get and the tail a joiner replays is short; the tag
+        is the source's applied watermark, so the dump holds exactly the
+        units up to S.  ``offline`` takes the source OFFLINE before the
+        dump (cold backup) and leaves it there — it comes back through
+        :meth:`resume_offline_donor`.
         """
         middleware = self.middleware
-        replica = middleware.replica_by_name(replica_name)
-        if not replica.is_online:
-            raise ReplicaUnavailable(f"replica {replica_name!r} not online")
-        middleware.drain_replica(replica_name)
-        checkpoint = self._next_checkpoint(f"hot-{replica_name}")
-        seq = middleware.recovery_log.checkpoint(
-            checkpoint, seq=replica.applied_seq)
-        dump = dump_engine(replica.engine,
-                           options or BackupOptions.full_clone())
-        middleware.monitor.record("hot_backup", replica_name,
+        source = source or self.most_caught_up()
+        if source is None:
+            raise ReplicaUnavailable("no online replica to copy from")
+        if not source.is_online:
+            raise ReplicaUnavailable(f"replica {source.name!r} not online")
+        middleware.drain_replica(source.name)
+        mode = "cold" if offline else "hot"
+        if offline:
+            source.set_state(ReplicaState.OFFLINE)
+        seq = source.applied_seq
+        checkpoint = f"{mode}-{source.name}@{seq}"
+        middleware.recovery_log.checkpoint(checkpoint, seq=seq)
+        dump = dump_engine(source.engine, BackupOptions.full_clone())
+        middleware.monitor.record(f"{mode}_backup", source.name,
                                   seq=seq, rows=dump.size_rows())
-        return ClusterBackup(dump, seq, checkpoint, "hot", replica_name)
+        return ClusterBackup(dump, seq, checkpoint, mode, source.name)
 
-    def cold_backup(self, replica_name: str,
-                    options: Optional[BackupOptions] = None) -> ClusterBackup:
-        """Take the donor offline, dump it, leave it OFFLINE (the caller
-        re-adds it through management, replaying what it missed)."""
-        middleware = self.middleware
-        replica = middleware.replica_by_name(replica_name)
-        if not replica.is_online:
-            raise ReplicaUnavailable(f"replica {replica_name!r} not online")
-        middleware.drain_replica(replica_name)
-        replica.set_state(ReplicaState.OFFLINE)
-        checkpoint = self._next_checkpoint(f"cold-{replica_name}")
-        seq = middleware.recovery_log.checkpoint(
-            checkpoint, seq=replica.applied_seq)
-        dump = dump_engine(replica.engine,
-                           options or BackupOptions.full_clone())
-        middleware.monitor.record("cold_backup", replica_name,
-                                  seq=seq, rows=dump.size_rows())
-        return ClusterBackup(dump, seq, checkpoint, "cold", replica_name)
+    def hot_backup(self, replica_name: str) -> ClusterBackup:
+        """Dump a replica while it keeps serving."""
+        return self.take_snapshot(
+            self.middleware.replica_by_name(replica_name))
+
+    def cold_backup(self, replica_name: str) -> ClusterBackup:
+        """Take the donor offline, dump it, leave it OFFLINE."""
+        return self.take_snapshot(
+            self.middleware.replica_by_name(replica_name), offline=True)
 
     # ------------------------------------------------------------------
-    # restoring
+    # the tail after S, and the join
     # ------------------------------------------------------------------
 
-    def restore_to_replica(self, backup: ClusterBackup,
-                           replica: Replica,
-                           replay: bool = True) -> int:
-        """Load a backup into ``replica`` and (optionally) replay the
-        recovery log from the backup's checkpoint to the present.  Returns
-        the number of log entries replayed."""
+    def catch_up(self, replica: Replica) -> int:
+        """Replay the recovery-log tail after ``replica.applied_seq`` into
+        the replica, advancing its watermark entry by entry.  Returns the
+        number of entries replayed."""
+        log = self.middleware.recovery_log
+        replayed = 0
+        for entry in log.entries_since(replica.applied_seq):
+            log.replay_entry(replica.engine, entry)
+            replica.applied_seq = entry.seq
+            replayed += 1
+        return replayed
+
+    def _restore(self, replica: Replica, snapshot: ClusterBackup) -> None:
+        restore_engine(replica.engine, snapshot.dump)
+        replica.applied_seq = snapshot.global_seq
+
+    def join(self, replica: Replica,
+             snapshot: Optional[ClusterBackup] = None) -> Tuple[int, bool]:
+        """Bring ``replica`` to the cluster's state and put it ONLINE.
+
+        The state at S (``snapshot``; without one the replica joins from
+        its own state and its persisted ``applied_seq`` watermark), then
+        every recovery-log entry after S, then a check against a live
+        peer, then the cut-over.  Returns ``(entries replayed,
+        recloned)``; ``recloned`` says the check failed and the replica
+        was rebuilt from the peer — the caller records it.
+        """
         middleware = self.middleware
         replica.set_state(ReplicaState.RECOVERING)
-        restore_engine(replica.engine, backup.dump)
-        replica.applied_seq = backup.global_seq
-        replayed = 0
-        if replay:
-            for entry in middleware.recovery_log.entries_since(
-                    backup.global_seq):
-                middleware.recovery_log.replay_entry(replica.engine, entry)
-                replica.applied_seq = entry.seq
-                replayed += 1
-        middleware.monitor.record("restore", replica.name,
-                                  from_seq=backup.global_seq,
-                                  replayed=replayed)
+        if snapshot is not None:
+            self._restore(replica, snapshot)
+        replayed = self.catch_up(replica)
+        # Global barrier: no in-flight update may be missed (section
+        # 4.4.2) — the log head is authoritative, so anything still
+        # queued for the joiner is already in it.
+        replica.apply_queue.clear()
+        peer = self.most_caught_up()
+        recloned = False
+        if peer is not None:
+            middleware.drain_replica(peer.name)
+            recloned = (replica.engine.content_signature()
+                        != peer.engine.content_signature())
+        if recloned:
+            # The joiner holds state the cluster never saw (e.g. it was
+            # a 1-safe master whose tail was lost) or drifted otherwise:
+            # replay cannot fix it, and "usually a full recovery has to
+            # be performed" (section 4.4.2) — re-clone it from the peer.
+            self._restore(replica, self.take_snapshot(peer))
+            replayed += self.catch_up(replica)
+        if replica not in middleware.replicas:
+            middleware.replicas.append(replica)
+            replica.on_state_change(middleware._replica_state_changed)
+        replica.set_state(ReplicaState.ONLINE)
+        return replayed, recloned
+
+    def restore_to_replica(self, backup: ClusterBackup,
+                           replica: Replica) -> int:
+        """Join ``replica`` from ``backup``: load it, then replay the
+        recovery log from the backup's checkpoint to the present.
+        Returns the number of log entries replayed."""
+        replayed, recloned = self.join(replica, backup)
+        self.middleware.monitor.record("restore", replica.name,
+                                       from_seq=backup.global_seq,
+                                       replayed=replayed, recloned=recloned)
         return replayed
 
     def resume_offline_donor(self, backup: ClusterBackup) -> int:
         """After a cold backup, bring the donor back online by replaying
         what it missed while it was being dumped."""
-        middleware = self.middleware
-        replica = middleware.replica_by_name(backup.source_replica)
-        replayed = 0
-        for entry in middleware.recovery_log.entries_since(
-                replica.applied_seq):
-            middleware.recovery_log.replay_entry(replica.engine, entry)
-            replica.applied_seq = entry.seq
-            replayed += 1
-        replica.set_state(ReplicaState.ONLINE)
-        middleware.monitor.record("donor_resumed", replica.name,
-                                  replayed=replayed)
+        replica = self.middleware.replica_by_name(backup.source_replica)
+        replayed, recloned = self.join(replica)
+        self.middleware.monitor.record("donor_resumed", replica.name,
+                                       replayed=replayed, recloned=recloned)
         return replayed

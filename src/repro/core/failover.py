@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from .backup import BackupCoordinator
 from .middleware import ReplicationMiddleware
-from .replica import Replica, ReplicaState
+from .replica import Replica
 
 
 class VirtualIP:
@@ -144,65 +145,31 @@ class FailoverManager:
     # ------------------------------------------------------------------
 
     def failback(self, name: str) -> int:
-        """Bring a recovered replica back: resynchronize it from the
-        recovery log (everything after its applied watermark), then mark it
-        ONLINE.  Returns the number of log entries replayed.
+        """Bring a recovered replica back: it joins from its own state
+        (``BackupCoordinator.join``) — everything in the recovery log
+        after its applied watermark, then ONLINE.  Returns the number of
+        log entries replayed.
 
         The paper's caveat applies: the middleware does not know which
         transactions the failed replica committed right before dying
         (section 4.4.2) — we trust its ``applied_seq`` watermark, which our
-        replicas persist; a real system without that watermark must do a
-        full dump/restore instead (see ``core.management``).
+        replicas persist, and the join checks the result against a live
+        peer; when that check fails (a 1-safe master returning with a tail
+        the cluster lost) the join re-clones it, recorded here as
+        ``failback_full_resync``.
         """
         middleware = self.middleware
         replica = middleware.replica_by_name(name)
         if replica.engine.crashed:
             replica.engine.recover()
-        replica.set_state(ReplicaState.RECOVERING)
         middleware.monitor.record("failback_started", name,
                                   from_seq=replica.applied_seq)
-        replayed = 0
-        for entry in middleware.recovery_log.entries_since(replica.applied_seq):
-            middleware.recovery_log.replay_entry(replica.engine, entry)
-            replica.applied_seq = entry.seq
-            replayed += 1
-        # Global barrier: no in-flight update may be missed (section
-        # 4.4.2); in synchronous mode the log head is authoritative.
-        replica.apply_queue.clear()
-        if not self._converged_with_cluster(replica):
-            # The returning replica holds committed state the cluster never
-            # saw (e.g. it was a 1-safe master whose tail was lost) or
-            # drifted otherwise: incremental replay cannot fix it, and
-            # "usually a full recovery has to be performed" (section
-            # 4.4.2) — re-clone it from a live replica.
-            self._full_reclone(replica)
+        replayed, recloned = BackupCoordinator(middleware).join(replica)
+        if recloned:
             middleware.monitor.record("failback_full_resync", name)
-        replica.set_state(ReplicaState.ONLINE)
         middleware.monitor.record("failback_completed", name,
                                   replayed=replayed)
         return replayed
-
-    def _converged_with_cluster(self, replica: Replica) -> bool:
-        others = [r for r in self.middleware.online_replicas()
-                  if r.name != replica.name]
-        if not others:
-            return True
-        reference = max(others, key=lambda r: r.applied_seq)
-        self.middleware.drain_replica(reference.name)
-        return (replica.engine.content_signature()
-                == reference.engine.content_signature())
-
-    def _full_reclone(self, replica: Replica) -> None:
-        from ..sqlengine.backup import BackupOptions, dump_engine, restore_engine
-
-        others = [r for r in self.middleware.online_replicas()
-                  if r.name != replica.name]
-        if not others:
-            return
-        source = max(others, key=lambda r: r.applied_seq)
-        dump = dump_engine(source.engine, BackupOptions.full_clone())
-        restore_engine(replica.engine, dump)
-        replica.applied_seq = source.applied_seq
 
 
 def promote_and_switch(middleware: ReplicationMiddleware,

@@ -137,9 +137,8 @@ class CommitRequest:
 class GroupCommitCoordinator:
     """Runs the commit sequence; batches writeset commits through it."""
 
-    def __init__(self, middleware, max_batch: int = 64):
+    def __init__(self, middleware):
         self.middleware = middleware
-        self.max_batch = max_batch
         self._gathering = False
         self._requests: List[CommitRequest] = []  # first half done
         self.stats: Dict[str, int] = {

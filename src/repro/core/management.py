@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sqlengine.backup import BackupOptions, dump_engine, restore_engine
 from .backup import BackupCoordinator, ClusterBackup
-from .errors import MiddlewareError, ReplicaUnavailable
+from .errors import MiddlewareError
 from .middleware import ReplicationMiddleware
 from .replica import Replica, ReplicaState
 
@@ -81,6 +80,9 @@ class ClusterManager:
     def add_replica(self, replica: Replica,
                     strategy: str = "recovery_log",
                     backup: Optional[ClusterBackup] = None) -> ManagementReport:
+        """Join a new replica.  The three strategies move data the same
+        way (``BackupCoordinator.join``); they differ in what the join
+        costs the running cluster."""
         if strategy == "full_stop":
             return self._add_full_stop(replica)
         if strategy == "donor":
@@ -88,11 +90,6 @@ class ClusterManager:
         if strategy == "recovery_log":
             return self._add_recovery_log(replica, backup)
         raise ValueError(f"unknown add-replica strategy {strategy!r}")
-
-    def _register(self, replica: Replica) -> None:
-        if replica not in self.middleware.replicas:
-            self.middleware.replicas.append(replica)
-            replica.on_state_change(self.middleware._replica_state_changed)
 
     def _add_full_stop(self, replica: Replica) -> ManagementReport:
         """MySQL-cluster style: stop the world, sync offline, restart."""
@@ -104,13 +101,12 @@ class ClusterManager:
         # every session is kicked out — long downtime, unhappy customers
         for session in list(middleware.sessions):
             session.close()
-        source = self._any_online()
-        dump = dump_engine(source.engine, BackupOptions.full_clone())
-        restore_engine(replica.engine, dump)
-        replica.applied_seq = source.applied_seq
-        replica.set_state(ReplicaState.ONLINE)
-        self._register(replica)
-        report.rows_transferred = dump.size_rows()
+        snapshot = self.backup.take_snapshot()
+        report.rows_transferred = snapshot.dump.size_rows()
+        report.entries_replayed, recloned = self.backup.join(
+            replica, snapshot)
+        middleware.monitor.record("replica_added", replica.name,
+                                  strategy="full_stop", recloned=recloned)
         middleware.monitor.record("cluster_started", middleware.name)
         self.reports.append(report)
         return report
@@ -123,31 +119,20 @@ class ClusterManager:
         """
         middleware = self.middleware
         report = ManagementReport("add_replica_donor", replica.name)
-        online = middleware.online_replicas()
-        donor = online[0]
-        report.donor_offline = donor.name
-        report.write_outage = len(online) <= 1
-        middleware.drain_replica(donor.name)
+        report.write_outage = len(middleware.online_replicas()) <= 1
+        snapshot = self.backup.take_snapshot()
+        donor = middleware.replica_by_name(snapshot.source_replica)
         donor.set_state(ReplicaState.DONOR)
+        report.donor_offline = donor.name
         middleware.monitor.record("donor_offline", donor.name,
                                   outage=report.write_outage)
-        dump = dump_engine(donor.engine, BackupOptions.full_clone())
-        restore_engine(replica.engine, dump)
-        replica.applied_seq = donor.applied_seq
-        report.rows_transferred = dump.size_rows()
-        self._register(replica)
-        # both catch up on what committed during the transfer
-        for catching_up in (donor, replica):
-            for entry in middleware.recovery_log.entries_since(
-                    catching_up.applied_seq):
-                middleware.recovery_log.replay_entry(
-                    catching_up.engine, entry)
-                catching_up.applied_seq = entry.seq
-                report.entries_replayed += 1
-        donor.set_state(ReplicaState.ONLINE)
-        replica.set_state(ReplicaState.ONLINE)
+        report.rows_transferred = snapshot.dump.size_rows()
+        report.entries_replayed, recloned = self.backup.join(
+            replica, snapshot)
+        # the donor rejoins with what committed during the transfer
+        report.entries_replayed += self.backup.resume_offline_donor(snapshot)
         middleware.monitor.record("replica_added", replica.name,
-                                  strategy="donor")
+                                  strategy="donor", recloned=recloned)
         self.reports.append(report)
         return report
 
@@ -156,26 +141,15 @@ class ClusterManager:
         """Sequoia style: restore a checkpointed backup (taken earlier,
         from an offline node or a hot dump) and replay the recovery log —
         no donor capacity loss, no outage."""
-        middleware = self.middleware
         report = ManagementReport("add_replica_recovery_log", replica.name)
-        if backup is None:
-            donor = self._any_online()
-            backup = self.backup.hot_backup(donor.name)
+        backup = backup or self.backup.take_snapshot()
         report.rows_transferred = backup.dump.size_rows()
         report.entries_replayed = self.backup.restore_to_replica(
-            backup, replica, replay=True)
-        self._register(replica)
-        replica.set_state(ReplicaState.ONLINE)
-        middleware.monitor.record("replica_added", replica.name,
-                                  strategy="recovery_log")
+            backup, replica)
+        self.middleware.monitor.record("replica_added", replica.name,
+                                       strategy="recovery_log")
         self.reports.append(report)
         return report
-
-    def _any_online(self) -> Replica:
-        online = self.middleware.online_replicas()
-        if not online:
-            raise ReplicaUnavailable("no online replica to copy from")
-        return online[0]
 
     # ------------------------------------------------------------------
     # upgrades
@@ -201,15 +175,12 @@ class ClusterManager:
                 raise MiddlewareError(
                     "engine-level integration cannot run a mixed-version "
                     "cluster (section 4.4.3)")
-            # re-add: replay what it missed while offline
-            for entry in middleware.recovery_log.entries_since(
-                    replica.applied_seq):
-                middleware.recovery_log.replay_entry(replica.engine, entry)
-                replica.applied_seq = entry.seq
-                report.entries_replayed += 1
-            replica.set_state(ReplicaState.ONLINE)
+            # re-add: it rejoins with what it missed while offline
+            replayed, recloned = self.backup.join(replica)
+            report.entries_replayed += replayed
             middleware.monitor.record("replica_upgraded", replica.name,
-                                      version=replica.engine.dialect.version)
+                                      version=replica.engine.dialect.version,
+                                      recloned=recloned)
         report.detail["versions"] = sorted(versions_seen)
         self.reports.append(report)
         return report

@@ -106,8 +106,6 @@ class MiddlewareConfig:
             simulated time.
         trace_retention: how many finished traces the tracer retains
             in memory (oldest evicted whole, see docs/OBSERVABILITY.md).
-        group_commit_max: maximum writeset commits certified and
-            propagated as one group-commit batch (``repro.core.groupcommit``).
         certifier_prune_watermark: once the certification log exceeds
             this many entries, prune everything below the cluster-wide
             safe floor (min of replica watermarks, in-flight snapshot
@@ -128,7 +126,6 @@ class MiddlewareConfig:
                  result_cache: Optional[ResultCacheConfig] = None,
                  tracing: bool = True,
                  trace_retention: int = 512,
-                 group_commit_max: int = 64,
                  certifier_prune_watermark: int = 50000):
         if replication not in ("statement", "writeset"):
             raise ValueError(f"unknown replication mode {replication!r}")
@@ -152,7 +149,6 @@ class MiddlewareConfig:
         self.result_cache = result_cache
         self.tracing = tracing
         self.trace_retention = trace_retention
-        self.group_commit_max = group_commit_max
         self.certifier_prune_watermark = certifier_prune_watermark
 
 
@@ -197,8 +193,7 @@ class ReplicationMiddleware:
         # unit runs the coordinator's one stage order; a writeset commit
         # is a batch of one outside a gather, real multi-commit batches
         # under the timed driver.
-        self.group_commit = GroupCommitCoordinator(
-            self, max_batch=self.config.group_commit_max)
+        self.group_commit = GroupCommitCoordinator(self)
         # Hook used by the timed driver to wake per-replica apply workers
         # when asynchronous propagation enqueues work.
         self.on_apply_enqueued = None

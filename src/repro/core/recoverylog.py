@@ -8,7 +8,8 @@ the checkpoint on."
 The log records every globally-ordered update (statement batch or
 writeset).  Replay supports two modes:
 
-* **serial** — one entry after another; under a heavy update stream a
+* **serial** — one entry after another (``BackupCoordinator.catch_up``,
+  the tail step of the replica join); under a heavy update stream a
   recovering replica "may never catch up" (the paper's warning);
 * **parallel** — entries are grouped into waves of non-overlapping table
   footprints that can be applied concurrently (the parallelism-extraction
@@ -82,6 +83,7 @@ class RecoveryLog:
         Returns how many entries were lost."""
         before = len(self.entries)
         self.entries = [e for e in self.entries if e.seq <= seq]
+        self._head = min(self._head, seq)
         return before - len(self.entries)
 
     def purge_before(self, seq: int) -> int:
@@ -104,14 +106,6 @@ class RecoveryLog:
                 connection.execute(sql, params)
         finally:
             connection.close()
-
-    def replay(self, engine: Engine, from_seq: int) -> int:
-        """Serial replay of everything after ``from_seq``.  Returns the
-        number of entries applied."""
-        entries = self.entries_since(from_seq)
-        for entry in entries:
-            self.replay_entry(engine, entry)
-        return len(entries)
 
     def plan_parallel_replay(
             self, from_seq: int,

@@ -84,11 +84,17 @@ def promote(standby, state: StandbyState, fence: EpochFence
                                      leader=standby.name)
     span.event("ha.fence", epoch=epoch)
 
-    # Settle the pending window against what physically committed.
+    # Settle the pending window against what physically committed: a
+    # shipped unit that was never acked and lies above every replica's
+    # watermark reached no replica.  It leaves the ledger, the certifier
+    # log and the recovery log alike, with or without a client txn id —
+    # the promoted log must hold exactly what a replica can hold, or the
+    # next join replays a write nobody committed.
     watermark = max((r.applied_seq for r in standby.replicas
                      if r.is_online), default=0)
-    resolved, dropped = state.ledger.resolve_pending(watermark)
-    dropped_seqs = {record.seq for record in dropped}
+    resolved, _ = state.ledger.resolve_pending(watermark)
+    dropped_seqs = {shipped.seq for shipped in state.commits
+                    if not shipped.acked and shipped.seq > watermark}
 
     # Certifier: shipped log minus never-committed tails.  A dropped
     # sequence number was observed by no replica, so it may be reused.
@@ -127,16 +133,18 @@ def promote(standby, state: StandbyState, fence: EpochFence
 
     report = PromotionReport(
         epoch=epoch, watermark=watermark,
-        resolved_committed=len(resolved), dropped_pending=len(dropped),
+        resolved_committed=len(resolved),
+        dropped_pending=len(dropped_seqs),
         certifier_entries=len(log), recovery_entries=recovered,
         session_tokens=len(state.session_tokens),
         new_leader=standby.name)
     span.set_tag("resolved_committed", len(resolved))
-    span.set_tag("dropped_pending", len(dropped))
+    span.set_tag("dropped_pending", len(dropped_seqs))
     span.set_tag("certifier_entries", len(log))
     span.end()
     standby.monitor.record("ha_promoted", standby.name, epoch=epoch,
-                           resolved=len(resolved), dropped=len(dropped))
+                           resolved=len(resolved),
+                           dropped=len(dropped_seqs))
     return report
 
 

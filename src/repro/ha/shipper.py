@@ -53,7 +53,7 @@ class StateShipper:
         self.state.commits = [
             ShippedCommit(entry.seq, frozenset(), entry.kind,
                           entry.payload, entry.tables, entry.user,
-                          entry.database)
+                          entry.database, acked=True)
             for entry in middleware.recovery_log.entries
         ]
         self.state.sticky = dict(middleware.config.balancer._sticky)

@@ -173,14 +173,16 @@ class ShippedCommit:
     one globally-ordered update unit before the client may be acked."""
 
     __slots__ = ("seq", "keys", "kind", "payload", "tables", "user",
-                 "database", "txn_id", "client_id", "session_token")
+                 "database", "txn_id", "client_id", "session_token",
+                 "acked")
 
     def __init__(self, seq: int, keys: FrozenSet, kind: str, payload,
                  tables: Tuple[str, ...], user: str,
                  database: Optional[str],
                  txn_id: Optional[str] = None,
                  client_id: Optional[str] = None,
-                 session_token: Optional[Tuple[int, int]] = None):
+                 session_token: Optional[Tuple[int, int]] = None,
+                 acked: bool = False):
         self.seq = seq
         self.keys = keys
         self.kind = kind              # "statements" | "writeset" | "ddl"
@@ -191,6 +193,9 @@ class ShippedCommit:
         self.txn_id = txn_id          # client transaction id (exactly-once)
         self.client_id = client_id
         self.session_token = session_token  # (last_commit_seq, last_seen_seq)
+        # False until phase 2 (``StandbyState.apply_ack``): promotion
+        # settles an unacked unit against the replicas' watermark.
+        self.acked = acked
 
     def __repr__(self) -> str:
         return (f"ShippedCommit(seq={self.seq}, kind={self.kind!r}, "
@@ -230,6 +235,7 @@ class StandbyState:
 
     def apply_ack(self, shipped: ShippedCommit) -> None:
         """Phase 2: the commit is durable; record outcome + tokens."""
+        shipped.acked = True
         if shipped.txn_id is not None:
             self.ledger.mark_committed(shipped.txn_id, shipped.seq)
         if shipped.client_id is not None \

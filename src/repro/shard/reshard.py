@@ -163,19 +163,7 @@ class OnlineReshard:
             "reshard.begin", table=self.table, src=self.src, dst=self.dst)
         source = cluster.groups[self.src]
         self._join_seq = source.global_seq
-        rows, columns = self._read_source_rows()
-        pk_columns = self._pk_columns(source)
-        key_index = [c.lower() for c in columns].index(self.spec.key_column)
-        for row in rows:
-            if not self.contains(row[key_index]):
-                continue
-            values = dict(zip([c.lower() for c in columns], row))
-            self._pending.append({
-                "database": self.database, "table": self.table,
-                "op": "INSERT",
-                "primary_key": tuple(values.get(c) for c in pk_columns),
-                "old_values": None, "new_values": values,
-            })
+        self._pending = self._moving_changes("INSERT")
         self.stats["rows_snapshot"] = len(self._pending)
         cluster.map_log.append(
             "reshard_begin", table=self.table, src=self.src, dst=self.dst,
@@ -295,7 +283,7 @@ class OnlineReshard:
         new_map = cluster.map.clone()
         self.mutate_map(new_map)
         cluster.install_map(new_map)
-        deletes = self._source_delete_entries()
+        deletes = self._moving_changes("DELETE")
         if deletes:
             cluster.groups[self.src].group_commit.install(
                 deletes, [self.table], user=self.user,
@@ -346,21 +334,24 @@ class OnlineReshard:
         table = engine.database(self.database).table(self.table)
         return [c.name.lower() for c in table.primary_key_columns]
 
-    def _source_delete_entries(self) -> List[Dict[str, Any]]:
+    def _moving_changes(self, op: str) -> List[Dict[str, Any]]:
+        """One writeset change per moving row as the source holds it now:
+        ``INSERT`` images for the snapshot copy, ``DELETE`` images for
+        the clean-up after the flip."""
         rows, columns = self._read_source_rows()
-        source = self.cluster.groups[self.src]
-        pk_columns = self._pk_columns(source)
+        pk_columns = self._pk_columns(self.cluster.groups[self.src])
         lowered = [c.lower() for c in columns]
         key_index = lowered.index(self.spec.key_column)
+        inserting = op == "INSERT"
         entries = []
         for row in rows:
             if not self.contains(row[key_index]):
                 continue
             values = dict(zip(lowered, row))
             entries.append({
-                "database": self.database, "table": self.table,
-                "op": "DELETE",
+                "database": self.database, "table": self.table, "op": op,
                 "primary_key": tuple(values.get(c) for c in pk_columns),
-                "old_values": values, "new_values": None,
+                "old_values": None if inserting else values,
+                "new_values": values if inserting else None,
             })
         return entries

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    FailoverManager, MiddlewareConfig, RecoveryLog, ReplicationMiddleware,
-    ResiliencePolicy, RetryPolicy, VirtualIP, promote_and_switch,
-    protocol_by_name,
+    BackupCoordinator, FailoverManager, MiddlewareConfig, RecoveryLog,
+    Replica, ReplicationMiddleware, ResiliencePolicy, RetryPolicy, VirtualIP,
+    promote_and_switch, protocol_by_name,
 )
 from repro.sqlengine import Engine
 
@@ -269,6 +269,17 @@ class TestRetryExactlyOnce:
                 "a retry double-applied or a failed request leaked")
 
 
+def catch_up_from(log, engine):
+    """Serial replay as a joining replica runs it: the one tail loop
+    (``BackupCoordinator.catch_up``) over a hand-built log."""
+    replica = Replica(engine.name, engine)
+    mw = ReplicationMiddleware([replica])
+    mw.recovery_log = log
+    replayed = BackupCoordinator(mw).catch_up(replica)
+    assert replica.applied_seq == log.head_seq
+    return replayed
+
+
 class TestRecoveryLog:
     def test_checkpoint_and_replay(self):
         log = RecoveryLog()
@@ -285,7 +296,7 @@ class TestRecoveryLog:
                    tables=["kv"], database="shop")
         entries = log.entries_since_checkpoint("before-2")
         assert [e.seq for e in entries] == [2]
-        applied = log.replay(engine, from_seq=0)
+        applied = catch_up_from(log, engine)
         assert applied == 2
         assert engine.row_count("shop", "kv") == 2
 
@@ -300,7 +311,7 @@ class TestRecoveryLog:
             "primary_key": (1,), "old_values": None,
             "new_values": {"k": 1, "v": 42},
         }], tables=["kv"])
-        log.replay(engine, from_seq=0)
+        catch_up_from(log, engine)
         assert c.execute("SELECT v FROM kv WHERE k = 1").scalar() == 42
 
     def test_parallel_replay_waves_disjoint(self):
@@ -355,3 +366,4 @@ class TestRecoveryLog:
             log.append(seq, "writeset", [], tables=["t"])
         assert log.truncate_after(2) == 3
         assert [e.seq for e in log.entries] == [1, 2]
+        assert log.head_seq == 2

@@ -36,15 +36,10 @@ class TestAddRemove:
             session.execute(f"UPDATE kv SET v = 3 WHERE k = {key}")
         session.close()
         replica = cluster.replica_by_name("r2")
-        # replay what it missed
-        replayed = 0
-        for entry in cluster.recovery_log.entries_since(replica.applied_seq):
-            cluster.recovery_log.replay_entry(replica.engine, entry)
-            replica.applied_seq = entry.seq
-            replayed += 1
-        from repro.core import ReplicaState
-        replica.set_state(ReplicaState.ONLINE)
-        assert replayed == 5
+        # it rejoins from its own state: replay what it missed
+        replayed, recloned = manager.backup.join(replica)
+        assert (replayed, recloned) == (5, False)
+        assert replica.is_online
         assert cluster.check_convergence()
 
     def test_add_full_stop_causes_outage(self, cluster):

@@ -3,10 +3,12 @@ carry-over, the four crash windows, and the cold-restart slow path."""
 
 import pytest
 
+from repro.core import ClusterManager, FailoverManager, Replica
 from repro.core.errors import FencedOut, MiddlewareDown
 from repro.ha import (
     HAClient, HAPair, cold_restart, cold_restart_duration,
 )
+from repro.sqlengine import Engine, postgresql
 from tests.ha.util import (
     DATABASE, all_replicas_agree, install_crash, kv_values, make_leader,
 )
@@ -93,6 +95,46 @@ def test_crash_window_applies_exactly_once(phase, expected_outcome,
     assert report.resolved_committed == resolved
     assert report.dropped_pending == dropped
     client.close()
+
+
+def test_after_prepare_crash_without_txn_id_leaves_no_unit_behind():
+    """The ``after_prepare`` window for a session that carries no client
+    txn id: the ledger never heard of the unit, yet it reached no replica
+    and must leave the promoted certifier and recovery logs all the same
+    — otherwise the next join replays a write nobody committed."""
+    leader = make_leader(rows=3, replicas=3)
+    pair = HAPair(leader)
+    lagging = leader.replicas[2]
+    lagging.mark_failed()
+    session = pair.connect(database=DATABASE, client_id="c1")
+    session.execute("UPDATE kv SET v = 1 WHERE k = 0")      # acked
+    install_crash(pair, "after_prepare")
+    with pytest.raises(MiddlewareDown):
+        session.execute("UPDATE kv SET v = 7 WHERE k = 1")  # never acked
+    promoted = pair.active
+    log = promoted.recovery_log
+    watermark = max(r.applied_seq for r in promoted.online_replicas())
+    assert [e.seq for e in log.entries] == list(range(1, watermark + 1))
+    assert log.head_seq == watermark
+    assert promoted.certifier.current_seq == watermark
+    assert pair.promotions[-1].dropped_pending == 1
+    # the replica that sat the incident out fails back incrementally
+    assert FailoverManager(promoted).failback(lagging.name) == 1
+    assert promoted.monitor.count("failback_full_resync") == 0
+    # and a replica added from the promoted log serves what the cluster
+    # serves, not the dropped write
+    newcomer = Replica("new", Engine("new", dialect=postgresql(), seed=5))
+    report = ClusterManager(promoted).add_replica(
+        newcomer, strategy="recovery_log")
+    assert report.entries_replayed == 0
+    assert promoted.check_convergence()
+    assert kv_values(promoted) == {0: 1, 1: 0, 2: 0}
+    # the freed sequence number is the next one handed out
+    retry = pair.connect(database=DATABASE, client_id="c1")
+    retry.execute("UPDATE kv SET v = 7 WHERE k = 1")
+    retry.close()
+    assert log.head_seq == watermark + 1
+    assert all_replicas_agree(promoted)
 
 
 def test_dropped_sequence_number_is_reusable():
