@@ -10,10 +10,16 @@ yields the pinned values for one execution's bound parameters — or
 plan per statement; ``core.partitioning`` and ``core.wan`` compile per
 call.
 
+A ``WHERE`` clause that fixes no values may still *bound* the key:
+:func:`compile_range_plan` returns a :data:`RangePlan` yielding a closed
+interval every matching row's key lies in, which a range-partitioned
+caller turns into the owners of the intersecting segments.
+
 Not pinning is always correct (the caller then asks every owner), so
 anything doubtful does not pin: a ``NULL`` or missing key value, a
 predicate on another table's column of the same name, an unqualified
-column when the statement reads more than one table.
+column when the statement reads more than one table, bounds that will
+not compare with each other.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from ..sqlengine import ast_nodes as ast
 from .errors import UnsupportedStatementError
 
 KeyPlan = Optional[Callable[[Sequence[Any]], Optional[List[Any]]]]
+#: params -> ``[low, high]``, either end ``None`` for unbounded, or
+#: ``None`` when this execution bounds nothing
+RangePlan = Optional[Callable[[Sequence[Any]], Optional[List[Any]]]]
 
 _UNPLACEABLE = "INSERT shard-key values must be literals or bound parameters"
 
@@ -92,13 +101,13 @@ def compile_where_plan(statement: ast.Statement, table: Optional[str],
     where = getattr(statement, "where", None)
     if where is None:
         return None
-    bindings, sole = _bindings_of(statement, table)
+    bindings, sole = bindings_of(statement, table)
     if not bindings:
         return None
     return _compile_where(where, key_column, bindings, sole)
 
 
-def _bindings_of(statement: ast.Statement,
+def bindings_of(statement: ast.Statement,
                  table: Optional[str]) -> Tuple[FrozenSet[str], bool]:
     """``(bindings, sole)``: the qualifiers that mean ``table`` in this
     statement, and whether it is the statement's only table source — only
@@ -211,3 +220,86 @@ def _compile_where(where, key_column: str, bindings: FrozenSet[str],
     if None in slots:
         return None
     return partial(_values, slots)
+
+
+# -- range plans -------------------------------------------------------------
+
+_LOW_OPS = {">": True, ">=": True, "<": False, "<=": False}
+_OPEN = (False, None)       # the slot of an unbounded end
+
+
+def compile_range_plan(statement: ast.Statement, table: Optional[str],
+                       key_column: str) -> RangePlan:
+    """The range plan of a SELECT / UPDATE / DELETE's ``WHERE`` clause.
+
+    Recognizes ``key BETWEEN a AND b`` and ``key < <= > >= value`` in
+    either operand order (values literal or bound, not negated),
+    conjunctions containing either — the intersection — and disjunctions
+    whose both sides bound — the hull.  The interval is closed and
+    conservative (``key > 5`` yields ``low = 5``): it only ever has to
+    contain the matching keys."""
+    where = getattr(statement, "where", None)
+    if where is None:
+        return None
+    bindings, sole = bindings_of(statement, table)
+    if not bindings:
+        return None
+    return _compile_range(where, key_column, bindings, sole)
+
+
+def _compile_range(where, key_column: str, bindings: FrozenSet[str],
+                   sole: bool) -> RangePlan:
+    if isinstance(where, ast.BinaryOp):
+        if where.op in ("AND", "OR"):
+            left = _compile_range(where.left, key_column, bindings, sole)
+            right = _compile_range(where.right, key_column, bindings, sole)
+            if where.op == "OR":
+                if left is None or right is None:
+                    return None
+                return partial(_combine, left, right, False)
+            if left is None or right is None:
+                return left or right
+            return partial(_combine, left, right, True)
+        is_low = _LOW_OPS.get(where.op)
+        if is_low is None:
+            return None
+        if _is_key(where.left, key_column, bindings, sole):
+            slot = _slot(where.right)
+        elif _is_key(where.right, key_column, bindings, sole):
+            slot, is_low = _slot(where.left), not is_low
+        else:
+            return None
+        ends = (slot, _OPEN) if is_low else (_OPEN, slot)
+    elif isinstance(where, ast.Between) and not where.negated \
+            and _is_key(where.expr, key_column, bindings, sole):
+        ends = (_slot(where.low), _slot(where.high))
+    else:
+        return None
+    if None in ends:
+        return None
+    # one atom's [low, high]; a bound end that is NULL or missing bounds
+    # nothing (the atom then matches nothing, which nobody needs to know)
+    return partial(_values, ends)
+
+
+def _combine(left, right, intersect: bool,
+             params: Sequence[Any]) -> Optional[List[Any]]:
+    """AND intersects (a side that bounds nothing constrains nothing),
+    OR takes the hull (a side that bounds nothing unbounds everything)."""
+    a, b = left(params), right(params)
+    if a is None or b is None:
+        return (a or b) if intersect else None
+    try:
+        if intersect:
+            return [_end(max, a[0], b[0], False),
+                    _end(min, a[1], b[1], False)]
+        return [_end(min, a[0], b[0], True), _end(max, a[1], b[1], True)]
+    except TypeError:
+        return None         # ends that will not compare bound nothing
+
+
+def _end(pick, a, b, open_wins: bool):
+    """One end of a combined interval; ``None`` is the open end."""
+    if a is None or b is None:
+        return None if open_wins else (a if b is None else b)
+    return pick(a, b)

@@ -8,7 +8,12 @@ dual-write window, phase by phase:
 1. **snapshot + join point** (:meth:`OnlineReshard.start`, atomic):
    record the source certifier's current seq and read the moving rows
    from a source replica in the same instant — every later change is,
-   by construction, in the source recovery log after the join point.
+   by construction, in the source recovery log after the join point —
+   and install the move's :class:`~repro.shard.router.ForwardingRule`.
+   From here to the flip the destination holds copies beside rows of
+   its own, so every read that reaches it without being pinned to a key
+   carries the rule's "not a moving key" predicate: the copies are
+   never counted, the destination's own rows always are.
 2. **copy** (:meth:`copy_chunk`, resumable): install the snapshot rows
    into the destination group in bounded chunks, each an ordered
    writeset unit through the destination's own commit sequence
@@ -21,12 +26,10 @@ dual-write window, phase by phase:
    onto the destination — the same join a new replica uses in E12 —
    and advance the join point.  Repeat until the tail is small.
 4. **dual-write window** (:meth:`enter_dual_write`, atomic): one final
-   catch-up and the installation of a
-   :class:`~repro.shard.router.ForwardingRule` happen in the same
+   catch-up and the rule's switch to dual writes happen in the same
    instant, so from this moment every client write to a moving key is
-   a cross-shard 2PC transaction against *both* groups.  Reads still go
-   to the source (it stays the owner), and unpinned scatter reads skip
-   the destination so moving rows are never counted twice.
+   a cross-shard 2PC transaction against *both* groups.  Reads of a
+   moving key still go to the source (it stays the owner).
 5. **flip** (:meth:`flip`, atomic): install the successor shard map
    (version + 1) — instantly re-routing reads and writes to the
    destination and salting every result-cache key — then delete the
@@ -47,6 +50,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.errors import MiddlewareError
+from ..sqlengine import ast_nodes as ast
 from .router import ForwardingRule, ShardedCluster
 from .shardmap import RangeSharder
 
@@ -64,7 +68,9 @@ class OnlineReshard:
     """
 
     def __init__(self, cluster: ShardedCluster, table: str,
-                 contains: Callable[[Any], bool], src: int, dst: int,
+                 contains: Callable[[Any], bool],
+                 staying: Callable[[ast.ColumnRef], ast.Expression],
+                 label: str, src: int, dst: int,
                  database: str,
                  mutate_map: Callable[[Any], None],
                  batch_rows: int = 256, user: str = "admin"):
@@ -86,7 +92,9 @@ class OnlineReshard:
         self.state = "init"
         self._join_seq = 0
         self._pending: List[Dict[str, Any]] = []
-        self._rule: Optional[ForwardingRule] = None
+        # installed by start(), dropped by flip()
+        self._rule = ForwardingRule(self.table, contains, src, dst,
+                                    staying, label)
         self.stats: Dict[str, int] = {
             "rows_snapshot": 0, "rows_copied": 0, "entries_joined": 0,
             "catchup_rounds": 0, "entries_in_window": 0, "rows_deleted": 0,
@@ -118,11 +126,22 @@ class OnlineReshard:
                 return False
             return value <= bound
 
+        def staying(key: ast.ColumnRef) -> ast.Expression:
+            # NOT contains(key), NULL-safe: k > bound, or for a later
+            # segment k IS NULL OR k <= lower OR k > bound
+            above = ast.BinaryOp(">", key, ast.Literal(bound))
+            if segment == 0:
+                return above
+            return _any_of(ast.IsNull(key),
+                           ast.BinaryOp("<=", key, ast.Literal(lower)),
+                           above)
+
         def mutate(new_map) -> None:
             new_map.spec_of(table).sharder.split(bound, dst)
 
-        return cls(cluster, table, contains, src, dst, database, mutate,
-                   **kwargs)
+        return cls(cluster, table, contains, staying,
+                   f"{lower!r}<{spec.key_column}<={bound!r}", src, dst,
+                   database, mutate, **kwargs)
 
     @classmethod
     def move_keys(cls, cluster: ShardedCluster, table: str,
@@ -144,13 +163,25 @@ class OnlineReshard:
         def contains(value: Any) -> bool:
             return value in key_set
 
+        def staying(key: ast.ColumnRef) -> ast.Expression:
+            # NOT contains(key), NULL-safe: k IS NULL OR k NOT IN (...),
+            # or k IS NOT NULL AND k NOT IN (...) when NULL itself moves
+            others = ast.InList(
+                key, [ast.Literal(k) for k in key_set if k is not None],
+                negated=True)
+            if None in key_set:
+                return ast.BinaryOp("AND", ast.IsNull(key, negated=True),
+                                    others)
+            return _any_of(ast.IsNull(key), others)
+
         def mutate(new_map) -> None:
             new_spec = new_map.spec_of(table)
             for key in key_set:
                 new_spec.overrides[key] = dst
 
-        return cls(cluster, table, contains, next(iter(owners)), dst,
-                   database, mutate, **kwargs)
+        return cls(cluster, table, contains, staying,
+                   f"{spec.key_column} not in {sorted(key_set, key=repr)!r}",
+                   next(iter(owners)), dst, database, mutate, **kwargs)
 
     # -- phase 1: snapshot + join point ---------------------------------
 
@@ -165,6 +196,7 @@ class OnlineReshard:
         self._join_seq = source.global_seq
         self._pending = self._moving_changes("INSERT")
         self.stats["rows_snapshot"] = len(self._pending)
+        cluster.forwarding.append(self._rule)
         cluster.map_log.append(
             "reshard_begin", table=self.table, src=self.src, dst=self.dst,
             join_seq=self._join_seq, rows=len(self._pending))
@@ -234,15 +266,13 @@ class OnlineReshard:
     # -- phase 4: dual-write window -------------------------------------
 
     def enter_dual_write(self) -> int:
-        """Atomic: final catch-up + forwarding-rule installation in one
-        instant.  From here on, every client write to a moving key is
-        2PC'd to both groups, so the destination can never fall behind
-        again."""
+        """Atomic: final catch-up + the forwarding rule's switch to dual
+        writes in one instant.  From here on, every client write to a
+        moving key is 2PC'd to both groups, so the destination can never
+        fall behind again."""
         self._require_state("copied")
         final = self.catch_up()
-        self._rule = ForwardingRule(self.table, self.contains, self.src,
-                                    self.dst)
-        self.cluster.forwarding.append(self._rule)
+        self._rule.dual_write = True
         self.cluster.map_log.append(
             "reshard_dual_write", table=self.table, src=self.src,
             dst=self.dst, join_seq=self._join_seq)
@@ -289,8 +319,7 @@ class OnlineReshard:
                 deletes, [self.table], user=self.user,
                 database=self.database)
         self.stats["rows_deleted"] = len(deletes)
-        if self._rule in cluster.forwarding:
-            cluster.forwarding.remove(self._rule)
+        cluster.forwarding.remove(self._rule)
         cluster.map_log.append(
             "reshard_flip", table=self.table, src=self.src, dst=self.dst,
             version=new_map.version, rows_deleted=len(deletes))
@@ -355,3 +384,10 @@ class OnlineReshard:
                 "new_values": values if inserting else None,
             })
         return entries
+
+
+def _any_of(*terms: ast.Expression) -> ast.Expression:
+    combined = terms[0]
+    for term in terms[1:]:
+        combined = ast.BinaryOp("OR", combined, term)
+    return combined

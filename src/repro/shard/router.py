@@ -13,7 +13,9 @@ middleware itself uses and dispatches it:
   through that group alone — the fast path that skips 2PC entirely;
 * **scatter-gather reads** — executed on every owning group and merged
   by ``repro.shard.merge`` (AVG rewrite, regrouping, ORDER BY re-sort,
-  LIMIT/OFFSET re-application);
+  LIMIT/OFFSET re-application); a read whose WHERE only *bounds* the
+  key of a range-sharded table is pruned to the groups owning the
+  intersecting segments first;
 * **multi-shard writes** — multi-row INSERTs are split by key so each
   group receives exactly its rows; predicate writes run on every owning
   group; either way the enclosing (possibly implicit) transaction
@@ -42,12 +44,15 @@ to the new leader.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set
+from copy import copy
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.admission import AdmissionGate
 from ..core.analysis import StatementInfo, analyze
 from ..core.errors import FencedOut, MiddlewareDown, UnsupportedStatementError
-from ..core.keyplan import KeyPlan, compile_key_plan, literal_value
+from ..core.keyplan import (KeyPlan, RangePlan, bindings_of,
+                            compile_key_plan, compile_range_plan,
+                            literal_value)
 from ..core.middleware import MiddlewareSession, ReplicationMiddleware
 from ..obs.tracing import Tracer
 from ..sqlengine import ast_nodes as ast
@@ -64,21 +69,33 @@ from .twopc import TwoPCCoordinator
 
 
 class ForwardingRule:
-    """One in-flight key movement (installed by ``repro.shard.reshard``
-    for the dual-write window): writes for matching keys go to *both*
-    src and dst, reads stay at src, and unpinned scatter reads skip dst
-    so the moving rows are counted exactly once until the flip."""
+    """One in-flight key movement, installed by ``repro.shard.reshard``
+    from its first phase until the flip.
 
-    __slots__ = ("table", "contains", "src", "dst")
+    For as long as it stands the destination holds copies of moving rows
+    beside rows of its own, while the source stays their owner: a
+    multi-group read that reaches ``dst`` carries ``staying`` there —
+    "not a moving key", as a predicate over the key column it is handed
+    — so the copies are never counted, and ``dst``'s own rows always
+    are.  Once ``dual_write`` is set (the dual-write window) writes for
+    matching keys go to *both* src and dst."""
 
-    def __init__(self, table: str, contains, src: int, dst: int):
+    __slots__ = ("table", "contains", "src", "dst", "staying", "label",
+                 "dual_write")
+
+    def __init__(self, table: str, contains, src: int, dst: int,
+                 staying, label: str):
         self.table = table.lower()
         self.contains = contains
         self.src = src
         self.dst = dst
+        self.staying = staying      # ast.ColumnRef -> ast.Expression
+        self.label = label          # marks the filtered statement's text
+        self.dual_write = False
 
     def matches(self, table: str, value: Any) -> bool:
-        return table == self.table and self.contains(value)
+        return self.dual_write and table == self.table \
+            and self.contains(value)
 
 
 class ShardedCluster:
@@ -131,8 +148,8 @@ class ShardedCluster:
         # text front door: every session's execute(sql) resolves through
         # this one cache, so one shape is one tree for all of them
         self.statements = StatementCache()
-        # statement identity -> (info, spec, key plan), valid for one
-        # map version
+        # statement identity -> (info, spec, key plan, range plan),
+        # valid for one map version
         self.route_plans = Memo()
         self.stats: Dict[str, int] = {
             "single_shard": 0, "scatter_reads": 0, "multi_shard_writes": 0,
@@ -199,12 +216,17 @@ class ShardedCluster:
     # -- route-plan memo -------------------------------------------------
 
     def _route_plan(self, statement: ast.Statement) -> tuple:
-        """``(info, spec, key_plan)`` memoized by statement identity —
-        clients replay a small set of cached templates, so the analysis
-        walk, the spec lookup and the WHERE-shape inspection are all
-        loop-invariant; only the bound parameters change per call.
-        Entries are stamped with the map version (the key plan bakes in
-        the spec), so a reshard flip recompiles them."""
+        """``(info, spec, key_plan, range_plan)`` memoized by statement
+        identity — clients replay a small set of cached templates, so
+        the analysis walk, the spec lookup and the WHERE-shape inspection
+        are all loop-invariant; only the bound parameters change per
+        call.  Entries are stamped with the map version (the plans bake
+        in the spec), so a reshard flip recompiles them.
+
+        Only a read gets a range plan (a forwarding rule can say whether
+        a *key* is moving, not whether a range touches one), and an
+        ``EXPLAIN`` — a read that never executes — routes by the
+        statement it explains."""
         version = self.map.version
         plan = self.route_plans.get_for(statement, version)
         if plan is None:
@@ -214,11 +236,17 @@ class ShardedCluster:
                 spec = self.map.spec_of(table)
                 if spec is not None:
                     break
-            key_plan = None
+            key_plan = range_plan = None
             if spec is not None and not info.is_ddl:
-                key_plan = compile_key_plan(statement, spec.table,
+                routed = statement.statement \
+                    if isinstance(statement, ast.ExplainStatement) \
+                    else statement
+                key_plan = compile_key_plan(routed, spec.table,
                                             spec.key_column)
-            plan = (info, spec, key_plan)
+                if not info.is_write:
+                    range_plan = compile_range_plan(routed, spec.table,
+                                                    spec.key_column)
+            plan = (info, spec, key_plan, range_plan)
             self.route_plans.put_for(statement, plan, version)
         return plan
 
@@ -462,7 +490,7 @@ class ShardedSession:
             return self._rollback()
 
         cluster = self.cluster
-        info, spec, key_plan = cluster._route_plan(statement)
+        info, spec, key_plan, range_plan = cluster._route_plan(statement)
         span = cluster.tracer.start_span(
             "shard.route", session=self.id, sql=sql_text[:80],
             map_version=cluster.map.version)
@@ -471,8 +499,13 @@ class ShardedSession:
                 return self._dispatch_global(statement, sql_text, params,
                                              info, span)
             span.set_tag("table", spec.table)
-            targets = self._resolve_targets(spec, params, info, key_plan)
+            targets = self._resolve_targets(spec, params, info, key_plan,
+                                            range_plan)
             span.set_tag("targets", len(targets))
+            if isinstance(statement, ast.ExplainStatement):
+                span.set_tag("kind", "explain")
+                return self._dispatch_explain(statement, sql_text, params,
+                                              sorted(targets))
             if len(targets) == 1:
                 span.set_tag("kind", "single")
                 cluster.stats["single_shard"] += 1
@@ -490,36 +523,46 @@ class ShardedSession:
                                                   sorted(targets))
             span.set_tag("kind", "scatter")
             return self._dispatch_scatter(statement, sql_text, params,
-                                          sorted(targets))
+                                          sorted(targets), spec)
         finally:
             span.end()
 
     # -- target resolution ----------------------------------------------
 
     def _resolve_targets(self, spec: ShardSpec, params: List[Any],
-                         info: StatementInfo, key_plan: KeyPlan) -> Set[int]:
+                         info: StatementInfo, key_plan: KeyPlan,
+                         range_plan: RangePlan) -> Set[int]:
+        """The groups the statement runs on: the owners of the key values
+        it pins; failing that every group — or, when its WHERE bounds the
+        key of a range-sharded table, the owners of the intersecting
+        segments: always a subset of every group, and only ever for a
+        read."""
         cluster = self.cluster
-        rules = cluster.rules_for(spec.table)
         keys = key_plan(params) if key_plan is not None else None
-        if keys is None:
-            # unpinned: every owning group.  Reads skip a dual-write
-            # destination (it holds the moving rows too — counting them
-            # there *and* at the still-owning src would double them).
+        if keys is not None:
+            rules = cluster.rules_for(spec.table) if info.is_write else ()
+            targets: Set[int] = set()
+            try:
+                for value in keys:
+                    targets.add(spec.shard_for(value))
+                    for rule in rules:
+                        if rule.matches(spec.table, value):
+                            targets.add(rule.dst)
+                            cluster.stats.setdefault("dual_writes", 0)
+                            cluster.stats["dual_writes"] += 1
+                return targets
+            except TypeError:
+                # a key value the placement cannot order: nothing is
+                # pinned, and a row that cannot be placed is refused
+                if isinstance(info.statement, ast.InsertStatement):
+                    raise UnsupportedStatementError(
+                        f"INSERT shard-key value {value!r} cannot be "
+                        f"placed on sharded table {spec.table!r}")
+        interval = range_plan(params) if range_plan is not None else None
+        targets = spec.shards_for_range(*interval) \
+            if interval is not None else None
+        if targets is None:
             targets = set(range(len(cluster.groups)))
-            if not info.is_write:
-                for rule in rules:
-                    targets.discard(rule.dst)
-            return targets
-        targets: Set[int] = set()
-        for value in keys:
-            owner = spec.shard_for(value)
-            targets.add(owner)
-            if info.is_write:
-                for rule in rules:
-                    if rule.matches(spec.table, value):
-                        targets.add(rule.dst)
-                        cluster.stats.setdefault("dual_writes", 0)
-                        cluster.stats["dual_writes"] += 1
         return targets
 
     # -- dispatch paths --------------------------------------------------
@@ -550,17 +593,36 @@ class ShardedSession:
         return self._execute_on(0, statement, sql_text, params)
 
     def _dispatch_scatter(self, statement: ast.Statement, sql_text: str,
-                          params: List[Any],
-                          targets: Sequence[int]) -> Result:
+                          params: List[Any], targets: Sequence[int],
+                          spec: ShardSpec) -> Result:
         cluster = self.cluster
         cluster.stats["scatter_reads"] += 1
         self._note_route("scatter", targets, False)
         plan = plan_scatter(statement, sql_text, params)
+        # a moving row is read at its owner, the source: its copy is
+        # left out wherever a read reaches the destination as well
+        rules = cluster.rules_for(spec.table)
         results = [
-            self._execute_on(index, plan.statement, plan.sql_text, params)
+            self._execute_on(
+                index, *_staying_variant(plan.statement, plan.sql_text,
+                                         spec, rules, index), params)
             for index in targets
         ]
         return plan.merge(results)
+
+    def _dispatch_explain(self, statement: ast.ExplainStatement,
+                          sql_text: str, params: List[Any],
+                          targets: Sequence[int]) -> Result:
+        """The access paths of exactly the groups the explained statement
+        would reach: one row per (group, group's row), ``shard`` first."""
+        self._note_route("explain", targets, False)
+        columns: List[str] = []
+        rows: List[tuple] = []
+        for index in targets:
+            result = self._execute_on(index, statement, sql_text, params)
+            columns = ["shard"] + result.columns
+            rows.extend((index,) + tuple(row) for row in result.rows)
+        return Result(columns=columns, rows=rows, rowcount=len(rows))
 
     def _dispatch_multi_write(self, statement: ast.Statement,
                               sql_text: str, params: List[Any],
@@ -707,3 +769,28 @@ class ShardedSession:
     def _check_open(self) -> None:
         if self.closed:
             raise MiddlewareDown("session is closed")
+
+
+def _staying_variant(statement: ast.SelectStatement, sql_text: str,
+                     spec: ShardSpec, rules: Sequence[ForwardingRule],
+                     index: int) -> Tuple[ast.SelectStatement, str]:
+    """The statement group ``index`` runs for a multi-group read: as
+    given, unless the group is the destination of a key movement — then
+    with each such rule's "not a moving key" predicate ANDed into the
+    WHERE clause for every binding of the sharded table, and the text
+    marked (the convention of ``merge.py``'s rewrites) so the group's
+    result cache never serves one variant for the other.  A read that
+    reaches the destination *alone* needs none: had its WHERE admitted a
+    moving key, that key's owner — the source — would be a target too."""
+    for rule in rules:
+        if rule.dst != index:
+            continue
+        where = statement.where
+        for binding in sorted(bindings_of(statement, spec.table)[0]):
+            kept = rule.staying(ast.ColumnRef(spec.key_column, binding))
+            where = kept if where is None \
+                else ast.BinaryOp("AND", where, kept)
+        statement = copy(statement)     # the cached tree is shared
+        statement.where = where
+        sql_text = f"{sql_text} /*staying:{rule.label}*/"
+    return statement, sql_text

@@ -18,7 +18,8 @@ is presumed aborted; one with a record replays the recorded decision
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..core.errors import MiddlewareError
 
@@ -46,6 +47,12 @@ class Sharder:
 
     def shard_for(self, value: Any) -> int:
         raise NotImplementedError
+
+    def shards_for_range(self, low: Any, high: Any) -> Optional[Set[int]]:
+        """The shards that can hold a key in the closed interval
+        ``[low, high]`` (``None`` = open end), or ``None`` when the
+        placement has no order to prune by."""
+        return None
 
     def clone(self) -> "Sharder":
         raise NotImplementedError
@@ -93,15 +100,22 @@ class RangeSharder(Sharder):
         super().__init__(max(self.assignments) + 1)
 
     def segment_for(self, value: Any) -> int:
+        """Raises ``TypeError`` for a value that will not compare against
+        the bounds; callers that route by it treat that as "not pinned"."""
         if value is None:
             return 0
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                return index
-        return len(self.bounds)
+        return bisect_left(self.bounds, value)
 
     def shard_for(self, value: Any) -> int:
         return self.assignments[self.segment_for(value)]
+
+    def shards_for_range(self, low: Any, high: Any) -> Set[int]:
+        first = self.segment_for(low)
+        # an empty interval still names a segment: whoever is asked
+        # answers "no rows" in the statement's own result shape
+        last = len(self.bounds) if high is None \
+            else max(first, self.segment_for(high))
+        return set(self.assignments[first:last + 1])
 
     def split(self, bound: Any, new_shard: int) -> None:
         """Cut the segment containing ``bound`` at ``bound`` and assign
@@ -137,6 +151,24 @@ class ShardSpec:
         if value in self.overrides:
             return self.overrides[value]
         return self.sharder.shard_for(value)
+
+    def shards_for_range(self, low: Any, high: Any) -> Optional[Set[int]]:
+        """The shards that can own a non-NULL key in ``[low, high]``
+        (``None`` = open end): the sharder's, plus the owner of every
+        overridden key inside the interval.  ``None`` when the interval
+        prunes nothing — no ordered placement, or ends that will not
+        compare against it."""
+        try:
+            shards = self.sharder.shards_for_range(low, high)
+            if shards is not None:
+                shards.update(
+                    shard for key, shard in self.overrides.items()
+                    if key is not None
+                    and (low is None or low <= key)
+                    and (high is None or key <= high))
+        except TypeError:
+            return None
+        return shards
 
     def clone(self) -> "ShardSpec":
         return ShardSpec(self.table, self.key_column,

@@ -28,7 +28,7 @@ from .mvcc import (
     READ_UNCOMMITTED, SERIALIZABLE, Snapshot, latest_committed_change,
     uncommitted_writer, visible_rows, visible_version,
 )
-from .planner import (AccessPlan, SEQ_SCAN, plan_table_access,
+from .planner import (AccessPlan, INDEX_RANGE, SEQ_SCAN, plan_table_access,
                       plan_table_access_cached)
 from .sequences import Sequence
 from .procedures import Procedure
@@ -84,15 +84,22 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _table_versions(self, session, table, binding, where, snapshot,
-                        ctx, dirty: bool = False) -> List[RowVersion]:
+                        ctx, dirty: bool = False,
+                        top: Optional[tuple] = None) -> List[RowVersion]:
         """The visible versions a statement must consider for ``table``,
         through the planned access path.
 
-        An index probe yields a *superset* of the fully-matching rows (the
-        caller still applies the complete WHERE), so routing here never
-        changes results — only how many rows are touched, which the
-        engine-level ``seq_scans`` / ``index_probes`` / ``rows_scanned``
-        counters record.
+        An index probe or range walk yields a *superset* of the
+        fully-matching rows (the caller still applies the complete
+        WHERE), so routing here never changes results — only how many
+        rows are touched, which the engine-level ``seq_scans`` /
+        ``index_probes`` / ``rows_scanned`` counters record.
+
+        ``top`` is ``(column, ascending, count)`` when the caller's answer
+        is the first ``count`` matching rows in that column's order (see
+        :meth:`_top_n`): a range walk over a unique index on exactly that
+        column then stops fetching after ``count`` rows that pass the
+        complete WHERE.  Any other path ignores it.
         """
         txn_id = session.txn.id if session.txn else None
         stats = self.engine.stats
@@ -112,6 +119,36 @@ class Executor:
                                           dirty=dirty)
                 if version is not None:
                     versions.append(version)
+            return versions
+        if plan.kind == INDEX_RANGE:
+            stats["index_probes"] += 1
+            index = plan.index
+            positions, wanted = plan.keys, None
+            if top is not None and index.unique \
+                    and index.columns == [top[0]]:
+                wanted = top[2]
+                if not top[1]:
+                    positions = reversed(positions)
+            versions = []
+            scanned = 0
+            for position in positions:
+                if wanted is not None and len(versions) >= wanted:
+                    break
+                candidates = index.entries[index.ordered[position]]
+                for row_id in {c.row_id for c in candidates}:
+                    scanned += 1
+                    version = visible_version(table, row_id, snapshot,
+                                              txn_id, dirty=dirty)
+                    # a row counts only under its visible version's own
+                    # key: once each, and in true key order, whatever
+                    # other versions of it sit elsewhere in the slice
+                    if version not in candidates:
+                        continue
+                    if wanted is not None and not is_true(evaluate(
+                            where, ctx.child({binding: version.values}))):
+                        continue
+                    versions.append(version)
+            stats["rows_scanned"] += scanned
             return versions
         stats["seq_scans"] += 1
         stats["rows_scanned"] += table.logical_row_count()
@@ -276,9 +313,11 @@ class Executor:
         snapshot = self._read_snapshot(session)
         dirty = session.txn is not None and session.txn.isolation == READ_UNCOMMITTED
 
+        top = None if statement.limit is None \
+            else self._top_n(statement, outer_ctx)
         source_rows, source_columns = self._build_source(
             session, statement.source, snapshot, dirty, outer_ctx,
-            where=statement.where)
+            statement.where, top)
 
         if statement.for_update and isinstance(statement.source, ast.TableRef):
             database_name, table = self._resolve_table(
@@ -333,14 +372,66 @@ class Executor:
         rows = self._apply_limit(statement, rows, outer_ctx)
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
+    def _top_n(self, statement: ast.SelectStatement,
+               ctx: EvalContext) -> Optional[tuple]:
+        """For a statement with a LIMIT: ``(column, ascending, count)``
+        when its answer is provably the first ``count = LIMIT + OFFSET``
+        matching rows of its one table in ``column``'s order, else
+        ``None``.
+
+        That needs a single table source, no grouping, aggregate,
+        DISTINCT, HAVING or FOR UPDATE, and exactly one ORDER BY term
+        that is a bare column of the table — one ``_order_rows`` will
+        not resolve against a select-list alias of the same name
+        instead.  Only *fetching* stops early: the caller still filters,
+        sorts and slices what comes back."""
+        source = statement.source
+        if len(statement.order_by) != 1 \
+                or not isinstance(source, ast.TableRef) \
+                or statement.group_by or statement.distinct \
+                or statement.having is not None or statement.for_update:
+            return None
+        term, ascending = statement.order_by[0]
+        if not isinstance(term, ast.ColumnRef) \
+                or term.table_lower not in (None, source.binding):
+            return None
+        column = term.name_lower
+        for index, (expr, alias) in enumerate(statement.columns):
+            if _contains_aggregate(expr):
+                return None
+            if isinstance(expr, ast.Star):
+                continue
+            is_column = (isinstance(expr, ast.ColumnRef)
+                         and expr.name_lower == column
+                         and expr.table_lower in (None, source.binding))
+            if not is_column \
+                    and _output_name(index, expr, alias).lower() == column:
+                return None     # ORDER BY sorts by this output column
+        count = 0
+        for expr in (statement.limit, statement.offset):
+            if expr is None:
+                continue
+            if not isinstance(expr, (ast.Literal, ast.Param)):
+                return None
+            try:
+                value = evaluate(expr, ctx)
+            except SQLError:
+                return None     # _apply_limit raises it
+            if type(value) is not int or value < 0:
+                return None
+            count += value
+        return column, ascending, count
+
     def _build_source(self, session, source, snapshot, dirty, outer_ctx,
-                      where=None):
+                      where=None, top=None):
         """Returns (list of binding dicts, ordered [(binding, column_names)]).
 
         ``where`` is the enclosing statement's predicate, pushed down so
         table references can serve equality conjuncts from an index probe
-        instead of a full scan; the caller still applies the complete
-        predicate to whatever comes back.
+        and range conjuncts from an index range instead of a full scan;
+        the caller still applies the complete predicate to whatever comes
+        back.  ``top`` (see :meth:`_top_n`) is only ever passed for a
+        statement whose whole source is one table.
         """
         if source is None:
             return [{}], []
@@ -353,7 +444,7 @@ class Executor:
                 {binding: dict(version.values)}
                 for version in self._table_versions(
                     session, table, binding, where, snapshot, outer_ctx,
-                    dirty=dirty)
+                    dirty, top)
             ]
             if session.txn is not None:
                 session.txn.tables_read.add((database_name, table.name.lower()))
@@ -432,14 +523,8 @@ class Executor:
                     if expr.table is not None and binding != expr.table.lower():
                         continue
                     names.extend(columns)
-            elif alias:
-                names.append(alias)
-            elif isinstance(expr, ast.ColumnRef):
-                names.append(expr.name.lower())
-            elif isinstance(expr, ast.FunctionCall):
-                names.append(expr.name.lower())
             else:
-                names.append(f"col{index}")
+                names.append(_output_name(index, expr, alias))
         return names
 
     def _grouped_output(self, session, statement, source_rows, outer_ctx):
@@ -626,8 +711,8 @@ class Executor:
                      where, ctx) -> tuple:
         plan = (plan_table_access(table, binding, where, ctx)
                 if self.engine.use_indexes else AccessPlan(SEQ_SCAN, table))
-        access = (f"index-probe ({plan.index.name})" if plan.is_index
-                  else "seq-scan")
+        access = (f"{plan.kind} ({plan.index.name})"
+                  if plan.index is not None else plan.kind)
         return (operation, table.name, access, len(plan.keys))
 
     # -- subquery hooks (called from expressions.py) -----------------------
@@ -1200,6 +1285,15 @@ class Executor:
         self.engine.locks.acquire(
             txn.id, f"{database_name}.{table.name}".lower(), mode)
         return Result()
+
+
+def _output_name(index: int, expr, alias: Optional[str]) -> str:
+    """The result-column name of one non-``*`` select-list item."""
+    if alias:
+        return alias
+    if isinstance(expr, (ast.ColumnRef, ast.FunctionCall)):
+        return expr.name.lower()
+    return f"col{index}"
 
 
 def _contains_aggregate(expr) -> bool:

@@ -3,10 +3,12 @@
 The planner looks at a statement's WHERE clause, pulls the equality and
 ``IN``-list conjuncts that bind columns of one table, and — when an index
 covers all of an index's key columns — turns them into hash-index probe
-keys.  Everything else falls back to a sequential scan.  The probe result
-is always a *superset* of the rows the full predicate accepts (the
-executor re-evaluates the complete WHERE on the candidates), so planning
-can only change cost, never results.
+keys.  Failing that, ``BETWEEN`` and ``< <= > >=`` conjuncts on a column
+with a single-column index become a slice of that index's sorted keys
+(an *index range*).  Everything else falls back to a sequential scan.
+The candidates are always a *superset* of the rows the full predicate
+accepts (the executor re-evaluates the complete WHERE on them), so
+planning can only change cost, never results.
 
 This is the piece the paper's §3.4/§5 critique asks middleware
 evaluations to get right: without it, every point lookup, uniqueness
@@ -22,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from . import ast_nodes as ast
 from .errors import SQLError
 from .storage import IndexDef, Table
-from .types import coerce
+from .types import ColumnType, coerce, is_numeric
 
 # Multi-column IN-lists multiply; beyond this many probe keys a scan is
 # cheaper anyway.
@@ -30,16 +32,21 @@ _MAX_PROBE_KEYS = 64
 
 SEQ_SCAN = "seq-scan"
 INDEX_PROBE = "index-probe"
+INDEX_RANGE = "index-range"
 
 
 class AccessPlan:
-    """The chosen access path for one table reference."""
+    """The chosen access path for one table reference.
+
+    ``keys`` are the probe keys of an index probe; for an index range
+    they are the positions of ``index.ordered`` the walk visits, as a
+    ``range`` (so counting them visits nothing)."""
 
     __slots__ = ("kind", "table", "index", "keys")
 
     def __init__(self, kind: str, table: Table,
                  index: Optional[IndexDef] = None,
-                 keys: Optional[List[tuple]] = None):
+                 keys: Optional[Sequence] = None):
         self.kind = kind
         self.table = table
         self.index = index
@@ -47,12 +54,15 @@ class AccessPlan:
 
     @property
     def is_index(self) -> bool:
+        """An equality probe: the read is proven to draw only from
+        ``keys``.  A range walk is not — its dependants stay
+        table-level."""
         return self.kind == INDEX_PROBE
 
     def describe(self) -> str:
-        if self.is_index:
+        if self.index is not None:
             columns = ",".join(self.index.columns)
-            return (f"index-probe {self.table.name}.{self.index.name} "
+            return (f"{self.kind} {self.table.name}.{self.index.name} "
                     f"({columns}) keys={len(self.keys)}")
         return f"seq-scan {self.table.name}"
 
@@ -143,44 +153,6 @@ def _choose_index(table: Table,
     return best
 
 
-def plan_table_access(table: Table, binding: str,
-                      where: Optional[ast.Expression],
-                      ctx) -> AccessPlan:
-    """Pick the access path for one table: an index probe when an index's
-    key columns are fully equality-bound, a sequential scan otherwise."""
-    if where is None or not table.indexes:
-        return AccessPlan(SEQ_SCAN, table)
-    candidates = equality_candidates(where, binding, table)
-    if not candidates:
-        return AccessPlan(SEQ_SCAN, table)
-    index = _choose_index(table, list(candidates.keys()))
-    if index is None:
-        return AccessPlan(SEQ_SCAN, table)
-
-    per_column_values: List[List[Any]] = []
-    total = 1
-    for column in index.columns:
-        exprs = candidates[column]
-        total *= len(exprs)
-        if total > _MAX_PROBE_KEYS:
-            return AccessPlan(SEQ_SCAN, table)
-        column_type = table.column(column).type
-        values = []
-        for expr in exprs:
-            try:
-                value = coerce(evaluate_value(expr, ctx), column_type)
-            except SQLError:
-                return AccessPlan(SEQ_SCAN, table)
-            # `col = NULL` / `col IN (..., NULL)` never matches under SQL
-            # semantics; dropping the key keeps the probe a superset.
-            if value is not None:
-                values.append(value)
-        per_column_values.append(values)
-
-    keys = [tuple(key) for key in itertools.product(*per_column_values)]
-    return AccessPlan(INDEX_PROBE, table, index, keys)
-
-
 def evaluate_value(expr: ast.Expression, ctx):
     """Evaluate a row-independent value expression at plan time."""
     from .expressions import evaluate
@@ -193,7 +165,7 @@ def evaluate_value(expr: ast.Expression, ctx):
 # and the table schema, not on parameter values, so they are compiled once
 # per (WHERE clause, table, binding) and revalidated against
 # ``table.schema_epoch``.  Re-executions of a cached statement only
-# re-evaluate the probe-key values.
+# re-evaluate the probe-key or bound values.
 
 
 class _ProbeShape:
@@ -208,8 +180,90 @@ class _ProbeShape:
         self.index = index
         self.columns = columns  # [(exprs, column_type)] per key column
 
+    def plan(self, table: Table, ctx) -> AccessPlan:
+        """This execution's probe keys: an uncoercible value falls back
+        to a scan, NULL keys are dropped (``col = NULL`` / ``col IN (...,
+        NULL)`` never matches, so the probe stays a superset)."""
+        per_column_values: List[List[Any]] = []
+        for exprs, column_type in self.columns:
+            values = []
+            for expr in exprs:
+                try:
+                    value = coerce(evaluate_value(expr, ctx), column_type)
+                except SQLError:
+                    return AccessPlan(SEQ_SCAN, table)
+                if value is not None:
+                    values.append(value)
+            per_column_values.append(values)
+        if len(per_column_values) == 1:
+            keys = [(value,) for value in per_column_values[0]]
+        else:
+            keys = [tuple(key)
+                    for key in itertools.product(*per_column_values)]
+        return AccessPlan(INDEX_PROBE, table, self.index, keys)
+
+
+class _RangeShape:
+    """The schema-dependent half of an index-range plan: a single-column
+    index, the kinds of value its keys order against, and the bound
+    expressions on either side, each with the ``after`` flag
+    :meth:`IndexDef.position` takes (``col > v`` starts after ``v``,
+    ``col <= v`` stops after it)."""
+
+    __slots__ = ("index", "kinds", "lows", "highs")
+
+    def __init__(self, index: IndexDef, kinds: tuple,
+                 lows: List[tuple], highs: List[tuple]):
+        self.index = index
+        self.kinds = kinds
+        self.lows = lows        # [(expr, after)]
+        self.highs = highs
+
+    def plan(self, table: Table, ctx) -> AccessPlan:
+        """This execution's slice of the ordered keys.  Bounds compare
+        uncoerced and only against keys of their own kind — the row-level
+        comparison converts between strings and numbers, an order the
+        index does not have — so any other bound falls back to the scan;
+        a NULL bound matches no row at all."""
+        index = self.index
+        if index.ordered is None:
+            return AccessPlan(SEQ_SCAN, table)
+        start, stop = 0, len(index.ordered)
+        for bounds, is_low in ((self.lows, True), (self.highs, False)):
+            for expr, after in bounds:
+                try:
+                    value = evaluate_value(expr, ctx)
+                except SQLError:
+                    return AccessPlan(SEQ_SCAN, table)
+                if value is None:
+                    return AccessPlan(INDEX_RANGE, table, index, range(0))
+                position = index.position(value, after) \
+                    if type(value) in self.kinds else None
+                if position is None:
+                    return AccessPlan(SEQ_SCAN, table)
+                if is_low:
+                    start = max(start, position)
+                else:
+                    stop = min(stop, position)
+        return AccessPlan(INDEX_RANGE, table, index, range(start, stop))
+
 
 _UNCOMPILED = object()   # a compiled shape may be None ("always scans")
+
+
+def plan_table_access(table: Table, binding: str,
+                      where: Optional[ast.Expression],
+                      ctx) -> AccessPlan:
+    """Pick the access path for one table: an index probe when an index's
+    key columns are fully equality-bound, else a walk of an ordered
+    index's key range when a range conjunct bounds its column, else a
+    sequential scan."""
+    if where is None or not table.indexes:
+        return AccessPlan(SEQ_SCAN, table)
+    shape = _compile_shape(table, binding, where)
+    if shape is None:
+        return AccessPlan(SEQ_SCAN, table)
+    return shape.plan(table, ctx)
 
 
 def plan_table_access_cached(table: Table, binding: str,
@@ -233,13 +287,19 @@ def plan_table_access_cached(table: Table, binding: str,
         shapes.put_for(where, shape, table.schema_epoch, binding)
     if shape is None:
         return AccessPlan(SEQ_SCAN, table)
-    return _probe_from_shape(table, shape, ctx)
+    return shape.plan(table, ctx)
 
 
-def _compile_shape(table: Table, binding: str,
+def _compile_shape(table: Table, binding: str, where: ast.Expression):
+    """The value-independent part of planning; ``None`` means the
+    statement always sequential-scans this table.  An equality probe
+    wins over a range walk."""
+    return (_compile_probe(table, binding, where)
+            or _compile_range(table, binding, where))
+
+
+def _compile_probe(table: Table, binding: str,
                    where: ast.Expression) -> Optional[_ProbeShape]:
-    """The value-independent part of :func:`plan_table_access`; ``None``
-    means the statement always sequential-scans this table."""
     candidates = equality_candidates(where, binding, table)
     if not candidates:
         return None
@@ -257,27 +317,71 @@ def _compile_shape(table: Table, binding: str,
     return _ProbeShape(index, columns)
 
 
-def _probe_from_shape(table: Table, shape: _ProbeShape, ctx) -> AccessPlan:
-    """Evaluate a compiled shape's probe keys against one execution's
-    context.  Matches :func:`plan_table_access` exactly: an uncoercible
-    value falls back to a scan, NULL keys are dropped (``col = NULL``
-    never matches)."""
-    per_column_values: List[List[Any]] = []
-    for exprs, column_type in shape.columns:
-        values = []
-        for expr in exprs:
-            try:
-                value = coerce(evaluate_value(expr, ctx), column_type)
-            except SQLError:
-                return AccessPlan(SEQ_SCAN, table)
-            if value is not None:
-                values.append(value)
-        per_column_values.append(values)
-    if len(per_column_values) == 1:
-        keys = [(value,) for value in per_column_values[0]]
-    else:
-        keys = [tuple(key) for key in itertools.product(*per_column_values)]
-    return AccessPlan(INDEX_PROBE, table, shape.index, keys)
+# Flipping ``value op col`` into ``col op' value``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _key_kinds(column_type: ColumnType) -> Optional[tuple]:
+    """The Python types the keys of an orderable column are; a bound of
+    any other type does not order against them the way the row-level
+    comparison does (``bool`` is deliberately neither).  ``None`` for a
+    column whose keys the planner will not walk in order."""
+    if is_numeric(column_type):
+        return (int, float)
+    if column_type in (ColumnType.VARCHAR, ColumnType.TEXT):
+        return (str,)
+    return None
+
+
+def range_candidates(where: Optional[ast.Expression], binding: str,
+                     table: Table) -> Dict[str, tuple]:
+    """Map column -> ``(lows, highs)``, each a list of ``(value
+    expression, after)``, from the non-negated ``col BETWEEN a AND b``
+    and ``col < <= > >= value`` conjuncts of ``where`` (either operand
+    order)."""
+    candidates: Dict[str, tuple] = {}
+
+    def record(column: str, op: str, value: ast.Expression) -> None:
+        lows, highs = candidates.setdefault(column, ([], []))
+        if op in (">", ">="):
+            lows.append((value, op == ">"))
+        else:
+            highs.append((value, op == "<="))
+
+    for conjunct in and_conjuncts(where):
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FLIPPED:
+            for column_side, value_side, op in (
+                    (conjunct.left, conjunct.right, conjunct.op),
+                    (conjunct.right, conjunct.left, _FLIPPED[conjunct.op])):
+                column = _column_of(column_side, binding, table)
+                if column is not None and _is_value_expr(value_side):
+                    record(column, op, value_side)
+                    break
+        elif isinstance(conjunct, ast.Between) and not conjunct.negated:
+            column = _column_of(conjunct.expr, binding, table)
+            if column is not None and _is_value_expr(conjunct.low) \
+                    and _is_value_expr(conjunct.high):
+                record(column, ">=", conjunct.low)
+                record(column, "<=", conjunct.high)
+    return candidates
+
+
+def _compile_range(table: Table, binding: str,
+                   where: ast.Expression) -> Optional[_RangeShape]:
+    """The range shape of the best-bounded indexed column: both ends
+    bounded beats one, then a unique index beats a non-unique one."""
+    best = None
+    best_rank = None
+    for column, (lows, highs) in range_candidates(
+            where, binding, table).items():
+        index = table.index_for_columns((column,))
+        kinds = _key_kinds(table.column(column).type)
+        if index is None or kinds is None:
+            continue
+        rank = (bool(lows and highs), index.unique)
+        if best_rank is None or rank > best_rank:
+            best, best_rank = _RangeShape(index, kinds, lows, highs), rank
+    return best
 
 
 def select_has_subquery(select: ast.SelectStatement) -> bool:

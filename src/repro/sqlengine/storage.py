@@ -11,15 +11,18 @@ versions a transaction created.
 Indexes are *maintained* hash structures (:class:`IndexDef`): every row
 version is entered under its key tuple on insert and removed on
 unlink/GC, so equality probes touch only the versions carrying the
-probed key instead of the whole table.  Primary keys and unique columns
-get an index automatically; ``CREATE INDEX`` adds more.  Index entries
-carry versions, not rows — visibility filtering stays the reader's job,
-exactly as for a scan.
+probed key instead of the whole table.  A single-column index also keeps
+its distinct non-NULL keys in sorted order beside the hash map, which is
+the ordered way in for range predicates and ``ORDER BY ... LIMIT``.
+Primary keys and unique columns get an index automatically; ``CREATE
+INDEX`` adds more.  Index entries carry versions, not rows — visibility
+filtering stays the reader's job, exactly as for a scan.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .errors import IntegrityError, NameError_
@@ -74,7 +77,8 @@ class Table:
         # duplicate auto keys: replica k of n hands out k, k+n, k+2n, ...
         self.auto_step = 1
         self.auto_offset = 1
-        # All indexes are maintained hash maps (key tuple -> versions).
+        # All indexes are maintained hash maps (key tuple -> versions),
+        # single-column ones with their keys in sorted order beside.
         # Constraint-backed ones (primary key, UNIQUE columns) are created
         # here with ``auto=True`` and cannot be dropped by DROP INDEX.
         self.indexes: Dict[str, "IndexDef"] = {}
@@ -324,9 +328,16 @@ class IndexDef:
     Every version of every row is entered under its key; readers probe
     with a full key tuple and apply MVCC visibility to the candidates,
     exactly as they would while scanning.  Unique indexes double as the
-    enforcement structure for uniqueness checks."""
+    enforcement structure for uniqueness checks.
 
-    __slots__ = ("name", "columns", "unique", "auto", "entries")
+    A single-column index also keeps ``ordered``: the distinct non-NULL
+    keys of ``entries`` in sorted order, touched only when a key first
+    appears or its last version goes (an update that keeps the key never
+    does either).  A key that will not order against its neighbours
+    drops the view (``ordered = None``) until the next :meth:`rebuild`:
+    in doubt, readers scan."""
+
+    __slots__ = ("name", "columns", "unique", "auto", "entries", "ordered")
 
     def __init__(self, name: str, columns: Sequence[str], unique: bool = False,
                  auto: bool = False):
@@ -337,6 +348,8 @@ class IndexDef:
         # column); they are created with the table and survive DROP INDEX.
         self.auto = auto
         self.entries: Dict[tuple, set] = {}
+        self.ordered: Optional[List[tuple]] = \
+            [] if len(self.columns) == 1 else None
 
     @property
     def key_columns(self) -> tuple:
@@ -346,7 +359,26 @@ class IndexDef:
         return tuple(row.get(c) for c in self.columns)
 
     def add(self, version: RowVersion) -> None:
-        self.entries.setdefault(self.key_for(version.values), set()).add(version)
+        key = self.key_for(version.values)
+        versions = self.entries.get(key)
+        if versions is not None:
+            versions.add(version)
+            return
+        self.entries[key] = {version}
+        ordered = self.ordered
+        if ordered is None or key[0] is None:
+            return
+        try:
+            if not ordered or ordered[-1] < key:
+                ordered.append(key)     # ascending loads never shift
+            else:
+                insort(ordered, key)
+        except TypeError:
+            self.ordered = None
+        if key[0] != key[0]:
+            # NaN compares false against everything: wherever it went,
+            # the list around it no longer bisects
+            self.ordered = None
 
     def discard(self, version: RowVersion) -> None:
         key = self.key_for(version.values)
@@ -355,13 +387,28 @@ class IndexDef:
             versions.discard(version)
             if not versions:
                 del self.entries[key]
+                if self.ordered is not None and key[0] is not None:
+                    del self.ordered[bisect_left(self.ordered, key)]
 
     def probe(self, key: Sequence[Any]):
         """All versions carrying ``key`` (no visibility filtering)."""
         return self.entries.get(tuple(key), _EMPTY_SET)
 
+    def position(self, value: Any, after: bool) -> Optional[int]:
+        """How many ordered keys sort before ``value`` — or, with
+        ``after``, before or equal to it.  ``None`` when there is no
+        ordered view or ``value`` will not order against the keys."""
+        if self.ordered is None:
+            return None
+        try:
+            return (bisect_right if after else bisect_left)(
+                self.ordered, (value,))
+        except TypeError:
+            return None
+
     def rebuild(self, versions: Iterable[RowVersion]) -> None:
         self.entries.clear()
+        self.ordered = [] if len(self.columns) == 1 else None
         for version in versions:
             self.add(version)
 

@@ -180,6 +180,29 @@ class TestEndToEnd:
         assert after.scalar() == before + 1
         s.close()
 
+    def test_cached_range_read_dies_with_any_write_to_its_table(self):
+        """A range walk is not a point proof (``is_index`` stays
+        equality-only), so the cached read depends on the whole table: a
+        key-unchanged UPDATE inside the range and an INSERT into it both
+        invalidate."""
+        mw = cached_cluster()
+        s = mw.connect(database="shop")
+        for k in (15, 20, 25):
+            s.execute("INSERT INTO kv (k, v) VALUES (?, 1)", [k])
+        sql = "SELECT COUNT(*), SUM(v) FROM kv WHERE k BETWEEN 10 AND 20"
+        assert s.execute(sql).rows == [(2, 2)]
+        assert getattr(s.execute(sql), "from_cache", False)
+        s.execute("UPDATE kv SET v = 5 WHERE k = 15")
+        after_update = s.execute(sql)
+        assert not getattr(after_update, "from_cache", False)
+        assert after_update.rows == [(2, 6)]
+        assert getattr(s.execute(sql), "from_cache", False)
+        s.execute("INSERT INTO kv (k, v) VALUES (12, 7)")
+        after_insert = s.execute(sql)
+        assert not getattr(after_insert, "from_cache", False)
+        assert after_insert.rows == [(3, 13)]
+        s.close()
+
     def test_ddl_flushes_the_cache(self):
         mw = cached_cluster()
         s = mw.connect(database="shop")

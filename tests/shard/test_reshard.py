@@ -8,6 +8,7 @@ from repro.cache import ResultCacheConfig
 from repro.shard import OnlineReshard, ReshardError
 
 from .conftest import make_kv_cluster
+from repro.bench.harness import build_sharded_cluster
 from repro.shard import RangeSharder
 
 
@@ -99,8 +100,8 @@ def test_dual_write_window_counts_rows_once(range_cluster):
         move.copy_chunk()
     move.catch_up()
     move.enter_dual_write()
-    # moving rows exist on BOTH groups now, but scatter reads skip the
-    # dual-write destination, so aggregates stay exact
+    # moving rows exist on BOTH groups now, but scatter reads filter the
+    # copies out at the destination, so aggregates stay exact
     assert session.execute("SELECT COUNT(*) FROM kv").rows == [(20,)]
     # pinned reads still go to the source (the owner until the flip)
     before = cluster.stats["single_shard"]
@@ -114,6 +115,138 @@ def test_dual_write_window_counts_rows_once(range_cluster):
     assert _kv(cluster, 0)[5] == _kv(cluster, 1)[5] == 1
     move.flip()
     assert cluster.check_convergence()
+
+
+def _readings(session):
+    """COUNT(*), SUM(v) and the plain row count, each an unpinned read."""
+    return (session.execute("SELECT COUNT(*) FROM kv").scalar(),
+            session.execute("SELECT SUM(v) FROM kv").scalar(),
+            len(session.execute("SELECT k, v FROM kv").rows))
+
+
+def _populated_moves():
+    """Key movements into a group that already holds rows of the table:
+    ``(cluster, move, a moving key, a key of the destination's own)``."""
+    cluster = make_kv_cluster(shards=2, rows=10)
+    yield (cluster, OnlineReshard.move_keys(cluster, "kv", [0, 2], dst=1,
+                                            database="shop"), 2, 3)
+    cluster = make_kv_cluster(shards=2, sharder=RangeSharder([4]), rows=10)
+    yield (cluster, OnlineReshard.split_range(cluster, "kv", 1, dst=1,
+                                              database="shop"), 1, 7)
+    # a later segment
+    cluster = make_kv_cluster(shards=2, sharder=RangeSharder([4]), rows=10)
+    yield (cluster, OnlineReshard.split_range(cluster, "kv", 6, dst=0,
+                                              database="shop"), 5, 3)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_unpinned_reads_count_each_row_once_in_every_phase(case):
+    """Scatter reads while keys move into a group that has rows of its
+    own: the destination's copies are filtered out, its own rows are
+    not — from the first copied chunk to the flip."""
+    cluster, move, moving, resident = list(_populated_moves())[case]
+    session = cluster.connect(database="shop")
+    expected = (10, 450, 10)
+    assert _readings(session) == expected
+    move.start()
+    assert _readings(session) == expected
+    while move.state == "copying":
+        move.copy_chunk(1)
+        assert _readings(session) == expected
+    move.catch_up()
+    assert _readings(session) == expected
+    move.enter_dual_write()
+    assert _readings(session) == expected
+    # writes inside the window: a dual-written moving key, and a row of
+    # the destination's own
+    session.execute(f"UPDATE kv SET v = v + 7 WHERE k = {moving}")
+    session.execute(f"UPDATE kv SET v = v + 1 WHERE k = {resident}")
+    expected = (10, 458, 10)
+    assert _readings(session) == expected
+    assert session.execute(
+        f"SELECT v FROM kv WHERE k = {moving}").scalar() == moving * 10 + 7
+    move.flip()
+    assert _readings(session) == expected
+    assert session.execute(
+        f"SELECT v FROM kv WHERE k = {moving}").scalar() == moving * 10 + 7
+    assert not cluster.forwarding and cluster.check_convergence()
+
+
+def _nullable_key_cluster(sharder):
+    """``nk (id PK, k, v)`` sharded on the nullable ``k``: ten keyed rows
+    and one NULL-key row, which lands on group 0."""
+    cluster = build_sharded_cluster(shards=2, replicas=1)
+    session = cluster.connect(database="shop")
+    session.execute("CREATE TABLE nk (id INT PRIMARY KEY, k INT, v INT)")
+    cluster.register_table("nk", "k", sharder)
+    for i in range(10):
+        session.execute(f"INSERT INTO nk (id, k, v) VALUES ({i}, {i}, 1)")
+    session.execute("INSERT INTO nk (id, k, v) VALUES (10, NULL, 1)")
+    return cluster, session
+
+
+@pytest.mark.parametrize("make_move", [
+    # into the group that holds the NULL-key row: it is not a moving key
+    lambda c: OnlineReshard.split_range(c, "nk", 6, dst=0, database="shop"),
+    lambda c: OnlineReshard.move_keys(c, "nk", [5, 6], dst=0,
+                                      database="shop"),
+    # NULL itself moves, with its segment or by name
+    lambda c: OnlineReshard.split_range(c, "nk", 2, dst=1, database="shop"),
+    lambda c: OnlineReshard.move_keys(c, "nk", [None, 1], dst=1,
+                                      database="shop"),
+], ids=["split_beside_null", "move_beside_null", "split_moves_null",
+        "move_moves_null"])
+def test_the_destination_filter_is_null_safe(make_move):
+    cluster, session = _nullable_key_cluster(RangeSharder([4]))
+    move = make_move(cluster)
+
+    def count():
+        return session.execute("SELECT COUNT(*), SUM(v) FROM nk").rows
+
+    move.start()
+    while move.state == "copying":
+        move.copy_chunk(1)
+        assert count() == [(11, 11)]
+    move.catch_up()
+    move.enter_dual_write()
+    assert count() == [(11, 11)]
+    move.flip()
+    assert count() == [(11, 11)]
+    assert session.execute(
+        "SELECT COUNT(*) FROM nk WHERE k IS NULL").rows == [(1,)]
+
+
+def test_filtered_and_unfiltered_reads_never_share_a_cache_entry():
+    """The destination's result cache may hold the unfiltered answer from
+    before the move; the filtered variant is a different text."""
+    cluster = make_kv_cluster(
+        shards=2, sharder=RangeSharder([4]), rows=10,
+        result_cache=ResultCacheConfig())
+    session = cluster.connect(database="shop")
+    for _ in range(2):      # fill, then hit
+        assert session.execute("SELECT COUNT(*) FROM kv").scalar() == 10
+    move = OnlineReshard.split_range(cluster, "kv", 1, dst=1,
+                                     database="shop")
+    move.start()
+    while move.state == "copying":
+        move.copy_chunk()
+    for _ in range(2):
+        assert session.execute("SELECT COUNT(*) FROM kv").scalar() == 10
+    # range-pruned and multi-key reads that reach the destination take
+    # the same filter; one that reaches it alone cannot see a copy
+    for _ in range(2):
+        assert session.execute(
+            "SELECT COUNT(*) FROM kv WHERE k >= ?", [0]).scalar() == 10
+        assert session.execute(
+            "SELECT COUNT(*) FROM kv WHERE k >= ?", [5]).scalar() == 5
+        assert session.execute(
+            "SELECT k FROM kv WHERE k IN (1, 7) ORDER BY k").rows \
+            == [(1,), (7,)]
+    move.catch_up()
+    move.enter_dual_write()
+    move.flip()
+    for _ in range(2):
+        assert session.execute("SELECT COUNT(*) FROM kv").scalar() == 10
 
 
 def test_flip_waits_for_write_epoch_to_drain(range_cluster):

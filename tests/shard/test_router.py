@@ -1,12 +1,13 @@
-"""Shard-aware routing: key pinning, scatter-gather merges, NULL and
-parameterized shard keys, and the map-version flip (routing + cache)."""
+"""Shard-aware routing: key pinning, range pruning, scatter-gather
+merges, NULL, parameterized and unorderable shard keys, EXPLAIN through
+the tier, and the map-version flip (routing + cache)."""
 
 import pytest
 
 from repro.bench.harness import build_sharded_cluster
 from repro.cache import ResultCacheConfig
 from repro.core.errors import MiddlewareDown, UnsupportedStatementError
-from repro.shard import HashSharder
+from repro.shard import HashSharder, RangeSharder
 
 from .conftest import make_kv_cluster
 
@@ -93,6 +94,157 @@ def test_unpinned_read_scatters_everywhere(hash_cluster):
     assert session.execute("SELECT COUNT(*) FROM kv").rows == [(10,)]
     assert hash_cluster.stats["scatter_reads"] == 1
     assert set(session._sessions) == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# range pruning
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def ev_cluster():
+    """40 rows over three range segments: (..9], (9..19], (19..)."""
+    return make_kv_cluster(shards=3, sharder=RangeSharder([9, 19]), rows=40)
+
+
+def _routed(cluster, session, sql, params=None):
+    """(rows, groups the statement ran on)."""
+    rows = session.execute(sql, params).rows
+    return rows, set(session.last_route["targets"])
+
+
+def test_range_read_reaches_only_the_intersecting_segments(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    before = dict(ev_cluster.stats)
+    assert _routed(ev_cluster, session,
+                   "SELECT COUNT(*), SUM(v) FROM kv WHERE k BETWEEN ? AND ?",
+                   [2, 6]) == ([(5, 200)], {0})
+    assert _routed(ev_cluster, session,
+                   "SELECT COUNT(*) FROM kv WHERE k BETWEEN 8 AND 12") \
+        == ([(5,)], {0, 1})
+    assert _routed(ev_cluster, session,
+                   "SELECT k FROM kv WHERE k >= ? ORDER BY k LIMIT 3",
+                   [18]) == ([(18,), (19,), (20,)], {1, 2})
+    assert _routed(ev_cluster, session,
+                   "SELECT k FROM kv WHERE 3 > k AND v >= 10") \
+        == ([(1,), (2,)], {0})
+    assert ev_cluster.stats["single_shard"] == before["single_shard"] + 2
+    assert ev_cluster.stats["scatter_reads"] == before["scatter_reads"] + 2
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT COUNT(*) FROM kv WHERE k NOT BETWEEN 2 AND 6", []),
+    ("SELECT COUNT(*) FROM kv WHERE k < 3 OR v = 50", []),
+    ("SELECT COUNT(*) FROM kv WHERE k < ?", [None]),
+    ("SELECT COUNT(*) FROM kv WHERE k < 'x'", []),
+    ("SELECT COUNT(*) FROM kv WHERE k + 1 < 3", []),
+])
+def test_in_doubt_a_range_read_scatters(ev_cluster, sql, params):
+    session = ev_cluster.connect(database="shop")
+    try:
+        session.execute(sql, params)
+    except Exception:       # noqa: BLE001 — `k < 'x'` is the engine's error
+        pass
+    assert set(session.last_route["targets"]) == {0, 1, 2}
+
+
+def test_range_writes_and_hash_shards_are_not_pruned(ev_cluster,
+                                                     hash_cluster):
+    session = ev_cluster.connect(database="shop")
+    assert session.execute(
+        "UPDATE kv SET v = v WHERE k BETWEEN 2 AND 6").rowcount == 5
+    assert set(session.last_route["targets"]) == {0, 1, 2}
+    session = hash_cluster.connect(database="shop")
+    assert _routed(hash_cluster, session,
+                   "SELECT COUNT(*) FROM kv WHERE k BETWEEN 2 AND 6") \
+        == ([(5,)], {0, 1})
+
+
+def test_an_empty_interval_still_answers_in_shape(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    result = session.execute(
+        "SELECT COUNT(*), SUM(v) FROM kv WHERE k BETWEEN 30 AND 5")
+    assert (result.columns, result.rows) == (["count", "sum"], [(0, None)])
+    assert len(session.last_route["targets"]) == 1
+
+
+def test_overridden_key_inside_the_interval_adds_its_owner(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    # key 4 lives on group 2 although its segment belongs to group 0
+    session.execute("DELETE FROM kv WHERE k = 4")
+    ev_cluster.map.spec_of("kv").overrides[4] = 2
+    session.execute("INSERT INTO kv (k, v) VALUES (4, 40)")
+    assert _routed(ev_cluster, session,
+                   "SELECT COUNT(*) FROM kv WHERE k BETWEEN 2 AND 6") \
+        == ([(5,)], {0, 2})
+    assert _routed(ev_cluster, session,
+                   "SELECT COUNT(*) FROM kv WHERE k BETWEEN 5 AND 6") \
+        == ([(2,)], {0})
+
+
+# ---------------------------------------------------------------------------
+# a key value the range bounds cannot order
+# ---------------------------------------------------------------------------
+
+def test_unorderable_key_value_pins_nothing(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    assert _routed(ev_cluster, session,
+                   "SELECT v FROM kv WHERE k = '7'") == ([(70,)], {0, 1, 2})
+    assert _routed(ev_cluster, session, "SELECT v FROM kv WHERE k = ?",
+                   ["7"]) == ([(70,)], {0, 1, 2})
+    before = ev_cluster.stats["multi_shard_writes"]
+    assert session.execute(
+        "UPDATE kv SET v = v WHERE k = 'abc'").rowcount == 0
+    assert ev_cluster.stats["multi_shard_writes"] == before + 1
+    assert session.execute(
+        "DELETE FROM kv WHERE k IN (3, 'abc')").rowcount == 1
+
+
+def test_unplaceable_insert_is_a_typed_refusal(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    with pytest.raises(UnsupportedStatementError, match="cannot be placed"):
+        session.execute("INSERT INTO kv (k, v) VALUES ('abc', 1)")
+    with pytest.raises(UnsupportedStatementError, match="cannot be placed"):
+        session.execute("INSERT INTO kv (k, v) VALUES (50, 1), (?, 2)",
+                        ["x"])
+    assert session.execute("SELECT COUNT(*) FROM kv").rows == [(40,)]
+
+
+# ---------------------------------------------------------------------------
+# EXPLAIN through the tier
+# ---------------------------------------------------------------------------
+
+def test_explain_reports_each_reached_shard(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    result = session.execute("EXPLAIN SELECT k FROM kv WHERE k = 3")
+    assert result.columns == ["shard", "operation", "table", "access_path",
+                              "keys"]
+    assert result.rows == [(0, "SELECT", "kv", "index-probe (kv_pkey)", 1)]
+    # the tentpole's observable surface: a pruned range read walks 5 keys
+    assert session.execute(
+        "EXPLAIN SELECT COUNT(*), SUM(v) FROM kv WHERE k BETWEEN ? AND ?",
+        [2, 6]).rows \
+        == [(0, "SELECT", "kv", "index-range (kv_pkey)", 5)]
+    # straddling the bound: one row per reached shard
+    assert session.execute(
+        "EXPLAIN SELECT COUNT(*) FROM kv WHERE k BETWEEN 8 AND 12").rows \
+        == [(0, "SELECT", "kv", "index-range (kv_pkey)", 2),
+            (1, "SELECT", "kv", "index-range (kv_pkey)", 3)]
+    assert session.execute("EXPLAIN SELECT v FROM kv WHERE v = 50").rows \
+        == [(shard, "SELECT", "kv", "seq-scan", 0) for shard in range(3)]
+
+
+def test_explain_of_a_write_routes_as_a_read_and_changes_nothing(ev_cluster):
+    session = ev_cluster.connect(database="shop")
+    before = dict(ev_cluster.stats)
+    assert session.execute(
+        "EXPLAIN UPDATE kv SET v = 0 WHERE k > 35").rows \
+        == [(2, "UPDATE", "kv", "index-range (kv_pkey)", 4)]
+    assert session.execute(
+        "EXPLAIN DELETE FROM kv WHERE k = 12").rows \
+        == [(1, "DELETE", "kv", "index-probe (kv_pkey)", 1)]
+    assert ev_cluster.stats["twopc_commits"] == before["twopc_commits"]
+    assert session.execute("SELECT COUNT(*), SUM(v) FROM kv").rows \
+        == [(40, sum(range(40)) * 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +465,40 @@ def test_hash_sharder_spreads_keys():
     assert owners == {0, 1, 2, 3}
     assert sharder.shard_for(None) == 0
     assert sharder.shard_for("alice") == sharder.shard_for("alice")
+
+
+def test_range_sharder_segments_and_ranges():
+    sharder = RangeSharder([9, 19, 29], [0, 1, 0, 2])
+    assert [sharder.segment_for(k) for k in (None, -5, 9, 10, 19, 29, 30)] \
+        == [0, 0, 0, 1, 1, 2, 3]
+    assert sharder.shards_for_range(None, None) == {0, 1, 2}
+    assert sharder.shards_for_range(3, 9) == {0}
+    assert sharder.shards_for_range(9.5, 12) == {1}
+    assert sharder.shards_for_range(15, 25) == {0, 1}
+    assert sharder.shards_for_range(25, None) == {0, 2}
+    assert sharder.shards_for_range(25, 3) == {0}       # empty: one segment
+    with pytest.raises(TypeError):
+        sharder.segment_for("7")
+    assert HashSharder(4).shards_for_range(3, 9) is None
+
+
+@pytest.mark.parametrize("where, params, interval", [
+    ("k BETWEEN ? AND ?", [10, 59], [10, 59]),
+    ("? <= k", [10], [10, None]),
+    ("5 > kv.k AND k > 1 AND v = 3", [], [1, 5]),
+    ("k < 5 OR k BETWEEN 8 AND 9", [], [None, 9]),
+    ("(k > 3 OR k > 7) AND k <= 20", [], [3, 20]),
+    ("k < 5 OR v = 1", [], "no plan"),
+    ("k NOT BETWEEN 1 AND 2", [], "no plan"),
+    ("other.k < 5", [], "no plan"),
+    ("k < ?", [None], None),
+    ("k < ?", [], None),
+    ("k < 5 AND k < 'a'", [], None),
+    ("k BETWEEN 1 AND NULL", [], "no plan"),
+])
+def test_range_plan_intervals(where, params, interval):
+    from repro.core.keyplan import compile_range_plan
+    from repro.sqlengine import parse
+    plan = compile_range_plan(parse(f"SELECT v FROM kv WHERE {where}"),
+                              "kv", "k")
+    assert (plan(params) if plan is not None else "no plan") == interval

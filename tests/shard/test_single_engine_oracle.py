@@ -2,9 +2,10 @@
 
 The differential test that replaces the routing "compat arms": generated
 statements run on a 3-group :class:`ShardedCluster` and on one bare
-:class:`Engine` holding the same rows must return the same row multisets,
-fail together, and leave the same table contents — whatever the router
-decided to pin, scatter or split.
+:class:`Engine` holding the same rows must return the same row multisets
+— the same rows in the same order under ``ORDER BY k`` — fail together,
+and leave the same table contents, whatever the router decided to pin,
+prune to a key range's owners, scatter or split.
 """
 
 import pytest
@@ -29,6 +30,8 @@ SHARDERS = {
     "hash": lambda: HashSharder(3),
     "range": lambda: RangeSharder([3, 7]),
 }
+# the range arm also runs with one key placed outside its segment
+OVERRIDES = {"hash": {}, "range": {5: 2}}
 JOIN = ("SELECT kv.k, kv.v, dim.name FROM kv JOIN dim ON kv.g = dim.id "
         "WHERE {}")
 
@@ -38,6 +41,10 @@ _KEY_VALUES = st.one_of(st.integers(0, KEYS + 2).map(str),
                         st.just("?"), st.just("NULL"))
 
 
+_BOUNDS = st.one_of(_KEY_VALUES, st.sampled_from(("2.5", "'6'")))
+_COMPARISONS = st.sampled_from(("<", "<=", ">", ">="))
+
+
 def _key_atoms(columns):
     column = st.sampled_from(columns)
     return st.one_of(
@@ -45,7 +52,17 @@ def _key_atoms(columns):
         st.builds("{} = {}".format, _KEY_VALUES, column),
         st.builds("{} IN ({})".format, column,
                   st.lists(_KEY_VALUES, min_size=1, max_size=3)
-                  .map(", ".join)))
+                  .map(", ".join)),
+        _range_atoms(columns))
+
+
+def _range_atoms(columns):
+    column = st.sampled_from(columns)
+    return st.one_of(
+        st.builds("{} {} {}".format, column, _COMPARISONS, _BOUNDS),
+        st.builds("{} {} {}".format, _BOUNDS, _COMPARISONS, column),
+        st.builds("{} {}BETWEEN {} AND {}".format, column,
+                  st.sampled_from(("", "", "NOT ")), _BOUNDS, _BOUNDS))
 
 
 def _predicates(key_columns, other_atoms):
@@ -60,8 +77,13 @@ def _predicates(key_columns, other_atoms):
 
 _ONE_TABLE = _predicates(("k", "kv.k"), ("v >= 50", "g = 1", "kv.g = 0"))
 _TWO_TABLES = _predicates(("kv.k", "dim.k"), ("dim.id = 1", "kv.v >= 50"))
+_TOP = st.builds(
+    "SELECT k, v FROM kv WHERE {} ORDER BY k{} LIMIT {}{}".format,
+    _range_atoms(("k", "kv.k")), st.sampled_from(("", " DESC")),
+    st.integers(0, 5), st.sampled_from(("", " OFFSET 1", " OFFSET 3")))
 _TEXTS = st.one_of(
     _ONE_TABLE.map("SELECT k, g, v FROM kv WHERE {}".format),
+    _TOP,
     _TWO_TABLES.map(JOIN.format),
     _ONE_TABLE.map("UPDATE kv SET v = v + 1 WHERE {}".format),
     _ONE_TABLE.map("DELETE FROM kv WHERE {}".format),
@@ -84,12 +106,13 @@ def _statements(draw):
 
 # -- the two systems ---------------------------------------------------------
 
-def _sharded(sharder):
+def _sharded(kind):
     cluster = build_sharded_cluster(shards=3, replicas=1)
     session = cluster.connect(database="shop")
     for ddl in SCHEMA:
         session.execute(ddl)
-    cluster.register_table("kv", "k", sharder)
+    spec = cluster.register_table("kv", "k", SHARDERS[kind]())
+    spec.overrides.update(OVERRIDES[kind])
     for sql in SEED:
         session.execute(sql)
     return session
@@ -109,6 +132,8 @@ def _outcome(front, sql, params):
         result = front.execute(sql, list(params))
     except (SQLError, MiddlewareError):
         return "error"
+    if "ORDER BY k" in sql:         # k is unique: the order is the answer
+        return result.rows, result.rowcount
     return sorted(result.rows, key=repr), result.rowcount
 
 
@@ -119,8 +144,18 @@ def _outcome(front, sql, params):
 @example(statements=[(JOIN.format("dim.k IN (?, 5) AND kv.v >= 0"), [5])])
 @example(statements=[("DELETE FROM kv WHERE kv.k = ? OR 3 = k", [None]),
                      ("UPDATE kv SET v = v + 1 WHERE k IN (1, ?)", [])])
+# a key value the range bounds cannot order pins nothing
+@example(statements=[("SELECT k, v FROM kv WHERE k = '7'", []),
+                     ("SELECT k, v FROM kv WHERE k = ?", ["7"]),
+                     ("UPDATE kv SET v = v WHERE k = 'abc'", [])])
+# a range straddling a bound, the overridden key inside and outside it
+@example(statements=[("SELECT k, v FROM kv WHERE k BETWEEN 3 AND 5 "
+                      "ORDER BY k DESC LIMIT 5 OFFSET 1", []),
+                     ("SELECT COUNT(*), SUM(v) FROM kv WHERE 4 < k", []),
+                     ("SELECT k, g, v FROM kv WHERE k < 5 OR k >= ?", [11]),
+                     ("SELECT k, g, v FROM kv WHERE k > 'x' AND k < 3", [])])
 def test_a_sharded_cluster_answers_like_one_engine(kind, statements):
-    sharded, single = _sharded(SHARDERS[kind]()), _single()
+    sharded, single = _sharded(kind), _single()
     for sql, params in statements:
         got = _outcome(sharded, sql, params)
         expected = _outcome(single, sql, params)

@@ -1,9 +1,10 @@
 """Planner, EXPLAIN and parse-cache behavior.
 
 The planner's contract is superset-safety: it may only turn a WHERE
-clause into probe keys when the probe result provably contains every row
-the full predicate accepts.  These tests pin the extraction rules
-(equality and IN conjuncts only, OR and inequality fall back to scans),
+clause into probe keys or a key range when the candidates provably
+contain every row the full predicate accepts.  These tests pin the
+extraction rules (equality and IN conjuncts probe, BETWEEN and
+``< <= > >=`` conjuncts walk a range, OR and ``<>`` fall back to scans),
 the index-choice ranking, the EXPLAIN surface, and the LRU eviction of
 the parse cache.
 """
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.sqlengine import Engine, ParseError, generic, parse
 from repro.sqlengine.expressions import EvalContext
 from repro.sqlengine.planner import (
-    INDEX_PROBE, SEQ_SCAN, equality_candidates, plan_table_access,
-    plan_table_access_cached,
+    INDEX_PROBE, INDEX_RANGE, SEQ_SCAN, equality_candidates,
+    plan_table_access, plan_table_access_cached, range_candidates,
 )
 
 
@@ -85,6 +86,24 @@ class TestConjunctExtraction:
             "items", table)
         assert candidates == {}
 
+    def test_range_conjuncts_either_operand_order(self, table):
+        candidates = range_candidates(
+            where_of("SELECT * FROM items WHERE id BETWEEN 2 AND ? "
+                     "AND 7 > items.id AND qty >= -1 AND id <> 4"),
+            "items", table)
+        assert set(candidates) == {"id", "qty"}
+        lows, highs = candidates["id"]
+        assert [after for _expr, after in lows] == [False]
+        # `7 > id` is `id < 7`: stops before 7; BETWEEN's end stops after
+        assert sorted(after for _expr, after in highs) == [False, True]
+
+    def test_negated_between_or_and_columns_are_not_ranges(self, table):
+        for predicate in ("id NOT BETWEEN 1 AND 3", "id > 1 OR id < 0",
+                          "id > qty", "other.id > 1", "id + 1 > 2"):
+            assert range_candidates(
+                where_of(f"SELECT * FROM items WHERE {predicate}"),
+                "items", table) == {}, predicate
+
 
 class TestPlanChoice:
     def test_pk_equality_plans_unique_probe(self, table):
@@ -114,8 +133,42 @@ class TestPlanChoice:
         assert p.kind == SEQ_SCAN
 
     def test_inequality_scans(self, table):
-        p = plan(table, "SELECT * FROM items WHERE id > 5")
+        p = plan(table, "SELECT * FROM items WHERE id <> 5")
         assert p.kind == SEQ_SCAN
+
+    def test_range_conjuncts_plan_a_key_slice(self, table):
+        p = plan(table, "SELECT * FROM items WHERE id > 5")
+        assert (p.kind, p.index.name) == (INDEX_RANGE, "items_pkey")
+        assert [p.index.ordered[i] for i in p.keys] == [(6,), (7,), (8,), (9,)]
+        p = plan(table, "SELECT * FROM items WHERE id BETWEEN ? AND 6.5 "
+                        "AND 2 <= id", params=[1])
+        assert [p.index.ordered[i] for i in p.keys] \
+            == [(2,), (3,), (4,), (5,), (6,)]
+        assert not p.is_index       # dependants stay table-level
+
+    def test_equality_probe_beats_range(self, table):
+        p = plan(table, "SELECT * FROM items WHERE id > 5 AND sku = 'sku7'")
+        assert p.kind == INDEX_PROBE
+
+    def test_two_sided_then_unique_range_wins(self, table):
+        p = plan(table, "SELECT * FROM items WHERE id > 5 "
+                        "AND region BETWEEN 'r0' AND 'r1'")
+        assert (p.kind, p.index.name) == (INDEX_RANGE, "idx_region")
+        p = plan(table, "SELECT * FROM items WHERE region > 'r0' "
+                        "AND sku > 'sku3'")
+        assert (p.kind, p.index.name) == (INDEX_RANGE, "items_sku_key")
+
+    @pytest.mark.parametrize("predicate", [
+        "id BETWEEN '3' AND '9'",       # the row compare converts, keys don't
+        "id >= TRUE", "sku > 3", "qty > 1",
+    ])
+    def test_bound_of_another_kind_scans(self, table, predicate):
+        p = plan(table, f"SELECT * FROM items WHERE {predicate}")
+        assert p.kind == SEQ_SCAN
+
+    def test_null_bound_is_the_empty_range(self, table):
+        p = plan(table, "SELECT * FROM items WHERE id > ?", params=[None])
+        assert p.kind == INDEX_RANGE and len(p.keys) == 0
 
     def test_value_coerced_to_column_type(self, table):
         p = plan(table, "SELECT * FROM items WHERE id = '3'")
@@ -165,6 +218,20 @@ class TestExplain:
         # nothing was updated
         assert conn.execute(
             "SELECT qty FROM items WHERE id = 1").scalar() == 1
+
+    def test_explain_range_counts_keys_without_visiting(self, conn, table):
+        before = dict(conn.engine.stats)
+        result = conn.execute(
+            "EXPLAIN SELECT * FROM items WHERE id BETWEEN 2 AND 7")
+        assert result.rows == [
+            ("SELECT", "items", "index-range (items_pkey)", 6)]
+        assert conn.engine.stats["rows_scanned"] == before["rows_scanned"]
+        conn.execute("SELECT * FROM items WHERE id BETWEEN 2 AND 7")
+        assert conn.engine.executor.last_access_paths \
+            == ["index-range items.items_pkey (id) keys=6"]
+        assert conn.engine.stats["rows_scanned"] \
+            == before["rows_scanned"] + 6
+        assert conn.engine.stats["seq_scans"] == before["seq_scans"]
 
     def test_explain_rejects_ddl(self, conn, table):
         with pytest.raises(ParseError):
@@ -218,7 +285,14 @@ _ATOMS = st.one_of(
     st.builds("{} IN ({})".format, st.sampled_from(_COLUMNS),
               st.lists(st.sampled_from(_VALUES), min_size=1,
                        max_size=3).map(", ".join)),
-    st.builds("{} > {}".format, st.sampled_from(_COLUMNS),
+    st.builds("{} {} {}".format, st.sampled_from(_COLUMNS),
+              st.sampled_from(("<", "<=", ">", ">=", "<>")),
+              st.sampled_from(_VALUES)),
+    st.builds("{} {} {}".format, st.sampled_from(_VALUES),
+              st.sampled_from(("<", "<=", ">", ">=")),
+              st.sampled_from(_COLUMNS)),
+    st.builds("{} {}BETWEEN {} AND {}".format, st.sampled_from(_COLUMNS),
+              st.sampled_from(("", "NOT ")), st.sampled_from(_VALUES),
               st.sampled_from(_VALUES)),
 )
 _WHERES = st.recursive(
@@ -247,7 +321,8 @@ def _plan_facts(access_plan):
        changes=st.permutations(_SCHEMA_CHANGES))
 def test_cached_planner_is_the_reference_planner(where_sql, params, changes):
     """One WHERE tree, planned before and after every schema change: the
-    memoized planner and the per-call reference agree every time."""
+    memoized planner revalidates its shape against ``schema_epoch`` and
+    so agrees with the per-call compile every time."""
     engine = Engine("shapes", dialect=generic())
     engine.create_database("shop")
     conn = engine.connect(database="shop")
