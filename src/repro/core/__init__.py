@@ -26,9 +26,9 @@ from .consistency import (
 )
 from .costmodel import CostModel, default_cost_model
 from .errors import (
-    CircuitOpen, ClusterDivergence, MiddlewareDown, MiddlewareError,
-    Overloaded, QuorumLost, ReplicaUnavailable, RequestTimeout,
-    RetryExhausted, UnsupportedStatementError,
+    CircuitOpen, ClusterDivergence, LogTruncatedError, MiddlewareDown,
+    MiddlewareError, Overloaded, QuorumLost, ReplicaUnavailable,
+    RequestTimeout, RetryExhausted, UnsupportedStatementError,
 )
 from .applysched import ApplyUnit, conflict_groups, lane_makespan
 from .failover import FailoverManager, FailoverReport, VirtualIP, promote_and_switch
@@ -79,7 +79,8 @@ __all__ = [
     "FailoverReport", "GeneralizedSnapshotIsolation",
     "GroupCommitCoordinator", "HashPartitioner",
     "InterceptionDesign", "LeastPendingPolicy", "ListPartitioner",
-    "LoadBalancer", "ManagementReport", "MemoryAwarePolicy",
+    "LoadBalancer", "LogTruncatedError", "ManagementReport",
+    "MemoryAwarePolicy",
     "MiddlewareConfig", "MiddlewareDown", "MiddlewareError",
     "MiddlewareSession", "Monitor", "MonitorEvent", "MultiPool",
     "NoReplicaAvailable", "OneCopySerializability", "Overloaded",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..sqlengine.backup import BackupOptions, EngineDump, dump_engine, restore_engine
-from .errors import ReplicaUnavailable
+from .errors import LogTruncatedError, ReplicaUnavailable
 from .middleware import ReplicationMiddleware
 from .replica import Replica, ReplicaState
 
@@ -81,6 +81,10 @@ class BackupCoordinator:
         units up to S.  ``offline`` takes the source OFFLINE before the
         dump (cold backup) and leaves it there — it comes back through
         :meth:`resume_offline_donor`.
+
+        The checkpoint at S holds the recovery log until the snapshot is
+        joined from or :meth:`release` d: a kept backup is a promise
+        that the tail after it stays replayable.
         """
         middleware = self.middleware
         source = source or self.most_caught_up()
@@ -110,6 +114,12 @@ class BackupCoordinator:
         return self.take_snapshot(
             self.middleware.replica_by_name(replica_name), offline=True)
 
+    def release(self, backup: ClusterBackup) -> None:
+        """Give up a snapshot that will not be restored: its checkpoint
+        stops holding the recovery log.  Joining from it later still
+        works, at the price of a re-clone once the tail is purged."""
+        self.middleware.recovery_log.release(backup.checkpoint_name)
+
     # ------------------------------------------------------------------
     # the tail after S, and the join
     # ------------------------------------------------------------------
@@ -138,31 +148,44 @@ class BackupCoordinator:
         its own state and its persisted ``applied_seq`` watermark), then
         every recovery-log entry after S, then a check against a live
         peer, then the cut-over.  Returns ``(entries replayed,
-        recloned)``; ``recloned`` says the check failed and the replica
-        was rebuilt from the peer — the caller records it.
+        recloned)``; ``recloned`` says the check failed — or the log no
+        longer reaches back to S — and the replica was rebuilt from the
+        peer; the caller records it.
         """
         middleware = self.middleware
         replica.set_state(ReplicaState.RECOVERING)
         if snapshot is not None:
             self._restore(replica, snapshot)
-        replayed = self.catch_up(replica)
+        try:
+            replayed = self.catch_up(replica)
+            recloned = False
+        except LogTruncatedError:
+            # S lies below what the log still holds (a released or
+            # overtaken snapshot): the tail has a hole, start over
+            replayed, recloned = 0, True
         # Global barrier: no in-flight update may be missed (section
         # 4.4.2) — the log head is authoritative, so anything still
         # queued for the joiner is already in it.
         replica.apply_queue.clear()
         peer = self.most_caught_up()
-        recloned = False
-        if peer is not None:
+        if peer is not None and not recloned:
             middleware.drain_replica(peer.name)
             recloned = (replica.engine.content_signature()
                         != peer.engine.content_signature())
         if recloned:
             # The joiner holds state the cluster never saw (e.g. it was
-            # a 1-safe master whose tail was lost) or drifted otherwise:
-            # replay cannot fix it, and "usually a full recovery has to
-            # be performed" (section 4.4.2) — re-clone it from the peer.
-            self._restore(replica, self.take_snapshot(peer))
+            # a 1-safe master whose tail was lost), drifted otherwise or
+            # could not be replayed forward: "usually a full recovery
+            # has to be performed" (section 4.4.2) — re-clone it from
+            # the peer.
+            fresh = self.take_snapshot(peer)
+            self._restore(replica, fresh)
             replayed += self.catch_up(replica)
+            self.release(fresh)
+        # the joiner holds the log itself now, by its applied_seq
+        if snapshot is not None:
+            self.release(snapshot)
+        middleware.recovery_log.release(f"removed:{replica.name}")
         if replica not in middleware.replicas:
             middleware.replicas.append(replica)
             replica.on_state_change(middleware._replica_state_changed)

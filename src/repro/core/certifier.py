@@ -207,6 +207,9 @@ class Certifier:
         return found
 
     def prune(self, up_to_seq: int) -> int:
+        """Drop every entry at or below ``up_to_seq`` from both log
+        copies.  The caller passes a seq at or below the retention
+        floor, or certification could miss a conflict."""
         before = len(self._log)
         self._log = [(s, k) for s, k in self._log if s > up_to_seq]
         if self._standby_log is not None:
@@ -215,17 +218,6 @@ class Certifier:
         pruned = before - len(self._log)
         self.pruned_total += pruned
         return pruned
-
-    def auto_prune(self, floor_seq: int, watermark: int) -> int:
-        """Hot-path log bounding: once the log exceeds ``watermark``
-        entries, drop everything at or below ``floor_seq``.  The caller
-        owns the floor computation — it must be the minimum of every
-        online replica's applied watermark, every in-flight transaction's
-        snapshot seq, and the standby's shipped seq, or certification
-        could miss a conflict."""
-        if watermark <= 0 or len(self._log) <= watermark:
-            return 0
-        return self.prune(floor_seq)
 
     # -- failure / recovery ------------------------------------------------
 

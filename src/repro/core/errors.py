@@ -17,6 +17,9 @@ client a *small, actionable* set of failure verdicts:
       refusals; operator intervention required.
     * ``ReplicaUnavailable`` — a *specific* replica the request needed
       cannot serve.  Transient: the resilience layer retries these.
+    * ``LogTruncatedError`` — the recovery log no longer holds the tail
+      after the requested seq (log maintenance, section 4.4.4, cut it).
+      The reader needs a fresh snapshot, not a replay.
 
     **Resilience verdicts** (``repro.core.resilience``) — these four are
     what the client actually sees once the resilience layer is engaged;
@@ -66,6 +69,14 @@ class UnsupportedStatementError(MiddlewareError):
 
 class ReplicaUnavailable(MiddlewareError):
     """The operation needs a specific replica that cannot serve."""
+
+
+class LogTruncatedError(MiddlewareError):
+    """The recovery-log entries after the requested seq were purged: a
+    replay from there would skip committed updates.  Nothing registered
+    (a replica, a checkpoint, a WAN cursor, a reshard) ever sees this —
+    registering is what holds the log; the replica join answers it with
+    a fresh snapshot (``BackupCoordinator.join``)."""
 
 
 class ClusterDivergence(MiddlewareError):

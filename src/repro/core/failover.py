@@ -119,12 +119,21 @@ class FailoverManager:
                 0, master_seq - survivor.applied_seq)
             if discard_pending and report.lost_transactions:
                 # those updates lived only in the dead master's log
-                middleware.recovery_log.truncate_after(survivor.applied_seq)
+                middleware.group_commit.discard_after(survivor.applied_seq)
             middleware.set_master(survivor.name)
             report.new_master = survivor.name
             report.promoted = True
             if self.virtual_ip is not None:
                 self.virtual_ip.switch(survivor.name)
+        if discard_pending:
+            # The survivors' queues went with the dead master's shipping
+            # pipeline.  What one of them misses of what the cluster
+            # still has is in the recovery log (every ONLINE replica
+            # holds the retention floor): it replays that, or the next
+            # commit's seq would carry its watermark over the hole.
+            coordinator = BackupCoordinator(middleware)
+            for survivor in middleware.online_replicas():
+                coordinator.catch_up(survivor)
         middleware.monitor.record(
             "failover_completed", name,
             new_master=report.new_master,

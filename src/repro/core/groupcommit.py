@@ -18,7 +18,9 @@ of which kind runs which stage):
 6. ``consistency.note_commit`` for the client session, if there is one;
 7. ledger COMMITTED + ``ship_ack`` (a no-op ships ``ship_resolve_noop``);
 8. ``publish_certified``: one ``CertifiedWrite`` per seq;
-9. ``maybe_prune_certifier``.
+9. :meth:`~GroupCommitCoordinator._truncate` — log maintenance: past
+   the retention watermark, cut the recovery log, the certifier log, the
+   standby's mirror and the engines' binlogs at the retention floor.
 
 Stages 1-4 are the first half, 5-9 the second.  What differs between
 unit kinds is data on the :class:`CommitRequest`, not a copy of the
@@ -149,6 +151,8 @@ class GroupCommitCoordinator:
         self.equivalence_log: Optional[List[Dict[str, Any]]] = None
         # Frame layout of the last propagation, for timed cost charging.
         self.last_flush: Optional[Dict[str, Any]] = None
+        # the holder last reported by a retention_stalled event
+        self._stalled_on: Optional[str] = None
 
     @property
     def gathering(self) -> bool:
@@ -259,6 +263,28 @@ class GroupCommitCoordinator:
                 changes.extend(entry.payload)
         return changes, seq
 
+    def hold_log(self, name: str, seq: int) -> None:
+        """A reader of :meth:`changes_since` outside the group (a
+        reshard) says where it will read from next: a named checkpoint,
+        so log maintenance keeps the tail after ``seq`` until the reader
+        moves on or calls :meth:`release_log`."""
+        self.middleware.recovery_log.checkpoint(name, seq=seq)
+
+    def release_log(self, name: str) -> None:
+        self.middleware.recovery_log.release(name)
+
+    def discard_after(self, seq: int) -> int:
+        """Un-sequence every unit above ``seq``: they physically died
+        with a failed master (1-safe loss, section 2.2) and no replica
+        holds them.  The recovery log forgets them, and so does the
+        certifier's conflict window — a later write to a key only they
+        touched must not abort against a write nobody has.  Returns how
+        many units were lost."""
+        log = self.middleware.recovery_log
+        for entry in log.entries_since(seq):
+            self.middleware.certifier.rescind(entry.seq)
+        return log.truncate_after(seq)
+
     # ------------------------------------------------------------------
     # the stages
     # ------------------------------------------------------------------
@@ -346,7 +372,52 @@ class GroupCommitCoordinator:
                 request.seq, keys=keys, tables=tables,
                 kind=request.publish_kind, database=request.database,
                 entries=entries)
-        middleware.maybe_prune_certifier()
+        self._truncate()
+
+    def _truncate(self) -> None:
+        """Stage 9, log maintenance (section 4.4.4) — the one place
+        anything per-commit is cut.  The trigger is a commit count: once
+        the recovery log or the certifier log exceeds the retention
+        watermark, everything at or below the retention floor goes,
+        except that the newest half-watermark always stays (a snapshot
+        just released still finds its tail) and that a cut must be worth
+        half a watermark — so a log costs one filter per
+        ``watermark // 2`` commits however slowly the floor moves."""
+        middleware = self.middleware
+        watermark = middleware.config.retention_watermark
+        log = middleware.recovery_log
+        certifier = middleware.certifier
+        length = max(len(log.entries), certifier.log_length())
+        if watermark <= 0 or length <= watermark:
+            return
+        half = watermark // 2
+        floor = middleware.retention_floor()
+        middleware.stats["retention_floor"] = floor
+        cut = min(floor, log.head_seq - half)
+        if cut - log.purged_seq < half:
+            if length > 4 * watermark:
+                self._report_stall(length)
+            return
+        middleware.stats["log_truncated"] += log.purge_before(cut)
+        middleware.stats["certifier_pruned"] += certifier.prune(cut)
+        if middleware.state_shipper is not None:
+            middleware.state_shipper.ship_truncate(cut)
+        for replica in middleware.replicas:
+            binlog = replica.engine.binlog
+            binlog.truncate_before(binlog.head_sequence - half)
+
+    def _report_stall(self, length: int) -> None:
+        """The floor will not move and the logs are four watermarks
+        long: say who holds them — once per holder, never per commit
+        (the monitor's event list is itself unbounded)."""
+        retention = self.middleware.retention()
+        if retention["holder"] == self._stalled_on:
+            return
+        self._stalled_on = retention["holder"]
+        self.middleware.monitor.record(
+            "retention_stalled", self.middleware.name,
+            holder=retention["holder"], seq=retention["floor"],
+            log_length=length)
 
     def _acknowledge(self, request: CommitRequest) -> None:
         """Stage 7, HA phase 2: the commit is durable everywhere the

@@ -27,7 +27,7 @@ experiments can measure exactly what its death costs.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import (
     GATE_BYPASS_PROTOCOL, GATE_HIT, GATE_REJECT, GATE_STALE,
@@ -106,11 +106,12 @@ class MiddlewareConfig:
             simulated time.
         trace_retention: how many finished traces the tracer retains
             in memory (oldest evicted whole, see docs/OBSERVABILITY.md).
-        certifier_prune_watermark: once the certification log exceeds
-            this many entries, prune everything below the cluster-wide
-            safe floor (min of replica watermarks, in-flight snapshot
-            seqs and the HA standby's shipped seq).  ``0`` disables
-            auto-pruning.
+        retention_watermark: once the recovery log or the certifier
+            log exceeds this many entries, the commit pipeline cuts
+            both, the standby's mirror and the engines' binlogs at the
+            retention floor (:meth:`ReplicationMiddleware.retention_floor`),
+            always keeping the newest half-watermark.  ``0`` means never
+            truncate.
     """
 
     def __init__(self,
@@ -126,7 +127,7 @@ class MiddlewareConfig:
                  result_cache: Optional[ResultCacheConfig] = None,
                  tracing: bool = True,
                  trace_retention: int = 512,
-                 certifier_prune_watermark: int = 50000):
+                 retention_watermark: int = 1024):
         if replication not in ("statement", "writeset"):
             raise ValueError(f"unknown replication mode {replication!r}")
         if propagation not in ("sync", "async"):
@@ -149,7 +150,7 @@ class MiddlewareConfig:
         self.result_cache = result_cache
         self.tracing = tracing
         self.trace_retention = trace_retention
-        self.certifier_prune_watermark = certifier_prune_watermark
+        self.retention_watermark = retention_watermark
 
 
 class ReplicationMiddleware:
@@ -187,7 +188,8 @@ class ReplicationMiddleware:
         self.stats = {
             "reads": 0, "writes": 0, "commits": 0, "aborts": 0,
             "certification_aborts": 0, "freshness_waits": 0,
-            "certifier_pruned": 0,
+            "certifier_pruned": 0, "log_truncated": 0,
+            "retention_floor": 0,
         }
         # The commit pipeline (repro.core.groupcommit): every sequenced
         # unit runs the coordinator's one stage order; a writeset commit
@@ -545,33 +547,50 @@ class ReplicationMiddleware:
             if span is not None:
                 span.end()
 
-    def maybe_prune_certifier(self) -> int:
-        """Bound certification-log growth on the hot path: once the log
-        exceeds the configured watermark, drop entries below the safe
-        floor — the minimum of every online replica's applied watermark,
-        every in-flight transaction's snapshot seq (a long-running
-        transaction must still see the entries it can conflict with),
-        and the HA standby's shipped seq.  Offline replicas resync from
-        the recovery log, not the certifier, so they don't hold it."""
-        watermark = self.config.certifier_prune_watermark
-        if watermark <= 0 or self.certifier.log_length() <= watermark:
-            return 0
-        floor = self.certifier.current_seq
+    # ------------------------------------------------------------------
+    # log retention
+    # ------------------------------------------------------------------
+
+    def _log_holders(self) -> Iterator[Tuple[int, str, Any]]:
+        """Who still needs log entry *s*?  One ``(seq, kind, name)`` per
+        party that needs everything after ``seq``: every registered
+        replica whatever its state (an OFFLINE / FAILED / RECOVERING one
+        rejoins by log replay), every in-flight transaction's snapshot
+        (it may yet certify against the entries above it; a prepared,
+        undecided 2PC unit is still in its transaction), the HA
+        standby's acknowledged seq, and every named checkpoint — how
+        anything outside the middleware holds the log."""
+        yield self.certifier.current_seq, "head", ""
         for replica in self.replicas:
-            if replica.is_online:
-                floor = min(floor, replica.applied_seq)
+            yield replica.applied_seq, "replica", replica.name
         for session in self.sessions:
             if session.in_transaction:
-                floor = min(floor, session._txn_start_seq)
+                yield session._txn_start_seq, "session", session.id
         if self.state_shipper is not None:
-            floor = min(floor, self.state_shipper.state.seq)
-        pruned = self.certifier.auto_prune(floor, watermark)
-        if pruned:
-            self.stats["certifier_pruned"] += pruned
-            self.monitor.record("certifier_pruned", self.name,
-                                pruned=pruned, floor=floor,
-                                log_length=self.certifier.log_length())
-        return pruned
+            yield self.state_shipper.acked_seq(), "standby", ""
+        for name, seq in self.recovery_log.checkpoints.items():
+            yield seq, "checkpoint", name
+
+    def retention_floor(self) -> int:
+        """The highest seq nobody needs any more: every per-commit
+        structure may drop what is at or below it, and nothing above."""
+        return min(self._log_holders())[0]
+
+    def retention(self) -> Dict[str, Any]:
+        """The retention floor, who holds it and what it bounds."""
+        floor, kind, name = min(self._log_holders())
+        state = self.state_shipper.state if self.state_shipper else None
+        return {
+            "floor": floor,
+            "holder": f"{kind}:{name}" if name != "" else kind,
+            "head": self.recovery_log.head_seq,
+            "recovery_log": len(self.recovery_log.entries),
+            "certifier_log": self.certifier.log_length(),
+            "standby_commits": len(state.commits) if state else 0,
+            "standby_certifier_log":
+                len(state.certifier_log) if state else 0,
+            "checkpoints": len(self.recovery_log.checkpoints),
+        }
 
     def pump(self, max_items: Optional[int] = None) -> int:
         """Drain asynchronous apply queues (round-robin across replicas).

@@ -15,6 +15,15 @@ writeset).  Replay supports two modes:
   footprints that can be applied concurrently (the parallelism-extraction
   problem the paper calls unsolved; we implement the straightforward
   conflict-graph greedy schedule).
+
+The log is bounded (section 4.4.4, log maintenance): the commit pipeline
+purges what nobody needs any more (``GroupCommitCoordinator._truncate``).
+A **named checkpoint** is how anything outside the middleware — a kept
+backup, a reshard in progress, a WAN shipping cursor — says it still
+needs the entries after a seq; :meth:`RecoveryLog.release` says it no
+longer does.  A read below what was purged raises
+:class:`~repro.core.errors.LogTruncatedError` instead of returning a
+tail with a hole.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sqlengine import Engine
+from .errors import LogTruncatedError
 from .writesets import apply_writeset
 
 
@@ -48,6 +58,8 @@ class RecoveryLog:
         self.entries: List[RecoveryLogEntry] = []
         self.checkpoints: Dict[str, int] = {}
         self._head = 0
+        # everything at or below this seq is gone (purge_before)
+        self.purged_seq = 0
 
     @property
     def head_seq(self) -> int:
@@ -69,7 +81,16 @@ class RecoveryLog:
         self.checkpoints[name] = at
         return at
 
+    def release(self, name: str) -> None:
+        """Drop a named checkpoint: its holder no longer needs the log
+        after it.  Reading from there later may cost a re-clone."""
+        self.checkpoints.pop(name, None)
+
     def entries_since(self, seq: int) -> List[RecoveryLogEntry]:
+        if seq < self.purged_seq:
+            raise LogTruncatedError(
+                f"recovery log purged up to seq {self.purged_seq}; the "
+                f"tail after seq {seq} is incomplete")
         return [e for e in self.entries if e.seq > seq]
 
     def entries_since_checkpoint(self, name: str) -> List[RecoveryLogEntry]:
@@ -87,10 +108,14 @@ class RecoveryLog:
         return before - len(self.entries)
 
     def purge_before(self, seq: int) -> int:
-        """Log maintenance (section 4.4.4); entries needed by existing
-        checkpoints must not be purged — callers pass min(checkpoints)."""
+        """Log maintenance (section 4.4.4): drop entries up to and
+        including ``seq``.  The caller passes a seq at or below the
+        retention floor (``ReplicationMiddleware.retention_floor``), so
+        no checkpoint or replica still needs them.  A filter, not a
+        prefix ``del``: a 2PC unit is appended after higher seqs."""
         before = len(self.entries)
         self.entries = [e for e in self.entries if e.seq > seq]
+        self.purged_seq = max(self.purged_seq, seq)
         return before - len(self.entries)
 
     # -- replay ---------------------------------------------------------------

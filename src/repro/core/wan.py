@@ -37,6 +37,13 @@ class Site:
         # per-remote-site shipping cursor: last local seq shipped there
         self.shipped_to: Dict[str, int] = {}
 
+    def ship_cursor(self, other: str, seq: int) -> None:
+        """Move the shipping cursor for site ``other``.  The cursor is
+        also a named checkpoint of this site's recovery log: what has
+        not been shipped yet must not be purged."""
+        self.shipped_to[other] = seq
+        self.middleware.recovery_log.checkpoint(f"wan:{other}", seq=seq)
+
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"
         return f"Site({self.name!r}, {state}, regions={sorted(self.regions)})"
@@ -57,8 +64,9 @@ class WanSystem:
             # replication traffic).
             baseline = site.middleware.recovery_log.head_seq
             for other in self.sites:
-                if other.name != site.name:
-                    site.shipped_to.setdefault(other.name, baseline)
+                if other.name != site.name \
+                        and other.name not in site.shipped_to:
+                    site.ship_cursor(other.name, baseline)
         self.stats = {"local_writes": 0, "remote_writes": 0,
                       "shipped_entries": 0, "lost_on_disaster": 0}
 
@@ -102,7 +110,7 @@ class WanSystem:
                 for entry in log.entries_since(cursor):
                     for replica in other.middleware.online_replicas():
                         log.replay_entry(replica.engine, entry)
-                    site.shipped_to[other.name] = entry.seq
+                    site.ship_cursor(other.name, entry.seq)
                     shipped += 1
         self.stats["shipped_entries"] += shipped
         return shipped
@@ -158,7 +166,7 @@ class WanSystem:
                 for replica in site.middleware.online_replicas():
                     other.middleware.recovery_log.replay_entry(
                         replica.engine, entry)
-                other.shipped_to[name] = entry.seq
+                other.ship_cursor(name, entry.seq)
                 replayed += 1
         if reclaim_regions:
             for other in self.sites:

@@ -46,6 +46,7 @@ def build_standby(leader: ReplicationMiddleware,
         result_cache=source.result_cache,
         tracing=source.tracing,
         trace_retention=source.trace_retention,
+        retention_watermark=source.retention_watermark,
     )
     return ReplicationMiddleware(
         leader.replicas, config, name=name or f"{leader.name}_standby",
@@ -72,6 +73,11 @@ class HAPair:
         leader.failover_target = self.standby.name
         self.standby.fence = self.fence
         self.standby.standby_mode = True
+        # a named checkpoint is a hold on the service, not on a process:
+        # like the fence, the pair shares one registry, so a kept backup
+        # or a reshard in progress still holds the log after a promotion
+        self.standby.recovery_log.checkpoints = \
+            leader.recovery_log.checkpoints
         self.virtual_ip = virtual_ip or VirtualIP("mw-vip", leader.name)
         self._active = leader
         self._on_switch: List[Callable[[ReplicationMiddleware], None]] = []

@@ -103,7 +103,10 @@ def promote(standby, state: StandbyState, fence: EpochFence
     seq_floor = max([watermark] + [seq for seq, _keys in log])
     standby.certifier.import_log(log, seq=seq_floor)
 
-    # Recovery log: same filter, replayed into the standby's own log.
+    # Recovery log: same filter, replayed into the standby's own log —
+    # the leader's retained tail, with the leader's purge mark, so a
+    # read below it is refused here exactly as it was there.
+    standby.recovery_log.purged_seq = state.purged_seq
     recovered = 0
     for shipped in state.commits:
         if shipped.seq in dropped_seqs:

@@ -15,6 +15,11 @@ mirroring the commit's own danger windows:
     requires, before the client acknowledgement.  Flips the ledger entry
     to COMMITTED and ships the session's consistency token.
 
+``ship_truncate``
+    Log maintenance: the leader cut its logs at a seq nobody needs any
+    more, and the standby's mirror drops the same prefix — shipped state
+    stays a tail, not a history.
+
 Because the ack always precedes the client's, an acknowledged commit is
 COMMITTED in the standby's ledger at promotion time — RPO = 0.  A crash
 between the two phases leaves a PENDING entry that promotion resolves
@@ -50,6 +55,7 @@ class StateShipper:
         middleware = self.middleware
         self.state.certifier_log = middleware.certifier.export_log()
         self.state.seq = middleware.certifier.current_seq
+        self.state.purged_seq = middleware.recovery_log.purged_seq
         self.state.commits = [
             ShippedCommit(entry.seq, frozenset(), entry.kind,
                           entry.payload, entry.tables, entry.user,
@@ -130,6 +136,18 @@ class StateShipper:
                 break
         self.state.apply_ack(shipped)
         self.stats["acks"] += 1
+
+    # -- log maintenance ----------------------------------------------------
+
+    def acked_seq(self) -> int:
+        """The highest seq with no unacknowledged shipment at or below
+        it — the standby's term of the retention floor."""
+        return min(self._inflight, default=self.state.seq + 1) - 1
+
+    def ship_truncate(self, cut: int) -> None:
+        """The leader purged everything at or below ``cut`` (never above
+        :meth:`acked_seq`, so never an unacknowledged unit)."""
+        self.state.truncate(cut)
 
     def __repr__(self) -> str:
         return (f"StateShipper({self.middleware.name!r}, "

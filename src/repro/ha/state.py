@@ -216,6 +216,8 @@ class StandbyState:
         self.certifier_log: List[Tuple[int, FrozenSet]] = []
         self.seq = 0
         self.commits: List[ShippedCommit] = []   # recovery-log mirror
+        # the leader purged its logs up to here; so did this mirror
+        self.purged_seq = 0
         self.ledger = CommitLedger()
         # client_id -> (last_commit_seq, last_seen_seq): reconnecting
         # clients restore read-your-writes across the failover
@@ -242,6 +244,15 @@ class StandbyState:
                 and shipped.session_token is not None:
             self.session_tokens[shipped.client_id] = shipped.session_token
         self.stats["acks"] += 1
+
+    def truncate(self, cut: int) -> None:
+        """The leader's log maintenance, mirrored: drop every commit and
+        certifier entry at or below ``cut``."""
+        self.commits = [c for c in self.commits if c.seq > cut]
+        self.certifier_log = [(seq, keys)
+                              for seq, keys in self.certifier_log
+                              if seq > cut]
+        self.purged_seq = max(self.purged_seq, cut)
 
     def __repr__(self) -> str:
         return (f"StandbyState(seq={self.seq}, "

@@ -95,6 +95,7 @@ class OnlineReshard:
         # installed by start(), dropped by flip()
         self._rule = ForwardingRule(self.table, contains, src, dst,
                                     staying, label)
+        self._checkpoint = f"reshard:{label}"
         self.stats: Dict[str, int] = {
             "rows_snapshot": 0, "rows_copied": 0, "entries_joined": 0,
             "catchup_rounds": 0, "entries_in_window": 0, "rows_deleted": 0,
@@ -193,7 +194,7 @@ class OnlineReshard:
         span = cluster.tracer.start_span(
             "reshard.begin", table=self.table, src=self.src, dst=self.dst)
         source = cluster.groups[self.src]
-        self._join_seq = source.global_seq
+        self._hold_source_log(source.global_seq)
         self._pending = self._moving_changes("INSERT")
         self.stats["rows_snapshot"] = len(self._pending)
         cluster.forwarding.append(self._rule)
@@ -244,10 +245,19 @@ class OnlineReshard:
                 entries, [self.table], user=self.user,
                 database=self.database)
             span.end()
-        self._join_seq = tail_seq
+        self._hold_source_log(tail_seq)
         self.stats["entries_joined"] += len(entries)
         self.stats["catchup_rounds"] += 1
         return len(entries)
+
+    def _hold_source_log(self, seq: int) -> None:
+        """Move the join point.  It is a named checkpoint of the source
+        group's recovery log: the tail after it is what the next
+        catch-up replays, so log maintenance must leave it alone until
+        the flip."""
+        self._join_seq = seq
+        self.cluster.groups[self.src].group_commit.hold_log(
+            self._checkpoint, seq)
 
     def _tail_entries(self):
         changes, tail_seq = self.cluster.groups[self.src] \
@@ -320,6 +330,7 @@ class OnlineReshard:
                 database=self.database)
         self.stats["rows_deleted"] = len(deletes)
         cluster.forwarding.remove(self._rule)
+        cluster.groups[self.src].group_commit.release_log(self._checkpoint)
         cluster.map_log.append(
             "reshard_flip", table=self.table, src=self.src, dst=self.dst,
             version=new_map.version, rows_deleted=len(deletes))

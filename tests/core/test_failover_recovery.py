@@ -1,10 +1,12 @@
 """Failover, failback, recovery log and virtual IP tests."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BackupCoordinator, FailoverManager, MiddlewareConfig, RecoveryLog,
+    BackupCoordinator, FailoverManager, LogTruncatedError,
+    MiddlewareConfig, RecoveryLog,
     Replica, ReplicationMiddleware, ResiliencePolicy, RetryPolicy, VirtualIP,
     promote_and_switch, protocol_by_name,
 )
@@ -72,6 +74,50 @@ class TestFailover:
         manager = FailoverManager(mw)
         report = manager.handle_replica_failure("r0", discard_pending=True)
         assert report.lost_transactions == 5
+
+    def _lagging_survivor_after_1safe_loss(self, updates):
+        """r0 (master) at the head, r1 one behind, r2 at the seed state;
+        r0 dies and takes its shipping pipeline with it."""
+        mw = master_slave(3)
+        session = mw.connect(database="shop")
+        for key in range(updates):
+            session.execute(f"UPDATE kv SET v = 7 WHERE k = {key}")
+        session.close()
+        head = mw.recovery_log.head_seq
+        mw.drain_replica("r1", up_to_seq=head - 1)
+        assert [r.applied_seq for r in mw.replicas] \
+            == [head, head - 1, head - updates]
+        mw.replicas[0].engine.crash()
+        report = FailoverManager(mw).handle_replica_failure(
+            "r0", discard_pending=True)
+        assert report.new_master == "r1" and report.lost_transactions == 1
+        return mw
+
+    def test_lagging_survivor_catches_up_after_1safe_loss(self):
+        """Every survivor's queue is cleared, only the freshest one is
+        promoted: the other must replay what the new master has from
+        the recovery log, or the next commit's seq carries its watermark
+        over a permanent hole."""
+        mw = self._lagging_survivor_after_1safe_loss(updates=4)
+        r1, r2 = mw.replicas[1], mw.replicas[2]
+        assert r2.applied_seq == r1.applied_seq
+        session = mw.connect(database="shop")
+        session.execute("UPDATE kv SET v = 8 WHERE k = 0")
+        session.close()
+        mw.pump()
+        assert r2.applied_seq == r1.applied_seq == mw.global_seq
+        assert mw.check_convergence(), mw.content_signatures()
+
+    def test_certifier_forgets_writes_lost_with_the_master(self):
+        """The lost transaction was the only write to k = 4: no replica
+        holds it, so a later write to k = 4 has nothing to conflict
+        with."""
+        mw = self._lagging_survivor_after_1safe_loss(updates=5)
+        session = mw.connect(database="shop")
+        session.execute("UPDATE kv SET v = 8 WHERE k = 4")
+        session.close()
+        mw.pump()
+        assert mw.check_convergence(), mw.content_signatures()
 
     def test_vip_switches_on_promotion(self):
         mw = master_slave(2)
@@ -359,6 +405,23 @@ class TestRecoveryLog:
             log.append(seq, "writeset", [], tables=["t"])
         assert log.purge_before(5) == 5
         assert [e.seq for e in log.entries] == [6, 7, 8, 9, 10]
+
+    def test_read_below_the_purge_is_refused_not_holed(self):
+        """A naive truncation would answer ``entries_since(2)`` with
+        6..10 — a tail missing 3..5."""
+        log = RecoveryLog()
+        for seq in range(1, 11):
+            log.append(seq, "writeset", [], tables=["t"])
+        log.checkpoint("kept", seq=2)
+        log.purge_before(5)
+        with pytest.raises(LogTruncatedError):
+            log.entries_since(2)
+        with pytest.raises(LogTruncatedError):
+            log.entries_since_checkpoint("kept")
+        assert [e.seq for e in log.entries_since(5)] == [6, 7, 8, 9, 10]
+        log.release("kept")
+        assert "kept" not in log.checkpoints
+        log.release("kept")    # releasing twice is not an error
 
     def test_truncate_after(self):
         log = RecoveryLog()

@@ -134,6 +134,63 @@ class TestBackup:
         assert backup.global_seq == cluster.replica_by_name("r0").applied_seq
         assert backup.checkpoint_name in cluster.recovery_log.checkpoints
 
+    def test_join_from_an_overtaken_snapshot_reclones(self, cluster):
+        """A released snapshot no longer holds the log: once its tail is
+        purged, a join from it cannot replay forward — it starts over
+        from a fresh snapshot of a live peer, and says so."""
+        cluster.config.retention_watermark = 8
+        coordinator = BackupCoordinator(cluster)
+        backup = coordinator.hot_backup("r0")
+        coordinator.release(backup)
+        assert backup.checkpoint_name not in cluster.recovery_log.checkpoints
+        session = cluster.connect(database="shop")
+        for index in range(20):
+            session.execute(f"UPDATE kv SET v = {index} WHERE k = 1")
+        session.close()
+        assert cluster.recovery_log.purged_seq > backup.global_seq
+        newcomer = empty_replica()
+        replayed, recloned = coordinator.join(newcomer, backup)
+        assert recloned
+        assert newcomer.is_online
+        assert newcomer.applied_seq == cluster.recovery_log.head_seq
+        assert cluster.check_convergence()
+        # the fresh snapshot's own checkpoint did not stay behind
+        assert not cluster.recovery_log.checkpoints
+
+    def test_forgotten_backup_pins_the_log_visibly(self, cluster):
+        """A kept backup is a promise that its tail stays replayable:
+        it holds every log, the monitor names it once, and releasing it
+        lets the next cut through."""
+        cluster.config.retention_watermark = 8
+        coordinator = BackupCoordinator(cluster)
+        backup = coordinator.hot_backup("r0")
+        session = cluster.connect(database="shop")
+        for index in range(60):
+            session.execute(f"UPDATE kv SET v = {index} WHERE k = 2")
+        held = cluster.retention()
+        assert held["floor"] == backup.global_seq
+        assert held["holder"] == f"checkpoint:{backup.checkpoint_name}"
+        assert held["recovery_log"] >= 60 and held["certifier_log"] >= 60
+        [event] = cluster.monitor.events_of("retention_stalled")
+        assert event.detail["holder"] == held["holder"]
+        assert event.detail["seq"] == backup.global_seq
+        assert event.detail["log_length"] == 4 * 8 + 1
+        # the tail is really there: a join from the kept backup replays
+        replayed, recloned = coordinator.join(empty_replica("kept"), backup)
+        assert (replayed, recloned) == (60, False)
+
+        later = coordinator.hot_backup("r1")
+        for index in range(40):
+            session.execute(f"UPDATE kv SET v = {index} WHERE k = 3")
+        assert len(cluster.recovery_log.entries) >= 40
+        coordinator.release(later)
+        session.execute("UPDATE kv SET v = 0 WHERE k = 3")
+        session.close()
+        assert len(cluster.recovery_log.entries) <= 8
+        assert cluster.certifier.log_length() <= 8
+        assert cluster.stats["retention_floor"] >= later.global_seq
+        assert cluster.check_convergence()
+
     def test_hot_backup_donor_keeps_serving(self, cluster):
         coordinator = BackupCoordinator(cluster)
         coordinator.hot_backup("r0")

@@ -267,3 +267,26 @@ class TestWan:
         wan.ship_updates()
         assert wan.unshipped_backlog("eu") == 0
         client.close()
+
+    def test_unshipped_tail_holds_the_log(self):
+        """A shipping cursor is a named checkpoint of the site's
+        recovery log: what has not crossed the WAN yet is never purged,
+        and once shipped the log is cut like any other."""
+        wan = self.make_wan()
+        eu = wan.site_by_name("eu").middleware
+        eu.config.retention_watermark = 8
+        client = wan.connect("eu", database="shop")
+        for order in range(30):
+            client.execute(
+                f"INSERT INTO orders (id, region, total) "
+                f"VALUES ({order}, 'eu', 1.0)")
+        assert eu.retention()["holder"] == "checkpoint:wan:us"
+        assert len(eu.recovery_log.entries) >= 30
+        assert wan.ship_updates() == 30
+        client.execute(
+            "INSERT INTO orders (id, region, total) VALUES (99, 'eu', 1.0)")
+        assert len(eu.recovery_log.entries) <= 8
+        assert wan.ship_updates() == 1
+        us_engine = wan.site_by_name("us").middleware.replicas[0].engine
+        assert us_engine.row_count("shop", "orders") == 31
+        client.close()

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    MiddlewareConfig, ReplicationMiddleware, protocol_by_name,
+    ClusterManager, MiddlewareConfig, ReplicationMiddleware,
+    protocol_by_name,
 )
 from repro.core.applysched import (
     ApplyUnit, conflict_groups, item_units, lane_makespan,
@@ -24,6 +25,7 @@ from repro.core.applysched import (
 from repro.core.certifier import Certifier
 from repro.core.recoverylog import RecoveryLog
 from repro.core.replica import ApplyItem, Replica
+from repro.ha import HAPair
 from repro.sqlengine import SerializationError
 
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
@@ -389,12 +391,32 @@ class TestGroupCommit:
 
 
 # ---------------------------------------------------------------------------
-# certifier log auto-pruning
+# log retention: one floor, one truncation site, four structures
 # ---------------------------------------------------------------------------
+
+def build_pair(**config_kwargs):
+    """``build`` behind an HA pair, so the standby's mirror is one of
+    the structures a cut must reach."""
+    mw = build(**config_kwargs)
+    return mw, HAPair(mw).state
+
+
+def retained(mw, state):
+    """Every per-commit structure, by name -> the seqs it holds (the
+    binlog has its own numbering: its length)."""
+    structures = {
+        "recovery_log": [e.seq for e in mw.recovery_log.entries],
+        "certifier_log": [seq for seq, _keys in mw.certifier.export_log()],
+        "standby_commits": [c.seq for c in state.commits],
+        "standby_certifier_log": [seq for seq, _k in state.certifier_log],
+    }
+    binlogs = [len(r.engine.binlog.records) for r in mw.replicas]
+    return structures, binlogs
+
 
 class TestAutoPrune:
     def test_log_stays_bounded_under_watermark(self):
-        mw = build(certifier_prune_watermark=10)
+        mw, state = build_pair(retention_watermark=10)
         session = mw.connect(database="shop")
         for index in range(60):
             session.execute(f"UPDATE kv SET v = {index} WHERE k = {index % 8}")
@@ -402,12 +424,20 @@ class TestAutoPrune:
         assert mw.certifier.log_length() <= 10
         assert mw.certifier.pruned_total > 0
         assert mw.stats["certifier_pruned"] == mw.certifier.pruned_total
+        assert mw.stats["log_truncated"] > 0
+        structures, binlogs = retained(mw, state)
+        for name, seqs in structures.items():
+            assert len(seqs) <= 10, name
+            # the newest half-watermark always survives, gapless
+            assert seqs[-5:] == list(range(mw.global_seq - 4,
+                                           mw.global_seq + 1)), name
+        assert all(length <= 10 for length in binlogs)
         assert mw.check_convergence()
 
     def test_inflight_snapshot_holds_the_floor(self):
         """A long-running transaction must keep the log entries it could
         conflict with: pruning never crosses its snapshot seq."""
-        mw = build(certifier_prune_watermark=10)
+        mw, state = build_pair(retention_watermark=10)
         reader = mw.connect(database="shop")
         reader.begin()
         reader.execute("SELECT v FROM kv WHERE k = 0")
@@ -419,22 +449,57 @@ class TestAutoPrune:
         # every entry above the snapshot is still present for conflict
         # checks (the reader may yet write): the prune floor never
         # crosses the in-flight snapshot seq
-        kept = [seq for seq, _keys in mw.certifier.export_log()]
-        assert kept
-        assert min(kept) <= snapshot_seq + 1
+        assert mw.retention_floor() == snapshot_seq
+        assert mw.retention()["holder"] == f"session:{reader.id}"
+        for name, seqs in retained(mw, state)[0].items():
+            assert seqs[0] <= snapshot_seq + 1, name
+            assert seqs[-40:] == list(range(snapshot_seq + 1,
+                                            mw.global_seq + 1)), name
         reader.execute("UPDATE kv SET v = 99 WHERE k = 0")
         reader.commit()
         reader.close()
         assert mw.check_convergence()
 
     def test_disabled_watermark_never_prunes(self):
-        mw = build(certifier_prune_watermark=0)
+        mw, state = build_pair(retention_watermark=0)
         session = mw.connect(database="shop")
         for index in range(30):
             session.execute(f"UPDATE kv SET v = {index} WHERE k = 2")
         session.close()
         assert mw.certifier.pruned_total == 0
         assert mw.certifier.log_length() >= 30
+        assert mw.stats["log_truncated"] == 0
+        structures, binlogs = retained(mw, state)
+        assert all(len(seqs) >= 30 for seqs in structures.values())
+        assert sum(binlogs) >= 30     # one record per origin commit
+
+    def test_parked_replica_holds_its_tail(self):
+        """An OFFLINE replica rejoins by log replay: every structure
+        keeps the entries above its ``applied_seq`` and (nearly) nothing
+        else — and lets go of them once it is back."""
+        mw, state = build_pair(retention_watermark=10)
+        manager = ClusterManager(mw)
+        manager.remove_replica("r2")
+        parked_at = mw.replica_by_name("r2").applied_seq
+        session = mw.connect(database="shop")
+        for index in range(40):
+            session.execute(f"UPDATE kv SET v = {index} WHERE k = 3")
+        assert mw.retention()["holder"] in ("replica:r2",
+                                            "checkpoint:removed:r2")
+        tail = list(range(parked_at + 1, mw.global_seq + 1))
+        for name, seqs in retained(mw, state)[0].items():
+            # its whole tail, and less than one more cut's worth (half a
+            # watermark) of older entries besides
+            assert seqs[-len(tail):] == tail, name
+            assert len(seqs) - len(tail) < 5, name
+        replayed, recloned = manager.backup.join(mw.replica_by_name("r2"))
+        assert (replayed, recloned) == (40, False)
+        for index in range(10):
+            session.execute(f"UPDATE kv SET v = {index} WHERE k = 4")
+        session.close()
+        for name, seqs in retained(mw, state)[0].items():
+            assert len(seqs) <= 10, name
+        assert mw.check_convergence()
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +703,7 @@ def test_ddl_notes_the_commit_and_prunes_like_any_other_unit():
     """The DDL copy used to skip ``note_commit`` and the certifier
     prune: the session that created a table now carries a token at the
     DDL's seq, and a DDL-only stream keeps the certifier log bounded."""
-    mw = build(certifier_prune_watermark=4)
+    mw = build(retention_watermark=4)
     session = mw.connect(database="shop")
     for index in range(12):
         session.execute(f"CREATE TABLE t{index} (a INT PRIMARY KEY)")
@@ -737,6 +802,29 @@ def test_sequencing_primitives_are_called_from_one_module():
                 callers[name].add(module)
     assert callers == {name: {module}
                        for name, module in ONE_CALLER.items()}
+
+
+def test_one_floor_and_one_truncation_site():
+    """Whatever cuts a per-commit structure is called from stage 9 of
+    the commit pipeline and nowhere else, and the floor it cuts at is
+    computed in one place."""
+    cutters = {"purge_before", "prune", "truncate_before", "ship_truncate",
+               "retention_floor"}
+    sites = {name: [] for name in cutters}
+    floors = 0
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        floors += text.count("min(floor")
+        for function in ast.walk(ast.parse(text)):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for name in _called_names(function):
+                if name in cutters:
+                    sites[name].append(
+                        (path.relative_to(SRC).as_posix(), function.name))
+    assert sites == {name: [("core/groupcommit.py", "_truncate")]
+                     for name in cutters}
+    assert floors == 1
 
 
 def test_shard_tier_stays_off_a_groups_private_members():

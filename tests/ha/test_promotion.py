@@ -4,7 +4,9 @@ carry-over, the four crash windows, and the cold-restart slow path."""
 import pytest
 
 from repro.core import ClusterManager, FailoverManager, Replica
-from repro.core.errors import FencedOut, MiddlewareDown
+from repro.core.errors import (
+    FencedOut, LogTruncatedError, MiddlewareDown,
+)
 from repro.ha import (
     HAClient, HAPair, cold_restart, cold_restart_duration,
 )
@@ -135,6 +137,58 @@ def test_after_prepare_crash_without_txn_id_leaves_no_unit_behind():
     retry.close()
     assert log.head_seq == watermark + 1
     assert all_replicas_agree(promoted)
+
+
+def test_promotion_hydrates_the_leaders_truncated_tail():
+    """Past the retention watermark the standby's mirror is cut with the
+    leader's logs, so a promotion hydrates the leader's tail — not a
+    history — and everything that held the leader's log still holds the
+    promoted one: the purge mark, a replica parked OFFLINE, and the
+    PENDING unit the crash left in flight."""
+    leader = make_leader(rows=5, replicas=3)
+    leader.config.retention_watermark = 8
+    pair = HAPair(leader)
+    client = HAClient(pair, client_id="alice", database=DATABASE)
+    for _ in range(30):
+        client.run_transaction(["UPDATE kv SET v = v + 1 WHERE k = 0"])
+    assert 0 < leader.recovery_log.purged_seq == pair.state.purged_seq
+    assert len(pair.state.commits) <= 8
+    parked = leader.replicas[2]
+    ClusterManager(leader).remove_replica(parked.name)
+    for _ in range(20):
+        client.run_transaction(["UPDATE kv SET v = v + 1 WHERE k = 1"])
+    install_crash(pair, "before_ack")     # committed, PENDING, unacked
+    assert client.run_transaction(
+        ["UPDATE kv SET v = v + 1 WHERE k = 2"]) == "deduped"
+    client.close()
+
+    promoted = pair.active
+    assert promoted is pair.standby
+    assert pair.promotions[-1].resolved_committed == 1
+    seqs = [e.seq for e in promoted.recovery_log.entries]
+    assert seqs == [e.seq for e in leader.recovery_log.entries]
+    assert seqs == list(range(seqs[0], leader.global_seq + 1))
+    assert seqs[0] <= parked.applied_seq + 1
+    # (the dead leader's certifier log died with it: compare by seq)
+    assert [seq for seq, _keys in promoted.certifier.export_log()] == seqs
+    assert promoted.global_seq == leader.global_seq
+    assert promoted.recovery_log.purged_seq == leader.recovery_log.purged_seq
+    with pytest.raises(LogTruncatedError):
+        promoted.recovery_log.entries_since(0)
+    assert promoted.retention()["holder"] in (
+        f"replica:{parked.name}", f"checkpoint:removed:{parked.name}")
+    # the parked replica rejoins through the promoted leader by replay
+    replayed, recloned = ClusterManager(promoted).backup.join(parked)
+    assert (replayed, recloned) == (21, False)
+    assert kv_values(promoted) == {0: 30, 1: 20, 2: 1, 3: 0, 4: 0}
+    assert all_replicas_agree(promoted)
+    # and the promoted leader keeps its own logs bounded
+    session = pair.connect(database=DATABASE)
+    for _ in range(10):
+        session.execute("UPDATE kv SET v = v + 1 WHERE k = 3")
+    session.close()
+    assert len(promoted.recovery_log.entries) <= 8
+    assert promoted.certifier.log_length() <= 8
 
 
 def test_dropped_sequence_number_is_reusable():

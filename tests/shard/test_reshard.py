@@ -5,6 +5,7 @@ freshness across the map version bump."""
 import pytest
 
 from repro.cache import ResultCacheConfig
+from repro.core import LogTruncatedError
 from repro.shard import OnlineReshard, ReshardError
 
 from .conftest import make_kv_cluster
@@ -51,6 +52,42 @@ def test_split_range_with_interleaved_writes(range_cluster):
     assert cluster.map.shard_of("kv", 15) == 0
     assert cluster.check_convergence()
     assert not cluster.forwarding
+
+
+def test_reshard_holds_the_source_log_until_the_flip(range_cluster):
+    """Three watermarks of commits on the source between ``start`` and
+    ``catch_up``: the join point is a named checkpoint of the source's
+    recovery log, so the tail the catch-up replays is still there — and
+    an unregistered reader of the same tail is refused, not served a
+    hole."""
+    cluster = range_cluster
+    source = cluster.groups[0]
+    source.config.retention_watermark = 8
+    session = cluster.connect(database="shop")
+    move = OnlineReshard.split_range(cluster, "kv", 9, dst=1,
+                                     database="shop")
+    move.start()
+    join_seq = source.global_seq
+    assert source.retention()["holder"].startswith("checkpoint:reshard:")
+    for index in range(24):
+        session.execute(f"UPDATE kv SET v = {index} WHERE k = {index % 20}")
+    assert source.retention_floor() == join_seq
+    while move.state == "copying":
+        move.copy_chunk(4)
+    assert move.catch_up() == 14          # writes 0..9 and 20..23
+    move.enter_dual_write()
+    move.flip()
+    assert not source.recovery_log.checkpoints
+    session.execute("UPDATE kv SET v = 0 WHERE k = 15")    # the next cut
+    assert len(source.recovery_log.entries) <= 8
+    with pytest.raises(LogTruncatedError):
+        source.group_commit.changes_since(join_seq)
+    for key in range(20):
+        expected = key + 20 if key < 4 else key
+        expected = 0 if key == 15 else expected
+        assert session.execute(
+            f"SELECT v FROM kv WHERE k = {key}").rows == [(expected,)]
+    assert cluster.check_convergence()
 
 
 def test_move_keys_rebalances_hash_shards():

@@ -19,10 +19,11 @@ Four guarantees, all stdlib:
    backticked lowercase dotted token (``mw.statement``,
    ``shard.2pc.prepare``, …) must appear as literal text somewhere under
    ``src/repro/``.  Memo names: inside any section whose heading
-   mentions "memo", "pipeline" or "join", the last identifier of each
-   backticked lowercase name (``cluster.route_plans`` ->
-   ``route_plans``, ``evictions``) must appear as a word under
-   ``src/repro/``.  Module paths
+   mentions "memo", "pipeline", "join" or "event" (monitor events and
+   the counters beside them, e.g. ``retention_stalled``), the last
+   identifier of each backticked lowercase name
+   (``cluster.route_plans`` -> ``route_plans``, ``evictions``) must
+   appear as a word under ``src/repro/``.  Module paths
    (``repro.*``) and class names (leading capital) are exempt.  This is
    what keeps TOPOLOGY.md's and OBSERVABILITY.md's vocabulary honest.
 
@@ -159,7 +160,7 @@ def check_vocabulary(problems):
             problems.append(
                 f"{where}: span `{name}` is not emitted anywhere in "
                 f"src/repro/")
-    for keyword in ("memo", "pipeline", "join"):
+    for keyword in ("memo", "pipeline", "join", "event"):
         for where, name in advertised(keyword, MEMO_TOKEN):
             attribute = name.rsplit(".", 1)[-1]
             if not re.search(rf"\b{attribute}\b", sources):
