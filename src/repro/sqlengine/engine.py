@@ -234,18 +234,18 @@ class Connection:
         writeset_mark = len(txn.writeset.entries)
         try:
             result = self.engine.executor.execute(self, statement, params)
-        except LockConflict:
-            # Lock waits do not poison the transaction; the statement had
-            # no effect yet (conflicts are detected before mutation).
+        except BaseException as exc:
+            # Cleanup, not handling: whatever stopped the statement, it
+            # leaves no row effect behind and an implicit transaction
+            # does not outlive it (a leaked one would swallow every later
+            # autocommit write of this connection).
             self._undo_statement(txn, created_mark, deleted_mark, writeset_mark)
             if implicit:
                 self.rollback()
-            raise
-        except SQLError:
-            self._undo_statement(txn, created_mark, deleted_mark, writeset_mark)
-            if implicit:
-                self.rollback()
-            elif self.engine.dialect.error_aborts_transaction:
+            elif not isinstance(exc, LockConflict) \
+                    and self.engine.dialect.error_aborts_transaction:
+                # Lock waits do not poison the transaction: conflicts
+                # are detected before mutation.
                 txn.mark_failed("statement failed")
             raise
         if isinstance(statement, _WRITE_STATEMENTS):

@@ -21,7 +21,10 @@ from .errors import (
     AccessDeniedError, DiskFullError, IntegrityError, NameError_,
     SQLError, TypeError_, UnsupportedFeatureError,
 )
-from .expressions import EvalContext, evaluate, is_true, sort_key
+from .expressions import (
+    EvalContext, NO_ROW, combine_binary, combine_unary, compile_expression,
+    evaluate, evaluate_each, raising, sort_key,
+)
 from .functions import AGGREGATE_FUNCTIONS
 from .locks import LockConflict, LockMode
 from .mvcc import (
@@ -32,6 +35,7 @@ from .planner import (AccessPlan, INDEX_RANGE, SEQ_SCAN, plan_table_access,
                       plan_table_access_cached)
 from .sequences import Sequence
 from .procedures import Procedure
+from .stmtcache import Memo
 from .storage import RowVersion, Table
 from .transactions import WritesetEntry
 from .triggers import Trigger, TriggerEvent
@@ -78,6 +82,19 @@ class Executor:
         # Access paths chosen by the most recent statement, newest last —
         # EXPLAIN-style introspection for tests and benchmarks.
         self.last_access_paths: List[str] = []
+        #: what each statement tree (and each column DEFAULT) compiles
+        #: to, by tree identity; nothing in it reads the schema, so
+        #: entries carry no stamp and live as long as the LRU keeps them
+        self.compiled = Memo()
+
+    def _compile_once(self, tree, build):
+        """``build(tree)``, built at the tree's first execution here —
+        the one memo lookup a statement pays for all its closures."""
+        parts = self.compiled.get_for(tree)
+        if parts is None:
+            parts = build(tree)
+            self.compiled.put_for(tree, parts)
+        return parts
 
     # ------------------------------------------------------------------
     # access paths
@@ -85,27 +102,35 @@ class Executor:
 
     def _table_versions(self, session, table, binding, where, snapshot,
                         ctx, dirty: bool = False,
-                        top: Optional[tuple] = None) -> List[RowVersion]:
-        """The visible versions a statement must consider for ``table``,
+                        top: Optional[tuple] = None,
+                        predicate=None) -> List[RowVersion]:
+        """The visible versions of ``table`` a statement works on,
         through the planned access path.
 
         An index probe or range walk yields a *superset* of the
-        fully-matching rows (the caller still applies the complete
-        WHERE), so routing here never changes results — only how many
-        rows are touched, which the engine-level ``seq_scans`` /
-        ``index_probes`` / ``rows_scanned`` counters record.
+        fully-matching rows, so routing here never changes results —
+        only how many rows are touched, which the engine-level
+        ``seq_scans`` / ``index_probes`` / ``rows_scanned`` counters
+        record.  ``predicate`` is the compiled complete WHERE, given when
+        the statement's rows are exactly this table's (not one side of a
+        join): every candidate of every path is then tested on
+        ``version.values`` where it lies and only the survivors are
+        returned.  Without it the caller applies the WHERE to whatever
+        comes back.
 
         ``top`` is ``(column, ascending, count)`` when the caller's answer
         is the first ``count`` matching rows in that column's order (see
-        :meth:`_top_n`): a range walk over a unique index on exactly that
-        column then stops fetching after ``count`` rows that pass the
-        complete WHERE.  Any other path ignores it.
+        :func:`_top_shape`): a range walk over a unique index on exactly
+        that column then stops fetching after ``count`` rows that pass
+        the predicate (it comes with one) — the caller still sorts and
+        slices what comes back.  Any other path ignores it.
         """
         txn_id = session.txn.id if session.txn else None
         stats = self.engine.stats
         plan = (plan_table_access_cached(table, binding, where, ctx)
                 if self.engine.use_indexes else AccessPlan(SEQ_SCAN, table))
         self.last_access_paths.append(plan.describe())
+        row = {binding: None}      # the one row dict every candidate is tested in
         if plan.is_index:
             stats["index_probes"] += 1
             row_ids = set()
@@ -119,8 +144,7 @@ class Executor:
                                           dirty=dirty)
                 if version is not None:
                     versions.append(version)
-            return versions
-        if plan.kind == INDEX_RANGE:
+        elif plan.kind == INDEX_RANGE:
             stats["index_probes"] += 1
             index = plan.index
             positions, wanted = plan.keys, None
@@ -144,15 +168,28 @@ class Executor:
                     # other versions of it sit elsewhere in the slice
                     if version not in candidates:
                         continue
-                    if wanted is not None and not is_true(evaluate(
-                            where, ctx.child({binding: version.values}))):
-                        continue
+                    if wanted is not None:
+                        row[binding] = version.values
+                        value = predicate(row, ctx)
+                        if value is None or not value:
+                            continue
                     versions.append(version)
             stats["rows_scanned"] += scanned
-            return versions
-        stats["seq_scans"] += 1
-        stats["rows_scanned"] += table.logical_row_count()
-        return list(visible_rows(table, snapshot, txn_id, dirty=dirty))
+            if wanted is not None:
+                return versions
+        else:
+            stats["seq_scans"] += 1
+            stats["rows_scanned"] += table.logical_row_count()
+            versions = visible_rows(table, snapshot, txn_id, dirty=dirty)
+        if predicate is None:
+            return list(versions)
+        matches = []
+        for version in versions:
+            row[binding] = version.values
+            value = predicate(row, ctx)
+            if value is not None and value:
+                matches.append(version)
+        return matches
 
     # ------------------------------------------------------------------
     # dispatch
@@ -310,16 +347,26 @@ class Executor:
 
     def _run_select(self, session, statement: ast.SelectStatement,
                     outer_ctx: EvalContext) -> Result:
+        parts = self._compile_once(statement, _SelectParts)
         snapshot = self._read_snapshot(session)
         dirty = session.txn is not None and session.txn.isolation == READ_UNCOMMITTED
 
-        top = None if statement.limit is None \
-            else self._top_n(statement, outer_ctx)
+        predicate = parts.where
+        one_table = isinstance(statement.source, ast.TableRef)
+        top = parts.top
+        if top is not None:
+            # (column, ascending) becomes (column, ascending, LIMIT + OFFSET)
+            try:
+                top += (sum(self._row_count(expr, outer_ctx, "LIMIT / OFFSET")
+                            for expr in (statement.limit, statement.offset)
+                            if expr is not None),)
+            except SQLError:
+                top = None      # _apply_limit raises it
         source_rows, source_columns = self._build_source(
-            session, statement.source, snapshot, dirty, outer_ctx,
-            statement.where, top)
+            session, parts.conditions, statement.source, snapshot, dirty,
+            outer_ctx, statement.where, predicate if one_table else None, top)
 
-        if statement.for_update and isinstance(statement.source, ast.TableRef):
+        if statement.for_update and one_table:
             database_name, table = self._resolve_table(
                 session, statement.source.name, privilege="SELECT")
             txn = session.txn
@@ -328,26 +375,21 @@ class Executor:
                     txn.id, f"{database_name}.{table.name}".lower(),
                     LockMode.EXCLUSIVE)
 
-        if statement.where is not None:
+        if predicate is not None and not one_table:
             filtered = []
             for bindings in source_rows:
-                ctx = outer_ctx.child(bindings)
-                if is_true(evaluate(statement.where, ctx)):
+                value = predicate(bindings, outer_ctx)
+                if value is not None and value:
                     filtered.append(bindings)
             source_rows = filtered
 
-        has_aggregates = any(
-            _contains_aggregate(expr) for expr, _ in statement.columns
-        ) or (statement.having is not None and _contains_aggregate(statement.having))
-
-        grouped = bool(statement.group_by) or has_aggregates
         row_bindings: Optional[List[Dict]] = None
-        if grouped:
+        if parts.grouped:
             rows, columns = self._grouped_output(
-                session, statement, source_rows, outer_ctx)
+                statement, parts, source_rows, outer_ctx)
         else:
             rows, columns = self._plain_output(
-                session, statement, source_rows, source_columns, outer_ctx)
+                statement, parts, source_rows, source_columns, outer_ctx)
             row_bindings = source_rows
 
         if statement.distinct:
@@ -366,72 +408,24 @@ class Executor:
                 row_bindings = unique_bindings
 
         if statement.order_by:
-            rows = self._order_rows(statement, rows, columns, row_bindings,
-                                    outer_ctx)
+            rows = self._order_rows(statement, parts, rows, columns,
+                                    row_bindings, outer_ctx)
 
         rows = self._apply_limit(statement, rows, outer_ctx)
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
-    def _top_n(self, statement: ast.SelectStatement,
-               ctx: EvalContext) -> Optional[tuple]:
-        """For a statement with a LIMIT: ``(column, ascending, count)``
-        when its answer is provably the first ``count = LIMIT + OFFSET``
-        matching rows of its one table in ``column``'s order, else
-        ``None``.
-
-        That needs a single table source, no grouping, aggregate,
-        DISTINCT, HAVING or FOR UPDATE, and exactly one ORDER BY term
-        that is a bare column of the table — one ``_order_rows`` will
-        not resolve against a select-list alias of the same name
-        instead.  Only *fetching* stops early: the caller still filters,
-        sorts and slices what comes back."""
-        source = statement.source
-        if len(statement.order_by) != 1 \
-                or not isinstance(source, ast.TableRef) \
-                or statement.group_by or statement.distinct \
-                or statement.having is not None or statement.for_update:
-            return None
-        term, ascending = statement.order_by[0]
-        if not isinstance(term, ast.ColumnRef) \
-                or term.table_lower not in (None, source.binding):
-            return None
-        column = term.name_lower
-        for index, (expr, alias) in enumerate(statement.columns):
-            if _contains_aggregate(expr):
-                return None
-            if isinstance(expr, ast.Star):
-                continue
-            is_column = (isinstance(expr, ast.ColumnRef)
-                         and expr.name_lower == column
-                         and expr.table_lower in (None, source.binding))
-            if not is_column \
-                    and _output_name(index, expr, alias).lower() == column:
-                return None     # ORDER BY sorts by this output column
-        count = 0
-        for expr in (statement.limit, statement.offset):
-            if expr is None:
-                continue
-            if not isinstance(expr, (ast.Literal, ast.Param)):
-                return None
-            try:
-                value = evaluate(expr, ctx)
-            except SQLError:
-                return None     # _apply_limit raises it
-            if type(value) is not int or value < 0:
-                return None
-            count += value
-        return column, ascending, count
-
-    def _build_source(self, session, source, snapshot, dirty, outer_ctx,
-                      where=None, top=None):
+    def _build_source(self, session, conditions, source, snapshot, dirty,
+                      outer_ctx, where=None, predicate=None, top=None):
         """Returns (list of binding dicts, ordered [(binding, column_names)]).
 
         ``where`` is the enclosing statement's predicate, pushed down so
         table references can serve equality conjuncts from an index probe
-        and range conjuncts from an index range instead of a full scan;
-        the caller still applies the complete predicate to whatever comes
-        back.  ``top`` (see :meth:`_top_n`) is only ever passed for a
-        statement whose whole source is one table.
+        and range conjuncts from an index range instead of a full scan.
+        ``predicate`` (its compiled form) and ``top`` are only ever
+        passed for a statement whose whole source is one table: its rows
+        are filtered before they are copied.  In every other case the
+        caller still applies the complete predicate to whatever comes
+        back.
         """
         if source is None:
             return [{}], []
@@ -444,7 +438,7 @@ class Executor:
                 {binding: dict(version.values)}
                 for version in self._table_versions(
                     session, table, binding, where, snapshot, outer_ctx,
-                    dirty, top)
+                    dirty, top, predicate)
             ]
             if session.txn is not None:
                 session.txn.tables_read.add((database_name, table.name.lower()))
@@ -460,27 +454,28 @@ class Executor:
             ]
             return rows, [(binding, columns)]
         if isinstance(source, ast.Join):
-            return self._build_join(session, source, snapshot, dirty,
-                                    outer_ctx, where=where)
+            return self._build_join(session, conditions, source, snapshot,
+                                    dirty, outer_ctx, where=where)
         raise TypeError_(f"unsupported FROM clause {type(source).__name__}")
 
-    def _build_join(self, session, join: ast.Join, snapshot, dirty, outer_ctx,
-                    where=None):
+    def _build_join(self, session, conditions, join: ast.Join, snapshot,
+                    dirty, outer_ctx, where=None):
         # WHERE conjuncts push through joins: a conjunct binding one side's
         # columns restricts only rows the full predicate would reject
         # anyway (null-extended LEFT JOIN rows fail the conjunct too).
         left_rows, left_columns = self._build_source(
-            session, join.left, snapshot, dirty, outer_ctx, where=where)
+            session, conditions, join.left, snapshot, dirty, outer_ctx, where)
         right_rows, right_columns = self._build_source(
-            session, join.right, snapshot, dirty, outer_ctx, where=where)
+            session, conditions, join.right, snapshot, dirty, outer_ctx, where)
+        condition = conditions.get(id(join))
         combined: List[Dict[str, Dict]] = []
         for left in left_rows:
             matched = False
             for right in right_rows:
                 bindings = {**left, **right}
-                if join.condition is not None:
-                    ctx = outer_ctx.child(bindings)
-                    if not is_true(evaluate(join.condition, ctx)):
+                if condition is not None:
+                    value = condition(bindings, outer_ctx)
+                    if value is None or not value:
                         continue
                 matched = True
                 combined.append(bindings)
@@ -491,18 +486,18 @@ class Executor:
                 combined.append({**left, **null_right})
         return combined, left_columns + right_columns
 
-    def _plain_output(self, session, statement, source_rows, source_columns,
+    def _plain_output(self, statement, parts, source_rows, source_columns,
                       outer_ctx):
         columns = self._output_column_names(statement, source_columns)
         rows = []
         for bindings in source_rows:
-            ctx = outer_ctx.child(bindings)
             row = []
-            for expr, _alias in statement.columns:
-                if isinstance(expr, ast.Star):
+            for closure, (expr, _alias) in zip(parts.columns,
+                                               statement.columns):
+                if closure is None:
                     row.extend(self._expand_star(expr, bindings, source_columns))
                 else:
-                    row.append(evaluate(expr, ctx))
+                    row.append(closure(bindings, outer_ctx))
             rows.append(tuple(row))
         return rows, columns
 
@@ -527,102 +522,46 @@ class Executor:
                 names.append(_output_name(index, expr, alias))
         return names
 
-    def _grouped_output(self, session, statement, source_rows, outer_ctx):
+    def _grouped_output(self, statement, parts, source_rows, outer_ctx):
         groups: Dict[tuple, List[Dict]] = {}
         order: List[tuple] = []
-        if statement.group_by:
+        keys = parts.group_by
+        if keys:
             for bindings in source_rows:
-                ctx = outer_ctx.child(bindings)
-                key = tuple(
-                    sort_key(evaluate(expr, ctx)) for expr in statement.group_by)
-                if key not in groups:
-                    groups[key] = []
+                key = tuple([sort_key(key_of(bindings, outer_ctx))
+                             for key_of in keys])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = []
                     order.append(key)
-                groups[key].append(bindings)
+                group.append(bindings)
         else:
             # implicit single group (aggregate without GROUP BY)
             groups[()] = list(source_rows)
             order.append(())
 
         columns = self._output_column_names(statement, [])
+        having = parts.having
         rows = []
         for key in order:
             group_rows = groups[key]
-            if statement.having is not None:
-                value = self._eval_aggregate_expr(
-                    statement.having, group_rows, outer_ctx)
-                if not is_true(value):
+            if having is not None:
+                value = having(group_rows, outer_ctx)
+                if value is None or not value:
                     continue
-            row = []
-            for expr, _alias in statement.columns:
-                if isinstance(expr, ast.Star):
-                    raise TypeError_("'*' not allowed with GROUP BY")
-                row.append(self._eval_aggregate_expr(expr, group_rows, outer_ctx))
-            rows.append(tuple(row))
+            rows.append(tuple([output(group_rows, outer_ctx)
+                               for output in parts.columns]))
         return rows, columns
 
-    def _eval_aggregate_expr(self, expr, group_rows, outer_ctx):
-        """Evaluate an expression that may contain aggregate calls, over a
-        group of rows.  Non-aggregate parts are evaluated on the first row
-        of the group (they should be group-by expressions)."""
-        if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-            return self._compute_aggregate(expr, group_rows, outer_ctx)
-        if isinstance(expr, ast.BinaryOp):
-            left = self._eval_aggregate_expr(expr.left, group_rows, outer_ctx)
-            right = self._eval_aggregate_expr(expr.right, group_rows, outer_ctx)
-            clone = ast.BinaryOp(expr.op, ast.Literal(left), ast.Literal(right))
-            return evaluate(clone, outer_ctx.child(group_rows[0] if group_rows else {}))
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._eval_aggregate_expr(expr.operand, group_rows, outer_ctx)
-            clone = ast.UnaryOp(expr.op, ast.Literal(operand))
-            return evaluate(clone, outer_ctx.child(group_rows[0] if group_rows else {}))
-        if not group_rows:
-            return None
-        return evaluate(expr, outer_ctx.child(group_rows[0]))
-
-    def _compute_aggregate(self, call: ast.FunctionCall, group_rows, outer_ctx):
-        name = call.name
-        if name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star)):
-            return len(group_rows)
-        if not call.args:
-            raise TypeError_(f"{name}() needs an argument")
-        values = []
-        for bindings in group_rows:
-            ctx = outer_ctx.child(bindings)
-            value = evaluate(call.args[0], ctx)
-            if value is not None:
-                values.append(value)
-        if call.distinct:
-            seen = set()
-            distinct_values = []
-            for value in values:
-                key = sort_key(value)
-                if key not in seen:
-                    seen.add(key)
-                    distinct_values.append(value)
-            values = distinct_values
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
-        if name == "MIN":
-            return min(values, key=sort_key)
-        if name == "MAX":
-            return max(values, key=sort_key)
-        raise TypeError_(f"unknown aggregate {name}")
-
-    def _order_rows(self, statement, rows, columns, row_bindings, outer_ctx):
+    def _order_rows(self, statement, parts, rows, columns, row_bindings,
+                    outer_ctx):
         """Sort output rows.  When source bindings are available (plain
         queries), ORDER BY expressions may reference source columns that
         were not projected; otherwise they resolve against the output."""
         lowered = [c.lower() for c in columns]
         indexed = list(range(len(rows)))
 
-        def value_for(index, expr):
+        def value_for(index, expr, closure):
             row = rows[index]
             # alias / output column name
             if isinstance(expr, ast.ColumnRef) and expr.table is None:
@@ -635,33 +574,42 @@ class Executor:
                 if 0 <= ordinal < len(row):
                     return row[ordinal]
             if row_bindings is not None:
-                ctx = outer_ctx.child(row_bindings[index])
                 try:
-                    return evaluate(expr, ctx)
-                except SQLError:
-                    pass
-            bindings = {"__out__": dict(zip(lowered, row))}
-            ctx = outer_ctx.child(bindings)
+                    return closure(row_bindings[index], outer_ctx)
+                except NameError_:
+                    pass    # not a source column: an output column, then
             try:
-                return evaluate(expr, ctx)
-            except SQLError:
+                return closure({"__out__": dict(zip(lowered, row))},
+                               outer_ctx)
+            except NameError_:
                 return None
 
         # Stable multi-key sort: apply keys from last to first.
-        for expr, ascending in reversed(statement.order_by):
+        for (expr, ascending), closure in reversed(
+                list(zip(statement.order_by, parts.order_by))):
             indexed = sorted(
                 indexed,
-                key=lambda i: sort_key(value_for(i, expr)),
+                key=lambda i: sort_key(value_for(i, expr, closure)),
                 reverse=not ascending,
             )
         return [rows[i] for i in indexed]
 
+    def _row_count(self, expr, ctx, clause: str) -> int:
+        """The value of a LIMIT / OFFSET expression: a non-negative
+        integer or a typed error — never a slice that quietly means
+        something else."""
+        value = evaluate(expr, ctx)
+        if type(value) is not int or value < 0:
+            raise TypeError_(
+                f"{clause} needs a non-negative integer, got {value!r}")
+        return value
+
     def _apply_limit(self, statement, rows, outer_ctx):
         offset = 0
         if statement.offset is not None:
-            offset = int(evaluate(statement.offset, outer_ctx))
+            offset = self._row_count(statement.offset, outer_ctx, "OFFSET")
         if statement.limit is not None:
-            limit = int(evaluate(statement.limit, outer_ctx))
+            limit = self._row_count(statement.limit, outer_ctx, "LIMIT")
             return rows[offset:offset + limit]
         if offset:
             return rows[offset:]
@@ -774,10 +722,7 @@ class Executor:
             select_result = self._run_select(session, statement.select, ctx)
             value_rows = [list(row) for row in select_result.rows]
         else:
-            value_rows = [
-                [evaluate(expr, ctx) for expr in row]
-                for row in statement.rows
-            ]
+            value_rows = [evaluate_each(row, ctx) for row in statement.rows]
 
         column_names = statement.columns or table.column_names
         if any(not table.has_column(c) for c in column_names):
@@ -802,7 +747,6 @@ class Executor:
     def _insert_row(self, session, database_name: str, table: Table,
                     row: Dict[str, Any]) -> Optional[int]:
         txn = session.txn
-        ctx = EvalContext(self, session)
         lastrowid = None
         # defaults + auto increment (auto counters survive rollback: 4.2.3)
         for column in table.columns:
@@ -815,7 +759,9 @@ class Executor:
                         txn.auto_increment_effects.append(
                             (database_name, table.name, row[key]))
                 elif column.default is not None and key not in row:
-                    row[key] = evaluate(column.default, ctx)
+                    default = self._compile_once(column.default,
+                                                 compile_expression)
+                    row[key] = default(NO_ROW, EvalContext(self, session))
             elif column.auto_increment and row.get(key) is not None:
                 table.bump_auto_value(key, int(row[key]))
                 lastrowid = row[key]
@@ -889,21 +835,22 @@ class Executor:
         txn_id = txn.id if txn is not None else 0
         snapshot = self._read_snapshot(session)
         binding = statement.table.name.lower()
+        predicate, assignments = self._compile_once(statement, _write_parts)
 
-        targets = self._matching_versions(
-            session, table, binding, statement.where, snapshot, ctx)
+        targets = self._table_versions(
+            session, table, binding, statement.where, snapshot, ctx,
+            predicate=predicate)
 
         updated = 0
         for version in targets:
             self._check_write_conflict(session, database_name, table, version)
             old_values = dict(version.values)
             bindings = {binding: old_values}
-            row_ctx = ctx.with_bindings(bindings)
             new_values = dict(old_values)
-            for column_name, expr in statement.assignments:
+            for column_name, value_of in assignments:
                 column = table.column(column_name)
                 new_values[column.name.lower()] = coerce(
-                    evaluate(expr, row_ctx), column.type)
+                    value_of(bindings, ctx), column.type)
             table.check_not_null(new_values)
             self._check_unique(session, database_name, table, new_values,
                                exclude_row_id=version.row_id)
@@ -943,9 +890,11 @@ class Executor:
         txn_id = txn.id if txn is not None else 0
         snapshot = self._read_snapshot(session)
         binding = statement.table.name.lower()
+        predicate, _ = self._compile_once(statement, _write_parts)
 
-        targets = self._matching_versions(
-            session, table, binding, statement.where, snapshot, ctx)
+        targets = self._table_versions(
+            session, table, binding, statement.where, snapshot, ctx,
+            predicate=predicate)
 
         deleted = 0
         for version in targets:
@@ -976,19 +925,6 @@ class Executor:
             old_version.deleted_ts = ts
         if new_version is not None:
             new_version.created_ts = ts
-
-    def _matching_versions(self, session, table: Table, binding: str,
-                           where, snapshot, ctx) -> List[RowVersion]:
-        candidates = self._table_versions(
-            session, table, binding, where, snapshot, ctx)
-        matches = []
-        for version in candidates:
-            if where is not None:
-                row_ctx = ctx.with_bindings({binding: dict(version.values)})
-                if not is_true(evaluate(where, row_ctx)):
-                    continue
-            matches.append(version)
-        return matches
 
     def _check_write_conflict(self, session, database_name: str,
                               table: Table, version: RowVersion) -> None:
@@ -1258,7 +1194,7 @@ class Executor:
                               procedure.name)
         ctx = EvalContext(self, session, params=params,
                           variables=variables or {})
-        args = [evaluate(arg, ctx) for arg in statement.args]
+        args = evaluate_each(statement.args, ctx)
         if len(args) != len(procedure.params):
             raise TypeError_(
                 f"procedure {procedure.name!r} takes {len(procedure.params)} "
@@ -1287,6 +1223,170 @@ class Executor:
         return Result()
 
 
+# -- what a statement compiles to ----------------------------------------------
+#
+# Built once per tree (``Executor._compile_once``) from nothing but the tree:
+# closures ``fn(row_bindings, ctx)`` for everything evaluated per row, and
+# the shape facts that used to be re-derived per execution.
+
+
+class _SelectParts:
+    """One SELECT tree, compiled.
+
+    ``where`` and each ``order_by`` / ``group_by`` entry are row closures;
+    ``columns`` holds one row closure per select-list item (``None`` for
+    a ``*``) or, when ``grouped``, one group closure ``fn(group_rows,
+    ctx)``, as is ``having``; ``conditions`` maps ``id(join)`` to the
+    join's compiled ON clause; ``top`` is :func:`_top_shape`."""
+
+    __slots__ = ("where", "grouped", "columns", "group_by", "having",
+                 "order_by", "conditions", "top")
+
+    def __init__(self, statement: ast.SelectStatement):
+        source = statement.source
+        # rows of a one-table source carry that one binding, so
+        # unqualified names can be bound to it now
+        binding = source.binding if isinstance(
+            source, (ast.TableRef, ast.SubquerySource)) else None
+        self.grouped = bool(statement.group_by) or _contains_aggregate(
+            [statement.columns, statement.having])
+        compiled = _group_closure if self.grouped else compile_expression
+        self.columns = [
+            None if isinstance(expr, ast.Star) and not self.grouped
+            else compiled(expr, binding) for expr, _alias in statement.columns]
+        self.where = None if statement.where is None \
+            else compile_expression(statement.where, binding)
+        self.having = None if statement.having is None \
+            else compiled(statement.having, binding)
+        self.group_by = [compile_expression(expr, binding)
+                         for expr in statement.group_by]
+        self.order_by = [compile_expression(expr, binding)
+                         for expr, _ascending in statement.order_by]
+        self.conditions: Dict[int, Any] = {}
+        pending = [source]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.Join):
+                if node.condition is not None:
+                    self.conditions[id(node)] = compile_expression(
+                        node.condition)
+                pending += (node.left, node.right)
+        self.top = _top_shape(statement)
+
+
+def _top_shape(statement: ast.SelectStatement) -> Optional[tuple]:
+    """``(column, ascending)`` when the statement's answer is the first
+    LIMIT + OFFSET matching rows of its one table in ``column``'s order,
+    whatever the two values turn out to be; else ``None``.
+
+    That needs a single table source, no grouping, aggregate, DISTINCT,
+    HAVING or FOR UPDATE, a literal or bound LIMIT, and exactly one
+    ORDER BY term that is a bare column of the table — one
+    ``_order_rows`` will not resolve against a select-list alias of the
+    same name instead."""
+    source = statement.source
+    if statement.limit is None or len(statement.order_by) != 1 \
+            or not isinstance(source, ast.TableRef) \
+            or statement.group_by or statement.distinct \
+            or statement.having is not None or statement.for_update:
+        return None
+    term, ascending = statement.order_by[0]
+    if not isinstance(term, ast.ColumnRef) \
+            or term.table_lower not in (None, source.binding):
+        return None
+    column = term.name_lower
+    for index, (expr, alias) in enumerate(statement.columns):
+        if _contains_aggregate(expr):
+            return None
+        if isinstance(expr, ast.Star):
+            continue
+        is_column = (isinstance(expr, ast.ColumnRef)
+                     and expr.name_lower == column
+                     and expr.table_lower in (None, source.binding))
+        if not is_column \
+                and _output_name(index, expr, alias).lower() == column:
+            return None     # ORDER BY sorts by this output column
+    for expr in (statement.limit, statement.offset):
+        if expr is not None and not isinstance(expr, (ast.Literal, ast.Param)):
+            return None
+    return column, ascending
+
+
+def _write_parts(statement) -> tuple:
+    """``(predicate or None, [(column name, value closure)])`` of an
+    UPDATE or a DELETE (which assigns nothing)."""
+    binding = statement.table.name.lower()
+    predicate = None if statement.where is None \
+        else compile_expression(statement.where, binding)
+    assignments = [(name, compile_expression(expr, binding))
+                   for name, expr in (
+                       statement.assignments
+                       if isinstance(statement, ast.UpdateStatement) else ())]
+    return predicate, assignments
+
+
+def _group_closure(expr, binding):
+    """``fn(group_rows, ctx)`` for a select-list or HAVING expression
+    that may contain aggregate calls.  Operators combine the closures of
+    their operands; non-aggregate parts are evaluated on the first row of
+    the group (they should be group-by expressions)."""
+    if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
+        return _aggregate_closure(expr, binding)
+    if isinstance(expr, ast.BinaryOp):
+        return combine_binary(expr.op, _group_closure(expr.left, binding),
+                              _group_closure(expr.right, binding))
+    if isinstance(expr, ast.UnaryOp):
+        return combine_unary(expr.op, _group_closure(expr.operand, binding))
+    if isinstance(expr, ast.Star):
+        return raising("'*' not allowed with GROUP BY")
+    first_row = compile_expression(expr, binding)
+    return lambda group_rows, ctx: \
+        first_row(group_rows[0], ctx) if group_rows else None
+
+
+def _aggregate_closure(call: ast.FunctionCall, binding):
+    name = call.name
+    if name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star)):
+        return lambda group_rows, ctx: len(group_rows)
+    if not call.args:
+        return raising(f"{name}() needs an argument")
+    argument = compile_expression(call.args[0], binding)
+    distinct = call.distinct
+
+    def aggregate(group_rows, ctx):
+        values = [value for value in
+                  [argument(bindings, ctx) for bindings in group_rows]
+                  if value is not None]
+        if distinct:
+            seen = set()
+            distinct_values = []
+            for value in values:
+                key = sort_key(value)
+                if key not in seen:
+                    seen.add(key)
+                    distinct_values.append(value)
+            values = distinct_values
+        if name == "COUNT":
+            return len(values)
+        if not values:
+            return None
+        try:
+            if name == "SUM":
+                return sum(values)
+            if name == "AVG":
+                return sum(values) / len(values)
+        except TypeError as exc:
+            kinds = sorted({type(value).__name__ for value in values})
+            raise TypeError_(f"{name}() needs numbers, got "
+                             f"{', '.join(kinds)}") from exc
+        if name == "MIN":
+            return min(values, key=sort_key)
+        if name == "MAX":
+            return max(values, key=sort_key)
+        raise TypeError_(f"unknown aggregate {name}")
+    return aggregate
+
+
 def _output_name(index: int, expr, alias: Optional[str]) -> str:
     """The result-column name of one non-``*`` select-list item."""
     if alias:
@@ -1297,27 +1397,13 @@ def _output_name(index: int, expr, alias: Optional[str]) -> str:
 
 
 def _contains_aggregate(expr) -> bool:
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(_contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Case):
-        for condition, result in expr.whens:
-            if _contains_aggregate(condition) or _contains_aggregate(result):
-                return True
-        return expr.default is not None and _contains_aggregate(expr.default)
-    if isinstance(expr, (ast.InList,)):
-        if _contains_aggregate(expr.expr):
-            return True
-        return any(_contains_aggregate(i) for i in expr.items or [])
-    if isinstance(expr, ast.Between):
-        return any(_contains_aggregate(e) for e in (expr.expr, expr.low, expr.high))
-    if isinstance(expr, ast.IsNull):
-        return _contains_aggregate(expr.expr)
-    if isinstance(expr, ast.Like):
-        return _contains_aggregate(expr.expr) or _contains_aggregate(expr.pattern)
-    return False
+    """Whether an aggregate call sits anywhere in ``expr`` — subqueries
+    are statements of their own and are not looked into."""
+    if isinstance(expr, (list, tuple)):
+        return any(_contains_aggregate(item) for item in expr)
+    if not isinstance(expr, ast.Expression):
+        return False
+    if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
+        return True
+    return any(_contains_aggregate(getattr(expr, slot))
+               for slot in expr.__slots__)

@@ -71,11 +71,19 @@ def version_visible_dirty(version: RowVersion) -> bool:
 def visible_rows(table: Table, snapshot: Snapshot,
                  txn_id: Optional[int],
                  dirty: bool = False) -> Iterable[RowVersion]:
-    """Yield the visible version of every logical row in ``table``."""
-    for row_id in list(table._rows.keys()):
-        version = visible_version(table, row_id, snapshot, txn_id, dirty=dirty)
-        if version is not None:
-            yield version
+    """Yield the visible version of every logical row in ``table``.  A
+    chain of one version — every row nobody has updated since the last
+    vacuum — is answered by the visibility test alone: with nothing to
+    rank it against, :func:`visible_version` would return it or None."""
+    for row_id, chain in list(table._rows.items()):
+        if len(chain) > 1:
+            version = visible_version(table, row_id, snapshot, txn_id,
+                                      dirty=dirty)
+            if version is not None:
+                yield version
+        elif version_visible_dirty(chain[0]) if dirty \
+                else version_visible(chain[0], snapshot, txn_id):
+            yield chain[0]
 
 
 def visible_version(table: Table, row_id: int, snapshot: Snapshot,

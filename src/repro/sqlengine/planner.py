@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from . import ast_nodes as ast
 from .errors import SQLError
+from .expressions import NO_ROW, compile_expression, evaluate
 from .storage import IndexDef, Table
 from .types import ColumnType, coerce, is_numeric
 
@@ -155,7 +156,6 @@ def _choose_index(table: Table,
 
 def evaluate_value(expr: ast.Expression, ctx):
     """Evaluate a row-independent value expression at plan time."""
-    from .expressions import evaluate
     return evaluate(expr, ctx)
 
 
@@ -170,26 +170,26 @@ def evaluate_value(expr: ast.Expression, ctx):
 
 class _ProbeShape:
     """The schema-dependent half of an index-probe plan: the chosen index
-    and, per key column, the candidate value expressions plus the column
-    type their values coerce to."""
+    and, per key column, the compiled candidate value expressions plus
+    the column type their values coerce to."""
 
     __slots__ = ("index", "columns")
 
     def __init__(self, index: IndexDef,
                  columns: List[tuple]):
         self.index = index
-        self.columns = columns  # [(exprs, column_type)] per key column
+        self.columns = columns  # [(closures, column_type)] per key column
 
     def plan(self, table: Table, ctx) -> AccessPlan:
         """This execution's probe keys: an uncoercible value falls back
         to a scan, NULL keys are dropped (``col = NULL`` / ``col IN (...,
         NULL)`` never matches, so the probe stays a superset)."""
         per_column_values: List[List[Any]] = []
-        for exprs, column_type in self.columns:
+        for value_closures, column_type in self.columns:
             values = []
-            for expr in exprs:
+            for value_of in value_closures:
                 try:
-                    value = coerce(evaluate_value(expr, ctx), column_type)
+                    value = coerce(value_of(NO_ROW, ctx), column_type)
                 except SQLError:
                     return AccessPlan(SEQ_SCAN, table)
                 if value is not None:
@@ -205,8 +205,8 @@ class _ProbeShape:
 
 class _RangeShape:
     """The schema-dependent half of an index-range plan: a single-column
-    index, the kinds of value its keys order against, and the bound
-    expressions on either side, each with the ``after`` flag
+    index, the kinds of value its keys order against, and the compiled
+    bound expressions on either side, each with the ``after`` flag
     :meth:`IndexDef.position` takes (``col > v`` starts after ``v``,
     ``col <= v`` stops after it)."""
 
@@ -216,7 +216,7 @@ class _RangeShape:
                  lows: List[tuple], highs: List[tuple]):
         self.index = index
         self.kinds = kinds
-        self.lows = lows        # [(expr, after)]
+        self.lows = lows        # [(closure, after)]
         self.highs = highs
 
     def plan(self, table: Table, ctx) -> AccessPlan:
@@ -230,9 +230,9 @@ class _RangeShape:
             return AccessPlan(SEQ_SCAN, table)
         start, stop = 0, len(index.ordered)
         for bounds, is_low in ((self.lows, True), (self.highs, False)):
-            for expr, after in bounds:
+            for value_of, after in bounds:
                 try:
-                    value = evaluate_value(expr, ctx)
+                    value = value_of(NO_ROW, ctx)
                 except SQLError:
                     return AccessPlan(SEQ_SCAN, table)
                 if value is None:
@@ -313,7 +313,8 @@ def _compile_probe(table: Table, binding: str,
         total *= len(exprs)
         if total > _MAX_PROBE_KEYS:
             return None
-        columns.append((exprs, table.column(column).type))
+        columns.append(([compile_expression(expr) for expr in exprs],
+                        table.column(column).type))
     return _ProbeShape(index, columns)
 
 
@@ -380,7 +381,10 @@ def _compile_range(table: Table, binding: str,
             continue
         rank = (bool(lows and highs), index.unique)
         if best_rank is None or rank > best_rank:
-            best, best_rank = _RangeShape(index, kinds, lows, highs), rank
+            best_rank = rank
+            best = _RangeShape(index, kinds, *(
+                [(compile_expression(expr), after) for expr, after in bounds]
+                for bounds in (lows, highs)))
     return best
 
 

@@ -66,6 +66,7 @@ def sizes(cluster):
                                              watermark)
             memos[f"{replica.name}.access_shapes"] = \
                 engine.database("shop").table("kv").access_shapes
+            memos[f"{replica.name}.compiled"] = engine.executor.compiled
     for name, memo in memos.items():
         out[f"memo.{name}"] = (len(memo), memo.capacity)
     for name, tracer in tracers.items():

@@ -205,6 +205,12 @@ def shape_memos(cluster):
             for group in cluster.groups for replica in group.replicas]
 
 
+def compiled_memos(cluster):
+    """The compiled-statement memo of every engine."""
+    return [replica.engine.executor.compiled
+            for group in cluster.groups for replica in group.replicas]
+
+
 def memos(cluster):
     """``[route plans, analyses, *access shapes]``."""
     return [cluster.route_plans, analysis.analyses, *shape_memos(cluster)]
@@ -227,7 +233,8 @@ def test_one_shape_is_one_entry_in_every_memo():
     analysis.analyses.clear()
     cluster.route_plans.clear()
     shapes = shape_memos(cluster)
-    for memo in shapes:
+    compiled = compiled_memos(cluster)
+    for memo in shapes + compiled:
         memo.clear()
     routes, analyses = cluster.route_plans, analysis.analyses
     cache = cluster.statements
@@ -235,6 +242,7 @@ def test_one_shape_is_one_entry_in_every_memo():
 
     hits, misses = cache.hits, cache.misses
     before = counters(memos(cluster))
+    compiled_before = counters(compiled)
     for n in range(1000):
         session.execute("SELECT s FROM kv WHERE k = ?", [n % ROWS])
     assert (cache.hits - hits, cache.misses - misses) == (999, 1)
@@ -246,6 +254,10 @@ def test_one_shape_is_one_entry_in_every_memo():
     plans = sum(len(memo) for memo in shapes)
     assert 1 <= plans <= 4 and max(len(memo) for memo in shapes) == 1
     assert counted_since(shapes, before[2:]) == (1000 - plans, plans, 0)
+    # and its closures were built once per engine that ran it
+    assert [len(memo) for memo in compiled] == [len(memo) for memo in shapes]
+    assert counted_since(compiled, compiled_before) \
+        == (1000 - plans, plans, 0)
 
     hits, misses = cache.hits, cache.misses
     for n in range(1000):
