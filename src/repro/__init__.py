@@ -4,7 +4,8 @@ A full reproduction of Cecchet, Candea & Ailamaki, "Middleware-based
 Database Replication: The Gaps Between Theory and Practice" (SIGMOD 2008):
 the replication middleware itself (statement and writeset replication,
 pluggable consistency, load balancing, failover/failback, recovery log,
-partitioning, WAN multi-site), the RDBMS substrate it runs on, a
+WAN multi-site), the shard tier that partitions data across replication
+groups (``repro.shard``, Figure 2), the RDBMS substrate it runs on, a
 deterministic cluster simulator for timing/availability experiments, OLTP
 workload generators, and the paper's proposed evaluation metrics.
 

@@ -466,7 +466,7 @@ class ChaosRun:
                     # promotion, and a commit that never reached prepare
                     # is provably un-applied — so keep retrying.
                     if ambiguous and is_write \
-                            and self.middleware.commit_ledger is not None:
+                            and self.middleware.ha is not None:
                         ambiguous = False
                     if resilience is None or ambiguous:
                         self._resolve(record, ok=False,
@@ -553,9 +553,9 @@ class ChaosRun:
         return f"req{record.id}"
 
     def _ledger_committed(self, record: RequestRecord) -> bool:
-        ledger = self.middleware.commit_ledger
-        return (ledger is not None
-                and ledger.committed(self._txn_key(record)))
+        ha = self.middleware.ha
+        return (ha is not None
+                and ha.ledger.committed(self._txn_key(record)))
 
     def _abort_quietly(self, session) -> None:
         if session is None or session.closed:

@@ -242,8 +242,8 @@ class TimedCluster:
                                + self.cost.middleware_cost())
         # the middleware's own statement cache: key-bearing point
         # statements share one parsed (and, by identity, analyzed) template
-        statements, sql, params = middleware.statements.lookup(sql, params)
-        for statement in statements:
+        for statement, sql, params in middleware.statements.script(
+                sql, params):
             if isinstance(statement, (ast.BeginStatement,
                                       ast.RollbackStatement)):
                 session.execute_one_parsed(statement, sql, params)
@@ -342,16 +342,20 @@ class TimedCluster:
             yield self.env.all_of(tasks)
         yield self.env.timeout(self.ACK_PROCESSING * len(online))
 
+    def _coordinator_replicated(self) -> bool:
+        """A replicated certifier and HA state shipping (repro.ha) both
+        add one synchronous coordinator round-trip to every commit —
+        the price of losing nothing on failover (E09 / E26)."""
+        middleware = self.middleware
+        ha = middleware.ha
+        return middleware.certifier.replicated \
+            or (ha is not None and ha.standby_name is not None)
+
     def _charge_writeset_commit(self, local):
         """Certification round, pending-prefix catch-up, local commit IO,
         and (under synchronous propagation) the remote applies."""
         middleware = self.middleware
-        # A replicated certifier and HA state shipping (repro.ha) both
-        # add one synchronous coordinator round-trip to every commit —
-        # the price of losing nothing on failover (E09 / E26).
-        replicated = (middleware.certifier.replicated
-                      or middleware.state_shipper is not None)
-        certification_rounds = 2 if replicated else 1
+        certification_rounds = 2 if self._coordinator_replicated() else 1
         yield from self._charge_certification(
             self.ordering_delay * certification_rounds
             + self.cost.certification)
@@ -442,9 +446,7 @@ class TimedCluster:
         middleware = self.middleware
         cost = self.cost
         members = gather.members
-        replicated = (middleware.certifier.replicated
-                      or middleware.state_shipper is not None)
-        certification_rounds = 2 if replicated else 1
+        certification_rounds = 2 if self._coordinator_replicated() else 1
         yield from self._charge_certification(
             self.ordering_delay * certification_rounds
             + cost.certification
@@ -911,8 +913,8 @@ class TimedShardedCluster:
     def _timed_statement(self, session, sql: str, params: list):
         yield self.env.timeout(self.client_latency
                                + self.cost.middleware_cost())
-        statements, sql, params = self.cluster.statements.lookup(sql, params)
-        for statement in statements:
+        for statement, sql, params in self.cluster.statements.script(
+                sql, params):
             if isinstance(statement, (ast.BeginStatement,
                                       ast.RollbackStatement)):
                 session.execute_one_parsed(statement, sql, params)

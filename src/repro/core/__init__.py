@@ -45,10 +45,6 @@ from .loadbalancer import (
 from .management import ClusterManager, ManagementReport
 from .middleware import MiddlewareConfig, MiddlewareSession, ReplicationMiddleware
 from .monitoring import Monitor, MonitorEvent
-from .partitioning import (
-    HashPartitioner, ListPartitioner, PartitionedCluster, PartitionedSession,
-    PartitionedTable, Partitioner, RangePartitioner,
-)
 from .quorum import QuorumGuard, ReconciliationReport, Reconciler, RowDifference
 from .recoverylog import RecoveryLog, RecoveryLogEntry
 from .replica import ApplyItem, Replica, ReplicaState
@@ -77,18 +73,17 @@ __all__ = [
     "DriverInterception",
     "EngineInterception", "EventualConsistency", "FailoverManager",
     "FailoverReport", "GeneralizedSnapshotIsolation",
-    "GroupCommitCoordinator", "HashPartitioner",
-    "InterceptionDesign", "LeastPendingPolicy", "ListPartitioner",
+    "GroupCommitCoordinator",
+    "InterceptionDesign", "LeastPendingPolicy",
     "LoadBalancer", "LogTruncatedError", "ManagementReport",
     "MemoryAwarePolicy",
     "MiddlewareConfig", "MiddlewareDown", "MiddlewareError",
     "MiddlewareSession", "Monitor", "MonitorEvent", "MultiPool",
     "NoReplicaAvailable", "OneCopySerializability", "Overloaded",
     "POLICIES", "PROTOCOLS",
-    "PartitionedCluster", "PartitionedSession", "PartitionedTable",
-    "Partitioner", "Policy", "PrefixConsistentSnapshotIsolation",
+    "Policy", "PrefixConsistentSnapshotIsolation",
     "ProtocolProxyInterception", "QuorumGuard", "QuorumLost", "RandomPolicy",
-    "RangePartitioner", "ReadCommitted", "ReconciliationReport",
+    "ReadCommitted", "ReconciliationReport",
     "Reconciler", "RecoveryLog", "RecoveryLogEntry", "Replica",
     "ReplicaState", "ReplicaUnavailable",
     "ReplicatedSnapshotIsolationPrimaryCopy", "ReplicationMiddleware",

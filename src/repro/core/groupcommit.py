@@ -296,12 +296,9 @@ class GroupCommitCoordinator:
         decision) or at sequencing time (statement mode, where the
         replicas committed first)."""
         request.seq = seq
-        middleware = self.middleware
-        if middleware.commit_ledger is not None \
-                and request.txn_id is not None:
-            middleware.commit_ledger.prepare(request.txn_id, seq)
-        if middleware.state_shipper is not None:
-            middleware.state_shipper.ship_prepare(request)
+        ha = self.middleware.ha
+        if ha is not None:
+            ha.prepare(request)
 
     def _harden(self, request: CommitRequest) -> None:
         """Stages 3-4: durable on the replicas that hold the unit, then
@@ -400,8 +397,8 @@ class GroupCommitCoordinator:
             return
         middleware.stats["log_truncated"] += log.purge_before(cut)
         middleware.stats["certifier_pruned"] += certifier.prune(cut)
-        if middleware.state_shipper is not None:
-            middleware.state_shipper.ship_truncate(cut)
+        if middleware.ha is not None:
+            middleware.ha.truncate(cut)
         for replica in middleware.replicas:
             binlog = replica.engine.binlog
             binlog.truncate_before(binlog.head_sequence - half)
@@ -425,18 +422,9 @@ class GroupCommitCoordinator:
         ship the session token.  Always precedes the client
         acknowledgement, so an acked commit can never be lost by a
         promotion (RPO = 0)."""
-        middleware = self.middleware
-        shipper = middleware.state_shipper
-        if request.noop:
-            if shipper is not None:
-                shipper.ship_resolve_noop(request)
-            return
-        if middleware.commit_ledger is not None \
-                and request.txn_id is not None:
-            middleware.commit_ledger.mark_committed(request.txn_id,
-                                                    request.seq)
-        if shipper is not None:
-            shipper.ship_ack(request)
+        ha = self.middleware.ha
+        if ha is not None:
+            ha.acknowledge(request)
 
     # ------------------------------------------------------------------
     # internals

@@ -7,8 +7,7 @@ of a cached statement, so they are answered once: the compilers here
 return a :data:`KeyPlan` — a closure over the parameter slots that
 yields the pinned values for one execution's bound parameters — or
 ``None`` when the statement never pins.  The shard router memoizes the
-plan per statement; ``core.partitioning`` and ``core.wan`` compile per
-call.
+plan per statement; ``core.wan`` compiles per call.
 
 A ``WHERE`` clause that fixes no values may still *bound* the key:
 :func:`compile_range_plan` returns a :data:`RangePlan` yielding a closed

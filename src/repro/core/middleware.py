@@ -53,7 +53,7 @@ from .consistency import ClusterView, ConsistencyProtocol, SessionView
 from .consistency.gsi import GeneralizedSnapshotIsolation
 from .consistency.one_sr import OneCopySerializability
 from .errors import (
-    ClusterDivergence, FencedOut, MiddlewareDown, ReplicaUnavailable,
+    ClusterDivergence, MiddlewareDown, ReplicaUnavailable,
     UnsupportedStatementError,
 )
 from .groupcommit import CommitRequest, GroupCommitCoordinator
@@ -199,18 +199,13 @@ class ReplicationMiddleware:
         # Hook used by the timed driver to wake per-replica apply workers
         # when asynchronous propagation enqueues work.
         self.on_apply_enqueued = None
-        # HA hooks (repro.ha).  An attached StateShipper mirrors every
-        # commit into a standby before the client ack; the shared fence +
-        # this instance's epoch refuse a deposed leader (split-brain
-        # guard); the commit ledger records client-transaction outcomes
-        # so a post-failover replay is exactly-once.  All are plain
-        # attributes set by repro.ha.HAPair — no import cycle.
-        self.state_shipper = None
-        self.commit_ledger = None
-        self.fence = None
-        self.epoch = 0
-        self.standby_mode = False
-        self.failover_target: Optional[str] = None
+        # The HA link (repro.ha.link.HALink): None outside a pair.  Set
+        # once by repro.ha.HAPair, which this package never imports; it
+        # says whether this instance may serve (role, fence + epoch: a
+        # deposed leader is refused) and runs the pair's half of the
+        # commit pipeline (ledger + state shipping: a post-failover
+        # replay is exactly-once, an acked commit is never lost).
+        self.ha = None
         # Request-resilience layer (deadlines, retries, breakers,
         # admission control) — engaged only when the config asks for it.
         self.resilience: Optional[ResilienceCoordinator] = None
@@ -351,18 +346,16 @@ class ReplicationMiddleware:
     def _check_up(self) -> None:
         if self.failed:
             raise MiddlewareDown(f"middleware {self.name!r} is down")
-        if self.standby_mode:
-            raise MiddlewareDown(
-                f"middleware {self.name!r} is a standby; address the "
-                "service through its virtual IP")
-        self._check_fenced()
+        if self.ha is not None:
+            self.ha.check_serving(self.name)
 
-    def _check_fenced(self) -> None:
-        if self.fence is not None and not self.fence.admits(self.epoch):
-            raise FencedOut(
-                f"middleware {self.name!r} holds epoch {self.epoch} but "
-                f"the cluster advanced to {self.fence.epoch}; this "
-                "instance was deposed")
+    @property
+    def commit_ledger(self):
+        # TEMPORARY, read by nothing under src/: perf/stacks.py (frozen
+        # by the benchmark's path contract) reads this name.  ROADMAP
+        # "Owed by the first PR allowed to edit perf/" repoints it at
+        # ``mw.ha.ledger`` and deletes this property.
+        return self.ha.ledger if self.ha is not None else None
 
     # ------------------------------------------------------------------
     # middleware failure (SPOF experiments)
@@ -566,8 +559,9 @@ class ReplicationMiddleware:
         for session in self.sessions:
             if session.in_transaction:
                 yield session._txn_start_seq, "session", session.id
-        if self.state_shipper is not None:
-            yield self.state_shipper.acked_seq(), "standby", ""
+        acked = self.ha.acked_seq() if self.ha is not None else None
+        if acked is not None:
+            yield acked, "standby", ""
         for name, seq in self.recovery_log.checkpoints.items():
             yield seq, "checkpoint", name
 
@@ -579,16 +573,16 @@ class ReplicationMiddleware:
     def retention(self) -> Dict[str, Any]:
         """The retention floor, who holds it and what it bounds."""
         floor, kind, name = min(self._log_holders())
-        state = self.state_shipper.state if self.state_shipper else None
+        commits, certifier_log = self.ha.mirror_sizes() \
+            if self.ha is not None else (0, 0)
         return {
             "floor": floor,
             "holder": f"{kind}:{name}" if name != "" else kind,
             "head": self.recovery_log.head_seq,
             "recovery_log": len(self.recovery_log.entries),
             "certifier_log": self.certifier.log_length(),
-            "standby_commits": len(state.commits) if state else 0,
-            "standby_certifier_log":
-                len(state.certifier_log) if state else 0,
+            "standby_commits": commits,
+            "standby_certifier_log": certifier_log,
             "checkpoints": len(self.recovery_log.checkpoints),
         }
 
@@ -715,9 +709,9 @@ class MiddlewareSession:
         # Result-cache state.  A session that issued USE/SET through the
         # middleware has connection-local state the cache key cannot see;
         # it stops using the cache for its lifetime.  ``_single_statement``
-        # marks requests whose sql text is exactly one statement — only
-        # those may be keyed (a multi-statement script's text must never
-        # map to just its last result).
+        # marks requests whose sql text is exactly one statement: a
+        # ``;``-script sent to ``execute`` is not a cache client — its
+        # statements neither hit nor fill.
         self._cache_ineligible = False
         self._single_statement = False
         # Extra component folded into every cache key (the shard tier
@@ -754,27 +748,31 @@ class MiddlewareSession:
         (:class:`~repro.core.errors.RequestTimeout`), and transient
         replica failures are retried per the policy."""
         self._check_open()
-        # (sql, params) from here down is one pair — template + extracted
-        # values, or the text as sent + the caller's params — so
-        # result-cache lookup and fill, shipping and span tags agree.
-        # Bound statements already are that pair, so a result-cache hit
-        # on one is answered before its trees are even looked up.
+        # (text, values) from here down is one statement's own pair —
+        # template + extracted values, or the text as sent + the
+        # caller's params — so result-cache lookup and fill, the
+        # statement log and span tags agree.  A bound statement already
+        # is that pair, so a result-cache hit on one is answered before
+        # its trees are even looked up; the text of a ``;``-script is no
+        # statement's pair, fills nothing and so never hits.
         cache = self.middleware.statements
         if params:
-            statements = None
+            units = None
         else:
-            statements, sql, params = cache.lookup(sql)
+            units = cache.script(sql)
+            if len(units) == 1:
+                sql, params = units[0][1:]
         cached = self._cached_fast_path(sql, params)
         if cached is not None:
             return cached
-        if statements is None:
-            statements = cache.parse(sql)
-        self._single_statement = len(statements) == 1
+        if units is None:
+            units = cache.script(sql, params)
+        self._single_statement = len(units) == 1
         resilience = self.middleware.resilience
         if resilience is None or resilience._replaying:
             result = Result()
-            for statement in statements:
-                result = self._execute_one(statement, sql, list(params))
+            for statement, text, values in units:
+                result = self._execute_one(statement, text, list(values))
             return result
 
         admitted = False
@@ -782,7 +780,7 @@ class MiddlewareSession:
             is_write = any(
                 not isinstance(s, (ast.SelectStatement, ast.BeginStatement,
                                    ast.CommitStatement, ast.RollbackStatement))
-                for s in statements)
+                for s, _text, _values in units)
             resilience.admission.acquire(is_write)
             admitted = True
         own_deadline = False
@@ -791,8 +789,8 @@ class MiddlewareSession:
             own_deadline = self.deadline is not None
         try:
             result = Result()
-            for statement in statements:
-                result = self._execute_one(statement, sql, list(params))
+            for statement, text, values in units:
+                result = self._execute_one(statement, text, list(values))
             return result
         finally:
             if own_deadline:
@@ -802,7 +800,13 @@ class MiddlewareSession:
 
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
                            params: Optional[List[Any]] = None) -> Result:
-        """Execute one pre-parsed statement (timed-driver fast path)."""
+        """Execute one pre-parsed statement (the tiers above and the
+        timed drivers).  ``(sql_text, params)`` is the identity of this
+        one statement — its result-cache key, and what statement
+        replication logs and replays — so it must re-execute as
+        ``statement`` and nothing else: a caller that was sent a
+        ``;``-script hands down each statement's own text
+        (``StatementCache.script``), never the script's."""
         self._check_open()
         cached = self._cached_fast_path(sql_text, params)
         if cached is not None:

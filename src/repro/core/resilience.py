@@ -489,16 +489,16 @@ class ResilienceCoordinator:
                 # safe-to-retry-after-failover so outer layers re-resolve
                 # the virtual IP and replay with exactly-once dedup
                 # (repro.ha) instead of surfacing a total outage.
-                if self.middleware.failover_target is not None \
-                        or isinstance(exc, FencedOut):
+                ha = self.middleware.ha
+                standby = ha.standby_name if ha is not None else None
+                if standby is not None or isinstance(exc, FencedOut):
                     exc.retry_after_failover = True
                     self.stats["failover_retries"] = \
                         self.stats.get("failover_retries", 0) + 1
                     if span:
                         span.event(
                             "failover_retry",
-                            target=(self.middleware.failover_target
-                                    or "promoted-leader"))
+                            target=standby or "promoted-leader")
                 raise
             except self.RETRYABLE as exc:
                 if span and isinstance(exc, CircuitOpen):

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..sqlengine.executor import Result
-from .analysis import analyze
-from ..sqlengine.parser import parse_script
+from .analysis import analyze_cached
 from .errors import MiddlewareError, ReplicaUnavailable
 from .keyplan import compile_where_plan, literal_value
 from .middleware import ReplicationMiddleware
@@ -100,19 +99,26 @@ class WanSystem:
         """One round of asynchronous cross-site propagation: every site
         ships its recovery-log tail to every other live site.  Returns the
         number of entries shipped."""
-        shipped = 0
-        for site in self.live_sites():
-            log = site.middleware.recovery_log
-            for other in self.live_sites():
-                if other.name == site.name:
-                    continue
-                cursor = site.shipped_to.get(other.name, 0)
-                for entry in log.entries_since(cursor):
-                    for replica in other.middleware.online_replicas():
-                        log.replay_entry(replica.engine, entry)
-                    site.ship_cursor(other.name, entry.seq)
-                    shipped += 1
+        shipped = sum(self._ship(site, other)
+                      for site in self.live_sites()
+                      for other in self.live_sites())
         self.stats["shipped_entries"] += shipped
+        return shipped
+
+    @staticmethod
+    def _ship(site: Site, other: Site) -> int:
+        """Replay ``site``'s log tail past its cursor for ``other`` on
+        every online replica there, moving the cursor entry by entry.
+        Returns the number of entries shipped."""
+        if other is site:
+            return 0
+        log = site.middleware.recovery_log
+        shipped = 0
+        for entry in log.entries_since(site.shipped_to.get(other.name, 0)):
+            for replica in other.middleware.online_replicas():
+                log.replay_entry(replica.engine, entry)
+            site.ship_cursor(other.name, entry.seq)
+            shipped += 1
         return shipped
 
     def unshipped_backlog(self, site_name: str) -> int:
@@ -157,17 +163,8 @@ class WanSystem:
         ``reclaim_regions``."""
         site = self.site_by_name(name)
         site.up = True
-        replayed = 0
-        for other in self.live_sites():
-            if other.name == name:
-                continue
-            cursor = other.shipped_to.get(name, 0)
-            for entry in other.middleware.recovery_log.entries_since(cursor):
-                for replica in site.middleware.online_replicas():
-                    other.middleware.recovery_log.replay_entry(
-                        replica.engine, entry)
-                other.ship_cursor(name, entry.seq)
-                replayed += 1
+        replayed = sum(self._ship(other, site)
+                       for other in self.live_sites())
         if reclaim_regions:
             for other in self.sites:
                 if other.name != name:
@@ -196,33 +193,41 @@ class WanSession:
         return session
 
     def execute(self, sql: str, params: Optional[List[Any]] = None) -> Result:
+        # text is resolved once, at the home site's statement cache; each
+        # statement then travels as a tree with its own text
+        units = self.home.middleware.statements.script(sql, params)
         result = Result()
-        for statement in parse_script(sql):
-            result = self._execute_one(statement, sql, list(params or []))
+        for statement, text, values in units:
+            result = self._execute_one(statement, text, list(values))
         return result
 
     def _execute_one(self, statement, sql_text: str,
                      params: List[Any]) -> Result:
-        info = analyze(statement)
+        info = analyze_cached(statement)
         system = self.system
         if info.is_read_only:
             # reads are always site-local (geo latency is the whole point)
             if not self.home.up:
                 raise ReplicaUnavailable(f"home site {self.home.name} is down")
-            return self._session_for(self.home).execute(sql_text, params)
-        region = self._region_of(statement, params)
-        if region is None:
-            # DDL and region-less writes go everywhere (rare, admin path)
-            result = Result()
-            for site in system.live_sites():
-                result = self._session_for(site).execute(sql_text, params)
-            return result
-        owner = system.owner_of(region)
-        if owner.name == self.home.name:
-            system.stats["local_writes"] += 1
+            targets = [self.home]
         else:
-            system.stats["remote_writes"] += 1
-        return self._session_for(owner).execute(sql_text, params)
+            region = self._region_of(statement, params)
+            if region is None:
+                # DDL and region-less writes go everywhere (rare, admin
+                # path)
+                targets = system.live_sites()
+            else:
+                owner = system.owner_of(region)
+                if owner.name == self.home.name:
+                    system.stats["local_writes"] += 1
+                else:
+                    system.stats["remote_writes"] += 1
+                targets = [owner]
+        result = Result()
+        for site in targets:
+            result = self._session_for(site).execute_one_parsed(
+                statement, sql_text, params)
+        return result
 
     def _region_of(self, statement, params: List[Any]) -> Optional[str]:
         column = self.system.region_column

@@ -9,6 +9,8 @@ replica".  This package eliminates the SPOF with an active/standby pair:
   ledger, epoch fence, standby mirror);
 * :mod:`repro.ha.shipper` — synchronous per-commit state shipping
   (prepare before any replica commits, ack before the client's ack);
+* :mod:`repro.ha.link` — the one object a middleware in a pair holds
+  (``ReplicationMiddleware.ha``): role, fence + epoch, ledger, shipper;
 * :mod:`repro.ha.promotion` — fenced promotion and the cold
   state-retrieval restart it is benchmarked against (E26);
 * :mod:`repro.ha.pair` — the :class:`HAPair` orchestration (virtual IP,
@@ -17,6 +19,7 @@ replica".  This package eliminates the SPOF with an active/standby pair:
 """
 
 from .client import COMMITTED, DEDUPED, HAClient
+from .link import HALink
 from .pair import HAPair, build_standby
 from .promotion import (
     ColdRestartReport, PromotionReport, cold_restart,
@@ -29,7 +32,7 @@ from .state import (
 
 __all__ = [
     "COMMITTED", "DEDUPED", "HAClient",
-    "HAPair", "build_standby",
+    "HALink", "HAPair", "build_standby",
     "ColdRestartReport", "PromotionReport", "cold_restart",
     "cold_restart_duration", "promote",
     "StateShipper",

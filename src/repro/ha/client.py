@@ -71,8 +71,7 @@ class HAClient:
             try:
                 session = self._ensure_session()
                 if attempt > 0:
-                    ledger = self.pair.active.commit_ledger
-                    if ledger is not None and ledger.committed(txn_id):
+                    if self.pair.active.ha.ledger.committed(txn_id):
                         self.stats["dedup_hits"] += 1
                         self.pair.active.monitor.record(
                             "ha_client_dedup", self.client_id,

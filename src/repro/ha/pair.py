@@ -15,11 +15,13 @@ suspicion safe: the deposed-but-alive leader is refused at commit).
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Callable, List, Optional
 
 from ..core.failover import VirtualIP
 from ..core.loadbalancer import LoadBalancer
-from ..core.middleware import MiddlewareConfig, ReplicationMiddleware
+from ..core.middleware import ReplicationMiddleware
+from .link import ACTIVE, STANDBY, HALink
 from .promotion import PromotionReport, promote
 from .shipper import StateShipper
 from .state import CommitLedger, EpochFence, StandbyState
@@ -31,23 +33,9 @@ def build_standby(leader: ReplicationMiddleware,
     own balancer instance (affinity is shipped state, not shared state)
     and its own (empty) result cache — cached results are soft state
     that refills after promotion, so they are deliberately not shipped."""
-    source = leader.config
-    config = MiddlewareConfig(
-        replication=source.replication,
-        consistency=source.consistency,
-        balancer=LoadBalancer(type(source.balancer.policy)(),
-                              source.balancer.level),
-        propagation=source.propagation,
-        nondeterminism=source.nondeterminism,
-        compensate_counters=source.compensate_counters,
-        table_locking=source.table_locking,
-        detect_divergence=source.detect_divergence,
-        resilience=source.resilience,
-        result_cache=source.result_cache,
-        tracing=source.tracing,
-        trace_retention=source.trace_retention,
-        retention_watermark=source.retention_watermark,
-    )
+    config = copy(leader.config)
+    balancer = leader.config.balancer
+    config.balancer = LoadBalancer(type(balancer.policy)(), balancer.level)
     return ReplicationMiddleware(
         leader.replicas, config, name=name or f"{leader.name}_standby",
         monitor=leader.monitor)
@@ -65,14 +53,14 @@ class HAPair:
         self.state = StandbyState()
         self.shipper = StateShipper(leader, self.state)
         self.shipper.bootstrap()
-        leader.state_shipper = self.shipper
-        if leader.commit_ledger is None:
-            leader.commit_ledger = CommitLedger()
-        leader.fence = self.fence
-        leader.epoch = self.fence.epoch
-        leader.failover_target = self.standby.name
-        self.standby.fence = self.fence
-        self.standby.standby_mode = True
+        # the one hand-over: each side learns it is in a pair.  A leader
+        # promoted out of an earlier pair keeps that pair's ledger — the
+        # replays it must still deduplicate did not end with the pair.
+        ledger = leader.ha.ledger if leader.ha is not None \
+            else CommitLedger()
+        leader.ha = HALink(self.fence, ACTIVE, ledger, self.shipper,
+                           self.standby.name)
+        self.standby.ha = HALink(self.fence, STANDBY, self.state.ledger)
         # a named checkpoint is a hold on the service, not on a process:
         # like the fence, the pair shares one registry, so a kept backup
         # or a reshard in progress still holds the log after a promotion
@@ -127,11 +115,9 @@ class HAPair:
         if self._active is self.standby:
             raise RuntimeError("standby is already the active instance")
         old = self._active
-        report = promote(self.standby, self.state, self.fence)
-        old.state_shipper = None
-        old.failover_target = None
+        report = promote(self.standby, self.state)
         # no further standby exists until an operator rebuilds one
-        self.standby.failover_target = None
+        old.ha.detach()
         self._active = self.standby
         self.virtual_ip.switch(self.standby.name)
         self.promotions.append(report)

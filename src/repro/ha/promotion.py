@@ -20,9 +20,9 @@ dies (section 3.2):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from .state import EpochFence, StandbyState
+from .state import StandbyState
 
 
 class PromotionReport:
@@ -70,16 +70,17 @@ class ColdRestartReport:
                 f"watermark={self.watermark})")
 
 
-def promote(standby, state: StandbyState, fence: EpochFence
-            ) -> PromotionReport:
+def promote(standby, state: StandbyState) -> PromotionReport:
     """Fence the old leader and hydrate ``standby`` from ``state``.
 
     Order matters: the epoch advances *before* any state moves, so from
     the first instruction of a promotion the deposed leader can no
     longer certify a commit — even when the promotion was triggered by a
-    false suspicion and the old leader is still alive.
+    false suspicion and the old leader is still alive.  The standby's
+    link turns active last, once everything it serves from is in place.
     """
-    epoch = fence.advance()
+    link = standby.ha
+    epoch = link.fence.advance()
     span = standby.tracer.start_span("ha.promote", epoch=epoch,
                                      leader=standby.name)
     span.event("ha.fence", epoch=epoch)
@@ -117,8 +118,8 @@ def promote(standby, state: StandbyState, fence: EpochFence
             database=shipped.database)
         recovered += 1
 
-    # Ledger, balancer affinity, master designation, session tokens.
-    standby.commit_ledger = state.ledger
+    # Balancer affinity, master designation, session tokens (the ledger
+    # the link carries is ``state.ledger``, settled above).
     standby.config.balancer._sticky = dict(state.sticky)
     if state.master_name is not None:
         try:
@@ -130,8 +131,7 @@ def promote(standby, state: StandbyState, fence: EpochFence
         # anything cached (there should be nothing) restarts cold
         standby.cache_invalidator.reset(standby.global_seq)
 
-    standby.epoch = epoch
-    standby.standby_mode = False
+    link.activate(epoch)
     standby.failed = False
 
     report = PromotionReport(
@@ -151,8 +151,7 @@ def promote(standby, state: StandbyState, fence: EpochFence
     return report
 
 
-def cold_restart(middleware,
-                 fence: Optional[EpochFence] = None) -> ColdRestartReport:
+def cold_restart(middleware) -> ColdRestartReport:
     """The slow path: restart ``middleware`` in place, rebuilding its
     certifier by querying every reachable replica for its applied
     watermark.  Conflict history is gone — certification restarts with
@@ -169,9 +168,6 @@ def cold_restart(middleware,
     watermark = max(watermarks.values(), default=0)
     lost = middleware.certifier.log_length()
     middleware.certifier.recover(rebuild_from_replicas=watermark)
-    if fence is not None:
-        # the restarted instance re-registers at the current epoch
-        middleware.epoch = fence.epoch
     middleware.failed = False
     if middleware.cache_invalidator is not None:
         middleware.cache_invalidator.reset(middleware.global_seq)

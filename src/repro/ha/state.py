@@ -8,9 +8,9 @@ answering one question precisely: which pieces of that state must reach
 a standby *before* the client sees a commit acknowledgement, so that a
 promotion loses nothing the client was told happened (RPO = 0)?
 
-This module holds the answer's data structures, deliberately free of any
-import from :mod:`repro.core.middleware` (the middleware only sees them
-through duck-typed hooks, so no import cycle exists):
+This module holds the answer's data structures, as plain data free of
+any import from :mod:`repro.core` (the middleware reaches them only
+through its :class:`~repro.ha.link.HALink`):
 
 * :class:`CommitLedger` — client-transaction-id → outcome.  The leader
   records PENDING before anything global happens and COMMITTED before the

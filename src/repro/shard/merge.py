@@ -1,5 +1,4 @@
-"""Scatter-gather planning and merge for cross-shard (and legacy
-cross-partition) reads.
+"""Scatter-gather planning and merge for cross-shard reads.
 
 A statement that cannot be pinned to one shard executes on every target
 group and the partial results are merged at the middleware.  Most merges
@@ -25,9 +24,8 @@ that cannot be merged correctly (DISTINCT aggregates, HAVING,
 expression-valued LIMIT without bound parameters): a wrong answer is
 worse than an explicit limitation.
 
-This module is deliberately free of middleware imports so both
-``repro.core.partitioning`` (the legacy Figure-2 path) and
-``repro.shard.router`` share it without an import cycle.
+This module imports no middleware: a plan is a statement, a text and a
+merge function, testable against bare results.
 """
 
 from __future__ import annotations

@@ -180,7 +180,8 @@ class ShardedCluster:
     def group_alive(self, index: int) -> bool:
         """Can group ``index``'s current handle take a statement now?"""
         group = self.groups[index]
-        return not group.failed and not group.standby_mode
+        return not group.failed \
+            and (group.ha is None or group.ha.role == "active")
 
     # -- map management -------------------------------------------------
 
@@ -305,16 +306,17 @@ class ShardedSession:
     def execute(self, sql: str,
                 params: Optional[List[Any]] = None) -> Result:
         self._check_open()
-        # (sql, params) from here down is the cache's pair — template +
-        # extracted values, or the text as sent + the caller's params —
-        # so cache keys, span tags and split-INSERT text all agree
-        statements, sql, params = self.cluster.statements.lookup(sql, params)
-        ticket = self._admit(statements)
+        # (text, values) from here down is one statement's own pair —
+        # template + extracted values, or the text as sent + the
+        # caller's params — so the groups' cache keys and statement
+        # logs, span tags and split-INSERT text all agree
+        units = self.cluster.statements.script(sql, params)
+        ticket = self._admit(units)
         ok = False
         try:
             result = Result()
-            for statement in statements:
-                result = self._execute_one(statement, sql, list(params))
+            for statement, text, values in units:
+                result = self._execute_one(statement, text, list(values))
             ok = True
             return result
         finally:
@@ -326,7 +328,9 @@ class ShardedSession:
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
                            params: Optional[List[Any]] = None) -> Result:
         """Execute one pre-parsed statement (timed-driver fast path —
-        admission, when used, is held by the driver)."""
+        admission, when used, is held by the driver).  ``sql_text`` is
+        this one statement's own text, as for
+        ``MiddlewareSession.execute_one_parsed``, which it reaches."""
         self._check_open()
         return self._execute_one(statement, sql_text, list(params or []))
 
@@ -352,14 +356,14 @@ class ShardedSession:
 
     # -- admission ------------------------------------------------------
 
-    def _admit(self, statements):
+    def _admit(self, units):
         gate = self.cluster.admission
         if gate is None:
             return None
         is_write = any(
             not isinstance(s, (ast.SelectStatement, ast.BeginStatement,
                                ast.RollbackStatement))
-            for s in statements)
+            for s, _text, _values in units)
         try:
             return gate.admit("commit" if is_write else "read")
         except Exception:

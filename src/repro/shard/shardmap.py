@@ -19,21 +19,38 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from math import inf, isfinite
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..core.errors import MiddlewareError
 
 
 def stable_hash(value: Any) -> int:
-    """Deterministic across runs for ints and strings (no
-    PYTHONHASHSEED dependence), mirroring the legacy partitioner."""
+    """The one placement hash: deterministic across runs for ints and
+    strings (no PYTHONHASHSEED dependence), and equal for values the
+    engine's ``=`` calls equal (``expressions._sql_equal`` compares a
+    string with a number as that number) — a string that reads as a
+    finite number hashes as the number, an integral float as its int —
+    so ``k = '10'`` and ``k = 10.0`` reach the owner of key 10."""
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+        try:
+            number = float(value)
+        except ValueError:
+            number = inf    # like 'inf' and 'nan': hashed as text
+        if isfinite(number):
+            return stable_hash(number)
         acc = 0
         for ch in value:
             acc = (acc * 131 + ord(ch)) % 1000000007
         return acc
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     return abs(hash(value))
 
 

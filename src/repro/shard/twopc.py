@@ -220,7 +220,7 @@ class TwoPCCoordinator:
         client-side replay dedups instead of double-applying."""
         cluster = self.cluster
         leader = cluster.groups[index]
-        if leader is dead_middleware or leader.failed or leader.standby_mode:
+        if leader is dead_middleware or not cluster.group_alive(index):
             exc = MiddlewareDown(
                 f"group {index} has no live leader to honour 2PC "
                 f"decision for {txn_id!r}; the decision record in the "

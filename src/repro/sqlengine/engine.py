@@ -36,7 +36,7 @@ from .mvcc import (
     CommitClock, READ_COMMITTED, READ_UNCOMMITTED, REPEATABLE_READ,
     SERIALIZABLE, SNAPSHOT,
 )
-from .stmtcache import CAPACITY, Prepared, StatementCache
+from .stmtcache import CAPACITY, StatementCache, Unit
 from .storage import Table
 from .transactions import Transaction, TransactionStatus
 
@@ -192,10 +192,9 @@ class Connection:
         """Parse and execute ``sql`` (one or more ``;``-separated
         statements); returns the result of the last one."""
         self._check_usable()
-        statements, sql, params = self.engine.lookup(sql, params)
         result = Result()
-        for statement in statements:
-            result = self._execute_one(statement, sql, list(params))
+        for statement, text, values in self.engine.script(sql, params):
+            result = self._execute_one(statement, text, list(values))
         return result
 
     def execute_statement(self, statement: ast.Statement,
@@ -385,18 +384,18 @@ class Engine:
         self._count_parse(misses, statements)
         return statements
 
-    def lookup(self, sql: str,
-               params: Optional[Sequence[Any]] = None) -> Prepared:
-        """``StatementCache.lookup`` counted into ``stats``: literal-inlined
+    def script(self, sql: str,
+               params: Optional[Sequence[Any]] = None) -> Sequence[Unit]:
+        """``StatementCache.script`` counted into ``stats``: literal-inlined
         point statements share their ``?`` template's trees, so text that
         differs only in key values parses once."""
         misses = self._parse_cache.misses
-        prepared = self._parse_cache.lookup(sql, params)
-        self._count_parse(misses, prepared[0])
-        return prepared
+        units = self._parse_cache.script(sql, params)
+        self._count_parse(misses, units)
+        return units
 
     def _count_parse(self, misses_before: int,
-                     statements: List[ast.Statement]) -> None:
+                     statements: Sequence) -> None:
         # a text remembered with its values fronts the template's entry:
         # a hit there is a (cheaper) parse-cache hit and counts as one
         if self._parse_cache.misses == misses_before:

@@ -68,14 +68,20 @@ def parameterize_literals(sql: str) -> Optional[Tuple[str, List[int]]]:
     return template + sql[len(head):], values
 
 
-def parse_script(sql: str) -> List[ast.Statement]:
-    """Parse a ``;``-separated sequence of statements."""
+def parse_script(sql: str,
+                 texts: Optional[List[str]] = None) -> List[ast.Statement]:
+    """Parse a ``;``-separated sequence of statements.  A list passed as
+    ``texts`` receives, per statement, the stretch of ``sql`` it was
+    parsed from: that statement's own text, which parses to it alone."""
     stream = TokenStream(tokenize(sql))
     statements: List[ast.Statement] = []
     while not stream.at_end():
         if stream.accept_operator(";"):
             continue
+        start = stream.peek().position
         statements.append(_Parser(stream).parse_statement())
+        if texts is not None:
+            texts.append(sql[start:stream.peek().position].rstrip())
     return statements
 
 

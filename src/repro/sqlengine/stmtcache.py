@@ -3,7 +3,8 @@
 Every entry point that accepts text — :class:`~repro.sqlengine.engine.Engine`,
 ``ReplicationMiddleware`` sessions, ``ShardedCluster`` sessions, the
 timed drivers — owns one :class:`StatementCache` and asks it for
-``(statements, text, values)``.  OLTP traffic is a few statement shapes
+``(statement, text, values)`` per statement of the text
+(:meth:`StatementCache.script`).  OLTP traffic is a few statement shapes
 with different key values, so literal-inlined point statements are first
 rewritten to a ``?`` template (:func:`parameterize_literals`) and share
 that template's trees.
@@ -35,6 +36,10 @@ CAPACITY = 4096
 #: statement — the pair re-executes identically to what the client sent.
 #: ``values`` is an immutable tuple; callers bind their own list from it.
 Prepared = Tuple[List[ast.Statement], str, Sequence[Any]]
+
+#: ``(statement, text, values)``: one statement and *its own* pair, which
+#: re-executes as that statement and nothing else
+Unit = Tuple[ast.Statement, str, Sequence[Any]]
 
 # stored under a template that does not parse, so a pathological shape
 # costs one attempt, not one per key; never returned to a caller
@@ -112,9 +117,10 @@ class Memo:
 class StatementCache(Memo):
     """Bounded LRU from SQL text to parsed statements.
 
-    A text maps either to its own trees (``values == ()``) or, when it
-    is a literal-inlined point statement, to its template's trees plus
-    the extracted values.  ``hits`` counts lookups that needed no parse,
+    A text maps either to its own trees (``values == ()``, followed by
+    each statement's own stretch of the text) or, when it is a
+    literal-inlined point statement, to its template's trees plus the
+    extracted values.  ``hits`` counts lookups that needed no parse,
     ``misses`` parses performed, ``evictions`` entries pushed out at
     capacity.  A text that fails to parse raises its ``ParseError`` on
     every call and is never stored as a success."""
@@ -128,10 +134,31 @@ class StatementCache(Memo):
             self._entries.move_to_end(sql)
             self.hits += 1
             return entry[0]
-        statements = parse_script(sql)
+        texts: List[str] = []
+        statements = parse_script(sql, texts)
         self.misses += 1
-        self.put(sql, (statements, sql, ()))
+        self.put(sql, (statements, sql, (), texts))
         return statements
+
+    def script(self, sql: str,
+               params: Optional[Sequence[Any]] = None) -> Sequence[Unit]:
+        """What to execute for ``sql`` as sent with ``params``, one
+        :data:`Unit` per statement — what a front door iterates.
+
+        The text of a unit is the identity of that one statement: the
+        result cache keys on it, statement replication logs and replays
+        it.  The text of a ``;``-script names no single statement, so
+        each of its statements is resolved through :meth:`lookup` from
+        its own stretch of the script, as if the client had sent it
+        alone with the same ``params``."""
+        statements, text, values = self.lookup(sql, params)
+        if len(statements) == 1:
+            return ((statements[0], text, values),)
+        units = []
+        for own in self._entries[sql][3]:
+            (statement,), text, values = self.lookup(own, params)
+            units.append((statement, text, values))
+        return units
 
     def lookup(self, sql: str,
                params: Optional[Sequence[Any]] = None) -> Prepared:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import (
-    ClusterDivergence, MiddlewareConfig, MiddlewareDown, ReplicationMiddleware,
-    UnsupportedStatementError, protocol_by_name,
+    ClusterDivergence, FailoverManager, MiddlewareConfig, MiddlewareDown,
+    ReplicationMiddleware, UnsupportedStatementError, protocol_by_name,
 )
 from repro.sqlengine import SerializationError, parse_script
 from repro.sqlengine.ast_nodes import FunctionCall
@@ -193,6 +193,22 @@ class TestStatementMode:
         entry = mw.recovery_log.entries[-1]
         assert entry.kind == "statements"
         assert "UPDATE" in entry.payload[0][0]
+
+    def test_a_script_is_logged_statement_by_statement(self,
+                                                       statement_cluster):
+        """Each statement of a ``;``-script is logged under its own
+        text — the script's text would replay the whole script once per
+        statement on a replica that rejoins from the log."""
+        mw = statement_cluster
+        mw.replicas[1].mark_failed()
+        bump = "UPDATE kv SET v = v + 1 WHERE k = 1"
+        session = mw.connect(database="shop")
+        session.execute(f"{bump}; {bump}")
+        assert [entry.payload for entry in mw.recovery_log.entries[-2:]] \
+            == [[("UPDATE kv SET v = v + ? WHERE k = ?", [1, 1])]] * 2
+        assert FailoverManager(mw).failback(mw.replicas[1].name) == 2
+        assert mw.check_convergence(online_only=False)
+        session.close()
 
 
 class TestWritesetMode:

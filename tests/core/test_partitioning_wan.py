@@ -1,11 +1,10 @@
-"""Partitioned clusters (Figure 2) and WAN multi-site (Figure 4) tests."""
+"""WAN multi-site (Figure 4) tests.  Figure 2, the partitioned front
+door, is ``repro.shard``: its tests are ``tests/shard/``."""
 
 import pytest
 
 from repro.core import (
-    HashPartitioner, ListPartitioner, MiddlewareConfig, PartitionedCluster,
-    RangePartitioner, ReplicationMiddleware, Site, UnsupportedStatementError,
-    WanSystem,
+    MiddlewareConfig, ReplicationMiddleware, Site, WanSystem,
 )
 
 from tests.conftest import make_replicas
@@ -14,177 +13,53 @@ from tests.conftest import make_replicas
 ORDERS_SCHEMA = [
     "CREATE TABLE orders (id INT PRIMARY KEY, region VARCHAR(8), total FLOAT)",
     "CREATE TABLE ref (code VARCHAR(4) PRIMARY KEY, label VARCHAR(20))",
+    "CREATE TABLE cnt (id INT PRIMARY KEY, region VARCHAR(8), n INT)",
 ]
 
 
-def partitioned(groups=3):
-    middlewares = []
-    for index in range(groups):
-        replicas = make_replicas(2, schema=ORDERS_SCHEMA,
-                                 prefix=f"g{index}_")
-        middlewares.append(ReplicationMiddleware(
-            replicas, MiddlewareConfig(replication="statement"),
-            name=f"g{index}"))
-    cluster = PartitionedCluster(middlewares)
-    cluster.register_table("orders", "id", HashPartitioner(groups))
-    return cluster
-
-
-class TestPartitioners:
-    def test_hash_stable_and_in_range(self):
-        partitioner = HashPartitioner(4)
-        for value in (0, 1, 17, "abc", "zzz"):
-            p = partitioner.partition_for(value)
-            assert 0 <= p < 4
-            assert p == partitioner.partition_for(value)
-
-    def test_range_partitioner(self):
-        partitioner = RangePartitioner([100, 200])
-        assert partitioner.partition_for(50) == 0
-        assert partitioner.partition_for(100) == 0
-        assert partitioner.partition_for(150) == 1
-        assert partitioner.partition_for(999) == 2
-
-    def test_list_partitioner(self):
-        partitioner = ListPartitioner([["eu", "uk"], ["us"], ["asia"]])
-        assert partitioner.partition_for("eu") == 0
-        assert partitioner.partition_for("us") == 1
-        from repro.core import MiddlewareError
-        with pytest.raises(MiddlewareError):
-            partitioner.partition_for("mars")
-
-
-class TestPartitionedCluster:
-    def test_writes_spread_by_key(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        for order in range(12):
-            session.execute(
-                f"INSERT INTO orders (id, region, total) "
-                f"VALUES ({order}, 'eu', 1.0)")
-        counts = [g.replicas[0].engine.row_count("shop", "orders")
-                  for g in cluster.groups]
-        assert sum(counts) == 12
-        assert all(count > 0 for count in counts)
-        session.close()
-
-    def test_point_query_single_partition(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        session.execute(
-            "INSERT INTO orders (id, region, total) VALUES (7, 'eu', 5.5)")
-        before = cluster.stats["single_partition"]
-        row = session.execute("SELECT total FROM orders WHERE id = 7")
-        assert row.scalar() == 5.5
-        assert cluster.stats["single_partition"] == before + 1
-        session.close()
-
-    def test_in_list_routing(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        for order in range(9):
-            session.execute(
-                f"INSERT INTO orders (id, region, total) "
-                f"VALUES ({order}, 'eu', {order}.0)")
-        result = session.execute(
-            "SELECT COUNT(*) FROM orders WHERE id IN (1, 2, 3)")
-        assert result.scalar() == 3
-        session.close()
-
-    def test_scatter_gather_aggregates(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        for order in range(10):
-            session.execute(
-                f"INSERT INTO orders (id, region, total) "
-                f"VALUES ({order}, 'eu', 2.0)")
-        assert session.execute(
-            "SELECT COUNT(*) FROM orders").scalar() == 10
-        assert session.execute(
-            "SELECT SUM(total) FROM orders").scalar() == 20.0
-        assert session.execute(
-            "SELECT MAX(total), MIN(total) FROM orders").rows[0] == (2.0, 2.0)
-        session.close()
-
-    def test_scatter_gather_rows_with_order(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        for order in range(6):
-            session.execute(
-                f"INSERT INTO orders (id, region, total) "
-                f"VALUES ({order}, 'eu', {10 - order}.0)")
-        result = session.execute(
-            "SELECT id, total FROM orders ORDER BY total")
-        totals = [row[1] for row in result.rows]
-        assert totals == sorted(totals)
-        session.close()
-
-    def test_scatter_avg_weighted_not_average_of_averages(self):
-        # partitions hold different row counts, so averaging the
-        # per-partition averages would be wrong; the shared scatter
-        # planner rewrites AVG to SUM + COUNT (satellite of the shard
-        # tier: one merge path for both stacks)
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        values = [1.0, 1.0, 1.0, 1.0, 10.0]
-        for order, total in enumerate(values):
-            session.execute(
-                f"INSERT INTO orders (id, region, total) "
-                f"VALUES ({order}, 'eu', {total})")
-        assert session.execute(
-            "SELECT AVG(total) FROM orders").scalar() == \
-            sum(values) / len(values)
-        session.close()
-
-    def test_scatter_limit_reapplied_after_global_sort(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        for order in range(9):
-            session.execute(
-                f"INSERT INTO orders (id, region, total) "
-                f"VALUES ({order}, 'eu', {order}.0)")
-        result = session.execute(
-            "SELECT id FROM orders ORDER BY total DESC LIMIT 2")
-        # a per-partition LIMIT would return each partition's top-2;
-        # the merged result must be the global top-2
-        assert [row[0] for row in result.rows] == [8, 7]
-        session.close()
-
-    def test_keyless_write_refused(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        with pytest.raises(UnsupportedStatementError):
-            session.execute("UPDATE orders SET total = 0")
-        session.close()
-
-    def test_global_table_broadcast(self):
-        cluster = partitioned(3)
-        session = cluster.connect(database="shop")
-        session.execute("INSERT INTO ref (code, label) VALUES ('A', 'alpha')")
-        for group in cluster.groups:
-            assert group.replicas[0].engine.row_count("shop", "ref") == 1
-        session.close()
-
-    def test_groups_internally_replicated(self):
-        cluster = partitioned(2)
-        session = cluster.connect(database="shop")
-        session.execute(
-            "INSERT INTO orders (id, region, total) VALUES (4, 'eu', 1.0)")
-        session.close()
-        assert cluster.check_convergence()
-
-
 class TestWan:
-    def make_wan(self):
+    def make_wan(self, replication="statement"):
         sites = []
         for name in ("eu", "us"):
             replicas = make_replicas(2, schema=ORDERS_SCHEMA,
                                      prefix=f"{name}_")
             mw = ReplicationMiddleware(
-                replicas, MiddlewareConfig(replication="statement"),
+                replicas, MiddlewareConfig(replication=replication),
                 name=name)
             sites.append(Site(name, mw, [name]))
         return WanSystem(sites, region_column="region")
+
+    @pytest.mark.parametrize("replication", ["statement", "writeset"])
+    def test_a_script_runs_each_statement_once(self, replication):
+        """Two increments in one text are two increments — at the owner,
+        and at the other site once shipped: each statement travels, and
+        is logged, under its own text, never the script's."""
+        wan = self.make_wan(replication)
+        client = wan.connect("eu", database="shop")
+        client.execute(
+            "INSERT INTO cnt (id, region, n) VALUES (1, 'us', 0)")
+        bump = "UPDATE cnt SET n = n + 1 WHERE id = 1 AND region = 'us'"
+        client.execute(f"{bump}; {bump}")
+        count = "SELECT n FROM cnt WHERE id = 1"
+        us_client = wan.connect("us", database="shop")
+        assert us_client.execute(count).scalar() == 2
+        wan.ship_updates()
+        assert client.execute(count).scalar() == 2
+        for site in wan.sites:
+            assert site.middleware.check_convergence()
+        client.close()
+        us_client.close()
+
+    def test_a_regionless_script_is_broadcast_once_per_site(self):
+        wan = self.make_wan()
+        client = wan.connect("eu", database="shop")
+        client.execute(
+            "INSERT INTO ref (code, label) VALUES ('A', 'alpha'); "
+            "INSERT INTO ref (code, label) VALUES ('B', 'beta')")
+        for site in wan.sites:
+            for replica in site.middleware.replicas:
+                assert replica.engine.row_count("shop", "ref") == 2
+        client.close()
 
     def test_writes_route_to_owner(self):
         wan = self.make_wan()

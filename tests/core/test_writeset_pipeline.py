@@ -25,7 +25,7 @@ from repro.core.applysched import (
 from repro.core.certifier import Certifier
 from repro.core.recoverylog import RecoveryLog
 from repro.core.replica import ApplyItem, Replica
-from repro.ha import HAPair
+from repro.ha import EpochFence, HALink, HAPair
 from repro.sqlengine import SerializationError
 
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
@@ -565,8 +565,8 @@ def record_stages(mw):
     a replica's watermark reaching the seq outside a propagation frame,
     "propagate" one entry per unit handed to the frame builder."""
     events = []
-    mw.commit_ledger = _Ledger(events)
-    mw.state_shipper = _Shipper(events)
+    mw.ha = HALink(EpochFence(), "active", _Ledger(events),
+                   _Shipper(events), "standby")
     mw.recovery_log = _Log(events)
     mw.on_certified(lambda event: events.append(("publish", event.seq)))
     propagating = []
@@ -761,9 +761,11 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ONE_CALLER = {
     "recovery_log.append": "core/groupcommit.py",
     "publish_certified": "core/groupcommit.py",
-    "ship_prepare": "core/groupcommit.py",
-    "ship_ack": "core/groupcommit.py",
-    "ship_resolve_noop": "core/groupcommit.py",
+    "ha.prepare": "core/groupcommit.py",
+    "ha.acknowledge": "core/groupcommit.py",
+    "ship_prepare": "ha/link.py",
+    "ship_ack": "ha/link.py",
+    "ship_resolve_noop": "ha/link.py",
     "assign_seq": "core/groupcommit.py",
     "rescind": "core/groupcommit.py",
     "replay_entry": "core/backup.py",
@@ -780,7 +782,7 @@ EXCEPTIONS = {("recovery_log.append", "ha/promotion.py"),
 
 def _called_names(tree):
     """Every call target: ``f()`` yields ``f``; ``a.b.c()`` yields the
-    dotted tails ``c`` and ``b.c``."""
+    dotted tails ``c`` and ``b.c``, ``b.c()`` on a local ``b`` too."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -789,8 +791,10 @@ def _called_names(tree):
         elif isinstance(node.func, ast.Attribute):
             yield node.func.attr
             owner = node.func.value
-            if isinstance(owner, ast.Attribute):
-                yield f"{owner.attr}.{node.func.attr}"
+            if isinstance(owner, (ast.Attribute, ast.Name)):
+                name = owner.attr if isinstance(owner, ast.Attribute) \
+                    else owner.id
+                yield f"{name}.{node.func.attr}"
 
 
 def test_sequencing_primitives_are_called_from_one_module():
@@ -808,9 +812,13 @@ def test_one_floor_and_one_truncation_site():
     """Whatever cuts a per-commit structure is called from stage 9 of
     the commit pipeline and nowhere else, and the floor it cuts at is
     computed in one place."""
-    cutters = {"purge_before", "prune", "truncate_before", "ship_truncate",
+    cutters = {"purge_before", "prune", "truncate_before", "ha.truncate",
                "retention_floor"}
-    sites = {name: [] for name in cutters}
+    # the standby's mirror is cut by the link's half of that stage
+    expected = {name: [("core/groupcommit.py", "_truncate")]
+                for name in cutters}
+    expected["ship_truncate"] = [("ha/link.py", "truncate")]
+    sites = {name: [] for name in expected}
     floors = 0
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
@@ -819,11 +827,10 @@ def test_one_floor_and_one_truncation_site():
             if not isinstance(function, ast.FunctionDef):
                 continue
             for name in _called_names(function):
-                if name in cutters:
+                if name in sites:
                     sites[name].append(
                         (path.relative_to(SRC).as_posix(), function.name))
-    assert sites == {name: [("core/groupcommit.py", "_truncate")]
-                     for name in cutters}
+    assert sites == expected
     assert floors == 1
 
 
@@ -831,9 +838,41 @@ def test_shard_tier_stays_off_a_groups_private_members():
     """``shard/`` decides and routes; whatever touches a group's logs,
     replicas or standby is the group's own commit sequence."""
     forbidden = {"recovery_log", "assign_seq", "rescind", "_apply_item",
-                 "on_apply_enqueued", "state_shipper", "commit_ledger"}
+                 "on_apply_enqueued", "ha", "commit_ledger"}
     for module in ("shard/twopc.py", "shard/reshard.py"):
         tree = ast.parse((SRC / module).read_text())
         used = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)}
         assert not used & forbidden, (module, used & forbidden)
+
+
+def test_text_is_parsed_behind_the_statement_cache_only():
+    """No front door parses for itself: ``parse_script`` is called by the
+    statement cache (and by ``parse`` beside it in the parser)."""
+    callers = {path.relative_to(SRC).as_posix()
+               for path in sorted(SRC.rglob("*.py"))
+               if "parse_script" in _called_names(ast.parse(path.read_text()))}
+    assert callers == {"sqlengine/parser.py", "sqlengine/stmtcache.py"}
+
+
+def test_nothing_pokes_ha_state_onto_a_middleware():
+    """What a middleware knows about its pair is one field, ``ha``; the
+    six attributes it replaced are set on nothing but ``self``."""
+    six = {"state_shipper", "commit_ledger", "fence", "epoch",
+           "standby_mode", "failover_target"}
+    poked = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            poked += [(path.relative_to(SRC).as_posix(), target.attr)
+                      for target in targets
+                      if isinstance(target, ast.Attribute)
+                      and target.attr in six
+                      and not (isinstance(target.value, ast.Name)
+                               and target.value.id == "self")]
+    assert poked == []

@@ -54,9 +54,15 @@ def test_promotion_carries_certifier_recovery_and_affinity():
     assert standby.certifier.export_log() == leader_log
     assert standby.certifier.current_seq >= leader_seq
     assert len(standby.recovery_log.entries) == recovery_entries
-    assert standby.commit_ledger.committed("carol:1")
+    assert standby.ha.ledger.committed("carol:1")
     assert report.session_tokens == 1
-    assert not standby.standby_mode
+    # promotion re-roled the standby's link and took the standby away
+    # from the deposed leader's; neither middleware got a new one
+    assert (standby.ha.role, standby.ha.epoch) == ("active", 1)
+    assert standby.ha.standby_name is None
+    assert middleware.ha.role == "active" and middleware.ha.epoch == 0
+    assert (middleware.ha.shipper, middleware.ha.standby_name) \
+        == (None, None)
 
 
 def test_second_promotion_requires_new_standby():

@@ -1,7 +1,7 @@
 """Synchronous state shipping: bootstrap transfer, the two-phase
 per-commit path, and consistency-token shipping."""
 
-from repro.ha import COMMITTED, HAPair
+from repro.ha import COMMITTED, HAPair, build_standby
 from tests.ha.util import DATABASE, make_leader
 
 
@@ -13,9 +13,30 @@ def test_bootstrap_copies_existing_state():
     assert state.seq == middleware.certifier.current_seq
     assert len(state.commits) == len(middleware.recovery_log.entries)
     assert state.master_name == middleware._master_name
-    assert middleware.state_shipper is pair.shipper
-    assert middleware.failover_target == pair.standby.name
-    assert pair.standby.standby_mode
+    # each side holds one link; between them they share the fence
+    leader, standby = middleware.ha, pair.standby.ha
+    assert (leader.role, standby.role) == ("active", "standby")
+    assert leader.shipper is pair.shipper
+    assert leader.standby_name == pair.standby.name
+    assert leader.fence is standby.fence is pair.fence
+    assert standby.ledger is pair.state.ledger
+    assert (standby.shipper, standby.standby_name) == (None, None)
+
+
+def test_the_standby_is_built_from_a_copy_of_the_leaders_config():
+    """Every policy object is the leader's own — only the balancer, whose
+    affinity is shipped state, is a fresh one of the same kind — so a
+    field added to ``MiddlewareConfig`` cannot be forgotten here."""
+    middleware = make_leader()
+    standby = build_standby(middleware)
+    assert vars(standby.config).keys() == vars(middleware.config).keys()
+    for name, value in vars(middleware.config).items():
+        if name != "balancer":
+            assert getattr(standby.config, name) is value, name
+    mine, theirs = middleware.config.balancer, standby.config.balancer
+    assert theirs is not mine
+    assert type(theirs.policy) is type(mine.policy)
+    assert theirs.level == mine.level
 
 
 def test_commit_ships_two_phases_and_ledger():

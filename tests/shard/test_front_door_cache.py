@@ -7,7 +7,8 @@
 * memo counts — the identity-keyed route / analysis / access-plan memos
   hold a handful of entries, not one per call;
 * result-cache keys — the literal path fills, hits, invalidates and
-  never collides.
+  never collides, and a ``;``-script is cached statement by statement,
+  never under the script's text.
 """
 
 import random
@@ -149,10 +150,12 @@ def outcome(run):
 
 
 def reference(session, sql, params):
-    """The text parsed fresh, each statement through the parsed door."""
+    """The text parsed fresh, each statement through the parsed door
+    under its own text."""
     result = None
-    for statement in parse_script(sql):
-        result = session.execute_one_parsed(statement, sql, params)
+    texts = []
+    for statement, text in zip(parse_script(sql, texts), texts):
+        result = session.execute_one_parsed(statement, text, params)
     return result
 
 
@@ -327,4 +330,50 @@ def test_literal_reads_fill_hit_invalidate_and_never_collide(door):
     # k = 8 was neither invalidated nor answered from k = 7's entry
     assert session.execute("SELECT v FROM kv WHERE k = 8").scalar() == 80
     assert cache_stats(front, "hits") == 3
+    session.close()
+
+
+SCRIPTS = [
+    "SELECT v FROM kv WHERE k = 2; SELECT v FROM kv WHERE k = 4",
+    "SELECT COUNT(*) FROM kv; SELECT MAX(v) FROM kv",
+    "SELECT v FROM kv WHERE k = ?; SELECT s FROM kv WHERE k = ?",
+]
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+def test_a_script_is_never_answered_under_its_own_text(door):
+    """The text of a script is no statement's identity: with the result
+    cache on, a script answers — first time and again — what a cache-off
+    cluster answers."""
+    cached = DOORS[door](result_cache=ResultCacheConfig())
+    plain = DOORS[door]()
+    seed_rows(cached)
+    seed_rows(plain)
+    session = cached.connect(database="shop")
+    reference_session = plain.connect(database="shop")
+    for sql in SCRIPTS:
+        params = [4] if "?" in sql else None
+        want = outcome(lambda: reference_session.execute(sql, params))
+        for _ in range(2):
+            assert outcome(lambda: session.execute(sql, params)) \
+                == want, sql
+    session.close()
+    reference_session.close()
+
+
+def test_the_shard_door_caches_a_script_statement_by_statement():
+    """Each statement reaches its group under its own text, so it shares
+    its cache entry with the same statement sent alone.  (A script sent
+    straight to one middleware is not a cache client at all:
+    ``tests/cache/test_consistency_gate.py``.)"""
+    cluster = sharded_door(result_cache=ResultCacheConfig())
+    seed_rows(cluster)
+    session = cluster.connect(database="shop")
+    session.execute(SCRIPTS[0])
+    assert (cache_stats(cluster, "fills"), cache_stats(cluster, "hits")) \
+        == (2, 0)
+    assert session.execute("SELECT v FROM kv WHERE k = 4").scalar() == 40
+    session.execute(SCRIPTS[0])
+    assert (cache_stats(cluster, "fills"), cache_stats(cluster, "hits")) \
+        == (2, 3)
     session.close()

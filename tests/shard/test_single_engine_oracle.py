@@ -37,7 +37,10 @@ JOIN = ("SELECT kv.k, kv.v, dim.name FROM kv JOIN dim ON kv.g = dim.id "
 
 # -- generated statements ----------------------------------------------------
 
+# a key spelled as the engine's ``=`` also accepts it: 10, '10', 10.0
 _KEY_VALUES = st.one_of(st.integers(0, KEYS + 2).map(str),
+                        st.integers(0, KEYS + 2).map("'{}'".format),
+                        st.integers(0, KEYS + 2).map("{}.0".format),
                         st.just("?"), st.just("NULL"))
 
 
@@ -89,15 +92,20 @@ _TEXTS = st.one_of(
     _ONE_TABLE.map("DELETE FROM kv WHERE {}".format),
     st.sampled_from(("UPDATE kv SET v = v + 100 WHERE g = 1",
                      "DELETE FROM kv WHERE v >= 90",
-                     "SELECT COUNT(*), SUM(v) FROM kv")),
+                     "SELECT COUNT(*), SUM(v) FROM kv",
+                     "SELECT MAX(v), MIN(v) FROM kv")),
 )
+# a ``;``-script: every statement runs once, the last one answers
+_SCRIPTS = st.builds("{}; {}".format, _TEXTS, _TEXTS)
 
 
 @st.composite
 def _statements(draw):
-    sql = draw(_TEXTS)
+    sql = draw(st.one_of(_TEXTS, _TEXTS, _TEXTS, _SCRIPTS))
     params = draw(st.lists(
-        st.one_of(st.integers(0, KEYS + 2), st.none()),
+        st.one_of(st.integers(0, KEYS + 2), st.none(),
+                  st.integers(0, KEYS + 2).map(str),
+                  st.integers(0, KEYS + 2).map(float)),
         min_size=sql.count("?"), max_size=sql.count("?")))
     if params and draw(st.integers(0, 7)) == 0:
         params.pop()        # a parameter the client forgot to bind
@@ -132,7 +140,8 @@ def _outcome(front, sql, params):
         result = front.execute(sql, list(params))
     except (SQLError, MiddlewareError):
         return "error"
-    if "ORDER BY k" in sql:         # k is unique: the order is the answer
+    # k is unique: the order is the answer (of a script's last statement)
+    if "ORDER BY k" in sql.rsplit(";", 1)[-1]:
         return result.rows, result.rowcount
     return sorted(result.rows, key=repr), result.rowcount
 
@@ -144,6 +153,15 @@ def _outcome(front, sql, params):
 @example(statements=[(JOIN.format("dim.k IN (?, 5) AND kv.v >= 0"), [5])])
 @example(statements=[("DELETE FROM kv WHERE kv.k = ? OR 3 = k", [None]),
                      ("UPDATE kv SET v = v + 1 WHERE k IN (1, ?)", [])])
+# a key spelled as a string or a float hashes where the integer does
+@example(statements=[("SELECT k, v FROM kv WHERE k = '10'", []),
+                     ("SELECT k, v FROM kv WHERE k = ?", ["10"]),
+                     ("SELECT k, v FROM kv WHERE k IN (10.0, '11', ?)",
+                      [5.0]),
+                     ("UPDATE kv SET v = v + 1 WHERE k = '10'; "
+                      "UPDATE kv SET v = v + 1 WHERE '10' = k", []),
+                     ("DELETE FROM kv WHERE k = 11.0", []),
+                     ("SELECT MAX(v), MIN(v) FROM kv", [])])
 # a key value the range bounds cannot order pins nothing
 @example(statements=[("SELECT k, v FROM kv WHERE k = '7'", []),
                      ("SELECT k, v FROM kv WHERE k = ?", ["7"]),

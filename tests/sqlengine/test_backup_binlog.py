@@ -128,6 +128,14 @@ def test_binlog_capacity_disk_full(conn):
     conn.execute("INSERT INTO t VALUES (3)")
 
 
+def test_binlog_records_each_statement_of_a_script_under_its_own_text(conn):
+    conn.execute("CREATE TABLE t (x INT)")
+    conn.execute("INSERT INTO t VALUES (1); INSERT INTO t VALUES (2)")
+    assert [record.statements for record in conn.engine.binlog.records[-2:]] \
+        == [[("INSERT INTO t VALUES (?)", [1])],
+            [("INSERT INTO t VALUES (?)", [2])]]
+
+
 def test_binlog_subscription(conn):
     seen = []
     unsubscribe = conn.engine.binlog.subscribe(lambda r: seen.append(r))

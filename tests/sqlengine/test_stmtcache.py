@@ -40,6 +40,36 @@ def test_explicit_params_and_unrewritable_texts_pass_through():
         assert cache.lookup(sql)[0] is statements
 
 
+def test_a_script_is_its_statements_each_under_its_own_text():
+    """``script`` is what a front door iterates: one unit per statement,
+    and the text of a unit parses to that statement alone — a stretch
+    of the script resolved as if sent by itself, so it shares the
+    standalone statement's template and a ``;`` inside a procedure body
+    cuts nothing."""
+    cache = StatementCache()
+    alone, template, _ = cache.lookup("SELECT v FROM kv WHERE k = 7")
+    procedure = ("CREATE PROCEDURE p(a) BEGIN UPDATE t SET x = a; "
+                 "SELECT * FROM t; END")
+    units = cache.script(
+        f"SELECT v FROM kv WHERE k = 2 ;\n UPDATE kv SET s = 'a;b' "
+        f"WHERE k = 4;{procedure};")
+    assert [(text, values) for _, text, values in units] == [
+        (template, (2,)),
+        ("UPDATE kv SET s = 'a;b' WHERE k = 4", ()),
+        (procedure, ()),
+    ]
+    assert units[0][0] is alone[0]
+    for statement, text, _values in units:
+        assert cache.parse(text) == [statement]
+    # one statement, bound or not, is lookup's own triple; nothing is
+    # the empty script
+    assert cache.script(template, [9]) == ((alone[0], template, [9]),)
+    assert list(cache.script(" ; ")) == []
+    # the script binds the caller's params into every statement
+    both = cache.script("SELECT 1 WHERE 1 = ?; SELECT 2 WHERE 2 = ?", [5])
+    assert [values for _, _, values in both] == [[5], [5]]
+
+
 def test_values_cannot_be_mutated_through_the_cache():
     cache = StatementCache()
     _, _, values = cache.lookup("SELECT v FROM kv WHERE k = 7")
@@ -103,23 +133,24 @@ def test_engine_lookup_shares_templates_and_counts_by_increment():
     engine = Engine("contract")
     # not rewritable: its own trees, one parse, one count
     text = "SELECT v FROM kv WHERE s = 'x'"
-    statements, sql, values = engine.lookup(text)
+    [(statement, sql, values)] = engine.script(text)
     assert (sql, values) == (text, ()) and text in engine._parse_cache
     assert engine.stats["parse_cache_misses"] == 1
     assert engine.stats["statements"] == 1
     engine.stats.update(parse_cache_misses=0, statements=0)
 
-    statements, template, values = engine.lookup(
+    [(statement, template, values)] = engine.script(
         "SELECT v FROM kv WHERE k = 7")
-    again, _template, other = engine.lookup("SELECT v FROM kv WHERE k = 8")
+    [(again, _template, other)] = engine.script(
+        "SELECT v FROM kv WHERE k = 8")
     assert template == "SELECT v FROM kv WHERE k = ?"
-    assert again is statements and (values, other) == ((7,), (8,))
-    engine.lookup("SELECT v FROM kv WHERE k = 7")
+    assert again is statement and (values, other) == ((7,), (8,))
+    engine.script("SELECT v FROM kv WHERE k = 7")
     assert engine.stats["parse_cache_misses"] == 1
     assert engine.stats["parse_cache_hits"] == 2
     assert engine.stats["statements"] == 3
     # bound parameters: the text as sent, never rewritten
-    assert engine.lookup("SELECT v FROM kv WHERE k = 7", [1])[1:] \
+    assert engine.script("SELECT v FROM kv WHERE k = 7", [1])[0][1:] \
         == ("SELECT v FROM kv WHERE k = 7", [1])
 
     # the entries are counters of their own, not a mirror of the cache's

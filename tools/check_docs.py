@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run as a CI job.
 
-Four guarantees, all stdlib:
+Five guarantees, all stdlib:
 
 1. every relative Markdown link in the repo's ``*.md`` files resolves
    to an existing file or directory (external ``http(s)``/``mailto``
@@ -25,7 +25,12 @@ Four guarantees, all stdlib:
    (``cluster.route_plans`` -> ``route_plans``, ``evictions``) must
    appear as a word under ``src/repro/``.  Module paths
    (``repro.*``) and class names (leading capital) are exempt.  This is
-   what keeps TOPOLOGY.md's and OBSERVABILITY.md's vocabulary honest.
+   what keeps TOPOLOGY.md's and OBSERVABILITY.md's vocabulary honest;
+5. every module path the docs name exists.  Each backticked
+   ``repro.a.b[.c]`` in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``
+   and ``docs/*.md`` must be a package or module under ``src/``, or
+   lead with one and go on with a name its source mentions (a class, a
+   function) — a deleted module may not live on in the documentation.
 
 Exit code 0 = all green; 1 = problems, printed one per line.
 """
@@ -169,12 +174,49 @@ def check_vocabulary(problems):
                     f"src/repro/ is called {attribute!r}")
 
 
+#: a backticked dotted path into the package, optionally called or
+#: followed by arguments: `repro.shard.router`, `repro.ha.promote()`
+MODULE_TOKEN = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)[`(]")
+
+
+def _module_source(parts):
+    """The source file of the package or module ``parts`` names under
+    ``src/``, or ``None``."""
+    target = (REPO / "src").joinpath(*parts)
+    if target.is_dir():
+        return target / "__init__.py"
+    target = target.with_suffix(".py")
+    return target if target.is_file() else None
+
+
+def check_module_paths(problems):
+    docs = [REPO / name for name in
+            ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    for path in docs + sorted((REPO / "docs").glob("*.md")):
+        for number, line in enumerate(
+                path.read_text().splitlines(), start=1):
+            for name in MODULE_TOKEN.findall(line):
+                parts = name.split(".")
+                # the longest leading stretch that is a package or a
+                # module; what follows must be a name its source mentions
+                depth = len(parts)
+                while depth > 1 and _module_source(parts[:depth]) is None:
+                    depth -= 1
+                source = _module_source(parts[:depth])
+                if depth < len(parts) and not re.search(
+                        rf"\b{parts[depth]}\b", source.read_text()):
+                    problems.append(
+                        f"{path.relative_to(REPO)}:{number}: module path "
+                        f"`{name}` does not exist under src/")
+
+
 def main() -> int:
     problems: list = []
     check_links(problems)
     check_architecture_coverage(problems)
     check_experiment_rows(problems)
     check_vocabulary(problems)
+    check_module_paths(problems)
     for problem in problems:
         print(problem)
     count = len(problems)
