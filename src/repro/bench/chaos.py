@@ -42,17 +42,15 @@ from ..cluster.failures import FaultInjector, random_schedule
 from ..cluster.nodes import NodeDown
 from ..cluster.sim import Environment
 from ..core.errors import (
-    CircuitOpen, MiddlewareDown, Overloaded, ReplicaUnavailable,
-    RequestTimeout, RetryExhausted,
+    RETRY_AFTER_FAILOVER, RETRY_SAFE, MiddlewareDown, Overloaded,
+    RequestTimeout, RetryExhausted, retry_label,
 )
 from ..core.failover import FailoverManager, VirtualIP
-from ..core.loadbalancer import NoReplicaAvailable
 from ..core.middleware import ReplicationMiddleware
 from ..core.replica import ReplicaState
 from ..core.resilience import ResiliencePolicy, RetryPolicy
 from ..ha import HAPair, cold_restart, cold_restart_duration
 from ..metrics.availability import AvailabilityTracker
-from ..sqlengine.errors import ConnectionError_
 from .harness import build_cluster
 from .simdriver import TimedCluster
 
@@ -223,14 +221,6 @@ class ChaosResult:
 class ChaosRun:
     """Drives one seeded chaos experiment to completion."""
 
-    #: failures the timed layer retries (resilient runs only).
-    #: ``MiddlewareDown`` is retryable because simulated time passing is
-    #: exactly what fixes it: a standby gets promoted or a cold restart
-    #: completes, and the session reconnects through the virtual IP.
-    TIMED_RETRYABLE = (NodeDown, ConnectionError_, ReplicaUnavailable,
-                       NoReplicaAvailable, RetryExhausted, CircuitOpen,
-                       MiddlewareDown)
-
     def __init__(self, config: ChaosConfig):
         self.config = config
         self.env = Environment()
@@ -246,7 +236,6 @@ class ChaosRun:
         self.tracker = AvailabilityTracker(start_time=0.0)
         self._next_write_id = 0
         self._next_request = 0
-        self._inflight = 0
         self._load_done = False
         self._setup_schema()
         if config.ha_standby:
@@ -414,15 +403,16 @@ class ChaosRun:
             record.trace_id = root.trace_id
 
         session = None
-        admitted = False
+        ticket = None
         try:
             if resilience is not None:
-                if not resilience.admission.try_acquire(is_write):
+                ticket, _reason = resilience.admission.try_admit(
+                    "commit" if is_write else "read")
+                if ticket is None:
                     self.result.shed += 1
                     root.event("admission_shed")
                     self._resolve(record, ok=False, error="Overloaded")
                     return
-                admitted = True
             try:
                 session = self.middleware.connect(database=DATABASE)
             except Exception as exc:  # noqa: BLE001 — middleware down
@@ -457,18 +447,22 @@ class ChaosRun:
                     self._resolve(record, ok=False,
                                   error=type(exc).__name__)
                     return
-                except self.TIMED_RETRYABLE as exc:
+                except Exception as exc:  # noqa: BLE001 — by its label
                     self._abort_quietly(session)
+                    ambiguous = isinstance(exc, RetryExhausted) \
+                        and exc.ambiguous
+                    if resilience is None or not (
+                            ambiguous or self._timed_retryable(exc)):
+                        self._resolve(record, ok=False,
+                                      error=type(exc).__name__)
+                        return
                     yield from self._charge_backoff(resilience, root)
-                    ambiguous = getattr(exc, "ambiguous", False)
                     # A commit ledger turns 'ambiguous' into 'resolvable':
                     # COMMITTED dedups on replay, PENDING is settled at
                     # promotion, and a commit that never reached prepare
                     # is provably un-applied — so keep retrying.
-                    if ambiguous and is_write \
-                            and self.middleware.ha is not None:
-                        ambiguous = False
-                    if resilience is None or ambiguous:
+                    if ambiguous and not (is_write and
+                                          self.middleware.ha is not None):
                         self._resolve(record, ok=False,
                                       error=type(exc).__name__)
                         return
@@ -506,23 +500,30 @@ class ChaosRun:
                                               deadline)
                         root.event("mw_reconnect",
                                    target=self.middleware.name)
-                except Exception as exc:  # noqa: BLE001 — terminal
-                    self._abort_quietly(session)
-                    self._resolve(record, ok=False,
-                                  error=type(exc).__name__)
-                    return
         finally:
             if session is not None:
                 session.deadline = None
                 session.trace_context = None
                 if not session.closed:
                     session.close()
-            if admitted:
-                resilience.admission.release()
+            if ticket is not None:
+                ticket.settle(record.ok)
             root.set_tag("ok", record.ok)
             if record.error:
                 root.set_tag("error", record.error)
             root.end()
+
+    @staticmethod
+    def _timed_retryable(exc: Exception) -> bool:
+        """May the timed layer go round again (resilient runs only)?
+        What the error's label says, plus what only a harness knows:
+        ``NodeDown`` is the simulator's broken connection, and a
+        ``MiddlewareDown`` of *either* label is worth waiting out —
+        simulated time passing is what fixes it (a standby is promoted,
+        or this harness's operator completes the cold restart a
+        ``fatal`` asks for) and the session reconnects through the VIP."""
+        return isinstance(exc, (NodeDown, MiddlewareDown)) \
+            or retry_label(exc) in (RETRY_SAFE, RETRY_AFTER_FAILOVER)
 
     def _charge_backoff(self, resilience, span=None):
         """Synchronous in-session retries accumulate their backoff; the
@@ -541,9 +542,11 @@ class ChaosRun:
     def _prepare_session(self, session, record: RequestRecord, root,
                          deadline) -> None:
         """Attach trace context, deadline and (for writes) the client
-        transaction identity the exactly-once ledger keys on."""
+        transaction identity the exactly-once ledger keys on; the
+        request's one admission ticket is ``_run_request``'s."""
         session.trace_context = root
         session.deadline = deadline
+        session._admission_held = True
         if record.kind != "read":
             session.client_id = f"c{record.id}"
             session.client_txn_id = self._txn_key(record)

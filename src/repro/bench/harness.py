@@ -122,7 +122,6 @@ def build_composed_cluster(shards: int = 3,
                            propagation: str = "sync",
                            env: Optional[Environment] = None,
                            result_cache: Optional["ResultCacheConfig"] = None,
-                           admission=None,
                            name: str = "comp",
                            **kwargs):
     """Build the full composed tier (E30, docs/TOPOLOGY.md): ``shards``
@@ -145,7 +144,7 @@ def build_composed_cluster(shards: int = 3,
                                result_cache=result_cache,
                                name=f"{name}{index}", **kwargs)
         pairs.append(HAPair(leader))
-    return ShardedCluster(pairs, name=name, admission=admission)
+    return ShardedCluster(pairs, name=name)
 
 
 def load_workload(middleware: ReplicationMiddleware, workload: Workload,

@@ -7,7 +7,7 @@ obtained from :meth:`ReplicationMiddleware.connect` speak plain SQL.
 """
 
 from .admission import (
-    AdmissionGate, AdmissionRejected, BulkheadLane, TokenBucket, default_gate,
+    AdmissionGate, BulkheadLane, TokenBucket, default_gate,
 )
 from .analysis import StatementInfo, analyze, rewrite_nondeterministic
 from .autonomic import (
@@ -15,7 +15,7 @@ from .autonomic import (
     SyncTimePredictor,
 )
 from .backup import BackupCoordinator, ClusterBackup
-from .certifier import CertificationOutcome, Certifier, CertifierDown
+from .certifier import CertificationOutcome, Certifier
 from .consistency import (
     ClusterView, ConsistencyProtocol, EventualConsistency,
     GeneralizedSnapshotIsolation, OneCopySerializability, PROTOCOLS,
@@ -26,9 +26,10 @@ from .consistency import (
 )
 from .costmodel import CostModel, default_cost_model
 from .errors import (
-    CircuitOpen, ClusterDivergence, LogTruncatedError, MiddlewareDown,
-    MiddlewareError, Overloaded, QuorumLost, ReplicaUnavailable,
-    RequestTimeout, RetryExhausted, UnsupportedStatementError,
+    CertifierDown, CircuitOpen, ClusterDivergence, LogTruncatedError,
+    MiddlewareDown, MiddlewareError, NoReplicaAvailable, Overloaded,
+    QuorumLost, ReplicaUnavailable, RequestTimeout, RetryExhausted,
+    UnsupportedStatementError, retry_label,
 )
 from .applysched import ApplyUnit, conflict_groups, lane_makespan
 from .failover import FailoverManager, FailoverReport, VirtualIP, promote_and_switch
@@ -39,7 +40,7 @@ from .interception import (
 )
 from .loadbalancer import (
     BalancingLevel, LeastPendingPolicy, LoadBalancer, MemoryAwarePolicy,
-    NoReplicaAvailable, POLICIES, Policy, RandomPolicy, RoundRobinPolicy,
+    POLICIES, Policy, RandomPolicy, RoundRobinPolicy,
     RoutingContext, WeightedPolicy,
 )
 from .management import ClusterManager, ManagementReport
@@ -49,7 +50,7 @@ from .quorum import QuorumGuard, ReconciliationReport, Reconciler, RowDifference
 from .recoverylog import RecoveryLog, RecoveryLogEntry
 from .replica import ApplyItem, Replica, ReplicaState
 from .resilience import (
-    AdmissionController, BreakerState, CircuitBreaker, Deadline,
+    BreakerState, CircuitBreaker, Deadline,
     ResilienceCoordinator, ResiliencePolicy, RetryPolicy,
 )
 from .sessions import ConnectionPool, MultiPool, TransactionContext
@@ -60,7 +61,7 @@ from .writesets import (
 )
 
 __all__ = [
-    "AdmissionController", "AdmissionGate", "AdmissionRejected",
+    "AdmissionGate",
     "ApplyItem", "ApplyReport", "ApplyUnit", "BulkheadLane", "TokenBucket",
     "default_gate",
     "AutonomicDecision",
@@ -96,6 +97,6 @@ __all__ = [
     "WanSession", "WanSystem", "WeightedPolicy", "analyze", "apply_writeset",
     "conflict_groups", "conflict_keys", "default_cost_model", "design_by_name",
     "extract_writeset_engine", "lane_makespan", "promote_and_switch",
-    "protocol_by_name",
+    "protocol_by_name", "retry_label",
     "rewrite_nondeterministic",
 ]

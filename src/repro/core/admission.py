@@ -22,21 +22,27 @@ Three mechanisms compose:
 
 The composition is :class:`AdmissionGate`.  A successful
 :meth:`AdmissionGate.admit` returns a :class:`Ticket`; a rejection
-raises :class:`AdmissionRejected` carrying one of the ``REJECT_*``
-labels.  The gate can only reject *before* a ticket exists — there is
-deliberately no API to shed a ticketed request, so an admitted and
-acknowledged commit can never be lost to load shedding mid-pipeline
-(the invariant benchmark E28 and the hypothesis suite assert).
+raises :class:`~repro.core.errors.Overloaded` carrying one of the
+``REJECT_*`` labels.  The gate can only reject *before* a ticket exists
+— there is deliberately no API to shed a ticketed request, so an
+admitted and acknowledged commit can never be lost to load shedding
+mid-pipeline (the invariant benchmark E28 and the hypothesis suite
+assert).
 
-This layer is coarser-grained and sits in front of the per-statement
-:class:`repro.core.resilience.AdmissionController` (which bounds
-statement concurrency inside the middleware); the gate decides whether
-a *transaction* enters the system at all.
+It is the only admission mechanism, and it stands in two places: at the
+driver's door, deciding whether a *transaction* enters the system at all
+(``SessionArrivalDriver``, :func:`default_gate`), and inside each
+group's resilience layer (``repro.core.resilience``), bucketless, where
+a lower ``watermark`` on the commit class sheds writes first and
+:attr:`AdmissionGate.saturated` turns on degraded-mode reads.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, Optional
+
+from .errors import Overloaded
 
 # Rejection labels — stable strings, used in metrics and BENCH artifacts.
 REJECT_RATE = "rate_limit"
@@ -49,15 +55,6 @@ ADMITTED = "admitted"
 ACKED = "acked"
 DONE = "done"
 FAILED = "failed"
-
-
-class AdmissionRejected(Exception):
-    """Raised when the gate sheds an arrival instead of admitting it."""
-
-    def __init__(self, kind: str, reason: str):
-        super().__init__(f"{kind} shed: {reason}")
-        self.kind = kind
-        self.reason = reason
 
 
 class TokenBucket:
@@ -137,14 +134,12 @@ class Ticket:
     construction (and verifiable: the gate counts would diverge).
     """
 
-    __slots__ = ("gate", "kind", "ticket_id", "admitted_at", "state")
+    __slots__ = ("gate", "kind", "ticket_id", "state")
 
-    def __init__(self, gate: "AdmissionGate", kind: str, ticket_id: int,
-                 admitted_at: float):
+    def __init__(self, gate: "AdmissionGate", kind: str, ticket_id: int):
         self.gate = gate
         self.kind = kind
         self.ticket_id = ticket_id
-        self.admitted_at = admitted_at
         self.state = ADMITTED
 
     def ack(self) -> None:
@@ -166,17 +161,28 @@ class Ticket:
         self.state = DONE if ok else FAILED
         self.gate._note_finish(self, ok=ok, was_acked=acked)
 
+    def settle(self, ok: bool) -> None:
+        """The whole request ran inside one call: acknowledge a commit
+        that succeeded, then release the lane."""
+        if ok and self.kind == "commit":
+            self.ack()
+        self.finish(ok)
+
 
 class ClassPolicy:
-    """Admission policy for one request class."""
+    """Admission policy for one request class; ``pending_limit`` is the
+    gate-wide pending count at which the class is shed."""
 
-    __slots__ = ("kind", "bucket", "lane")
+    __slots__ = ("kind", "bucket", "lane", "pending_limit")
 
-    def __init__(self, kind: str, rate: float, burst: float,
-                 lane_capacity: int, now: float = 0.0):
+    def __init__(self, kind: str, rate: Optional[float], burst: float,
+                 lane_capacity: int, pending_limit: float,
+                 now: float = 0.0):
         self.kind = kind
-        self.bucket = TokenBucket(rate, burst, now=now)
+        self.bucket = None if rate is None \
+            else TokenBucket(rate, burst, now=now)
         self.lane = BulkheadLane(kind, lane_capacity)
+        self.pending_limit = pending_limit
 
 
 class AdmissionGate:
@@ -186,7 +192,8 @@ class AdmissionGate:
     ``clock`` is any zero-argument callable returning seconds — pass
     ``lambda: env.now`` under the simulator.  ``max_pending`` bounds the
     total admitted-but-unfinished population across all classes (the
-    queue-depth watermark); ``None`` disables that check.
+    queue-depth watermark); ``None`` disables that check.  A class with
+    a lower ``watermark`` of its own (:meth:`add_class`) is shed first.
     """
 
     def __init__(self, clock: Callable[[], float],
@@ -196,6 +203,8 @@ class AdmissionGate:
         self.classes: Dict[str, ClassPolicy] = {}
         self.pending = 0
         self.peak_pending = 0
+        # the lowest class pending_limit: at or past it, someone is shed
+        self._saturated_at = inf if max_pending is None else max_pending
         self._next_ticket = 0
         # Counters, exported into BENCH artifacts — keep keys stable.
         self.admitted: Dict[str, int] = {}
@@ -206,19 +215,24 @@ class AdmissionGate:
         # By construction this stays 0; it exists so tests can assert the
         # invariant from the outside instead of trusting the docstring.
         self.acked_then_shed = 0
-        self._acked_ids: set = set()
-        self._shed_ids: set = set()
 
     # -- configuration --------------------------------------------------
 
-    def add_class(self, kind: str, rate: float, burst: Optional[float] = None,
-                  lane_capacity: int = 64) -> "AdmissionGate":
-        """Register a request class.  Returns self for chaining."""
+    def add_class(self, kind: str, rate: Optional[float],
+                  burst: Optional[float] = None, lane_capacity: int = 64,
+                  watermark: Optional[int] = None) -> "AdmissionGate":
+        """Register a request class.  ``rate=None``: no token bucket;
+        ``watermark``: shed this class (as ``queue_depth``) once total
+        pending reaches it.  Returns self for chaining."""
         if kind in self.classes:
             raise ValueError(f"class {kind!r} already registered")
         burst = rate if burst is None else burst
+        limit = inf if self.max_pending is None else self.max_pending
+        if watermark is not None:
+            limit = min(limit, watermark)
+        self._saturated_at = min(self._saturated_at, limit)
         self.classes[kind] = ClassPolicy(
-            kind, rate, burst, lane_capacity, now=self._clock())
+            kind, rate, burst, lane_capacity, limit, now=self._clock())
         self.admitted[kind] = 0
         self.acked[kind] = 0
         self.rejected[kind] = {}
@@ -232,16 +246,15 @@ class AdmissionGate:
         policy = self.classes.get(kind)
         if policy is None:
             return None, self._reject(kind, REJECT_UNKNOWN_CLASS)
-        now = self._clock()
-        if (self.max_pending is not None
-                and self.pending >= self.max_pending):
+        if self.pending >= policy.pending_limit:
             return None, self._reject(kind, REJECT_QUEUE)
-        if not policy.bucket.try_take(now):
+        bucket = policy.bucket
+        if bucket is not None and not bucket.try_take(self._clock()):
             return None, self._reject(kind, REJECT_RATE)
         if not policy.lane.try_enter():
             return None, self._reject(kind, REJECT_BULKHEAD)
         self._next_ticket += 1
-        ticket = Ticket(self, kind, self._next_ticket, now)
+        ticket = Ticket(self, kind, self._next_ticket)
         self.admitted[kind] += 1
         self.pending += 1
         if self.pending > self.peak_pending:
@@ -249,10 +262,10 @@ class AdmissionGate:
         return ticket, None
 
     def admit(self, kind: str) -> Ticket:
-        """Admit or raise :class:`AdmissionRejected`."""
+        """Admit or raise :class:`~repro.core.errors.Overloaded`."""
         ticket, reason = self.try_admit(kind)
         if ticket is None:
-            raise AdmissionRejected(kind, reason)
+            raise Overloaded(kind, reason)
         return ticket
 
     def _reject(self, kind: str, reason: str) -> str:
@@ -264,9 +277,6 @@ class AdmissionGate:
 
     def _note_ack(self, ticket: Ticket) -> None:
         self.acked[ticket.kind] = self.acked.get(ticket.kind, 0) + 1
-        self._acked_ids.add(ticket.ticket_id)
-        if ticket.ticket_id in self._shed_ids:
-            self.acked_then_shed += 1
 
     def _note_finish(self, ticket: Ticket, ok: bool, was_acked: bool) -> None:
         policy = self.classes[ticket.kind]
@@ -282,6 +292,11 @@ class AdmissionGate:
                 self.acked_then_shed += 1
 
     # -- introspection --------------------------------------------------
+
+    @property
+    def saturated(self) -> bool:
+        """Is some class being shed for queue depth right now?"""
+        return self.pending >= self._saturated_at
 
     def total_rejected(self, kind: Optional[str] = None) -> int:
         if kind is not None:

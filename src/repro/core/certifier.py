@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-
-class CertifierDown(Exception):
-    """The (centralized) certifier has failed — certification, and with it
-    every update transaction, is unavailable (section 3.2)."""
+from .errors import CertifierDown
 
 
 class CertificationOutcome:

@@ -1,64 +1,81 @@
 """Middleware-level errors — the client-visible error taxonomy.
 
-The hierarchy below is what a client of the replication middleware can
-observe.  The paper's complaint (section 5.1) is that prototypes are only
-evaluated on the happy path; a resilient middleware must instead give the
-client a *small, actionable* set of failure verdicts:
+Everything that can leave a front door (``MiddlewareSession.execute``,
+``ShardedSession.execute``) is a :class:`MiddlewareError` or an engine
+``SQLError``.  A middleware that cannot tell its client *whether a failed
+request may be retried, and where* has no failover transparency
+(sections 4.3.3, 5.1), so every class declares one **retry label**:
 
-``MiddlewareError``
-    Base class for every middleware failure.
+``retry-safe``
+    Nothing durable happened and this service will take the request
+    again: back off and reissue it.
+``retry-after-failover``
+    This *instance* will not serve, another will: re-resolve the virtual
+    IP and replay the whole transaction; the commit ledger makes the
+    replay exactly-once (``repro.ha``).
+``client-error``
+    The request is what is wrong.  Every engine ``SQLError`` but a broken
+    connection is one: the engine's verdict passes through unchanged
+    (section 4.1.2); re-running an aborted transaction is the
+    application's decision, the middleware never does.
+``fatal``
+    No automatic retry is safe or useful: the outcome is unknown, or an
+    operator has to act first.
 
-    * ``MiddlewareDown`` — the middleware instance itself died (SPOF,
-      section 3.2).  Nothing the client does on this session will work.
-    * ``UnsupportedStatementError`` — deterministic refusal: the SQL can
-      never replicate safely under the configured policy.  Retrying is
-      pointless.
-    * ``ClusterDivergence`` / ``QuorumLost`` — cluster-level safety
-      refusals; operator intervention required.
-    * ``ReplicaUnavailable`` — a *specific* replica the request needed
-      cannot serve.  Transient: the resilience layer retries these.
-    * ``LogTruncatedError`` — the recovery log no longer holds the tail
-      after the requested seq (log maintenance, section 4.4.4, cut it).
-      The reader needs a fresh snapshot, not a replay.
-
-    **Resilience verdicts** (``repro.core.resilience``) — these four are
-    what the client actually sees once the resilience layer is engaged;
-    each one is final for the request that raised it:
-
-    * ``RequestTimeout`` — the request's deadline (simulated time)
-      expired before the cluster produced an answer.  The outcome of any
-      in-flight work is *unknown*; read requests may simply be reissued.
-    * ``RetryExhausted`` — the retry policy was spent, or the failure was
-      classified non-idempotent (an ambiguous commit) so no safe retry
-      exists.  ``__cause__`` carries the last underlying error.
-    * ``CircuitOpen`` — every candidate replica is currently ejected by
-      its circuit breaker; the request was refused *before* touching a
-      backend.  Transient: breakers half-open after their recovery time.
-    * ``Overloaded`` — admission control shed the request because the
-      cluster is saturated (bounded queue).  Back off and retry later;
-      under the degraded-mode policy reads are shed last.
+The label is decided once, where the error is raised, by the instance
+that knows, and is never edited afterwards; :func:`retry_label` reads
+it.  Class by class — label, when raised, what the client does — the
+reference is docs/ARCHITECTURE.md's "Error table", which
+``tools/check_docs.py`` holds to these classes.
 """
 
 from __future__ import annotations
+
+from typing import Optional
+
+from ..sqlengine.errors import ConnectionError_, SQLError
+
+RETRY_SAFE = "retry-safe"
+RETRY_AFTER_FAILOVER = "retry-after-failover"
+CLIENT_ERROR = "client-error"
+FATAL = "fatal"
 
 
 class MiddlewareError(Exception):
     """Base class for replication-middleware failures."""
 
+    retry = FATAL
+
+
+def retry_label(exc: BaseException) -> str:
+    """The one verdict on a failure that left a front door."""
+    if isinstance(exc, MiddlewareError):
+        return exc.retry
+    if isinstance(exc, ConnectionError_):
+        # a replica's availability fault, not the engine's answer
+        return RETRY_SAFE
+    return CLIENT_ERROR if isinstance(exc, SQLError) else FATAL
+
 
 class MiddlewareDown(MiddlewareError):
     """The middleware instance itself has failed — with a centralized
-    design this is a total outage (paper section 3.2).  With an HA
-    standby (``repro.ha``) the condition is transient: clients re-resolve
-    the virtual IP and replay with exactly-once dedup."""
+    design a total outage (section 3.2), hence ``fatal``.  A raiser that
+    knows of another instance of the service (an HA standby, the leader
+    that deposed this one) passes ``retry-after-failover``."""
+
+    def __init__(self, message: str = "", retry: Optional[str] = None):
+        super().__init__(message)
+        if retry is not None:
+            self.retry = retry
 
 
 class FencedOut(MiddlewareDown):
-    """This middleware instance was deposed by a fenced promotion: its
-    epoch is older than the cluster's.  Raised instead of certifying a
-    commit on a stale leader — the split-brain guard (``repro.ha``).
-    Subclasses :class:`MiddlewareDown` because the client-side remedy is
-    identical: re-resolve the virtual IP and talk to the new leader."""
+    """This instance was deposed by a fenced promotion: its epoch is
+    older than the cluster's.  Raised instead of certifying a commit on
+    a stale leader — the split-brain guard (``repro.ha``).  The new
+    leader exists, or nothing could have advanced the fence."""
+
+    retry = RETRY_AFTER_FAILOVER
 
 
 class UnsupportedStatementError(MiddlewareError):
@@ -66,9 +83,25 @@ class UnsupportedStatementError(MiddlewareError):
     policy (e.g. ``UPDATE t SET x = RAND()`` under statement replication
     with the 'reject' non-determinism policy — section 4.3.2)."""
 
+    retry = CLIENT_ERROR
+
 
 class ReplicaUnavailable(MiddlewareError):
     """The operation needs a specific replica that cannot serve."""
+
+    retry = RETRY_SAFE
+
+
+class NoReplicaAvailable(MiddlewareError):
+    """Every candidate replica is down or excluded; nothing was applied
+    anywhere, and a repair or a failback brings one back."""
+
+    retry = RETRY_SAFE
+
+
+class CertifierDown(MiddlewareError):
+    """The (centralized) certifier has failed — certification, and with it
+    every update transaction, is unavailable (section 3.2)."""
 
 
 class LogTruncatedError(MiddlewareError):
@@ -97,15 +130,35 @@ class RequestTimeout(MiddlewareError):
 
 
 class RetryExhausted(MiddlewareError):
-    """The retry policy is spent (or no safe retry exists, e.g. an
-    ambiguous commit outcome); ``__cause__`` holds the last error."""
+    """The retry policy is spent: every attempt failed cleanly, a caller
+    with a longer budget may go on.  ``ambiguous=True`` says instead
+    that a commit's outcome is unknown and no layer may reissue it
+    (``fatal``).  ``__cause__`` holds the last error."""
+
+    retry = RETRY_SAFE
+
+    def __init__(self, message: str = "", ambiguous: bool = False):
+        super().__init__(message)
+        self.ambiguous = ambiguous
+        if ambiguous:
+            self.retry = FATAL
 
 
 class CircuitOpen(MiddlewareError):
     """Every candidate replica is ejected by its circuit breaker; the
     request was refused before reaching a backend."""
 
+    retry = RETRY_SAFE
+
 
 class Overloaded(MiddlewareError):
-    """Admission control shed the request: the cluster is saturated and
-    the bounded request queue is full."""
+    """The admission gate (``repro.core.admission``) shed the request
+    before any of it ran.  ``kind`` is the request class that was
+    refused, ``reason`` one of the gate's ``REJECT_*`` labels."""
+
+    retry = RETRY_SAFE
+
+    def __init__(self, kind: str, reason: str):
+        super().__init__(f"{kind} shed: {reason}")
+        self.kind = kind
+        self.reason = reason

@@ -17,6 +17,7 @@ import enum
 import random
 from typing import Callable, List, Optional, Sequence
 
+from .errors import CircuitOpen, NoReplicaAvailable
 from .replica import Replica
 
 
@@ -24,10 +25,6 @@ class BalancingLevel(enum.Enum):
     CONNECTION = "connection"
     TRANSACTION = "transaction"
     QUERY = "query"
-
-
-class NoReplicaAvailable(Exception):
-    """Every candidate replica is down or excluded."""
 
 
 class RoutingContext:
@@ -205,7 +202,6 @@ class LoadBalancer:
             healthy = [r for r in candidates if self._health_filter(r.name)]
             if not healthy:
                 self.health_rejections += 1
-                from .errors import CircuitOpen
                 raise CircuitOpen(
                     "every candidate replica is ejected by its circuit "
                     f"breaker ({[r.name for r in candidates]})")

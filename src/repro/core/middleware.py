@@ -53,13 +53,11 @@ from .consistency import ClusterView, ConsistencyProtocol, SessionView
 from .consistency.gsi import GeneralizedSnapshotIsolation
 from .consistency.one_sr import OneCopySerializability
 from .errors import (
-    ClusterDivergence, MiddlewareDown, ReplicaUnavailable,
-    UnsupportedStatementError,
+    FATAL, RETRY_AFTER_FAILOVER, ClusterDivergence, MiddlewareDown,
+    NoReplicaAvailable, ReplicaUnavailable, UnsupportedStatementError,
 )
 from .groupcommit import CommitRequest, GroupCommitCoordinator
-from .loadbalancer import (
-    LoadBalancer, NoReplicaAvailable, RoutingContext,
-)
+from .loadbalancer import LoadBalancer, RoutingContext
 from ..obs.tracing import Tracer
 from .monitoring import Monitor
 from .recoverylog import RecoveryLog
@@ -345,9 +343,17 @@ class ReplicationMiddleware:
 
     def _check_up(self) -> None:
         if self.failed:
-            raise MiddlewareDown(f"middleware {self.name!r} is down")
+            raise self.down_error(f"middleware {self.name!r} is down")
         if self.ha is not None:
             self.ha.check_serving(self.name)
+
+    def down_error(self, message: str) -> MiddlewareDown:
+        """A :class:`MiddlewareDown` labelled by where the client goes
+        next: the pair's other instance, or nowhere (``fatal``)."""
+        ha = self.ha
+        elsewhere = ha is not None and ha.elsewhere()
+        return MiddlewareDown(
+            message, retry=RETRY_AFTER_FAILOVER if elsewhere else FATAL)
 
     @property
     def commit_ledger(self):
@@ -703,7 +709,7 @@ class MiddlewareSession:
         # Resilience state: an optional request deadline (set per request
         # by the client or driver; an implicit one is created from the
         # policy's request_timeout), and whether an external driver
-        # already holds an admission slot for this session.
+        # already holds an admission ticket for this session.
         self.deadline: Optional[Deadline] = None
         self._admission_held = False
         # Result-cache state.  A session that issued USE/SET through the
@@ -742,8 +748,10 @@ class MiddlewareSession:
     def execute(self, sql: str, params: Optional[List[Any]] = None) -> Result:
         """Execute one or more ``;``-separated statements.
 
-        With a resilience policy configured this is the guarded client
-        entry point: the request passes admission control (may raise
+        With a resilience policy configured this — like
+        :meth:`execute_one_parsed`, the door the tiers above come
+        through — is a guarded entry point: the request takes an
+        admission ticket (or raises
         :class:`~repro.core.errors.Overloaded`), runs under a deadline
         (:class:`~repro.core.errors.RequestTimeout`), and transient
         replica failures are retried per the policy."""
@@ -768,35 +776,37 @@ class MiddlewareSession:
         if units is None:
             units = cache.script(sql, params)
         self._single_statement = len(units) == 1
-        resilience = self.middleware.resilience
-        if resilience is None or resilience._replaying:
-            result = Result()
-            for statement, text, values in units:
-                result = self._execute_one(statement, text, list(values))
-            return result
+        return self._guarded(units)
 
-        admitted = False
-        if not self._admission_held:
-            is_write = any(
-                not isinstance(s, (ast.SelectStatement, ast.BeginStatement,
-                                   ast.CommitStatement, ast.RollbackStatement))
-                for s, _text, _values in units)
-            resilience.admission.acquire(is_write)
-            admitted = True
+    def _guarded(self, units) -> Result:
+        """Run one request's statements — with a resilience layer, behind
+        its admission gate and under a deadline, unless they are a
+        replay's (already inside a guarded request) or a driver holds a
+        ticket for the whole client request (``_admission_held``)."""
+        resilience = self.middleware.resilience
+        ticket = None
         own_deadline = False
-        if self.deadline is None:
-            self.deadline = resilience.deadline()
-            own_deadline = self.deadline is not None
+        if resilience is not None and not resilience._replaying:
+            if not self._admission_held:
+                read_only = all(analyze_cached(statement).is_read_only
+                                for statement, _text, _values in units)
+                ticket = resilience.admission.admit(
+                    "read" if read_only else "commit")
+            if self.deadline is None:
+                self.deadline = resilience.deadline()
+                own_deadline = self.deadline is not None
+        ok = False
         try:
             result = Result()
             for statement, text, values in units:
                 result = self._execute_one(statement, text, list(values))
+            ok = True
             return result
         finally:
             if own_deadline:
                 self.deadline = None
-            if admitted:
-                resilience.admission.release()
+            if ticket is not None:
+                ticket.settle(ok)
 
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
                            params: Optional[List[Any]] = None) -> Result:
@@ -812,6 +822,8 @@ class MiddlewareSession:
         if cached is not None:
             return cached
         self._single_statement = True
+        if self.middleware.resilience is not None:
+            return self._guarded(((statement, sql_text, params or ()),))
         return self._execute_one(statement, sql_text, list(params or []))
 
     def begin(self, isolation: Optional[str] = None) -> None:
@@ -1668,4 +1680,4 @@ class MiddlewareSession:
 
     def _check_open(self) -> None:
         if self.closed:
-            raise MiddlewareDown("session is closed")
+            raise self.middleware.down_error("session is closed")

@@ -20,10 +20,11 @@ and gives every client request:
 * a per-replica **circuit breaker** (:class:`CircuitBreaker`,
   CLOSED → OPEN → HALF_OPEN) that ejects flapping replicas from
   load-balancer candidacy before a heartbeat detector would fire;
-* **admission control** (:class:`AdmissionController`) — a bounded
-  in-flight budget with write-first shedding, and a degraded-mode policy
-  that serves possibly-stale reads from lagging slaves (bounded-staleness
-  knob) when the cluster is saturated or the master is down.
+* **admission control** — an :class:`~repro.core.admission.AdmissionGate`
+  bounding in-flight requests, shedding writes first (the commit class's
+  watermark), and a degraded-mode policy that serves possibly-stale
+  reads from lagging slaves (bounded-staleness knob) when the gate is
+  saturated or the master is down.
 
 Everything is deterministic: backoff jitter is a hash of (seed, session,
 attempt), clocks are injected (the simulation clock in timed runs, a
@@ -37,12 +38,13 @@ import hashlib
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sqlengine import ast_nodes as ast
-from ..sqlengine.errors import ConnectionError_
+from ..sqlengine.errors import SQLError
+from .admission import AdmissionGate
 from .errors import (
-    CircuitOpen, FencedOut, MiddlewareDown, Overloaded,
-    ReplicaUnavailable, RequestTimeout, RetryExhausted,
+    RETRY_AFTER_FAILOVER, RETRY_SAFE, CircuitOpen, MiddlewareDown,
+    MiddlewareError, ReplicaUnavailable, RequestTimeout, RetryExhausted,
+    retry_label,
 )
-from .loadbalancer import NoReplicaAvailable
 
 Clock = Callable[[], float]
 
@@ -230,64 +232,6 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# admission control / degraded mode
-# ---------------------------------------------------------------------------
-
-class AdmissionController:
-    """A bounded in-flight request budget with write-first shedding.
-
-    ``max_inflight`` caps concurrent requests.  Writes are shed once
-    utilization crosses ``write_shed_fraction`` (the cheap way to keep a
-    saturated cluster serving *something*); reads are shed only at the
-    hard cap.  While utilization sits above the write watermark — or the
-    caller reports the master down — the controller reports *degraded
-    mode*, which lets the routing layer serve bounded-staleness reads from
-    lagging slaves instead of queueing behind freshness waits.
-    """
-
-    def __init__(self, max_inflight: int = 64,
-                 write_shed_fraction: float = 0.75):
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        self.max_inflight = max_inflight
-        self.write_watermark = max(1, int(max_inflight * write_shed_fraction))
-        self.inflight = 0
-        self.stats = {"admitted": 0, "shed_writes": 0, "shed_reads": 0,
-                      "peak_inflight": 0}
-
-    def try_acquire(self, is_write: bool = False) -> bool:
-        limit = self.write_watermark if is_write else self.max_inflight
-        if self.inflight >= limit:
-            key = "shed_writes" if is_write else "shed_reads"
-            self.stats[key] += 1
-            return False
-        self.inflight += 1
-        self.stats["admitted"] += 1
-        if self.inflight > self.stats["peak_inflight"]:
-            self.stats["peak_inflight"] = self.inflight
-        return True
-
-    def acquire(self, is_write: bool = False) -> None:
-        if not self.try_acquire(is_write):
-            kind = "write" if is_write else "read"
-            raise Overloaded(
-                f"admission control shed the {kind}: {self.inflight}/"
-                f"{self.max_inflight} requests in flight")
-
-    def release(self) -> None:
-        if self.inflight > 0:
-            self.inflight -= 1
-
-    @property
-    def saturated(self) -> bool:
-        return self.inflight >= self.write_watermark
-
-    @property
-    def utilization(self) -> float:
-        return self.inflight / self.max_inflight
-
-
-# ---------------------------------------------------------------------------
 # policy + coordinator
 # ---------------------------------------------------------------------------
 
@@ -301,7 +245,9 @@ class ResiliencePolicy:
             of injected-clock time (``None`` = no implicit deadline).
         breaker_failure_threshold / breaker_recovery_time /
         breaker_half_open_probes: per-replica circuit breaker knobs.
-        max_inflight / write_shed_fraction: admission control bounds.
+        max_inflight / write_shed_fraction: the admission gate's
+            ``max_pending``, and the fraction of it at which commits are
+            shed and the gate reports ``saturated`` (degraded reads on).
         degraded_reads: allow bounded-staleness reads when degraded.
         max_staleness: the bounded-staleness knob — how many global
             sequence numbers a slave may lag and still serve a degraded
@@ -332,17 +278,13 @@ class ResiliencePolicy:
 class ResilienceCoordinator:
     """The live resilience state for one middleware instance.
 
-    Owns the per-replica breakers and the admission controller, and wraps
+    Owns the per-replica breakers and the admission gate, and wraps
     every statement dispatch (:meth:`execute_statement`) in the
     deadline/retry machinery.  State changes are instantaneous (the
     repo-wide simulation convention); the *time cost* of backoffs is
     accumulated in :attr:`pending_backoff` for the timed layer
     (``repro.bench.chaos``) to charge as simulated delay.
     """
-
-    #: transient, retry-eligible failures
-    RETRYABLE = (ReplicaUnavailable, NoReplicaAvailable, ConnectionError_,
-                 CircuitOpen)
 
     def __init__(self, middleware, policy: ResiliencePolicy,
                  clock: Optional[Clock] = None):
@@ -352,14 +294,20 @@ class ResilienceCoordinator:
         self.breakers: Dict[str, CircuitBreaker] = {}
         for replica in middleware.replicas:
             self._make_breaker(replica.name)
-        self.admission = AdmissionController(
-            policy.max_inflight, policy.write_shed_fraction)
+        # writes give way at the watermark, reads only at the hard cap
+        cap = policy.max_inflight
+        self.admission = AdmissionGate(self.clock, max_pending=cap)
+        self.admission.add_class("read", rate=None, lane_capacity=cap)
+        self.admission.add_class(
+            "commit", rate=None, lane_capacity=cap,
+            watermark=max(1, int(cap * policy.write_shed_fraction)))
         self.pending_backoff = 0.0
         self._replaying = False
+        # sheds are the gate's: ``admission.snapshot()["rejected"]``
         self.stats = {
             "retries": 0, "replays": 0, "timeouts": 0,
-            "retry_exhausted": 0, "degraded_reads": 0, "shed": 0,
-            "breaker_rejections": 0, "stale_cache_served": 0,
+            "retry_exhausted": 0, "degraded_reads": 0,
+            "failover_retries": 0, "stale_cache_served": 0,
         }
 
     # -- breakers -----------------------------------------------------------
@@ -392,11 +340,6 @@ class ResilienceCoordinator:
         self.breaker(name).record_success()
 
     def record_failure(self, name: str) -> None:
-        self.breaker(name).record_failure()
-
-    def record_timeout(self, name: str) -> None:
-        """A deadline expired while this replica held the request — the
-        slow-replica signal a crash detector never sees."""
         self.breaker(name).record_failure()
 
     # -- deadlines ----------------------------------------------------------
@@ -483,42 +426,35 @@ class ResilienceCoordinator:
                     span.event("deadline_exceeded", attempt=attempt)
                 raise
             except MiddlewareDown as exc:
-                # The middleware process itself died — or was fenced out
-                # by a promotion.  With an HA standby configured this is
-                # transient at the *service* level: classify it
-                # safe-to-retry-after-failover so outer layers re-resolve
-                # the virtual IP and replay with exactly-once dedup
-                # (repro.ha) instead of surfacing a total outage.
-                ha = self.middleware.ha
-                standby = ha.standby_name if ha is not None else None
-                if standby is not None or isinstance(exc, FencedOut):
-                    exc.retry_after_failover = True
-                    self.stats["failover_retries"] = \
-                        self.stats.get("failover_retries", 0) + 1
+                # The middleware process died or was fenced out; whoever
+                # raised this said whether another instance will serve
+                # (outer layers then re-resolve the virtual IP and replay).
+                if exc.retry == RETRY_AFTER_FAILOVER:
+                    self.stats["failover_retries"] += 1
                     if span:
+                        ha = self.middleware.ha
                         span.event(
                             "failover_retry",
-                            target=standby or "promoted-leader")
+                            target=(ha.standby_name if ha is not None
+                                    else None) or "promoted-leader")
                 raise
-            except self.RETRYABLE as exc:
+            except (MiddlewareError, SQLError) as exc:
+                if retry_label(exc) != RETRY_SAFE:
+                    raise
                 if span and isinstance(exc, CircuitOpen):
                     span.event("circuit_open", error=str(exc)[:120])
                 mode = self._classify(session, statement, snapshot, exc)
-                if mode == "fail":
-                    raise
                 if mode == "exhaust":
                     self.stats["retry_exhausted"] += 1
                     if span:
                         span.event("retry_exhausted",
                                    reason="ambiguous_commit")
-                    error = RetryExhausted(
+                    # ambiguous: outer (timed) retry layers must never
+                    # retry this one either
+                    raise RetryExhausted(
                         "commit outcome is ambiguous; refusing a non-"
                         "idempotent retry (set RetryPolicy.retry_commits "
-                        "to opt in)")
-                    # flag for outer (timed) retry layers: this one must
-                    # never be retried at any level
-                    error.ambiguous = True
-                    raise error from exc
+                        "to opt in)", ambiguous=True) from exc
                 if retry.spent(attempt):
                     self.stats["retry_exhausted"] += 1
                     if span:
@@ -554,8 +490,8 @@ class ResilienceCoordinator:
 
     def _classify(self, session, statement, snapshot, exc) -> str:
         """Safe-retry classification: ``retry`` (re-dispatch as-is),
-        ``replay`` (re-establish transaction state on a survivor first),
-        ``exhaust`` (no safe retry exists) or ``fail`` (surface)."""
+        ``replay`` (re-establish transaction state on a survivor first)
+        or ``exhaust`` (no safe retry exists)."""
         if isinstance(statement, ast.CommitStatement):
             if snapshot is None:
                 return "retry"  # read-only commit: harmless to reissue

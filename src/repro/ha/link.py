@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..core.errors import FencedOut, MiddlewareDown
+from ..core.errors import RETRY_AFTER_FAILOVER, FencedOut, MiddlewareDown
 from .state import CommitLedger, EpochFence
 
 STANDBY = "standby"
@@ -51,12 +51,21 @@ class HALink:
         if self.role == STANDBY:
             raise MiddlewareDown(
                 f"middleware {name!r} is a standby; address the "
-                "service through its virtual IP")
+                "service through its virtual IP",
+                retry=RETRY_AFTER_FAILOVER)
         if not self.fence.admits(self.epoch):
             raise FencedOut(
                 f"middleware {name!r} holds epoch {self.epoch} but "
                 f"the cluster advanced to {self.fence.epoch}; this "
                 "instance was deposed")
+
+    def elsewhere(self) -> bool:
+        """Is there another instance for a client of this one to land
+        on — the standby behind it, the active in front of it, or the
+        leader that deposed it?  (A promoted leader nobody rebuilt a
+        standby behind has none: its ``MiddlewareDown`` is ``fatal``.)"""
+        return (self.standby_name is not None or self.role == STANDBY
+                or not self.fence.admits(self.epoch))
 
     def activate(self, epoch: int) -> None:
         """The standby takes over at ``epoch`` (the last step of a

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..core.errors import MiddlewareError
 from ..sqlengine import ast_nodes as ast
 from .router import ForwardingRule, ShardedCluster
-from .shardmap import RangeSharder
+from .shardmap import RangeSharder, canonical_key
 
 
 class ReshardError(MiddlewareError):
@@ -159,10 +159,10 @@ class OnlineReshard:
             raise ReshardError(
                 f"keys span source shards {sorted(owners)}; move one "
                 "source at a time")
-        key_set = set(keys)
+        key_set = {canonical_key(k) for k in keys}
 
         def contains(value: Any) -> bool:
-            return value in key_set
+            return canonical_key(value) in key_set
 
         def staying(key: ast.ColumnRef) -> ast.Expression:
             # NOT contains(key), NULL-safe: k IS NULL OR k NOT IN (...),
@@ -178,7 +178,7 @@ class OnlineReshard:
         def mutate(new_map) -> None:
             new_spec = new_map.spec_of(table)
             for key in key_set:
-                new_spec.overrides[key] = dst
+                new_spec.move_key(key, dst)
 
         return cls(cluster, table, contains, staying,
                    f"{spec.key_column} not in {sorted(key_set, key=repr)!r}",

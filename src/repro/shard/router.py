@@ -47,9 +47,10 @@ from __future__ import annotations
 from copy import copy
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.admission import AdmissionGate
 from ..core.analysis import StatementInfo, analyze
-from ..core.errors import FencedOut, MiddlewareDown, UnsupportedStatementError
+from ..core.errors import (
+    RETRY_AFTER_FAILOVER, MiddlewareDown, UnsupportedStatementError,
+)
 from ..core.keyplan import (KeyPlan, RangePlan, bindings_of,
                             compile_key_plan, compile_range_plan,
                             literal_value)
@@ -111,7 +112,6 @@ class ShardedCluster:
     def __init__(self, groups: Sequence,
                  shard_map: Optional[ShardMap] = None,
                  name: str = "sharded",
-                 admission: Optional[AdmissionGate] = None,
                  tracing: bool = True):
         if not groups:
             raise ValueError("a sharded cluster needs at least one group")
@@ -141,7 +141,6 @@ class ShardedCluster:
         self.tracer = Tracer(clock=self.groups[0].monitor.peek,
                              enabled=tracing)
         self.twopc = TwoPCCoordinator(self)
-        self.admission = admission
         self.forwarding: List[ForwardingRule] = []
         self.sessions: List["ShardedSession"] = []
         self._session_counter = 0
@@ -154,8 +153,7 @@ class ShardedCluster:
         self.stats: Dict[str, int] = {
             "single_shard": 0, "scatter_reads": 0, "multi_shard_writes": 0,
             "broadcast": 0, "single_shard_commits": 0, "twopc_commits": 0,
-            "admission_rejected": 0, "group_promotions": 0,
-            "failover_reroutes": 0,
+            "group_promotions": 0, "failover_reroutes": 0,
         }
         for index, pair in enumerate(self.pairs):
             if pair is not None:
@@ -310,26 +308,16 @@ class ShardedSession:
         # template + extracted values, or the text as sent + the
         # caller's params — so the groups' cache keys and statement
         # logs, span tags and split-INSERT text all agree
-        units = self.cluster.statements.script(sql, params)
-        ticket = self._admit(units)
-        ok = False
-        try:
-            result = Result()
-            for statement, text, values in units:
-                result = self._execute_one(statement, text, list(values))
-            ok = True
-            return result
-        finally:
-            if ticket is not None:
-                if ok and ticket.kind == "commit":
-                    ticket.ack()
-                ticket.finish(ok)
+        result = Result()
+        for statement, text, values in \
+                self.cluster.statements.script(sql, params):
+            result = self._execute_one(statement, text, list(values))
+        return result
 
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
                            params: Optional[List[Any]] = None) -> Result:
-        """Execute one pre-parsed statement (timed-driver fast path —
-        admission, when used, is held by the driver).  ``sql_text`` is
-        this one statement's own text, as for
+        """Execute one pre-parsed statement (timed-driver fast path).
+        ``sql_text`` is this one statement's own text, as for
         ``MiddlewareSession.execute_one_parsed``, which it reaches."""
         self._check_open()
         return self._execute_one(statement, sql_text, list(params or []))
@@ -354,22 +342,6 @@ class ShardedSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- admission ------------------------------------------------------
-
-    def _admit(self, units):
-        gate = self.cluster.admission
-        if gate is None:
-            return None
-        is_write = any(
-            not isinstance(s, (ast.SelectStatement, ast.BeginStatement,
-                               ast.RollbackStatement))
-            for s, _text, _values in units)
-        try:
-            return gate.admit("commit" if is_write else "read")
-        except Exception:
-            self.cluster.stats["admission_rejected"] += 1
-            raise
-
     # -- per-group sessions ---------------------------------------------
 
     def group_session(self, index: int) -> MiddlewareSession:
@@ -393,11 +365,9 @@ class ShardedSession:
             del self._sessions[index]
             session = None
             if stale_txn:
-                exc = MiddlewareDown(
+                raise MiddlewareDown(
                     f"group {index} middleware failed over "
-                    "mid-transaction")
-                exc.retry_after_failover = True
-                raise exc
+                    "mid-transaction", retry=RETRY_AFTER_FAILOVER)
         if session is None:
             session = self._connect_group(index)
             self._sessions[index] = session
@@ -440,34 +410,26 @@ class ShardedSession:
         ``MiddlewareDown``/``FencedOut`` from an autocommit statement
         proves nothing durable happened, so one re-dispatch cannot
         double-apply.  Mid-transaction failures are never retried here —
-        they surface tagged ``retry_after_failover`` so the client
-        replays the whole transaction (exactly-once via the group's
-        commit ledger)."""
+        they surface with the label the dead instance gave them
+        (``retry-after-failover`` when a standby stands behind it) so
+        the client replays the whole transaction (exactly-once via the
+        group's commit ledger)."""
         try:
             return self._txn_session(index).execute_one_parsed(
                 statement, sql_text, params)
-        except MiddlewareDown as exc:
-            if not self._failover_retryable(index, exc):
+        except MiddlewareDown:
+            if not self._may_reroute(index):
                 raise
             self.cluster.stats["failover_reroutes"] += 1
-            try:
-                return self._txn_session(index).execute_one_parsed(
-                    statement, sql_text, params)
-            except MiddlewareDown as again:
-                # the retry hit another dead/fenced instance — keep the
-                # failover classification on what the client sees
-                self._failover_retryable(index, again)
-                raise
+            return self._txn_session(index).execute_one_parsed(
+                statement, sql_text, params)
 
-    def _failover_retryable(self, index: int, exc: MiddlewareDown) -> bool:
-        """Tag every failover-shaped error ``retry_after_failover`` (the
-        ``core/resilience.py`` classification) and decide whether this
-        statement may be transparently re-dispatched right now: only
-        when no transaction state died with the old instance and the
-        group handle already points at a live leader."""
+    def _may_reroute(self, index: int) -> bool:
+        """May a statement that met a dead or deposed instance be
+        transparently re-dispatched right now?  Only when no
+        transaction state died with the old instance and the group
+        handle already points at a live leader."""
         cluster = self.cluster
-        if isinstance(exc, FencedOut) or cluster.pairs[index] is not None:
-            exc.retry_after_failover = True
         if self.in_transaction:
             return False
         stale = self._sessions.get(index)
@@ -728,18 +690,10 @@ class ShardedSession:
                 finally:
                     span.end()
                 cluster.stats["twopc_commits"] += 1
-        except MiddlewareDown as exc:
-            # the commit died with a group's middleware: the client must
-            # replay the whole transaction against the promoted leader;
-            # each group's commit ledger makes that replay exactly-once
-            for index in write_groups | read_groups:
-                if isinstance(exc, FencedOut) \
-                        or cluster.pairs[index] is not None:
-                    exc.retry_after_failover = True
-                    break
-            self._abort_open_groups()
-            raise
         except Exception:
+            # (a MiddlewareDown's label says whether the client can
+            # replay the transaction against a promoted leader; each
+            # group's commit ledger makes that replay exactly-once)
             self._abort_open_groups()
             raise
         finally:

@@ -19,21 +19,19 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from math import inf, isfinite
+from math import isfinite
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..core.errors import MiddlewareError
 
 
-def stable_hash(value: Any) -> int:
-    """The one placement hash: deterministic across runs for ints and
-    strings (no PYTHONHASHSEED dependence), and equal for values the
-    engine's ``=`` calls equal (``expressions._sql_equal`` compares a
-    string with a number as that number) — a string that reads as a
-    finite number hashes as the number, an integral float as its int —
-    so ``k = '10'`` and ``k = 10.0`` reach the owner of key 10."""
-    if isinstance(value, int):
-        return value
+def canonical_key(value: Any) -> Any:
+    """One representative per class of values the engine's ``=`` calls
+    equal (``expressions._sql_equal`` compares a string with a number as
+    that number): a string that reads as a finite number is the number,
+    an integral float is its int, anything else is itself.  Placement —
+    the hash and the per-key overrides — is decided on this, so
+    ``k = '10'`` and ``k = 10.0`` reach the owner of key 10."""
     if isinstance(value, str):
         try:
             return int(value)
@@ -42,15 +40,29 @@ def stable_hash(value: Any) -> int:
         try:
             number = float(value)
         except ValueError:
-            number = inf    # like 'inf' and 'nan': hashed as text
-        if isfinite(number):
-            return stable_hash(number)
+            return value
+        if not isfinite(number):
+            return value    # 'inf' and 'nan' stay text
+        value = number
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def stable_hash(value: Any) -> int:
+    """The one placement hash: deterministic across runs for ints and
+    strings (no PYTHONHASHSEED dependence), and equal for values with
+    one :func:`canonical_key`."""
+    if isinstance(value, int):
+        return value
+    value = canonical_key(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
         acc = 0
         for ch in value:
             acc = (acc * 131 + ord(ch)) % 1000000007
         return acc
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
     return abs(hash(value))
 
 
@@ -153,7 +165,8 @@ class RangeSharder(Sharder):
 class ShardSpec:
     """Per-table placement: the shard-key column, the sharder, and
     explicit per-key overrides (how a hash-sharded table moves
-    individual keys during a rebalance)."""
+    individual keys during a rebalance), keyed by
+    :func:`canonical_key` — write them through :meth:`move_key`."""
 
     __slots__ = ("table", "key_column", "sharder", "overrides")
 
@@ -162,11 +175,18 @@ class ShardSpec:
         self.table = table.lower()
         self.key_column = key_column.lower()
         self.sharder = sharder
-        self.overrides = dict(overrides or {})
+        self.overrides: Dict[Any, int] = {}
+        for key, shard in (overrides or {}).items():
+            self.move_key(key, shard)
+
+    def move_key(self, key: Any, shard: int) -> None:
+        self.overrides[canonical_key(key)] = shard
 
     def shard_for(self, value: Any) -> int:
-        if value in self.overrides:
-            return self.overrides[value]
+        if self.overrides:
+            shard = self.overrides.get(canonical_key(value))
+            if shard is not None:
+                return shard
         return self.sharder.shard_for(value)
 
     def shards_for_range(self, low: Any, high: Any) -> Optional[Set[int]]:
@@ -177,7 +197,8 @@ class ShardSpec:
         compare against it."""
         try:
             shards = self.sharder.shards_for_range(low, high)
-            if shards is not None:
+            if shards is not None and self.overrides:
+                low, high = canonical_key(low), canonical_key(high)
                 shards.update(
                     shard for key, shard in self.overrides.items()
                     if key is not None

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional
 
-from ..core.errors import FencedOut, MiddlewareDown
+from ..core.errors import MiddlewareDown
 from ..sqlengine import SerializationError
 
 
@@ -129,7 +129,7 @@ class TwoPCCoordinator:
                 # surviving participants' prepared entries are rescinded
                 # below so a leaked certified slot can never block later
                 # transactions against a write that never happened.
-                participant_down = (index, middleware, exc)
+                participant_down = exc
                 break
 
         decision = "abort" if conflict is not None \
@@ -196,11 +196,7 @@ class TwoPCCoordinator:
                 group_session.rollback()
         self.stats["aborts"] += 1
         if participant_down is not None:
-            down_index, down_middleware, exc = participant_down
-            if isinstance(exc, FencedOut) \
-                    or cluster.pairs[down_index] is not None:
-                exc.retry_after_failover = True
-            raise exc
+            raise participant_down
         conflicted_mw, outcome = conflict
         raise SerializationError(
             f"2pc certification failed on shard {conflicted_mw.name!r}: "
@@ -221,13 +217,10 @@ class TwoPCCoordinator:
         cluster = self.cluster
         leader = cluster.groups[index]
         if leader is dead_middleware or not cluster.group_alive(index):
-            exc = MiddlewareDown(
+            raise leader.down_error(
                 f"group {index} has no live leader to honour 2PC "
                 f"decision for {txn_id!r}; the decision record in the "
                 "shard-map log replays it at recovery")
-            if cluster.pairs[index] is not None:
-                exc.retry_after_failover = True
-            raise exc
         seq = leader.group_commit.install(
             request.entries, request.tables, user=request.user,
             database=request.database, txn_id=request.txn_id)

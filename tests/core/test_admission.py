@@ -9,9 +9,14 @@ counter, which exists so the invariant is observable from outside.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import (
+    MiddlewareConfig, ReplicationMiddleware, ResiliencePolicy,
+)
 from repro.core.admission import (
     ACKED,
     ADMITTED,
@@ -22,11 +27,13 @@ from repro.core.admission import (
     REJECT_RATE,
     REJECT_UNKNOWN_CLASS,
     AdmissionGate,
-    AdmissionRejected,
     BulkheadLane,
     TokenBucket,
     default_gate,
 )
+from repro.core.errors import MiddlewareError, Overloaded
+
+from tests.conftest import make_replicas
 
 
 class ManualClock:
@@ -137,10 +144,12 @@ class TestAdmissionGate:
 
     def test_admit_raises_with_label(self):
         _clock, gate = self._gate()
-        with pytest.raises(AdmissionRejected) as excinfo:
+        with pytest.raises(Overloaded) as excinfo:
             gate.admit("mystery")
         assert excinfo.value.reason == REJECT_UNKNOWN_CLASS
         assert excinfo.value.kind == "mystery"
+        assert isinstance(excinfo.value, MiddlewareError)
+        assert excinfo.value.retry == "retry-safe"
 
     def test_ticket_lifecycle(self):
         _clock, gate = self._gate()
@@ -175,6 +184,40 @@ class TestAdmissionGate:
         ticket.ack()
         ticket.finish(ok=False)
         assert gate.acked_then_shed == 1  # audit counter catches it
+
+    def test_class_watermark_sheds_that_class_first(self):
+        _clock, gate = self._gate(max_pending=3)
+        gate.add_class("read", rate=None, lane_capacity=3)
+        gate.add_class("commit", rate=None, lane_capacity=3, watermark=1)
+        assert not gate.saturated
+        first, _ = gate.try_admit("commit")
+        assert first is not None and gate.saturated
+        assert gate.try_admit("commit") == (None, REJECT_QUEUE)
+        # no bucket: nothing but depth and the lane ever refuses a read
+        assert gate.try_admit("read")[0] is not None
+        assert gate.try_admit("read")[0] is not None
+        assert gate.try_admit("read") == (None, REJECT_QUEUE)
+        first.finish()
+        assert gate.pending == 2 and gate.saturated
+
+    def test_settled_tickets_leave_nothing_behind(self):
+        """Bounded growth: the gate keeps counters, never a per-ticket
+        record — 10 000 acked commits later it holds what it held."""
+        _clock, gate = self._gate(max_pending=4)
+        gate.add_class("commit", rate=1e9, lane_capacity=4)
+
+        def footprint():
+            return sum(len(value) for value in vars(gate).values()
+                       if isinstance(value, (set, list, dict)))
+
+        before = footprint()
+        for _ in range(10_000):
+            ticket = gate.admit("commit")
+            ticket.ack()
+            ticket.finish()
+        assert footprint() == before
+        assert gate.acked["commit"] == gate.finished_ok == 10_000
+        assert gate.pending == 0 and gate.acked_then_shed == 0
 
     def test_snapshot_shape(self):
         clock = ManualClock()
@@ -253,3 +296,65 @@ def test_admitted_then_acked_commits_are_never_shed(ops):
     # rejections never consumed a lane slot
     for policy in gate.classes.values():
         assert 0 <= policy.lane.in_flight <= policy.lane.capacity
+
+
+# -- same decisions as the controller this gate replaced --------------------
+
+class _ReferenceController:
+    """The deleted ``resilience.AdmissionController``, kept here as the
+    reference arm: one shared in-flight pool, writes shed at a
+    watermark, reads at the cap, saturated at the watermark."""
+
+    def __init__(self, max_inflight: int, write_shed_fraction: float):
+        self.max_inflight = max_inflight
+        self.write_watermark = max(1, int(max_inflight * write_shed_fraction))
+        self.inflight = 0
+
+    def try_acquire(self, is_write: bool) -> bool:
+        limit = self.write_watermark if is_write else self.max_inflight
+        if self.inflight >= limit:
+            return False
+        self.inflight += 1
+        return True
+
+    def release(self) -> None:
+        if self.inflight > 0:
+            self.inflight -= 1
+
+    @property
+    def saturated(self) -> bool:
+        return self.inflight >= self.write_watermark
+
+
+@pytest.mark.parametrize("max_inflight,fraction", [
+    (4, 0.5), (2, 0.5), (1, 0.75), (48, 0.75), (7, 0.1), (5, 1.0)])
+def test_resilience_gate_decides_as_the_controller_did(max_inflight,
+                                                       fraction):
+    """10 000 seeded acquire(read|write) / release steps: the gate the
+    resilience layer builds from (max_inflight, write_shed_fraction)
+    admits, sheds and reports saturation exactly as the controller."""
+    middleware = ReplicationMiddleware(
+        make_replicas(1), MiddlewareConfig(resilience=ResiliencePolicy(
+            max_inflight=max_inflight, write_shed_fraction=fraction)))
+    gate = middleware.resilience.admission
+    reference = _ReferenceController(max_inflight, fraction)
+    rng = random.Random(max_inflight * 1009 + int(fraction * 100))
+    tickets = []
+    for _step in range(10_000):
+        op = rng.choice(("read", "write", "release", "release"))
+        if op == "release":
+            reference.release()
+            if tickets:
+                tickets.pop(rng.randrange(len(tickets))).finish()
+        else:
+            ticket, reason = gate.try_admit(
+                "commit" if op == "write" else "read")
+            assert (ticket is not None) == \
+                reference.try_acquire(op == "write")
+            if ticket is not None:
+                tickets.append(ticket)
+            else:
+                assert reason == REJECT_QUEUE
+        assert gate.pending == reference.inflight
+        assert gate.saturated == reference.saturated
+    assert gate.total_rejected() > 0 and gate.total_admitted() > 0

@@ -5,11 +5,13 @@ breakers, admission control and the coordinator wired through a cluster
 import pytest
 
 from repro.core import (
-    AdmissionController, BreakerState, CircuitBreaker, Deadline,
+    BreakerState, CircuitBreaker, Deadline,
     FailoverManager, MiddlewareConfig, Monitor, Overloaded,
     ReplicationMiddleware, RequestTimeout, ResiliencePolicy, RetryExhausted,
     RetryPolicy, protocol_by_name,
 )
+
+from repro.core.admission import REJECT_QUEUE
 
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
 
@@ -180,30 +182,40 @@ class TestCircuitBreaker:
 # ---------------------------------------------------------------------------
 
 class TestAdmissionController:
+    """What the deleted ``AdmissionController``'s tests checked, with the
+    same numbers, on the gate the resilience layer builds from the same
+    two policy values."""
+
+    @staticmethod
+    def gate(**bounds):
+        return resilient_cluster(n=2, policy=ResiliencePolicy(
+            retry=RetryPolicy(jitter=0.0), **bounds)).resilience.admission
+
     def test_write_first_shedding(self):
-        admission = AdmissionController(max_inflight=4,
-                                        write_shed_fraction=0.5)
-        assert admission.write_watermark == 2
-        assert admission.try_acquire(is_write=True)
-        assert admission.try_acquire(is_write=True)
+        admission = self.gate(max_inflight=4, write_shed_fraction=0.5)
+        assert admission.classes["commit"].pending_limit == 2
+        assert admission.try_admit("commit")[0] is not None
+        assert admission.try_admit("commit")[0] is not None
         # writes shed at the watermark, reads keep flowing to the hard cap
-        assert not admission.try_acquire(is_write=True)
-        assert admission.stats["shed_writes"] == 1
+        assert admission.try_admit("commit") == (None, REJECT_QUEUE)
+        assert admission.rejected["commit"] == {REJECT_QUEUE: 1}
         assert admission.saturated
-        assert admission.try_acquire()
-        assert admission.try_acquire()
-        assert not admission.try_acquire()
-        assert admission.stats["shed_reads"] == 1
-        assert admission.stats["peak_inflight"] == 4
+        assert admission.try_admit("read")[0] is not None
+        assert admission.try_admit("read")[0] is not None
+        assert admission.try_admit("read") == (None, REJECT_QUEUE)
+        assert admission.rejected["read"] == {REJECT_QUEUE: 1}
+        assert admission.peak_pending == 4
 
     def test_release_reopens_admission(self):
-        admission = AdmissionController(max_inflight=1)
-        admission.acquire()
-        with pytest.raises(Overloaded):
-            admission.acquire()
-        admission.release()
-        admission.acquire()  # no raise
-        assert admission.inflight == 1
+        admission = self.gate(max_inflight=1)
+        ticket = admission.admit("read")
+        with pytest.raises(Overloaded) as excinfo:
+            admission.admit("read")
+        assert (excinfo.value.kind, excinfo.value.reason) == \
+            ("read", REJECT_QUEUE)
+        ticket.finish()
+        admission.admit("read")  # no raise
+        assert admission.pending == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +274,7 @@ class TestResilientCluster:
         kill(mw.replica_by_name(session._local_replica))
         with pytest.raises(RetryExhausted) as excinfo:
             session.execute("COMMIT")
-        assert excinfo.value.ambiguous
+        assert excinfo.value.ambiguous and excinfo.value.retry == "fatal"
         assert not session.in_transaction  # torn down, session reusable
         assert mw.resilience.stats["retry_exhausted"] == 1
         assert session.execute("SELECT v FROM kv WHERE k = 2").scalar() == 0
@@ -319,21 +331,25 @@ class TestResilientCluster:
         mw = resilient_cluster(n=2, policy=policy)
         session = mw.connect(database="shop")
         admission = mw.resilience.admission
-        admission.acquire()  # one slot held by a concurrent request
-        with pytest.raises(Overloaded):
+        held = [admission.admit("read")]  # a concurrent request's ticket
+        with pytest.raises(Overloaded) as excinfo:
             session.execute("UPDATE kv SET v = 1 WHERE k = 0")  # watermark
+        assert (excinfo.value.kind, excinfo.value.reason) == \
+            ("commit", REJECT_QUEUE)
         result = session.execute("SELECT v FROM kv WHERE k = 0")
         assert result.scalar() == 0
-        admission.acquire()  # now at the hard cap
+        held.append(admission.admit("read"))  # now at the hard cap
         with pytest.raises(Overloaded):
             session.execute("SELECT v FROM kv WHERE k = 0")
-        # a driver that already holds a slot bypasses re-admission
+        # a driver that already holds a ticket bypasses re-admission
         session._admission_held = True
         assert session.execute("SELECT v FROM kv WHERE k = 0").scalar() == 0
         session.close()
-        admission.release()
-        admission.release()
-        assert admission.inflight == 0
+        for ticket in held:
+            ticket.finish()
+        assert admission.pending == 0
+        assert admission.snapshot()["rejected"] == {
+            "read": {REJECT_QUEUE: 1}, "commit": {REJECT_QUEUE: 1}}
 
     def test_degraded_stale_read_when_master_down(self):
         """Master down + every slave lagging: a bounded-staleness read is
@@ -375,6 +391,6 @@ class TestResilientCluster:
         session = mw.connect(database="shop")
         session.execute("SELECT v FROM kv WHERE k = 0")
         assert session.deadline is None
-        assert mw.resilience.admission.inflight == 0
-        assert mw.resilience.admission.stats["admitted"] > 0
+        assert mw.resilience.admission.pending == 0
+        assert mw.resilience.admission.total_admitted() > 0
         session.close()

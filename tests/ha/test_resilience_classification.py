@@ -1,11 +1,14 @@
-"""`repro.core.resilience` classifies `MiddlewareDown` as
-safe-to-retry-after-failover when an HA standby (or a promotion) gives
-the retry somewhere to land."""
+"""A `MiddlewareDown` leaves the middleware door labelled
+`retry-after-failover` when an HA standby (or a promotion) gives the
+retry somewhere to land, `fatal` otherwise — by the instance that raised
+it; `repro.core.resilience` only counts the label."""
 
 import pytest
 
 from repro.bench.harness import build_cluster
-from repro.core.errors import FencedOut, MiddlewareDown
+from repro.core.errors import (
+    FATAL, RETRY_AFTER_FAILOVER, FencedOut, MiddlewareDown,
+)
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.ha import HAPair
 
@@ -31,8 +34,8 @@ def test_fenced_out_is_classified_retry_after_failover():
     pair.promote()  # false positive: the leader is alive but deposed
     with pytest.raises(FencedOut) as excinfo:
         session.execute("UPDATE kv SET v = v + 1 WHERE k = 0")
-    assert excinfo.value.retry_after_failover is True
-    assert middleware.resilience.stats.get("failover_retries", 0) == 1
+    assert excinfo.value.retry == RETRY_AFTER_FAILOVER
+    assert middleware.resilience.stats["failover_retries"] == 1
 
 
 def test_middleware_down_with_standby_is_retry_after_failover():
@@ -42,7 +45,7 @@ def test_middleware_down_with_standby_is_retry_after_failover():
     middleware.failed = True  # process death mid-request
     with pytest.raises(MiddlewareDown) as excinfo:
         session.execute("UPDATE kv SET v = v + 1 WHERE k = 0")
-    assert excinfo.value.retry_after_failover is True
+    assert excinfo.value.retry == RETRY_AFTER_FAILOVER
 
 
 def test_middleware_down_without_standby_is_terminal():
@@ -51,8 +54,8 @@ def test_middleware_down_without_standby_is_terminal():
     middleware.failed = True
     with pytest.raises(MiddlewareDown) as excinfo:
         session.execute("UPDATE kv SET v = v + 1 WHERE k = 0")
-    assert not getattr(excinfo.value, "retry_after_failover", False)
-    assert middleware.resilience.stats.get("failover_retries", 0) == 0
+    assert excinfo.value.retry == FATAL
+    assert middleware.resilience.stats["failover_retries"] == 0
 
 
 def test_failover_retry_event_lands_on_the_statement_span():

@@ -107,6 +107,39 @@ def test_move_keys_rebalances_hash_shards():
     assert cluster.check_convergence()
 
 
+def test_a_moved_key_answers_to_every_spelling_the_engine_accepts():
+    """The engine's ``=`` compares ``'10'`` and ``10.0`` with an INT key
+    as 10; the override that moved key 10 must too — before the fix
+    ``k = '10'`` / ``k = 10.0`` hashed past it to the emptied source."""
+    cluster = make_kv_cluster(shards=2, rows=12)
+    session = cluster.connect(database="shop")
+    move = OnlineReshard.move_keys(cluster, "kv", [10], dst=1,
+                                   database="shop")
+    move.start()
+    while move.state == "copying":
+        move.copy_chunk(4)
+    move.catch_up()
+    move.enter_dual_write()
+    # inside the window a write is dual-written whatever its spelling
+    session.execute("UPDATE kv SET v = v + 1 WHERE k = '10'")
+    assert cluster.stats["dual_writes"] == 1
+    assert _kv(cluster, 0)[10] == _kv(cluster, 1)[10] == 101
+    move.flip()
+    assert cluster.map.shard_of("kv", "10") == \
+        cluster.map.shard_of("kv", 10.0) == 1
+    for literal in ("10", "'10'", "10.0", "'10.0'", "'1e1'"):
+        assert session.execute(
+            f"SELECT v FROM kv WHERE k = {literal}").rows == [(101,)]
+    assert session.execute(
+        "UPDATE kv SET v = v + 1 WHERE k = '10'").rowcount == 1
+    assert session.execute(
+        "UPDATE kv SET v = v + 1 WHERE k = 10.0").rowcount == 1
+    assert session.execute(
+        "SELECT v FROM kv WHERE k BETWEEN '10' AND 10.5").rows == [(103,)]
+    assert _kv(cluster, 1)[10] == 103 and 10 not in _kv(cluster, 0)
+    assert cluster.check_convergence()
+
+
 def test_move_keys_requires_single_source(hash_cluster):
     with pytest.raises(ReshardError, match="span"):
         OnlineReshard.move_keys(hash_cluster, "kv", [0, 1], dst=1,

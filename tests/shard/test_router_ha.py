@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import build_cluster, build_composed_cluster
-from repro.core.errors import FencedOut, MiddlewareDown
+from repro.core.errors import (
+    RETRY_AFTER_FAILOVER, FencedOut, MiddlewareDown,
+)
 from repro.core.failover import FailoverManager
 from repro.ha import HAPair
 from repro.shard import (
@@ -102,7 +104,7 @@ def test_unwatched_fencedout_is_tagged_retry_after_failover():
     pair.promote()                   # fences the registered leader
     with pytest.raises(FencedOut) as info:
         session.execute("SELECT v FROM kv WHERE k = 0")
-    assert getattr(info.value, "retry_after_failover", False)
+    assert info.value.retry == RETRY_AFTER_FAILOVER
     cluster.attach_pair(0, pair)     # operator hands the router the pair
     assert session.execute("SELECT v FROM kv WHERE k = 0").rows[0][0] == 0
     assert cluster.stats["group_promotions"] == 0  # promoted before watch
@@ -117,7 +119,7 @@ def test_midtxn_failover_raises_retryable_and_loses_nothing():
     cluster.pairs[0].promote()
     with pytest.raises(MiddlewareDown) as info:
         session.execute("UPDATE kv SET v = 98 WHERE k = 0")
-    assert getattr(info.value, "retry_after_failover", False)
+    assert info.value.retry == RETRY_AFTER_FAILOVER
     session.rollback()
     # the uncommitted write died with the leader's soft state
     assert _value(cluster, 0) == 0
@@ -137,7 +139,7 @@ def test_participant_death_before_decision_aborts_everywhere():
     cluster.pairs[1].kill_active()   # dies before COMMIT reaches it
     with pytest.raises(MiddlewareDown) as info:
         session.execute("COMMIT")
-    assert getattr(info.value, "retry_after_failover", False)
+    assert info.value.retry == RETRY_AFTER_FAILOVER
     assert not session.in_transaction
     assert cluster.twopc.stats["aborts"] == 1
     cluster.pairs[1].promote()

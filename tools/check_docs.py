@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run as a CI job.
 
-Five guarantees, all stdlib:
+Six guarantees, all stdlib:
 
 1. every relative Markdown link in the repo's ``*.md`` files resolves
    to an existing file or directory (external ``http(s)``/``mailto``
@@ -30,13 +30,20 @@ Five guarantees, all stdlib:
    ``repro.a.b[.c]`` in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``
    and ``docs/*.md`` must be a package or module under ``src/``, or
    lead with one and go on with a name its source mentions (a class, a
-   function) — a deleted module may not live on in the documentation.
+   function) — a deleted module may not live on in the documentation;
+6. ``docs/ARCHITECTURE.md``'s "Error table" is the classes: every
+   ``MiddlewareError`` subclass in the loaded ``repro`` package (found
+   by importing it and walking ``__subclasses__()``, never listed here)
+   has a row, and the first retry label in that row is the one the
+   class declares.
 
 Exit code 0 = all green; 1 = problems, printed one per line.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -210,6 +217,36 @@ def check_module_paths(problems):
                         f"`{name}` does not exist under src/")
 
 
+#: an error-table row: | `Class` | `label` … |
+ERROR_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|[^|`]*`([a-z-]+)`")
+
+
+def check_error_table(problems):
+    sys.path.insert(0, str(REPO / "src"))
+    import repro
+    from repro.core.errors import MiddlewareError
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    rows = dict(
+        match.groups() for line in
+        (REPO / "docs" / "ARCHITECTURE.md").read_text().splitlines()
+        if (match := ERROR_ROW.match(line)))
+    pending = [MiddlewareError]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        label = rows.get(cls.__name__)
+        if label is None:
+            problems.append(
+                f"docs/ARCHITECTURE.md: error table has no row for "
+                f"{cls.__module__}.{cls.__name__}")
+        elif label != cls.retry:
+            problems.append(
+                f"docs/ARCHITECTURE.md: error table says "
+                f"{cls.__name__} is `{label}`, the class says "
+                f"`{cls.retry}`")
+
+
 def main() -> int:
     problems: list = []
     check_links(problems)
@@ -217,6 +254,7 @@ def main() -> int:
     check_experiment_rows(problems)
     check_vocabulary(problems)
     check_module_paths(problems)
+    check_error_table(problems)
     for problem in problems:
         print(problem)
     count = len(problems)
