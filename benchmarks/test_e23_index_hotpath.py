@@ -18,8 +18,9 @@ table sizes:
 * **update-heavy** — ``UPDATE ... WHERE pk = ?`` (autocommit, the E06
   multi-master per-statement shape);
 * **writeset-apply** — :func:`repro.core.writesets.apply_writeset` of
-  binlog-captured UPDATE entries at a replica (the hot path every
-  replica pays for every committed transaction in the cluster);
+  UPDATE entries captured from a master's transactions at a replica (the
+  hot path every replica pays for every committed transaction in the
+  cluster);
 * **range-count** — ``SELECT COUNT(*), SUM(qty) ... WHERE pk BETWEEN ?
   AND ?`` over a span of 50 keys;
 * **top-n** — ``SELECT ... WHERE pk >= ? ORDER BY pk LIMIT 10``.
@@ -35,7 +36,7 @@ import time
 from pathlib import Path
 
 from repro.bench import Report
-from repro.core.writesets import apply_writeset
+from repro.core.writesets import apply_writeset, extract_writeset_engine
 from repro.sqlengine import Engine
 
 SIZES = (1_000, 10_000)
@@ -114,15 +115,13 @@ def run_writeset_apply(rows: int, use_indexes: bool):
     master = build_engine(rows, True)
     conn = master.connect(database="shop")
     rng = random.Random(SEED + 2)
-    head = master.binlog.head_sequence
+    entries = []
     for i in range(OPS):
+        conn.execute("BEGIN")
         conn.execute("UPDATE items SET qty = ? WHERE id = ?",
                      [1000 + i, rng.randrange(1, rows + 1)])
-    entries = [
-        entry
-        for record in master.binlog.records if record.sequence > head
-        for entry in record.writeset
-    ]
+        entries.extend(extract_writeset_engine(conn.txn))
+        conn.execute("COMMIT")
     assert len(entries) == OPS
 
     replica = build_engine(rows, use_indexes)

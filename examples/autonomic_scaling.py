@@ -15,7 +15,8 @@ never catch up, so the provisioner holds.
 
 from repro.bench import build_cluster, load_workload
 from repro.core import (
-    ApplyItem, AutonomicProvisioner, CostModel, Replica, SyncTimePredictor,
+    ApplyItem, ApplyUnit, AutonomicProvisioner, CostModel, Replica,
+    SyncTimePredictor,
 )
 from repro.sqlengine import Engine, postgresql
 from repro.workloads import MicroWorkload
@@ -43,8 +44,8 @@ def main() -> None:
 
     # --- load spike: queues build up on every replica
     for replica in middleware.replicas:
-        for seq in range(8):
-            replica.enqueue(ApplyItem(10_000 + seq, "writeset", []))
+        for seq in range(10_000, 10_008):
+            replica.enqueue(ApplyItem([ApplyUnit(seq, [])]))
     decision = provisioner.step(update_rate=150.0)
     print(f"under load  -> {decision}")
     print(f"cluster now: {[r.name for r in middleware.online_replicas()]}")
@@ -54,8 +55,8 @@ def main() -> None:
     provisioner.predictor = SyncTimePredictor(
         CostModel(writeset_apply=0.01), replay_parallelism=1)
     for replica in middleware.replicas:
-        for seq in range(8):
-            replica.enqueue(ApplyItem(20_000 + seq, "writeset", []))
+        for seq in range(20_000, 20_008):
+            replica.enqueue(ApplyItem([ApplyUnit(seq, [])]))
     decision = provisioner.step(update_rate=500.0)
     print(f"hot stream  -> {decision}")
 

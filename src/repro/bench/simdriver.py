@@ -19,7 +19,7 @@ from ..cluster.nodes import NodeDown
 from ..cluster.sim import Environment, Store
 from ..core.admission import AdmissionGate
 from ..core.analysis import analyze_cached
-from ..core.applysched import conflict_groups, item_units, lane_makespan
+from ..core.applysched import conflict_groups, lane_makespan
 from ..core.costmodel import CostModel
 from ..core.loadbalancer import RoutingContext
 from ..core.middleware import MiddlewareSession, ReplicationMiddleware
@@ -143,9 +143,7 @@ class TimedCluster:
                 peek = (self.apply_drain_batch if self.dependency_apply
                         else self.apply_parallelism)
                 batch: List = replica.peek_batch(peek)
-                units = []
-                for item in batch:
-                    units.extend(item_units(item))
+                units = [unit for item in batch for unit in item.units]
                 try:
                     if replica.node is not None and units:
                         service, io_fraction = self._apply_service(units)

@@ -46,18 +46,16 @@ class CertifiedWrite:
     ``"statements"``, ``"ddl"`` or ``"opaque"``.
     """
 
-    __slots__ = ("seq", "keys", "tables", "kind", "database", "entries")
+    __slots__ = ("seq", "keys", "tables", "kind", "database")
 
     def __init__(self, seq: int, keys: FrozenSet = frozenset(),
                  tables: FrozenSet[TableKey] = frozenset(),
-                 kind: str = "writeset", database: Optional[str] = None,
-                 entries=None):
+                 kind: str = "writeset", database: Optional[str] = None):
         self.seq = seq
         self.keys = keys
         self.tables = tables
         self.kind = kind
         self.database = database
-        self.entries = entries
 
     def __repr__(self) -> str:
         return (f"CertifiedWrite(seq={self.seq}, kind={self.kind}, "

@@ -23,31 +23,27 @@ parallel apply lanes overlap):
 
 Conflict rules match the certifier exactly: point keys conflict on
 equality, a table-level footprint (``pk is None``) conflicts with every
-key of that table, and an *opaque* unit (``keys is None`` — e.g. a
-statement-replay item whose rows cannot be keyed) is a barrier that
-conflicts with everything.
+key of that table, and an *opaque* unit (``keys is None``: rows that
+cannot be keyed) is a barrier that conflicts with everything.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .writesets import conflict_keys
-
 
 class ApplyUnit:
-    """One certified commit staged into a multi-writeset frame."""
+    """One certified commit inside a propagation frame."""
 
-    __slots__ = ("seq", "entries", "tables", "keys", "origin",
-                 "enqueued_at", "trace_ref")
+    __slots__ = ("seq", "entries", "keys", "origin", "enqueued_at",
+                 "trace_ref")
 
-    def __init__(self, seq: int, entries: Any, tables: Tuple[str, ...] = (),
+    def __init__(self, seq: int, entries: Any,
                  keys: Optional[FrozenSet] = None,
                  origin: Optional[str] = None, enqueued_at: float = 0.0,
                  trace_ref: Optional[Tuple[int, int]] = None):
         self.seq = seq
         self.entries = entries
-        self.tables = tables
         # Conflict footprint: frozenset of (db, table, pk) triples, or
         # None for an opaque unit that must serialize with everything.
         self.keys = keys
@@ -128,23 +124,6 @@ def conflict_groups(units: Sequence[ApplyUnit]) -> List[List[ApplyUnit]]:
             order.append(root)
         grouped[root].append(unit)
     return [grouped[root] for root in order]
-
-
-def item_units(item) -> List[ApplyUnit]:
-    """Normalize one queued :class:`~repro.core.replica.ApplyItem` to its
-    apply units: a ``writeset_batch`` frame carries them directly, a plain
-    writeset becomes one keyed unit, and a statement-replay item becomes
-    one opaque unit (its rows cannot be keyed, so it is a barrier)."""
-    if item.kind == "writeset_batch":
-        return list(item.payload)
-    if item.kind == "writeset":
-        return [ApplyUnit(item.seq, item.payload, item.tables,
-                          keys=conflict_keys(item.payload),
-                          enqueued_at=item.enqueued_at,
-                          trace_ref=item.trace_ref)]
-    return [ApplyUnit(item.seq, item.payload, item.tables, keys=None,
-                      enqueued_at=item.enqueued_at,
-                      trace_ref=item.trace_ref)]
 
 
 def lane_makespan(group_costs: Sequence[float], lanes: int) -> List[float]:

@@ -17,10 +17,11 @@ of which kind runs which stage):
 5. propagate: one frame per destination replica;
 6. ``consistency.note_commit`` for the client session, if there is one;
 7. ledger COMMITTED + ``ship_ack`` (a no-op ships ``ship_resolve_noop``);
-8. ``publish_certified``: one ``CertifiedWrite`` per seq;
+8. ``publish_certified``: one ``CertifiedWrite`` per seq — its
+   footprint is built only while a listener is subscribed;
 9. :meth:`~GroupCommitCoordinator._truncate` — log maintenance: past
-   the retention watermark, cut the recovery log, the certifier log, the
-   standby's mirror and the engines' binlogs at the retention floor.
+   the retention watermark, cut the recovery log, the certifier log and
+   the standby's mirror at the retention floor.
 
 Stages 1-4 are the first half, 5-9 the second.  What differs between
 unit kinds is data on the :class:`CommitRequest`, not a copy of the
@@ -331,7 +332,7 @@ class GroupCommitCoordinator:
                      if prop_span else None)
         prop_span.end()
         request.unit = ApplyUnit(
-            seq, request.entries, tuple(request.tables), keys=request.keys,
+            seq, request.entries, keys=request.keys,
             origin=origin.name if origin is not None else None,
             enqueued_at=middleware.monitor.peek(), trace_ref=trace_ref)
 
@@ -340,17 +341,21 @@ class GroupCommitCoordinator:
         destination for all of them, then per unit in seq order the
         session token, the HA ack and the certified stream — an acked
         commit can never be lost by a promotion, and the cache
-        invalidator sees each commit's own keys and seq."""
+        invalidator sees each commit's own keys and seq.  With nobody
+        subscribed to that stream no footprint is built."""
         middleware = self.middleware
         staged = [r.unit for r in requests if r.unit is not None]
         if staged:
             self._propagate(staged,
                             sync=any(r.sync_apply for r in requests))
         note_commit = middleware.config.consistency.note_commit
+        listening = bool(middleware._certified_listeners)
         for request in requests:
             if request.session is not None:
                 note_commit(request.session.view, request.seq)
             self._acknowledge(request)
+            if not listening:
+                continue
             if request.kind == "writeset":
                 entries = request.entries
                 holder = request.origin \
@@ -362,13 +367,11 @@ class GroupCommitCoordinator:
                 # empty-footprint commits (e.g. SELECT FOR UPDATE only)
                 # still publish: the event advances the invalidator's
                 # freshness watermark
-                entries = None
                 keys = request.keys
                 tables = _qualified(request.tables, request.database)
             middleware.publish_certified(
                 request.seq, keys=keys, tables=tables,
-                kind=request.publish_kind, database=request.database,
-                entries=entries)
+                kind=request.publish_kind, database=request.database)
         self._truncate()
 
     def _truncate(self) -> None:
@@ -399,9 +402,6 @@ class GroupCommitCoordinator:
         middleware.stats["certifier_pruned"] += certifier.prune(cut)
         if middleware.ha is not None:
             middleware.ha.truncate(cut)
-        for replica in middleware.replicas:
-            binlog = replica.engine.binlog
-            binlog.truncate_before(binlog.head_sequence - half)
 
     def _report_stall(self, length: int) -> None:
         """The floor will not move and the logs are four watermarks
@@ -487,8 +487,7 @@ class GroupCommitCoordinator:
         self._complete(requests)
 
     def _propagate(self, staged: List[ApplyUnit], sync: bool) -> None:
-        """One frame per destination replica for the whole batch.  A
-        frame of one keeps the historical plain-writeset item shape."""
+        """One frame per destination replica for the whole batch."""
         middleware = self.middleware
         sync = sync or middleware.config.propagation == "sync"
         origins: Set[Optional[str]] = {unit.origin for unit in staged}
@@ -501,7 +500,7 @@ class GroupCommitCoordinator:
             if not units:
                 continue
             frames[replica.name] = units
-            item = self._frame_item(units, middleware.monitor.peek())
+            item = ApplyItem(units)
             # Origins committed mid-batch already advertise their own
             # seq; the watermark rule requires their co-batch prefix to
             # land before anything else observes them (see module doc).
@@ -515,22 +514,6 @@ class GroupCommitCoordinator:
         self.stats["frames"] += len(frames)
         self.stats["frame_units"] += sum(len(u) for u in frames.values())
         self.last_flush = {"frames": frames, "sync": sync_applied}
-
-    @staticmethod
-    def _frame_item(units: List[ApplyUnit], now: float) -> ApplyItem:
-        if len(units) == 1:
-            unit = units[0]
-            return ApplyItem(unit.seq, "writeset", unit.entries,
-                             unit.tables, enqueued_at=now,
-                             trace_ref=unit.trace_ref)
-        tables: List[str] = []
-        for unit in units:
-            for table in unit.tables:
-                if table not in tables:
-                    tables.append(table)
-        return ApplyItem(units[-1].seq, "writeset_batch", list(units),
-                         tuple(tables), enqueued_at=now,
-                         trace_ref=units[0].trace_ref)
 
 
 def _qualified(names, database: Optional[str]) -> set:

@@ -106,9 +106,9 @@ class MiddlewareConfig:
             in memory (oldest evicted whole, see docs/OBSERVABILITY.md).
         retention_watermark: once the recovery log or the certifier
             log exceeds this many entries, the commit pipeline cuts
-            both, the standby's mirror and the engines' binlogs at the
-            retention floor (:meth:`ReplicationMiddleware.retention_floor`),
-            always keeping the newest half-watermark.  ``0`` means never
+            both and the standby's mirror at the retention floor
+            (:meth:`ReplicationMiddleware.retention_floor`), always
+            keeping the newest half-watermark.  ``0`` means never
             truncate.
     """
 
@@ -253,13 +253,10 @@ class ReplicationMiddleware:
 
     def publish_certified(self, seq: int, keys=frozenset(), tables=(),
                           kind: str = "writeset",
-                          database: Optional[str] = None,
-                          entries=None) -> None:
-        if not self._certified_listeners:
-            return
+                          database: Optional[str] = None) -> None:
         event = CertifiedWrite(seq, keys=frozenset(keys),
                                tables=frozenset(tables), kind=kind,
-                               database=database, entries=entries)
+                               database=database)
         for listener in list(self._certified_listeners):
             listener(event)
 
@@ -480,53 +477,32 @@ class ReplicationMiddleware:
     # ------------------------------------------------------------------
 
     def _apply_item(self, replica: Replica, item: ApplyItem) -> None:
-        if item.kind == "writeset_batch":
-            self._apply_batch_item(replica, item)
-            return
-        span = None
-        if item.trace_ref is not None:
-            # cross-node continuation: the commit's trace gains a span on
-            # the applying replica, so one timeline shows propagation lag
-            trace_id, parent_id = item.trace_ref
-            span = self.tracer.start_linked(
-                "replica.apply", trace_id, parent_id,
-                replica=replica.name, seq=item.seq)
-            span.set_tag("propagation_lag", round(
-                max(0.0, self.tracer.now() - item.enqueued_at), 9))
-        try:
-            if item.kind == "writeset":
-                report = apply_writeset(
-                    replica.engine, item.payload,
-                    compensate_counters=self.config.compensate_counters)
-                if not report.clean:
-                    self.monitor.record("apply_divergence", replica.name,
-                                        seq=item.seq,
-                                        issues=report.conflicts)
-            else:
-                connection = replica.apply_connection()
-                for sql, params in item.payload:
-                    connection.execute(sql, params)
-            replica.applied_seq = max(replica.applied_seq, item.seq)
-            replica.stats["applied_items"] += 1
-        finally:
-            if span is not None:
-                span.end()
-
-    def _apply_batch_item(self, replica: Replica, item: ApplyItem) -> None:
-        """Apply a multi-writeset frame.  One ``replica.apply_batch``
-        span covers the whole frame (amortized hot-path observability)
-        with a per-transaction event carrying each commit's seq and
-        propagation lag; the watermark advances per unit, in seq order,
-        so it never advertises a seq with unapplied predecessors."""
-        units = item.payload
-        span = None
-        if item.trace_ref is not None:
-            trace_id, parent_id = item.trace_ref
-            span = self.tracer.start_linked(
-                "replica.apply_batch", trace_id, parent_id,
-                replica=replica.name, units=len(units),
-                first_seq=units[0].seq, last_seq=units[-1].seq)
+        """Apply one frame, unit by unit in seq order: the watermark
+        advances per unit, so it never advertises a seq with unapplied
+        predecessors.  Cross-node continuation: the commit's trace gains
+        a span on the applying replica, so one timeline shows the
+        propagation lag — ``replica.apply`` for a frame of one, one
+        ``replica.apply_batch`` for a larger frame (amortized hot-path
+        observability) with a ``txn_applied`` event per unit.  A unit's
+        ``propagation_lag`` runs from when its commit was staged."""
+        units = item.units
+        batch = len(units) > 1
+        trace_ref = units[0].trace_ref
         now = self.tracer.now()
+        span = None
+        if trace_ref is not None:
+            trace_id, parent_id = trace_ref
+            if batch:
+                span = self.tracer.start_linked(
+                    "replica.apply_batch", trace_id, parent_id,
+                    replica=replica.name, units=len(units),
+                    first_seq=units[0].seq, last_seq=units[-1].seq)
+            else:
+                span = self.tracer.start_linked(
+                    "replica.apply", trace_id, parent_id,
+                    replica=replica.name, seq=units[0].seq)
+                span.set_tag("propagation_lag", round(
+                    max(0.0, now - units[0].enqueued_at), 9))
         try:
             for unit in units:
                 report = apply_writeset(
@@ -538,7 +514,7 @@ class ReplicationMiddleware:
                                         issues=report.conflicts)
                 replica.applied_seq = max(replica.applied_seq, unit.seq)
                 replica.stats["applied_items"] += 1
-                if span is not None:
+                if batch and span is not None:
                     span.event("txn_applied", seq=unit.seq,
                                propagation_lag=round(
                                    max(0.0, now - unit.enqueued_at), 9))
@@ -1110,15 +1086,14 @@ class MiddlewareSession:
     # ------------------------------------------------------------------
 
     def _traced_execute(self, replica: Replica, connection: Connection,
-                        statement: ast.Statement, sql_text: str,
+                        statement: ast.Statement,
                         params: List[Any]) -> Result:
         """Run one statement on one replica under a replica.execute span
         (a no-op span outside a traced request)."""
         span = self.middleware.tracer.child_span(
             "replica.execute", self.active_span, replica=replica.name)
         with span:
-            return connection.execute_statement(statement, sql_text,
-                                                params)
+            return connection.execute_statement(statement, params)
 
     # ------------------------------------------------------------------
     # reads
@@ -1147,7 +1122,7 @@ class MiddlewareSession:
                 replica = self._ensure_local_replica()
                 connection = self._txn_connections[replica.name]
             result = self._traced_execute(replica, connection, statement,
-                                          sql_text, params)
+                                          params)
         elif self.in_transaction:
             # statement mode: read through a replica holding the txn
             if self._txn_connections:
@@ -1156,14 +1131,14 @@ class MiddlewareSession:
                 replica = middleware.choose_read_replica(self, info)
             connection = self._txn_connection(replica)
             result = self._traced_execute(replica, connection, statement,
-                                          sql_text, params)
+                                          params)
         else:
             try:
                 replica = middleware.choose_read_replica(self, info)
                 connection = self._read_connection(replica)
                 replays_before = self.failover_replays
                 result = self._run_with_failover(
-                    replica, connection, statement, sql_text, params, info)
+                    replica, connection, statement, params, info)
             except (NoReplicaAvailable, ReplicaUnavailable,
                     ConnectionError_):
                 # degraded mode prefers a labelled-stale cache hit over an
@@ -1204,14 +1179,13 @@ class MiddlewareSession:
         raise ReplicaUnavailable("no live replica holds this transaction")
 
     def _run_with_failover(self, replica: Replica, connection: Connection,
-                           statement: ast.Statement, sql_text: str,
-                           params: List[Any],
+                           statement: ast.Statement, params: List[Any],
                            info: StatementInfo) -> Result:
         """Autocommit read with transparent retry on another replica when
         the chosen one dies mid-request (section 4.3.3)."""
         try:
             return self._traced_execute(replica, connection, statement,
-                                        sql_text, params)
+                                        params)
         except ConnectionError_:
             self._note_replica_failure(replica)
             if self.active_span:
@@ -1221,7 +1195,7 @@ class MiddlewareSession:
             retry_connection = self._read_connection(retry)
             self.failover_replays += 1
             return self._traced_execute(retry, retry_connection,
-                                        statement, sql_text, params)
+                                        statement, params)
 
     def _read_connection(self, replica: Replica) -> Connection:
         connection = self._read_connections.get(replica.name)
@@ -1250,7 +1224,7 @@ class MiddlewareSession:
             self._begin_transaction(None)
         try:
             if self._statement_touches_temp(info):
-                result = self._execute_on_pinned(statement, sql_text, params)
+                result = self._execute_on_pinned(statement, params)
             elif middleware.config.replication == "statement" \
                     and middleware.config.consistency.write_mode != "master":
                 result = self._statement_mode_write(
@@ -1268,7 +1242,7 @@ class MiddlewareSession:
 
     # -- temp-table pinning ------------------------------------------------
 
-    def _execute_on_pinned(self, statement: ast.Statement, sql_text: str,
+    def _execute_on_pinned(self, statement: ast.Statement,
                            params: List[Any]) -> Result:
         """Temp-table work sticks to one replica (section 4.1.4).
 
@@ -1298,7 +1272,7 @@ class MiddlewareSession:
             connection.begin(self._txn_isolation)
             self._txn_connections[replica.name] = connection
         return self._traced_execute(replica, connection, statement,
-                                    sql_text, params)
+                                    params)
 
     def _pinned_connection_for(self, replica: Replica) -> Connection:
         if self._pinned_connection is None or self._pinned_connection.closed:
@@ -1332,7 +1306,7 @@ class MiddlewareSession:
             connection = self._txn_connection(replica)
             try:
                 result = self._traced_execute(
-                    replica, connection, statement, sql_text, params)
+                    replica, connection, statement, params)
                 results.append((replica, result))
             except ConnectionError_:
                 # Replica died mid-broadcast: statement replication keeps
@@ -1448,7 +1422,7 @@ class MiddlewareSession:
         replica = self._ensure_local_replica()
         connection = self._txn_connections[replica.name]
         result = self._traced_execute(replica, connection, statement,
-                                      sql_text, params)
+                                      params)
         self._txn_statements.append((sql_text, list(params)))
         self._txn_tables_written |= info.tables_written
         self._txn_is_write = True
@@ -1467,7 +1441,7 @@ class MiddlewareSession:
                 if replica.name in self._txn_connections \
                 else self._read_connection(replica)
             result = self._traced_execute(replica, connection, statement,
-                                          sql_text, params)
+                                          params)
         # already executed everywhere: only the ordered tail is left
         middleware.group_commit.commit_sequenced(CommitRequest(
             self, entries=[(sql_text, list(params))],

@@ -11,10 +11,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
-from ..sqlengine import Connection, Engine
+from ..sqlengine import Engine
 from ..cluster.nodes import Node
+from .applysched import ApplyUnit
 
 
 class ReplicaState(enum.Enum):
@@ -26,23 +27,18 @@ class ReplicaState(enum.Enum):
 
 
 class ApplyItem:
-    """One unit of pending replication work for this replica."""
+    """One propagation frame queued for this replica: the certified
+    commits it carries, in seq order (never empty)."""
 
-    __slots__ = ("seq", "kind", "payload", "tables", "enqueued_at",
-                 "trace_ref")
+    __slots__ = ("units",)
 
-    def __init__(self, seq: int, kind: str, payload: Any,
-                 tables: Tuple[str, ...] = (), enqueued_at: float = 0.0,
-                 trace_ref: Optional[Tuple[int, int]] = None):
-        self.seq = seq
-        self.kind = kind          # "statements" | "writeset" | "writeset_batch"
-        self.payload = payload
-        self.tables = tables
-        self.enqueued_at = enqueued_at
-        # (trace_id, span_id) of the originating commit's propagate span:
-        # the apply side opens a *linked* span into that trace, so one
-        # trace shows the cross-node propagation lag (repro.obs).
-        self.trace_ref = trace_ref
+    def __init__(self, units: List[ApplyUnit]):
+        self.units = units
+
+    @property
+    def seq(self) -> int:
+        """The frame's last commit."""
+        return self.units[-1].seq
 
 
 class Replica:
@@ -60,8 +56,6 @@ class Replica:
         # Pending asynchronous apply work (deque: the apply pipeline pops
         # strictly from the head, which a plain list makes O(n)).
         self.apply_queue: Deque[ApplyItem] = deque()
-        # Admin connection used for applying replicated updates.
-        self._apply_connection: Optional[Connection] = None
         # Counters for reports.
         self.stats: Dict[str, float] = {
             "applied_items": 0, "apply_time": 0.0, "served_reads": 0,
@@ -99,7 +93,6 @@ class Replica:
     def mark_failed(self) -> None:
         self.stats["failures"] += 1
         self.set_state(ReplicaState.FAILED)
-        self._apply_connection = None
 
     def _node_recovered(self) -> None:
         """The host came back: the replica is *recovering*, not serving —
@@ -109,16 +102,6 @@ class Replica:
             self.set_state(ReplicaState.RECOVERING)
 
     # -- apply pipeline -------------------------------------------------------
-
-    def apply_connection(self) -> Connection:
-        if self._apply_connection is None or self._apply_connection.closed:
-            database = None
-            names = self.engine.database_names()
-            if names:
-                database = names[0]
-            self._apply_connection = self.engine.connect(
-                "admin", "", database=database)
-        return self._apply_connection
 
     def enqueue(self, item: ApplyItem) -> None:
         self.apply_queue.append(item)

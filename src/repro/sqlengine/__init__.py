@@ -3,14 +3,15 @@
 This package stands in for the commercial/open-source RDBMS engines of the
 paper (PostgreSQL, MySQL, Sybase, Oracle...).  It implements MVCC with
 snapshot isolation, two-phase-locking serializability, triggers, stored
-procedures, sequences, temporary tables, access control, large objects, a
-binlog and dump/restore — with per-dialect quirks that reproduce the gaps
-catalogued in section 4 of the paper.
+procedures, sequences, temporary tables, access control, large objects
+and dump/restore — with per-dialect quirks that reproduce the gaps
+catalogued in section 4 of the paper.  It keeps no transaction log of
+its own: the one log a replica group replays is the middleware's
+recovery log (``repro.core.recoverylog``).
 """
 
 from .auth import User, UserStore
 from .backup import BackupOptions, EngineDump, dump_engine, restore_engine
-from .binlog import Binlog, BinlogRecord
 from .catalog import Database
 from .dialects import Dialect, by_name, generic, mysql, oracle, postgresql, sybase
 from .engine import Connection, Engine
@@ -40,8 +41,8 @@ from .triggers import Trigger, TriggerEvent
 from .types import Column, ColumnType
 
 __all__ = [
-    "AccessDeniedError", "AccessPlan", "BackupOptions", "Binlog",
-    "BinlogRecord", "Column", "IndexDef", "plan_table_access",
+    "AccessDeniedError", "AccessPlan", "BackupOptions", "Column",
+    "IndexDef", "plan_table_access",
     "ColumnType", "Connection", "ConnectionError_", "Database",
     "DeadlockError", "Dialect", "DiskFullError", "DuplicateObjectError",
     "Engine", "EngineDump", "INFORMATION_SCHEMA", "IntegrityError", "LobError", "LobHandle",

@@ -7,10 +7,6 @@ are not in the transaction log.  :class:`BackupOptions` makes every one of
 those gaps an explicit switch, with the **defaults reproducing the lossy
 behaviour of typical tools** — the cluster-level backup coordinator in
 ``repro.core.backup`` must opt in to a faithful clone.
-
-A dump carries the binlog sequence number current at dump time so the
-recovery log can replay exactly the missed updates (Sequoia-style
-checkpointing, section 4.4.2).
 """
 
 from __future__ import annotations
@@ -54,10 +50,9 @@ class BackupOptions:
 class EngineDump:
     """A consistent dump of one engine's committed state."""
 
-    def __init__(self, engine_name: str, binlog_sequence: int,
-                 commit_ts: int, options: BackupOptions):
+    def __init__(self, engine_name: str, commit_ts: int,
+                 options: BackupOptions):
         self.engine_name = engine_name
-        self.binlog_sequence = binlog_sequence
         self.commit_ts = commit_ts
         self.options = options
         # db -> table -> list of row dicts
@@ -91,8 +86,7 @@ def dump_engine(engine: Engine, options: Optional[BackupOptions] = None,
         raise SQLError(f"engine {engine.name!r} is down, cannot dump")
     options = options or BackupOptions()
     snapshot = engine.clock.snapshot()
-    dump = EngineDump(engine.name, engine.binlog.head_sequence,
-                      snapshot.timestamp, options)
+    dump = EngineDump(engine.name, snapshot.timestamp, options)
     for db_name in sorted(databases or engine.databases.keys()):
         database = engine.database(db_name)
         dump.data[db_name] = {}

@@ -2,8 +2,8 @@
 
 Public entry points:
 
-* :class:`Engine` — create databases, accept connections, expose the
-  binlog, crash/recover for fault injection.
+* :class:`Engine` — create databases, accept connections, crash/recover
+  for fault injection.
 * :class:`Connection` — the client session: ``execute(sql, params)`` plus
   explicit ``begin``/``commit``/``rollback``.  Autocommit wraps each
   statement in an implicit transaction.
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from . import ast_nodes as ast
 from .auth import User, UserStore
-from .binlog import Binlog, BinlogRecord
 from .catalog import Database
 from .dialects import Dialect, generic
 from .errors import (
@@ -43,15 +42,6 @@ from .transactions import Transaction, TransactionStatus
 _VALID_ISOLATION = {
     READ_UNCOMMITTED, READ_COMMITTED, REPEATABLE_READ, SNAPSHOT, SERIALIZABLE,
 }
-
-# Statements whose text is captured into the binlog for statement shipping.
-_WRITE_STATEMENTS = (
-    ast.InsertStatement, ast.UpdateStatement, ast.DeleteStatement,
-    ast.CreateTableStatement, ast.CreateIndexStatement,
-    ast.CreateSequenceStatement, ast.CreateTriggerStatement,
-    ast.CreateProcedureStatement, ast.DropStatement,
-    ast.AlterTableStatement, ast.CallStatement,
-)
 
 
 class TempSpace:
@@ -94,12 +84,6 @@ class Connection:
         self.default_isolation = engine.dialect.default_isolation
         self.last_insert_id: Optional[int] = None
         self.closed = False
-        # Raw text of write statements in the current transaction, captured
-        # for the binlog / statement replication.
-        self._txn_statements: List[Tuple[str, list]] = []
-        # Temp tables this session has touched — the middleware reads this
-        # to keep the session sticky to one replica (section 4.1.4).
-        self.temp_tables_touched: set = set()
 
     # -- identity / catalog ------------------------------------------------
 
@@ -119,11 +103,6 @@ class Connection:
     def use_database(self, name: str) -> None:
         self.engine.database(name)  # validate
         self._database = name
-
-    def note_table_access(self, database: str, table: str,
-                          temporary: bool) -> None:
-        if temporary:
-            self.temp_tables_touched.add(table.lower())
 
     # -- transaction control ----------------------------------------------
 
@@ -150,7 +129,6 @@ class Connection:
             raise SQLError("transaction already in progress")
         level = self.normalize_isolation(isolation)
         self.txn = self.engine.begin_transaction(self, level, explicit=True)
-        self._txn_statements = []
         return self.txn
 
     def commit(self) -> None:
@@ -162,9 +140,8 @@ class Connection:
             # A poisoned transaction commits as a rollback.
             self.rollback()
             return
-        self.engine.commit(txn, self, self._txn_statements)
+        self.engine.commit(txn)
         self.txn = None
-        self._txn_statements = []
         self._drop_transaction_temp_tables(txn)
 
     def rollback(self) -> None:
@@ -172,9 +149,8 @@ class Connection:
         txn = self.txn
         if txn is None:
             return
-        self.engine.rollback(txn, self)
+        self.engine.rollback(txn)
         self.txn = None
-        self._txn_statements = []
         self._drop_transaction_temp_tables(txn)
 
     def _drop_transaction_temp_tables(self, txn: Transaction) -> None:
@@ -193,18 +169,17 @@ class Connection:
         statements); returns the result of the last one."""
         self._check_usable()
         result = Result()
-        for statement, text, values in self.engine.script(sql, params):
-            result = self._execute_one(statement, text, list(values))
+        for statement, _text, values in self.engine.script(sql, params):
+            result = self._execute_one(statement, list(values))
         return result
 
     def execute_statement(self, statement: ast.Statement,
-                          sql_text: str = "",
                           params: Optional[List[Any]] = None) -> Result:
         """Execute an already-parsed statement (middleware fast path)."""
         self._check_usable()
-        return self._execute_one(statement, sql_text, params or [])
+        return self._execute_one(statement, params or [])
 
-    def _execute_one(self, statement: ast.Statement, sql_text: str,
+    def _execute_one(self, statement: ast.Statement,
                      params: List[Any]) -> Result:
         if isinstance(statement, ast.BeginStatement):
             self.begin(statement.isolation)
@@ -220,7 +195,6 @@ class Connection:
         if implicit:
             self.txn = self.engine.begin_transaction(
                 self, self.normalize_isolation(None), explicit=False)
-            self._txn_statements = []
         txn = self.txn
 
         if txn.status is TransactionStatus.FAILED:
@@ -247,8 +221,6 @@ class Connection:
                 # are detected before mutation.
                 txn.mark_failed("statement failed")
             raise
-        if isinstance(statement, _WRITE_STATEMENTS):
-            self._txn_statements.append((sql_text, list(params)))
         if result.lastrowid is not None:
             self.last_insert_id = result.lastrowid
         if implicit:
@@ -273,7 +245,7 @@ class Connection:
             return
         if self.txn is not None and self.txn.status in (
                 TransactionStatus.ACTIVE, TransactionStatus.FAILED):
-            self.engine.rollback(self.txn, self)
+            self.engine.rollback(self.txn)
             self.txn = None
         self.temp_space.clear()
         self.closed = True
@@ -297,7 +269,6 @@ class Engine:
 
     def __init__(self, name: str = "engine", dialect: Optional[Dialect] = None,
                  seed: Optional[int] = None,
-                 binlog_capacity: Optional[int] = None,
                  parse_cache_capacity: int = CAPACITY):
         self.name = name
         self.dialect = dialect or generic()
@@ -308,13 +279,11 @@ class Engine:
         self.functions = FunctionEnvironment(seed=seed)
         self.lobs = LobStore()
         self.executor = Executor(self)
-        self.binlog = Binlog(capacity=binlog_capacity)
         self.enforce_privileges = True
         self.crashed = False
         self.disk_full = False
         self._txn_counter = itertools.count(1)
         self.active_transactions: Dict[int, Transaction] = {}
-        self._commit_listeners: List[Callable[[Transaction, BinlogRecord], None]] = []
         # Parsed-statement cache with LRU eviction: long-running sessions
         # with churning SQL text keep their hot statements cached instead
         # of the cache freezing once it fills.
@@ -414,10 +383,8 @@ class Engine:
         self.active_transactions[txn.id] = txn
         return txn
 
-    def commit(self, txn: Transaction,
-               session: Optional[Connection] = None,
-               statements: Optional[List[Tuple[str, list]]] = None) -> int:
-        """Commit ``txn``: stamp versions, log, release locks.
+    def commit(self, txn: Transaction) -> int:
+        """Commit ``txn``: stamp versions, release locks.
         Returns the commit timestamp."""
         if txn.status is not TransactionStatus.ACTIVE:
             raise SQLError(f"cannot commit transaction in state {txn.status}")
@@ -432,18 +399,6 @@ class Engine:
         self.locks.release_all(txn.id)
         self.active_transactions.pop(txn.id, None)
         self.stats["commits"] += 1
-
-        record = None
-        if not txn.writeset.is_empty() or statements:
-            record = self.binlog.append(
-                ts, txn.id, txn.user,
-                session.database_or_none if session else None,
-                statements or [],
-                [entry.to_dict() for entry in txn.writeset],
-                sorted(txn.tables_written),
-            )
-        for listener in list(self._commit_listeners):
-            listener(txn, record)
         if self.autovacuum_interval:
             self._commits_since_vacuum += 1
             if self._commits_since_vacuum >= self.autovacuum_interval:
@@ -451,8 +406,7 @@ class Engine:
                 self.vacuum()
         return ts
 
-    def rollback(self, txn: Transaction,
-                 session: Optional[Connection] = None) -> None:
+    def rollback(self, txn: Transaction) -> None:
         if txn.status is TransactionStatus.COMMITTED:
             raise SQLError("cannot roll back a committed transaction")
         for table, version in txn.created_versions:
@@ -464,16 +418,6 @@ class Engine:
         self.locks.release_all(txn.id)
         self.active_transactions.pop(txn.id, None)
         self.stats["rollbacks"] += 1
-
-    def on_commit(self, listener: Callable[[Transaction, Optional[BinlogRecord]], None]) -> Callable[[], None]:
-        """Engine-level replication hook (Figure 5 architecture): called
-        after every commit with the transaction and its binlog record."""
-        self._commit_listeners.append(listener)
-
-        def unsubscribe() -> None:
-            if listener in self._commit_listeners:
-                self._commit_listeners.remove(listener)
-        return unsubscribe
 
     def vacuum(self) -> int:
         """Garbage-collect row versions no live snapshot can see, keeping

@@ -440,9 +440,6 @@ class Executor:
                     session, table, binding, where, snapshot, outer_ctx,
                     dirty, top, predicate)
             ]
-            if session.txn is not None:
-                session.txn.tables_read.add((database_name, table.name.lower()))
-            session.note_table_access(database_name, table.name, table.temporary)
             return rows, [(binding, [c.lower() for c in table.column_names])]
         if isinstance(source, ast.SubquerySource):
             result = self._run_select(session, source.select, outer_ctx)
@@ -780,7 +777,6 @@ class Executor:
         if txn is not None:
             txn.note_created(table, version)
             if not table.temporary:
-                txn.tables_written.add((database_name, table.name.lower()))
                 txn.writeset.add(WritesetEntry(
                     database_name, table.name.lower(), "INSERT",
                     self._primary_key_of(table, full_row), None,
@@ -865,7 +861,6 @@ class Executor:
                 txn.note_deleted(version)
                 txn.note_created(table, new_version)
                 if not table.temporary:
-                    txn.tables_written.add((database_name, table.name.lower()))
                     txn.writeset.add(WritesetEntry(
                         database_name, table.name.lower(), "UPDATE",
                         self._primary_key_of(table, old_values),
@@ -906,7 +901,6 @@ class Executor:
             if txn is not None:
                 txn.note_deleted(version)
                 if not table.temporary:
-                    txn.tables_written.add((database_name, table.name.lower()))
                     txn.writeset.add(WritesetEntry(
                         database_name, table.name.lower(), "DELETE",
                         self._primary_key_of(table, old_values),

@@ -451,13 +451,14 @@ def _build_star(expr: ast.Star, binding) -> Compiled:
 
 
 def sort_key(value: Any) -> tuple:
-    """A total-order sort key over heterogeneous SQL values (NULLs first)."""
+    """A total-order sort key over heterogeneous SQL values (NULLs first).
+    A number is keyed by its own value: ``int`` and ``float`` compare
+    exactly and hash alike where equal, whereas ``float()`` would merge
+    integers past 2**53."""
     if value is None:
         return (0, 0, 0)
-    if isinstance(value, bool):
-        return (1, 0, int(value))
     if isinstance(value, (int, float)):
-        return (1, 0, float(value))
+        return (1, 0, value)
     if isinstance(value, str):
         return (1, 1, value)
     if isinstance(value, bytes):

@@ -57,11 +57,16 @@ class FunctionEnvironment:
 
 def call_scalar(env: FunctionEnvironment, name: str, args: List[Any],
                 session_user: str = "") -> Any:
-    """Evaluate scalar function ``name`` over already-evaluated ``args``."""
+    """Evaluate scalar function ``name`` over already-evaluated ``args``.
+    An argument the function cannot take raises :class:`TypeError_`,
+    like an operator's operand, never a bare Python exception."""
     handler = _SCALAR_FUNCTIONS.get(name)
     if handler is None:
         raise NameError_(f"unknown function {name}()")
-    return handler(env, args, session_user)
+    try:
+        return handler(env, args, session_user)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise TypeError_(f"invalid argument to {name}(): {exc}") from exc
 
 
 def _fn_now(env, args, user):
@@ -134,8 +139,8 @@ def _fn_abs(env, args, user):
 
 def _fn_mod(env, args, user):
     _require_args("MOD", args, 2)
-    if args[0] is None or args[1] is None:
-        return None
+    if args[0] is None or args[1] is None or args[1] == 0:
+        return None     # by zero: NULL, like the % operator
     return args[0] % args[1]
 
 

@@ -8,9 +8,10 @@ transactional log — so naive backup/restore misses them.
 
 This module reproduces all three properties: ``next_value`` advances
 immediately and permanently; values are handed out outside any snapshot;
-and the engine's binlog records statements, not sequence counters, so a
-restore from a statement log can hand out duplicate keys unless the
-middleware compensates.
+and a counter is in no log — the middleware's recovery log holds
+writesets and statements, not sequence state — so a replica rebuilt
+from a dump plus a log replay can hand out duplicate keys unless the
+middleware compensates (``MiddlewareConfig.compensate_counters``).
 """
 
 from __future__ import annotations

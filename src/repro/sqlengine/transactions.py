@@ -106,8 +106,6 @@ class Transaction:
         self.commit_ts: Optional[int] = None
 
         self.writeset = Writeset()
-        self.tables_read: Set[Tuple[str, str]] = set()
-        self.tables_written: Set[Tuple[str, str]] = set()
 
         # Undo information: versions created by this txn and versions this
         # txn marked deleted (so rollback can clear the marks).
@@ -156,10 +154,6 @@ class Transaction:
     @property
     def is_active(self) -> bool:
         return self.status is TransactionStatus.ACTIVE
-
-    @property
-    def is_read_only(self) -> bool:
-        return self.writeset.is_empty() and not self.tables_written
 
     def __repr__(self) -> str:
         return f"Transaction(id={self.id}, status={self.status.value}, iso={self.isolation!r})"

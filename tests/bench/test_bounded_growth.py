@@ -4,9 +4,9 @@ Autocommit updates through the composed tier (two shard groups, each
 behind an HA pair, two replicas each) at the default retention
 watermark, with a replica add, an HA promotion and an online key move
 inside the run.  After warm-up every per-commit structure — recovery
-log, certifier log, the standby's mirror, the engines' binlogs, named
-checkpoints — and every bounded cache (tracer retention, every
-``Memo``) must sit at or under its bound at every sample.
+log, certifier log, the standby's mirror, named checkpoints — and
+every bounded cache (tracer retention, every ``Memo``) must sit at or
+under its bound at every sample.
 
 Short in tier-1; the same body at 300 000 commits is the ``soak`` CI
 job, which also wants the process's peak RSS flat after warm-up.
@@ -62,8 +62,6 @@ def sizes(cluster):
         tracers[f"g{index}"] = group.tracer
         for replica in group.replicas:
             engine = replica.engine
-            out[f"{replica.name}.binlog"] = (len(engine.binlog.records),
-                                             watermark)
             memos[f"{replica.name}.access_shapes"] = \
                 engine.database("shop").table("kv").access_shapes
             memos[f"{replica.name}.compiled"] = engine.executor.compiled

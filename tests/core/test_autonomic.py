@@ -74,10 +74,10 @@ class TestAutonomicProvisioner:
             min_replicas=2, max_replicas=5)
 
     def load_up(self, provisioner, items=10):
-        from repro.core import ApplyItem
+        from repro.core import ApplyItem, ApplyUnit
         for replica in provisioner.middleware.replicas:
-            for seq in range(items):
-                replica.enqueue(ApplyItem(1000 + seq, "writeset", []))
+            for seq in range(1000, 1000 + items):
+                replica.enqueue(ApplyItem([ApplyUnit(seq, [])]))
 
     def drain(self, provisioner):
         for replica in provisioner.middleware.replicas:

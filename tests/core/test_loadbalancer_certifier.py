@@ -46,10 +46,10 @@ class TestPolicies:
         assert picks.count("heavy") > picks.count("light") * 3
 
     def test_lprf_picks_least_loaded(self, replicas):
-        from repro.core import ApplyItem
-        replicas[0].enqueue(ApplyItem(1, "writeset", []))
-        replicas[0].enqueue(ApplyItem(2, "writeset", []))
-        replicas[1].enqueue(ApplyItem(1, "writeset", []))
+        from repro.core import ApplyItem, ApplyUnit
+        replicas[0].enqueue(ApplyItem([ApplyUnit(1, [])]))
+        replicas[0].enqueue(ApplyItem([ApplyUnit(2, [])]))
+        replicas[1].enqueue(ApplyItem([ApplyUnit(1, [])]))
         policy = LeastPendingPolicy()
         assert policy.choose(replicas, RoutingContext()).name == "r2"
 

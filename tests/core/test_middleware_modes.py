@@ -163,8 +163,7 @@ class TestStatementMode:
         statement = parse("SELECT COUNT(*) FROM kv")
         replica.engine.crashed = True  # dies after routing chose it
         result = session._run_with_failover(
-            replica, connection, statement, "SELECT COUNT(*) FROM kv",
-            [], analyze(statement))
+            replica, connection, statement, [], analyze(statement))
         assert result.scalar() == 10
         assert session.failover_replays == 1
         session.close()

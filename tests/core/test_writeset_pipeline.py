@@ -15,16 +15,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import ResultCacheConfig
 from repro.core import (
     ClusterManager, MiddlewareConfig, ReplicationMiddleware,
     protocol_by_name,
 )
-from repro.core.applysched import (
-    ApplyUnit, conflict_groups, item_units, lane_makespan,
-)
+from repro.core import groupcommit
+from repro.core.applysched import ApplyUnit, conflict_groups, lane_makespan
 from repro.core.certifier import Certifier
 from repro.core.recoverylog import RecoveryLog
 from repro.core.replica import ApplyItem, Replica
+from repro.core.writesets import conflict_keys
 from repro.ha import EpochFence, HALink, HAPair
 from repro.sqlengine import SerializationError
 
@@ -181,18 +182,28 @@ class TestConflictGroups:
         assert [[u.seq for u in g] for g in groups] == [[1, 3, 5], [2, 4, 6]]
 
 
-def test_item_units_normalizes_every_kind():
-    unit = _unit(5, ("shop", "kv", 1))
-    frame = ApplyItem(5, "writeset_batch", [unit], ("kv",))
-    assert item_units(frame) == [unit]
-    entries = [{"database": "shop", "table": "kv", "op": "update",
-                "primary_key": (1,), "row": {"k": 1, "v": 2}}]
-    plain = ApplyItem(6, "writeset", entries, ("kv",))
-    (from_plain,) = item_units(plain)
-    assert from_plain.keys == frozenset({("shop", "kv", (1,))})
-    replay = ApplyItem(7, "statements", [("UPDATE kv SET v=1", ())], ("kv",))
-    (opaque,) = item_units(replay)
-    assert opaque.keys is None  # statement replay is a barrier
+def test_a_frame_of_one_and_a_frame_of_many_have_one_shape():
+    """Every queued frame is an ``ApplyItem`` holding the ``ApplyUnit``s
+    it carries, each keyed by its writeset's conflict footprint — the
+    timed apply worker schedules them as they lie."""
+    mw = build(propagation="async", n=5)
+    session = mw.connect(database="shop")
+    session.execute("UPDATE kv SET v = 1 WHERE k = 7")
+    session.close()
+    sessions = [_begin_update(mw, key, f"t-{key}") for key in range(3)]
+    with mw.group_commit.batch():
+        for session in sessions:
+            session.commit()
+    for session in sessions:
+        session.close()
+    frames = [item for replica in mw.replicas for item in replica.apply_queue]
+    assert sorted({len(item.units) for item in frames}) == [1, 3]
+    for item in frames:
+        for unit in item.units:
+            assert isinstance(unit, ApplyUnit)
+            assert unit.keys == conflict_keys(unit.entries) != frozenset()
+    mw.pump()
+    assert mw.check_convergence()
 
 
 class TestLaneMakespan:
@@ -215,7 +226,7 @@ class TestLaneMakespan:
 # ---------------------------------------------------------------------------
 
 def _items(seqs):
-    return [ApplyItem(s, "writeset", [], ()) for s in seqs]
+    return [ApplyItem([ApplyUnit(s, [])]) for s in seqs]
 
 
 class TestReplicaDrain:
@@ -277,8 +288,7 @@ class TestGroupCommit:
         assert len(destinations) >= 2
         for replica in destinations:
             (frame,) = replica.apply_queue  # one frame, not three items
-            assert frame.kind == "writeset_batch"
-            assert len(frame.payload) == 3
+            assert len(frame.units) == 3
         assert len(origins) + len(destinations) == 5
         mw.pump()
         assert mw.check_convergence()
@@ -402,16 +412,13 @@ def build_pair(**config_kwargs):
 
 
 def retained(mw, state):
-    """Every per-commit structure, by name -> the seqs it holds (the
-    binlog has its own numbering: its length)."""
-    structures = {
+    """Every per-commit structure, by name -> the seqs it holds."""
+    return {
         "recovery_log": [e.seq for e in mw.recovery_log.entries],
         "certifier_log": [seq for seq, _keys in mw.certifier.export_log()],
         "standby_commits": [c.seq for c in state.commits],
         "standby_certifier_log": [seq for seq, _k in state.certifier_log],
     }
-    binlogs = [len(r.engine.binlog.records) for r in mw.replicas]
-    return structures, binlogs
 
 
 class TestAutoPrune:
@@ -425,13 +432,11 @@ class TestAutoPrune:
         assert mw.certifier.pruned_total > 0
         assert mw.stats["certifier_pruned"] == mw.certifier.pruned_total
         assert mw.stats["log_truncated"] > 0
-        structures, binlogs = retained(mw, state)
-        for name, seqs in structures.items():
+        for name, seqs in retained(mw, state).items():
             assert len(seqs) <= 10, name
             # the newest half-watermark always survives, gapless
             assert seqs[-5:] == list(range(mw.global_seq - 4,
                                            mw.global_seq + 1)), name
-        assert all(length <= 10 for length in binlogs)
         assert mw.check_convergence()
 
     def test_inflight_snapshot_holds_the_floor(self):
@@ -451,7 +456,7 @@ class TestAutoPrune:
         # crosses the in-flight snapshot seq
         assert mw.retention_floor() == snapshot_seq
         assert mw.retention()["holder"] == f"session:{reader.id}"
-        for name, seqs in retained(mw, state)[0].items():
+        for name, seqs in retained(mw, state).items():
             assert seqs[0] <= snapshot_seq + 1, name
             assert seqs[-40:] == list(range(snapshot_seq + 1,
                                             mw.global_seq + 1)), name
@@ -469,9 +474,8 @@ class TestAutoPrune:
         assert mw.certifier.pruned_total == 0
         assert mw.certifier.log_length() >= 30
         assert mw.stats["log_truncated"] == 0
-        structures, binlogs = retained(mw, state)
-        assert all(len(seqs) >= 30 for seqs in structures.values())
-        assert sum(binlogs) >= 30     # one record per origin commit
+        assert all(len(seqs) >= 30
+                   for seqs in retained(mw, state).values())
 
     def test_parked_replica_holds_its_tail(self):
         """An OFFLINE replica rejoins by log replay: every structure
@@ -487,7 +491,7 @@ class TestAutoPrune:
         assert mw.retention()["holder"] in ("replica:r2",
                                             "checkpoint:removed:r2")
         tail = list(range(parked_at + 1, mw.global_seq + 1))
-        for name, seqs in retained(mw, state)[0].items():
+        for name, seqs in retained(mw, state).items():
             # its whole tail, and less than one more cut's worth (half a
             # watermark) of older entries besides
             assert seqs[-len(tail):] == tail, name
@@ -497,7 +501,7 @@ class TestAutoPrune:
         for index in range(10):
             session.execute(f"UPDATE kv SET v = {index} WHERE k = 4")
         session.close()
-        for name, seqs in retained(mw, state)[0].items():
+        for name, seqs in retained(mw, state).items():
             assert len(seqs) <= 10, name
         assert mw.check_convergence()
 
@@ -751,6 +755,98 @@ def test_install_applies_synchronously_under_async_propagation():
     assert mw.check_convergence()
 
 
+# -- stage 8: the publish footprint is built for a listener, or not at all
+
+
+def test_no_listener_no_publish_footprint(monkeypatch):
+    """With nobody subscribed to the certified stream, a commit builds
+    no invalidation footprint (it used to build one per commit and
+    throw it away on publish)."""
+    calls = []
+    real = groupcommit.invalidation_keys
+    monkeypatch.setattr(groupcommit, "invalidation_keys",
+                        lambda *args: calls.append(1) or real(*args))
+    mw = build()
+    assert not mw._certified_listeners
+    session = mw.connect(database="shop")
+    for index in range(200):
+        session.execute(f"UPDATE kv SET v = {index} WHERE k = {index % 8}")
+    session.close()
+    assert calls == []
+    assert mw.check_convergence()
+
+
+#: what the cache invalidator sees for :func:`_publish_workload`:
+#: ``(seq, keys, tables, kind)`` per commit — a pk-moving UPDATE
+#: publishes both keys, a zero-row UPDATE nothing under writeset
+#: replication and its statement's key under statement replication,
+#: DDL an empty-key ``ddl`` event.
+PUBLISHED = {
+    "writeset": [
+        (5, [("shop", "kv", (1,))], [("shop", "kv")], "writeset"),
+        (6, [("shop", "kv", (102,)), ("shop", "kv", (2,))],
+         [("shop", "kv")], "writeset"),
+        (7, [("shop", "kv", (0,)), ("shop", "kv", (1,)),
+             ("shop", "kv", (102,)), ("shop", "kv", (3,))],
+         [("shop", "kv")], "writeset"),
+        (8, [("shop", "kv", (50,))], [("shop", "kv")], "writeset"),
+        (9, [("shop", "kv", (50,))], [("shop", "kv")], "writeset"),
+        (10, [], [("shop", "extra")], "ddl"),
+        (11, [("shop", "extra", (1,)), ("shop", "kv", (0,))],
+         [("shop", "extra"), ("shop", "kv")], "writeset"),
+        (12, [("shop", "kv", (100,))], [("shop", "kv")], "writeset"),
+    ],
+    "statement": [
+        (5, [("shop", "kv", (1,))], [("shop", "kv")], "statements"),
+        (6, [("shop", "kv", (102,)), ("shop", "kv", (2,))],
+         [("shop", "kv")], "statements"),
+        (7, [("shop", "kv", None)], [("shop", "kv")], "statements"),
+        (8, [("shop", "kv", (50,))], [("shop", "kv")], "statements"),
+        (9, [("shop", "kv", (50,))], [("shop", "kv")], "statements"),
+        (10, [("shop", "kv", (999,))], [("shop", "kv")], "statements"),
+        (11, [], [("shop", "extra")], "ddl"),
+        (12, [("shop", "extra", (1,)), ("shop", "kv", (0,))],
+         [("shop", "extra"), ("shop", "kv")], "statements"),
+    ],
+}
+
+
+def _publish_workload(replication):
+    mw = ReplicationMiddleware(
+        make_replicas(3, schema=KV_SCHEMA),
+        MiddlewareConfig(replication=replication,
+                         result_cache=ResultCacheConfig(),
+                         consistency=protocol_by_name(
+                             "gsi" if replication == "writeset" else "1sr")))
+    seed_kv(mw, rows=4)
+    events = []
+    mw.on_certified(lambda e: events.append(
+        (e.seq, sorted(e.keys, key=repr), sorted(e.tables), e.kind)))
+    session = mw.connect(database="shop")
+    for sql in ("SELECT v FROM kv WHERE k = 1",
+                "UPDATE kv SET v = 5 WHERE k = 1",
+                "UPDATE kv SET k = 102 WHERE k = 2",
+                "UPDATE kv SET v = v + 1 WHERE v >= 0",
+                "INSERT INTO kv (k, v) VALUES (50, 1)",
+                "DELETE FROM kv WHERE k = 50",
+                "UPDATE kv SET v = 1 WHERE k = 999",
+                "CREATE TABLE extra (a INT PRIMARY KEY)"):
+        session.execute(sql)
+    session.begin()
+    session.execute("UPDATE kv SET v = 7 WHERE k = 0")
+    session.execute("INSERT INTO extra (a) VALUES (1)")
+    session.commit()
+    if replication == "writeset":
+        mw.group_commit.install(NEW_ROW, ["kv"], database="shop")
+    assert mw.check_convergence()
+    return events
+
+
+@pytest.mark.parametrize("replication", sorted(PUBLISHED))
+def test_a_listener_sees_every_commits_footprint(replication):
+    assert _publish_workload(replication) == PUBLISHED[replication]
+
+
 # -- structure: each sequenced-unit primitive has exactly one calling module
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -812,8 +908,7 @@ def test_one_floor_and_one_truncation_site():
     """Whatever cuts a per-commit structure is called from stage 9 of
     the commit pipeline and nowhere else, and the floor it cuts at is
     computed in one place."""
-    cutters = {"purge_before", "prune", "truncate_before", "ha.truncate",
-               "retention_floor"}
+    cutters = {"purge_before", "prune", "ha.truncate", "retention_floor"}
     # the standby's mirror is cut by the link's half of that stage
     expected = {name: [("core/groupcommit.py", "_truncate")]
                 for name in cutters}
@@ -832,6 +927,16 @@ def test_one_floor_and_one_truncation_site():
                         (path.relative_to(SRC).as_posix(), function.name))
     assert sites == expected
     assert floors == 1
+    # and stage 9 cuts its three structures at one and the same seq
+    (truncate,) = [node for node in ast.walk(ast.parse(
+        (SRC / "core/groupcommit.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_truncate"]
+    cuts = [(node.func.attr, [ast.unparse(arg) for arg in node.args])
+            for node in ast.walk(truncate) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("purge_before", "prune", "truncate")]
+    assert sorted(cuts) == [("prune", ["cut"]), ("purge_before", ["cut"]),
+                            ("truncate", ["cut"])]
 
 
 def test_shard_tier_stays_off_a_groups_private_members():

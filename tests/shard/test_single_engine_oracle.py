@@ -187,3 +187,37 @@ def test_a_sharded_cluster_answers_like_one_engine(kind, statements):
         contents = f"SELECT * FROM {table}"
         assert _outcome(sharded, contents, []) \
             == _outcome(single, contents, []), table
+
+
+# -- integers past 2**53 order and group by their own value ------------------
+
+BIG = 2 ** 53
+BIG_QUERIES = {
+    "SELECT DISTINCT v FROM big ORDER BY v": [(BIG,), (BIG + 1,)],
+    "SELECT v, COUNT(*) FROM big GROUP BY v ORDER BY v":
+        [(BIG, 2), (BIG + 1, 1)],
+    "SELECT v FROM big ORDER BY v DESC": [(BIG + 1,), (BIG,), (BIG,)],
+    "SELECT MAX(v), MIN(v) FROM big": [(BIG + 1, BIG)],
+}
+
+
+@pytest.mark.parametrize("front", ["engine", "sharded"])
+def test_integers_past_2_53_are_ordered_and_grouped_exactly(front):
+    """``float(2**53 + 1) == float(2**53)``: a sort key that converts
+    merges the two into one DISTINCT row and one group and cannot order
+    them; the shard merge re-sorts with the same key."""
+    if front == "engine":
+        engine = Engine("oracle")
+        engine.create_database("shop")
+        session = engine.connect(database="shop")
+        session.execute("CREATE TABLE big (id INT PRIMARY KEY, v BIGINT)")
+    else:
+        session = build_sharded_cluster(shards=3, replicas=1).connect(
+            database="shop")
+        session.execute("CREATE TABLE big (id INT PRIMARY KEY, v BIGINT)")
+        session.cluster.register_table("big", "id", HashSharder(3))
+    for key, value in ((1, BIG + 1), (2, BIG), (3, BIG)):
+        session.execute("INSERT INTO big (id, v) VALUES (?, ?)",
+                        [key, value])
+    for sql, rows in BIG_QUERIES.items():
+        assert session.execute(sql).rows == rows, sql

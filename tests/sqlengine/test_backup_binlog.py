@@ -1,5 +1,5 @@
-"""Engine dump/restore and binlog tests — the lossy-backup gaps of
-sections 4.1.5 / 4.2.3 / 4.4.1."""
+"""Engine dump/restore tests — the lossy-backup gaps of sections
+4.1.5 / 4.2.3 / 4.4.1 — and the full log device of section 4.4.2."""
 
 import pytest
 
@@ -95,16 +95,6 @@ def test_dump_excludes_temp_tables(populated):
     assert "scratch" not in dump.data["shop"]
 
 
-def test_dump_carries_binlog_watermark(populated):
-    before = populated.binlog.head_sequence
-    dump = dump_engine(populated)
-    assert dump.binlog_sequence == before
-    connection = populated.connect(database="shop")
-    connection.execute("INSERT INTO inventory (item) VALUES ('late')")
-    late = populated.binlog.since(dump.binlog_sequence)
-    assert len(late) >= 1  # exactly what a restore must replay
-
-
 def test_restore_replaces_existing(populated):
     dump = dump_engine(populated)
     target = fresh_engine()
@@ -114,37 +104,6 @@ def test_restore_replaces_existing(populated):
     c.execute("INSERT INTO inventory VALUES (99, 'stale')")
     restore_engine(target, dump)
     assert target.row_count("shop", "inventory") == 3
-
-
-def test_binlog_capacity_disk_full(conn):
-    conn.engine.binlog.capacity = 2
-    conn.execute("CREATE TABLE t (x INT)")
-    conn.execute("INSERT INTO t VALUES (1)")
-    with pytest.raises(DiskFullError):
-        conn.execute("INSERT INTO t VALUES (2)")
-    assert conn.engine.binlog.full
-    # maintenance: purge the log and writes flow again (section 4.4.2)
-    conn.engine.binlog.truncate_before(1)
-    conn.execute("INSERT INTO t VALUES (3)")
-
-
-def test_binlog_records_each_statement_of_a_script_under_its_own_text(conn):
-    conn.execute("CREATE TABLE t (x INT)")
-    conn.execute("INSERT INTO t VALUES (1); INSERT INTO t VALUES (2)")
-    assert [record.statements for record in conn.engine.binlog.records[-2:]] \
-        == [[("INSERT INTO t VALUES (?)", [1])],
-            [("INSERT INTO t VALUES (?)", [2])]]
-
-
-def test_binlog_subscription(conn):
-    seen = []
-    unsubscribe = conn.engine.binlog.subscribe(lambda r: seen.append(r))
-    conn.execute("CREATE TABLE t (x INT)")
-    conn.execute("INSERT INTO t VALUES (1)")
-    assert len(seen) == 2
-    unsubscribe()
-    conn.execute("INSERT INTO t VALUES (2)")
-    assert len(seen) == 2
 
 
 def test_disk_full_engine_flag(conn):

@@ -114,12 +114,6 @@ class TestTempTables:
         assert len(conn.txn.writeset) == 0
         conn.execute("COMMIT")
 
-    def test_temp_touch_tracked_for_stickiness(self, conn):
-        conn.execute("CREATE TEMP TABLE t4 (x INT)")
-        conn.execute("INSERT INTO t4 VALUES (1)")
-        conn.execute("SELECT * FROM t4")
-        assert "t4" in conn.temp_tables_touched
-
 
 # ---------------------------------------------------------------------------
 # triggers (sections 4.1.5, 4.3.2)

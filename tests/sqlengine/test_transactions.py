@@ -243,20 +243,3 @@ def test_engine_crash_aborts_transactions(kv):
     engine.recover()
     fresh = engine.connect(database="shop")
     assert fresh.execute("SELECT COUNT(*) FROM kv").scalar() == 3
-
-
-def test_binlog_records_commits(kv):
-    head = kv.engine.binlog.head_sequence
-    kv.execute("UPDATE kv SET v = 1 WHERE k = 1")
-    records = kv.engine.binlog.since(head)
-    assert len(records) == 1
-    assert records[0].writeset[0]["op"] == "UPDATE"
-    assert records[0].statements[0][0].startswith("UPDATE")
-
-
-def test_read_only_txn_produces_no_binlog(kv):
-    head = kv.engine.binlog.head_sequence
-    kv.execute("BEGIN")
-    kv.execute("SELECT * FROM kv")
-    kv.execute("COMMIT")
-    assert kv.engine.binlog.head_sequence == head

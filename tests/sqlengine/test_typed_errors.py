@@ -15,6 +15,7 @@ from repro.sqlengine import (
     Engine, SQLError, TransactionAbortedError, TypeError_, generic, mysql,
     postgresql,
 )
+from repro.sqlengine import functions
 
 BIG = 2 ** 53       # the first integer float() rounds
 
@@ -53,19 +54,30 @@ def test_a_typed_error_and_a_connection_that_still_commits(engine, sql,
     assert other.execute("SELECT v FROM kv WHERE k = 1").scalar() == 99
 
 
+@pytest.fixture
+def bare_raise(monkeypatch):
+    """``BOOM(x)``: NULL for NULL, otherwise a bare Python exception —
+    what no statement of the engine raises any more, and what cleanup
+    must survive all the same."""
+    def boom(env, args, user):
+        if args[0] is not None:
+            raise RuntimeError("not a SQLError")
+    monkeypatch.setitem(functions._SCALAR_FUNCTIONS, "BOOM", boom)
+
+
+@pytest.mark.usefixtures("bare_raise")
 def test_any_exception_ends_the_implicit_transaction(engine):
-    """Cleanup does not depend on the error being typed: ``ABS`` of a
-    string is still a bare ``TypeError`` (ROADMAP item 2), and the
-    connection must survive it all the same."""
+    """Cleanup does not depend on the error being typed."""
     conn = engine.connect(database="shop")
-    with pytest.raises(TypeError):
-        conn.execute("SELECT ABS(pad) FROM kv")
+    with pytest.raises(RuntimeError):
+        conn.execute("SELECT BOOM(pad) FROM kv")
     assert conn.txn is None
     conn.execute("UPDATE kv SET v = 99 WHERE k = 1")
     other = engine.connect(database="shop")
     assert other.execute("SELECT v FROM kv WHERE k = 1").scalar() == 99
 
 
+@pytest.mark.usefixtures("bare_raise")
 @pytest.mark.parametrize("dialect", [mysql, postgresql])
 def test_any_exception_undoes_the_statement_inside_a_transaction(dialect):
     engine = Engine("typed", dialect=dialect(), seed=5)
@@ -76,8 +88,8 @@ def test_any_exception_undoes_the_statement_inside_a_transaction(dialect):
     conn.execute("BEGIN")
     conn.execute("UPDATE kv SET v = 11 WHERE k = 1")
     # row 1 (pad NULL) is updated before row 2 ('x') raises
-    with pytest.raises(TypeError):
-        conn.execute("UPDATE kv SET v = ABS(pad)")
+    with pytest.raises(RuntimeError):
+        conn.execute("UPDATE kv SET v = BOOM(pad)")
     if engine.dialect.error_aborts_transaction:
         # the failure poisons the transaction like any other
         with pytest.raises(TransactionAbortedError):
@@ -91,6 +103,26 @@ def test_any_exception_undoes_the_statement_inside_a_transaction(dialect):
         expected = [(1, 11), (2, 20)]
     other = engine.connect(database="shop")
     assert other.execute("SELECT k, v FROM kv ORDER BY k").rows == expected
+
+
+@pytest.mark.parametrize("call", [
+    "ABS('x')", "GREATEST(1, 'a')", "LEAST(1, 'a')", "MOD(1, 'a')",
+    "CEIL('x')", "FLOOR('x')", "ROUND('x')", "ROUND(1.5, 'x')",
+    "SUBSTR('abc', 'x')", "ROUND(1e309)",
+])
+def test_a_scalar_function_rejects_an_argument_with_a_typed_error(engine,
+                                                                  call):
+    conn = engine.connect(database="shop")
+    with pytest.raises(TypeError_, match="invalid argument"):
+        conn.execute(f"SELECT {call}")
+    assert conn.txn is None
+    assert conn.execute("SELECT ABS(-2), MOD(7, 3)").rows == [(2, 1)]
+
+
+def test_mod_by_zero_is_null_like_the_operator(engine):
+    conn = engine.connect(database="shop")
+    assert conn.execute("SELECT MOD(1, 0), 1 % 0, MOD(2.5, 0.0)").rows \
+        == [(None, None, None)]
 
 
 @pytest.mark.parametrize("sql", [

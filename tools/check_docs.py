@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run as a CI job.
 
-Six guarantees, all stdlib:
+Seven guarantees, all stdlib:
 
 1. every relative Markdown link in the repo's ``*.md`` files resolves
    to an existing file or directory (external ``http(s)``/``mailto``
@@ -35,13 +35,20 @@ Six guarantees, all stdlib:
    ``MiddlewareError`` subclass in the loaded ``repro`` package (found
    by importing it and walking ``__subclasses__()``, never listed here)
    has a row, and the first retry label in that row is the one the
-   class declares.
+   class declares;
+7. every test id the docs cite exists.  Each backticked
+   ``tests/….py[::Name[::name]]`` in ``README.md``, ``DESIGN.md``,
+   ``EXPERIMENTS.md``, ``ROADMAP.md`` and ``docs/*.md`` names a file
+   that exists and, part by part, a class or function defined in it
+   (parametrize brackets ignored) — a deleted or moved test may not
+   stay cited.
 
 Exit code 0 = all green; 1 = problems, printed one per line.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -247,6 +254,40 @@ def check_error_table(problems):
                 f"`{cls.retry}`")
 
 
+#: a backticked test id: `tests/a/test_b.py::TestC::test_d[x-1]`
+TEST_ID = re.compile(r"`(tests/[\w/]+\.py)((?:::\w+(?:\[[^\]`]*\])?)*)`")
+
+
+def _defines(body, name):
+    """The class or function ``name`` defined directly in ``body``."""
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.name == name:
+            return node
+    return None
+
+
+def check_test_ids(problems):
+    docs = [REPO / name for name in
+            ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")]
+    for path in docs + sorted((REPO / "docs").glob("*.md")):
+        for number, line in enumerate(
+                path.read_text().splitlines(), start=1):
+            for file, tail in TEST_ID.findall(line):
+                where = f"{path.relative_to(REPO)}:{number}"
+                if not (REPO / file).is_file():
+                    problems.append(f"{where}: test file `{file}` "
+                                    f"does not exist")
+                    continue
+                scope = ast.parse((REPO / file).read_text())
+                for part in re.sub(r"\[[^\]]*\]", "", tail).split("::")[1:]:
+                    scope = _defines(scope.body, part)
+                    if scope is None:
+                        problems.append(f"{where}: test id `{file}{tail}` "
+                                        f"names nothing defined ({part})")
+                        break
+
+
 def main() -> int:
     problems: list = []
     check_links(problems)
@@ -255,6 +296,7 @@ def main() -> int:
     check_vocabulary(problems)
     check_module_paths(problems)
     check_error_table(problems)
+    check_test_ids(problems)
     for problem in problems:
         print(problem)
     count = len(problems)
