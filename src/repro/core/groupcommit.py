@@ -372,9 +372,9 @@ class GroupCommitCoordinator:
             middleware.publish_certified(
                 request.seq, keys=keys, tables=tables,
                 kind=request.publish_kind, database=request.database)
-        self._truncate()
+        self._truncate(requests)
 
-    def _truncate(self) -> None:
+    def _truncate(self, requests: List[CommitRequest]) -> None:
         """Stage 9, log maintenance (section 4.4.4) — the one place
         anything per-commit is cut.  The trigger is a commit count: once
         the recovery log or the certifier log exceeds the retention
@@ -382,7 +382,10 @@ class GroupCommitCoordinator:
         except that the newest half-watermark always stays (a snapshot
         just released still finds its tail) and that a cut must be worth
         half a watermark — so a log costs one filter per
-        ``watermark // 2`` commits however slowly the floor moves."""
+        ``watermark // 2`` commits however slowly the floor moves.  The
+        snapshots of the sessions committing ``requests`` hold nothing:
+        their units are durable, and a lagging origin's would otherwise
+        keep the cut one commit behind."""
         middleware = self.middleware
         watermark = middleware.config.retention_watermark
         log = middleware.recovery_log
@@ -391,7 +394,7 @@ class GroupCommitCoordinator:
         if watermark <= 0 or length <= watermark:
             return
         half = watermark // 2
-        floor = middleware.retention_floor()
+        floor = middleware.retention_floor({r.session for r in requests})
         middleware.stats["retention_floor"] = floor
         cut = min(floor, log.head_seq - half)
         if cut - log.purged_seq < half:

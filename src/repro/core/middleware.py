@@ -526,20 +526,23 @@ class ReplicationMiddleware:
     # log retention
     # ------------------------------------------------------------------
 
-    def _log_holders(self) -> Iterator[Tuple[int, str, Any]]:
+    def _log_holders(self, committed=frozenset()
+                     ) -> Iterator[Tuple[int, str, Any]]:
         """Who still needs log entry *s*?  One ``(seq, kind, name)`` per
         party that needs everything after ``seq``: every registered
         replica whatever its state (an OFFLINE / FAILED / RECOVERING one
         rejoins by log replay), every in-flight transaction's snapshot
         (it may yet certify against the entries above it; a prepared,
-        undecided 2PC unit is still in its transaction), the HA
-        standby's acknowledged seq, and every named checkpoint — how
-        anything outside the middleware holds the log."""
+        undecided 2PC unit is still in its transaction) but those of the
+        ``committed`` sessions, whose commit is durable and certifies
+        nothing more, the HA standby's acknowledged seq, and every named
+        checkpoint — how anything outside the middleware holds the
+        log."""
         yield self.certifier.current_seq, "head", ""
         for replica in self.replicas:
             yield replica.applied_seq, "replica", replica.name
         for session in self.sessions:
-            if session.in_transaction:
+            if session.in_transaction and session not in committed:
                 yield session._txn_start_seq, "session", session.id
         acked = self.ha.acked_seq() if self.ha is not None else None
         if acked is not None:
@@ -547,10 +550,12 @@ class ReplicationMiddleware:
         for name, seq in self.recovery_log.checkpoints.items():
             yield seq, "checkpoint", name
 
-    def retention_floor(self) -> int:
+    def retention_floor(self, committed=frozenset()) -> int:
         """The highest seq nobody needs any more: every per-commit
-        structure may drop what is at or below it, and nothing above."""
-        return min(self._log_holders())[0]
+        structure may drop what is at or below it, and nothing above.
+        ``committed``: sessions whose commit is being completed — their
+        transaction still reads as open, but holds nothing."""
+        return min(self._log_holders(committed))[0]
 
     def retention(self) -> Dict[str, Any]:
         """The retention floor, who holds it and what it bounds."""

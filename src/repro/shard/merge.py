@@ -22,7 +22,11 @@ rewritten) statement to run per shard plus the merge function — and
 raises :class:`~repro.core.errors.UnsupportedStatementError` for shapes
 that cannot be merged correctly (DISTINCT aggregates, HAVING,
 expression-valued LIMIT without bound parameters): a wrong answer is
-worse than an explicit limitation.
+worse than an explicit limitation.  A plan holds no bound value in
+its per-shard statement unless an OFFSET is scattered, so the router
+keeps one per statement (:attr:`ScatterPlan.reusable`,
+:meth:`ScatterPlan.bind`) and a rewritten statement is the same tree on
+every execution.
 
 This module imports no middleware: a plan is a statement, a text and a
 merge function, testable against bare results.
@@ -30,6 +34,7 @@ merge function, testable against bare results.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import UnsupportedStatementError
@@ -64,14 +69,14 @@ class ScatterPlan:
     partial results into the client-visible answer."""
 
     __slots__ = ("statement", "sql_text", "rewritten", "mode", "_aggs",
-                 "_group_indices", "_order_by", "_limit", "_offset",
-                 "_distinct", "_arity", "_order_hidden")
+                 "_group_indices", "_order_by", "_limit_expr", "_limit",
+                 "_offset", "_distinct", "_arity", "_order_hidden")
 
     def __init__(self, statement, sql_text: str, mode: str,
                  rewritten: bool = False,
                  aggs: Optional[List[_AggColumn]] = None,
                  group_indices: Optional[List[int]] = None,
-                 order_by=None, limit: Optional[int] = None,
+                 order_by=None, limit_expr=None, limit: Optional[int] = None,
                  offset: Optional[int] = None, distinct: bool = False,
                  arity: Optional[int] = None,
                  order_hidden: Optional[dict] = None):
@@ -82,6 +87,8 @@ class ScatterPlan:
         self._aggs = aggs or []
         self._group_indices = group_indices or []
         self._order_by = order_by or []
+        # the client statement's LIMIT node, re-read by bind()
+        self._limit_expr = limit_expr
         self._limit = limit
         self._offset = offset
         self._distinct = distinct
@@ -89,6 +96,30 @@ class ScatterPlan:
         # ORDER BY column name -> appended hidden-column index, for sort
         # keys that are not part of the client-visible select list
         self._order_hidden = order_hidden or {}
+
+    # -- reuse across executions ----------------------------------------
+
+    @property
+    def reusable(self) -> bool:
+        """Whether this plan serves every execution of its statement,
+        through :meth:`bind`.  Not when the statement has an OFFSET: the
+        per-shard statement then carries ``LIMIT + OFFSET`` as a literal,
+        and whether it is rewritten at all depends on the offset's
+        value — such a plan is built per execution."""
+        return self._offset is None
+
+    def bind(self, params: Sequence[Any]) -> "ScatterPlan":
+        """This (reusable) plan for an execution with ``params``: the
+        same per-shard statement and text, and the LIMIT value of this
+        execution, checked as :func:`plan_scatter` checks it."""
+        if self._limit_expr is None:
+            return self
+        limit = _row_count(self._limit_expr, params, "a LIMIT")
+        if limit == self._limit:
+            return self
+        plan = copy(self)
+        plan._limit = limit
+        return plan
 
     # ------------------------------------------------------------------
 
@@ -248,18 +279,19 @@ def _limit_offset(statement: ast.SelectStatement,
                                                   Optional[int]]:
     limit = offset = None
     if statement.limit is not None:
-        limit = literal_value(statement.limit, params)
-        if not isinstance(limit, int) or limit < 0:
-            raise UnsupportedStatementError(
-                "cannot scatter a LIMIT whose value is not a bound "
-                "non-negative integer")
+        limit = _row_count(statement.limit, params, "a LIMIT")
     if statement.offset is not None:
-        offset = literal_value(statement.offset, params)
-        if not isinstance(offset, int) or offset < 0:
-            raise UnsupportedStatementError(
-                "cannot scatter an OFFSET whose value is not a bound "
-                "non-negative integer")
+        offset = _row_count(statement.offset, params, "an OFFSET")
     return limit, offset
+
+
+def _row_count(expr, params: Sequence[Any], clause: str) -> int:
+    value = literal_value(expr, params)
+    if not isinstance(value, int) or value < 0:
+        raise UnsupportedStatementError(
+            f"cannot scatter {clause} whose value is not a bound "
+            "non-negative integer")
+    return value
 
 
 def _shard_select(statement: ast.SelectStatement, columns,
@@ -322,7 +354,8 @@ def _plan_row_scatter(statement: ast.SelectStatement, sql_text: str,
         shard_statement = statement
     text = sql_text + " /*scatter:wide*/" if rewritten else sql_text
     return ScatterPlan(shard_statement, text, "rows", rewritten=rewritten,
-                       order_by=statement.order_by, limit=limit,
+                       order_by=statement.order_by,
+                       limit_expr=statement.limit, limit=limit,
                        offset=offset, distinct=statement.distinct,
                        arity=len(statement.columns),
                        order_hidden=order_hidden)
@@ -411,5 +444,6 @@ def _plan_aggregate_scatter(statement: ast.SelectStatement, sql_text: str,
     text = sql_text + " /*scatter:avg*/" if rewritten else sql_text
     return ScatterPlan(shard_statement, text, mode, rewritten=rewritten,
                        aggs=aggs, group_indices=group_indices,
-                       order_by=statement.order_by, limit=limit,
+                       order_by=statement.order_by,
+                       limit_expr=statement.limit, limit=limit,
                        offset=offset, arity=arity)

@@ -64,7 +64,7 @@ from ..sqlengine.executor import Result
 # boundary at sqlengine.stmtcache.parse_script and deletes this line.
 from ..sqlengine.parser import parse_script  # noqa: F401
 from ..sqlengine.stmtcache import Memo, StatementCache
-from .merge import plan_scatter
+from .merge import ScatterPlan, plan_scatter
 from .shardmap import ShardMap, ShardMapLog, Sharder, ShardSpec
 from .twopc import TwoPCCoordinator
 
@@ -150,6 +150,10 @@ class ShardedCluster:
         # statement identity -> (info, spec, key plan, range plan),
         # valid for one map version
         self.route_plans = Memo()
+        # (statement identity, text) -> its reusable scatter plan, valid
+        # for one map version: a rewritten per-shard statement is then
+        # one tree, and every identity-keyed memo below it hits
+        self.scatter_plans = Memo()
         self.stats: Dict[str, int] = {
             "single_shard": 0, "scatter_reads": 0, "multi_shard_writes": 0,
             "broadcast": 0, "single_shard_commits": 0, "twopc_commits": 0,
@@ -247,6 +251,20 @@ class ShardedCluster:
                                                     spec.key_column)
             plan = (info, spec, key_plan, range_plan)
             self.route_plans.put_for(statement, plan, version)
+        return plan
+
+    def _scatter_plan(self, statement: ast.SelectStatement, sql_text: str,
+                      params: List[Any]) -> ScatterPlan:
+        """The scatter plan of one execution: the statement's memoised
+        plan bound to ``params``, or — first time, or an OFFSET, which
+        ``ScatterPlan.reusable`` refuses — a fresh one."""
+        version = self.map.version
+        plan = self.scatter_plans.get_for(statement, version, sql_text)
+        if plan is not None:
+            return plan.bind(params)
+        plan = plan_scatter(statement, sql_text, params)
+        if plan.reusable:
+            self.scatter_plans.put_for(statement, plan, version, sql_text)
         return plan
 
     # -- sessions / cluster plumbing ------------------------------------
@@ -564,7 +582,7 @@ class ShardedSession:
         cluster = self.cluster
         cluster.stats["scatter_reads"] += 1
         self._note_route("scatter", targets, False)
-        plan = plan_scatter(statement, sql_text, params)
+        plan = cluster._scatter_plan(statement, sql_text, params)
         # a moving row is read at its owner, the source: its copy is
         # left out wherever a read reaches the destination as well
         rules = cluster.rules_for(spec.table)

@@ -477,7 +477,7 @@ class Engine:
     def row_count(self, database: str, table: str) -> int:
         from .mvcc import visible_rows
         snapshot = self.clock.snapshot()
-        return sum(1 for _ in visible_rows(
+        return len(visible_rows(
             self.database(database).table(table), snapshot, None))
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ from .functions import AGGREGATE_FUNCTIONS
 from .locks import LockConflict, LockMode
 from .mvcc import (
     READ_UNCOMMITTED, SERIALIZABLE, Snapshot, latest_committed_change,
-    uncommitted_writer, visible_rows, visible_version,
+    uncommitted_writer, visible_in_range, visible_rows, visible_version,
 )
 from .planner import (AccessPlan, INDEX_RANGE, SEQ_SCAN, plan_table_access,
                       plan_table_access_cached)
@@ -130,7 +130,6 @@ class Executor:
         plan = (plan_table_access_cached(table, binding, where, ctx)
                 if self.engine.use_indexes else AccessPlan(SEQ_SCAN, table))
         self.last_access_paths.append(plan.describe())
-        row = {binding: None}      # the one row dict every candidate is tested in
         if plan.is_index:
             stats["index_probes"] += 1
             row_ids = set()
@@ -147,49 +146,30 @@ class Executor:
         elif plan.kind == INDEX_RANGE:
             stats["index_probes"] += 1
             index = plan.index
-            positions, wanted = plan.keys, None
             if top is not None and index.unique \
                     and index.columns == [top[0]]:
-                wanted = top[2]
-                if not top[1]:
-                    positions = reversed(positions)
-            versions = []
-            scanned = 0
-            for position in positions:
-                if wanted is not None and len(versions) >= wanted:
-                    break
-                candidates = index.entries[index.ordered[position]]
-                for row_id in {c.row_id for c in candidates}:
-                    scanned += 1
-                    version = visible_version(table, row_id, snapshot,
-                                              txn_id, dirty=dirty)
-                    # a row counts only under its visible version's own
-                    # key: once each, and in true key order, whatever
-                    # other versions of it sit elsewhere in the slice
-                    if version not in candidates:
-                        continue
-                    if wanted is not None:
-                        row[binding] = version.values
-                        value = predicate(row, ctx)
-                        if value is None or not value:
-                            continue
-                    versions.append(version)
-            stats["rows_scanned"] += scanned
-            if wanted is not None:
-                return versions
+                # key by key, so that nothing past the last wanted row is
+                # looked at
+                positions = plan.keys if top[1] else reversed(plan.keys)
+                matches = []
+                for position in positions:
+                    if len(matches) >= top[2]:
+                        break
+                    versions, looked_at = visible_in_range(
+                        table, index, (position,), snapshot, txn_id, dirty)
+                    stats["rows_scanned"] += looked_at
+                    matches += _matching(versions, predicate, binding, ctx)
+                return matches
+            versions, looked_at = visible_in_range(
+                table, index, plan.keys, snapshot, txn_id, dirty)
+            stats["rows_scanned"] += looked_at
         else:
             stats["seq_scans"] += 1
             stats["rows_scanned"] += table.logical_row_count()
             versions = visible_rows(table, snapshot, txn_id, dirty=dirty)
         if predicate is None:
-            return list(versions)
-        matches = []
-        for version in versions:
-            row[binding] = version.values
-            value = predicate(row, ctx)
-            if value is not None and value:
-                matches.append(version)
-        return matches
+            return versions
+        return _matching(versions, predicate, binding, ctx)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -423,9 +403,13 @@ class Executor:
         and range conjuncts from an index range instead of a full scan.
         ``predicate`` (its compiled form) and ``top`` are only ever
         passed for a statement whose whole source is one table: its rows
-        are filtered before they are copied.  In every other case the
+        are filtered before they are bound.  In every other case the
         caller still applies the complete predicate to whatever comes
         back.
+
+        A table's rows are bound as the versions' own value dicts, not
+        copies: a SELECT writes to no row dict, and what it returns is
+        tuples of values, so no dict outlives the statement.
         """
         if source is None:
             return [{}], []
@@ -435,7 +419,7 @@ class Executor:
             self._lock_for_read(session, database_name, table)
             binding = source.binding
             rows = [
-                {binding: dict(version.values)}
+                {binding: version.values}
                 for version in self._table_versions(
                     session, table, binding, where, snapshot, outer_ctx,
                     dirty, top, predicate)
@@ -524,9 +508,15 @@ class Executor:
         order: List[tuple] = []
         keys = parts.group_by
         if keys:
-            for bindings in source_rows:
-                key = tuple([sort_key(key_of(bindings, outer_ctx))
-                             for key_of in keys])
+            if len(keys) == 1:
+                key_of = keys[0]
+                row_keys = [sort_key(key_of(bindings, outer_ctx))
+                            for bindings in source_rows]
+            else:
+                row_keys = [tuple([sort_key(key_of(bindings, outer_ctx))
+                                   for key_of in keys])
+                            for bindings in source_rows]
+            for key, bindings in zip(row_keys, source_rows):
                 group = groups.get(key)
                 if group is None:
                     group = groups[key] = []
@@ -1304,6 +1294,20 @@ def _top_shape(statement: ast.SelectStatement) -> Optional[tuple]:
         if expr is not None and not isinstance(expr, (ast.Literal, ast.Param)):
             return None
     return column, ascending
+
+
+def _matching(versions: List[RowVersion], predicate, binding: str,
+              ctx: EvalContext) -> List[RowVersion]:
+    """The versions whose values pass the compiled WHERE ``predicate``,
+    each tested where it lies, in one reused row dict (a NULL verdict
+    fails, as everywhere in WHERE)."""
+    row = {binding: None}
+    matches = []
+    for version in versions:
+        row[binding] = version.values
+        if predicate(row, ctx):
+            matches.append(version)
+    return matches
 
 
 def _write_parts(statement) -> tuple:

@@ -13,6 +13,10 @@ column lives — ``t.c``, and an unqualified ``c`` in a statement whose
 rows carry the one binding ``t``, read ``row_bindings["t"]["c"]``
 directly.  The miss path is :func:`_resolve_column`, the full walk
 (procedure variables, correlated parents, the ambiguity error).
+``column op value`` and ``column BETWEEN value AND value``, each value a
+literal or a parameter — the predicates a scan runs per row — are fused
+into one closure that reads the column and the values itself and
+returns what the general closures would.
 Subquery and sequence nodes build a ``ctx.child(row_bindings)`` only
 when they fire.  Nothing read at build time depends on the schema, so a
 closure is valid for as long as its tree is; the executor keeps all of a
@@ -116,10 +120,26 @@ def _build_param(expr: ast.Param, binding) -> Compiled:
         try:
             return ctx.params[index]
         except IndexError:
-            raise TypeError_(
-                f"statement has parameter ${index + 1} but only "
-                f"{len(ctx.params)} value(s) were bound") from None
+            raise _unbound(index, ctx) from None
     return param
+
+
+def _unbound(index: int, ctx: EvalContext) -> TypeError_:
+    return TypeError_(
+        f"statement has parameter ${index + 1} but only "
+        f"{len(ctx.params)} value(s) were bound")
+
+
+def _value_source(expr: ast.Expression) -> Optional[tuple]:
+    """``(param index, literal value)`` — the index ``None`` for a
+    literal — when ``expr`` is a literal or a parameter: a value that is
+    the same for every row of one execution.  ``None`` for any other
+    node."""
+    if expr.__class__ is ast.Param:
+        return expr.index, None
+    if expr.__class__ is ast.Literal:
+        return None, expr.value
+    return None
 
 
 def _build_column(expr: ast.ColumnRef, binding) -> Compiled:
@@ -251,8 +271,54 @@ _BINOP_FUNCS = {
 
 
 def _build_binary(expr: ast.BinaryOp, binding) -> Compiled:
+    table = _direct_table(expr.left, binding)
+    value = _value_source(expr.right)
+    if table is not None and value is not None and expr.op in _BINOP_FUNCS:
+        return _column_op_value(expr.op, expr.left, table, *value)
     return combine_binary(expr.op, compile_expression(expr.left, binding),
                           compile_expression(expr.right, binding))
+
+
+def _direct_table(expr: ast.Expression, binding) -> Optional[str]:
+    """The binding a column reference reads directly (as
+    :func:`_build_column` does), or ``None`` when ``expr`` is no such
+    reference."""
+    if expr.__class__ is not ast.ColumnRef:
+        return None
+    return expr.table_lower or binding
+
+
+def _column_op_value(op: str, column: ast.ColumnRef, table: str,
+                     index: Optional[int], value: Any) -> Compiled:
+    """``column op value`` for a literal or parameter value, fused: the
+    closure :func:`combine_binary` builds over the column's and the
+    value's closures, with both of them written out in it — one call per
+    row instead of three."""
+    name = column.name_lower
+    func = _BINOP_FUNCS[op]
+    exact = _EXACT.get(op, func)
+
+    def column_op_value(row, ctx):
+        try:
+            a = row[table][name]
+        except KeyError:
+            a = _resolve_column(column, row, ctx)
+        if index is None:
+            b = value
+        else:
+            try:
+                b = ctx.params[index]
+            except IndexError:
+                raise _unbound(index, ctx) from None
+        if a is None or b is None:
+            return None
+        if type(a) is int and type(b) is int:
+            return exact(a, b)
+        try:
+            return func(a, b)
+        except TypeError as exc:
+            raise _unsupported(op, a, b) from exc
+    return column_op_value
 
 
 def combine_binary(op: str, left: Callable, right: Callable) -> Callable:
@@ -353,6 +419,10 @@ def _build_in(expr: ast.InList, binding) -> Compiled:
 
 
 def _build_between(expr: ast.Between, binding) -> Compiled:
+    table = _direct_table(expr.expr, binding)
+    low, high = _value_source(expr.low), _value_source(expr.high)
+    if table is not None and low is not None and high is not None:
+        return _column_between(expr.expr, table, low, high, expr.negated)
     value_of = compile_expression(expr.expr, binding)
     low_of = compile_expression(expr.low, binding)
     high_of = compile_expression(expr.high, binding)
@@ -371,6 +441,38 @@ def _build_between(expr: ast.Between, binding) -> Compiled:
                 and _coerce_pair(value, high, "<=")
         return not result if negated else result
     return between
+
+
+def _column_between(column: ast.ColumnRef, table: str, low_source: tuple,
+                    high_source: tuple, negated: bool) -> Compiled:
+    """``column [NOT] BETWEEN low AND high`` for literal or parameter
+    bounds (:func:`_value_source` pairs), fused as
+    :func:`_column_op_value` is: one call per row instead of four."""
+    name = column.name_lower
+    (low_index, low_value), (high_index, high_value) = low_source, high_source
+
+    def column_between(row, ctx):
+        try:
+            value = row[table][name]
+        except KeyError:
+            value = _resolve_column(column, row, ctx)
+        params = ctx.params
+        try:
+            low = low_value if low_index is None else params[low_index]
+            high = high_value if high_index is None else params[high_index]
+        except IndexError:
+            raise _unbound(high_index if low_index is None
+                           or low_index < len(params) else low_index,
+                           ctx) from None
+        if value is None or low is None or high is None:
+            return None
+        if type(value) is int and type(low) is int and type(high) is int:
+            result = low <= value <= high
+        else:
+            result = _coerce_pair(low, value, "<=") \
+                and _coerce_pair(value, high, "<=")
+        return not result if negated else result
+    return column_between
 
 
 def _build_like(expr: ast.Like, binding) -> Compiled:

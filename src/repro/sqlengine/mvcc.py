@@ -18,7 +18,7 @@ S, and not deleted by T or by a transaction that committed no later than S.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .storage import RowVersion, Table
 
@@ -68,22 +68,80 @@ def version_visible_dirty(version: RowVersion) -> bool:
     return version.deleter_txn is None and version.deleted_ts is None
 
 
+# what a reader without a transaction compares creator / deleter ids with:
+# equal to no id, and unlike ``None`` not to an unset ``deleter_txn``
+_NOBODY = object()
+
+
 def visible_rows(table: Table, snapshot: Snapshot,
                  txn_id: Optional[int],
-                 dirty: bool = False) -> Iterable[RowVersion]:
-    """Yield the visible version of every logical row in ``table``.  A
-    chain of one version — every row nobody has updated since the last
-    vacuum — is answered by the visibility test alone: with nothing to
-    rank it against, :func:`visible_version` would return it or None."""
-    for row_id, chain in list(table._rows.items()):
+                 dirty: bool = False) -> List[RowVersion]:
+    """The visible version of every logical row in ``table``, in chain
+    order.
+
+    A chain of one version — every row nobody has updated since the last
+    vacuum — is answered by the visibility test alone, written out in the
+    loop (it is :func:`version_visible` / :func:`version_visible_dirty`):
+    with nothing to rank it against, :func:`visible_version` would return
+    it or None.  Longer chains are ranked."""
+    ts = snapshot.timestamp
+    me = _NOBODY if txn_id is None else txn_id
+    rows = []
+    for chain in table._rows.values():
         if len(chain) > 1:
-            version = visible_version(table, row_id, snapshot, txn_id,
-                                      dirty=dirty)
+            version = _newest_visible(chain, snapshot, txn_id, dirty)
             if version is not None:
-                yield version
-        elif version_visible_dirty(chain[0]) if dirty \
-                else version_visible(chain[0], snapshot, txn_id):
-            yield chain[0]
+                rows.append(version)
+            continue
+        version = chain[0]
+        if dirty:
+            if version.deleter_txn is None and version.deleted_ts is None:
+                rows.append(version)
+            continue
+        created = version.created_ts
+        if (created is not None and created <= ts
+                or version.creator_txn == me) \
+                and version.deleter_txn != me:
+            deleted = version.deleted_ts
+            if deleted is None or deleted > ts:
+                rows.append(version)
+    return rows
+
+
+def visible_in_range(table: Table, index, positions: Iterable[int],
+                     snapshot: Snapshot, txn_id: Optional[int],
+                     dirty: bool = False) -> Tuple[List[RowVersion], int]:
+    """``(versions, rows)``: the visible versions of the rows an ordered
+    index holds under the keys at ``positions`` of ``index.ordered``, in
+    that order, and how many rows were looked at.
+
+    A row counts only under its visible version's own key — once, and in
+    true key order, whatever other versions of it sit under other keys
+    of the walk.  A key held by one version whose chain is that version
+    alone is answered by :func:`version_visible` /
+    :func:`version_visible_dirty`; any other key ranks each of its rows'
+    chains."""
+    chains, entries, ordered = table._rows, index.entries, index.ordered
+    found = []
+    looked_at = 0
+    for position in positions:
+        candidates = entries[ordered[position]]
+        if len(candidates) == 1:
+            version, = candidates
+            if len(chains[version.row_id]) == 1:
+                looked_at += 1
+                if (version_visible_dirty(version) if dirty
+                        else version_visible(version, snapshot, txn_id)):
+                    found.append(version)
+                continue
+        row_ids = {candidate.row_id for candidate in candidates}
+        looked_at += len(row_ids)
+        for row_id in row_ids:
+            version = _newest_visible(chains[row_id], snapshot, txn_id,
+                                      dirty)
+            if version in candidates:
+                found.append(version)
+    return found, looked_at
 
 
 def visible_version(table: Table, row_id: int, snapshot: Snapshot,
@@ -98,7 +156,13 @@ def visible_version(table: Table, row_id: int, snapshot: Snapshot,
     writeset application can append an older-committed version after a
     local uncommitted one.
     """
-    chain = table.version_chain(row_id)
+    return _newest_visible(table.version_chain(row_id), snapshot, txn_id,
+                           dirty)
+
+
+def _newest_visible(chain: List[RowVersion], snapshot: Snapshot,
+                    txn_id: Optional[int],
+                    dirty: bool) -> Optional[RowVersion]:
     best = None
     best_key = None
     for index, version in enumerate(chain):
@@ -160,8 +224,3 @@ class CommitClock:
 
     def snapshot(self) -> Snapshot:
         return Snapshot(self._now)
-
-
-def row_as_dict(version: RowVersion) -> Dict[str, Any]:
-    """A defensive copy of the version's values."""
-    return dict(version.values)

@@ -181,16 +181,21 @@ class _ProbeShape:
         self.columns = columns  # [(closures, column_type)] per key column
 
     def plan(self, table: Table, ctx) -> AccessPlan:
-        """This execution's probe keys: an uncoercible value falls back
-        to a scan, NULL keys are dropped (``col = NULL`` / ``col IN (...,
-        NULL)`` never matches, so the probe stays a superset)."""
+        """This execution's probe keys: an uncoercible value, or one the
+        row-level ``=`` does not match by its coerced key
+        (:func:`_keyed_alike`), falls back to a scan; NULL keys are
+        dropped (``col = NULL`` / ``col IN (..., NULL)`` never matches,
+        so the probe stays a superset)."""
         per_column_values: List[List[Any]] = []
         for value_closures, column_type in self.columns:
             values = []
             for value_of in value_closures:
                 try:
-                    value = coerce(value_of(NO_ROW, ctx), column_type)
+                    bound = value_of(NO_ROW, ctx)
+                    value = coerce(bound, column_type)
                 except SQLError:
+                    return AccessPlan(SEQ_SCAN, table)
+                if not _keyed_alike(bound, column_type):
                     return AccessPlan(SEQ_SCAN, table)
                 if value is not None:
                     values.append(value)
@@ -201,6 +206,26 @@ class _ProbeShape:
             keys = [tuple(key)
                     for key in itertools.product(*per_column_values)]
         return AccessPlan(INDEX_PROBE, table, self.index, keys)
+
+
+_TEXT_TYPES = (ColumnType.VARCHAR, ColumnType.TEXT, ColumnType.CLOB)
+
+
+def _keyed_alike(value: Any, column_type: ColumnType) -> bool:
+    """Whether ``col = value`` holds for exactly the rows keyed by
+    ``value`` coerced to the column's type.  ``=`` compares truth values
+    as soon as one side is a bool, so not for a bool beside a
+    non-BOOLEAN column (``40 = TRUE`` holds) nor for text beside a
+    BOOLEAN one (``TRUE = 'false'`` holds); and not for a number beside
+    a text column (``'05' = 5`` holds, and ``'05'`` is not the key
+    ``'5'``)."""
+    if column_type is ColumnType.BOOLEAN:
+        return not isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    if column_type in _TEXT_TYPES:
+        return value is None or isinstance(value, str)
+    return True
 
 
 class _RangeShape:

@@ -465,6 +465,25 @@ class TestAutoPrune:
         reader.close()
         assert mw.check_convergence()
 
+    def test_a_commit_is_not_held_by_its_own_snapshot(self):
+        """The cut a commit makes does not wait for the committing
+        transaction's snapshot: its unit is durable and it certifies
+        nothing more, so the log is back under the watermark on return."""
+        mw, state = build_pair(retention_watermark=10)
+        reader = mw.connect(database="shop")
+        reader.begin()
+        reader.execute("UPDATE kv SET v = 99 WHERE k = 0")
+        writer = mw.connect(database="shop")
+        for index in range(40):
+            writer.execute(f"UPDATE kv SET v = {index} WHERE k = 1")
+        writer.close()
+        assert len(mw.recovery_log.entries) > 40    # held by the reader
+        reader.commit()
+        reader.close()
+        for name, seqs in retained(mw, state).items():
+            assert len(seqs) <= 10, name
+        assert mw.check_convergence()
+
     def test_disabled_watermark_never_prunes(self):
         mw, state = build_pair(retention_watermark=0)
         session = mw.connect(database="shop")

@@ -18,8 +18,8 @@ import pytest
 from repro.bench.harness import build_cluster, build_composed_cluster
 from repro.cache import ResultCacheConfig
 from repro.core import analysis
-from repro.shard import HashSharder
-from repro.sqlengine import parse_script
+from repro.shard import HashSharder, RangeSharder
+from repro.sqlengine import Engine, parse_script
 from repro.sqlengine.stmtcache import CAPACITY
 
 KV = "CREATE TABLE kv (k INT PRIMARY KEY, v INT, s VARCHAR(20))"
@@ -270,6 +270,81 @@ def test_one_shape_is_one_entry_in_every_memo():
     assert sum(len(memo) for memo in shapes) <= 8
     assert max(len(memo) for memo in shapes) <= 2
     assert counted_since([routes, analyses], before[:2]) == (3996, 4, 0)
+    session.close()
+
+
+#: scatter shapes over a table range-sharded at k = 49, each range
+#: spanning both shards: ``(sql, params of execution n, ordered)``
+SCATTERS = [
+    # AVG -> SUM + COUNT: a rewritten per-shard statement
+    ("SELECT grp, COUNT(*), AVG(v) FROM ev WHERE k BETWEEN ? AND ? "
+     "GROUP BY grp", lambda n: [n % 40, n % 40 + 50], False),
+    ("SELECT AVG(v), MAX(v) FROM ev WHERE k < ?", lambda n: [60 + n % 30],
+     True),
+    # ORDER BY a column outside the select list: a hidden column
+    ("SELECT k FROM ev WHERE grp = ? ORDER BY v, k LIMIT ?",
+     lambda n: [n % 7, 1 + n % 4], True),
+    # not rewritten: the client's own tree, a LIMIT bound per execution
+    ("SELECT k, v FROM ev WHERE k >= ? ORDER BY k LIMIT ?",
+     lambda n: [n % 45, 1 + n % 12], True),
+    ("SELECT MIN(k), MAX(k) FROM ev WHERE v = ?", lambda n: [n % 13], True),
+]
+
+
+def test_a_repeated_scatter_compiles_and_analyses_nothing_after_warm_up():
+    """A scatter plan is memoised per statement, so a rewritten one is
+    the same tree on every execution: after one warm-up round per
+    replica, no engine compiles and no group analyses anything again —
+    while each execution still answers for its own values."""
+    cluster = build_composed_cluster(shards=2, replicas=2)
+    oracle = Engine("oracle").connect()
+    oracle.execute("CREATE DATABASE shop; USE shop")
+    session = cluster.connect(database="shop")
+    ddl = "CREATE TABLE ev (k INT PRIMARY KEY, grp INT, v INT)"
+    session.execute(ddl)
+    oracle.execute(ddl)
+    cluster.register_table("ev", "k", RangeSharder([49]))
+    for k in range(100):
+        row = (f"INSERT INTO ev (k, grp, v) "
+               f"VALUES ({k}, {k % 7}, {(k * 17) % 13})")
+        session.execute(row)
+        oracle.execute(row)
+
+    def run(rounds, first=0):
+        for n in range(first, first + rounds):
+            for sql, params, ordered in SCATTERS:
+                got = session.execute(sql, params(n)).rows
+                want = oracle.execute(sql, params(n)).rows
+                if not ordered:
+                    got, want = sorted(got), sorted(want)
+                assert got == want, (sql, params(n))
+
+    run(8)      # every replica of both groups has run every shape
+    compiled = compiled_memos(cluster)
+    before = counters([analysis.analyses] + compiled)
+    scatter_reads = cluster.stats["scatter_reads"]
+    run(40, first=8)
+    assert cluster.stats["scatter_reads"] - scatter_reads \
+        == 40 * len(SCATTERS)
+    assert counted_since([analysis.analyses], before[:1])[1] == 0
+    assert counted_since(compiled, before[1:])[1] == 0
+    assert len(cluster.scatter_plans) == len(SCATTERS)
+
+
+def test_a_scattered_offset_is_planned_per_execution():
+    """The one value-dependent rewrite: each shard runs ``LIMIT`` +
+    ``OFFSET`` rows as a literal, so such a plan is never memoised —
+    and each execution answers for its own offset."""
+    cluster = build_composed_cluster(shards=2, replicas=1)
+    session = cluster.connect(database="shop")
+    session.execute(KV)
+    cluster.register_table("kv", "k", HashSharder(2))
+    seed_rows(cluster)
+    sql = "SELECT k FROM kv ORDER BY k LIMIT ? OFFSET ?"
+    for limit, offset in ((3, 0), (3, 5), (2, 5), (4, 20), (3, 5)):
+        assert session.execute(sql, [limit, offset]).rows \
+            == [(k,) for k in range(offset, min(offset + limit, ROWS))]
+    assert len(cluster.scatter_plans) == 0
     session.close()
 
 

@@ -12,18 +12,21 @@ scan underneath them.
 * What a scan does per row is call closures: the number of
   ``EvalContext`` objects and of closure builds a statement costs does
   not depend on the row count, and a second execution builds nothing.
-* ``visible_rows`` — with its one-version fast path — against
-  ``visible_version`` row by row, over the chains the schedules of
-  ``test_range_differential`` leave behind.
+* ``visible_rows`` and ``visible_in_range`` — with their one-version
+  fast paths — against ``visible_version`` row by row, over the chains
+  the schedules of ``test_range_differential`` leave behind.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sqlengine import Engine, NameError_, generic
+from repro.sqlengine import Engine, NameError_, generic, parse_script
+from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import executor as executor_module
 from repro.sqlengine import expressions
-from repro.sqlengine.mvcc import Snapshot, visible_rows, visible_version
+from repro.sqlengine.mvcc import (
+    Snapshot, visible_in_range, visible_rows, visible_version,
+)
 
 from .test_range_differential import _Arm, _IDS, _STEP, _US, _WS, _SS
 
@@ -205,15 +208,34 @@ def test_a_scan_costs_contexts_and_builds_independent_of_row_count(
     assert per_size[1]["contexts"] <= 2
 
 
+def _expression_nodes(expr) -> int:
+    if isinstance(expr, (list, tuple)):
+        return sum(_expression_nodes(item) for item in expr)
+    if not isinstance(expr, ast.Expression):
+        return 0
+    return 1 + sum(_expression_nodes(getattr(expr, slot))
+                   for slot in expr.__slots__)
+
+
 def test_the_first_execution_builds_once_per_node_not_per_row(monkeypatch):
-    conn = _engine().connect(database="shop")
-    conn.execute("CREATE TABLE wide (k INT PRIMARY KEY, v INT)")
-    conn.execute("INSERT INTO wide VALUES " + ", ".join(
-        f"({k}, {k % 10})" for k in range(600)))
-    counts = _counted(monkeypatch)
-    conn.execute("SELECT k FROM wide WHERE v = ? AND k > 5", [3])
-    # k | AND(=(v, ?), >(k, 5)): eight nodes
-    assert counts["builds"] == 8
+    for sql in ("SELECT k FROM wide WHERE v = ? AND k > 5",
+                "SELECT k FROM wide WHERE k BETWEEN ? AND 500 OR v + 1 = k"):
+        statement = parse_script(sql)[0]
+        nodes = _expression_nodes([statement.columns, statement.where])
+        builds = []
+        for size in (60, 600):
+            conn = _engine().connect(database="shop")
+            conn.execute("CREATE TABLE wide (k INT PRIMARY KEY, v INT)")
+            conn.execute("INSERT INTO wide VALUES " + ", ".join(
+                f"({k}, {k % 10})" for k in range(size)))
+            counts = _counted(monkeypatch)
+            conn.execute(sql, [3])
+            monkeypatch.undo()
+            builds.append(counts["builds"])
+        # a fused node builds its children with it: some nodes cost none
+        assert 1 <= builds[0] <= nodes, sql
+        # and ten times the rows cost not one build more
+        assert builds[1] == builds[0], sql
 
 
 # -- the scan underneath -----------------------------------------------------
@@ -249,5 +271,21 @@ def test_visible_rows_is_visible_version_row_by_row(before, moved, inserted,
         expected = [version for version in (
             visible_version(table, row_id, snapshot, txn_id, dirty=dirty)
             for row_id in list(table._rows)) if version is not None]
-        got = list(visible_rows(table, snapshot, txn_id, dirty=dirty))
+        got = visible_rows(table, snapshot, txn_id, dirty=dirty)
         assert [id(v) for v in got] == [id(v) for v in expected]
+        # a walk of a whole ordered index: each row with a non-NULL key,
+        # once, in key order, after looking at each row once per key
+        for index in table.indexes.values():
+            if index.ordered is None:
+                continue
+            walked, looked_at = visible_in_range(
+                table, index, range(len(index.ordered)), snapshot, txn_id,
+                dirty)
+            assert sorted(id(v) for v in walked) == sorted(
+                id(v) for v in expected
+                if index.key_for(v.values)[0] is not None)
+            keys = [index.key_for(v.values) for v in walked]
+            assert keys == sorted(keys)
+            assert looked_at == sum(
+                len({c.row_id for c in index.entries[key]})
+                for key in index.ordered)

@@ -1,4 +1,5 @@
-"""One evaluator, and nothing interprets per row — pinned on the source.
+"""One evaluator and one visibility rule, and nothing interprets per row
+— pinned on the source.
 
 Expressions are compiled to closures once per tree
 (``repro.sqlengine.expressions``); ``evaluate`` is the one-shot "build
@@ -8,6 +9,8 @@ list form ``evaluate_each`` is the named exception, for the two value
 lists nothing repeats —, one module owns the class-keyed dispatch table,
 no switch selects another evaluator, and the interpreter kept under
 ``tests/`` as the differential reference is out of the package's reach.
+Visibility is ``repro.sqlengine.mvcc``'s alone, fast paths included: the
+executor compares no commit stamp with a snapshot.
 """
 
 import ast
@@ -41,6 +44,33 @@ def test_the_executor_never_evaluates_inside_a_loop():
     probe = ast.parse("for row in rows:\n    [evaluate(e, c) for e in row]\n"
                       "evaluate(limit, c)\n")
     assert _calls_inside_loops(probe, "evaluate") == [2]
+
+
+def _stamp_comparisons(tree):
+    """``(function, comparison)`` for every comparison that reads a
+    version's ``created_ts`` or ``deleted_ts``."""
+    return [(function.name, ast.unparse(node))
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Compare) and any(
+                isinstance(operand, ast.Attribute)
+                and operand.attr in ("created_ts", "deleted_ts")
+                for operand in [node.left, *node.comparators])]
+
+
+def test_one_visibility_rule_and_it_lives_in_mvcc():
+    """The scan's one-version fast path is the visibility rule written
+    out, and it is written out in ``mvcc.py`` only: the executor
+    compares no version's commit stamps with a snapshot.  The one
+    listed exception is the unique check's in-flight test, which asks
+    whether another transaction is inserting the key right now."""
+    tree = ast.parse((SRC / "sqlengine" / "executor.py").read_text())
+    assert _stamp_comparisons(tree) \
+        == [("_check_unique", "candidate.created_ts is None")]
+    probe = ast.parse("def scan(chain, ts):\n"
+                      "    return [v for v in chain if v.created_ts <= ts]\n")
+    assert _stamp_comparisons(probe) == [("scan", "v.created_ts <= ts")]
 
 
 def test_the_list_form_serves_values_rows_and_call_arguments_only():

@@ -166,6 +166,27 @@ class TestPlanChoice:
         p = plan(table, f"SELECT * FROM items WHERE {predicate}")
         assert p.kind == SEQ_SCAN
 
+    @pytest.mark.parametrize("predicate", [
+        "id = TRUE", "id IN (1, FALSE)", "sku = 7", "region = 2.5",
+    ])
+    def test_a_value_equal_by_a_looser_rule_scans(self, table, predicate):
+        # beside a bool, = compares truth values (every id but 0 equals
+        # TRUE); beside text, a number equals every spelling of it
+        p = plan(table, f"SELECT * FROM items WHERE {predicate}")
+        assert p.kind == SEQ_SCAN
+
+    def test_a_boolean_key_probed_with_text_answers_like_the_scan(self,
+                                                                   conn):
+        conn.execute("CREATE TABLE flags (id INT PRIMARY KEY, up BOOLEAN)")
+        conn.execute("CREATE INDEX idx_up ON flags (up)")
+        conn.execute("INSERT INTO flags VALUES (1, TRUE), (2, FALSE)")
+        sql = "SELECT id FROM flags WHERE up = ? ORDER BY id"
+        for value in ("false", "0", "t", "", 1, 0, True, None):
+            conn.engine.use_indexes = True
+            probed = conn.execute(sql, [value]).rows
+            conn.engine.use_indexes = False
+            assert probed == conn.execute(sql, [value]).rows, value
+
     def test_null_bound_is_the_empty_range(self, table):
         p = plan(table, "SELECT * FROM items WHERE id > ?", params=[None])
         assert p.kind == INDEX_RANGE and len(p.keys) == 0

@@ -1,4 +1,5 @@
-"""The planner against the scan, and the ordered index against its map.
+"""The planner against the scan, the scan against brute force, and the
+ordered index against its map.
 
 Two engines are fed one generated schedule — inserts, key-changing
 updates, range deletes, rollbacks, ``vacuum()``, then a second session's
@@ -8,7 +9,14 @@ path the planner picks, every statement must answer like the scan: the
 same row multisets from inside and outside the open transaction at READ
 COMMITTED, SNAPSHOT and READ UNCOMMITTED, the same order wherever ORDER
 BY is on a unique key, and the same sort-column sequence where ties make
-the rest the engine's choice.
+the rest the engine's choice.  The statements are the shapes of the
+``scan_range`` workload and more: row reads, ``ORDER BY … LIMIT``,
+``COUNT`` / ``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` with and without a
+``GROUP BY``, over literal ranges and over ``col = ?`` / ``col BETWEEN ?
+AND ?`` bound to NULL, to text and to numbers alike.
+
+A third arm answers every statement the scan answers, errors included,
+by brute force over ``table.versions()`` (see its section below).
 
 Errors may differ in one direction only.  A candidate set is a superset
 of the matching rows, not of the table, so an error that only a row
@@ -25,8 +33,14 @@ exactly the sorted non-NULL keys of its ``entries``.
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlengine import (
-    BackupOptions, Engine, SQLError, dump_engine, generic, restore_engine,
+    BackupOptions, Engine, SQLError, TransactionStatus, TypeError_,
+    dump_engine, generic, parse_script, restore_engine,
 )
+from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.mvcc import READ_UNCOMMITTED, Snapshot
+
+from . import reference_interpreter as reference
+from .reference_interpreter import sort_key
 
 SCHEMA = (
     "CREATE TABLE t (id INT PRIMARY KEY, u INT UNIQUE, w INT, s VARCHAR)",
@@ -95,28 +109,53 @@ _WHERES = st.recursive(
                             st.sampled_from(("AND", "AND", "OR")), inner),
     max_leaves=4)
 
+# what a client can bind beside a number: NULL, text that is a number and
+# text that is not, a float, a bool
+_PARAMS = st.sampled_from((None, 0, 3, 7, 12, 19, -1, 2.5, "5", "a", "",
+                           "10", True))
+_BOUND = st.sampled_from(COLUMNS).flatmap(lambda column: st.one_of(
+    st.tuples(st.just(f"{column} = ?"), st.tuples(_PARAMS)),
+    st.tuples(st.just(f"{column} BETWEEN ? AND ?"),
+              st.tuples(_PARAMS, _PARAMS))))
+#: ``(where, params)``: ranges of literals, a bound ``col = ?`` or
+#: ``col BETWEEN ? AND ?``, or a bound atom ANDed with a range
+_PREDICATES = st.one_of(
+    _WHERES.map(lambda where: (where, ())), _BOUND,
+    st.builds(lambda bound, where: (f"({bound[0]} AND {where})", bound[1]),
+              _BOUND, _WHERES))
+_AGGREGATES = st.one_of(
+    st.just("COUNT(*)"),
+    st.builds("{}({})".format, st.sampled_from(("SUM", "AVG", "MIN", "MAX")),
+              st.sampled_from(COLUMNS)))
+
 
 @st.composite
 def _queries(draw):
-    """``(sql, sort column index or None, unique sort key)``."""
-    where = draw(_WHERES)
+    """``(sql, params, sort column index or None, unique sort key)``."""
+    where, params = draw(_PREDICATES)
     kind = draw(st.integers(0, 5))
     if kind == 0:
-        return f"SELECT id, u, w, s FROM t WHERE {where}", None, False
+        return f"SELECT id, u, w, s FROM t WHERE {where}", params, None, \
+            False
     if kind == 1:
-        return f"SELECT COUNT(*), SUM(id), MIN(u) FROM t WHERE {where}", \
-            None, False
+        # the range and aggregate reads: with or without a group column
+        group = draw(st.sampled_from((None, "w", "s")))
+        columns = ([group] if group else []) \
+            + draw(st.lists(_AGGREGATES, min_size=1, max_size=3))
+        grouped = f" GROUP BY {group}" if group else ""
+        return (f"SELECT {', '.join(columns)} FROM t WHERE {where}{grouped}",
+                params, None, False)
     if kind == 2:
         return ("SELECT a.id, b.id FROM t a JOIN t b ON a.w = b.w "
                 f"WHERE a.id <= {draw(_IDS)} AND b.id > {draw(_IDS)}"), \
-            None, False
+            (), None, False
     column = draw(st.sampled_from(COLUMNS + ("t.id",)))
     direction = draw(st.sampled_from(("", " ASC", " DESC")))
     limit = f" LIMIT {draw(st.integers(0, 6))}"
     if draw(st.booleans()):
         limit += f" OFFSET {draw(st.integers(0, 3))}"
     return (f"SELECT id, u, w, s FROM t WHERE {where} "
-            f"ORDER BY {column}{direction}{limit}",
+            f"ORDER BY {column}{direction}{limit}", params,
             COLUMNS.index(column.split(".")[-1]), column.endswith("id"))
 
 
@@ -155,9 +194,13 @@ class _Arm:
         return self.run(self.writer, kind, payload)
 
 
-def _agree(indexed, scan, sort_index, unique, query):
+def _agree(indexed, scan, sort_index, unique, query, exact=False):
+    """``indexed`` answers like ``scan`` — or, unless ``exact``, fails
+    to raise an error only ``scan`` raises."""
     if scan == "error":
-        return          # the planner may have skipped the offending row
+        # the planner may have skipped the offending row
+        assert not exact or indexed == "error", query
+        return
     assert indexed != "error", query
     (got, got_count), (want, want_count) = indexed, scan
     assert got_count == want_count, query
@@ -170,6 +213,146 @@ def _agree(indexed, scan, sort_index, unique, query):
             == [row[sort_index] for row in want], query
 
 
+# -- the third arm: brute force over every version ---------------------------
+#
+# The scan and the range walk both answer through ``mvcc``'s fast paths,
+# so their agreement alone could hide a bug they share.  This arm reads
+# ``table.versions()`` and nothing else of the engine's read path: the
+# visibility rule is a copy of ``mvcc.version_visible`` /
+# ``visible_version`` as they stood before the fast paths, expressions go
+# through the reference interpreter, and grouping, aggregates, ORDER BY
+# and LIMIT are spelled out below.
+
+def _version_visible(version, timestamp, txn_id):
+    created_by_me = txn_id is not None and version.creator_txn == txn_id
+    if not created_by_me:
+        if version.created_ts is None or version.created_ts > timestamp:
+            return False
+    if txn_id is not None and version.deleter_txn == txn_id:
+        return False
+    if version.deleted_ts is not None and version.deleted_ts <= timestamp:
+        return False
+    return True
+
+
+def _visible_version(chain, timestamp, txn_id, dirty):
+    best = best_key = None
+    for index, version in enumerate(chain):
+        if dirty:
+            if version.deleter_txn is not None \
+                    or version.deleted_ts is not None:
+                continue
+        elif not _version_visible(version, timestamp, txn_id):
+            continue
+        own = txn_id is not None and version.creator_txn == txn_id \
+            and version.created_ts is None
+        key = (float("inf") if own else (version.created_ts or 0), index)
+        if best_key is None or key > best_key:
+            best, best_key = version, key
+    return best
+
+
+def _visible_values(engine, conn):
+    """The value dict of every row of ``t`` that ``conn``'s next
+    statement reads."""
+    txn = conn.txn
+    timestamp, txn_id, dirty = engine.clock.now, None, False
+    if txn is not None:
+        timestamp = txn.read_snapshot(Snapshot(timestamp)).timestamp
+        txn_id, dirty = txn.id, txn.isolation == READ_UNCOMMITTED
+    chains = {}
+    for version in engine.database("shop").table("t").versions():
+        chains.setdefault(version.row_id, []).append(version)
+    return [version.values for version in (
+        _visible_version(chain, timestamp, txn_id, dirty)
+        for chain in chains.values()) if version is not None]
+
+
+def _brute(engine, conn, sql, params):
+    """What ``conn`` should answer for ``sql``, in ``_Arm.run``'s form."""
+    if conn.txn is not None and conn.txn.status is TransactionStatus.FAILED:
+        return "error"
+    try:
+        rows = _brute_select(parse_script(sql)[0],
+                             _visible_values(engine, conn), list(params))
+    except SQLError:
+        return "error"
+    return rows, len(rows)
+
+
+def _brute_select(statement, rows, params):
+    def value(expr, bindings):
+        return reference.evaluate(
+            expr, reference.EvalContext(None, None, bindings, params))
+
+    def holds(expr, bindings):
+        return expr is None or reference.is_true(value(expr, bindings))
+
+    source = statement.source
+    if isinstance(source, ast.Join):
+        left, right = source.left.binding, source.right.binding
+        sources = [{left: a, right: b} for a in rows for b in rows
+                   if holds(source.condition, {left: a, right: b})]
+    else:
+        sources = [{source.binding: row} for row in rows]
+    sources = [bindings for bindings in sources
+               if holds(statement.where, bindings)]
+
+    columns = [expr for expr, _alias in statement.columns]
+    if statement.group_by or any(
+            isinstance(expr, ast.FunctionCall) for expr in columns):
+        if not statement.group_by:
+            groups = {(): sources}      # one group, even of no rows
+        else:
+            groups = {}
+            for bindings in sources:
+                key = tuple(sort_key(value(expr, bindings))
+                            for expr in statement.group_by)
+                groups.setdefault(key, []).append(bindings)
+        return [tuple(_aggregate(expr, group, value)
+                      if isinstance(expr, ast.FunctionCall)
+                      else value(expr, group[0]) for expr in columns)
+                for group in groups.values()]
+
+    out = [tuple(value(expr, bindings) for expr in columns)
+           for bindings in sources]
+    names = [(alias or getattr(expr, "name", "")).lower()
+             for expr, alias in statement.columns]
+    order = list(range(len(out)))
+    for expr, ascending in reversed(statement.order_by):
+        # an unqualified name is an output column first
+        def sort_value(i, expr=expr):
+            if expr.table is None and expr.name_lower in names:
+                return out[i][names.index(expr.name_lower)]
+            return value(expr, sources[i])
+        order.sort(key=lambda i: sort_key(sort_value(i)),
+                   reverse=not ascending)
+    out = [out[i] for i in order]
+    offset = statement.offset.value if statement.offset is not None else 0
+    if statement.limit is not None:
+        return out[offset:offset + statement.limit.value]
+    return out[offset:]
+
+
+def _aggregate(call, group, value):
+    if call.name == "COUNT" and (not call.args
+                                 or isinstance(call.args[0], ast.Star)):
+        return len(group)
+    values = [v for v in (value(call.args[0], bindings) for bindings in group)
+              if v is not None]
+    if call.name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if call.name in ("SUM", "AVG"):
+        try:
+            total = sum(values)
+        except TypeError:
+            raise TypeError_(f"{call.name}() needs numbers") from None
+        return total if call.name == "SUM" else total / len(values)
+    return (min if call.name == "MIN" else max)(values, key=sort_key)
+
+
 @settings(max_examples=120, deadline=None)
 @given(before=st.lists(_STEP, max_size=14),
        after=st.lists(_STEP, max_size=5),
@@ -180,12 +363,37 @@ def _agree(indexed, scan, sort_index, unique, query):
          after=[], moved=0, inserted=(40, None, None, None),
          # ORDER BY id sorts by the *output* id, which is u
          queries=[("SELECT id AS u, u AS id FROM t WHERE id > 16 "
-                   "ORDER BY id LIMIT 2", 1, True)])
+                   "ORDER BY id LIMIT 2", (), 1, True)])
 @example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (1, 1, 1, "a")),
                  ("INSERT INTO t VALUES (?, ?, ?, ?)", (2, 2, 2, "9"))],
          after=[], moved=0, inserted=(40, None, None, None),
          queries=[("SELECT id, u, w, s FROM t WHERE s <= 70 AND w = 2",
-                   None, False)])
+                   (), None, False)])
+@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, k % 3, "a"))
+                 for k in range(8)]
+         + [("UPDATE t SET w = ? WHERE id = ?", (3, 2)), ("vacuum", None),
+            ("UPDATE t SET s = ? WHERE id = ?", ("b", 5))],
+         after=[("UPDATE t SET u = ? WHERE id = ?", (None, 6))],
+         moved=3, inserted=(40, 1, 1, "b"),
+         # multi-version chains under a range walk, and the type-confused
+         # bounds of a bound BETWEEN
+         queries=[("SELECT w, COUNT(*), AVG(u), MAX(s) FROM t "
+                   "WHERE id BETWEEN ? AND ? GROUP BY w", (1, 40), None,
+                   False),
+                  ("SELECT SUM(id), MIN(s) FROM t WHERE u BETWEEN ? AND ?",
+                   ("5", 2.5), None, False),
+                  ("SELECT id, u, w, s FROM t WHERE w = ? ORDER BY id",
+                   (None,), 0, True)])
+@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (1, 1, 1, "5")),
+                 ("INSERT INTO t VALUES (?, ?, ?, ?)", (12, 2, 2, "05"))],
+         after=[], moved=0, inserted=(40, None, None, None),
+         # = compares a bool by truth value and text with a number by the
+         # number it spells: no probe key stands for either
+         queries=[("SELECT id, u, w, s FROM t WHERE id = ?", (True,), None,
+                   False),
+                  ("SELECT id FROM t WHERE s = ?", (5,), None, False),
+                  ("SELECT COUNT(*) FROM t WHERE u = ? AND w = ?",
+                   (True, 2), None, False)])
 def test_every_access_path_answers_like_the_scan(before, after, moved,
                                                  inserted, queries):
     arms = (_Arm(True), _Arm(False))
@@ -210,10 +418,14 @@ def test_every_access_path_answers_like_the_scan(before, after, moved,
         conn.execute("BEGIN ISOLATION LEVEL READ UNCOMMITTED")
     readers = {"committed": [arm.writer for arm in arms], "snapshot": old,
                "inside": inside, "dirty": dirty}
-    for sql, sort_index, unique in queries:
+    for sql, params, sort_index, unique in queries:
         for name, (indexed, scan) in readers.items():
-            _agree(_Arm.run(indexed, sql), _Arm.run(scan, sql),
-                   sort_index, unique, (name, sql))
+            brute = _brute(arms[1].engine, scan, sql, params)
+            answer = _Arm.run(scan, sql, params)
+            _agree(answer, brute, sort_index, unique, (name, sql, params),
+                   exact=True)
+            _agree(_Arm.run(indexed, sql, params), answer, sort_index,
+                   unique, (name, sql, params))
     for arm in arms:
         _assert_ordered_views(arm.engine)
 
