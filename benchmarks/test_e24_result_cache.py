@@ -10,13 +10,15 @@ scenarios:
   zipf-ish hot set) through the full middleware stack, cache on vs off.
   The cache answers hot reads before routing or execution.  Two gates:
   the throughput ratio (>=3.2x), and — because that ratio shrinks
-  whenever the *uncached* path gets faster — the cost of one hit against
-  the same statement on a bare replica engine (<=0.24), which only
-  moves when the hit path itself does.  (The ratio floor was 5x while
-  the cache-off arm re-parsed and re-analyzed every statement.  PR 12's
-  statement cache made that arm ~2.5x faster; a hit costs what it did,
-  ~6 us, and the ~8% of reads that miss plus the writes now bound the
-  ratio near 5x even for a free hit, so the same cache measures ~3.7x.)
+  whenever the *uncached* path gets faster — the time of one hit at
+  reference speed (<=8 us), which only moves when the hit path itself
+  does.  (The ratio floor was 5x while the cache-off arm re-parsed and
+  re-analyzed every statement; the statement cache made that arm ~2.5x
+  faster, a hit costs what it did, ~6 us, and the ~8% of reads that
+  miss plus the writes now bound the ratio near 5x even for a free hit,
+  so the same cache measures ~3.7x.  A hit over the same statement on a
+  bare replica engine is reported but not gated: it too fell as the
+  engine got faster, to ~24 us.)
 * **invalidation_storm** — warm cache, then a write burst over the whole
   keyspace.  Every post-burst read must observe the new values (the
   writeset stream kills entries at key granularity), after which the
@@ -30,26 +32,36 @@ scenarios:
   cache entirely.
 
 Results land in ``BENCH_e24.json``.  Correctness assertions are
-deterministic; both read_scaleout gates are wall-clock but same-process
-ratios (a hit skips route+execute; the engine read is the least any
-execution of the statement can cost).
+deterministic; both read_scaleout gates are wall-clock: the speedup a
+same-process ratio, the hit time divided by the machine's speed as the
+repository benchmark measures it (``perf/driver.Machine``, imported
+read-only), so a slower runner or a slow spell moves neither.
 """
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 from repro.bench import Report, build_cluster
 from repro.cache import ResultCacheConfig
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_e24.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perf"))
+
+import driver  # noqa: E402
+
+BENCH_PATH = ROOT / "BENCH_e24.json"
 SEED = 24
 KEYSPACE = 500
 HOT_KEYS = 64
 MIN_SPEEDUP = 3.2
-#: one cache hit through the middleware / the statement on a bare engine
-MAX_HIT_COST = 0.24
+#: one cache hit through the middleware, in us at reference speed: ten
+#: alternating runs each of two builds measured 5.75-6.33 us on a 2-core
+#: Xeon (median 6.0); the slack covers runners whose speed relative to
+#: the calibration kernel differs from that machine's
+MAX_HIT_US = 8.0
 POINT_READ = "SELECT v FROM kv WHERE k = ?"
 
 
@@ -122,10 +134,10 @@ def run_read_scaleout(ops_count: int = 2000, rounds: int = 3):
 
 
 def run_hit_path(mw, laps: int = 10, lap_ops: int = 500):
-    """What one hit costs, next to the same statement executed on a
-    bare replica engine (no middleware at all).  Laps alternate and the
-    fastest of each side is kept, so a slow spell of the machine lands
-    on both or on neither."""
+    """What one hit costs, at reference speed and next to the same
+    statement executed on a bare replica engine (no middleware at all).
+    Laps alternate with calibration kernels and the fastest of each is
+    kept, so a slow spell of the machine lands on all or on none."""
     session = mw.connect(database="shop")
     connection = mw.replicas[0].engine.connect(database="shop")
     for key in range(HOT_KEYS):
@@ -137,15 +149,19 @@ def run_hit_path(mw, laps: int = 10, lap_ops: int = 500):
             target.execute(POINT_READ, [n % HOT_KEYS])
         return (time.perf_counter() - start) / lap_ops * 1e6
 
+    machine = driver.Machine()
     hits = mw.result_cache.stats["hits"]
-    hit_us = engine_us = float("inf")
+    hit_us = engine_us = speed = float("inf")
     for _ in range(laps):
+        speed = min(speed, machine.speed())
         hit_us = min(hit_us, lap(session))
         engine_us = min(engine_us, lap(connection))
     assert mw.result_cache.stats["hits"] - hits == laps * lap_ops
     session.close()
     connection.close()
-    return {"hit_us": hit_us, "engine_read_us": engine_us,
+    return {"hit_us": hit_us, "machine_speed": speed,
+            "hit_us_at_reference": hit_us / speed,
+            "engine_read_us": engine_us,
             "hit_cost_vs_engine_read": hit_us / engine_us}
 
 
@@ -282,6 +298,8 @@ def test_e24_result_cache(benchmark):
                    round(scaleout["cache_on"]["hit_rate"], 3))
     report.add_row("read_scaleout", "us per hit",
                    round(scaleout["hit_us"], 2))
+    report.add_row("read_scaleout", "us per hit at reference speed",
+                   round(scaleout["hit_us_at_reference"], 2))
     report.add_row("read_scaleout", "us per bare engine read",
                    round(scaleout["engine_read_us"], 2))
     report.add_row("read_scaleout", "hit cost / engine read",
@@ -304,10 +322,9 @@ def test_e24_result_cache(benchmark):
     assert scaleout["speedup"] >= MIN_SPEEDUP, \
         (f"cache-on read-mostly throughput only "
          f"{scaleout['speedup']:.1f}x cache-off (need {MIN_SPEEDUP}x)")
-    assert scaleout["hit_cost_vs_engine_read"] <= MAX_HIT_COST, \
-        (f"a cache hit costs {scaleout['hit_us']:.1f} us, "
-         f"{scaleout['hit_cost_vs_engine_read']:.2f} of a bare engine "
-         f"read (at most {MAX_HIT_COST})")
+    assert scaleout["hit_us_at_reference"] <= MAX_HIT_US, \
+        (f"a cache hit costs {scaleout['hit_us_at_reference']:.2f} us at "
+         f"reference speed (at most {MAX_HIT_US})")
     assert scaleout["cache_on"]["hit_rate"] >= 0.5
 
     # scenario B: invalidation is complete and key-granular
@@ -331,7 +348,7 @@ def test_e24_result_cache(benchmark):
         "keyspace": KEYSPACE,
         "hot_keys": HOT_KEYS,
         "min_speedup": MIN_SPEEDUP,
-        "max_hit_cost": MAX_HIT_COST,
+        "max_hit_us": MAX_HIT_US,
         "read_scaleout": scaleout,
         "invalidation_storm": storm,
         "consistency_check": {

@@ -206,13 +206,6 @@ class ChaosResult:
             return 0.0
         return self.failed / len(self.records)
 
-    def errors_by_kind(self) -> Dict[str, int]:
-        kinds: Dict[str, int] = {}
-        for record in self.records:
-            if record.resolved and not record.ok:
-                kinds[record.error] = kinds.get(record.error, 0) + 1
-        return kinds
-
     @property
     def all_invariants_hold(self) -> bool:
         return bool(self.invariants) and all(self.invariants.values())

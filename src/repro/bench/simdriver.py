@@ -279,8 +279,7 @@ class TimedCluster:
         config = middleware.config
         statement_cost = self.cost.statement_cost(info)
         autocommit = not session.in_transaction
-        if config.replication == "statement" \
-                and config.consistency.write_mode != "master":
+        if config.statement_broadcast:
             # total order + parallel execution at every online replica
             yield self.env.timeout(self.ordering_delay)
             tasks = []
@@ -529,8 +528,7 @@ class TimedCluster:
         if not session.in_transaction:
             return
         was_write = session._txn_is_write
-        if was_write and config.replication == "statement" \
-                and config.consistency.write_mode != "master":
+        if was_write and config.statement_broadcast:
             yield from self._charge_statement_commit()
         elif was_write:
             local_name = session._local_replica

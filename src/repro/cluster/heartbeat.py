@@ -99,9 +99,6 @@ class HeartbeatDetector:
     def on_recovery(self, callback: Callable[[str], None]) -> None:
         self._on_recovery.append(callback)
 
-    def is_suspected(self, target: str) -> bool:
-        return self._suspected.get(target, False)
-
     # -- the detector loop -------------------------------------------------------
 
     def start(self) -> None:

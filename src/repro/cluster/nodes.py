@@ -98,9 +98,6 @@ class Node:
         slower and nothing reports it (section 4.1.3)."""
         self.disk_factor /= slowdown
 
-    def degrade_cpu(self, slowdown: float) -> None:
-        self.speed_factor /= slowdown
-
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"
         return f"Node({self.name!r}, {state}, load={self.load})"

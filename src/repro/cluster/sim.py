@@ -138,10 +138,6 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         env._schedule_at(env.now, bootstrap, None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, reason: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
@@ -280,10 +276,6 @@ class Environment:
             event = self._dispatching.pop()
             if not event._defused:
                 raise event.value
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
 
 
 class Resource:

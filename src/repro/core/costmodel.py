@@ -12,7 +12,7 @@ hardware and are fully configurable.
 from __future__ import annotations
 
 from ..sqlengine import ast_nodes as ast
-from .analysis import StatementInfo, analyze
+from .analysis import StatementInfo
 
 
 class CostModel:
@@ -95,35 +95,12 @@ class CostModel:
         )
         return self.scan_read if heavy else self.point_read
 
-    def cost_of_sql_class(self, kind: str) -> float:
-        """Costs by symbolic class, for workload generators that do not
-        materialize SQL text."""
-        table = {
-            "point_read": self.point_read,
-            "scan_read": self.scan_read,
-            "write": self.write,
-            "commit": self.commit_io,
-            "writeset_apply": self.writeset_apply,
-        }
-        if kind not in table:
-            raise KeyError(f"unknown cost class {kind!r}")
-        return table[kind]
-
     def middleware_cost(self) -> float:
         return self.middleware_overhead + self.interception_overhead
 
     def apply_cost(self, writeset_size: int) -> float:
         """Applying a writeset of N row changes at a replica."""
         return self.writeset_apply * max(1, writeset_size)
-
-    def replay_cost(self, statement_count: int) -> float:
-        """Re-executing N statements during recovery-log replay."""
-        return self.write * max(1, statement_count)
-
-    def estimate_sql(self, info_or_statement) -> float:
-        if isinstance(info_or_statement, StatementInfo):
-            return self.statement_cost(info_or_statement)
-        return self.statement_cost(analyze(info_or_statement))
 
 
 def default_cost_model() -> CostModel:

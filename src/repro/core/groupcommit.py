@@ -155,10 +155,6 @@ class GroupCommitCoordinator:
         # the holder last reported by a retention_stalled event
         self._stalled_on: Optional[str] = None
 
-    @property
-    def gathering(self) -> bool:
-        return self._gathering
-
     @contextmanager
     def batch(self):
         """Gather mode: every ``submit`` inside this context joins one

@@ -9,7 +9,8 @@ Two replication protocols (section 4.3.2):
 
 * ``statement`` — every update statement is executed at every online
   replica in the same total order; non-deterministic statements are
-  rewritten, rejected or knowingly broadcast per policy.
+  rewritten, rejected or knowingly broadcast per policy
+  (:mod:`repro.core.statement_replication`).
 * ``writeset`` — a transaction executes at one replica; at commit its
   writeset is certified (first-committer-wins for SI-class protocols) and
   propagated to the other replicas, synchronously or asynchronously.
@@ -30,31 +31,27 @@ import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import (
-    GATE_BYPASS_PROTOCOL, GATE_HIT, GATE_REJECT, GATE_STALE,
     CertifiedWrite, ConsistencyGate, ResultCache, ResultCacheConfig,
-    WritesetInvalidator, cache_key, extract_read_dependencies,
+    WritesetInvalidator,
 )
 from ..sqlengine import ast_nodes as ast
 from ..sqlengine import Connection, SQLError
 from ..sqlengine.errors import ConnectionError_
 from ..sqlengine.executor import Result
-from ..sqlengine.locks import LockConflict, LockManager, LockMode
 # TEMPORARY, not called here any more: perf/spans.py (frozen for this
 # PR by the benchmark's path contract) rebinds this name and fails
 # without it.  ROADMAP item 2 has the follow-up that repoints that
 # boundary at sqlengine.stmtcache.parse_script and deletes this line.
 from ..sqlengine.parser import parse_script  # noqa: F401
 from ..sqlengine.stmtcache import StatementCache
-from .analysis import (
-    StatementInfo, analyze, analyze_cached, rewrite_nondeterministic,
-)
+from .analysis import StatementInfo, analyze_cached
 from .certifier import Certifier
 from .consistency import ClusterView, ConsistencyProtocol, SessionView
 from .consistency.gsi import GeneralizedSnapshotIsolation
 from .consistency.one_sr import OneCopySerializability
 from .errors import (
     FATAL, RETRY_AFTER_FAILOVER, ClusterDivergence, MiddlewareDown,
-    NoReplicaAvailable, ReplicaUnavailable, UnsupportedStatementError,
+    NoReplicaAvailable, ReplicaUnavailable,
 )
 from .groupcommit import CommitRequest, GroupCommitCoordinator
 from .loadbalancer import LoadBalancer, RoutingContext
@@ -63,10 +60,8 @@ from .monitoring import Monitor
 from .recoverylog import RecoveryLog
 from .replica import ApplyItem, Replica, ReplicaState
 from .resilience import Deadline, ResilienceCoordinator, ResiliencePolicy
-from .writesets import (
-    apply_writeset, conflict_keys, extract_writeset_engine,
-    statement_footprint,
-)
+from .statement_replication import StatementReplication
+from .writesets import apply_writeset, conflict_keys, extract_writeset_engine
 
 
 class MiddlewareConfig:
@@ -86,10 +81,6 @@ class MiddlewareConfig:
             ``"broadcast"`` (ship them anyway — divergence, E10).
         compensate_counters: writeset-mode fix-up of auto-increment /
             sequence state at apply time (off = the 4.3.2 divergence gap).
-        table_locking: statement-mode middleware-level table locks
-            (the coarse-granularity regime of section 4.3.2).
-        detect_divergence: compare per-replica rowcounts on broadcast
-            writes and raise :class:`ClusterDivergence` on mismatch.
         resilience: a :class:`~repro.core.resilience.ResiliencePolicy`;
             when set, every request gets deadlines, transparent retry,
             per-replica circuit breaking, admission control and
@@ -119,8 +110,6 @@ class MiddlewareConfig:
                  propagation: str = "sync",
                  nondeterminism: str = "rewrite",
                  compensate_counters: bool = True,
-                 table_locking: bool = True,
-                 detect_divergence: bool = False,
                  resilience: Optional[ResiliencePolicy] = None,
                  result_cache: Optional[ResultCacheConfig] = None,
                  tracing: bool = True,
@@ -142,13 +131,20 @@ class MiddlewareConfig:
         self.propagation = propagation
         self.nondeterminism = nondeterminism
         self.compensate_counters = compensate_counters
-        self.table_locking = table_locking
-        self.detect_divergence = detect_divergence
         self.resilience = resilience
         self.result_cache = result_cache
         self.tracing = tracing
         self.trace_retention = trace_retention
         self.retention_watermark = retention_watermark
+
+    @property
+    def statement_broadcast(self) -> bool:
+        """Do writes go to every replica as statements
+        (:mod:`repro.core.statement_replication`)?  Statement replication,
+        unless the protocol sends writes to a master.  Read per call:
+        ``consistency`` may be swapped at run time."""
+        return self.replication == "statement" \
+            and self.consistency.write_mode != "master"
 
 
 class ReplicationMiddleware:
@@ -178,9 +174,8 @@ class ReplicationMiddleware:
         # text front door: every session's execute(sql) resolves through
         # this one cache, so one shape is one tree for all of them
         self.statements = StatementCache()
-        # Middleware-level table locks for statement-mode 1SR (4.3.2).
-        self._table_locks = LockManager()
-        self._lock_txn_counter = itertools.count(1)
+        # Statement replication (4.3.2) and its middleware-level locks.
+        self.statement_replication = StatementReplication(self)
         # Designated master for write_mode == "master" protocols.
         self._master_name: Optional[str] = self.replicas[0].name
         self.stats = {
@@ -373,6 +368,7 @@ class ReplicationMiddleware:
             if session.in_transaction:
                 lost += 1
             session._abort_everywhere(silent=True)
+            self.statement_replication.release(session)
             session.closed = True
         self.sessions.clear()
         self.failed = True
@@ -463,6 +459,7 @@ class ReplicationMiddleware:
             # lagging slave beats queueing behind a freshness wait.
             lag = max(0, needed - best.applied_seq)
             if self.resilience.serve_stale(lag):
+                self.resilience.note_degraded_read(lag)
                 span.set_tag("why", "degraded_stale")
                 span.event("degraded_read", lag=lag, replica=best.name)
                 return best
@@ -667,7 +664,6 @@ class MiddlewareSession:
         self._txn_start_seq = 0
         self._txn_is_write = False
         self._txn_isolation: Optional[str] = None
-        self._txn_lock_id: Optional[int] = None
         self._local_replica: Optional[str] = None  # writeset mode
         # temp-table pinning (section 4.1.4)
         self.pinned_replica: Optional[str] = None
@@ -693,7 +689,8 @@ class MiddlewareSession:
         # already holds an admission ticket for this session.
         self.deadline: Optional[Deadline] = None
         self._admission_held = False
-        # Result-cache state.  A session that issued USE/SET through the
+        # Result-cache state, read by the cache's door
+        # (repro.cache.gate).  A session that issued USE/SET through the
         # middleware has connection-local state the cache key cannot see;
         # it stops using the cache for its lifetime.  ``_single_statement``
         # marks requests whose sql text is exactly one statement: a
@@ -705,10 +702,6 @@ class MiddlewareSession:
         # sets this to the shard-map version, so a reshard flip orphans
         # entries filled under the old placement).  None = no salt.
         self.cache_salt: Optional[Any] = None
-        # statement-mode invalidation footprint of the open transaction
-        self._txn_footprints: set = set()
-        self._txn_had_opaque = False
-        self._txn_had_ddl = False
         # Tracing (repro.obs).  ``active_span`` is the mw.statement span
         # currently executing on this session — explicit parenting, NOT a
         # tracer-global stack, because concurrent simulated requests
@@ -716,8 +709,8 @@ class MiddlewareSession:
         # installed by a timed driver (the request/timed.statement span)
         # so middleware spans join the request's trace instead of
         # starting roots of their own.  ``_cache_note`` carries the
-        # result-cache decision (miss/bypass...) from the result-cache fast
-        # path to the statement span that ends up executing.
+        # result-cache decision (miss/bypass...) from the cache's lookup to
+        # the statement span that ends up executing.
         self.active_span = None
         self.trace_context = None
         self._cache_note: Optional[str] = None
@@ -751,9 +744,11 @@ class MiddlewareSession:
             units = cache.script(sql)
             if len(units) == 1:
                 sql, params = units[0][1:]
-        cached = self._cached_fast_path(sql, params)
-        if cached is not None:
-            return cached
+        gate = self.middleware.cache_gate
+        if gate is not None:
+            cached = gate.lookup(self, sql, params)
+            if cached is not None:
+                return cached
         if units is None:
             units = cache.script(sql, params)
         self._single_statement = len(units) == 1
@@ -799,9 +794,11 @@ class MiddlewareSession:
         ``;``-script hands down each statement's own text
         (``StatementCache.script``), never the script's."""
         self._check_open()
-        cached = self._cached_fast_path(sql_text, params)
-        if cached is not None:
-            return cached
+        gate = self.middleware.cache_gate
+        if gate is not None:
+            cached = gate.lookup(self, sql_text, params)
+            if cached is not None:
+                return cached
         self._single_statement = True
         if self.middleware.resilience is not None:
             return self._guarded(((statement, sql_text, params or ()),))
@@ -821,6 +818,7 @@ class MiddlewareSession:
         if self.closed:
             return
         self._abort_everywhere(silent=True)
+        self.middleware.statement_replication.release(self)
         for connection in self._read_connections.values():
             try:
                 connection.close()
@@ -892,7 +890,8 @@ class MiddlewareSession:
             return Result()
 
         info = analyze_cached(statement)
-        self._track_temp_tables(info)
+        if info.creates_temp_table:
+            self.temp_tables |= info.touches_temp_names
         if isinstance(statement, (ast.UseStatement, ast.SetStatement)):
             # connection-local state the cache key cannot witness
             self._cache_ineligible = True
@@ -901,10 +900,6 @@ class MiddlewareSession:
             return self._execute_read(statement, sql_text, params, info)
         return self._execute_write(statement, sql_text, params, info)
 
-    def _track_temp_tables(self, info: StatementInfo) -> None:
-        if info.creates_temp_table:
-            self.temp_tables |= info.touches_temp_names
-
     def _statement_touches_temp(self, info: StatementInfo) -> bool:
         if info.creates_temp_table:
             return True
@@ -912,179 +907,6 @@ class MiddlewareSession:
             return False
         return bool(
             {t.split(".")[-1] for t in info.all_tables()} & self.temp_tables)
-
-    # ------------------------------------------------------------------
-    # result cache
-    # ------------------------------------------------------------------
-
-    def _cache_key(self, sql: str, params) -> Optional[tuple]:
-        key = cache_key(self.user, self.database, sql, params)
-        if key is None or self.cache_salt is None:
-            return key
-        return key + (("salt", self.cache_salt),)
-
-    def _cached_fast_path(self, sql: str, params) -> Optional[Result]:
-        """Serve an autocommit read from the result cache before the
-        balancer sees it (a hit costs no replica load and no admission
-        slot).  ``(sql, params)`` is the statement cache's pair, so a
-        literal-inlined text has been through ``StatementCache.lookup``
-        by now; a parse only ever happens on a miss.  ``None`` = proceed
-        normally."""
-        middleware = self.middleware
-        cache = middleware.result_cache
-        if cache is None or self.in_transaction or self._cache_ineligible:
-            return None
-        key = self._cache_key(sql, params)
-        if key is None:
-            self._cache_note = "uncacheable"
-            return None
-        entry = cache.peek(key)
-        if entry is None:
-            self._cache_note = "miss"
-            return None
-        if self.temp_tables and (self.temp_tables & entry.table_names()):
-            # a session temp table shadows a cached base table (4.1.4)
-            self._cache_note = "bypass_temp"
-            return None
-        middleware._check_up()
-        gate = middleware.cache_gate
-        decision, lag = gate.decide(self)
-        if decision == GATE_BYPASS_PROTOCOL:
-            cache.stats["bypass_protocol"] += 1
-            self._cache_note = "bypass_protocol"
-            return None
-        if decision == GATE_REJECT:
-            cache.stats["gate_rejections"] += 1
-            self._cache_note = "reject"
-            return None
-        # A hit never reaches _execute_one, so it gets its own statement
-        # span (zero-duration: no replica, no simulated cost).
-        span = middleware.tracer.start_span(
-            "mw.statement", parent=self.trace_context, session=self.id,
-            sql=sql[:80],
-            cache=("stale" if decision == GATE_STALE else "hit"))
-        if lag:
-            span.set_tag("cache_lag", lag)
-        if decision == GATE_STALE:
-            cache.stats["stale_hits"] += 1
-            if middleware.resilience is not None:
-                middleware.resilience.note_stale_cache_served()
-        else:
-            cache.stats["hits"] += 1
-        middleware.config.balancer.note_cache_hit()
-        gate.note_served(self, decision)
-        span.end()
-        return entry.to_result(stale=(decision == GATE_STALE), lag=lag)
-
-    def _maybe_fill_cache(self, statement: ast.Statement, sql_text: str,
-                          params: List[Any], info: StatementInfo,
-                          replica: Replica, result: Result) -> None:
-        """After an autocommit replica read: remember the result if the
-        statement is cacheable and the replica was provably current for
-        the statement's dependencies (the fill guard — a lagging replica
-        must not launder stale rows into a fresh-looking entry)."""
-        middleware = self.middleware
-        cache = middleware.result_cache
-        if not isinstance(statement, ast.SelectStatement):
-            return  # only SELECT results are cached (EXPLAIN/USE/SET...)
-        if middleware.config.consistency.write_mode == "broadcast":
-            cache.stats["bypass_protocol"] += 1
-            return
-        key = self._cache_key(sql_text, params)
-        if key is None:
-            cache.stats["bypass_uncacheable"] += 1
-            return
-        deps = extract_read_dependencies(
-            statement, info, replica.engine, self.database, params)
-        if deps is None:
-            cache.stats["bypass_uncacheable"] += 1
-            return
-        cache.stats["misses"] += 1
-        invalidator = middleware.cache_invalidator
-        conflicts = invalidator.conflicts_since(replica.applied_seq, deps)
-        if conflicts is not False:  # True, or None = unknowable window
-            cache.stats["fill_rejected"] += 1
-            return
-        cache.put(key, result, deps, fill_seq=invalidator.applied_seq)
-
-    def _stale_cache_fallback(self, sql_text: str,
-                              params: List[Any]) -> Optional[Result]:
-        """Degraded-mode last resort: with no replica able to serve the
-        read, a labelled bounded-staleness cache hit beats an error."""
-        middleware = self.middleware
-        cache = middleware.result_cache
-        resilience = middleware.resilience
-        if cache is None or resilience is None or self.in_transaction \
-                or self._cache_ineligible:
-            return None
-        key = self._cache_key(sql_text, params)
-        if key is None:
-            return None
-        entry = cache.peek(key)
-        if entry is None:
-            return None
-        if self.temp_tables and (self.temp_tables & entry.table_names()):
-            return None
-        if middleware.config.consistency.write_mode == "broadcast":
-            return None
-        protocol = middleware.config.consistency
-        needed = protocol.min_read_seq(self.view, middleware.cluster_view())
-        lag = max(0, needed - middleware.cache_invalidator.applied_seq)
-        if lag == 0:
-            # actually fresh — the replicas are gone but the entry is fine
-            cache.stats["hits"] += 1
-            middleware.cache_gate.note_served(self, GATE_HIT)
-            if self.active_span:
-                self.active_span.set_tag("cache", "fallback_hit")
-            return entry.to_result()
-        if not resilience.serve_stale(lag):
-            return None
-        cache.stats["stale_hits"] += 1
-        resilience.note_stale_cache_served()
-        middleware.cache_gate.note_served(self, GATE_STALE)
-        if self.active_span:
-            self.active_span.set_tag("cache", "stale_fallback")
-            self.active_span.event("degraded_read", lag=lag,
-                                   source="result_cache")
-        return entry.to_result(stale=True, lag=lag)
-
-    def _explain_cache_decision(self, statement: ast.ExplainStatement,
-                                sql_text: str, params: List[Any]) -> str:
-        """What the cache would do with the inner statement right now —
-        reported by EXPLAIN next to the access path."""
-        import re
-
-        middleware = self.middleware
-        cache = middleware.result_cache
-        if self.in_transaction:
-            return "cache bypass (transaction)"
-        if self._cache_ineligible:
-            return "cache bypass (session)"
-        if middleware.config.consistency.write_mode == "broadcast":
-            return "cache bypass (protocol)"
-        if not isinstance(statement.statement, ast.SelectStatement):
-            return "cache bypass (uncacheable)"
-        inner_sql = re.sub(r"^\s*EXPLAIN\s+", "", sql_text,
-                           flags=re.IGNORECASE)
-        # key the inner statement the way executing it would
-        _trees, key_sql, key_params = middleware.statements.lookup(
-            inner_sql, params)
-        key = self._cache_key(key_sql, key_params)
-        if key is None:
-            return "cache bypass (uncacheable)"
-        entry = cache.peek(key)
-        if entry is not None:
-            decision, _lag = middleware.cache_gate.decide(self)
-            if decision in (GATE_HIT, GATE_STALE):
-                return "cache hit"
-            return "cache miss"
-        inner_info = analyze(statement.statement)
-        replica = next(iter(middleware.online_replicas()), None)
-        if replica is not None and extract_read_dependencies(
-                statement.statement, inner_info, replica.engine,
-                self.database, params) is None:
-            return "cache bypass (uncacheable)"
-        return "cache miss"
 
     # ------------------------------------------------------------------
     # traced replica execution
@@ -1108,9 +930,8 @@ class MiddlewareSession:
                       params: List[Any], info: StatementInfo) -> Result:
         middleware = self.middleware
         middleware.stats["reads"] += 1
-        writeset_like = (middleware.config.replication == "writeset"
-                         or middleware.config.consistency.write_mode == "master")
-        if self.in_transaction and writeset_like:
+        gate = middleware.cache_gate
+        if self.in_transaction and not middleware.config.statement_broadcast:
             # reads inside a writeset transaction stay on the local replica
             # (master-mode read-only transactions may run on a satellite)
             if self._local_replica is None and not self._txn_is_write:
@@ -1148,15 +969,15 @@ class MiddlewareSession:
                     ConnectionError_):
                 # degraded mode prefers a labelled-stale cache hit over an
                 # error surfaced to the client
-                stale = self._stale_cache_fallback(sql_text, params)
+                stale = gate.fallback(self, sql_text, params) \
+                    if gate is not None else None
                 if stale is not None:
                     return stale
                 raise
-            if middleware.result_cache is not None \
-                    and self._single_statement and not self._cache_ineligible \
+            if gate is not None and self._single_statement \
                     and self.failover_replays == replays_before:
-                self._maybe_fill_cache(
-                    statement, sql_text, params, info, replica, result)
+                gate.fill(self, statement, sql_text, params, info, replica,
+                          result)
         replica.stats["served_reads"] += 1
         replica.note_hot_tables(sorted(info.all_tables()))
         if middleware.resilience is not None:
@@ -1166,12 +987,10 @@ class MiddlewareSession:
             # an autocommit statement is its own transaction: transaction-
             # level balancing re-chooses for the next one
             middleware.config.balancer.end_transaction(self.id)
-        if middleware.result_cache is not None \
-                and isinstance(statement, ast.ExplainStatement) \
+        if gate is not None and isinstance(statement, ast.ExplainStatement) \
                 and result.columns:
             result.rows.append((
-                "CACHE", "*",
-                self._explain_cache_decision(statement, sql_text, params),
+                "CACHE", "*", gate.explain(self, statement, sql_text, params),
                 0))
             result.rowcount = len(result.rows)
         return result
@@ -1230,10 +1049,9 @@ class MiddlewareSession:
         try:
             if self._statement_touches_temp(info):
                 result = self._execute_on_pinned(statement, params)
-            elif middleware.config.replication == "statement" \
-                    and middleware.config.consistency.write_mode != "master":
-                result = self._statement_mode_write(
-                    statement, sql_text, params, info)
+            elif middleware.config.statement_broadcast:
+                result = middleware.statement_replication.write(
+                    self, statement, sql_text, params, info)
             else:
                 result = self._writeset_mode_write(
                     statement, sql_text, params, info)
@@ -1284,137 +1102,6 @@ class MiddlewareSession:
             self._pinned_connection = replica.engine.connect(
                 self.user, self.password, database=self.database)
         return self._pinned_connection
-
-    # -- statement replication ------------------------------------------------
-
-    def _statement_mode_write(self, statement: ast.Statement, sql_text: str,
-                              params: List[Any],
-                              info: StatementInfo) -> Result:
-        middleware = self.middleware
-        config = middleware.config
-
-        statement = self._handle_nondeterminism(statement, info)
-
-        if config.table_locking and info.tables_written:
-            self._acquire_table_locks(info)
-
-        targets = [
-            r for r in middleware.replicas
-            if r.is_online or r.name in self._txn_connections
-        ]
-        live_targets = [r for r in targets if r.is_online]
-        if not live_targets:
-            raise NoReplicaAvailable("no online replica for the write")
-
-        results: List[Tuple[Replica, Result]] = []
-        for replica in live_targets:
-            connection = self._txn_connection(replica)
-            try:
-                result = self._traced_execute(
-                    replica, connection, statement, params)
-                results.append((replica, result))
-            except ConnectionError_:
-                # Replica died mid-broadcast: statement replication keeps
-                # full state on the survivors — transparent failover.
-                self._note_replica_failure(replica)
-                self._txn_connections.pop(replica.name, None)
-            except (SQLError, LockConflict):
-                # A deterministic error must strike every replica alike;
-                # abort the statement everywhere and surface it.
-                raise
-        if not results:
-            raise NoReplicaAvailable("every replica failed during the write")
-
-        if config.detect_divergence:
-            rowcounts = {result.rowcount for _r, result in results}
-            if len(rowcounts) > 1:
-                middleware.monitor.record(
-                    "divergence_detected", self.middleware.name,
-                    rowcounts={r.name: res.rowcount for r, res in results})
-                raise ClusterDivergence(
-                    f"statement affected different row counts per replica: "
-                    f"{[(r.name, res.rowcount) for r, res in results]}")
-
-        self._txn_statements.append((sql_text, list(params)))
-        self._txn_tables_written |= info.tables_written
-        self._txn_is_write = True
-        if info.is_ddl:
-            self._txn_had_ddl = True
-        elif middleware._certified_listeners:
-            # derive the invalidation footprint from the statement itself
-            # (no writeset exists in this mode) against a surviving replica
-            keys, opaque = statement_footprint(
-                statement, info, results[0][0].engine, self.database, params)
-            if opaque:
-                self._txn_had_opaque = True
-            else:
-                self._txn_footprints |= keys
-        for replica, _result in results:
-            replica.stats["served_writes"] += 1
-        return results[0][1]
-
-    def _handle_nondeterminism(self, statement: ast.Statement,
-                               info: StatementInfo) -> ast.Statement:
-        config = self.middleware.config
-        if info.is_deterministic and info.safe_for_statement_replication:
-            return statement
-        if config.nondeterminism == "broadcast":
-            return statement
-        if config.nondeterminism == "reject":
-            reasons = (info.nondeterministic_calls
-                       or (["LIMIT without ORDER BY"]
-                           if info.limit_without_order_in_write else [])
-                       or ["opaque stored procedure"])
-            raise UnsupportedStatementError(
-                f"non-deterministic write ({', '.join(reasons)}) refused "
-                "under statement replication")
-        # rewrite policy
-        if info.is_procedure_call:
-            return self._vet_procedure_call(statement)
-        if info.rewritable_calls:
-            now_value = self.middleware.monitor.now()
-            statement, _count = rewrite_nondeterministic(statement, now_value)
-        if info.unsafe_calls or info.limit_without_order_in_write:
-            reason = (info.unsafe_calls
-                      or ["LIMIT without ORDER BY"])
-            raise UnsupportedStatementError(
-                f"cannot make statement deterministic ({', '.join(map(str, reason))}); "
-                "use writeset replication for this workload (section 4.3.2)")
-        return statement
-
-    def _vet_procedure_call(self, statement: ast.Statement) -> ast.Statement:
-        """Broadcast a stored-procedure call only when static analysis can
-        prove it deterministic — the engine-cooperation capability the
-        paper's agenda calls for (section 4.2.1); real middleware cannot
-        see the body and must reject or risk divergence."""
-        from ..sqlengine.procedures import analyze_procedure
-
-        middleware = self.middleware
-        replica = next(iter(middleware.online_replicas()), None)
-        if replica is None:
-            raise NoReplicaAvailable("no online replica")
-        database_name = (statement.name.database or self.database)
-        try:
-            database = replica.engine.database(database_name)
-            procedure = database.procedure(statement.name.name)
-        except SQLError as exc:
-            raise UnsupportedStatementError(
-                f"cannot analyze procedure: {exc}")
-        analysis = analyze_procedure(procedure)
-        if not analysis.deterministic:
-            raise UnsupportedStatementError(
-                f"stored procedure {procedure.name!r} is non-deterministic; "
-                "broadcasting it would diverge the cluster (section 4.2.1)")
-        return statement
-
-    def _acquire_table_locks(self, info: StatementInfo) -> None:
-        """Middleware-level exclusive locks on written tables, held until
-        the transaction ends (coarse table granularity, section 4.3.2)."""
-        if self._txn_lock_id is None:
-            self._txn_lock_id = next(self.middleware._lock_txn_counter)
-        for table in sorted(info.tables_written):
-            self.middleware._table_locks.acquire(
-                self._txn_lock_id, table, LockMode.EXCLUSIVE)
 
     # -- writeset replication --------------------------------------------------
 
@@ -1505,9 +1192,6 @@ class MiddlewareSession:
         self._txn_start_seq = self.middleware.global_seq
         self._txn_connections = {}
         self._local_replica = None
-        self._txn_footprints = set()
-        self._txn_had_opaque = False
-        self._txn_had_ddl = False
 
     def _txn_connection(self, replica: Replica) -> Connection:
         connection = self._txn_connections.get(replica.name)
@@ -1545,39 +1229,13 @@ class MiddlewareSession:
                 for connection in self._txn_connections.values():
                     connection.commit()
                 return
-            if middleware.config.replication == "statement" \
-                    and middleware.config.consistency.write_mode != "master":
-                self._commit_statement_mode()
+            if middleware.config.statement_broadcast:
+                middleware.statement_replication.commit(self)
             else:
                 self._commit_writeset_mode()
             middleware.stats["commits"] += 1
         finally:
             self._end_transaction()
-
-    def _commit_statement_mode(self) -> None:
-        middleware = self.middleware
-        committed = []
-        for name, connection in list(self._txn_connections.items()):
-            replica = middleware.replica_by_name(name)
-            try:
-                connection.commit()
-                committed.append(replica)
-            except ConnectionError_:
-                self._note_replica_failure(replica)
-        if not committed:
-            middleware.stats["aborts"] += 1
-            raise NoReplicaAvailable("commit failed on every replica")
-        if self._txn_had_ddl:
-            kind = "ddl"
-        elif self._txn_had_opaque:
-            kind = "opaque"
-        else:
-            kind = "statements"
-        middleware.group_commit.commit_sequenced(CommitRequest(
-            self, keys=frozenset(self._txn_footprints),
-            entries=list(self._txn_statements),
-            tables=sorted(self._txn_tables_written),
-            kind="statements", publish_kind=kind, holders=committed))
 
     def _commit_writeset_mode(self) -> None:
         # The whole certify -> prepare -> prefix drain -> commit ->
@@ -1652,9 +1310,7 @@ class MiddlewareSession:
         self.in_transaction = False
         self._txn_is_write = False
         self._local_replica = None
-        if self._txn_lock_id is not None:
-            self.middleware._table_locks.release_all(self._txn_lock_id)
-            self._txn_lock_id = None
+        self.middleware.statement_replication.release(self)
         self.middleware.config.balancer.end_transaction(self.id)
 
     def _check_open(self) -> None:

@@ -363,19 +363,22 @@ class ResilienceCoordinator:
         return not master.is_online
 
     def serve_stale(self, lag: int) -> bool:
-        """May a read be served from a replica lagging ``lag`` sequence
-        numbers behind what the consistency protocol demands?"""
+        """May a read be served from a replica (or a cache entry) lagging
+        ``lag`` sequence numbers behind what the consistency protocol
+        demands?  Asks only: whoever serves it calls
+        :meth:`note_degraded_read`."""
         if not self.policy.degraded_reads \
                 or self.policy.max_staleness is None:
             return False
         if lag > self.policy.max_staleness:
             return False
-        if not self.degraded():
-            return False
+        return self.degraded()
+
+    def note_degraded_read(self, lag: int) -> None:
+        """A read was served ``lag`` behind what the protocol demands."""
         self.stats["degraded_reads"] += 1
         self.middleware.monitor.record("degraded_read",
                                        self.middleware.name, lag=lag)
-        return True
 
     def note_stale_cache_served(self) -> None:
         """A degraded read was answered from the result cache (with an

@@ -20,7 +20,7 @@ dies (section 3.2):
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from .state import StandbyState
 
@@ -188,9 +188,3 @@ def cold_restart_duration(n_replicas: int, base: float = 0.5,
     restart plus one state-retrieval scan per replica (the scans are
     sequential in the naive recovery the paper describes)."""
     return base + per_replica * max(0, n_replicas)
-
-
-def leader_watermarks(middleware) -> List[int]:
-    """Per-replica applied sequences, the raw material of a cold rebuild
-    (exposed for tests and benchmarks)."""
-    return [r.applied_seq for r in middleware.replicas if r.is_online]

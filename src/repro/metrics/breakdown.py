@@ -26,7 +26,7 @@ trace as an ``EXPLAIN ANALYZE``-style indented report.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.tracing import Span
 from .perf import LatencyRecorder
@@ -103,10 +103,6 @@ class BreakdownAggregator:
             self.total.add(root.duration)
         self.traces += 1
         return stages
-
-    def add_traces(self, traces: Iterable[Sequence[Span]]) -> None:
-        for spans in traces:
-            self.add_trace(spans)
 
     def stage_totals(self) -> Dict[str, float]:
         """Stage → summed seconds across every folded trace."""

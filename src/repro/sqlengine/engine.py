@@ -96,10 +96,6 @@ class Connection:
             raise NameError_("no database selected (USE <db> first)")
         return self._database
 
-    @property
-    def database_or_none(self) -> Optional[str]:
-        return self._database
-
     def use_database(self, name: str) -> None:
         self.engine.database(name)  # validate
         self._database = name

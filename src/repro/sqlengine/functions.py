@@ -41,9 +41,6 @@ class FunctionEnvironment:
         self._uuid_counter = 0
         self._uuid_space = self.rng.getrandbits(48)
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
     def now(self) -> float:
         return float(self._clock())
 
@@ -208,6 +205,3 @@ _SCALAR_FUNCTIONS: Dict[str, Callable] = {
     "LEAST": _fn_least,
 }
 
-
-def is_scalar_function(name: str) -> bool:
-    return name in _SCALAR_FUNCTIONS or name in ("NEXTVAL", "CURRVAL", "SETVAL")

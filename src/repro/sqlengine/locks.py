@@ -107,5 +107,3 @@ class LockManager:
     def holders_of(self, resource: str) -> List[Tuple[int, LockMode]]:
         return list(self._held.get(resource, {}).items())
 
-    def locked_resources(self, txn_id: int) -> Set[str]:
-        return set(self._by_txn.get(txn_id, set()))

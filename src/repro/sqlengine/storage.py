@@ -250,17 +250,6 @@ class Table:
             return None
         return self.index_for_columns(pk_columns)
 
-    def register_unique(self, columns: Sequence[str]) -> None:
-        """Start enforcing uniqueness on a column tuple (CREATE UNIQUE
-        INDEX).  Existing versions are indexed immediately."""
-        key_columns = tuple(c.lower() for c in columns)
-        for index in self.indexes.values():
-            if index.unique and index.key_columns == key_columns:
-                return
-        self.attach_index(IndexDef(
-            f"{self.name.lower()}_{'_'.join(key_columns)}_key",
-            key_columns, unique=True, auto=True))
-
     def unique_column_sets(self) -> List[tuple]:
         seen = []
         for index in self.indexes.values():

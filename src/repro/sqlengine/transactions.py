@@ -148,10 +148,6 @@ class Transaction:
         self._statement_error = message
 
     @property
-    def failed_message(self) -> Optional[str]:
-        return self._statement_error
-
-    @property
     def is_active(self) -> bool:
         return self.status is TransactionStatus.ACTIVE
 

@@ -1,12 +1,18 @@
 """The consistency gate: which protocol may serve which cached entry,
 and how degraded mode turns shortfalls into labelled-stale hits."""
 
+import ast
+from pathlib import Path
+
+import pytest
+
 from repro.cache import (
     GATE_BYPASS_PROTOCOL, GATE_HIT, GATE_REJECT, GATE_STALE,
     ResultCacheConfig,
 )
 from repro.core import (
-    MiddlewareConfig, ReplicationMiddleware, protocol_by_name,
+    MiddlewareConfig, ReplicationMiddleware, RetryExhausted,
+    protocol_by_name,
 )
 from repro.core.resilience import ResiliencePolicy
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
@@ -42,9 +48,45 @@ class TestProtocolBypass:
     def test_gate_reports_bypass_for_broadcast(self):
         mw = cached_cluster("1sr", replication="statement")
         s = mw.connect(database="shop")
-        assert not mw.cache_gate.protocol_allows_caching
         assert mw.cache_gate.decide(s) == (GATE_BYPASS_PROTOCOL, 0)
         s.close()
+
+
+def test_the_protocol_half_of_the_rule_is_written_once():
+    """"Broadcast protocols bypass the cache" is written once, in the
+    gate's ``_bypasses``, which every door asks; the staleness budget is
+    asked once for the cache — ``decide`` — and once more for lagging
+    replicas."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    broadcast, bypass_askers, budget = [], [], []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare) \
+                        and isinstance(node.left, ast.Attribute) \
+                        and node.left.attr == "write_mode" \
+                        and any(isinstance(c, ast.Constant)
+                                and c.value == "broadcast"
+                                for c in node.comparators):
+                    broadcast.append((module, function.name))
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "_bypasses":
+                    bypass_askers.append((module, function.name))
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "serve_stale":
+                    budget.append((module, function.name))
+    assert broadcast == [("cache/gate.py", "_bypasses")]
+    # lookup and fallback ask through decide
+    assert sorted(bypass_askers) == [("cache/gate.py", "decide"),
+                                     ("cache/gate.py", "explain"),
+                                     ("cache/gate.py", "fill")]
+    assert sorted(budget) == [("cache/gate.py", "decide"),
+                              ("core/middleware.py", "_choose_read_replica")]
 
 
 class TestSnapshotFamily:
@@ -166,6 +208,59 @@ class TestDegradedServing:
         result = s.execute("SELECT v FROM kv WHERE k = 1")
         assert result.from_cache and not result.stale
         assert result.rows == kept.rows
+        s.close()
+
+
+def _crash_every_engine_after_choosing(mw):
+    """The read is routed, then the whole cluster dies under it: every
+    replica the balancer picks is gone before the statement reaches it."""
+    choose = mw.config.balancer.choose
+
+    def choose_then_crash(*args, **kwargs):
+        chosen = choose(*args, **kwargs)
+        for replica in mw.replicas:
+            replica.engine.crash()
+        return chosen
+    mw.config.balancer.choose = choose_then_crash
+
+
+class TestStaleFallback:
+    """No replica can serve: a degraded cluster answers from the cache,
+    labelled stale, inside the staleness budget — and only there."""
+
+    def lagging_entry(self, max_staleness, lag):
+        mw = cached_cluster(
+            "strong-si",
+            resilience=ResiliencePolicy(max_staleness=max_staleness))
+        s = mw.connect(database="shop")
+        s.execute("SELECT v FROM kv WHERE k = 1")
+        mw.cache_invalidator.applied_seq -= lag
+        _crash_every_engine_after_choosing(mw)
+        return mw, s
+
+    def test_a_lagging_entry_is_served_stale_when_no_replica_can(self):
+        mw, s = self.lagging_entry(max_staleness=10, lag=1)
+        result = s.execute("SELECT v FROM kv WHERE k = 1")
+        assert result.from_cache and result.stale and result.lag == 1
+        assert result.rows == [(0,)]
+        # the fast path refused it (the cluster was healthy then) ...
+        assert mw.result_cache.stats["gate_rejections"] == 1
+        # ... and the fallback served it once every replica was gone
+        (span,) = [span for span in mw.tracer.finished_spans()
+                   if span.name == "mw.statement"
+                   and span.tags.get("cache") == "stale_fallback"]
+        events = [attrs for _time, name, attrs in span.events
+                  if name == "degraded_read"]
+        assert events == [{"lag": 1, "source": "result_cache"}]
+        assert mw.result_cache.stats["stale_hits"] == 1
+        assert mw.resilience.stats["stale_cache_served"] == 1
+        s.close()
+
+    def test_beyond_the_budget_the_read_fails(self):
+        mw, s = self.lagging_entry(max_staleness=2, lag=5)
+        with pytest.raises(RetryExhausted):
+            s.execute("SELECT v FROM kv WHERE k = 1")
+        assert mw.result_cache.stats["stale_hits"] == 0
         s.close()
 
 

@@ -6,6 +6,7 @@ from repro.cache import ResultCacheConfig
 from repro.core import (
     MiddlewareConfig, ReplicationMiddleware, protocol_by_name,
 )
+from repro.sqlengine import parse_script
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
 
 
@@ -70,6 +71,23 @@ class TestExplainCacheRow:
         s.execute("USE shop")
         result = s.execute("EXPLAIN SELECT v FROM kv WHERE k = 1")
         assert cache_decision(result) == "cache bypass (session)"
+        s.close()
+
+    def test_a_temp_table_shadowing_the_entry_is_reported(self, mw):
+        filler = mw.connect(database="shop")
+        filler.execute("SELECT v FROM kv WHERE k = 1")
+        s = mw.connect(database="shop")
+        s.execute("CREATE TEMPORARY TABLE kv (k INT PRIMARY KEY, v INT)")
+        # an EXPLAIN naming the temp table runs on the session's pinned
+        # replica and never reaches the cache: it carries no CACHE row
+        sql = "EXPLAIN SELECT v FROM kv WHERE k = 1"
+        assert cache_decision(s.execute(sql)) is None
+        # the gate, asked anyway, names the shadow (what lookup would do)
+        (statement,) = parse_script(sql)
+        assert mw.cache_gate.explain(s, statement, sql, []) \
+            == "cache bypass (temp)"
+        assert cache_decision(filler.execute(sql)) == "cache hit"
+        filler.close()
         s.close()
 
     def test_broadcast_protocol_bypass_is_reported(self):

@@ -118,8 +118,8 @@ class TestStatementMode:
 
     def test_broadcast_policy_diverges(self):
         """E10 core mechanism: shipping RAND() verbatim diverges replicas
-        — and detect_divergence catches it via rowcounts? No: rowcounts
-        match; the *content* differs, caught by signatures."""
+        — and the rowcount check does not catch it: rowcounts match; the
+        *content* differs, caught by signatures."""
         replicas = make_replicas(2, schema=KV_SCHEMA)
         mw = ReplicationMiddleware(replicas, MiddlewareConfig(
             replication="statement", nondeterminism="broadcast"))
@@ -128,6 +128,62 @@ class TestStatementMode:
         session.execute("UPDATE kv SET v = FLOOR(RAND() * 1000)")
         session.close()
         assert not mw.check_convergence()
+
+    @pytest.mark.parametrize("explicit", [False, True],
+                             ids=["autocommit", "begin-commit"])
+    def test_a_rowcount_mismatch_is_divergence(self, statement_cluster,
+                                               explicit):
+        """Replicas that already differ affect different row counts with
+        the same statement: the write is refused, not applied on top —
+        inside BEGIN ... COMMIT too, where the transaction is rolled back
+        and the COMMIT that follows has nothing left to apply."""
+        mw = statement_cluster
+        behind_the_back = mw.replicas[2].engine.connect(database="shop")
+        behind_the_back.execute("DELETE FROM kv WHERE k = 4")
+        behind_the_back.close()
+        session = mw.connect(database="shop")
+        log_length = len(mw.recovery_log.entries)
+        if explicit:
+            session.begin()
+            session.execute("UPDATE kv SET v = 8 WHERE k = 3")
+        with pytest.raises(ClusterDivergence):
+            session.execute("UPDATE kv SET v = 9 WHERE k = 4")
+        assert mw.monitor.count("divergence_detected") == 1
+        (event,) = [e for e in mw.monitor.events
+                    if e.kind == "divergence_detected"]
+        assert event.detail["rowcounts"] == {"r0": 1, "r1": 1, "r2": 0}
+        assert not session.in_transaction
+        if explicit:
+            session.commit()
+        # rolled back everywhere, logged nothing, locks released
+        assert len(mw.recovery_log.entries) == log_length
+        assert mw.stats["aborts"] == 1
+        for replica in mw.replicas:
+            c = replica.engine.connect(database="shop")
+            assert c.execute("SELECT v FROM kv WHERE k = 3").scalar() == 0
+            assert c.execute("SELECT v FROM kv WHERE k = 4").scalar() in (
+                0, None)
+        other = mw.connect(database="shop")
+        other.execute("UPDATE kv SET v = 5 WHERE k = 3")
+        other.close()
+        session.close()
+
+    @pytest.mark.parametrize("end", ["close", "middleware-restart"])
+    def test_a_session_gone_inside_a_transaction_releases_its_table_locks(
+            self, statement_cluster, end):
+        mw = statement_cluster
+        session = mw.connect(database="shop")
+        session.begin()
+        session.execute("UPDATE kv SET v = 1 WHERE k = 1")
+        if end == "close":
+            session.close()
+        else:
+            mw.fail()
+            mw.recover()
+        other = mw.connect(database="shop")
+        other.execute("UPDATE kv SET v = 2 WHERE k = 1")  # no LockConflict
+        other.close()
+        assert mw.check_convergence()
 
     def test_replica_crash_mid_write_transparent(self, statement_cluster):
         mw = statement_cluster

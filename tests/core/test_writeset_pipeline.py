@@ -958,6 +958,36 @@ def test_one_floor_and_one_truncation_site():
                             ("truncate", ["cut"])]
 
 
+def test_one_statement_broadcast_test():
+    """"Writes go to every replica as statements" is decided in one
+    place, ``MiddlewareConfig.statement_broadcast``: no expression
+    anywhere else tests the replication mode and the protocol's write
+    mode together, and the property is what the core and the timed
+    driver read."""
+    def names(node):
+        return {n.attr if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Attribute, ast.Name))}
+
+    sites, readers = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            sites += [(module, function.name)
+                      for node in ast.walk(function)
+                      if isinstance(node, ast.BoolOp)
+                      and {"replication", "write_mode"} <= names(node)]
+        if "statement_broadcast" in {
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)}:
+            readers.add(module)
+    assert sites == [("core/middleware.py", "statement_broadcast")]
+    assert readers == {"core/middleware.py", "bench/simdriver.py"}
+
+
 def test_shard_tier_stays_off_a_groups_private_members():
     """``shard/`` decides and routes; whatever touches a group's logs,
     replicas or standby is the group's own commit sequence."""
