@@ -351,9 +351,9 @@ class Engine:
 
     def script(self, sql: str,
                params: Optional[Sequence[Any]] = None) -> Sequence[Unit]:
-        """``StatementCache.script`` counted into ``stats``: literal-inlined
-        point statements share their ``?`` template's trees, so text that
-        differs only in key values parses once."""
+        """``StatementCache.script`` counted into ``stats``: DML statements
+        with inlined literals share their ``?`` template's trees, so text
+        that differs only in integer or string values parses once."""
         misses = self._parse_cache.misses
         units = self._parse_cache.script(sql, params)
         self._count_parse(misses, units)

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from . import ast_nodes as ast
 from .errors import ParseError
-from .tokens import TokenStream, TokenType, tokenize
+from .tokens import STRING_LITERAL, TokenStream, TokenType, tokenize
 
 
 def parse(sql: str) -> ast.Statement:
@@ -25,47 +25,54 @@ def parse(sql: str) -> ast.Statement:
     return statements[0]
 
 
-# Auto-parameterization (hot-path, ROADMAP item 4): OLTP traffic is the
-# same few statement shapes with different key values, but a parse cache
-# keyed on SQL text sees every key as a new statement.  Rewriting bare
-# integer literals to positional params turns the whole key space into
-# one cache entry.  Conservative on purpose: integers only (never inside
-# identifiers, floats, or strings — the quote gate skips those
-# statements entirely), single statements, DML verbs only, and nothing
-# from the first ORDER BY on (``ORDER BY 2`` is an output-column
-# ordinal, not a value — as a bound parameter it would sort by a
-# constant).
-_INT_LITERAL_RE = re.compile(r"(?<![\w.])(\d+)(?![\w.])")
+# Auto-parameterization (hot-path, ROADMAP item 4): OLTP traffic and bulk
+# loads are a few statement shapes with different values, but a parse
+# cache keyed on SQL text sees every value as a new statement.  One
+# left-to-right scan reads the text the way ``tokens.tokenize`` does and
+# turns whole integer and ``'…'`` string tokens into positional params:
+# comments, quoted identifiers and other numbers (``1.5e-3``) are stepped
+# over, a digit inside a word is the word's, an unterminated quote or
+# comment leaves the text to fail as itself, and nothing from ``ORDER``
+# on is rewritten (``ORDER BY 2`` is an output-column ordinal, not a
+# value).  Single DML statements without explicit params only.
 _PARAM_VERB_RE = re.compile(r"^\s*(?:SELECT|UPDATE|DELETE|INSERT)\b",
                             re.IGNORECASE)
-_ORDER_BY_RE = re.compile(r"\bORDER\s+BY\b", re.IGNORECASE)
+_LITERAL_SCAN_RE = re.compile(     # the lookahead lets the search skip
+    r"(?=[-/\"`'\d.oO])(?:--[^\n]*|/\*.*?\*/|\"[^\"]*\"|`[^`]*`"
+    rf"|{STRING_LITERAL}|(?<!\w)(\d+)(?!\d|\.\d|[eE][\d+\-])"
+    r"|(?:(?<!\w)\d+(?:\.\d+)?|\.\d+)(?:[eE][\d+\-]\d*)?"
+    r"|(?<![^\W\d])(ORDER)\b|(['\"`]|/\*))", re.IGNORECASE | re.DOTALL)
 
 
-def parameterize_literals(sql: str) -> Optional[Tuple[str, List[int]]]:
-    """Rewrite bare integer literals in ``sql`` as ``?`` placeholders.
+def parameterize_literals(sql: str) -> Optional[Tuple[str, List[object]]]:
+    """Rewrite integer and string literals in ``sql`` as ``?`` params.
 
     Returns ``(template, values)``, or ``None`` when the statement is not
-    safely rewritable (non-DML, contains strings or explicit params, is a
-    multi-statement script, or simply has no integer literals).  The
-    template executes identically to the original with ``values`` bound
-    positionally — callers cache the parsed template.
+    safely rewritable (non-DML, contains explicit params, is a
+    multi-statement script, has an unterminated quote or comment, or
+    simply has no such literals).  The template executes identically to
+    the original with ``values`` bound positionally — callers cache the
+    parsed template.
     """
-    if "?" in sql or "'" in sql or ";" in sql:
+    if "?" in sql or ";" in sql or _PARAM_VERB_RE.match(sql) is None:
         return None
-    if _PARAM_VERB_RE.match(sql) is None:
-        return None
-    values: List[int] = []
-
-    def _sub(match: "re.Match") -> str:
-        values.append(int(match.group(1)))
-        return "?"
-
-    order_by = _ORDER_BY_RE.search(sql)
-    head = sql if order_by is None else sql[:order_by.start()]
-    template = _INT_LITERAL_RE.sub(_sub, head)
+    parts: List[str] = []
+    values: List[object] = []
+    done = 0
+    for match in _LITERAL_SCAN_RE.finditer(sql):
+        kind = match.lastindex     # 1 string, 2 integer, 3 ORDER, 4 open
+        if kind == 3:
+            break
+        if kind == 4:
+            return None
+        if kind is not None:
+            values.append(int(match[2]) if kind == 2
+                          else match[1].replace("''", "'"))
+            parts += (sql[done:match.start()], "?")
+            done = match.end()
     if not values:
         return None
-    return template + sql[len(head):], values
+    return "".join(parts) + sql[done:], values
 
 
 def parse_script(sql: str,

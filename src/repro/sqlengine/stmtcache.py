@@ -4,10 +4,10 @@ Every entry point that accepts text — :class:`~repro.sqlengine.engine.Engine`,
 ``ReplicationMiddleware`` sessions, ``ShardedCluster`` sessions, the
 timed drivers — owns one :class:`StatementCache` and asks it for
 ``(statement, text, values)`` per statement of the text
-(:meth:`StatementCache.script`).  OLTP traffic is a few statement shapes
-with different key values, so literal-inlined point statements are first
-rewritten to a ``?`` template (:func:`parameterize_literals`) and share
-that template's trees.
+(:meth:`StatementCache.script`).  OLTP traffic and bulk loads are a few
+statement shapes with different values, so a DML text's integer and
+string literals are first rewritten to a ``?`` template
+(:func:`parameterize_literals`) and it shares that template's trees.
 
 The cache hands out the *same* tree objects for the same shape.  That is
 the point: the route-plan, analysis and access-shape memos downstream are
@@ -118,8 +118,8 @@ class StatementCache(Memo):
     """Bounded LRU from SQL text to parsed statements.
 
     A text maps either to its own trees (``values == ()``, followed by
-    each statement's own stretch of the text) or, when it is a
-    literal-inlined point statement, to its template's trees plus the
+    each statement's own stretch of the text) or, when it is a DML
+    statement with inlined literals, to its template's trees plus the
     extracted values.  ``hits`` counts lookups that needed no parse,
     ``misses`` parses performed, ``evictions`` entries pushed out at
     capacity.  A text that fails to parse raises its ``ParseError`` on
@@ -177,7 +177,7 @@ class StatementCache(Memo):
 
     def rewritten(self, sql: str) -> Optional[Prepared]:
         """``(template trees, template, extracted values)`` when ``sql``
-        is a literal-inlined point statement, else ``None`` — without
+        is one DML statement with inlined literals, else ``None`` — without
         parsing ``sql`` itself, which is then the caller's to parse."""
         entry = self._entries.get(sql)
         if entry is not None:
@@ -187,14 +187,14 @@ class StatementCache(Memo):
             self.hits += 1
             return entry
         prepared = parameterize_literals(sql)
-        if prepared is None:
+        if prepared is None or self._entries.get(prepared[0]) is _UNPARSABLE:
             return None
         template, values = prepared
-        if self._entries.get(template) is _UNPARSABLE:
-            return None
         try:
             statements = self.parse(template)
         except SQLError:
+            statements = ()
+        if len(statements) != 1:    # unparsable, or statements without ';'
             self.put(template, _UNPARSABLE)
             return None
         entry = (statements, template, tuple(values))

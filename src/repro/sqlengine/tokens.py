@@ -9,6 +9,7 @@ case-insensitively throughout the engine.
 from __future__ import annotations
 
 import enum
+import re
 from typing import List, Optional
 
 from .errors import ParseError
@@ -66,6 +67,10 @@ class Token:
         return self.type is TokenType.OPERATOR and self.value in ops
 
 
+#: a ``'…'`` string, ``''`` standing for one quote; group 1 is its body
+#: (``parser.parameterize_literals`` reads strings with it too)
+STRING_LITERAL = r"'([^']*(?:''[^']*)*)'"
+_STRING_RE = re.compile(STRING_LITERAL)
 _TWO_CHAR_OPERATORS = ("<=", ">=", "<>", "!=", "||", ":=")
 _ONE_CHAR_OPERATORS = "=<>+-*/%(),.;"
 
@@ -91,8 +96,12 @@ def tokenize(sql: str) -> List[Token]:
             index = end + 2
             continue
         if char == "'":
-            token, index = _read_string(sql, index)
-            tokens.append(token)
+            string = _STRING_RE.match(sql, index)
+            if string is None:
+                raise ParseError("unterminated string literal")
+            tokens.append(Token(TokenType.STRING,
+                                string[1].replace("''", "'"), index))
+            index = string.end()
             continue
         if char == '"' or char == "`":
             token, index = _read_quoted_ident(sql, index, char)
@@ -122,23 +131,6 @@ def tokenize(sql: str) -> List[Token]:
         raise ParseError(f"unexpected character {char!r} at position {index}")
     tokens.append(Token(TokenType.EOF, "", length))
     return tokens
-
-
-def _read_string(sql: str, start: int) -> tuple:
-    """Read a single-quoted string with '' escaping."""
-    index = start + 1
-    parts: List[str] = []
-    while index < len(sql):
-        char = sql[index]
-        if char == "'":
-            if sql.startswith("''", index):
-                parts.append("'")
-                index += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start), index + 1
-        parts.append(char)
-        index += 1
-    raise ParseError("unterminated string literal")
 
 
 def _read_quoted_ident(sql: str, start: int, quote: str) -> tuple:

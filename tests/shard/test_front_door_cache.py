@@ -18,6 +18,7 @@ import pytest
 from repro.bench.harness import build_cluster, build_composed_cluster
 from repro.cache import ResultCacheConfig
 from repro.core import analysis
+from repro.core.failover import FailoverManager
 from repro.shard import HashSharder, RangeSharder
 from repro.sqlengine import Engine, parse_script
 from repro.sqlengine.stmtcache import CAPACITY
@@ -177,6 +178,175 @@ def test_text_door_equals_fresh_parse_per_statement(door, seed):
         session.close()
     assert signatures(cached) == signatures(plain)
     assert cached.stats == plain.stats  # routed and committed alike
+
+
+#: string literals holding what the literal scan steps over — quotes,
+#: digits, comments, ORDER BY, a ``;`` or ``?`` — beside comments and
+#: quoted names holding digits
+STRING_DML = [
+    ("INSERT INTO kv (k, v, s) VALUES (30, 1, 'it''s'), (31, 2, '-- 5'), "
+     "(32, 3, '/* 6 */'), (33, 4, 'ORDER BY 2'), (34, 5, ''''), "
+     "(35, 6, '')", None),
+    ("SELECT k, s FROM kv WHERE s = 'it''s'", None),
+    ("SELECT k FROM kv WHERE s IN ('-- 5', '/* 6 */', 'ORDER BY 2') "
+     "ORDER BY k", None),
+    ("UPDATE kv SET s = 'x''7' -- 8\n WHERE k = 9", None),
+    ("SELECT s FROM kv /* 9 */ WHERE k = 9", None),
+    ('SELECT s AS "s 1", v AS `v 2` FROM kv WHERE k = 9', None),
+    ("UPDATE kv SET s = 'moved', v = v + 1 WHERE s = 'x''7'", None),
+    ("SELECT k, s FROM kv WHERE s <> 'n1' AND k < 12 "
+     "ORDER BY s DESC, 'k 1' LIMIT 4", None),
+    ("DELETE FROM kv WHERE s = '/* 6 */' OR k = 33", None),
+    ("SELECT COUNT(*) FROM kv WHERE s LIKE 'n1%'", None),
+    ("UPDATE kv SET s = 'semi;colon' WHERE k = 10", None),
+    ("SELECT k FROM kv WHERE s = 'what?'", None),
+    ("UPDATE kv SET s = ? WHERE k = 11", ["bound 'x'"]),
+    ("SELECT k FROM kv WHERE s = 'semi;colon' OR s = ?", ["bound 'x'"]),
+    ("SELECT s FROM kv WHERE k = 'open", None),
+    ("INSERT INTO kv (k, v, s) VALUES (36, -7, 'n36'), (37, 8, 'n37')", None),
+    ("SELECT k, v, s FROM kv WHERE k >= 30 ORDER BY k", None),
+]
+
+
+def string_stream(seed, length=80):
+    """Multi-row INSERTs, UPDATEs and reads keyed by random strings."""
+    rng = random.Random(seed)
+    pieces = ["a", "'", "7", " ", "--", "/*", "ORDER BY 1", "x''y"]
+
+    def text():
+        body = "".join(rng.choice(pieces) for _ in range(rng.randrange(4)))
+        return "'" + body.replace("'", "''") + "'"
+
+    stream = []
+    while len(stream) < length:
+        k = rng.randrange(ROWS + 20)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows = ", ".join(f"({k + n}, {n}, {text()})"
+                             for n in range(rng.randrange(1, 5)))
+            stream.append((f"INSERT INTO kv (k, v, s) VALUES {rows}", None))
+        elif kind == 1:
+            stream.append(
+                (f"UPDATE kv SET s = {text()} /* {k} */ WHERE k = {k}", None))
+        elif kind == 2:
+            stream.append((f"SELECT k FROM kv WHERE s = {text()} "
+                           f"OR s = {text()} ORDER BY k", None))
+        else:
+            stream.append((f"DELETE FROM kv WHERE s = {text()}", None))
+    return stream
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+@pytest.mark.parametrize("seed", [None, 7, 300])
+def test_string_literal_dml_equals_fresh_parse_per_statement(door, seed):
+    """Strings become params at the text door; answers, rowcounts and
+    every replica's content stay what a fresh parse of each text gives."""
+    stream = STRING_DML if seed is None else string_stream(seed)
+    cached, plain = DOORS[door](), DOORS[door]()
+    seed_rows(cached)
+    seed_rows(plain)
+    text_session = cached.connect(database="shop")
+    parsed_session = plain.connect(database="shop")
+    for sql, params in stream:
+        got = outcome(lambda: text_session.execute(sql, params))
+        want = outcome(lambda: reference(parsed_session, sql, params))
+        assert got == want, (sql, params)
+    text_session.close()
+    parsed_session.close()
+    assert signatures(cached) == signatures(plain)
+    assert cached.stats == plain.stats
+
+
+def test_statement_replication_replays_string_writes_to_convergence():
+    """Statement replication (section 4.3.2) logs each write as the text
+    it ran — a template and its extracted values — and a replica that
+    missed the writes converges by replaying that log."""
+    mw = build_cluster(2, replication="statement")
+    mw.connect(database="shop").execute(KV)
+    seed_rows(mw)
+    late = mw.replicas[1]
+    late.engine.crash()
+    late.mark_failed()
+    session = mw.connect(database="shop")
+    for sql, params in STRING_DML:
+        if sql.startswith(("INSERT", "UPDATE", "DELETE")):
+            session.execute(sql, params)
+    session.close()
+    logged = [pair for entry in mw.recovery_log.entries
+              for pair in entry.payload]
+    assert ("UPDATE kv SET s = ? -- 8\n WHERE k = ?", ["x'7", 9]) in logged
+    assert FailoverManager(mw).failback(late.name) > 0
+    assert mw.check_convergence()
+    late_rows = late.engine.connect(database="shop").execute(
+        "SELECT k, s FROM kv WHERE k IN (9, 30, 34) ORDER BY k").rows
+    assert late_rows == [(9, "moved"), (30, "it's"), (34, "'")]
+
+
+# -- a number in a comment or a quoted name binds nothing --------------------
+
+def engine_door():
+    engine = Engine("probe")
+    engine.create_database("shop")
+    engine.connect(database="shop").execute(KV)
+    return engine
+
+
+TEXT_DOORS = {"engine": engine_door, **DOORS}
+
+#: ``(probe, the probe without its comment or as bound params, outcome)``
+PROBES = [
+    ("UPDATE kv SET v = 1 -- 4\n WHERE k = 7",
+     ("UPDATE kv SET v = 1 WHERE k = 7", None), ([], [], 1)),
+    ("SELECT v FROM kv /* 3 */ WHERE k = 7",
+     ("SELECT v FROM kv WHERE k = 7", None), (["v"], [(70,)], 1)),
+    ('SELECT v AS "v 2" FROM kv WHERE k = 7',
+     ('SELECT v AS "v 2" FROM kv WHERE k = ?', [7]), (["v 2"], [(70,)], 1)),
+]
+
+
+def table_rows(front):
+    session = front.connect(database="shop")
+    rows = session.execute("SELECT k, v FROM kv ORDER BY k").rows
+    session.close()
+    return rows
+
+
+@pytest.mark.parametrize("door", sorted(TEXT_DOORS))
+@pytest.mark.parametrize("probe, plain, want", PROBES,
+                         ids=["line-comment", "block-comment", "quoted-alias"])
+def test_a_number_in_a_comment_or_quoted_name_binds_nothing(
+        door, probe, plain, want):
+    front, twin = TEXT_DOORS[door](), TEXT_DOORS[door]()
+    seed_rows(front)
+    seed_rows(twin)
+    got = outcome(lambda: front.connect(database="shop").execute(probe))
+    assert got == ("ok", *want)
+    assert outcome(lambda: twin.connect(database="shop").execute(*plain)) \
+        == got
+    assert table_rows(front) == table_rows(twin)
+    if probe.startswith("UPDATE"):
+        assert dict(table_rows(front))[7] == 1
+        if door == "sharded":       # routed to the group that owns k = 7
+            owner = front.groups[HashSharder(2).shard_for(7)]
+            assert owner.connect(database="shop").execute(
+                "SELECT v FROM kv WHERE k = 7").rows == [(1,)]
+
+
+@pytest.mark.parametrize("door", sorted(TEXT_DOORS))
+def test_a_bulk_load_with_text_columns_parses_once(door):
+    """50 batches of a 100-row INSERT, the shape of a dump, share one
+    template: one statement-cache miss at the door."""
+    front = TEXT_DOORS[door]()
+    cache = front._parse_cache if door == "engine" else front.statements
+    session = front.connect(database="shop")
+    misses = cache.misses
+    for batch in range(50):
+        rows = ", ".join(f"({k}, {k % 7}, 'name ''{k}''')"
+                         for k in range(batch * 100, batch * 100 + 100))
+        session.execute(f"INSERT INTO kv (k, v, s) VALUES {rows}")
+    session.close()
+    assert cache.misses - misses == 1
+    assert dict(table_rows(front))[4321] == 4321 % 7
 
 
 def test_shape_seen_before_its_table_is_registered_routes_by_the_spec():
@@ -356,7 +526,7 @@ def test_distinct_texts_leave_every_cache_bounded():
     evictions = cache.evictions
     before = counters(memos(cluster))
     for n in range(10_000):
-        session.execute(f"SELECT v FROM kv WHERE k = 1 AND s <> 'x{n}'")
+        session.execute(f"SELECT v FROM kv WHERE k = 1 AND s <> 'x{n}?'")
     session.close()
     assert len(cache) == CAPACITY
     assert cache.evictions - evictions >= 10_000 - CAPACITY
