@@ -384,7 +384,7 @@ def _apply_update(engine: Engine, table: Table, entry: Dict, ts: int,
             f"row {entry['primary_key']} missing applying UPDATE to "
             f"{entry['database']}.{entry['table']}")
         return
-    version.deleter_txn = 0
+    table.mark_deleted(version, 0)
     version.deleted_ts = ts
     new_version = table.insert_version(
         dict(entry["new_values"] or {}), creator_txn=0, row_id=version.row_id)
@@ -401,7 +401,7 @@ def _apply_delete(engine: Engine, table: Table, entry: Dict, ts: int,
             f"row {entry['primary_key']} missing applying DELETE to "
             f"{entry['database']}.{entry['table']}")
         return
-    version.deleter_txn = 0
+    table.mark_deleted(version, 0)
     version.deleted_ts = ts
     report.applied += 1
 

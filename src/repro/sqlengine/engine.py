@@ -43,6 +43,13 @@ _VALID_ISOLATION = {
     READ_UNCOMMITTED, READ_COMMITTED, REPEATABLE_READ, SNAPSHOT, SERIALIZABLE,
 }
 
+# Autovacuum: :meth:`Engine.vacuum` runs every this many commits, read-only
+# ones included, so update-heavy runs keep version chains bounded (a hot
+# Zipf key otherwise accumulates one dead version per update and every
+# read walks the whole chain).  A vacuum visits only the chains that hold
+# a deleted version, so one that reads triggered costs next to nothing.
+AUTOVACUUM_INTERVAL = 512
+
 
 class TempSpace:
     """Per-connection temporary table namespace (section 4.1.4)."""
@@ -287,11 +294,6 @@ class Engine:
         # Index-backed access paths can be disabled to measure the
         # sequential-scan baseline (benchmark E23); results are identical.
         self.use_indexes = True
-        # Autovacuum: run :meth:`vacuum` every N commits so update-heavy
-        # runs keep version chains bounded (a hot Zipf key otherwise
-        # accumulates one dead version per update and every read walks
-        # the whole chain).  0 disables.
-        self.autovacuum_interval = 512
         self._commits_since_vacuum = 0
         # Engine-observable statistics.
         self.stats = {
@@ -395,11 +397,10 @@ class Engine:
         self.locks.release_all(txn.id)
         self.active_transactions.pop(txn.id, None)
         self.stats["commits"] += 1
-        if self.autovacuum_interval:
-            self._commits_since_vacuum += 1
-            if self._commits_since_vacuum >= self.autovacuum_interval:
-                self._commits_since_vacuum = 0
-                self.vacuum()
+        self._commits_since_vacuum += 1
+        if self._commits_since_vacuum >= AUTOVACUUM_INTERVAL:
+            self._commits_since_vacuum = 0
+            self.vacuum()
         return ts
 
     def rollback(self, txn: Transaction) -> None:
@@ -417,7 +418,12 @@ class Engine:
 
     def vacuum(self) -> int:
         """Garbage-collect row versions no live snapshot can see, keeping
-        chains and indexes bounded under churn.  Returns versions removed."""
+        chains and indexes bounded under churn.  Returns versions removed.
+
+        The horizon is the oldest active snapshot.  Each table visits only
+        the chains ``Table.mark_deleted`` noted and that still hold a
+        deleted version (:meth:`Table.gc_versions`), so the cost follows
+        the writes since the last vacuum, not the table size."""
         horizon = min(
             (txn.snapshot.timestamp
              for txn in self.active_transactions.values()),

@@ -844,7 +844,7 @@ class Executor:
             self._fire_triggers(session, database_name, table, "UPDATE",
                                 timing="BEFORE", old=old_values, new=new_values)
 
-            version.deleter_txn = txn_id
+            table.mark_deleted(version, txn_id)
             new_version = table.insert_version(
                 new_values, txn_id, row_id=version.row_id)
             if txn is not None:
@@ -887,7 +887,7 @@ class Executor:
             old_values = dict(version.values)
             self._fire_triggers(session, database_name, table, "DELETE",
                                 timing="BEFORE", old=old_values, new=None)
-            version.deleter_txn = txn_id
+            table.mark_deleted(version, txn_id)
             if txn is not None:
                 txn.note_deleted(version)
                 if not table.temporary:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from .errors import IntegrityError, NameError_
 from .stmtcache import Memo
@@ -64,6 +64,9 @@ class Table:
         self.temporary = temporary
         self._column_map = {c.name.lower(): c for c in self.columns}
         self._rows: Dict[int, List[RowVersion]] = {}
+        #: row ids whose chain holds a version with a deleter — every
+        #: chain vacuum may have to visit, filled by :meth:`mark_deleted`
+        self._dirty: Set[int] = set()
         self._row_counter = itertools.count(1)
         # Auto-increment counters are deliberately *non-transactional*:
         # a rollback does not give numbers back (paper section 4.2.3 /
@@ -195,17 +198,38 @@ class Table:
         for index in self.indexes.values():
             index.discard(version)
 
+    def mark_deleted(self, version: RowVersion, txn_id: int) -> None:
+        """Stamp ``txn_id`` as ``version``'s deleter and note its chain
+        for :meth:`gc_versions` — the one place a version gains one."""
+        version.deleter_txn = txn_id
+        self._dirty.add(version.row_id)
+
     def gc_versions(self, horizon_ts: int) -> int:
         """Garbage-collect versions whose deletion committed at or before
         ``horizon_ts`` (no snapshot that old remains).  Unlinks them from
-        the chains *and* from every index."""
+        the chains *and* from every index.
+
+        Only chains :meth:`mark_deleted` noted are visited — a version
+        nobody deleted is never collectable — so a vacuum after read-only
+        commits looks at no chain.  A chain stays noted while a version
+        of it still carries a deleter (a deletion in flight, or one above
+        the horizon that an old snapshot holds); one whose deletions were
+        all collected or rolled back, or that is gone, drops out."""
         removed = 0
-        for row_id in list(self._rows.keys()):
-            dead = [v for v in self._rows[row_id]
+        rows = self._rows
+        keep: Set[int] = set()
+        for row_id in self._dirty:
+            chain = rows.get(row_id)
+            if chain is None:
+                continue
+            dead = [v for v in chain
                     if v.deleted_ts is not None and v.deleted_ts <= horizon_ts]
             for version in dead:
                 self.remove_version(version)
-                removed += 1
+            removed += len(dead)
+            if any(v.deleter_txn is not None for v in chain):
+                keep.add(row_id)
+        self._dirty = keep
         return removed
 
     # -- indexes & unique constraints -----------------------------------------

@@ -4,9 +4,10 @@ Autocommit updates through the composed tier (two shard groups, each
 behind an HA pair, two replicas each) at the default retention
 watermark, with a replica add, an HA promotion and an online key move
 inside the run.  After warm-up every per-commit structure — recovery
-log, certifier log, the standby's mirror, named checkpoints — and
-every bounded cache (tracer retention, every ``Memo``) must sit at or
-under its bound at every sample.
+log, certifier log, the standby's mirror, named checkpoints —, every
+replica's row versions (what vacuum keeps bounded) and every bounded
+cache (tracer retention, every ``Memo``) must sit at or under its bound
+at every sample.
 
 Short in tier-1; the same body at 300 000 commits is the ``soak`` CI
 job, which also wants the process's peak RSS flat after warm-up.
@@ -22,6 +23,7 @@ from repro.core import ClusterManager, Replica
 from repro.core.analysis import analyses
 from repro.shard import HashSharder, OnlineReshard
 from repro.sqlengine import Engine, postgresql
+from repro.sqlengine.engine import AUTOVACUUM_INTERVAL
 
 ROWS = 200
 
@@ -60,10 +62,16 @@ def sizes(cluster):
         out[f"g{index}.checkpoints"] = (retention["checkpoints"], 0)
         memos[f"g{index}.statements"] = group.statements
         tracers[f"g{index}"] = group.tracer
+        # each update leaves one dead version on every replica of its
+        # group, and a replica vacuums every AUTOVACUUM_INTERVAL of its own
+        # commits, which the balancer spreads over the group: at most that
+        # many dead versions per replica, on top of the live rows
+        versions = ROWS + len(group.replicas) * AUTOVACUUM_INTERVAL
         for replica in group.replicas:
             engine = replica.engine
-            memos[f"{replica.name}.access_shapes"] = \
-                engine.database("shop").table("kv").access_shapes
+            kv = engine.database("shop").table("kv")
+            out[f"{replica.name}.kv_versions"] = (kv.version_count(), versions)
+            memos[f"{replica.name}.access_shapes"] = kv.access_shapes
             memos[f"{replica.name}.compiled"] = engine.executor.compiled
     for name, memo in memos.items():
         out[f"memo.{name}"] = (len(memo), memo.capacity)

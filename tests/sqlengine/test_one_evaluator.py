@@ -10,7 +10,8 @@ lists nothing repeats —, one module owns the class-keyed dispatch table,
 no switch selects another evaluator, and the interpreter kept under
 ``tests/`` as the differential reference is out of the package's reach.
 Visibility is ``repro.sqlengine.mvcc``'s alone, fast paths included: the
-executor compares no commit stamp with a snapshot.
+executor compares no commit stamp with a snapshot.  And one method gives
+a version its deleter, so vacuum's set of chains to visit misses none.
 """
 
 import ast
@@ -71,6 +72,43 @@ def test_one_visibility_rule_and_it_lives_in_mvcc():
     probe = ast.parse("def scan(chain, ts):\n"
                       "    return [v for v in chain if v.created_ts <= ts]\n")
     assert _stamp_comparisons(probe) == [("scan", "v.created_ts <= ts")]
+
+
+def _deleter_assignments(tree):
+    """``(function, value)`` for every assignment to a ``deleter_txn``
+    attribute."""
+    return sorted(
+        (function.name, ast.unparse(node.value))
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and any(isinstance(target, ast.Attribute)
+                and target.attr == "deleter_txn"
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])))
+
+
+def test_one_site_gives_a_version_its_deleter():
+    """Vacuum visits only the chains ``Table.mark_deleted`` noted, so a
+    version that gained a deleter anywhere else would never be collected.
+    ``storage.py`` stamps a deleter in ``mark_deleted`` and nowhere else;
+    the only other assignments are the statement-undo and rollback
+    resets to ``None``."""
+    assignments = {}
+    for path in sorted(SRC.rglob("*.py")):
+        found = _deleter_assignments(ast.parse(path.read_text()))
+        if found:
+            assignments[path.relative_to(SRC).as_posix()] = found
+    assert assignments == {
+        "sqlengine/engine.py": [("_undo_statement", "None"),
+                                ("rollback", "None")],
+        "sqlengine/storage.py": [("__init__", "None"),
+                                 ("mark_deleted", "txn_id")],
+    }
+    probe = ast.parse("def apply(version):\n"
+                      "    version.deleter_txn = 0\n")
+    assert _deleter_assignments(probe) == [("apply", "0")]
 
 
 def test_the_list_form_serves_values_rows_and_call_arguments_only():

@@ -16,7 +16,10 @@ the rest the engine's choice.  The statements are the shapes of the
 AND ?`` bound to NULL, to text and to numbers alike.
 
 A third arm answers every statement the scan answers, errors included,
-by brute force over ``table.versions()`` (see its section below).
+by brute force over ``table.versions()`` (see its section below).  Every
+``vacuum()`` — one more once the old reader commits, which collects what
+it held above the horizon — must remove exactly the versions a walk of
+every chain would.
 
 Errors may differ in one direction only.  A candidate set is a superset
 of the matching rows, not of the table, so an error that only a row
@@ -184,7 +187,7 @@ class _Arm:
     def step(self, step):
         kind, payload = step
         if kind == "vacuum":
-            return self.engine.vacuum()
+            return self.vacuum()
         if kind == "rollback":
             self.writer.execute("BEGIN")
             outcomes = [self.run(self.writer, sql, params)
@@ -192,6 +195,30 @@ class _Arm:
             self.writer.execute("ROLLBACK")
             return outcomes
         return self.run(self.writer, kind, payload)
+
+    def vacuum(self):
+        """``engine.vacuum()``, which must remove exactly what a walk of
+        every version would."""
+        table = self.engine.database("shop").table("t")
+        expected = _full_walk_dead(self.engine, table)
+        before = list(table.versions())
+        removed = self.engine.vacuum()
+        after = set(map(id, table.versions()))
+        gone = [version for version in before if id(version) not in after]
+        assert gone == expected and removed == len(expected)
+        return removed
+
+
+def _full_walk_dead(engine, table):
+    """What a vacuum that visits every chain removes: every version whose
+    deletion committed at or before the oldest active snapshot, in
+    ``table.versions()`` order."""
+    horizon = min((txn.snapshot.timestamp
+                   for txn in engine.active_transactions.values()),
+                  default=engine.clock.now)
+    return [version for version in table.versions()
+            if version.deleted_ts is not None
+            and version.deleted_ts <= horizon]
 
 
 def _agree(indexed, scan, sort_index, unique, query, exact=False):
@@ -394,6 +421,16 @@ def _aggregate(call, group, value):
                   ("SELECT id FROM t WHERE s = ?", (5,), None, False),
                   ("SELECT COUNT(*) FROM t WHERE u = ? AND w = ?",
                    (True, 2), None, False)])
+@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, k, "a"))
+                 for k in range(4)],
+         after=[("DELETE FROM t WHERE id = ?", (1,)),
+                ("UPDATE t SET w = ? WHERE id = ?", (0, 2)),
+                ("vacuum", None)],
+         moved=3, inserted=(40, None, None, None),
+         # the old reader holds both deletions above the horizon through
+         # that vacuum; the one after it commits collects them
+         queries=[("SELECT id, u, w, s FROM t WHERE id <= ?", (3,), None,
+                   False)])
 def test_every_access_path_answers_like_the_scan(before, after, moved,
                                                  inserted, queries):
     arms = (_Arm(True), _Arm(False))
@@ -426,6 +463,12 @@ def test_every_access_path_answers_like_the_scan(before, after, moved,
                    exact=True)
             _agree(_Arm.run(indexed, sql, params), answer, sort_index,
                    unique, (name, sql, params))
+    # the old reader held the deletions of ``after`` above the horizon;
+    # once it commits, the next vacuum collects them
+    for conn in old:
+        conn.execute("COMMIT")
+    indexed, scan = (arm.step(("vacuum", None)) for arm in arms)
+    assert indexed == scan
     for arm in arms:
         _assert_ordered_views(arm.engine)
 
@@ -473,7 +516,7 @@ def test_ordered_view_is_the_sorted_keys_of_the_map(steps, open_write):
     arm.writer.execute("CREATE INDEX idx_ws ON t (w, s)")
     _assert_ordered_views(arm.engine)
     other.execute("ROLLBACK")
-    arm.engine.vacuum()
+    arm.vacuum()
     _assert_ordered_views(arm.engine)
     # clone_schema + restore: a rebuilt replica's views repopulate
     clone = Engine("clone", dialect=generic())
