@@ -513,8 +513,9 @@ class TimedCluster:
 
     def _local_write_replica(self, session, info):
         middleware = self.middleware
-        if session._local_replica is not None:
-            return middleware.replica_by_name(session._local_replica)
+        txn = session.txn
+        if txn is not None and txn.local_replica is not None:
+            return middleware.replica_by_name(txn.local_replica)
         if middleware.config.consistency.write_mode == "master":
             return middleware.master
         context = RoutingContext(tables=sorted(info.all_tables()),
@@ -525,13 +526,13 @@ class TimedCluster:
     def _timed_commit(self, session, statement, sql, params):
         middleware = self.middleware
         config = middleware.config
-        if not session.in_transaction:
+        txn = session.txn
+        if txn is None:
             return
-        was_write = session._txn_is_write
-        if was_write and config.statement_broadcast:
+        if txn.is_write and config.statement_broadcast:
             yield from self._charge_statement_commit()
-        elif was_write:
-            local_name = session._local_replica
+        elif txn.is_write:
+            local_name = txn.local_replica
             local = (middleware.replica_by_name(local_name)
                      if local_name else middleware.master)
             if self.group_commit_window > 0 \

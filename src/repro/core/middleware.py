@@ -61,7 +61,8 @@ from .recoverylog import RecoveryLog
 from .replica import ApplyItem, Replica, ReplicaState
 from .resilience import Deadline, ResilienceCoordinator, ResiliencePolicy
 from .statement_replication import StatementReplication
-from .writesets import apply_writeset, conflict_keys, extract_writeset_engine
+from .transaction import OpenTransaction
+from .writesets import apply_writeset
 
 
 class MiddlewareConfig:
@@ -362,15 +363,10 @@ class ReplicationMiddleware:
     def fail(self) -> int:
         """Kill the middleware instance.  All in-flight transactions are
         lost (rolled back at the replicas once their connections break) and
-        every session dies.  Returns the number of sessions lost."""
-        lost = 0
+        every session dies.  Returns the number of transactions lost."""
+        lost = sum(session.in_transaction for session in self.sessions)
         for session in list(self.sessions):
-            if session.in_transaction:
-                lost += 1
-            session._abort_everywhere(silent=True)
-            self.statement_replication.release(session)
-            session.closed = True
-        self.sessions.clear()
+            session.close()
         self.failed = True
         if not self.certifier.replicated:
             self.certifier.fail()
@@ -382,6 +378,9 @@ class ReplicationMiddleware:
         """Restart the middleware.  A centralized certifier must rebuild
         its state from the replicas (slow, section 3.2); a replicated one
         resumes from its standby copy."""
+        # queued applies first: the rebuilt log starts empty, so a replica
+        # behind it would serve snapshots nobody can certify any more
+        self.pump()
         highest = max((r.applied_seq for r in self.replicas), default=0)
         self.certifier.recover(rebuild_from_replicas=highest)
         self.failed = False
@@ -401,14 +400,9 @@ class ReplicationMiddleware:
         and the balancer; waits (drains) for freshness when required."""
         parent = session.active_span or session.trace_context
         span = self.tracer.child_span("balancer.choose", parent)
-        try:
+        with span:
             replica = self._choose_read_replica(session, info, span)
-        except Exception as exc:
-            span.set_tag("error", type(exc).__name__)
-            span.end()
-            raise
-        span.set_tag("replica", replica.name)
-        span.end()
+            span.set_tag("replica", replica.name)
         return replica
 
     def _choose_read_replica(self, session: "MiddlewareSession",
@@ -539,8 +533,8 @@ class ReplicationMiddleware:
         for replica in self.replicas:
             yield replica.applied_seq, "replica", replica.name
         for session in self.sessions:
-            if session.in_transaction and session not in committed:
-                yield session._txn_start_seq, "session", session.id
+            if session.txn is not None and session not in committed:
+                yield session.txn.start_seq, "session", session.id
         acked = self.ha.acked_seq() if self.ha is not None else None
         if acked is not None:
             yield acked, "standby", ""
@@ -656,21 +650,14 @@ class MiddlewareSession:
         self.closed = False
         # connection-per-replica caches
         self._read_connections: Dict[str, Connection] = {}
-        # explicit transaction state
-        self.in_transaction = False
-        self._txn_connections: Dict[str, Connection] = {}
-        self._txn_statements: List[Tuple[str, list]] = []
-        self._txn_tables_written: set = set()
-        self._txn_start_seq = 0
-        self._txn_is_write = False
-        self._txn_isolation: Optional[str] = None
-        self._local_replica: Optional[str] = None  # writeset mode
+        # the open transaction (repro.core.transaction), explicit or the
+        # implicit one around an autocommit write
+        self.txn: Optional[OpenTransaction] = None
         # temp-table pinning (section 4.1.4)
         self.pinned_replica: Optional[str] = None
         self._pinned_connection: Optional[Connection] = None
         self.temp_tables: set = set()
-        # Statement log of the whole session's current transaction —
-        # Sequoia-style transparent failover replays this (section 4.3.3).
+        # transparent replays (section 4.3.3) this session went through
         self.failover_replays = 0
         # HA client identity (repro.ha): a stable client id plus the
         # current transaction's client-assigned id.  When set, commits
@@ -714,6 +701,10 @@ class MiddlewareSession:
         self.active_span = None
         self.trace_context = None
         self._cache_note: Optional[str] = None
+
+    @property
+    def in_transaction(self) -> bool:
+        return self.txn is not None
 
     # ------------------------------------------------------------------
     # public API
@@ -817,8 +808,8 @@ class MiddlewareSession:
     def close(self) -> None:
         if self.closed:
             return
-        self._abort_everywhere(silent=True)
-        self.middleware.statement_replication.release(self)
+        if self.txn is not None:
+            self.txn.end()
         for connection in self._read_connections.values():
             try:
                 connection.close()
@@ -863,30 +854,31 @@ class MiddlewareSession:
             self._cache_note = None
         previous = self.active_span
         self.active_span = span
-        try:
-            resilience = self.middleware.resilience
-            if resilience is None:
-                return self._dispatch_one(statement, sql_text, params)
-            return resilience.execute_statement(
-                self, statement, sql_text, params)
-        except Exception as exc:
-            span.set_tag("error", type(exc).__name__)
-            raise
-        finally:
-            self.active_span = previous
-            span.end()
+        with span:
+            try:
+                resilience = self.middleware.resilience
+                if resilience is None:
+                    return self._dispatch_one(statement, sql_text, params)
+                return resilience.execute_statement(
+                    self, statement, sql_text, params)
+            finally:
+                self.active_span = previous
 
     def _dispatch_one(self, statement: ast.Statement, sql_text: str,
                       params: List[Any]) -> Result:
         self.middleware._check_up()
         if isinstance(statement, ast.BeginStatement):
-            self._begin_transaction(statement.isolation)
+            if self.txn is not None:
+                raise SQLError("transaction already in progress")
+            self.txn = OpenTransaction(self, statement.isolation)
             return Result()
         if isinstance(statement, ast.CommitStatement):
-            self._commit_transaction()
+            if self.txn is not None:
+                self.txn.commit()
             return Result()
         if isinstance(statement, ast.RollbackStatement):
-            self._rollback_transaction()
+            if self.txn is not None:
+                self.txn.rollback()
             return Result()
 
         info = analyze_cached(statement)
@@ -931,31 +923,28 @@ class MiddlewareSession:
         middleware = self.middleware
         middleware.stats["reads"] += 1
         gate = middleware.cache_gate
-        if self.in_transaction and not middleware.config.statement_broadcast:
+        txn = self.txn
+        if txn is not None and not middleware.config.statement_broadcast:
             # reads inside a writeset transaction stay on the local replica
             # (master-mode read-only transactions may run on a satellite)
-            if self._local_replica is None and not self._txn_is_write:
+            if txn.local_replica is None and not txn.is_write:
                 replica = middleware.choose_read_replica(self, info)
-                connection = self._txn_connection(replica)
                 if middleware.config.consistency.write_mode != "master":
-                    # the transaction is now anchored here; later writes
-                    # must see these reads' snapshot, and certification
-                    # must cover everything this snapshot misses
-                    self._local_replica = replica.name
-                    self._txn_start_seq = min(self._txn_start_seq,
-                                              replica.applied_seq)
+                    # later writes must see these reads' snapshot
+                    connection = txn.anchor(replica)
+                else:
+                    connection = txn.connection(replica)
             else:
-                replica = self._ensure_local_replica()
-                connection = self._txn_connections[replica.name]
+                replica, connection = txn.local()
             result = self._traced_execute(replica, connection, statement,
                                           params)
-        elif self.in_transaction:
+        elif txn is not None:
             # statement mode: read through a replica holding the txn
-            if self._txn_connections:
-                replica = self._pick_txn_read_replica(info)
+            if txn.connections:
+                replica = self._pick_txn_read_replica(txn)
             else:
                 replica = middleware.choose_read_replica(self, info)
-            connection = self._txn_connection(replica)
+            connection = txn.connection(replica)
             result = self._traced_execute(replica, connection, statement,
                                           params)
         else:
@@ -983,7 +972,7 @@ class MiddlewareSession:
         if middleware.resilience is not None:
             middleware.resilience.record_success(replica.name)
         middleware.config.consistency.note_read(self.view, replica.applied_seq)
-        if not self.in_transaction:
+        if txn is None:
             # an autocommit statement is its own transaction: transaction-
             # level balancing re-chooses for the next one
             middleware.config.balancer.end_transaction(self.id)
@@ -995,8 +984,8 @@ class MiddlewareSession:
             result.rowcount = len(result.rows)
         return result
 
-    def _pick_txn_read_replica(self, info: StatementInfo) -> Replica:
-        for name in self._txn_connections:
+    def _pick_txn_read_replica(self, txn: OpenTransaction) -> Replica:
+        for name in txn.connections:
             replica = self.middleware.replica_by_name(name)
             if replica.can_serve:
                 return replica
@@ -1043,29 +1032,31 @@ class MiddlewareSession:
                        params: List[Any], info: StatementInfo) -> Result:
         middleware = self.middleware
         middleware.stats["writes"] += 1
-        implicit = not self.in_transaction
+        txn = self.txn
+        implicit = txn is None
         if implicit:
-            self._begin_transaction(None)
+            txn = self.txn = OpenTransaction(self, None)
         try:
             if self._statement_touches_temp(info):
-                result = self._execute_on_pinned(statement, params)
+                result = self._execute_on_pinned(txn, statement, params)
             elif middleware.config.statement_broadcast:
                 result = middleware.statement_replication.write(
                     self, statement, sql_text, params, info)
             else:
                 result = self._writeset_mode_write(
-                    statement, sql_text, params, info)
+                    txn, statement, sql_text, params, info)
         except Exception:
-            if implicit:
-                self._rollback_transaction()
+            if implicit and self.txn is txn:
+                txn.rollback()
             raise
         if implicit:
-            self._commit_transaction()
+            txn.commit()
         return result
 
     # -- temp-table pinning ------------------------------------------------
 
-    def _execute_on_pinned(self, statement: ast.Statement,
+    def _execute_on_pinned(self, txn: OpenTransaction,
+                           statement: ast.Statement,
                            params: List[Any]) -> Result:
         """Temp-table work sticks to one replica (section 4.1.4).
 
@@ -1075,10 +1066,10 @@ class MiddlewareSession:
         """
         middleware = self.middleware
         if self.pinned_replica is None:
-            if self._local_replica is not None:
-                self.pinned_replica = self._local_replica
-            elif self._txn_connections:
-                self.pinned_replica = next(iter(self._txn_connections))
+            if txn.local_replica is not None:
+                self.pinned_replica = txn.local_replica
+            elif txn.connections:
+                self.pinned_replica = next(iter(txn.connections))
             else:
                 context = RoutingContext(session_id=self.id)
                 self.pinned_replica = middleware.config.balancer.choose(
@@ -1091,9 +1082,9 @@ class MiddlewareSession:
                 f"session pinned to failed replica {replica.name!r}; its "
                 "temporary tables are unrecoverable (section 4.1.4)")
         connection = self._pinned_connection_for(replica)
-        if self.in_transaction and not connection.in_transaction:
-            connection.begin(self._txn_isolation)
-            self._txn_connections[replica.name] = connection
+        if not connection.in_transaction:
+            connection.begin(txn.isolation)
+            txn.connections[replica.name] = connection
         return self._traced_execute(replica, connection, statement,
                                     params)
 
@@ -1105,33 +1096,32 @@ class MiddlewareSession:
 
     # -- writeset replication --------------------------------------------------
 
-    def _writeset_mode_write(self, statement: ast.Statement, sql_text: str,
+    def _writeset_mode_write(self, txn: OpenTransaction,
+                             statement: ast.Statement, sql_text: str,
                              params: List[Any],
                              info: StatementInfo) -> Result:
-        middleware = self.middleware
         if info.is_ddl:
-            return self._broadcast_ddl(statement, sql_text, params, info)
-        replica = self._ensure_local_replica()
-        connection = self._txn_connections[replica.name]
+            return self._broadcast_ddl(txn, statement, sql_text, params,
+                                       info)
+        replica, connection = txn.local()
         result = self._traced_execute(replica, connection, statement,
                                       params)
-        self._txn_statements.append((sql_text, list(params)))
-        self._txn_tables_written |= info.tables_written
-        self._txn_is_write = True
+        txn.note_write(sql_text, params, info.tables_written)
         replica.stats["served_writes"] += 1
         return result
 
-    def _broadcast_ddl(self, statement: ast.Statement, sql_text: str,
-                       params: List[Any], info: StatementInfo) -> Result:
+    def _broadcast_ddl(self, txn: OpenTransaction, statement: ast.Statement,
+                       sql_text: str, params: List[Any],
+                       info: StatementInfo) -> Result:
         """DDL has no writeset (section 4.3.2: 'database updates that
         cannot be rolled back'); even writeset-mode systems broadcast it as
         statements, outside certification."""
         middleware = self.middleware
         result = Result()
         for replica in middleware.online_replicas():
-            connection = self._txn_connection(replica) \
-                if replica.name in self._txn_connections \
-                else self._read_connection(replica)
+            connection = txn.connections.get(replica.name)
+            if connection is None:
+                connection = self._read_connection(replica)
             result = self._traced_execute(replica, connection, statement,
                                           params)
         # already executed everywhere: only the ordered tail is left
@@ -1140,178 +1130,6 @@ class MiddlewareSession:
             tables=sorted(info.tables_written), kind="statements",
             publish_kind="ddl", holders=middleware.online_replicas()))
         return result
-
-    def _ensure_local_replica(self) -> Replica:
-        middleware = self.middleware
-        if middleware.config.consistency.write_mode == "master":
-            replica = middleware.master
-            if not replica.is_online:
-                raise ReplicaUnavailable(
-                    f"master {replica.name!r} is down; promote a new master")
-        elif self._local_replica is None and self.write_override is not None:
-            replica = middleware.replica_by_name(self.write_override)
-            if not replica.is_online:
-                raise ReplicaUnavailable(
-                    f"write-override replica {replica.name!r} is down")
-        elif self._local_replica is not None:
-            replica = middleware.replica_by_name(self._local_replica)
-            if not replica.is_online:
-                # Transaction replication cannot transparently fail over:
-                # the transaction lived only here (section 4.3.3).
-                raise ReplicaUnavailable(
-                    f"replica {replica.name!r} executing this transaction "
-                    "died; the transaction must be replayed by the client")
-        else:
-            context = RoutingContext(session_id=self.id, is_write=True)
-            replica = middleware.config.balancer.choose(
-                middleware.online_replicas(), context)
-        self._local_replica = replica.name
-        if replica.name not in self._txn_connections:
-            self._txn_connections[replica.name] = \
-                self._open_txn_connection(replica)
-            # GSI-correct certification: the conflict window starts at the
-            # snapshot this transaction actually reads — the local
-            # replica's applied watermark, which may trail the global
-            # sequence under asynchronous propagation.
-            self._txn_start_seq = min(self._txn_start_seq,
-                                      replica.applied_seq)
-        return replica
-
-    # ------------------------------------------------------------------
-    # transaction control
-    # ------------------------------------------------------------------
-
-    def _begin_transaction(self, isolation: Optional[str]) -> None:
-        if self.in_transaction:
-            raise SQLError("transaction already in progress")
-        self.in_transaction = True
-        self._txn_isolation = isolation
-        self._txn_statements = []
-        self._txn_tables_written = set()
-        self._txn_is_write = False
-        self._txn_start_seq = self.middleware.global_seq
-        self._txn_connections = {}
-        self._local_replica = None
-
-    def _txn_connection(self, replica: Replica) -> Connection:
-        connection = self._txn_connections.get(replica.name)
-        if connection is None:
-            connection = self._open_txn_connection(replica)
-            self._txn_connections[replica.name] = connection
-        return connection
-
-    def _open_txn_connection(self, replica: Replica) -> Connection:
-        connection = replica.engine.connect(
-            self.user, self.password, database=self.database)
-        isolation = self._choose_isolation(replica)
-        connection.begin(isolation)
-        return connection
-
-    def _choose_isolation(self, replica: Replica) -> Optional[str]:
-        requested = self._txn_isolation
-        if requested is not None:
-            return requested
-        if self.middleware.config.replication == "writeset" \
-                and self.middleware.config.consistency.name != "read-committed":
-            # SI-class protocols want snapshot transactions locally; fall
-            # back to the engine default when the dialect lacks SI (the
-            # 4.1.2 heterogeneity headache).
-            if replica.engine.dialect.supports_snapshot_isolation:
-                return "SNAPSHOT"
-        return None
-
-    def _commit_transaction(self) -> None:
-        if not self.in_transaction:
-            return
-        middleware = self.middleware
-        try:
-            if not self._txn_is_write:
-                for connection in self._txn_connections.values():
-                    connection.commit()
-                return
-            if middleware.config.statement_broadcast:
-                middleware.statement_replication.commit(self)
-            else:
-                self._commit_writeset_mode()
-            middleware.stats["commits"] += 1
-        finally:
-            self._end_transaction()
-
-    def _commit_writeset_mode(self) -> None:
-        # The whole certify -> prepare -> prefix drain -> commit ->
-        # recovery-log -> propagate -> ack -> publish sequence lives in
-        # the group-commit coordinator: a batch of one outside a gather
-        # (identical to the historical per-transaction pipeline), a
-        # shared certifier batch and one frame per replica inside one.
-        request = self.stage_commit_request()
-        if request is None:
-            self._txn_connections[self._local_replica].commit()
-        else:
-            self.middleware.group_commit.submit(request)
-
-    def stage_commit_request(self) -> Optional[CommitRequest]:
-        """Build this transaction's :class:`CommitRequest` without
-        certifying or committing anything — the cross-shard 2PC prepare
-        hook (``repro.shard.twopc``): the coordinator certifies each
-        participant itself and finishes the winners through
-        :meth:`GroupCommitCoordinator.commit_prepared`.  Returns ``None``
-        when there is nothing to certify here (read-only, or the writes
-        matched zero rows) — the caller commits or rolls back plainly."""
-        if not self.in_transaction or not self._txn_is_write:
-            return None
-        middleware = self.middleware
-        replica = middleware.replica_by_name(self._local_replica)
-        if not replica.is_online or replica.engine.crashed:
-            # The local replica died before certification: nothing global
-            # has happened yet, so this failure is unambiguous — retry
-            # layers may safely replay the transaction on a survivor.
-            # (A crash *after* certify/commit stays ambiguous, 4.3.3.)
-            raise ReplicaUnavailable(
-                f"local replica {replica.name!r} died before commit")
-        connection = self._txn_connections[replica.name]
-        txn = connection.txn
-        entries = extract_writeset_engine(txn) if txn is not None else []
-        if not entries:
-            return None
-        return CommitRequest(
-            session=self, origin=replica, connection=connection,
-            start_seq=self._txn_start_seq, keys=conflict_keys(entries),
-            entries=entries, tables=sorted(self._txn_tables_written))
-
-    def _rollback_transaction(self) -> None:
-        if not self.in_transaction:
-            return
-        # A rollback must always succeed from the client's point of view:
-        # if a replica connection is broken, its transaction died with it.
-        self._abort_everywhere(silent=True)
-        self._end_transaction()
-        self.middleware.stats["aborts"] += 1
-
-    def _abort_everywhere(self, silent: bool) -> None:
-        for connection in self._txn_connections.values():
-            try:
-                connection.rollback()
-                if connection is not self._pinned_connection:
-                    connection.close()
-            except SQLError:
-                if not silent:
-                    raise
-        self._txn_connections = {}
-
-    def _end_transaction(self) -> None:
-        for connection in self._txn_connections.values():
-            if connection is self._pinned_connection:
-                continue  # persistent: temp tables live on it (4.1.4)
-            try:
-                connection.close()
-            except SQLError:
-                pass
-        self._txn_connections = {}
-        self.in_transaction = False
-        self._txn_is_write = False
-        self._local_replica = None
-        self.middleware.statement_replication.release(self)
-        self.middleware.config.balancer.end_transaction(self.id)
 
     def _check_open(self) -> None:
         if self.closed:

@@ -412,12 +412,11 @@ class ResilienceCoordinator:
         retry = self.policy.retry
         attempt = 1
         while True:
-            # Snapshot the transaction log before a commit so a safe
-            # replay is possible after the dispatch tears the state down.
-            snapshot = None
-            if is_commit and session.in_transaction and session._txn_is_write:
-                snapshot = (list(session._txn_statements),
-                            session._txn_isolation)
+            # Keep the committing transaction's record: it outlives the
+            # end the dispatch gives it, so a safe replay is possible.
+            txn = session.txn
+            snapshot = txn if is_commit and txn is not None \
+                and txn.is_write else None
             # the mw.statement span opened by _execute_one — retry /
             # breaker / deadline decisions land on it as span events
             span = session.active_span
@@ -516,19 +515,13 @@ class ResilienceCoordinator:
         made automatic)."""
         from .sessions import TransactionContext
 
-        if snapshot is not None:
-            statements, isolation = snapshot
-        elif session.in_transaction:
-            statements = list(session._txn_statements)
-            isolation = session._txn_isolation
-        else:
+        txn = snapshot if snapshot is not None else session.txn
+        if txn is None:
             return
-        if session.in_transaction:
+        if session.txn is not None:
             # the old transaction is dead; roll its carcass away silently
-            session._abort_everywhere(silent=True)
-            session._end_transaction()
-        context = TransactionContext.capture_for_retry(
-            statements, isolation, session)
+            session.txn.end()
+        context = TransactionContext.capture_for_retry(txn)
         self._replaying = True
         try:
             context.resume(session)
@@ -538,7 +531,7 @@ class ResilienceCoordinator:
         session.failover_replays += 1
         span = session.active_span
         if span:
-            span.event("txn_replayed", statements=len(statements))
+            span.event("txn_replayed", statements=len(txn.statements))
         self.middleware.monitor.record(
             "txn_replayed", self.middleware.name,
-            statements=len(statements))
+            statements=len(txn.statements))

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import MiddlewareDown, MiddlewareError
 from .middleware import MiddlewareSession, ReplicationMiddleware
+from .transaction import OpenTransaction
 
 
 class ConnectionPool:
@@ -138,29 +139,23 @@ class TransactionContext:
     def pause(cls, session: MiddlewareSession) -> "TransactionContext":
         """Capture and abort the session's open transaction, returning a
         context that can resume it elsewhere."""
-        if not session.in_transaction:
+        txn = session.txn
+        if txn is None:
             raise MiddlewareError("no transaction to pause")
         if session.middleware.config.replication != "statement" \
-                and session._txn_is_write:
+                and txn.is_write:
             raise MiddlewareError(
                 "writeset-mode transactions cannot be externalized "
                 "(section 4.3.3: the transaction lives at one replica)")
-        context = cls(
-            statements=list(session._txn_statements),
-            isolation=session._txn_isolation,
-            last_commit_seq=session.view.last_commit_seq,
-            last_seen_seq=session.view.last_seen_seq,
-            user=session.user, database=session.database,
-        )
+        context = cls.capture_for_retry(txn)
         session.rollback()
         return context
 
     @classmethod
-    def capture_for_retry(cls, statements: List[Tuple[str, list]],
-                          isolation: Optional[str],
-                          session: MiddlewareSession) -> "TransactionContext":
-        """Build a context from an *already dead* transaction's statement
-        log, for the resilience layer's automatic replay-on-a-survivor.
+    def capture_for_retry(cls, txn: OpenTransaction) -> "TransactionContext":
+        """Build a context from a transaction's record: a live one for
+        :meth:`pause`, an *already dead* one for the resilience layer's
+        automatic replay-on-a-survivor.
 
         Unlike :meth:`pause`, this accepts writeset-mode transactions:
         the externalization refusal exists because a *live* writeset
@@ -168,9 +163,10 @@ class TransactionContext:
         whose replica died before commit left no state anywhere, so
         replaying its logged statements elsewhere is exact.
         """
+        session = txn.session
         return cls(
-            statements=[(sql, list(params)) for sql, params in statements],
-            isolation=isolation,
+            statements=[(sql, list(params)) for sql, params in txn.statements],
+            isolation=txn.isolation,
             last_commit_seq=session.view.last_commit_seq,
             last_seen_seq=session.view.last_seen_seq,
             user=session.user, database=session.database,

@@ -29,7 +29,7 @@ sequenced as one unit of the commit pipeline.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from ..sqlengine import ast_nodes as ast
 from ..sqlengine import SQLError
@@ -46,19 +46,7 @@ from .writesets import statement_footprint
 
 if TYPE_CHECKING:
     from .middleware import MiddlewareSession, ReplicationMiddleware
-
-
-class _OpenTransaction:
-    """What the protocol keeps of one session's open transaction: the id
-    its table locks are held under and its invalidation footprint."""
-
-    __slots__ = ("lock_id", "footprints", "had_opaque", "had_ddl")
-
-    def __init__(self) -> None:
-        self.lock_id: Optional[int] = None
-        self.footprints: set = set()
-        self.had_opaque = False
-        self.had_ddl = False
+    from .transaction import OpenTransaction
 
 
 class StatementReplication:
@@ -71,7 +59,6 @@ class StatementReplication:
         # lock owners are transactions, numbered in the order they first
         # lock: wait-die lets an older one wait and makes a younger one die
         self._lock_ids = itertools.count(1)
-        self._open: Dict["MiddlewareSession", _OpenTransaction] = {}
 
     def write(self, session: "MiddlewareSession", statement: ast.Statement,
               sql_text: str, params: List[Any],
@@ -80,7 +67,7 @@ class StatementReplication:
         transaction; returns the first replica's result."""
         middleware = self.middleware
         statement = self._handle_nondeterminism(session, statement, info)
-        txn = self._open.setdefault(session, _OpenTransaction())
+        txn = session.txn
         if info.tables_written:
             self._acquire_table_locks(txn, info)
 
@@ -91,7 +78,7 @@ class StatementReplication:
         # replica alike: it propagates from the first one.
         results: List[Tuple[Replica, Result]] = []
         for replica in targets:
-            connection = session._txn_connection(replica)
+            connection = txn.connection(replica)
             try:
                 result = session._traced_execute(
                     replica, connection, statement, params)
@@ -100,7 +87,7 @@ class StatementReplication:
                 # Replica died mid-broadcast: statement replication keeps
                 # full state on the survivors — transparent failover.
                 session._note_replica_failure(replica)
-                session._txn_connections.pop(replica.name, None)
+                txn.connections.pop(replica.name, None)
         if not results:
             raise NoReplicaAvailable("every replica failed during the write")
 
@@ -110,14 +97,12 @@ class StatementReplication:
                 rowcounts={r.name: res.rowcount for r, res in results})
             # the statement already ran at every replica: the whole
             # transaction goes, so no COMMIT can apply it on top
-            session._rollback_transaction()
+            txn.rollback()
             raise ClusterDivergence(
                 f"statement affected different row counts per replica: "
                 f"{[(r.name, res.rowcount) for r, res in results]}")
 
-        session._txn_statements.append((sql_text, list(params)))
-        session._txn_tables_written |= info.tables_written
-        session._txn_is_write = True
+        txn.note_write(sql_text, params, info.tables_written)
         if info.is_ddl:
             txn.had_ddl = True
         elif middleware._certified_listeners:
@@ -134,13 +119,14 @@ class StatementReplication:
             replica.stats["served_writes"] += 1
         return results[0][1]
 
-    def commit(self, session: "MiddlewareSession") -> None:
+    def commit(self, txn: "OpenTransaction") -> None:
         """Commit at every replica holding the transaction, then sequence
-        its statements as one unit (recovery log, invalidation)."""
+        its statements as one unit (recovery log, invalidation).  Its
+        table locks go when it ends (:meth:`OpenTransaction.end`)."""
         middleware = self.middleware
-        txn = self._open.setdefault(session, _OpenTransaction())
+        session = txn.session
         committed = []
-        for name, connection in list(session._txn_connections.items()):
+        for name, connection in list(txn.connections.items()):
             replica = middleware.replica_by_name(name)
             try:
                 connection.commit()
@@ -154,21 +140,13 @@ class StatementReplication:
                 else "opaque" if txn.had_opaque else "statements")
         middleware.group_commit.commit_sequenced(CommitRequest(
             session, keys=frozenset(txn.footprints),
-            entries=list(session._txn_statements),
-            tables=sorted(session._txn_tables_written),
+            entries=list(txn.statements),
+            tables=sorted(txn.tables_written),
             kind="statements", publish_kind=kind, holders=committed))
-
-    def release(self, session: "MiddlewareSession") -> None:
-        """The session's transaction ended, committed or not (or the
-        session closed inside it): two-phase locking lets its table locks
-        go, and what was kept of it goes too."""
-        txn = self._open.pop(session, None)
-        if txn is not None and txn.lock_id is not None:
-            self.table_locks.release_all(txn.lock_id)
 
     # ------------------------------------------------------------------
 
-    def _acquire_table_locks(self, txn: _OpenTransaction,
+    def _acquire_table_locks(self, txn: "OpenTransaction",
                              info: StatementInfo) -> None:
         """Exclusive locks on the written tables, held until the
         transaction ends (coarse table granularity, section 4.3.2)."""

@@ -156,9 +156,12 @@ def cold_restart(middleware) -> ColdRestartReport:
     certifier by querying every reachable replica for its applied
     watermark.  Conflict history is gone — certification restarts with
     an empty window, which is safe (no in-flight transactions survived
-    the crash) but loses the log a standby would have preserved."""
+    the crash, and the queued applies run first, so no replica serves a
+    snapshot below the window) but loses the log a standby would have
+    preserved."""
     span = middleware.tracer.start_span("ha.cold_restart",
                                         leader=middleware.name)
+    middleware.pump()
     watermarks: Dict[str, int] = {}
     for replica in middleware.replicas:
         if replica.is_online:

@@ -84,7 +84,9 @@ class TwoPCCoordinator:
             middleware = cluster.groups[index]
             try:
                 group_session = shard_session.group_session(index)
-                request = group_session.stage_commit_request()
+                txn = group_session.txn
+                request = txn.stage_commit_request() \
+                    if txn is not None else None
                 if request is None:
                     # the writes matched zero rows here: nothing global
                     # to decide for this group, a plain local commit
@@ -166,7 +168,7 @@ class TwoPCCoordinator:
                 with span:
                     middleware.group_commit.commit_prepared(request)
                 middleware.stats["commits"] += 1
-                group_session._end_transaction()
+                group_session.txn.end()
             for index, group_session in plain:
                 group_session.commit()
             self.stats["commits"] += 1
@@ -189,8 +191,8 @@ class TwoPCCoordinator:
             with span:
                 middleware.group_commit.abort_prepared(request)
             self.stats["rescinds"] += 1
-            if not group_session.closed:
-                group_session._rollback_transaction()
+            if group_session.txn is not None:
+                group_session.txn.rollback()
         for index, group_session in plain:
             if not group_session.closed:
                 group_session.rollback()

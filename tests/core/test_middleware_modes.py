@@ -354,7 +354,7 @@ class TestWritesetMode:
         session = mw.connect(database="shop")
         session.begin()
         session.execute("UPDATE kv SET v = 1 WHERE k = 1")
-        local = mw.replica_by_name(session._local_replica)
+        local = mw.replica_by_name(session.txn.local_replica)
         local.engine.crash()
         local.mark_failed()
         with pytest.raises(ReplicaUnavailable):

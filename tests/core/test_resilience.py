@@ -254,7 +254,7 @@ class TestResilientCluster:
         session = mw.connect(database="shop")
         session.execute("BEGIN")
         session.execute("UPDATE kv SET v = 5 WHERE k = 0")
-        kill(mw.replica_by_name(session._local_replica))
+        kill(mw.replica_by_name(session.txn.local_replica))
         session.execute("UPDATE kv SET v = 6 WHERE k = 1")
         session.execute("COMMIT")
         assert session.execute("SELECT v FROM kv WHERE k = 0").scalar() == 5
@@ -271,7 +271,7 @@ class TestResilientCluster:
         session = mw.connect(database="shop")
         session.execute("BEGIN")
         session.execute("UPDATE kv SET v = 8 WHERE k = 2")
-        kill(mw.replica_by_name(session._local_replica))
+        kill(mw.replica_by_name(session.txn.local_replica))
         with pytest.raises(RetryExhausted) as excinfo:
             session.execute("COMMIT")
         assert excinfo.value.ambiguous and excinfo.value.retry == "fatal"
@@ -289,7 +289,7 @@ class TestResilientCluster:
         session = mw.connect(database="shop")
         session.execute("BEGIN")
         session.execute("UPDATE kv SET v = v + 1 WHERE k = 3")
-        kill(mw.replica_by_name(session._local_replica))
+        kill(mw.replica_by_name(session.txn.local_replica))
         session.execute("COMMIT")  # replayed, no error
         assert session.execute("SELECT v FROM kv WHERE k = 3").scalar() == 1
         session.close()

@@ -446,7 +446,7 @@ class TestAutoPrune:
         reader = mw.connect(database="shop")
         reader.begin()
         reader.execute("SELECT v FROM kv WHERE k = 0")
-        snapshot_seq = reader._txn_start_seq
+        snapshot_seq = reader.txn.start_seq
         writer = mw.connect(database="shop")
         for index in range(40):
             writer.execute(f"UPDATE kv SET v = {index} WHERE k = 1")
@@ -636,7 +636,7 @@ def _begin_update(mw, key, txn):
 
 def _prepare_2pc(mw):
     session = _begin_update(mw, 2, "t-2pc")
-    request = session.stage_commit_request()
+    request = session.txn.stage_commit_request()
     outcome = mw.certifier.certify(request.start_seq, request.keys)
     assert outcome.ok
     mw.group_commit.prepare(request, outcome.seq)
@@ -670,11 +670,11 @@ def drive(kind):
     elif kind == "2pc_commit":
         session, request = _prepare_2pc(mw)
         mw.group_commit.commit_prepared(request)
-        session._end_transaction()
+        session.txn.end()
     elif kind == "2pc_noop":
         session, request = _prepare_2pc(mw)
         mw.group_commit.abort_prepared(request)
-        session._rollback_transaction()
+        session.txn.rollback()
     else:
         assert kind == "install"
         mw.group_commit.install(
@@ -746,7 +746,7 @@ def test_a_2pc_commit_opens_the_propagate_span():
     mw.group_commit.commit_prepared(request)
     session.active_span = None
     root.end()
-    session._end_transaction()
+    session.txn.end()
     spans = mw.tracer.trace(root.trace_id)
     propagate = next(s for s in spans if s.name == "propagate")
     applies = [s for s in spans if s.name == "replica.apply"]
@@ -767,7 +767,7 @@ def test_install_applies_synchronously_under_async_propagation():
     assert all(r.applied_seq == mw.global_seq for r in mw.replicas)
     session, request = _prepare_2pc(mw)
     mw.group_commit.abort_prepared(request)
-    session._rollback_transaction()
+    session.txn.rollback()
     assert [len(r.apply_queue) for r in mw.replicas] == [1, 1, 1]
     mw.pump()
     assert all(r.applied_seq == mw.global_seq for r in mw.replicas)
@@ -985,7 +985,8 @@ def test_one_statement_broadcast_test():
                 if isinstance(node, ast.Attribute)}:
             readers.add(module)
     assert sites == [("core/middleware.py", "statement_broadcast")]
-    assert readers == {"core/middleware.py", "bench/simdriver.py"}
+    assert readers == {"core/middleware.py", "core/transaction.py",
+                       "bench/simdriver.py"}
 
 
 def test_shard_tier_stays_off_a_groups_private_members():
