@@ -15,10 +15,10 @@ interval every matching row's key lies in, which a range-partitioned
 caller turns into the owners of the intersecting segments.
 
 Not pinning is always correct (the caller then asks every owner), so
-anything doubtful does not pin: a ``NULL`` or missing key value, a
-predicate on another table's column of the same name, an unqualified
-column when the statement reads more than one table, bounds that will
-not compare with each other.
+anything doubtful does not pin: a ``NULL`` or missing key value, a bool
+(``=`` compares it by truth value), a predicate on another table's
+column of the same name, an unqualified column when the statement reads
+more than one table, bounds that will not compare with each other.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ KeyPlan = Optional[Callable[[Sequence[Any]], Optional[List[Any]]]]
 #: ``None`` when this execution bounds nothing
 RangePlan = Optional[Callable[[Sequence[Any]], Optional[List[Any]]]]
 
-_UNPLACEABLE = "INSERT shard-key values must be literals or bound parameters"
+_UNPLACEABLE = ("INSERT shard-key values must be literals or bound "
+                "parameters, neither a bound NULL nor a bool")
 
 
 def literal_value(expr, params: Sequence[Any]) -> Optional[Any]:
@@ -148,13 +149,16 @@ def _slot(expr) -> Optional[Tuple[bool, Any]]:
 
 def _values(slots, params: Sequence[Any]) -> Optional[List[Any]]:
     """The ``(is_param, value or index)`` slots' values under one
-    execution's parameters; ``None`` when a bound one is NULL or missing."""
+    execution's parameters; ``None`` when a bound one is NULL or missing,
+    or any is a bool (``= TRUE`` matches every non-zero key, not 1)."""
     values = []
     for is_param, slot in slots:
         if is_param:
             slot = params[slot] if slot < len(params) else None
             if slot is None:
                 return None
+        if slot.__class__ is bool:
+            return None
         values.append(slot)
     return values
 

@@ -14,6 +14,7 @@ or the discrete-event simulator — decides what to do.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, Optional
 
 from . import ast_nodes as ast
@@ -23,7 +24,8 @@ from .errors import (
 )
 from .expressions import (
     EvalContext, NO_ROW, combine_binary, combine_unary, compile_expression,
-    evaluate, evaluate_each, raising, sort_key,
+    compile_filter, compile_values, evaluate, evaluate_each, raising,
+    sort_key, sort_keys,
 )
 from .functions import AGGREGATE_FUNCTIONS
 from .locks import LockConflict, LockMode
@@ -103,7 +105,7 @@ class Executor:
     def _table_versions(self, session, table, binding, where, snapshot,
                         ctx, dirty: bool = False,
                         top: Optional[tuple] = None,
-                        predicate=None) -> List[RowVersion]:
+                        keep=None) -> List[RowVersion]:
         """The visible versions of ``table`` a statement works on,
         through the planned access path.
 
@@ -111,19 +113,19 @@ class Executor:
         fully-matching rows, so routing here never changes results —
         only how many rows are touched, which the engine-level
         ``seq_scans`` / ``index_probes`` / ``rows_scanned`` counters
-        record.  ``predicate`` is the compiled complete WHERE, given when
-        the statement's rows are exactly this table's (not one side of a
-        join): every candidate of every path is then tested on
-        ``version.values`` where it lies and only the survivors are
-        returned.  Without it the caller applies the WHERE to whatever
-        comes back.
+        record.  ``keep`` is the complete WHERE as
+        :func:`~repro.sqlengine.expressions.compile_filter` builds it,
+        given when the statement's rows are exactly this table's (not
+        one side of a join): every path's candidates then go through it
+        in one call and only the survivors are returned.  Without it the
+        caller applies the WHERE to whatever comes back.
 
         ``top`` is ``(column, ascending, count)`` when the caller's answer
         is the first ``count`` matching rows in that column's order (see
         :func:`_top_shape`): a range walk over a unique index on exactly
         that column then stops fetching after ``count`` rows that pass
-        the predicate (it comes with one) — the caller still sorts and
-        slices what comes back.  Any other path ignores it.
+        ``keep`` (it comes with one) — the caller still sorts and slices
+        what comes back.  Any other path ignores it.
         """
         txn_id = session.txn.id if session.txn else None
         stats = self.engine.stats
@@ -148,17 +150,24 @@ class Executor:
             index = plan.index
             if top is not None and index.unique \
                     and index.columns == [top[0]]:
-                # key by key, so that nothing past the last wanted row is
-                # looked at
-                positions = plan.keys if top[1] else reversed(plan.keys)
-                matches = []
-                for position in positions:
-                    if len(matches) >= top[2]:
-                        break
+                # as many keys at a time as rows are still wanted: a key
+                # of a unique index holds one visible row at most, so
+                # nothing past the last wanted row is looked at
+                (_column, ascending, count), matches = top, []
+                low, high = plan.keys.start, plan.keys.stop
+                while len(matches) < count and low < high:
+                    need = count - len(matches)
+                    if ascending:
+                        keys = range(low, min(low + need, high))
+                        low = keys.stop
+                    else:
+                        keys = range(max(high - need, low), high)
+                        high = keys.start
                     versions, looked_at = visible_in_range(
-                        table, index, (position,), snapshot, txn_id, dirty)
+                        table, index, keys, snapshot, txn_id, dirty)
                     stats["rows_scanned"] += looked_at
-                    matches += _matching(versions, predicate, binding, ctx)
+                    matches += keep(versions if ascending
+                                    else versions[::-1], ctx)
                 return matches
             versions, looked_at = visible_in_range(
                 table, index, plan.keys, snapshot, txn_id, dirty)
@@ -167,9 +176,9 @@ class Executor:
             stats["seq_scans"] += 1
             stats["rows_scanned"] += table.logical_row_count()
             versions = visible_rows(table, snapshot, txn_id, dirty=dirty)
-        if predicate is None:
+        if keep is None:
             return versions
-        return _matching(versions, predicate, binding, ctx)
+        return keep(versions, ctx)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -331,8 +340,6 @@ class Executor:
         snapshot = self._read_snapshot(session)
         dirty = session.txn is not None and session.txn.isolation == READ_UNCOMMITTED
 
-        predicate = parts.where
-        one_table = isinstance(statement.source, ast.TableRef)
         top = parts.top
         if top is not None:
             # (column, ascending) becomes (column, ascending, LIMIT + OFFSET)
@@ -344,9 +351,10 @@ class Executor:
                 top = None      # _apply_limit raises it
         source_rows, source_columns = self._build_source(
             session, parts.conditions, statement.source, snapshot, dirty,
-            outer_ctx, statement.where, predicate if one_table else None, top)
+            outer_ctx, statement.where, parts.keep, top)
 
-        if statement.for_update and one_table:
+        if statement.for_update and isinstance(statement.source,
+                                               ast.TableRef):
             database_name, table = self._resolve_table(
                 session, statement.source.name, privilege="SELECT")
             txn = session.txn
@@ -355,13 +363,9 @@ class Executor:
                     txn.id, f"{database_name}.{table.name}".lower(),
                     LockMode.EXCLUSIVE)
 
-        if predicate is not None and not one_table:
-            filtered = []
-            for bindings in source_rows:
-                value = predicate(bindings, outer_ctx)
-                if value is not None and value:
-                    filtered.append(bindings)
-            source_rows = filtered
+        if parts.where is not None:     # a join's or a derived table's rows
+            source_rows = list(compress(
+                source_rows, parts.where(source_rows, outer_ctx)))
 
         row_bindings: Optional[List[Dict]] = None
         if parts.grouped:
@@ -395,17 +399,16 @@ class Executor:
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
     def _build_source(self, session, conditions, source, snapshot, dirty,
-                      outer_ctx, where=None, predicate=None, top=None):
+                      outer_ctx, where=None, keep=None, top=None):
         """Returns (list of binding dicts, ordered [(binding, column_names)]).
 
         ``where`` is the enclosing statement's predicate, pushed down so
         table references can serve equality conjuncts from an index probe
         and range conjuncts from an index range instead of a full scan.
-        ``predicate`` (its compiled form) and ``top`` are only ever
-        passed for a statement whose whole source is one table: its rows
-        are filtered before they are bound.  In every other case the
-        caller still applies the complete predicate to whatever comes
-        back.
+        ``keep`` (its compiled filter) and ``top`` are only ever passed
+        for a statement whose whole source is one table: its rows are
+        filtered before they are bound.  In every other case the caller
+        still applies the complete predicate to whatever comes back.
 
         A table's rows are bound as the versions' own value dicts, not
         copies: a SELECT writes to no row dict, and what it returns is
@@ -422,7 +425,7 @@ class Executor:
                 {binding: version.values}
                 for version in self._table_versions(
                     session, table, binding, where, snapshot, outer_ctx,
-                    dirty, top, predicate)
+                    dirty, top, keep)
             ]
             return rows, [(binding, [c.lower() for c in table.column_names])]
         if isinstance(source, ast.SubquerySource):
@@ -508,14 +511,10 @@ class Executor:
         order: List[tuple] = []
         keys = parts.group_by
         if keys:
-            if len(keys) == 1:
-                key_of = keys[0]
-                row_keys = [sort_key(key_of(bindings, outer_ctx))
-                            for bindings in source_rows]
-            else:
-                row_keys = [tuple([sort_key(key_of(bindings, outer_ctx))
-                                   for key_of in keys])
-                            for bindings in source_rows]
+            key_columns = [sort_keys(values(source_rows, outer_ctx))
+                           for values in keys]
+            row_keys = key_columns[0] if len(keys) == 1 \
+                else zip(*key_columns)
             for key, bindings in zip(row_keys, source_rows):
                 group = groups.get(key)
                 if group is None:
@@ -821,11 +820,11 @@ class Executor:
         txn_id = txn.id if txn is not None else 0
         snapshot = self._read_snapshot(session)
         binding = statement.table.name.lower()
-        predicate, assignments = self._compile_once(statement, _write_parts)
+        keep, assignments = self._compile_once(statement, _write_parts)
 
         targets = self._table_versions(
             session, table, binding, statement.where, snapshot, ctx,
-            predicate=predicate)
+            keep=keep)
 
         updated = 0
         for version in targets:
@@ -875,11 +874,11 @@ class Executor:
         txn_id = txn.id if txn is not None else 0
         snapshot = self._read_snapshot(session)
         binding = statement.table.name.lower()
-        predicate, _ = self._compile_once(statement, _write_parts)
+        keep, _ = self._compile_once(statement, _write_parts)
 
         targets = self._table_versions(
             session, table, binding, statement.where, snapshot, ctx,
-            predicate=predicate)
+            keep=keep)
 
         deleted = 0
         for version in targets:
@@ -1210,21 +1209,25 @@ class Executor:
 # -- what a statement compiles to ----------------------------------------------
 #
 # Built once per tree (``Executor._compile_once``) from nothing but the tree:
-# closures ``fn(row_bindings, ctx)`` for everything evaluated per row, and
-# the shape facts that used to be re-derived per execution.
+# closures ``fn(row_bindings, ctx)`` for everything evaluated per row, the
+# batch forms (``compile_filter``, ``compile_values``) of what a scan
+# evaluates over every row, and the shape facts that used to be re-derived
+# per execution.
 
 
 class _SelectParts:
     """One SELECT tree, compiled.
 
-    ``where`` and each ``order_by`` / ``group_by`` entry are row closures;
+    The WHERE is ``keep`` (:func:`compile_filter`) over one table, else
+    ``where`` (:func:`compile_values`: a verdict per row), as is each
+    ``group_by`` entry; each ``order_by`` entry is a row closure;
     ``columns`` holds one row closure per select-list item (``None`` for
     a ``*``) or, when ``grouped``, one group closure ``fn(group_rows,
     ctx)``, as is ``having``; ``conditions`` maps ``id(join)`` to the
     join's compiled ON clause; ``top`` is :func:`_top_shape`."""
 
-    __slots__ = ("where", "grouped", "columns", "group_by", "having",
-                 "order_by", "conditions", "top")
+    __slots__ = ("keep", "where", "grouped", "columns", "group_by",
+                 "having", "order_by", "conditions", "top")
 
     def __init__(self, statement: ast.SelectStatement):
         source = statement.source
@@ -1238,11 +1241,15 @@ class _SelectParts:
         self.columns = [
             None if isinstance(expr, ast.Star) and not self.grouped
             else compiled(expr, binding) for expr, _alias in statement.columns]
-        self.where = None if statement.where is None \
-            else compile_expression(statement.where, binding)
+        self.keep = self.where = None
+        if statement.where is not None:
+            if isinstance(source, ast.TableRef):
+                self.keep = compile_filter(statement.where, binding)
+            else:
+                self.where = compile_values(statement.where, binding)
         self.having = None if statement.having is None \
             else compiled(statement.having, binding)
-        self.group_by = [compile_expression(expr, binding)
+        self.group_by = [compile_values(expr, binding)
                          for expr in statement.group_by]
         self.order_by = [compile_expression(expr, binding)
                          for expr, _ascending in statement.order_by]
@@ -1296,31 +1303,18 @@ def _top_shape(statement: ast.SelectStatement) -> Optional[tuple]:
     return column, ascending
 
 
-def _matching(versions: List[RowVersion], predicate, binding: str,
-              ctx: EvalContext) -> List[RowVersion]:
-    """The versions whose values pass the compiled WHERE ``predicate``,
-    each tested where it lies, in one reused row dict (a NULL verdict
-    fails, as everywhere in WHERE)."""
-    row = {binding: None}
-    matches = []
-    for version in versions:
-        row[binding] = version.values
-        if predicate(row, ctx):
-            matches.append(version)
-    return matches
-
-
 def _write_parts(statement) -> tuple:
-    """``(predicate or None, [(column name, value closure)])`` of an
-    UPDATE or a DELETE (which assigns nothing)."""
+    """``(keep or None, [(column name, value closure)])`` of an UPDATE or
+    a DELETE (which assigns nothing): ``keep`` is the WHERE as
+    :func:`compile_filter` builds it."""
     binding = statement.table.name.lower()
-    predicate = None if statement.where is None \
-        else compile_expression(statement.where, binding)
+    keep = None if statement.where is None \
+        else compile_filter(statement.where, binding)
     assignments = [(name, compile_expression(expr, binding))
                    for name, expr in (
                        statement.assignments
                        if isinstance(statement, ast.UpdateStatement) else ())]
-    return predicate, assignments
+    return keep, assignments
 
 
 def _group_closure(expr, binding):
@@ -1348,12 +1342,11 @@ def _aggregate_closure(call: ast.FunctionCall, binding):
         return lambda group_rows, ctx: len(group_rows)
     if not call.args:
         return raising(f"{name}() needs an argument")
-    argument = compile_expression(call.args[0], binding)
+    arguments = compile_values(call.args[0], binding)
     distinct = call.distinct
 
     def aggregate(group_rows, ctx):
-        values = [value for value in
-                  [argument(bindings, ctx) for bindings in group_rows]
+        values = [value for value in arguments(group_rows, ctx)
                   if value is not None]
         if distinct:
             seen = set()
@@ -1377,10 +1370,11 @@ def _aggregate_closure(call: ast.FunctionCall, binding):
             kinds = sorted({type(value).__name__ for value in values})
             raise TypeError_(f"{name}() needs numbers, got "
                              f"{', '.join(kinds)}") from exc
-        if name == "MIN":
-            return min(values, key=sort_key)
-        if name == "MAX":
-            return max(values, key=sort_key)
+        if name in ("MIN", "MAX"):
+            # the first value under the least / greatest key, as
+            # min(values, key=sort_key) picks it
+            keys = sort_keys(values)
+            return values[keys.index((min if name == "MIN" else max)(keys))]
         raise TypeError_(f"unknown aggregate {name}")
     return aggregate
 

@@ -17,6 +17,10 @@ directly.  The miss path is :func:`_resolve_column`, the full walk
 literal or a parameter — the predicates a scan runs per row — are fused
 into one closure that reads the column and the values itself and
 returns what the general closures would.
+What a scan evaluates over every row — a one-table WHERE, a GROUP BY
+key, an aggregate's argument — also has a batch form over the whole
+list (:func:`compile_filter`, :func:`compile_values`), built once beside
+the row closure, which stays the definition of every operator.
 Subquery and sequence nodes build a ``ctx.child(row_bindings)`` only
 when they fire.  Nothing read at build time depends on the schema, so a
 closure is valid for as long as its tree is; the executor keeps all of a
@@ -241,6 +245,14 @@ def _op_div(left: Any, right: Any) -> Any:
     return left / right
 
 
+def _op_mul(left: Any, right: Any) -> Any:
+    # numbers only: Python would repeat text (or a list) by a count
+    if not isinstance(left, (int, float)) \
+            or not isinstance(right, (int, float)):
+        raise TypeError("only numbers multiply")
+    return left * right
+
+
 def _op_mod(left: Any, right: Any) -> Any:
     if right == 0:
         return None
@@ -263,7 +275,7 @@ _BINOP_FUNCS = {
     ">=": lambda left, right: _coerce_pair(left, right, ">="),
     "+": operator.add,
     "-": operator.sub,
-    "*": operator.mul,
+    "*": _op_mul,
     "/": _op_div,
     "%": _op_mod,
     "||": lambda left, right: str(left) + str(right),
@@ -552,6 +564,126 @@ def _build_star(expr: ast.Star, binding) -> Compiled:
     return raising("'*' is only valid in a select list or COUNT(*)")
 
 
+# -- batch forms: one call per list of rows ----------------------------------
+#
+# A batch form decides natively only what the row closure decides on its
+# int fast path and hands every other row to the row closure, in order:
+# it keeps, returns and raises exactly what a loop over the row closure
+# would.
+
+#: ``keep(versions, ctx)``: the versions whose values pass, in order
+Keep = Callable[[List[Any], EvalContext], List[Any]]
+
+
+def compile_filter(where: ast.Expression, binding: str) -> Keep:
+    """The WHERE of a statement over the one table bound as ``binding``:
+    each version is tested on its ``values`` where it lies (a NULL
+    verdict fails, as everywhere in WHERE).  ``column op value`` (a
+    comparison) and ``column [NOT] BETWEEN value AND value`` over this
+    table's column, each value a literal or a parameter, decide an int
+    row against int values inline."""
+    test = compile_expression(where, binding)
+    each = _keep_each(test, binding)
+    if where.__class__ is ast.BinaryOp and where.op in _EXACT:
+        column, sources = where.left, (_value_source(where.right),)
+    elif where.__class__ is ast.Between:
+        column = where.expr
+        sources = (_value_source(where.low), _value_source(where.high))
+    else:
+        return each
+    if None in sources or _direct_table(column, binding) != binding:
+        return each
+    if len(sources) == 1:
+        return _keep_compared(_EXACT[where.op], column.name_lower,
+                              sources[0], test, each, binding)
+    return _keep_between(column.name_lower, sources, where.negated, test,
+                         each, binding)
+
+
+def _keep_each(test: Compiled, binding: str) -> Keep:
+    """``test`` over each version in turn, in one reused row dict."""
+    def keep(versions, ctx):
+        row = {binding: None}
+        kept = []
+        for version in versions:
+            row[binding] = version.values
+            if test(row, ctx):
+                kept.append(version)
+        return kept
+    return keep
+
+
+def _operand(source: tuple, ctx: EvalContext) -> Any:
+    """A :func:`_value_source` pair's value in this execution; ``None``
+    (which the row closure then decides on) for an unbound parameter."""
+    index, value = source
+    if index is None:
+        return value
+    params = ctx.params
+    return params[index] if index < len(params) else None
+
+
+def _keep_compared(exact: Callable, name: str, source: tuple,
+                   test: Compiled, each: Keep, binding: str) -> Keep:
+    def keep(versions, ctx):
+        b = _operand(source, ctx)
+        if type(b) is not int:
+            return each(versions, ctx)
+        row = {binding: None}
+        kept = []
+        for version in versions:
+            a = version.values.get(name)
+            if type(a) is int:
+                if exact(a, b):
+                    kept.append(version)
+            else:
+                row[binding] = version.values
+                if test(row, ctx):
+                    kept.append(version)
+        return kept
+    return keep
+
+
+def _keep_between(name: str, sources: tuple, negated: bool, test: Compiled,
+                  each: Keep, binding: str) -> Keep:
+    def keep(versions, ctx):
+        low, high = _operand(sources[0], ctx), _operand(sources[1], ctx)
+        if type(low) is not int or type(high) is not int:
+            return each(versions, ctx)
+        row = {binding: None}
+        kept = []
+        for version in versions:
+            a = version.values.get(name)
+            if type(a) is int:
+                if (low <= a <= high) is not negated:
+                    kept.append(version)
+            else:
+                row[binding] = version.values
+                if test(row, ctx):
+                    kept.append(version)
+        return kept
+    return keep
+
+
+def compile_values(expr: ast.Expression, binding: Optional[str] = None):
+    """``values(rows, ctx)``: ``expr``'s value on each binding row, in
+    order.  A plain column is read in one comprehension; when a row lacks
+    it (an outer reference) the row closure answers the whole list.  Any
+    other expression maps its row closure over the rows."""
+    closure = compile_expression(expr, binding)
+    table = _direct_table(expr, binding)
+    if table is None:
+        return lambda rows, ctx: [closure(row, ctx) for row in rows]
+    name = expr.name_lower
+
+    def values(rows, ctx):
+        try:
+            return [row[table][name] for row in rows]
+        except KeyError:
+            return [closure(row, ctx) for row in rows]
+    return values
+
+
 def sort_key(value: Any) -> tuple:
     """A total-order sort key over heterogeneous SQL values (NULLs first).
     A number is keyed by its own value: ``int`` and ``float`` compare
@@ -566,6 +698,12 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, bytes):
         return (1, 2, value)
     return (1, 3, str(value))
+
+
+def sort_keys(values: Sequence[Any]) -> List[tuple]:
+    """``[sort_key(value) for value in values]``, an int keyed inline."""
+    return [(1, 0, value) if type(value) is int else sort_key(value)
+            for value in values]
 
 
 _DISPATCH: Dict[type, Callable[[Any, Optional[str]], Compiled]] = {

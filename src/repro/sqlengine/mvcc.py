@@ -18,7 +18,7 @@ S, and not deleted by T or by a transaction that committed no later than S.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .storage import RowVersion, Table
 
@@ -108,31 +108,42 @@ def visible_rows(table: Table, snapshot: Snapshot,
     return rows
 
 
-def visible_in_range(table: Table, index, positions: Iterable[int],
+def visible_in_range(table: Table, index, positions: range,
                      snapshot: Snapshot, txn_id: Optional[int],
                      dirty: bool = False) -> Tuple[List[RowVersion], int]:
     """``(versions, rows)``: the visible versions of the rows an ordered
-    index holds under the keys at ``positions`` of ``index.ordered``, in
-    that order, and how many rows were looked at.
+    index holds under the keys ``index.ordered[positions.start:
+    positions.stop]``, in that order, and how many rows were looked at.
 
     A row counts only under its visible version's own key — once, and in
     true key order, whatever other versions of it sit under other keys
     of the walk.  A key held by one version whose chain is that version
-    alone is answered by :func:`version_visible` /
-    :func:`version_visible_dirty`; any other key ranks each of its rows'
+    alone is answered by the visibility test written out, as in
+    :func:`visible_rows`; any other key ranks each of its rows'
     chains."""
-    chains, entries, ordered = table._rows, index.entries, index.ordered
+    chains, entries = table._rows, index.entries
+    ts = snapshot.timestamp
+    me = _NOBODY if txn_id is None else txn_id
     found = []
     looked_at = 0
-    for position in positions:
-        candidates = entries[ordered[position]]
+    for key in index.ordered[positions.start:positions.stop]:
+        candidates = entries[key]
         if len(candidates) == 1:
             version, = candidates
             if len(chains[version.row_id]) == 1:
                 looked_at += 1
-                if (version_visible_dirty(version) if dirty
-                        else version_visible(version, snapshot, txn_id)):
-                    found.append(version)
+                if dirty:
+                    if version.deleter_txn is None \
+                            and version.deleted_ts is None:
+                        found.append(version)
+                    continue
+                created = version.created_ts
+                if (created is not None and created <= ts
+                        or version.creator_txn == me) \
+                        and version.deleter_txn != me:
+                    deleted = version.deleted_ts
+                    if deleted is None or deleted > ts:
+                        found.append(version)
                 continue
         row_ids = {candidate.row_id for candidate in candidates}
         looked_at += len(row_ids)

@@ -51,7 +51,7 @@ class AccessPlan:
         self.kind = kind
         self.table = table
         self.index = index
-        self.keys = keys or []
+        self.keys = [] if keys is None else keys
 
     @property
     def is_index(self) -> bool:

@@ -328,6 +328,9 @@ def test_insert_with_unplaceable_key_value_is_rejected(hash_cluster):
         session.execute("INSERT INTO kv (k, v) VALUES (?, ?)", [None, 0])
     with pytest.raises(UnsupportedStatementError, match="literals or bound"):
         session.execute("INSERT INTO kv (k, v) VALUES (50, ?), (?, 0)", [0])
+    # a bool key is doubtful: = matches it against every non-zero key
+    with pytest.raises(UnsupportedStatementError, match="nor a bool"):
+        session.execute("INSERT INTO kv (k, v) VALUES (?, 0)", [True])
     assert session.execute("SELECT COUNT(*) FROM kv").rows == [(10,)]
 
 

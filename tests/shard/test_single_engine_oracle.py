@@ -37,11 +37,13 @@ JOIN = ("SELECT kv.k, kv.v, dim.name FROM kv JOIN dim ON kv.g = dim.id "
 
 # -- generated statements ----------------------------------------------------
 
-# a key spelled as the engine's ``=`` also accepts it: 10, '10', 10.0
+# a key spelled as the engine's ``=`` also accepts it: 10, '10', 10.0;
+# and a bool, which ``=`` compares by truth value
 _KEY_VALUES = st.one_of(st.integers(0, KEYS + 2).map(str),
                         st.integers(0, KEYS + 2).map("'{}'".format),
                         st.integers(0, KEYS + 2).map("{}.0".format),
-                        st.just("?"), st.just("NULL"))
+                        st.just("?"), st.just("NULL"),
+                        st.sampled_from(("TRUE", "FALSE")))
 
 
 _BOUNDS = st.one_of(_KEY_VALUES, st.sampled_from(("2.5", "'6'")))
@@ -105,7 +107,7 @@ def _statements(draw):
     params = draw(st.lists(
         st.one_of(st.integers(0, KEYS + 2), st.none(),
                   st.integers(0, KEYS + 2).map(str),
-                  st.integers(0, KEYS + 2).map(float)),
+                  st.integers(0, KEYS + 2).map(float), st.booleans()),
         min_size=sql.count("?"), max_size=sql.count("?")))
     if params and draw(st.integers(0, 7)) == 0:
         params.pop()        # a parameter the client forgot to bind
@@ -166,6 +168,12 @@ def _outcome(front, sql, params):
 @example(statements=[("SELECT k, v FROM kv WHERE k = '7'", []),
                      ("SELECT k, v FROM kv WHERE k = ?", ["7"]),
                      ("UPDATE kv SET v = v WHERE k = 'abc'", [])])
+# a bool matches every non-zero key: it pins no key and bounds no range
+@example(statements=[("SELECT k FROM kv WHERE k = ?", [True]),
+                     ("SELECT k, v FROM kv WHERE k IN (FALSE, 7)", []),
+                     ("SELECT k FROM kv WHERE k <= TRUE ORDER BY k LIMIT 3",
+                      []),
+                     ("UPDATE kv SET v = v + 1 WHERE k = TRUE", [])])
 # a range straddling a bound, the overridden key inside and outside it
 @example(statements=[("SELECT k, v FROM kv WHERE k BETWEEN 3 AND 5 "
                       "ORDER BY k DESC LIMIT 5 OFFSET 1", []),

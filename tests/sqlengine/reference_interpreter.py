@@ -259,6 +259,15 @@ def _op_div(left: Any, right: Any) -> Any:
     return left / right
 
 
+def _op_mul(left: Any, right: Any) -> Any:
+    # FIX: text times a count used to repeat the text ('ab' * 3), and
+    # 2**53 repeats ran out of memory; only numbers multiply
+    if not isinstance(left, (int, float)) \
+            or not isinstance(right, (int, float)):
+        raise TypeError("only numbers multiply")
+    return left * right
+
+
 def _op_mod(left: Any, right: Any) -> Any:
     if right == 0:
         return None
@@ -277,7 +286,7 @@ _BINOP_FUNCS = {
     ">=": lambda left, right: _coerce_pair(left, right, ">="),
     "+": lambda left, right: left + right,
     "-": lambda left, right: left - right,
-    "*": lambda left, right: left * right,
+    "*": _op_mul,
     "/": _op_div,
     "%": _op_mod,
 }

@@ -21,7 +21,7 @@ is ambiguous), and a procedure variable named like a column.
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlengine import Engine, SQLError, generic
 from repro.sqlengine import ast_nodes as ast
@@ -53,13 +53,9 @@ _COLUMN_NODES = st.builds(
     ast.ColumnRef, st.sampled_from(COLUMNS + ("nosuch",)),
     st.sampled_from((None, None, "t", "u", "T")))
 _LEAVES = st.one_of(_LITERALS, _PARAM_NODES, _COLUMN_NODES, _COLUMN_NODES)
-# int * str repeats the string: _repeats_too_far keeps 2**53 away from it
-_FACTORS = st.one_of(
-    st.sampled_from((0, 1, 2, 3, -1, 2.5, None, True, "ab")).map(ast.Literal),
-    st.builds(ast.ColumnRef, st.just("k"), st.none()))
 
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-_ARITHMETIC = ("+", "-", "/", "%", "||")
+_ARITHMETIC = ("+", "-", "*", "/", "%", "||")
 # deterministic scalar functions and an arity each accepts
 _FUNCTIONS = (("COALESCE", 2), ("NULLIF", 2), ("UPPER", 1), ("LOWER", 1),
               ("LENGTH", 1), ("CONCAT", 2), ("ABS", 1), ("GREATEST", 2),
@@ -81,7 +77,6 @@ def _nodes(inner):
         st.builds(ast.BinaryOp, st.sampled_from(_ARITHMETIC), inner, inner),
         st.builds(ast.BinaryOp, st.sampled_from(("AND", "OR")), inner, inner),
         st.builds(ast.BinaryOp, st.sampled_from(("AND", "OR")), inner, inner),
-        st.builds(ast.BinaryOp, st.just("*"), _FACTORS, _FACTORS),
         st.builds(ast.UnaryOp, st.sampled_from(("NOT", "-")), inner),
         st.builds(ast.Between, inner, inner, inner, st.booleans()),
         st.builds(ast.InList, inner, st.lists(inner, max_size=3),
@@ -107,22 +102,6 @@ def _subtrees(expr):
         yield expr
         for slot in expr.__slots__:
             yield from _subtrees(getattr(expr, slot))
-
-
-def _repeats_too_far(tree, row):
-    """True when a ``*`` node of ``tree`` multiplies text by a count no
-    memory holds (``k = 2**53`` times ``'ab'``): both arms would repeat
-    the string, and the property is not about running out of memory.
-    Every other ``*`` input, big ints and text included, stays in."""
-    for node in _subtrees(tree):
-        if isinstance(node, ast.BinaryOp) and node.op == "*":
-            a, b = (row.get(side.name) if isinstance(side, ast.ColumnRef)
-                    else side.value for side in (node.left, node.right))
-            for count, text in ((a, b), (b, a)):
-                if type(count) is int and count > 1000 \
-                        and isinstance(text, str):
-                    return True
-    return False
 
 
 _ENGINE = Engine("differential", dialect=generic(), seed=3)
@@ -204,7 +183,7 @@ def _property(max_examples):
              row={"k": 1, "v": 1, "pad": None}, shape="one binding",
              params=[None] * 3, variables={})
     @example(tree=ast.BinaryOp("*", ast.ColumnRef("k"), ast.Literal("ab")),
-             row={"k": 3, "v": 1, "pad": None},     # repeats
+             row={"k": 3, "v": 1, "pad": None},     # text does not repeat
              shape="one binding", params=[None] * 3, variables={})
     @example(tree=ast.BinaryOp("*", ast.ColumnRef("k"), ast.Literal(2.5)),
              row={"k": BIG + 1, "v": 1, "pad": None},
@@ -213,7 +192,6 @@ def _property(max_examples):
              row={"k": 1, "v": 1, "pad": None}, shape="two bindings",
              params=[None] * 3, variables={})
     def agree(tree, row, shape, params, variables):
-        assume(not _repeats_too_far(tree, row))
         _check(tree, row, shape, params, variables)
     return agree
 

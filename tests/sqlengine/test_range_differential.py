@@ -33,6 +33,7 @@ schedule — and after ``CREATE INDEX`` on the populated table and a
 exactly the sorted non-NULL keys of its ``entries``.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlengine import (
@@ -380,97 +381,105 @@ def _aggregate(call, group, value):
     return (min if call.name == "MIN" else max)(values, key=sort_key)
 
 
-@settings(max_examples=120, deadline=None)
-@given(before=st.lists(_STEP, max_size=14),
-       after=st.lists(_STEP, max_size=5),
-       moved=_IDS, inserted=st.tuples(st.integers(40, 45), _US, _WS, _SS),
-       queries=st.lists(_queries(), min_size=1, max_size=6))
-@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, 19 - k, 1, "a"))
-                 for k in (17, 18, 19)],
-         after=[], moved=0, inserted=(40, None, None, None),
-         # ORDER BY id sorts by the *output* id, which is u
-         queries=[("SELECT id AS u, u AS id FROM t WHERE id > 16 "
-                   "ORDER BY id LIMIT 2", (), 1, True)])
-@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (1, 1, 1, "a")),
-                 ("INSERT INTO t VALUES (?, ?, ?, ?)", (2, 2, 2, "9"))],
-         after=[], moved=0, inserted=(40, None, None, None),
-         queries=[("SELECT id, u, w, s FROM t WHERE s <= 70 AND w = 2",
-                   (), None, False)])
-@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, k % 3, "a"))
-                 for k in range(8)]
-         + [("UPDATE t SET w = ? WHERE id = ?", (3, 2)), ("vacuum", None),
-            ("UPDATE t SET s = ? WHERE id = ?", ("b", 5))],
-         after=[("UPDATE t SET u = ? WHERE id = ?", (None, 6))],
-         moved=3, inserted=(40, 1, 1, "b"),
-         # multi-version chains under a range walk, and the type-confused
-         # bounds of a bound BETWEEN
-         queries=[("SELECT w, COUNT(*), AVG(u), MAX(s) FROM t "
-                   "WHERE id BETWEEN ? AND ? GROUP BY w", (1, 40), None,
-                   False),
-                  ("SELECT SUM(id), MIN(s) FROM t WHERE u BETWEEN ? AND ?",
-                   ("5", 2.5), None, False),
-                  ("SELECT id, u, w, s FROM t WHERE w = ? ORDER BY id",
-                   (None,), 0, True)])
-@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (1, 1, 1, "5")),
-                 ("INSERT INTO t VALUES (?, ?, ?, ?)", (12, 2, 2, "05"))],
-         after=[], moved=0, inserted=(40, None, None, None),
-         # = compares a bool by truth value and text with a number by the
-         # number it spells: no probe key stands for either
-         queries=[("SELECT id, u, w, s FROM t WHERE id = ?", (True,), None,
-                   False),
-                  ("SELECT id FROM t WHERE s = ?", (5,), None, False),
-                  ("SELECT COUNT(*) FROM t WHERE u = ? AND w = ?",
-                   (True, 2), None, False)])
-@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, k, "a"))
-                 for k in range(4)],
-         after=[("DELETE FROM t WHERE id = ?", (1,)),
-                ("UPDATE t SET w = ? WHERE id = ?", (0, 2)),
-                ("vacuum", None)],
-         moved=3, inserted=(40, None, None, None),
-         # the old reader holds both deletions above the horizon through
-         # that vacuum; the one after it commits collects them
-         queries=[("SELECT id, u, w, s FROM t WHERE id <= ?", (3,), None,
-                   False)])
-def test_every_access_path_answers_like_the_scan(before, after, moved,
-                                                 inserted, queries):
-    arms = (_Arm(True), _Arm(False))
-    for step in before:
-        indexed, scan = (arm.step(step) for arm in arms)
-        assert indexed == scan, step
-    # a reader whose snapshot predates everything below
-    old = [arm.connect() for arm in arms]
-    for conn in old:
-        conn.execute("BEGIN ISOLATION LEVEL SNAPSHOT")
-    for step in after:
-        indexed, scan = (arm.step(step) for arm in arms)
-        assert indexed == scan, step
-    # a second session's open transaction: one key moved, one inserted
-    inside = [arm.connect() for arm in arms]
-    for conn in inside:
-        conn.execute("BEGIN")
-        _Arm.run(conn, "UPDATE t SET id = id + 100 WHERE id = ?", [moved])
-        _Arm.run(conn, "INSERT INTO t VALUES (?, ?, ?, ?)", inserted)
-    dirty = [arm.connect() for arm in arms]
-    for conn in dirty:
-        conn.execute("BEGIN ISOLATION LEVEL READ UNCOMMITTED")
-    readers = {"committed": [arm.writer for arm in arms], "snapshot": old,
-               "inside": inside, "dirty": dirty}
-    for sql, params, sort_index, unique in queries:
-        for name, (indexed, scan) in readers.items():
-            brute = _brute(arms[1].engine, scan, sql, params)
-            answer = _Arm.run(scan, sql, params)
-            _agree(answer, brute, sort_index, unique, (name, sql, params),
-                   exact=True)
-            _agree(_Arm.run(indexed, sql, params), answer, sort_index,
-                   unique, (name, sql, params))
-    # the old reader held the deletions of ``after`` above the horizon;
-    # once it commits, the next vacuum collects them
-    for conn in old:
-        conn.execute("COMMIT")
-    indexed, scan = (arm.step(("vacuum", None)) for arm in arms)
-    assert indexed == scan
-    for arm in arms:
-        _assert_ordered_views(arm.engine)
+def _property(max_examples):
+    """The three-arm property at ``max_examples`` (a fresh ``given``
+    each time: tier-1 and the soak run the same body)."""
+    @settings(max_examples=max_examples, deadline=None)
+    @given(before=st.lists(_STEP, max_size=14),
+           after=st.lists(_STEP, max_size=5),
+           moved=_IDS, inserted=st.tuples(st.integers(40, 45), _US, _WS, _SS),
+           queries=st.lists(_queries(), min_size=1, max_size=6))
+    @example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, 19 - k, 1, "a"))
+                     for k in (17, 18, 19)],
+             after=[], moved=0, inserted=(40, None, None, None),
+             # ORDER BY id sorts by the *output* id, which is u
+             queries=[("SELECT id AS u, u AS id FROM t WHERE id > 16 "
+                       "ORDER BY id LIMIT 2", (), 1, True)])
+    @example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (1, 1, 1, "a")),
+                     ("INSERT INTO t VALUES (?, ?, ?, ?)", (2, 2, 2, "9"))],
+             after=[], moved=0, inserted=(40, None, None, None),
+             queries=[("SELECT id, u, w, s FROM t WHERE s <= 70 AND w = 2",
+                       (), None, False)])
+    @example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, k % 3, "a"))
+                     for k in range(8)]
+             + [("UPDATE t SET w = ? WHERE id = ?", (3, 2)), ("vacuum", None),
+                ("UPDATE t SET s = ? WHERE id = ?", ("b", 5))],
+             after=[("UPDATE t SET u = ? WHERE id = ?", (None, 6))],
+             moved=3, inserted=(40, 1, 1, "b"),
+             # multi-version chains under a range walk, and the type-confused
+             # bounds of a bound BETWEEN
+             queries=[("SELECT w, COUNT(*), AVG(u), MAX(s) FROM t "
+                       "WHERE id BETWEEN ? AND ? GROUP BY w", (1, 40), None,
+                       False),
+                      ("SELECT SUM(id), MIN(s) FROM t WHERE u BETWEEN ? AND ?",
+                       ("5", 2.5), None, False),
+                      ("SELECT id, u, w, s FROM t WHERE w = ? ORDER BY id",
+                       (None,), 0, True)])
+    @example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (1, 1, 1, "5")),
+                     ("INSERT INTO t VALUES (?, ?, ?, ?)", (12, 2, 2, "05"))],
+             after=[], moved=0, inserted=(40, None, None, None),
+             # = compares a bool by truth value and text with a number by the
+             # number it spells: no probe key stands for either
+             queries=[("SELECT id, u, w, s FROM t WHERE id = ?", (True,), None,
+                       False),
+                      ("SELECT id FROM t WHERE s = ?", (5,), None, False),
+                      ("SELECT COUNT(*) FROM t WHERE u = ? AND w = ?",
+                       (True, 2), None, False)])
+    @example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, k, "a"))
+                     for k in range(4)],
+             after=[("DELETE FROM t WHERE id = ?", (1,)),
+                    ("UPDATE t SET w = ? WHERE id = ?", (0, 2)),
+                    ("vacuum", None)],
+             moved=3, inserted=(40, None, None, None),
+             # the old reader holds both deletions above the horizon through
+             # that vacuum; the one after it commits collects them
+             queries=[("SELECT id, u, w, s FROM t WHERE id <= ?", (3,), None,
+                       False)])
+    def answers_like_the_scan(before, after, moved, inserted, queries):
+        arms = (_Arm(True), _Arm(False))
+        for step in before:
+            indexed, scan = (arm.step(step) for arm in arms)
+            assert indexed == scan, step
+        # a reader whose snapshot predates everything below
+        old = [arm.connect() for arm in arms]
+        for conn in old:
+            conn.execute("BEGIN ISOLATION LEVEL SNAPSHOT")
+        for step in after:
+            indexed, scan = (arm.step(step) for arm in arms)
+            assert indexed == scan, step
+        # a second session's open transaction: one key moved, one inserted
+        inside = [arm.connect() for arm in arms]
+        for conn in inside:
+            conn.execute("BEGIN")
+            _Arm.run(conn, "UPDATE t SET id = id + 100 WHERE id = ?", [moved])
+            _Arm.run(conn, "INSERT INTO t VALUES (?, ?, ?, ?)", inserted)
+        dirty = [arm.connect() for arm in arms]
+        for conn in dirty:
+            conn.execute("BEGIN ISOLATION LEVEL READ UNCOMMITTED")
+        readers = {"committed": [arm.writer for arm in arms], "snapshot": old,
+                   "inside": inside, "dirty": dirty}
+        for sql, params, sort_index, unique in queries:
+            for name, (indexed, scan) in readers.items():
+                brute = _brute(arms[1].engine, scan, sql, params)
+                answer = _Arm.run(scan, sql, params)
+                _agree(answer, brute, sort_index, unique, (name, sql, params),
+                       exact=True)
+                _agree(_Arm.run(indexed, sql, params), answer, sort_index,
+                       unique, (name, sql, params))
+        # the old reader held the deletions of ``after`` above the horizon;
+        # once it commits, the next vacuum collects them
+        for conn in old:
+            conn.execute("COMMIT")
+        indexed, scan = (arm.step(("vacuum", None)) for arm in arms)
+        assert indexed == scan
+        for arm in arms:
+            _assert_ordered_views(arm.engine)
+    return answers_like_the_scan
+
+
+test_every_access_path_answers_like_the_scan = _property(120)
+test_every_access_path_answers_like_the_scan_soak = pytest.mark.soak(
+    _property(2400))
 
 
 def test_a_scan_only_error_may_disappear_but_never_appear():

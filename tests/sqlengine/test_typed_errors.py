@@ -119,6 +119,26 @@ def test_a_scalar_function_rejects_an_argument_with_a_typed_error(engine,
     assert conn.execute("SELECT ABS(-2), MOD(7, 3)").rows == [(2, 1)]
 
 
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT 3 * 'ab'", []),            # was 'ababab'
+    ("SELECT '3' * 2", []),             # was '33'
+    ("SELECT ? * 'ab'", [3]),
+    ("SELECT k * pad FROM kv WHERE k = 2", []),
+    ("SELECT k FROM kv WHERE v * ? = 20", ["x"]),
+    ("SELECT '2' + 3", []),             # as + and - always were
+])
+def test_only_numbers_multiply(engine, sql, params):
+    """Text times a count is a type error, not a repeated string: with a
+    count of 2**53 the repetition used to escape as a bare
+    ``MemoryError``."""
+    conn = engine.connect(database="shop")
+    with pytest.raises(TypeError_, match=r"operator [*+] not supported for"):
+        conn.execute(sql, params)
+    assert conn.txn is None
+    assert conn.execute("SELECT 3 * 2, 2.5 * 2, TRUE * 3").rows \
+        == [(6, 5.0, 3)]
+
+
 def test_mod_by_zero_is_null_like_the_operator(engine):
     conn = engine.connect(database="shop")
     assert conn.execute("SELECT MOD(1, 0), 1 % 0, MOD(2.5, 0.0)").rows \
