@@ -27,11 +27,17 @@ table sizes:
 
 Results land in ``BENCH_e23.json`` (ops/sec and rows-scanned-per-op) for
 regression tracking; the assertions pin only the deterministic
-rows-scanned shape, never wall-clock time.
+rows-scanned shape, never wall-clock time.  The indexed point lookup on
+the large table is also timed in us at reference speed, as E24 times its
+hit path (``perf/driver.Machine``, imported read-only): the fastest of
+ten laps over the fastest calibration kernel between them.
+``tools/bench_gate.py`` gates that time; the indexed/scan ratio is
+reported only, since the scan arm gets faster on purpose.
 """
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -39,10 +45,16 @@ from repro.bench import Report
 from repro.core.writesets import apply_writeset, extract_writeset_engine
 from repro.sqlengine import Engine
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perf"))
+
+import driver  # noqa: E402
+
 SIZES = (1_000, 10_000)
 OPS = 300
 SEED = 23
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_e23.json"
+BENCH_PATH = ROOT / "BENCH_e23.json"
+LAPS = 10       # timed laps of the indexed point lookup
 
 SPAN = 50       # keys per range_count
 TOP = 10        # LIMIT of top_n
@@ -94,6 +106,29 @@ def run_point_lookup(rows: int, use_indexes: bool):
         assert result.rows, "point lookup missed an existing row"
 
     return _measure(engine, op, OPS)
+
+
+def point_lookup_us_at_reference(rows: int, laps: int = LAPS) -> dict:
+    """One indexed point lookup in us, and at reference speed: laps of
+    the point-lookup operations alternate with calibration kernels and
+    the fastest of each is kept, so a slow spell of the machine lands on
+    all or on none."""
+    engine = build_engine(rows, True)
+    conn = engine.connect(database="shop")
+    rng = random.Random(SEED)
+    ids = [rng.randrange(1, rows + 1) for _ in range(OPS)]
+    machine = driver.Machine()
+    lookup_us = speed = float("inf")
+    for _ in range(laps):
+        speed = min(speed, machine.speed())
+        start = time.perf_counter()
+        for key in ids:
+            conn.execute("SELECT qty FROM items WHERE id = ?", [key])
+        lookup_us = min(lookup_us,
+                        (time.perf_counter() - start) / len(ids) * 1e6)
+    conn.close()
+    return {"us": lookup_us, "machine_speed": speed,
+            "us_at_reference": lookup_us / speed}
 
 
 def run_update_heavy(rows: int, use_indexes: bool):
@@ -192,6 +227,8 @@ def test_e23_index_hotpath(benchmark):
                         "ops_per_sec": ops_per_sec,
                         "rows_scanned_per_op": rows_per_op,
                     }
+        results[("point_lookup", SIZES[-1], "indexed")].update(
+            point_lookup_us_at_reference(SIZES[-1]))
         return results
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
@@ -213,6 +250,11 @@ def test_e23_index_hotpath(benchmark):
                     if variant == "indexed" else "")
     report.note(f"{OPS} seeded operations per cell; rows-scanned is "
                 "deterministic, ops/sec is wall-clock")
+    timed = results[("point_lookup", SIZES[-1], "indexed")]
+    report.note(f"indexed point lookup at {SIZES[-1]} rows: "
+                f"{timed['us_at_reference']:.2f} us at reference speed "
+                f"({timed['us']:.2f} us, machine speed "
+                f"{timed['machine_speed']:.2f})")
     report.show()
 
     for scenario in SCENARIOS:

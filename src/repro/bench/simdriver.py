@@ -4,10 +4,13 @@ discrete-event simulator, charging service times from the cost model.
 Design: state changes (the actual SQL against the in-memory engines) are
 instantaneous; what the simulation adds is *where the time goes* — replica
 CPU queueing, total-order rounds, certification, asynchronous apply
-workers.  The driver first makes the routing decision through the same
-middleware code the synchronous path uses, charges the simulated cost on
-the chosen node(s), then executes the statement with a routing override so
-the middleware's state change lands on the replica that was charged.
+workers.  :class:`TimedCluster` decides nothing itself: it asks the
+middleware's one read choice (``choose_read_replica``) or one write choice
+(``write_replica``), charges the simulated cost on the node it names —
+waiting for that replica's apply worker where the synchronous path would
+drain it for free — and executes the statement with that replica as an
+explicit ``replica=`` argument, so the state change lands where the time
+was charged.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from ..core.admission import AdmissionGate
 from ..core.analysis import analyze_cached
 from ..core.applysched import conflict_groups, lane_makespan
 from ..core.costmodel import CostModel
-from ..core.loadbalancer import RoutingContext
 from ..core.middleware import MiddlewareSession, ReplicationMiddleware
+from ..core.transaction import write_replica
 from ..metrics.perf import LatencyRecorder, ThroughputMeter, TimeSeries
 from ..sqlengine import ast_nodes as ast
 from ..workloads.generator import TxnSpec, Workload
@@ -56,6 +59,13 @@ class _GatherMember:
 class TimedCluster:
     """Wires a middleware cluster into a simulation environment."""
 
+    # Most commits one group-commit gather takes before the next opens.
+    GROUP_COMMIT_MAX = 64
+    # Dependency-parallel apply drains up to this many queued items at
+    # once, partitions them by footprint overlap and runs the
+    # non-conflicting groups on ``apply_parallelism`` lanes.
+    APPLY_DRAIN_BATCH = 16
+
     def __init__(self, env: Environment,
                  middleware: ReplicationMiddleware,
                  cost_model: Optional[CostModel] = None,
@@ -64,9 +74,7 @@ class TimedCluster:
                  apply_parallelism: int = 1,
                  cold_read_penalty: float = 0.0,
                  group_commit_window: float = 0.0,
-                 group_commit_max: int = 64,
                  dependency_apply: bool = False,
-                 apply_drain_batch: int = 16,
                  certifier_serial: bool = False):
         self.env = env
         self.middleware = middleware
@@ -84,12 +92,7 @@ class TimedCluster:
         # within ``group_commit_window`` seconds join one certifier batch
         # and one propagation frame per replica (0 = per-transaction).
         self.group_commit_window = group_commit_window
-        self.group_commit_max = max(1, group_commit_max)
-        # Dependency-parallel apply: drain up to ``apply_drain_batch``
-        # queued items, partition by footprint overlap and run the
-        # non-conflicting groups on ``apply_parallelism`` lanes.
         self.dependency_apply = dependency_apply
-        self.apply_drain_batch = max(1, apply_drain_batch)
         # The paper's section 2.2 point: certification is a *serial*
         # total-order point.  When modeled (E27), every commit holds the
         # certifier for its ordering round; a group-commit batch holds it
@@ -140,7 +143,7 @@ class TimedCluster:
                 # Peek (do not pop): a commit-time synchronous drain may
                 # race with us, and both paths must consume the queue
                 # strictly from the head to preserve apply order.
-                peek = (self.apply_drain_batch if self.dependency_apply
+                peek = (self.APPLY_DRAIN_BATCH if self.dependency_apply
                         else self.apply_parallelism)
                 batch: List = replica.peek_batch(peek)
                 units = [unit for item in batch for unit in item.units]
@@ -258,9 +261,9 @@ class TimedCluster:
                                              params)
 
     def _timed_read(self, session, statement, info, sql, params):
-        middleware = self.middleware
-        yield from self._wait_for_freshness(session)
-        replica = middleware.choose_read_replica(session, info)
+        replica, needed = self.middleware.choose_read_replica(session, info)
+        if needed is not None:
+            yield from self._await_applied(replica, needed)
         if replica.node is not None:
             service = self.cost.statement_cost(info)
             if self.cold_read_penalty > 0:
@@ -268,94 +271,83 @@ class TimedCluster:
                 hotness = replica.hotness(tables) if tables else 1.0
                 service *= 1.0 + self.cold_read_penalty * (1.0 - hotness)
             yield from replica.node.execute(service, io_fraction=0.1)
-        session.route_override = replica.name
-        try:
-            session.execute_one_parsed(statement, sql, params)
-        finally:
-            session.route_override = None
+        session.execute_one_parsed(statement, sql, params, replica=replica)
+
+    def _await_applied(self, replica, seq: int, max_wait: float = 2.0):
+        """The middleware's freshness wait in simulated time: where the
+        synchronous path drains ``replica`` up to ``seq`` for free, its
+        apply worker gets up to ``max_wait`` to get there; whatever is
+        left then is drained (a forced synchronous apply)."""
+        deadline = self.env.now + max_wait
+        while replica.applied_seq < seq and replica.apply_queue \
+                and replica.is_online and self.env.now < deadline:
+            yield self.env.timeout(0.002)
+        if replica.is_online:
+            self.middleware.drain_replica(replica.name, up_to_seq=seq)
 
     def _timed_write(self, session, statement, info, sql, params):
         middleware = self.middleware
-        config = middleware.config
         statement_cost = self.cost.statement_cost(info)
         autocommit = not session.in_transaction
-        if config.statement_broadcast:
-            # total order + parallel execution at every online replica
+        if middleware.config.statement_broadcast or info.is_ddl:
+            # total order + parallel execution at every online replica:
+            # statement replication, and DDL under any protocol (it has no
+            # writeset, so writeset replication broadcasts it too)
             yield self.env.timeout(self.ordering_delay)
-            tasks = []
-            for replica in middleware.online_replicas():
-                if replica.node is not None:
-                    tasks.append(self.env.process(replica.node.execute(
-                        statement_cost, io_fraction=self.cost.io_fraction)))
-            if tasks:
-                yield self.env.all_of(tasks)
-                yield self.env.timeout(self.ACK_PROCESSING * len(tasks))
+            charged = yield from self._charge_each(
+                middleware.online_replicas(), statement_cost,
+                self.cost.io_fraction)
+            if charged:
+                yield self.env.timeout(self.ACK_PROCESSING * charged)
             if autocommit:
                 yield from self._charge_statement_commit()
             session.execute_one_parsed(statement, sql, params)
             return
         # writeset / master mode: execute at the local replica only
-        replica = self._local_write_replica(session, info)
-        if replica is not None and replica.node is not None:
+        replica = write_replica(session, info.sorted_tables())
+        if replica.node is not None:
             yield from replica.node.execute(
                 statement_cost, io_fraction=self.cost.io_fraction)
-        if autocommit and replica is not None \
-                and self.group_commit_window > 0 and not info.is_ddl \
-                and config.replication == "writeset":
+
+        def work():
+            session.execute_one_parsed(statement, sql, params,
+                                       replica=replica)
+        if autocommit and self.group_commit_window > 0:
             # the autocommit write's commit joins the current gather; the
             # batch leader runs the state change at flush time
-            def work():
-                session.write_override = replica.name
-                try:
-                    session.execute_one_parsed(statement, sql, params)
-                finally:
-                    session.write_override = None
             yield from self._group_commit_run(session, replica, work)
             return
-        if autocommit and replica is not None:
+        if autocommit:
             yield from self._charge_writeset_commit(replica)
-        if replica is not None:
-            session.write_override = replica.name
-        try:
-            session.execute_one_parsed(statement, sql, params)
-        finally:
-            session.write_override = None
+        work()
 
     # Middleware-side per-replica acknowledgement processing: collecting N
     # replies serializes at the coordinator, so broadcast cost grows
     # (slightly) with the cluster size even when replicas run in parallel.
     ACK_PROCESSING = 0.00008
 
+    def _charge_each(self, replicas, service: float, io_fraction: float):
+        """Charge ``service`` on every one of ``replicas`` in parallel;
+        returns how many nodes were charged."""
+        tasks = [self.env.process(replica.node.execute(
+            service, io_fraction=io_fraction))
+            for replica in replicas if replica.node is not None]
+        if tasks:
+            yield self.env.all_of(tasks)
+        return len(tasks)
+
     def _charge_statement_commit(self):
         """Commit IO forced in parallel at every replica (statement mode),
         plus coordinator-side acknowledgement collection."""
-        tasks = []
         online = self.middleware.online_replicas()
-        for replica in online:
-            if replica.node is not None:
-                tasks.append(self.env.process(replica.node.execute(
-                    self.cost.commit_io, io_fraction=0.9)))
-        if tasks:
-            yield self.env.all_of(tasks)
+        yield from self._charge_each(online, self.cost.commit_io, 0.9)
         yield self.env.timeout(self.ACK_PROCESSING * len(online))
-
-    def _coordinator_replicated(self) -> bool:
-        """A replicated certifier and HA state shipping (repro.ha) both
-        add one synchronous coordinator round-trip to every commit —
-        the price of losing nothing on failover (E09 / E26)."""
-        middleware = self.middleware
-        ha = middleware.ha
-        return middleware.certifier.replicated \
-            or (ha is not None and ha.standby_name is not None)
 
     def _charge_writeset_commit(self, local):
         """Certification round, pending-prefix catch-up, local commit IO,
         and (under synchronous propagation) the remote applies."""
         middleware = self.middleware
-        certification_rounds = 2 if self._coordinator_replicated() else 1
-        yield from self._charge_certification(
-            self.ordering_delay * certification_rounds
-            + self.cost.certification)
+        yield from self._charge_certification()
         if local.node is not None:
             pending = len(local.apply_queue)
             if pending:
@@ -365,19 +357,23 @@ class TimedCluster:
             yield from local.node.execute(self.cost.commit_io,
                                           io_fraction=0.9)
         if middleware.config.propagation == "sync":
-            tasks = []
-            for replica in middleware.online_replicas():
-                if replica.name != local.name and replica.node is not None:
-                    tasks.append(self.env.process(replica.node.execute(
-                        self.cost.writeset_apply,
-                        io_fraction=self.cost.io_fraction)))
-            if tasks:
-                yield self.env.all_of(tasks)
+            yield from self._charge_each(
+                [r for r in middleware.online_replicas()
+                 if r.name != local.name],
+                self.cost.writeset_apply, self.cost.io_fraction)
 
-    def _charge_certification(self, service: float):
-        """The ordering round + certification check.  When the serial
-        total-order point is modeled, the whole round holds the certifier
+    def _charge_certification(self, extra: float = 0.0):
+        """The ordering round + certification check (+ ``extra`` CPU).  A
+        replicated certifier and HA state shipping (repro.ha) both add
+        one synchronous coordinator round-trip — the price of losing
+        nothing on failover (E09 / E26).  When the serial total-order
+        point is modeled, the whole round holds the certifier
         exclusively — concurrent commits queue behind it."""
+        ha = self.middleware.ha
+        rounds = 2 if self.middleware.certifier.replicated or (
+            ha is not None and ha.standby_name is not None) else 1
+        service = self.ordering_delay * rounds + self.cost.certification \
+            + extra
         if self._cert_lock is None:
             yield self.env.timeout(service)
             return
@@ -401,7 +397,7 @@ class TimedCluster:
         re-raise their own outcome (e.g. a certification abort)."""
         gather = self._gc_current
         if gather is not None and not gather.closed \
-                and len(gather.members) < self.group_commit_max:
+                and len(gather.members) < self.GROUP_COMMIT_MAX:
             member = _GatherMember(session, local, work, Store(self.env))
             gather.members.append(member)
             yield member.signal.get()
@@ -443,11 +439,8 @@ class TimedCluster:
         middleware = self.middleware
         cost = self.cost
         members = gather.members
-        certification_rounds = 2 if self._coordinator_replicated() else 1
         yield from self._charge_certification(
-            self.ordering_delay * certification_rounds
-            + cost.certification
-            + cost.certify_txn_cpu * (len(members) - 1))
+            cost.certify_txn_cpu * (len(members) - 1))
         by_origin: Dict[str, int] = {}
         for member in members:
             by_origin[member.local.name] = \
@@ -490,53 +483,17 @@ class TimedCluster:
         if tasks:
             yield self.env.all_of(tasks)
 
-    def _wait_for_freshness(self, session, max_wait: float = 2.0):
-        """Freshness waits cost real (simulated) time: when no replica is
-        eligible for this session's reads, wait for the apply workers to
-        advance instead of draining queues for free.  Falls through after
-        ``max_wait`` (the synchronous drain then models a forced sync)."""
-        middleware = self.middleware
-        protocol = middleware.config.consistency
-        if session.pinned_replica is not None or session.in_transaction:
-            return
-        deadline = self.env.now + max_wait
-        while self.env.now < deadline:
-            cluster_view = middleware.cluster_view()
-            eligible = any(
-                protocol.read_eligible(r, session.view, cluster_view)
-                for r in middleware.online_replicas()
-            )
-            if eligible:
-                return
-            middleware.stats["freshness_waits"] += 1
-            yield self.env.timeout(0.002)
-
-    def _local_write_replica(self, session, info):
-        middleware = self.middleware
-        txn = session.txn
-        if txn is not None and txn.local_replica is not None:
-            return middleware.replica_by_name(txn.local_replica)
-        if middleware.config.consistency.write_mode == "master":
-            return middleware.master
-        context = RoutingContext(tables=sorted(info.all_tables()),
-                                 session_id=session.id, is_write=True)
-        return middleware.config.balancer.choose(
-            middleware.online_replicas(), context)
-
     def _timed_commit(self, session, statement, sql, params):
         middleware = self.middleware
-        config = middleware.config
         txn = session.txn
         if txn is None:
             return
-        if txn.is_write and config.statement_broadcast:
+        if txn.is_write and middleware.config.statement_broadcast:
             yield from self._charge_statement_commit()
         elif txn.is_write:
-            local_name = txn.local_replica
-            local = (middleware.replica_by_name(local_name)
-                     if local_name else middleware.master)
-            if self.group_commit_window > 0 \
-                    and config.replication == "writeset":
+            # the origin is the replica the transaction's writes ran at
+            local = middleware.replica_by_name(txn.local_replica)
+            if self.group_commit_window > 0:
                 yield from self._group_commit_run(
                     session, local,
                     lambda: session.execute_one_parsed(statement, sql,

@@ -395,19 +395,28 @@ class ReplicationMiddleware:
     # ------------------------------------------------------------------
 
     def choose_read_replica(self, session: "MiddlewareSession",
-                            info: Optional[StatementInfo]) -> Replica:
-        """Pick a read replica honouring pinning, consistency eligibility
-        and the balancer; waits (drains) for freshness when required."""
+                            info: Optional[StatementInfo]
+                            ) -> Tuple[Replica, Optional[int]]:
+        """The one read choice: the open transaction's own replica, else
+        pinning, consistency eligibility and the balancer.  Returns it and
+        the seq it must apply first when no replica is fresh enough
+        (``None``: read now) — the synchronous path drains to it there,
+        the timed driver waits for the apply worker."""
+        txn = session.txn
+        if txn is not None:
+            replica = txn.read_replica()
+            if replica is not None:
+                return replica, None
         parent = session.active_span or session.trace_context
         span = self.tracer.child_span("balancer.choose", parent)
         with span:
-            replica = self._choose_read_replica(session, info, span)
+            replica, needed = self._choose_read_replica(session, info, span)
             span.set_tag("replica", replica.name)
-        return replica
+        return replica, needed
 
     def _choose_read_replica(self, session: "MiddlewareSession",
                              info: Optional[StatementInfo],
-                             span) -> Replica:
+                             span) -> Tuple[Replica, Optional[int]]:
         if session.pinned_replica is not None:
             replica = self.replica_by_name(session.pinned_replica)
             if not replica.can_serve:
@@ -415,12 +424,7 @@ class ReplicationMiddleware:
                     f"session pinned to failed replica {replica.name!r} "
                     "(temporary tables are not replicated, section 4.1.4)")
             span.set_tag("why", "pinned")
-            return replica
-        if session.route_override is not None:
-            replica = self.replica_by_name(session.route_override)
-            if replica.can_serve:
-                span.set_tag("why", "override")
-                return replica
+            return replica, None
 
         cluster = self.cluster_view()
         protocol = self.config.consistency
@@ -439,7 +443,7 @@ class ReplicationMiddleware:
                 span.set_tag("policy", decision.get("policy"))
                 span.set_tag("candidates", decision.get(
                     "candidates", len(candidates)))
-            return chosen
+            return chosen, None
 
         # Nobody fresh enough: wait for the most caught-up replica.
         online = self.online_replicas()
@@ -456,12 +460,11 @@ class ReplicationMiddleware:
                 self.resilience.note_degraded_read(lag)
                 span.set_tag("why", "degraded_stale")
                 span.event("degraded_read", lag=lag, replica=best.name)
-                return best
+                return best, None
         self.stats["freshness_waits"] += 1
         span.set_tag("why", "freshness_wait")
         span.set_tag("waited_for_seq", needed)
-        self.drain_replica(best.name, up_to_seq=needed)
-        return best
+        return best, needed
 
     # ------------------------------------------------------------------
     # update propagation
@@ -665,11 +668,6 @@ class MiddlewareSession:
         # after middleware failover can be deduplicated (exactly-once).
         self.client_id: Optional[str] = None
         self.client_txn_id: Optional[str] = None
-        # Routing overrides used by the timed simulation driver so that the
-        # time-charging layer and the state-changing layer agree on the
-        # chosen replica (see repro.bench.simdriver).
-        self.route_override: Optional[str] = None
-        self.write_override: Optional[str] = None
         # Resilience state: an optional request deadline (set per request
         # by the client or driver; an implicit one is created from the
         # policy's request_timeout), and whether an external driver
@@ -745,7 +743,7 @@ class MiddlewareSession:
         self._single_statement = len(units) == 1
         return self._guarded(units)
 
-    def _guarded(self, units) -> Result:
+    def _guarded(self, units, replica: Optional[Replica] = None) -> Result:
         """Run one request's statements — with a resilience layer, behind
         its admission gate and under a deadline, unless they are a
         replay's (already inside a guarded request) or a driver holds a
@@ -766,7 +764,8 @@ class MiddlewareSession:
         try:
             result = Result()
             for statement, text, values in units:
-                result = self._execute_one(statement, text, list(values))
+                result = self._execute_one(statement, text, list(values),
+                                           replica)
             ok = True
             return result
         finally:
@@ -776,14 +775,18 @@ class MiddlewareSession:
                 ticket.settle(ok)
 
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
-                           params: Optional[List[Any]] = None) -> Result:
+                           params: Optional[List[Any]] = None, *,
+                           replica: Optional[Replica] = None) -> Result:
         """Execute one pre-parsed statement (the tiers above and the
         timed drivers).  ``(sql_text, params)`` is the identity of this
         one statement — its result-cache key, and what statement
         replication logs and replays — so it must re-execute as
         ``statement`` and nothing else: a caller that was sent a
         ``;``-script hands down each statement's own text
-        (``StatementCache.script``), never the script's."""
+        (``StatementCache.script``), never the script's.  ``replica``:
+        the read or write choice the caller already asked for; if it is
+        down, a read is placed afresh and a write raises
+        :class:`ReplicaUnavailable`."""
         self._check_open()
         gate = self.middleware.cache_gate
         if gate is not None:
@@ -792,8 +795,10 @@ class MiddlewareSession:
                 return cached
         self._single_statement = True
         if self.middleware.resilience is not None:
-            return self._guarded(((statement, sql_text, params or ()),))
-        return self._execute_one(statement, sql_text, list(params or []))
+            return self._guarded(((statement, sql_text, params or ()),),
+                                 replica)
+        return self._execute_one(statement, sql_text, list(params or []),
+                                 replica)
 
     def begin(self, isolation: Optional[str] = None) -> None:
         self.execute("BEGIN" if isolation is None
@@ -838,7 +843,8 @@ class MiddlewareSession:
     # ------------------------------------------------------------------
 
     def _execute_one(self, statement: ast.Statement, sql_text: str,
-                     params: List[Any]) -> Result:
+                     params: List[Any],
+                     replica: Optional[Replica] = None) -> Result:
         tracer = self.middleware.tracer
         if self.active_span:
             # nested execution (e.g. a transaction replay re-issuing
@@ -858,14 +864,16 @@ class MiddlewareSession:
             try:
                 resilience = self.middleware.resilience
                 if resilience is None:
-                    return self._dispatch_one(statement, sql_text, params)
+                    return self._dispatch_one(statement, sql_text, params,
+                                              replica)
                 return resilience.execute_statement(
-                    self, statement, sql_text, params)
+                    self, statement, sql_text, params, replica)
             finally:
                 self.active_span = previous
 
     def _dispatch_one(self, statement: ast.Statement, sql_text: str,
-                      params: List[Any]) -> Result:
+                      params: List[Any],
+                      replica: Optional[Replica] = None) -> Result:
         self.middleware._check_up()
         if isinstance(statement, ast.BeginStatement):
             if self.txn is not None:
@@ -889,8 +897,10 @@ class MiddlewareSession:
             self._cache_ineligible = True
 
         if info.is_read_only and not self._statement_touches_temp(info):
-            return self._execute_read(statement, sql_text, params, info)
-        return self._execute_write(statement, sql_text, params, info)
+            return self._execute_read(statement, sql_text, params, info,
+                                      replica)
+        return self._execute_write(statement, sql_text, params, info,
+                                   replica)
 
     def _statement_touches_temp(self, info: StatementInfo) -> bool:
         if info.creates_temp_table:
@@ -919,54 +929,37 @@ class MiddlewareSession:
     # ------------------------------------------------------------------
 
     def _execute_read(self, statement: ast.Statement, sql_text: str,
-                      params: List[Any], info: StatementInfo) -> Result:
+                      params: List[Any], info: StatementInfo,
+                      replica: Optional[Replica] = None) -> Result:
         middleware = self.middleware
         middleware.stats["reads"] += 1
         gate = middleware.cache_gate
         txn = self.txn
-        if txn is not None and not middleware.config.statement_broadcast:
-            # reads inside a writeset transaction stay on the local replica
-            # (master-mode read-only transactions may run on a satellite)
-            if txn.local_replica is None and not txn.is_write:
-                replica = middleware.choose_read_replica(self, info)
-                if middleware.config.consistency.write_mode != "master":
-                    # later writes must see these reads' snapshot
-                    connection = txn.anchor(replica)
-                else:
-                    connection = txn.connection(replica)
+        replays_before = self.failover_replays
+        try:
+            if replica is None or not replica.can_serve:
+                replica, needed = middleware.choose_read_replica(self, info)
+                if needed is not None:
+                    middleware.drain_replica(replica.name, up_to_seq=needed)
+            if txn is not None:
+                result = self._traced_execute(
+                    replica, txn.read_connection(replica), statement, params)
             else:
-                replica, connection = txn.local()
-            result = self._traced_execute(replica, connection, statement,
-                                          params)
-        elif txn is not None:
-            # statement mode: read through a replica holding the txn
-            if txn.connections:
-                replica = self._pick_txn_read_replica(txn)
-            else:
-                replica = middleware.choose_read_replica(self, info)
-            connection = txn.connection(replica)
-            result = self._traced_execute(replica, connection, statement,
-                                          params)
-        else:
-            try:
-                replica = middleware.choose_read_replica(self, info)
-                connection = self._read_connection(replica)
-                replays_before = self.failover_replays
                 result = self._run_with_failover(
-                    replica, connection, statement, params, info)
-            except (NoReplicaAvailable, ReplicaUnavailable,
-                    ConnectionError_):
-                # degraded mode prefers a labelled-stale cache hit over an
-                # error surfaced to the client
-                stale = gate.fallback(self, sql_text, params) \
-                    if gate is not None else None
-                if stale is not None:
-                    return stale
-                raise
-            if gate is not None and self._single_statement \
-                    and self.failover_replays == replays_before:
-                gate.fill(self, statement, sql_text, params, info, replica,
-                          result)
+                    replica, self._read_connection(replica), statement,
+                    params, info)
+        except (NoReplicaAvailable, ReplicaUnavailable, ConnectionError_):
+            # degraded mode prefers a labelled-stale cache hit over an
+            # error surfaced to the client
+            stale = gate.fallback(self, sql_text, params) \
+                if gate is not None and txn is None else None
+            if stale is not None:
+                return stale
+            raise
+        if txn is None and gate is not None and self._single_statement \
+                and self.failover_replays == replays_before:
+            gate.fill(self, statement, sql_text, params, info, replica,
+                      result)
         replica.stats["served_reads"] += 1
         replica.note_hot_tables(sorted(info.all_tables()))
         if middleware.resilience is not None:
@@ -984,13 +977,6 @@ class MiddlewareSession:
             result.rowcount = len(result.rows)
         return result
 
-    def _pick_txn_read_replica(self, txn: OpenTransaction) -> Replica:
-        for name in txn.connections:
-            replica = self.middleware.replica_by_name(name)
-            if replica.can_serve:
-                return replica
-        raise ReplicaUnavailable("no live replica holds this transaction")
-
     def _run_with_failover(self, replica: Replica, connection: Connection,
                            statement: ast.Statement, params: List[Any],
                            info: StatementInfo) -> Result:
@@ -1004,7 +990,9 @@ class MiddlewareSession:
             if self.active_span:
                 self.active_span.event("failover_retry",
                                        failed=replica.name)
-            retry = self.middleware.choose_read_replica(self, info)
+            retry, needed = self.middleware.choose_read_replica(self, info)
+            if needed is not None:
+                self.middleware.drain_replica(retry.name, up_to_seq=needed)
             retry_connection = self._read_connection(retry)
             self.failover_replays += 1
             return self._traced_execute(retry, retry_connection,
@@ -1029,7 +1017,8 @@ class MiddlewareSession:
     # ------------------------------------------------------------------
 
     def _execute_write(self, statement: ast.Statement, sql_text: str,
-                       params: List[Any], info: StatementInfo) -> Result:
+                       params: List[Any], info: StatementInfo,
+                       replica: Optional[Replica] = None) -> Result:
         middleware = self.middleware
         middleware.stats["writes"] += 1
         txn = self.txn
@@ -1044,7 +1033,7 @@ class MiddlewareSession:
                     self, statement, sql_text, params, info)
             else:
                 result = self._writeset_mode_write(
-                    txn, statement, sql_text, params, info)
+                    txn, statement, sql_text, params, info, replica)
         except Exception:
             if implicit and self.txn is txn:
                 txn.rollback()
@@ -1098,12 +1087,12 @@ class MiddlewareSession:
 
     def _writeset_mode_write(self, txn: OpenTransaction,
                              statement: ast.Statement, sql_text: str,
-                             params: List[Any],
-                             info: StatementInfo) -> Result:
+                             params: List[Any], info: StatementInfo,
+                             replica: Optional[Replica]) -> Result:
         if info.is_ddl:
             return self._broadcast_ddl(txn, statement, sql_text, params,
                                        info)
-        replica, connection = txn.local()
+        replica, connection = txn.local(info.sorted_tables(), replica)
         result = self._traced_execute(replica, connection, statement,
                                       params)
         txn.note_write(sql_text, params, info.tables_written)

@@ -396,12 +396,14 @@ class ResilienceCoordinator:
     # -- the resilient dispatch path -----------------------------------------
 
     def execute_statement(self, session, statement: "ast.Statement",
-                          sql_text: str, params: List[Any]):
-        """Wrap one statement dispatch in deadline + retry machinery."""
+                          sql_text: str, params: List[Any], replica=None):
+        """Wrap one statement dispatch in deadline + retry machinery
+        (``replica``: the caller's choice, handed to every attempt)."""
         if self._replaying:
             # statements re-issued by a replay run bare: the outer retry
             # loop owns attempt accounting, so nesting would compound it
-            return session._dispatch_one(statement, sql_text, params)
+            return session._dispatch_one(statement, sql_text, params,
+                                         replica)
         if isinstance(statement, ast.RollbackStatement):
             # a rollback must always succeed from the client's view
             return session._dispatch_one(statement, sql_text, params)
@@ -421,7 +423,8 @@ class ResilienceCoordinator:
             # breaker / deadline decisions land on it as span events
             span = session.active_span
             try:
-                return session._dispatch_one(statement, sql_text, params)
+                return session._dispatch_one(statement, sql_text, params,
+                                             replica)
             except RequestTimeout:
                 self.stats["timeouts"] += 1
                 if span:

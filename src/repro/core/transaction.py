@@ -13,7 +13,7 @@ resilience layer replays a failed commit's statement log from it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..sqlengine import Connection, SQLError
 from .errors import ReplicaUnavailable
@@ -84,35 +84,46 @@ class OpenTransaction:
         self.start_seq = min(self.start_seq, replica.applied_seq)
         return connection
 
-    def local(self) -> Tuple[Replica, Connection]:
-        """The replica this transaction executes at, anchored on first
-        use (the master, the driver's write override, or the balancer's
-        choice), and the connection there."""
-        session = self.session
-        middleware = session.middleware
-        if middleware.config.consistency.write_mode == "master":
-            replica = middleware.master
-            if not replica.is_online:
-                raise ReplicaUnavailable(
-                    f"master {replica.name!r} is down; promote a new master")
-        elif self.local_replica is None and session.write_override is not None:
-            replica = middleware.replica_by_name(session.write_override)
-            if not replica.is_online:
-                raise ReplicaUnavailable(
-                    f"write-override replica {replica.name!r} is down")
-        elif self.local_replica is not None:
-            replica = middleware.replica_by_name(self.local_replica)
-            if not replica.is_online:
-                # Transaction replication cannot transparently fail over:
-                # the transaction lived only here (section 4.3.3).
-                raise ReplicaUnavailable(
-                    f"replica {replica.name!r} executing this transaction "
-                    "died; the transaction must be replayed by the client")
-        else:
-            context = RoutingContext(session_id=session.id, is_write=True)
-            replica = middleware.config.balancer.choose(
-                middleware.online_replicas(), context)
+    def local(self, tables: Sequence[str] = (),
+              replica: Optional[Replica] = None
+              ) -> Tuple[Replica, Connection]:
+        """The replica this transaction executes at — ``replica`` if the
+        caller already asked :func:`write_replica`, else its choice for
+        the statement's ``tables`` — anchored, and the connection there."""
+        if replica is None:
+            replica = write_replica(self.session, tables)
+        elif not replica.is_online:
+            raise ReplicaUnavailable(
+                f"replica {replica.name!r} chosen for this write is down")
         return replica, self.anchor(replica)
+
+    def read_replica(self) -> Optional[Replica]:
+        """Where this transaction's next read must run — a replica it
+        already holds under statement replication, else its anchor — or
+        ``None`` while the middleware's read choice may place it."""
+        middleware = self.session.middleware
+        if not middleware.config.statement_broadcast:
+            if self.local_replica is None and not self.is_write:
+                return None
+            return write_replica(self.session)
+        for name in self.connections:
+            replica = middleware.replica_by_name(name)
+            if replica.can_serve:
+                return replica
+        if self.connections:
+            raise ReplicaUnavailable("no live replica holds this transaction")
+        return None
+
+    def read_connection(self, replica: Replica) -> Connection:
+        """The connection a read at ``replica`` runs on: a writeset
+        transaction anchors there (its later writes must see the read's
+        snapshot) unless it is a master protocol's read-only one."""
+        config = self.session.middleware.config
+        if config.statement_broadcast or (
+                config.consistency.write_mode == "master"
+                and not self.is_write):
+            return self.connection(replica)
+        return self.anchor(replica)
 
     def note_write(self, sql_text: str, params: list, tables) -> None:
         """A write ran: log it for replay and sequencing, and remember
@@ -199,3 +210,33 @@ class OpenTransaction:
                 self.lock_id)
         session.txn = None
         middleware.config.balancer.end_transaction(session.id)
+
+
+def write_replica(session: "MiddlewareSession",
+                  tables: Sequence[str] = ()) -> Replica:
+    """The one write choice: the master under a master protocol, else the
+    open transaction's anchor, else the balancer's pick for the
+    statement's ``tables`` (placed by its tables, as a read is).  The
+    timed driver asks it before it charges and hands the answer back as
+    ``execute_one_parsed(..., replica=)``."""
+    middleware = session.middleware
+    if middleware.config.consistency.write_mode == "master":
+        replica = middleware.master
+        if not replica.is_online:
+            raise ReplicaUnavailable(
+                f"master {replica.name!r} is down; promote a new master")
+        return replica
+    txn = session.txn
+    if txn is not None and txn.local_replica is not None:
+        replica = middleware.replica_by_name(txn.local_replica)
+        if not replica.is_online:
+            # Transaction replication cannot transparently fail over:
+            # the transaction lived only here (section 4.3.3).
+            raise ReplicaUnavailable(
+                f"replica {replica.name!r} executing this transaction "
+                "died; the transaction must be replayed by the client")
+        return replica
+    context = RoutingContext(tables=tables, session_id=session.id,
+                             is_write=True)
+    return middleware.config.balancer.choose(
+        middleware.online_replicas(), context)

@@ -687,7 +687,12 @@ class Executor:
         if call.name == "SETVAL":
             if len(call.args) < 2:
                 raise TypeError_("SETVAL needs (sequence, value)")
-            value = int(evaluate(call.args[1], ctx))
+            raw = evaluate(call.args[1], ctx)
+            try:
+                value = int(raw)
+            except (TypeError, ValueError, OverflowError):
+                raise TypeError_(
+                    f"SETVAL needs an integer value, not {raw!r}") from None
             sequence.set_value(value)
             return value
         raise TypeError_(f"unknown sequence function {call.name}")

@@ -155,10 +155,11 @@ def test_a_restart_rebuilds_from_caught_up_replicas(restart):
     else:
         cold_restart(mw)
     assert [r.applied_seq for r in mw.replicas] == [mw.global_seq] * 3
+    statement, text, params = mw.statements.script(
+        "UPDATE kv SET v = v + 1 WHERE k = 2")[0]
     for replica in mw.replicas:
         late = mw.connect(database="shop")
-        late.write_override = replica.name
-        late.execute("UPDATE kv SET v = v + 1 WHERE k = 2")
+        late.execute_one_parsed(statement, text, params, replica=replica)
         late.close()
         mw.drain_all()
     assert mw.check_convergence()

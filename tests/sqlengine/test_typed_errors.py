@@ -229,3 +229,27 @@ def test_valid_limits_still_slice(engine):
     assert conn.execute(rows + "LIMIT 2 OFFSET 1").rows == [(2,), (3,)]
     assert conn.execute(rows + "OFFSET 2").rows == [(3,)]
     assert conn.execute(rows + "LIMIT ?", [5]).rows == [(1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("value", ["'x'", "NULL", "?"])
+def test_setval_rejects_a_non_integer_at_both_doors(value):
+    """``SETVAL`` with a value that is no integer is a ``TypeError_`` at
+    the engine door and at the middleware door alike (it used to leave
+    both as a bare ``ValueError`` / ``TypeError`` with no retry label),
+    and the session goes on working."""
+    from repro.bench import build_cluster
+    from repro.core import retry_label
+
+    sql = f"SELECT SETVAL('sq', {value})"
+    params = [[1]] if value == "?" else []
+    engine = Engine("typed", dialect=postgresql(), seed=5)
+    engine.create_database("shop")
+    middleware = build_cluster(2, replication="writeset")
+    for session in (engine.connect(database="shop"),
+                    middleware.connect(database="shop")):
+        session.execute("CREATE SEQUENCE sq")
+        with pytest.raises(TypeError_, match="SETVAL needs an integer"
+                           ) as caught:
+            session.execute(sql, params)
+        assert retry_label(caught.value) is not None
+        assert session.execute("SELECT SETVAL('sq', 41)").scalar() == 41

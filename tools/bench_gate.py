@@ -28,7 +28,9 @@ Check forms (entries in a baseline's ``checks`` list):
 
 Dotted paths descend dicts by key and lists by integer index.  A path
 that does not resolve is itself a failure — a benchmark silently
-dropping a gated metric must not pass.
+dropping a gated metric must not pass.  So is an artifact older than
+the newest ``*.py`` under ``src/repro`` or ``benchmarks/`` (``STALE``):
+it measured other code, and the message names the benchmark to re-run.
 
 Usage:
   python tools/bench_gate.py                 # gate every baselined file
@@ -103,6 +105,22 @@ def evaluate_check(doc, check: dict):
     return ok, label, detail
 
 
+def newest_source() -> Path:
+    """The most recently modified ``*.py`` the artifacts measure."""
+    sources = [path for folder in ("src/repro", "benchmarks")
+               for path in (REPO_ROOT / folder).rglob("*.py")]
+    return max(sources, key=lambda path: path.stat().st_mtime)
+
+
+def benchmark_for(name: str) -> str:
+    """``BENCH_e23.json`` -> the benchmark file that writes it."""
+    experiment = name[len("BENCH_"):-len(".json")]
+    found = sorted((REPO_ROOT / "benchmarks").glob(
+        "test_{}_*.py".format(experiment)))
+    return found[0].relative_to(REPO_ROOT).as_posix() if found \
+        else "the {} benchmark".format(experiment)
+
+
 def gate_file(bench_path: Path, checks: list) -> list:
     """Evaluate every check for one artifact; returns result rows."""
     doc = json.loads(bench_path.read_text())
@@ -136,6 +154,7 @@ def main(argv=None) -> int:
 
     baselines = json.loads(args.baselines.read_text())
     selected = args.only or sorted(baselines)
+    source = newest_source()
     failures = 0
     checked = 0
     for name in selected:
@@ -150,6 +169,12 @@ def main(argv=None) -> int:
                 continue
             print("FAIL {}: artifact not present (run the benchmark "
                   "first)".format(name))
+            failures += 1
+            continue
+        if bench_path.stat().st_mtime < source.stat().st_mtime:
+            print("STALE {}: older than {}; re-run {}".format(
+                name, source.relative_to(REPO_ROOT).as_posix(),
+                benchmark_for(name)))
             failures += 1
             continue
         for ok, label, detail in gate_file(
