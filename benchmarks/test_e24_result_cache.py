@@ -8,17 +8,16 @@ scenarios:
 
 * **read_scaleout** — a read-mostly point-lookup workload (98% reads,
   zipf-ish hot set) through the full middleware stack, cache on vs off.
-  The cache answers hot reads before routing or execution.  Two gates:
-  the throughput ratio (>=3.2x), and — because that ratio shrinks
-  whenever the *uncached* path gets faster — the time of one hit at
-  reference speed (<=8 us), which only moves when the hit path itself
-  does.  (The ratio floor was 5x while the cache-off arm re-parsed and
-  re-analyzed every statement; the statement cache made that arm ~2.5x
-  faster, a hit costs what it did, ~6 us, and the ~8% of reads that
-  miss plus the writes now bound the ratio near 5x even for a free hit,
-  so the same cache measures ~3.7x.  A hit over the same statement on a
-  bare replica engine is reported but not gated: it too fell as the
-  engine got faster, to ~24 us.)
+  The cache answers hot reads before routing or execution.  Gated: the
+  cache-on arm's time per operation at reference speed, the time of
+  one hit at reference speed (<=8 us), and the arm's hit rate and fill
+  count, which repeat exactly.  The cache-on/cache-off throughput ratio
+  is printed, not gated: its denominator, the uncached read, gets
+  cheaper whenever the read path does (the statement cache took the
+  ratio from ~5x to ~3.7x, later work to 2.8-3.6x), so a floor on it
+  fails on progress.  A hit over the same statement on a bare replica
+  engine is reported but not gated: it too fell as the engine got
+  faster, to ~24 us.
 * **invalidation_storm** — warm cache, then a write burst over the whole
   keyspace.  Every post-burst read must observe the new values (the
   writeset stream kills entries at key granularity), after which the
@@ -31,11 +30,11 @@ scenarios:
   session observes per-key monotone versions.  1SR must bypass the
   cache entirely.
 
-Results land in ``BENCH_e24.json``.  Correctness assertions are
-deterministic; both read_scaleout gates are wall-clock: the speedup a
-same-process ratio, the hit time divided by the machine's speed as the
-repository benchmark measures it (``perf/driver.Machine``, imported
-read-only), so a slower runner or a slow spell moves neither.
+Results land in ``BENCH_e24.json``.  Correctness assertions and cache
+counters are deterministic; the two read_scaleout times are wall-clock
+divided by the machine's speed as the repository benchmark measures it
+(``perf/driver.Machine``, imported read-only), so a slower runner or a
+slow spell moves neither.
 """
 
 import json
@@ -56,7 +55,11 @@ BENCH_PATH = ROOT / "BENCH_e24.json"
 SEED = 24
 KEYSPACE = 500
 HOT_KEYS = 64
-MIN_SPEEDUP = 3.2
+#: the cache-on arm of read_scaleout (98 % reads), in us per operation at
+#: reference speed: twenty alternating runs each of two builds measured
+#: 12.6-23.9 us (medians 17.0 and 15.9) on a shared 2-core Xeon; the
+#: slack above the slowest run is E23's
+MAX_CACHED_OP_US = 28.0
 #: one cache hit through the middleware, in us at reference speed: ten
 #: alternating runs each of two builds measured 5.75-6.33 us on a 2-core
 #: Xeon (median 6.0); the slack covers runners whose speed relative to
@@ -95,12 +98,15 @@ def mixed_ops(count: int, rng: random.Random):
 
 
 def run_read_scaleout(ops_count: int = 2000, rounds: int = 3):
-    """Both arms ``rounds`` times, alternating, fastest run of each kept:
-    the floor sits close under the measured ratio, so one slow spell of
-    the machine must not be able to decide it."""
+    """Both arms ``rounds`` times, alternating with calibration kernels,
+    fastest run of each and fastest kernel kept, so one slow spell of
+    the machine lands on all or on none."""
     schedule = mixed_ops(ops_count, random.Random(SEED))
     fastest = {False: float("inf"), True: float("inf")}
+    machine = driver.Machine()
+    speed = float("inf")
     for _ in range(rounds):
+        speed = min(speed, machine.speed())
         for cached in (False, True):
             mw = make_cluster("gsi", cached)
             session = mw.connect(database="shop")
@@ -122,6 +128,8 @@ def run_read_scaleout(ops_count: int = 2000, rounds: int = 3):
         "cache_off": {"ops_per_sec": ops_count / fastest[False]},
         "cache_on": {
             "ops_per_sec": ops_count / fastest[True],
+            "us_per_op_at_reference": fastest[True] / ops_count * 1e6
+            / speed,
             "hit_rate": snap["hit_rate"],
             "fills": snap["fills"],
             "cache_bypassed_reads": mw.config.balancer.cache_bypasses,
@@ -213,7 +221,7 @@ STRONG = {"1sr", "strong-si"}
 def run_consistency_check(protocol: str, ops_count: int = 1200):
     replication = "statement" if protocol == "1sr" else "writeset"
     mw = make_cluster(protocol, cached=True, replication=replication)
-    rng = random.Random(SEED + hash(protocol) % 1000)
+    rng = random.Random(SEED + PROTOCOLS.index(protocol))
     writer = mw.connect(database="shop")
     readers = [mw.connect(database="shop") for _ in range(3)]
     sessions = [writer] + readers
@@ -292,10 +300,14 @@ def test_e24_result_cache(benchmark):
                    round(scaleout["cache_off"]["ops_per_sec"], 1))
     report.add_row("read_scaleout", "ops/sec cache on",
                    round(scaleout["cache_on"]["ops_per_sec"], 1))
-    report.add_row("read_scaleout", "speedup",
+    report.add_row("read_scaleout", "us per op cache on at reference speed",
+                   round(scaleout["cache_on"]["us_per_op_at_reference"], 2))
+    report.add_row("read_scaleout", "speedup (not gated)",
                    round(scaleout["speedup"], 2))
     report.add_row("read_scaleout", "hit rate",
                    round(scaleout["cache_on"]["hit_rate"], 3))
+    report.add_row("read_scaleout", "cache fills",
+                   scaleout["cache_on"]["fills"])
     report.add_row("read_scaleout", "us per hit",
                    round(scaleout["hit_us"], 2))
     report.add_row("read_scaleout", "us per hit at reference speed",
@@ -319,9 +331,10 @@ def test_e24_result_cache(benchmark):
     report.show()
 
     # scenario A: the tentpole claim
-    assert scaleout["speedup"] >= MIN_SPEEDUP, \
-        (f"cache-on read-mostly throughput only "
-         f"{scaleout['speedup']:.1f}x cache-off (need {MIN_SPEEDUP}x)")
+    cached_us = scaleout["cache_on"]["us_per_op_at_reference"]
+    assert cached_us <= MAX_CACHED_OP_US, \
+        (f"the cache-on read-mostly arm costs {cached_us:.2f} us per op at "
+         f"reference speed (at most {MAX_CACHED_OP_US})")
     assert scaleout["hit_us_at_reference"] <= MAX_HIT_US, \
         (f"a cache hit costs {scaleout['hit_us_at_reference']:.2f} us at "
          f"reference speed (at most {MAX_HIT_US})")
@@ -347,7 +360,7 @@ def test_e24_result_cache(benchmark):
         "experiment": "e24_result_cache",
         "keyspace": KEYSPACE,
         "hot_keys": HOT_KEYS,
-        "min_speedup": MIN_SPEEDUP,
+        "max_cached_op_us": MAX_CACHED_OP_US,
         "max_hit_us": MAX_HIT_US,
         "read_scaleout": scaleout,
         "invalidation_storm": storm,

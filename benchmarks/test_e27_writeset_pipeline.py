@@ -71,7 +71,7 @@ def run_saturation(group_commit_window: float, dependency_apply: bool) -> dict:
         "tps": metrics.rate(DURATION),
         "p95_ms": metrics.write_latency.percentile(95) * 1000,
         "aborts": metrics.errors.get("SerializationError", 0),
-        "max_batch": middleware.certifier.max_batch,
+        "max_batch": middleware.group_commit.stats["max_batch"],
         "batches": middleware.group_commit.stats["batches"],
         "frames": middleware.group_commit.stats["frames"],
         "frame_units": middleware.group_commit.stats["frame_units"],
@@ -202,7 +202,7 @@ def run_equivalence(rounds: int = 40, sessions_per_round: int = 4) -> dict:
         "decisions": len(decisions),
         "committed": committed,
         "aborted": aborted,
-        "max_batch": middleware.certifier.max_batch,
+        "max_batch": middleware.group_commit.stats["max_batch"],
         "violations": violations,
         "stale_values": stale,
         "converged": middleware.check_convergence(),

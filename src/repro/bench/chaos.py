@@ -25,12 +25,13 @@ After every run three invariants are checked:
 Two-level retry design (the repo-wide convention: state changes are
 instantaneous, time is charged separately): the in-session resilience
 layer (:mod:`repro.core.resilience`) retries instantly when an
-alternative replica exists *right now* and accumulates its backoff in
-``pending_backoff``; this harness charges that backoff as simulated time
-and owns the *timed* retries — the ones that only succeed because
-simulated time passes (a new master gets promoted, a crashed node
-repairs).  ``NodeDown`` surfaces only here, because only the timed layer
-charges service time on nodes.
+alternative replica exists *right now* and accumulates its backoff on
+the session (``pending_backoff``); this harness charges that backoff to
+the session's own request as simulated time and owns the *timed*
+retries — the ones that only succeed because simulated time passes (a
+new master gets promoted, a crashed node repairs).  ``NodeDown``
+surfaces only here, because only the timed layer charges service time
+on nodes.
 """
 
 from __future__ import annotations
@@ -432,7 +433,8 @@ class ChaosRun:
                     for sql in statements:
                         yield from self.cluster._timed_statement(
                             session, sql, [])
-                        yield from self._charge_backoff(resilience, root)
+                        yield from self._charge_backoff(resilience,
+                                                        session, root)
                     self._resolve(record, ok=True)
                     return
                 except (RequestTimeout, Overloaded) as exc:
@@ -449,7 +451,8 @@ class ChaosRun:
                         self._resolve(record, ok=False,
                                       error=type(exc).__name__)
                         return
-                    yield from self._charge_backoff(resilience, root)
+                    yield from self._charge_backoff(resilience, session,
+                                                    root)
                     # A commit ledger turns 'ambiguous' into 'resolvable':
                     # COMMITTED dedups on replay, PENDING is settled at
                     # promotion, and a commit that never reached prepare
@@ -518,14 +521,14 @@ class ChaosRun:
         return isinstance(exc, (NodeDown, MiddlewareDown)) \
             or retry_label(exc) in (RETRY_SAFE, RETRY_AFTER_FAILOVER)
 
-    def _charge_backoff(self, resilience, span=None):
+    def _charge_backoff(self, resilience, session, span=None):
         """Synchronous in-session retries accumulate their backoff; the
         timed layer charges it here as simulated delay.  The `backoff`
         event carries a `duration` attr because this is where the wait
         actually costs simulated time (breakdowns count it as a stage)."""
         if resilience is None:
             return
-        delay = resilience.consume_backoff()
+        delay = resilience.consume_backoff(session)
         if delay > 0:
             if span:
                 span.event("backoff", duration=round(delay, 9),

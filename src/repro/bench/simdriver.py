@@ -89,8 +89,9 @@ class TimedCluster:
         # (1 + cold_read_penalty) x the nominal service time.
         self.cold_read_penalty = cold_read_penalty
         # Group commit (repro.core.groupcommit): writeset commits arriving
-        # within ``group_commit_window`` seconds join one certifier batch
-        # and one propagation frame per replica (0 = per-transaction).
+        # within ``group_commit_window`` seconds join one gather: one
+        # certification round and one propagation frame per replica
+        # (0 = per-transaction).
         self.group_commit_window = group_commit_window
         self.dependency_apply = dependency_apply
         # The paper's section 2.2 point: certification is a *serial*
@@ -392,8 +393,8 @@ class TimedCluster:
         arrival becomes the batch leader: it waits out the gather window,
         charges one shared certification round plus one amortized log
         force per origin, then executes every member's state change
-        inside ``middleware.group_commit.batch()`` — one certifier batch,
-        one propagation frame per replica.  Members park on a signal and
+        inside ``middleware.group_commit.batch()`` — certified back to
+        back, one propagation frame per replica.  Members park on a signal and
         re-raise their own outcome (e.g. a certification abort)."""
         gather = self._gc_current
         if gather is not None and not gather.closed \
@@ -415,13 +416,13 @@ class TimedCluster:
         middleware = self.middleware
         try:
             yield from self._charge_group_precommit(gather)
-            with middleware.group_commit.batch():
+            with middleware.group_commit.batch() as flushed:
                 for member in gather.members:
                     try:
                         member.work()
                     except Exception as exc:  # noqa: BLE001 — per-member outcome
                         member.error = exc
-            yield from self._charge_group_postcommit()
+            yield from self._charge_group_postcommit(flushed)
         except Exception as exc:  # noqa: BLE001 — e.g. NodeDown mid-charge
             for member in gather.members:
                 if member.error is None:
@@ -459,18 +460,14 @@ class TimedCluster:
             yield self.env.all_of(tasks)
         yield self.env.timeout(self.ACK_PROCESSING * len(by_origin))
 
-    def _charge_group_postcommit(self):
+    def _charge_group_postcommit(self, flushed):
         """Charge the frames the flush applied synchronously (all of them
         under sync propagation; under async, only the origins' prefix
         frames) with the dependency-parallel apply cost; async
         destinations pay in their own apply workers instead."""
-        flush = self.middleware.group_commit.last_flush
-        self.middleware.group_commit.last_flush = None
-        if not flush:
-            return
         tasks = []
-        for name in flush["sync"]:
-            units = flush["frames"].get(name)
+        for name in flushed["sync"]:
+            units = flushed["frames"].get(name)
             if not units:
                 continue
             replica = self.middleware.replica_by_name(name)

@@ -10,6 +10,12 @@ The certifier is the poster child of the paper's SPOF discussion
 whole system down and loses in-flight certification state; a *replicated*
 certifier survives but pays a synchronization cost on every commit.  Both
 variants are provided; benchmark E09 measures the trade-off.
+
+Group commit (section 2.2) amortises that serial point without a second
+log: a gather (``GroupCommitCoordinator.batch``) certifies its members
+back to back against the one log here, and the timed layer charges the
+whole gather one certification round
+(``TimedCluster._charge_certification``).
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ class Certifier:
     (database, table, primary_key) triples; a ``None`` primary key is a
     table-level footprint that conflicts with everything in that table
     (the conservative fallback when a statement's rows cannot be keyed).
+    One log: a group-commit gather (``GroupCommitCoordinator.batch``)
+    certifies its members one after another against it, so an entry
+    accepted earlier in the gather conflicts like any other.
     """
 
     def __init__(self, replicated: bool = False,
@@ -50,15 +59,6 @@ class Certifier:
         self._log: List[Tuple[int, FrozenSet]] = []
         self._seq = 0
         self.failed = False
-        self.certified = 0
-        self.aborted = 0
-        # Group commit: while a batch is open, accepted entries are staged
-        # here and folded into the log in one append at end_batch().
-        self._batch: Optional[List[Tuple[int, FrozenSet]]] = None
-        self.batches = 0
-        self.batch_certified = 0
-        self.max_batch = 0
-        self.pruned_total = 0
         # Extra state copies kept when replicated (survive failover).
         self._standby_log: Optional[List[Tuple[int, FrozenSet]]] = \
             [] if replicated else None
@@ -66,37 +66,6 @@ class Certifier:
     @property
     def current_seq(self) -> int:
         return self._seq
-
-    @property
-    def in_batch(self) -> bool:
-        return self._batch is not None
-
-    def begin_batch(self) -> None:
-        """Open a group-commit batch: subsequent certifications check
-        against the log *plus* the entries already accepted in this batch,
-        and their log entries are staged for a single append.  The seq
-        counter still advances per accepted transaction, so outcomes are
-        identical to per-transaction certification in submission order."""
-        if self._batch is not None:
-            raise RuntimeError("certifier batch already open")
-        self._batch = []
-
-    def end_batch(self) -> List[Tuple[int, FrozenSet]]:
-        """Close the batch: one log append (and one standby-copy append
-        when replicated — the amortized synchronization round) for every
-        transaction accepted since begin_batch()."""
-        staged = self._batch
-        if staged is None:
-            return []
-        self._batch = None
-        if staged:
-            self._log.extend(staged)
-            if self._standby_log is not None:
-                self._standby_log.extend(staged)
-            self.batches += 1
-            self.batch_certified += len(staged)
-            self.max_batch = max(self.max_batch, len(staged))
-        return staged
 
     def certify(self, start_seq: int, keys: FrozenSet) -> CertificationOutcome:
         """First-committer-wins check; on success assigns and logs the next
@@ -106,29 +75,8 @@ class Certifier:
         if self.first_committer_wins:
             conflict = self._find_conflict(start_seq, keys)
             if conflict is not None:
-                self.aborted += 1
                 return CertificationOutcome(False, conflict_seq=conflict)
-        self._seq += 1
-        entry = (self._seq, keys)
-        if self._batch is not None:
-            self._batch.append(entry)
-        else:
-            self._log.append(entry)
-            if self._standby_log is not None:
-                self._standby_log.append(entry)
-        self.certified += 1
-        return CertificationOutcome(True, seq=self._seq)
-
-    def certify_batch(self, requests) -> List[CertificationOutcome]:
-        """Certify ``requests`` (iterable of ``(start_seq, keys)``) as one
-        group-commit batch.  Outcomes are positionally identical to calling
-        :meth:`certify` per request in the same order."""
-        self.begin_batch()
-        try:
-            return [self.certify(start_seq, keys)
-                    for start_seq, keys in requests]
-        finally:
-            self.end_batch()
+        return CertificationOutcome(True, seq=self._append(keys))
 
     @staticmethod
     def _overlaps(logged: FrozenSet, keys: FrozenSet,
@@ -150,15 +98,6 @@ class Certifier:
             (database, table)
             for database, table, pk in keys if pk is None
         }
-        # Entries accepted earlier in an open batch are not in the log yet
-        # but must conflict exactly as if they were (newest first; all
-        # batch seqs are above any committed start_seq).
-        if self._batch:
-            for seq, logged in reversed(self._batch):
-                if seq <= start_seq:
-                    break
-                if self._overlaps(logged, keys, table_level):
-                    return seq
         for seq, logged in reversed(self._log):
             if seq <= start_seq:
                 break
@@ -175,14 +114,15 @@ class Certifier:
         the same granularity as certified writesets."""
         if self.failed:
             raise CertifierDown("certifier is down")
+        return self._append(keys)
+
+    def _append(self, keys: FrozenSet) -> int:
+        """Log ``keys`` at the next global sequence number."""
         self._seq += 1
         entry = (self._seq, keys)
-        if self._batch is not None:
-            self._batch.append(entry)
-        else:
-            self._log.append(entry)
-            if self._standby_log is not None:
-                self._standby_log.append(entry)
+        self._log.append(entry)
+        if self._standby_log is not None:
+            self._standby_log.append(entry)
         return self._seq
 
     def rescind(self, seq: int) -> bool:
@@ -193,7 +133,7 @@ class Certifier:
         later transaction against a write that never happened.  Returns
         True when the seq was found in any log copy."""
         found = False
-        for log in (self._batch, self._log, self._standby_log):
+        for log in (self._log, self._standby_log):
             if log is None:
                 continue
             for index in range(len(log) - 1, -1, -1):
@@ -212,9 +152,7 @@ class Certifier:
         if self._standby_log is not None:
             self._standby_log = [(s, k) for s, k in self._standby_log
                                  if s > up_to_seq]
-        pruned = before - len(self._log)
-        self.pruned_total += pruned
-        return pruned
+        return before - len(self._log)
 
     # -- failure / recovery ------------------------------------------------
 
@@ -251,8 +189,6 @@ class Certifier:
     def export_log(self) -> List[Tuple[int, FrozenSet]]:
         """A copy of the certification log for state shipping — the
         standby bootstrap (``repro.ha.shipper``) starts from this."""
-        if self._batch:
-            return list(self._log) + list(self._batch)
         return list(self._log)
 
     def import_log(self, entries: List[Tuple[int, FrozenSet]],

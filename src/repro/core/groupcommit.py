@@ -35,10 +35,12 @@ propagation enqueue *per transaction*.  The classic fix is to collect
 the commit requests that arrive within a short window and push them
 through the serial point as one batch:
 
-* one certifier batch (one log append, one standby-sync round when the
-  certifier is replicated) certifies the whole group, with intra-batch
-  conflicts resolved in arrival order so outcomes are provably identical
-  to per-transaction certification (``Certifier.begin_batch``);
+* the members certify one after another against the certifier's one
+  log, in arrival order, so an entry accepted earlier in the gather
+  conflicts like any other and the outcomes are those of
+  per-transaction certification by construction; the timed layer
+  charges the whole gather one certification round (one standby-sync
+  round when the certifier is replicated);
 * one multi-writeset *frame* per destination replica carries the whole
   group instead of one queue entry per transaction;
 * per-commit semantics that correctness depends on are preserved per
@@ -74,6 +76,10 @@ from .applysched import ApplyUnit
 from .certifier import CertifierDown
 from .replica import ApplyItem
 from .writesets import conflict_keys, invalidation_keys
+
+#: a flush's frames (replica name -> units) and the replicas that
+#: applied theirs before it returned
+FrameLayout = Tuple[Dict[str, List[ApplyUnit]], Set[str]]
 
 
 class CommitRequest:
@@ -150,20 +156,26 @@ class GroupCommitCoordinator:
         }
         # Optional audit hook (E27): every certification decision.
         self.equivalence_log: Optional[List[Dict[str, Any]]] = None
-        # Frame layout of the last propagation, for timed cost charging.
-        self.last_flush: Optional[Dict[str, Any]] = None
         # the holder last reported by a retention_stalled event
         self._stalled_on: Optional[str] = None
 
     @contextmanager
     def batch(self):
-        """Gather mode: every ``submit`` inside this context joins one
-        certifier batch, and propagation/acks happen once at exit."""
-        self._begin()
+        """Gather mode: every ``submit`` inside this context runs its
+        first half, and propagation/acks happen once at exit.  Yields a
+        dict that the exit fills with the frame layout the timed layer
+        charges: ``frames`` (replica name -> units) and ``sync`` (the
+        replicas that applied theirs before the exit returned)."""
+        self._gathering = True
+        self._requests = []
+        flushed: Dict[str, Any] = {}
         try:
-            yield self
+            yield flushed
         finally:
-            self._flush()
+            requests = self._requests
+            self._requests = []
+            self._gathering = False
+            flushed["frames"], flushed["sync"] = self._flush(requests)
 
     # ------------------------------------------------------------------
     # entry points, one per way of obtaining the seq
@@ -179,13 +191,12 @@ class GroupCommitCoordinator:
         Raises :class:`SerializationError` on certification conflict and
         :class:`CertifierDown` when the certifier is unavailable; both
         roll the local transaction back."""
+        seq = self._certify_and_commit(request)
         if self._gathering:
-            return self._certify_and_commit(request)
-        self._begin()
-        try:
-            return self._certify_and_commit(request)
-        finally:
-            self._flush()
+            self._requests.append(request)
+        else:
+            self._flush([request])
+        return seq
 
     def commit_sequenced(self, request: CommitRequest) -> int:
         """Order-only units, sequenced with ``assign_seq`` and no
@@ -332,18 +343,20 @@ class GroupCommitCoordinator:
             origin=origin.name if origin is not None else None,
             enqueued_at=middleware.monitor.peek(), trace_ref=trace_ref)
 
-    def _complete(self, requests: List[CommitRequest]) -> None:
+    def _complete(self, requests: List[CommitRequest]) -> FrameLayout:
         """Stages 5-9 for units whose first half is done: one frame per
         destination for all of them, then per unit in seq order the
         session token, the HA ack and the certified stream — an acked
         commit can never be lost by a promotion, and the cache
         invalidator sees each commit's own keys and seq.  With nobody
-        subscribed to that stream no footprint is built."""
+        subscribed to that stream no footprint is built.  Returns the
+        frame layout (see :meth:`batch`)."""
         middleware = self.middleware
         staged = [r.unit for r in requests if r.unit is not None]
+        layout: FrameLayout = ({}, set())
         if staged:
-            self._propagate(staged,
-                            sync=any(r.sync_apply for r in requests))
+            layout = self._propagate(
+                staged, sync=any(r.sync_apply for r in requests))
         note_commit = middleware.config.consistency.note_commit
         listening = bool(middleware._certified_listeners)
         for request in requests:
@@ -369,6 +382,7 @@ class GroupCommitCoordinator:
                 request.seq, keys=keys, tables=tables,
                 kind=request.publish_kind, database=request.database)
         self._truncate(requests)
+        return layout
 
     def _truncate(self, requests: List[CommitRequest]) -> None:
         """Stage 9, log maintenance (section 4.4.4) — the one place
@@ -429,11 +443,6 @@ class GroupCommitCoordinator:
     # internals
     # ------------------------------------------------------------------
 
-    def _begin(self) -> None:
-        self.middleware.certifier.begin_batch()
-        self._gathering = True
-        self._requests = []
-
     def _certify_and_commit(self, request: CommitRequest) -> int:
         middleware = self.middleware
         span = middleware.tracer.child_span(
@@ -470,23 +479,21 @@ class GroupCommitCoordinator:
         span.end()
         self.prepare(request, outcome.seq)
         self._harden(request)
-        self._requests.append(request)
         return outcome.seq
 
-    def _flush(self) -> None:
-        requests = self._requests
-        self._requests = []
-        self._gathering = False
-        self.middleware.certifier.end_batch()
+    def _flush(self, requests: List[CommitRequest]) -> FrameLayout:
+        """The second half of one batch: a gather's members, or one
+        ``submit`` outside a gather."""
         if requests:
             self.stats["batches"] += 1
             self.stats["batched_commits"] += len(requests)
             self.stats["max_batch"] = max(self.stats["max_batch"],
                                           len(requests))
-        self._complete(requests)
+        return self._complete(requests)
 
-    def _propagate(self, staged: List[ApplyUnit], sync: bool) -> None:
-        """One frame per destination replica for the whole batch."""
+    def _propagate(self, staged: List[ApplyUnit], sync: bool) -> FrameLayout:
+        """One frame per destination replica for the whole batch;
+        returns the frames and the replicas that applied theirs."""
         middleware = self.middleware
         sync = sync or middleware.config.propagation == "sync"
         origins: Set[Optional[str]] = {unit.origin for unit in staged}
@@ -512,7 +519,7 @@ class GroupCommitCoordinator:
                     middleware.on_apply_enqueued(replica, item)
         self.stats["frames"] += len(frames)
         self.stats["frame_units"] += sum(len(u) for u in frames.values())
-        self.last_flush = {"frames": frames, "sync": sync_applied}
+        return frames, sync_applied
 
 
 def _qualified(names, database: Optional[str]) -> set:

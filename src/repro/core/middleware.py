@@ -651,14 +651,14 @@ class MiddlewareSession:
         self.database = database
         self.view = SessionView()
         self.closed = False
-        # connection-per-replica caches
-        self._read_connections: Dict[str, Connection] = {}
+        # one engine connection per replica for the session's life:
+        # reads, transactions and temp tables (section 4.1.4) share it
+        self.connections: Dict[str, Connection] = {}
         # the open transaction (repro.core.transaction), explicit or the
         # implicit one around an autocommit write
         self.txn: Optional[OpenTransaction] = None
         # temp-table pinning (section 4.1.4)
         self.pinned_replica: Optional[str] = None
-        self._pinned_connection: Optional[Connection] = None
         self.temp_tables: set = set()
         # transparent replays (section 4.3.3) this session went through
         self.failover_replays = 0
@@ -674,6 +674,9 @@ class MiddlewareSession:
         # already holds an admission ticket for this session.
         self.deadline: Optional[Deadline] = None
         self._admission_held = False
+        # the resilience layer's retry backoff, owed by this session's
+        # request and charged as simulated delay by a timed harness
+        self.pending_backoff = 0.0
         # Result-cache state, read by the cache's door
         # (repro.cache.gate).  A session that issued USE/SET through the
         # middleware has connection-local state the cache key cannot see;
@@ -815,18 +818,9 @@ class MiddlewareSession:
             return
         if self.txn is not None:
             self.txn.end()
-        for connection in self._read_connections.values():
-            try:
-                connection.close()
-            except SQLError:
-                pass
-        self._read_connections.clear()
-        if self._pinned_connection is not None:
-            try:
-                self._pinned_connection.close()
-            except SQLError:
-                pass
-            self._pinned_connection = None
+        for connection in self.connections.values():
+            connection.close()
+        self.connections.clear()
         self.middleware.config.balancer.end_connection(self.id)
         if self in self.middleware.sessions:
             self.middleware.sessions.remove(self)
@@ -946,8 +940,8 @@ class MiddlewareSession:
                     replica, txn.read_connection(replica), statement, params)
             else:
                 result = self._run_with_failover(
-                    replica, self._read_connection(replica), statement,
-                    params, info)
+                    replica, self.connection(replica), statement, params,
+                    info)
         except (NoReplicaAvailable, ReplicaUnavailable, ConnectionError_):
             # degraded mode prefers a labelled-stale cache hit over an
             # error surfaced to the client
@@ -993,24 +987,27 @@ class MiddlewareSession:
             retry, needed = self.middleware.choose_read_replica(self, info)
             if needed is not None:
                 self.middleware.drain_replica(retry.name, up_to_seq=needed)
-            retry_connection = self._read_connection(retry)
+            retry_connection = self.connection(retry)
             self.failover_replays += 1
             return self._traced_execute(retry, retry_connection,
                                         statement, params)
 
-    def _read_connection(self, replica: Replica) -> Connection:
-        connection = self._read_connections.get(replica.name)
+    def connection(self, replica: Replica) -> Connection:
+        """The session's one engine connection at ``replica`` (Fig. 7),
+        opened on first use and again once it closed or its engine
+        crashed under it."""
+        connection = self.connections.get(replica.name)
         if connection is None or connection.closed or replica.engine.crashed:
             connection = replica.engine.connect(
                 self.user, self.password, database=self.database)
-            self._read_connections[replica.name] = connection
+            self.connections[replica.name] = connection
         return connection
 
     def _note_replica_failure(self, replica: Replica) -> None:
         replica.mark_failed()
         if self.middleware.resilience is not None:
             self.middleware.resilience.record_failure(replica.name)
-        self._read_connections.pop(replica.name, None)
+        self.connections.pop(replica.name, None)
 
     # ------------------------------------------------------------------
     # writes
@@ -1047,12 +1044,9 @@ class MiddlewareSession:
     def _execute_on_pinned(self, txn: OpenTransaction,
                            statement: ast.Statement,
                            params: List[Any]) -> Result:
-        """Temp-table work sticks to one replica (section 4.1.4).
-
-        The pinned connection is *persistent* — temp tables are
-        per-connection state at the engine, so the middleware must hold one
-        connection open for the session's whole lifetime.
-        """
+        """Temp-table work sticks to one replica (section 4.1.4): temp
+        tables are per-connection state at the engine, and the session's
+        connection there lives as long as the session."""
         middleware = self.middleware
         if self.pinned_replica is None:
             if txn.local_replica is not None:
@@ -1070,18 +1064,8 @@ class MiddlewareSession:
             raise ReplicaUnavailable(
                 f"session pinned to failed replica {replica.name!r}; its "
                 "temporary tables are unrecoverable (section 4.1.4)")
-        connection = self._pinned_connection_for(replica)
-        if not connection.in_transaction:
-            connection.begin(txn.isolation)
-            txn.connections[replica.name] = connection
-        return self._traced_execute(replica, connection, statement,
-                                    params)
-
-    def _pinned_connection_for(self, replica: Replica) -> Connection:
-        if self._pinned_connection is None or self._pinned_connection.closed:
-            self._pinned_connection = replica.engine.connect(
-                self.user, self.password, database=self.database)
-        return self._pinned_connection
+        return self._traced_execute(replica, txn.connection(replica),
+                                    statement, params)
 
     # -- writeset replication --------------------------------------------------
 
@@ -1090,8 +1074,7 @@ class MiddlewareSession:
                              params: List[Any], info: StatementInfo,
                              replica: Optional[Replica]) -> Result:
         if info.is_ddl:
-            return self._broadcast_ddl(txn, statement, sql_text, params,
-                                       info)
+            return self._broadcast_ddl(statement, sql_text, params, info)
         replica, connection = txn.local(info.sorted_tables(), replica)
         result = self._traced_execute(replica, connection, statement,
                                       params)
@@ -1099,20 +1082,16 @@ class MiddlewareSession:
         replica.stats["served_writes"] += 1
         return result
 
-    def _broadcast_ddl(self, txn: OpenTransaction, statement: ast.Statement,
-                       sql_text: str, params: List[Any],
-                       info: StatementInfo) -> Result:
+    def _broadcast_ddl(self, statement: ast.Statement, sql_text: str,
+                       params: List[Any], info: StatementInfo) -> Result:
         """DDL has no writeset (section 4.3.2: 'database updates that
         cannot be rolled back'); even writeset-mode systems broadcast it as
         statements, outside certification."""
         middleware = self.middleware
         result = Result()
         for replica in middleware.online_replicas():
-            connection = txn.connections.get(replica.name)
-            if connection is None:
-                connection = self._read_connection(replica)
-            result = self._traced_execute(replica, connection, statement,
-                                          params)
+            result = self._traced_execute(
+                replica, self.connection(replica), statement, params)
         # already executed everywhere: only the ordered tail is left
         middleware.group_commit.commit_sequenced(CommitRequest(
             self, entries=[(sql_text, list(params))],

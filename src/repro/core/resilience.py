@@ -282,8 +282,9 @@ class ResilienceCoordinator:
     every statement dispatch (:meth:`execute_statement`) in the
     deadline/retry machinery.  State changes are instantaneous (the
     repo-wide simulation convention); the *time cost* of backoffs is
-    accumulated in :attr:`pending_backoff` for the timed layer
-    (``repro.bench.chaos``) to charge as simulated delay.
+    accumulated on the retrying session (``session.pending_backoff``)
+    for the timed layer (``repro.bench.chaos``) to charge to that
+    session's request as simulated delay.
     """
 
     def __init__(self, middleware, policy: ResiliencePolicy,
@@ -301,7 +302,6 @@ class ResilienceCoordinator:
         self.admission.add_class(
             "commit", rate=None, lane_capacity=cap,
             watermark=max(1, int(cap * policy.write_shed_fraction)))
-        self.pending_backoff = 0.0
         self._replaying = False
         # sheds are the gate's: ``admission.snapshot()["rejected"]``
         self.stats = {
@@ -388,9 +388,10 @@ class ResilienceCoordinator:
 
     # -- backoff accounting --------------------------------------------------
 
-    def consume_backoff(self) -> float:
-        """Hand the accumulated backoff delay to the timed layer."""
-        delay, self.pending_backoff = self.pending_backoff, 0.0
+    def consume_backoff(self, session) -> float:
+        """Hand ``session``'s accumulated backoff delay to the timed
+        layer."""
+        delay, session.pending_backoff = session.pending_backoff, 0.0
         return delay
 
     # -- the resilient dispatch path -----------------------------------------
@@ -476,7 +477,7 @@ class ResilienceCoordinator:
                     raise RequestTimeout(
                         f"deadline would expire during the {backoff:.3f}s "
                         f"retry backoff (attempt {attempt})") from exc
-                self.pending_backoff += backoff
+                session.pending_backoff += backoff
                 self.stats["retries"] += 1
                 if span:
                     # NOTE: the backoff here is *accumulated*, not yet

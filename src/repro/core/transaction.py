@@ -4,11 +4,12 @@ BEGIN — explicit, or the implicit one around an autocommit write —
 creates an :class:`OpenTransaction` as ``session.txn``, and
 :meth:`OpenTransaction.end` is the one path that drops it (commit,
 rollback, ``close``, the middleware's ``fail``).  It holds the
-per-replica connections and the replica it is anchored at, its
-snapshot's ``start_seq`` (certification window and hold on the log),
-its statement log and the tables it wrote, and statement replication's
-lock id and invalidation footprint.  A record outlives its end: the
-resilience layer replays a failed commit's statement log from it.
+session connections it began a transaction on and the replica it is
+anchored at, its snapshot's ``start_seq`` (certification window and
+hold on the log), its statement log and the tables it wrote, and
+statement replication's lock id and invalidation footprint.  A record
+outlives its end: the resilience layer replays a failed commit's
+statement log from it.
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ class OpenTransaction:
         self.had_ddl = False
 
     def connection(self, replica: Replica) -> Connection:
-        """This transaction's connection at ``replica``, opened and begun
-        on first use."""
+        """The session's connection at ``replica``, begun for this
+        transaction on first use."""
         connection = self.connections.get(replica.name)
         if connection is None:
-            session = self.session
-            connection = replica.engine.connect(
-                session.user, session.password, database=session.database)
+            connection = self.session.connection(replica)
             isolation = self.isolation
-            config = session.middleware.config
+            config = self.session.middleware.config
             if isolation is None and config.replication == "writeset" \
                     and config.consistency.name != "read-committed" \
                     and replica.engine.dialect.supports_snapshot_isolation:
@@ -190,20 +189,16 @@ class OpenTransaction:
 
     def end(self) -> None:
         """The one end path, committed or not: whatever is still open
-        rolls back as its connection closes, the table locks go (two-phase
-        locking) and the record leaves its session.  Always succeeds: if a
-        replica connection is broken, its transaction died with it."""
+        rolls back (the connections stay the session's), the table locks
+        go (two-phase locking) and the record leaves its session.  Always
+        succeeds: if a replica connection is broken, its transaction died
+        with it, and the session drops it for a fresh one."""
         session = self.session
-        pinned = session._pinned_connection
-        for connection in self.connections.values():
+        for name, connection in self.connections.items():
             try:
-                if connection is pinned:
-                    # persistent: temp tables live on it (4.1.4)
-                    connection.rollback()
-                else:
-                    connection.close()
+                connection.rollback()
             except SQLError:
-                pass
+                session.connections.pop(name, None)
         middleware = session.middleware
         if self.lock_id is not None:
             middleware.statement_replication.table_locks.release_all(

@@ -23,11 +23,17 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..sqlengine import Engine
-from ..sqlengine.errors import NameError_
-from ..sqlengine.mvcc import visible_version
+from ..sqlengine import ast_nodes as ast
+from ..sqlengine.errors import NameError_, SQLError
+from ..sqlengine.expressions import EvalContext
+from ..sqlengine.mvcc import version_visible, visible_version
+from ..sqlengine.planner import (
+    _is_value_expr, evaluate_value, plan_table_access,
+)
 from ..sqlengine.storage import Table
 from ..sqlengine.transactions import Transaction
 from ..sqlengine.triggers import Trigger, TriggerEvent
+from ..sqlengine.types import coerce
 
 
 def extract_writeset_engine(txn: Transaction) -> List[Dict]:
@@ -86,10 +92,6 @@ def statement_footprint(statement, info, engine: Engine,
     keys where the planner proves the written rows (pk-equality WHERE,
     explicit-pk INSERT) and table-level ``pk=None`` keys for the rest.
     """
-    from ..sqlengine import ast_nodes as ast
-    from ..sqlengine.errors import SQLError
-    from ..sqlengine.expressions import EvalContext
-
     if info.is_ddl or info.is_procedure_call:
         return frozenset(), True
     if not isinstance(statement, (ast.SelectStatement, ast.InsertStatement,
@@ -127,13 +129,6 @@ def _statement_point_keys(statement, table: Table, database_name: str,
                           table_name: str, ctx) -> Optional[set]:
     """Point keys for one written table, or ``None`` when the rows cannot
     be proven — the caller then falls back to a table-level key."""
-    from ..sqlengine import ast_nodes as ast
-    from ..sqlengine.errors import SQLError
-    from ..sqlengine.planner import (
-        _is_value_expr, evaluate_value, plan_table_access,
-    )
-    from ..sqlengine.types import coerce
-
     pk_index = table.primary_key_index
     if pk_index is None:
         return None
@@ -325,8 +320,6 @@ def _find_target(engine: Engine, table: Table, entry: Dict):
     This is the replication hot path every replica pays for every entry:
     with a primary key it is one hash probe into the PK index (O(1) per
     entry); only keyless tables fall back to the full old-value scan."""
-    from ..sqlengine.mvcc import version_visible
-
     snapshot = engine.clock.snapshot()
     pk_index = table.primary_key_index
     if pk_index is not None and entry["primary_key"] is not None:
@@ -357,7 +350,6 @@ def _apply_insert(engine: Engine, table: Table, entry: Dict, ts: int,
         key = tuple(values.get(c) for c in columns)
         if any(v is None for v in key):
             continue
-        from ..sqlengine.mvcc import version_visible
         for candidate in table.unique_candidates(columns, key):
             if version_visible(candidate, snapshot, None):
                 report.conflicts.append(

@@ -65,7 +65,6 @@ class StateShipper:
         self.state.sticky = dict(middleware.config.balancer._sticky)
         self.state.master_name = middleware._master_name
         copied = len(self.state.commits)
-        self.state.stats["bootstrap_entries"] = copied
         self.stats["bootstrapped"] = copied
         middleware.monitor.record("ha_bootstrap", middleware.name,
                                   entries=copied, seq=self.state.seq)

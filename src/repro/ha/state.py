@@ -60,13 +60,11 @@ class CommitLedger:
 
     def __init__(self):
         self._records: Dict[str, LedgerRecord] = {}
-        self.stats = {"prepared": 0, "committed": 0, "dedup_hits": 0,
-                      "resolved_committed": 0, "dropped_pending": 0}
+        self.stats = {"dropped_pending": 0}
 
     def prepare(self, txn_id: str, seq: int) -> LedgerRecord:
         record = LedgerRecord(txn_id, seq, PENDING)
         self._records[txn_id] = record
-        self.stats["prepared"] += 1
         return record
 
     def mark_committed(self, txn_id: str,
@@ -77,18 +75,13 @@ class CommitLedger:
             self._records[txn_id] = record
         if seq is not None:
             record.seq = seq
-        if record.status != COMMITTED:
-            record.status = COMMITTED
-            self.stats["committed"] += 1
+        record.status = COMMITTED
 
     def committed(self, txn_id: str) -> bool:
         """Exactly-once check: ``True`` means a replay of ``txn_id`` must
         be answered as success without re-applying anything."""
         record = self._records.get(txn_id)
-        hit = record is not None and record.status == COMMITTED
-        if hit:
-            self.stats["dedup_hits"] += 1
-        return hit
+        return record is not None and record.status == COMMITTED
 
     def outcome(self, txn_id: str) -> Optional[LedgerRecord]:
         return self._records.get(txn_id)
@@ -124,8 +117,6 @@ class CommitLedger:
         for record in self.pending_records():
             if record.seq <= watermark:
                 record.status = COMMITTED
-                self.stats["committed"] += 1
-                self.stats["resolved_committed"] += 1
                 resolved.append(record)
             else:
                 del self._records[record.txn_id]
@@ -224,7 +215,6 @@ class StandbyState:
         self.session_tokens: Dict[str, Tuple[int, int]] = {}
         self.sticky: Dict[int, str] = {}         # balancer affinity
         self.master_name: Optional[str] = None
-        self.stats = {"prepares": 0, "acks": 0, "bootstrap_entries": 0}
 
     def apply_prepare(self, shipped: ShippedCommit) -> None:
         """Phase 1 of a shipment: runs before any replica commits."""
@@ -233,7 +223,6 @@ class StandbyState:
         self.commits.append(shipped)
         if shipped.txn_id is not None:
             self.ledger.prepare(shipped.txn_id, shipped.seq)
-        self.stats["prepares"] += 1
 
     def apply_ack(self, shipped: ShippedCommit) -> None:
         """Phase 2: the commit is durable; record outcome + tokens."""
@@ -243,7 +232,6 @@ class StandbyState:
         if shipped.client_id is not None \
                 and shipped.session_token is not None:
             self.session_tokens[shipped.client_id] = shipped.session_token
-        self.stats["acks"] += 1
 
     def truncate(self, cut: int) -> None:
         """The leader's log maintenance, mirrored: drop every commit and

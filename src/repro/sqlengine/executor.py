@@ -18,9 +18,10 @@ from itertools import compress
 from typing import Any, Dict, List, Optional
 
 from . import ast_nodes as ast
+from . import information_schema
 from .errors import (
     AccessDeniedError, DiskFullError, IntegrityError, NameError_,
-    SQLError, TypeError_, UnsupportedFeatureError,
+    SerializationError, SQLError, TypeError_, UnsupportedFeatureError,
 )
 from .expressions import (
     EvalContext, NO_ROW, combine_binary, combine_unary, compile_expression,
@@ -31,7 +32,8 @@ from .functions import AGGREGATE_FUNCTIONS
 from .locks import LockConflict, LockMode
 from .mvcc import (
     READ_UNCOMMITTED, SERIALIZABLE, Snapshot, latest_committed_change,
-    uncommitted_writer, visible_in_range, visible_rows, visible_version,
+    uncommitted_writer, version_visible, visible_in_range, visible_rows,
+    visible_version,
 )
 from .planner import (AccessPlan, INDEX_RANGE, SEQ_SCAN, plan_table_access,
                       plan_table_access_cached)
@@ -271,7 +273,6 @@ class Executor:
             if temp is not None:
                 return ("#temp", temp)
         database_name = name.database or session.current_database_name()
-        from . import information_schema
         if information_schema.is_information_schema(database_name):
             if privilege not in (None, "SELECT"):
                 raise AccessDeniedError(
@@ -808,7 +809,6 @@ class Executor:
                         candidate.creator_txn,
                         should_die=txn_id > candidate.creator_txn)
                 # Committed or own version: visible -> duplicate.
-                from .mvcc import version_visible
                 if version_visible(candidate, snapshot, txn_id):
                     raise IntegrityError(
                         f"duplicate key {key} for unique columns "
@@ -923,8 +923,6 @@ class Executor:
         * under snapshot-class isolation, a *committed* change newer than
           our snapshot -> first-updater-wins serialization failure.
         """
-        from .errors import SerializationError
-
         txn = session.txn
         txn_id = txn.id if txn is not None else 0
         chain = table.version_chain(version.row_id)

@@ -215,7 +215,7 @@ class TestStatementMode:
         mw = statement_cluster
         session = mw.connect(database="shop")
         replica = mw.replicas[0]
-        connection = session._read_connection(replica)
+        connection = session.connection(replica)
         statement = parse("SELECT COUNT(*) FROM kv")
         replica.engine.crashed = True  # dies after routing chose it
         result = session._run_with_failover(

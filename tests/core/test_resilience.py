@@ -243,9 +243,32 @@ class TestResilientCluster:
         assert mw.master.name == "r1"
         assert mw.resilience.stats["retries"] >= 1
         # backoff time was accumulated for the timed layer, not slept
-        assert mw.resilience.pending_backoff > 0
-        assert mw.resilience.consume_backoff() > 0
-        assert mw.resilience.pending_backoff == 0.0
+        assert session.pending_backoff > 0
+        assert mw.resilience.consume_backoff(session) > 0
+        assert session.pending_backoff == 0.0
+
+    def test_a_retry_owes_its_backoff_to_its_own_session(self):
+        """A retry's backoff is charged to the retrying session's own
+        request, never to another session's: a chaos probe's retries
+        must not delay a client request."""
+        mw = resilient_cluster(n=2, consistency="rsi-pc")
+        manager = FailoverManager(mw)
+        kill(mw.replicas[0])
+
+        def promote_on_retry(event):
+            if event.kind == "retry" and mw.master.name == "r0":
+                manager.handle_replica_failure("r0")
+
+        mw.monitor.on_event(promote_on_retry)
+        probe = mw.connect(database="shop")
+        other = mw.connect(database="shop")
+        probe.execute("UPDATE kv SET v = 7 WHERE k = 0")
+        assert other.execute("SELECT v FROM kv WHERE k = 1").scalar() == 0
+        assert mw.resilience.stats["retries"] >= 1
+        assert mw.resilience.consume_backoff(other) == 0.0
+        assert mw.resilience.consume_backoff(probe) > 0
+        probe.close()
+        other.close()
 
     def test_midtxn_replay_on_survivor(self):
         """The local replica dies mid-transaction: logged statements are

@@ -124,7 +124,7 @@ def test_fail_ends_every_session_like_close():
     writer = mw.connect(database="shop")
     writer.begin()
     writer.execute("UPDATE kv SET v = v + 1 WHERE k = 1")
-    connections = list(reader._read_connections.values())
+    connections = list(reader.connections.values())
     assert connections and mw.config.balancer._sticky
     assert mw.fail() == 1                  # one open transaction lost
     mw.recover()

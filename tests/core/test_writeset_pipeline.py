@@ -1,12 +1,12 @@
-"""Writeset-pipeline tests: group commit, batched certification,
+"""Writeset-pipeline tests: group commit, gathered certification,
 dependency-parallel apply scheduling, and certifier-log auto-pruning.
 
 The load-bearing property is *equivalence*: pushing N commit requests
-through the certifier as one group-commit batch must yield exactly the
-same ok/abort decisions and sequence numbers as certifying them one at
-a time in the same order (hypothesis-checked below on random interleaved
-footprints).  Everything else — frames, parallel apply groups, pruning —
-is an optimization layered on top of that invariant.
+through the coordinator as one group-commit gather must yield exactly
+the same ok/abort decisions and sequence numbers as submitting them one
+at a time in the same order (hypothesis-checked below on random
+interleaved footprints).  Everything else — frames, parallel apply
+groups, pruning — is an optimization layered on top of that invariant.
 """
 
 import ast
@@ -44,7 +44,7 @@ def build(propagation="sync", consistency="gsi", n=3, **config_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# batched certification == per-transaction certification
+# gathered certification == per-transaction certification
 # ---------------------------------------------------------------------------
 
 # A tiny key universe maximises collisions; pk=None exercises the
@@ -57,21 +57,48 @@ _footprint = st.frozensets(
 _request = st.tuples(st.integers(0, 5), _footprint)  # (snapshot age, keys)
 
 
+class _Ran:
+    """The connection of a transaction that already ran at its origin:
+    the coordinator only commits it or rolls it back."""
+
+    def commit(self):
+        pass
+
+    def rollback(self):
+        pass
+
+
+def _submit(mw, age, keys):
+    """Submit one ran transaction whose snapshot is ``age`` seqs old;
+    returns its seq, or ``None`` when certification aborted it."""
+    request = groupcommit.CommitRequest(
+        origin=mw.replicas[0], connection=_Ran(),
+        start_seq=max(0, mw.global_seq - age), keys=keys, entries=[])
+    try:
+        return mw.group_commit.submit(request)
+    except SerializationError:
+        return None
+
+
+def _bare():
+    mw = ReplicationMiddleware(make_replicas(1, schema=KV_SCHEMA),
+                               MiddlewareConfig(replication="writeset"))
+    mw.group_commit.equivalence_log = []
+    return mw
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_request, min_size=1, max_size=30),
        st.lists(st.integers(1, 6), min_size=1, max_size=30))
 def test_batched_certification_equals_serial(requests, batch_sizes):
-    """Same requests, same order: a batched certifier must produce
-    positionally identical outcomes and an identical final log."""
-    serial = Certifier()
-    batched = Certifier()
-
-    serial_outcomes = []
+    """Same requests, same order: submits gathered by the coordinator
+    must get positionally identical decisions and leave an identical
+    certifier log as the same submits one at a time."""
+    serial = _bare()
     for age, keys in requests:
-        start_seq = max(0, serial.current_seq - age)
-        serial_outcomes.append((serial.certify(start_seq, keys), keys))
+        _submit(serial, age, keys)
 
-    batched_outcomes = []
+    gathered = _bare()
     cursor = 0
     size_index = 0
     while cursor < len(requests):
@@ -79,65 +106,31 @@ def test_batched_certification_equals_serial(requests, batch_sizes):
         size_index += 1
         chunk = requests[cursor:cursor + size]
         cursor += size
-        batched.begin_batch()
-        for age, keys in chunk:
-            start_seq = max(0, batched.current_seq - age)
-            batched_outcomes.append((batched.certify(start_seq, keys), keys))
-        batched.end_batch()
+        with gathered.group_commit.batch():
+            for age, keys in chunk:
+                _submit(gathered, age, keys)
 
-    assert len(serial_outcomes) == len(batched_outcomes)
-    for (a, _), (b, _) in zip(serial_outcomes, batched_outcomes):
-        assert a.ok == b.ok
-        assert a.seq == b.seq
-        assert a.conflict_seq == b.conflict_seq
-    assert serial.export_log() == batched.export_log()
-    assert serial.current_seq == batched.current_seq
-
-
-def test_certify_batch_helper_matches_loop():
-    requests = [(0, frozenset({("shop", "kv", 1)})),
-                (0, frozenset({("shop", "kv", 1)})),  # conflicts with first
-                (0, frozenset({("shop", "kv", 2)}))]
-    loop = Certifier()
-    expected = [loop.certify(s, k) for s, k in requests]
-    helper = Certifier()
-    outcomes = helper.certify_batch(requests)
-    assert [(o.ok, o.seq) for o in outcomes] == \
-        [(o.ok, o.seq) for o in expected]
-    assert not helper.in_batch
-    assert helper.max_batch == 2  # the conflicting request staged nothing
+    assert gathered.group_commit.equivalence_log == \
+        serial.group_commit.equivalence_log
+    assert gathered.certifier.export_log() == serial.certifier.export_log()
+    assert gathered.global_seq == serial.global_seq
 
 
 def test_intra_batch_conflict_aborts_against_staged_entry():
-    """An entry accepted earlier in the SAME open batch is not in the log
-    yet, but must conflict exactly as if it were."""
-    certifier = Certifier()
-    certifier.begin_batch()
-    first = certifier.certify(0, frozenset({("shop", "kv", 7)}))
-    second = certifier.certify(0, frozenset({("shop", "kv", 7)}))
-    certifier.end_batch()
-    assert first.ok
-    assert not second.ok
-    assert second.conflict_seq == first.seq
-
-
-def test_nested_batch_is_rejected():
-    certifier = Certifier()
-    certifier.begin_batch()
-    with pytest.raises(RuntimeError):
-        certifier.begin_batch()
-    certifier.end_batch()
-
-
-def test_export_log_sees_open_batch():
-    """State shipping during an open batch must include staged entries,
-    or a promotion mid-batch could lose certified transactions."""
-    certifier = Certifier()
-    certifier.begin_batch()
-    certifier.certify(0, frozenset({("shop", "kv", 1)}))
-    assert len(certifier.export_log()) == 1
-    certifier.end_batch()
-    assert len(certifier.export_log()) == 1
+    """A commit accepted earlier in the SAME gather has not propagated
+    yet, but conflicts exactly as if it had."""
+    mw = _bare()
+    key = frozenset({("shop", "kv", 7)})
+    with mw.group_commit.batch():
+        first = _submit(mw, 0, key)
+        with pytest.raises(SerializationError):
+            mw.group_commit.submit(groupcommit.CommitRequest(
+                origin=mw.replicas[0], connection=_Ran(),
+                start_seq=first - 1, keys=key, entries=[]))
+    assert first is not None
+    decision = mw.group_commit.equivalence_log[-1]
+    assert not decision["ok"]
+    assert decision["conflict_seq"] == first
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,6 @@ class TestGroupCommit:
         session.execute("UPDATE kv SET v = 1 WHERE k = 1")
         session.close()
         assert mw.group_commit.stats["max_batch"] == 1
-        assert mw.certifier.max_batch == 1
         assert mw.check_convergence()
 
     def test_gathered_batch_ships_one_frame_per_replica(self):
@@ -282,7 +274,6 @@ class TestGroupCommit:
         for session in sessions:
             session.close()
         assert mw.group_commit.stats["max_batch"] == 3
-        assert mw.certifier.max_batch == 3
         origins = {r.name for r in mw.replicas if not r.apply_queue}
         destinations = [r for r in mw.replicas if r.apply_queue]
         assert len(destinations) >= 2
@@ -429,8 +420,7 @@ class TestAutoPrune:
             session.execute(f"UPDATE kv SET v = {index} WHERE k = {index % 8}")
         session.close()
         assert mw.certifier.log_length() <= 10
-        assert mw.certifier.pruned_total > 0
-        assert mw.stats["certifier_pruned"] == mw.certifier.pruned_total
+        assert mw.stats["certifier_pruned"] > 0
         assert mw.stats["log_truncated"] > 0
         for name, seqs in retained(mw, state).items():
             assert len(seqs) <= 10, name
@@ -490,7 +480,7 @@ class TestAutoPrune:
         for index in range(30):
             session.execute(f"UPDATE kv SET v = {index} WHERE k = 2")
         session.close()
-        assert mw.certifier.pruned_total == 0
+        assert mw.stats["certifier_pruned"] == 0
         assert mw.certifier.log_length() >= 30
         assert mw.stats["log_truncated"] == 0
         assert all(len(seqs) >= 30
@@ -599,7 +589,7 @@ def record_stages(mw):
         events.extend(("propagate", unit.seq) for unit in staged)
         propagating.append(True)
         try:
-            propagate(staged, sync)
+            return propagate(staged, sync)
         finally:
             propagating.pop()
     mw.group_commit._propagate = recording_propagate
