@@ -168,14 +168,16 @@ class ConsistencyGate:
         result = self._serve(session, entry, decision, lag)
         middleware.config.balancer.note_cache_hit()
         # A hit never reaches the session's dispatch, so it gets its own
-        # statement span (zero-duration: no replica, no simulated cost).
-        span = middleware.tracer.start_span(
-            "mw.statement", parent=session.trace_context, session=session.id,
-            sql=sql[:80],
-            cache=("stale" if decision == GATE_STALE else "hit"))
-        if lag:
-            span.set_tag("cache_lag", lag)
-        span.end()
+        # statement span (zero-duration: no replica, no simulated cost);
+        # this is a statement door, so tracing off costs one flag test
+        if middleware.tracer.enabled:
+            span = middleware.tracer.start_span(
+                "mw.statement", parent=session.trace_context,
+                session=session.id, sql=sql[:80],
+                cache=("stale" if decision == GATE_STALE else "hit"))
+            if lag:
+                span.set_tag("cache_lag", lag)
+            span.end()
         return result
 
     def fill(self, session, statement: ast.Statement, sql: str, params,

@@ -20,6 +20,7 @@ whole gather one certification round
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import FrozenSet, List, Optional, Set, Tuple
 
 from .errors import CertifierDown
@@ -145,14 +146,16 @@ class Certifier:
 
     def prune(self, up_to_seq: int) -> int:
         """Drop every entry at or below ``up_to_seq`` from both log
-        copies.  The caller passes a seq at or below the retention
-        floor, or certification could miss a conflict."""
-        before = len(self._log)
-        self._log = [(s, k) for s, k in self._log if s > up_to_seq]
+        copies — a prefix of each, as the log is in seq order.  The
+        caller passes a seq at or below the retention floor, or
+        certification could miss a conflict."""
+        # (up_to_seq + 1,) sorts before every (up_to_seq + 1, keys) entry
+        cut = bisect_left(self._log, (up_to_seq + 1,))
+        del self._log[:cut]
         if self._standby_log is not None:
-            self._standby_log = [(s, k) for s, k in self._standby_log
-                                 if s > up_to_seq]
-        return before - len(self._log)
+            del self._standby_log[:bisect_left(self._standby_log,
+                                               (up_to_seq + 1,))]
+        return cut
 
     # -- failure / recovery ------------------------------------------------
 

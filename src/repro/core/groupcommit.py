@@ -96,10 +96,10 @@ class CommitRequest:
     ``database`` / ``txn_id`` itself.
     """
 
-    __slots__ = ("session", "origin", "connection", "start_seq", "keys",
-                 "entries", "tables", "kind", "publish_kind", "holders",
-                 "sync_apply", "noop", "user", "database", "txn_id",
-                 "seq", "unit")
+    __slots__ = ("session", "span_source", "origin", "connection",
+                 "start_seq", "keys", "entries", "tables", "kind",
+                 "publish_kind", "holders", "sync_apply", "noop", "user",
+                 "database", "txn_id", "seq", "unit")
 
     def __init__(self, session=None, origin=None, connection=None,
                  start_seq: int = 0, keys=frozenset(), entries=(),
@@ -110,6 +110,10 @@ class CommitRequest:
                  database: Optional[str] = None,
                  txn_id: Optional[str] = None):
         self.session = session
+        # ``span_source.active_span`` is the committing session's live
+        # statement span, read when a stage runs (a gather's flush runs
+        # after the statement that submitted the unit has ended)
+        self.span_source = _NO_SESSION if session is None else session
         self.origin = origin
         self.connection = connection
         self.start_seq = start_seq
@@ -136,11 +140,14 @@ class CommitRequest:
         self.seq = 0
         self.unit: Optional[ApplyUnit] = None
 
-    @property
-    def span(self):
-        """The committing session's live statement span, if any."""
-        session = self.session
-        return session.active_span if session is not None else None
+
+class _NoSession:
+    """The span source of a unit without a client session."""
+
+    active_span = None
+
+
+_NO_SESSION = _NoSession()
 
 
 class GroupCommitCoordinator:
@@ -204,12 +211,14 @@ class GroupCommitCoordinator:
         replicas in ``request.holders`` committed already) and an
         install (no replica holds it yet)."""
         middleware = self.middleware
+        parent = request.span_source.active_span
         span = middleware.tracer.child_span(
-            "certify", request.span, kind=request.publish_kind,
-            keys=len(request.keys))
+            "certify", parent, kind=request.publish_kind,
+            keys=len(request.keys)) if parent else None
         seq = middleware.certifier.assign_seq(request.keys)
-        span.set_tag("seq", seq)
-        span.end()
+        if span:
+            span.set_tag("seq", seq)
+            span.end()
         self.prepare(request, seq)
         self._harden(request)
         self._complete([request])
@@ -314,6 +323,7 @@ class GroupCommitCoordinator:
         middleware = self.middleware
         seq = request.seq
         origin = request.origin
+        parent = request.span_source.active_span
         if request.connection is not None:
             # Prefix discipline: everything certified before this
             # transaction and already propagated must be applied at the
@@ -321,8 +331,11 @@ class GroupCommitCoordinator:
             # handled by the flush (the origin's frame applies
             # synchronously there).
             middleware.drain_replica(origin.name, up_to_seq=seq - 1)
-            with middleware.tracer.child_span(
-                    "replica.commit", request.span, replica=origin.name):
+            if parent:
+                with middleware.tracer.child_span(
+                        "replica.commit", parent, replica=origin.name):
+                    request.connection.commit()
+            else:
                 request.connection.commit()
         for replica in request.holders:
             replica.applied_seq = max(replica.applied_seq, seq)
@@ -331,13 +344,15 @@ class GroupCommitCoordinator:
             user=request.user, database=request.database)
         if request.kind != "writeset":
             return  # statement replication already ran it everywhere
-        prop_span = middleware.tracer.child_span(
-            "propagate", request.span, seq=seq,
-            mode=middleware.config.propagation,
-            batched=len(self._requests) > 0)
-        trace_ref = ((prop_span.trace_id, prop_span.span_id)
-                     if prop_span else None)
-        prop_span.end()
+        trace_ref = None
+        if parent:
+            prop_span = middleware.tracer.child_span(
+                "propagate", parent, seq=seq,
+                mode=middleware.config.propagation,
+                batched=len(self._requests) > 0)
+            if prop_span:
+                trace_ref = (prop_span.trace_id, prop_span.span_id)
+            prop_span.end()
         request.unit = ApplyUnit(
             seq, request.entries, keys=request.keys,
             origin=origin.name if origin is not None else None,
@@ -352,11 +367,15 @@ class GroupCommitCoordinator:
         subscribed to that stream no footprint is built.  Returns the
         frame layout (see :meth:`batch`)."""
         middleware = self.middleware
-        staged = [r.unit for r in requests if r.unit is not None]
+        staged: List[ApplyUnit] = []
+        sync = False
+        for request in requests:
+            if request.unit is not None:
+                staged.append(request.unit)
+            sync = sync or request.sync_apply
         layout: FrameLayout = ({}, set())
         if staged:
-            layout = self._propagate(
-                staged, sync=any(r.sync_apply for r in requests))
+            layout = self._propagate(staged, sync)
         note_commit = middleware.config.consistency.note_commit
         listening = bool(middleware._certified_listeners)
         for request in requests:
@@ -445,16 +464,18 @@ class GroupCommitCoordinator:
 
     def _certify_and_commit(self, request: CommitRequest) -> int:
         middleware = self.middleware
+        parent = request.span_source.active_span
         span = middleware.tracer.child_span(
-            "certify", request.span, kind="writeset",
+            "certify", parent, kind="writeset",
             keys=len(request.keys), start_seq=request.start_seq,
-            batch_size=len(self._requests) + 1)
+            batch_size=len(self._requests) + 1) if parent else None
         try:
             outcome = middleware.certifier.certify(request.start_seq,
                                                    request.keys)
         except CertifierDown:
-            span.set_tag("error", "CertifierDown")
-            span.end()
+            if span:
+                span.set_tag("error", "CertifierDown")
+                span.end()
             request.connection.rollback()
             middleware.stats["aborts"] += 1
             raise
@@ -464,10 +485,12 @@ class GroupCommitCoordinator:
                 "ok": outcome.ok, "seq": outcome.seq,
                 "conflict_seq": outcome.conflict_seq,
             })
-        span.set_tag("ok", outcome.ok)
+        if span:
+            span.set_tag("ok", outcome.ok)
         if not outcome.ok:
-            span.set_tag("conflict_seq", outcome.conflict_seq)
-            span.end()
+            if span:
+                span.set_tag("conflict_seq", outcome.conflict_seq)
+                span.end()
             request.connection.rollback()
             middleware.stats["aborts"] += 1
             middleware.stats["certification_aborts"] += 1
@@ -475,8 +498,9 @@ class GroupCommitCoordinator:
             raise SerializationError(
                 f"certification failed: conflicts with global seq "
                 f"{outcome.conflict_seq} (first-committer-wins)")
-        span.set_tag("seq", outcome.seq)
-        span.end()
+        if span:
+            span.set_tag("seq", outcome.seq)
+            span.end()
         self.prepare(request, outcome.seq)
         self._harden(request)
         return outcome.seq
@@ -496,29 +520,32 @@ class GroupCommitCoordinator:
         returns the frames and the replicas that applied theirs."""
         middleware = self.middleware
         sync = sync or middleware.config.propagation == "sync"
-        origins: Set[Optional[str]] = {unit.origin for unit in staged}
         frames: Dict[str, List[ApplyUnit]] = {}
         sync_applied: Set[str] = set()
+        frame_units = 0
         for replica in middleware.replicas:
             if not replica.is_online:
                 continue  # it will resynchronize from the recovery log
-            units = [u for u in staged if u.origin != replica.name]
+            name = replica.name
+            units = [u for u in staged if u.origin != name]
             if not units:
                 continue
-            frames[replica.name] = units
+            frames[name] = units
+            frame_units += len(units)
             item = ApplyItem(units)
-            # Origins committed mid-batch already advertise their own
-            # seq; the watermark rule requires their co-batch prefix to
-            # land before anything else observes them (see module doc).
-            if sync or replica.name in origins:
-                sync_applied.add(replica.name)
+            # Origins committed mid-batch (a unit left out of this frame
+            # as its own) already advertise their own seq; the watermark
+            # rule requires their co-batch prefix to land before
+            # anything else observes them (see module doc).
+            if sync or len(units) < len(staged):
+                sync_applied.add(name)
                 middleware._apply_item(replica, item)
             else:
                 replica.enqueue(item)
                 if middleware.on_apply_enqueued is not None:
                     middleware.on_apply_enqueued(replica, item)
         self.stats["frames"] += len(frames)
-        self.stats["frame_units"] += sum(len(u) for u in frames.values())
+        self.stats["frame_units"] += frame_units
         return frames, sync_applied
 
 

@@ -51,7 +51,7 @@ from .consistency.gsi import GeneralizedSnapshotIsolation
 from .consistency.one_sr import OneCopySerializability
 from .errors import (
     FATAL, RETRY_AFTER_FAILOVER, ClusterDivergence, MiddlewareDown,
-    NoReplicaAvailable, ReplicaUnavailable,
+    NoReplicaAvailable, ReplicaUnavailable, UnsupportedStatementError,
 )
 from .groupcommit import CommitRequest, GroupCommitCoordinator
 from .loadbalancer import LoadBalancer, RoutingContext
@@ -61,7 +61,7 @@ from .recoverylog import RecoveryLog
 from .replica import ApplyItem, Replica, ReplicaState
 from .resilience import Deadline, ResilienceCoordinator, ResiliencePolicy
 from .statement_replication import StatementReplication
-from .transaction import OpenTransaction
+from .transaction import OpenTransaction, write_replica
 from .writesets import apply_writeset
 
 
@@ -408,8 +408,9 @@ class ReplicationMiddleware:
             if replica is not None:
                 return replica, None
         parent = session.active_span or session.trace_context
-        span = self.tracer.child_span("balancer.choose", parent)
-        with span:
+        if not parent:
+            return self._choose_read_replica(session, info, None)
+        with self.tracer.child_span("balancer.choose", parent) as span:
             replica, needed = self._choose_read_replica(session, info, span)
             span.set_tag("replica", replica.name)
         return replica, needed
@@ -423,7 +424,8 @@ class ReplicationMiddleware:
                 raise ReplicaUnavailable(
                     f"session pinned to failed replica {replica.name!r} "
                     "(temporary tables are not replicated, section 4.1.4)")
-            span.set_tag("why", "pinned")
+            if span:
+                span.set_tag("why", "pinned")
             return replica, None
 
         cluster = self.cluster_view()
@@ -458,12 +460,14 @@ class ReplicationMiddleware:
             lag = max(0, needed - best.applied_seq)
             if self.resilience.serve_stale(lag):
                 self.resilience.note_degraded_read(lag)
-                span.set_tag("why", "degraded_stale")
-                span.event("degraded_read", lag=lag, replica=best.name)
+                if span:
+                    span.set_tag("why", "degraded_stale")
+                    span.event("degraded_read", lag=lag, replica=best.name)
                 return best, None
         self.stats["freshness_waits"] += 1
-        span.set_tag("why", "freshness_wait")
-        span.set_tag("waited_for_seq", needed)
+        if span:
+            span.set_tag("why", "freshness_wait")
+            span.set_tag("waited_for_seq", needed)
         return best, needed
 
     # ------------------------------------------------------------------
@@ -482,9 +486,9 @@ class ReplicationMiddleware:
         units = item.units
         batch = len(units) > 1
         trace_ref = units[0].trace_ref
-        now = self.tracer.now()
         span = None
         if trace_ref is not None:
+            now = self.tracer.now()
             trace_id, parent_id = trace_ref
             if batch:
                 span = self.tracer.start_linked(
@@ -839,6 +843,21 @@ class MiddlewareSession:
     def _execute_one(self, statement: ast.Statement, sql_text: str,
                      params: List[Any],
                      replica: Optional[Replica] = None) -> Result:
+        # the statement door: with tracing off, this flag test is all a
+        # statement pays for observability (see repro.obs.tracing)
+        if self.middleware.tracer.enabled:
+            return self._execute_traced(statement, sql_text, params,
+                                        replica)
+        self._cache_note = None
+        resilience = self.middleware.resilience
+        if resilience is None:
+            return self._dispatch_one(statement, sql_text, params, replica)
+        return resilience.execute_statement(
+            self, statement, sql_text, params, replica)
+
+    def _execute_traced(self, statement: ast.Statement, sql_text: str,
+                        params: List[Any],
+                        replica: Optional[Replica]) -> Result:
         tracer = self.middleware.tracer
         if self.active_span:
             # nested execution (e.g. a transaction replay re-issuing
@@ -901,8 +920,11 @@ class MiddlewareSession:
             return True
         if not self.temp_tables:
             return False
-        return bool(
-            {t.split(".")[-1] for t in info.all_tables()} & self.temp_tables)
+        return bool(self._temp_names(info.all_tables()))
+
+    def _temp_names(self, tables) -> set:
+        """Which of ``tables`` are this session's temporary tables."""
+        return {t.split(".")[-1] for t in tables} & self.temp_tables
 
     # ------------------------------------------------------------------
     # traced replica execution
@@ -912,10 +934,12 @@ class MiddlewareSession:
                         statement: ast.Statement,
                         params: List[Any]) -> Result:
         """Run one statement on one replica under a replica.execute span
-        (a no-op span outside a traced request)."""
-        span = self.middleware.tracer.child_span(
-            "replica.execute", self.active_span, replica=replica.name)
-        with span:
+        (none outside a traced request)."""
+        parent = self.active_span
+        if not parent:
+            return connection.execute_statement(statement, params)
+        with self.middleware.tracer.child_span(
+                "replica.execute", parent, replica=replica.name):
             return connection.execute_statement(statement, params)
 
     # ------------------------------------------------------------------
@@ -1024,7 +1048,8 @@ class MiddlewareSession:
             txn = self.txn = OpenTransaction(self, None)
         try:
             if self._statement_touches_temp(info):
-                result = self._execute_on_pinned(txn, statement, params)
+                result = self._execute_with_temp(txn, statement, sql_text,
+                                                 params, info, replica)
             elif middleware.config.statement_broadcast:
                 result = middleware.statement_replication.write(
                     self, statement, sql_text, params, info)
@@ -1041,12 +1066,46 @@ class MiddlewareSession:
 
     # -- temp-table pinning ------------------------------------------------
 
+    def _execute_with_temp(self, txn: OpenTransaction,
+                           statement: ast.Statement, sql_text: str,
+                           params: List[Any], info: StatementInfo,
+                           replica: Optional[Replica]) -> Result:
+        """A write that touches a temp table (section 4.1.4).  One that
+        writes only temp tables stays at the pinned replica and is
+        sequenced nowhere.  One that writes a shared table from temp
+        rows runs at the pinned replica as its transaction's origin:
+        the writeset carries the resulting rows, which no other replica
+        could compute (section 4.3.2).  Statement replication could not
+        replay it anywhere else, and a write that must run elsewhere (a
+        master, an anchored transaction) cannot see the rows: both are
+        refused before anything runs."""
+        writes_shared = any(t.split(".")[-1] not in self.temp_tables
+                            for t in info.tables_written)
+        if info.creates_temp_table or not writes_shared:
+            return self._execute_on_pinned(txn, statement, params, info)
+        if self.middleware.config.statement_broadcast:
+            why = "statement replication cannot replay it elsewhere"
+        else:
+            if replica is None:
+                replica = write_replica(self, info.sorted_tables())
+            if replica.name == self.pinned_replica:
+                return self._writeset_mode_write(
+                    txn, statement, sql_text, params, info, replica)
+            why = f"it must run at replica {replica.name!r}"
+        raise UnsupportedStatementError(
+            f"write reads temporary table(s) "
+            f"{sorted(self._temp_names(info.tables_read))}, whose rows only "
+            f"replica {self.pinned_replica!r} holds (section 4.1.4), and "
+            f"{why}; use writeset replication")
+
     def _execute_on_pinned(self, txn: OpenTransaction,
-                           statement: ast.Statement,
-                           params: List[Any]) -> Result:
+                           statement: ast.Statement, params: List[Any],
+                           info: StatementInfo) -> Result:
         """Temp-table work sticks to one replica (section 4.1.4): temp
         tables are per-connection state at the engine, and the session's
-        connection there lives as long as the session."""
+        connection there lives as long as the session.  A writeset
+        transaction commits at its anchor only, so one that writes temp
+        rows is anchored here."""
         middleware = self.middleware
         if self.pinned_replica is None:
             if txn.local_replica is not None:
@@ -1064,8 +1123,11 @@ class MiddlewareSession:
             raise ReplicaUnavailable(
                 f"session pinned to failed replica {replica.name!r}; its "
                 "temporary tables are unrecoverable (section 4.1.4)")
-        return self._traced_execute(replica, txn.connection(replica),
-                                    statement, params)
+        if info.is_write and not middleware.config.statement_broadcast:
+            connection = txn.anchor(replica)
+        else:
+            connection = txn.connection(replica)
+        return self._traced_execute(replica, connection, statement, params)
 
     # -- writeset replication --------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..sqlengine import Connection, SQLError
-from .errors import ReplicaUnavailable
+from .errors import ReplicaUnavailable, UnsupportedStatementError
 from .groupcommit import CommitRequest
 from .loadbalancer import RoutingContext
 from .replica import Replica
@@ -73,7 +73,17 @@ class OpenTransaction:
     def anchor(self, replica: Replica) -> Connection:
         """Run the rest of this transaction at ``replica`` (writeset
         replication: its reads see one snapshot, its writes one writeset);
-        returns the connection there."""
+        returns the connection there.  An anchor never moves: the work
+        done at the old one would be rolled back at commit — the case is
+        temp-table writes at the pinned replica and shared writes at a
+        master elsewhere (section 4.1.4), refused whichever comes
+        first."""
+        if self.local_replica not in (None, replica.name):
+            raise UnsupportedStatementError(
+                f"this transaction writes at replica {self.local_replica!r} "
+                f"and cannot also write at {replica.name!r}: it commits at "
+                "one replica (temporary tables are there only, section "
+                "4.1.4)")
         self.local_replica = replica.name
         connection = self.connection(replica)
         # GSI-correct certification: the conflict window starts at the
@@ -210,10 +220,12 @@ class OpenTransaction:
 def write_replica(session: "MiddlewareSession",
                   tables: Sequence[str] = ()) -> Replica:
     """The one write choice: the master under a master protocol, else the
-    open transaction's anchor, else the balancer's pick for the
+    open transaction's anchor, else the session's pinned replica once
+    it has temp tables (their rows are there only, section 4.1.4, and
+    its reads go there too), else the balancer's pick for the
     statement's ``tables`` (placed by its tables, as a read is).  The
-    timed driver asks it before it charges and hands the answer back as
-    ``execute_one_parsed(..., replica=)``."""
+    timed driver asks it before it charges and hands the answer back
+    as ``execute_one_parsed(..., replica=)``."""
     middleware = session.middleware
     if middleware.config.consistency.write_mode == "master":
         replica = middleware.master
@@ -231,6 +243,10 @@ def write_replica(session: "MiddlewareSession",
                 f"replica {replica.name!r} executing this transaction "
                 "died; the transaction must be replayed by the client")
         return replica
+    if session.pinned_replica is not None:
+        # a writeset transaction commits at one replica, so its temp
+        # work and its shared writes meet where the temp tables are
+        return middleware.replica_by_name(session.pinned_replica)
     context = RoutingContext(tables=tables, session_id=session.id,
                              is_write=True)
     return middleware.config.balancer.choose(

@@ -68,11 +68,10 @@ def invalidation_keys(entries: List[Dict],
             table = engine.database(entry["database"]).table(entry["table"])
         except NameError_:
             continue
-        pk_columns = [c.name.lower() for c in table.primary_key_columns]
-        if not pk_columns:
+        pk_names = table.primary_key_names
+        if not pk_names:
             continue
-        new_values = entry["new_values"]
-        new_pk = tuple(new_values.get(c) for c in pk_columns)
+        new_pk = tuple(map(entry["new_values"].get, pk_names))
         if new_pk != tuple(entry["primary_key"]):
             keys.add((entry["database"], entry["table"], new_pk))
     return frozenset(keys)
@@ -132,7 +131,7 @@ def _statement_point_keys(statement, table: Table, database_name: str,
     pk_index = table.primary_key_index
     if pk_index is None:
         return None
-    pk_columns = [c.name.lower() for c in table.primary_key_columns]
+    pk_columns = table.primary_key_names
 
     if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
         if statement.table.name.lower() != table_name:
@@ -246,10 +245,10 @@ class TriggerBasedExtractor:
 
     def _make_callback(self, database_name: str, table: Table):
         def callback(event: TriggerEvent, session) -> None:
-            pk_columns = [c.name.lower() for c in table.primary_key_columns]
+            pk_names = table.primary_key_names
             image = event.new or event.old or {}
-            primary_key = (tuple(image.get(c) for c in pk_columns)
-                           if pk_columns else None)
+            primary_key = (tuple(map(image.get, pk_names))
+                           if pk_names else None)
             self._buffer.append({
                 "database": database_name,
                 "table": event.table.lower(),
@@ -346,11 +345,11 @@ def _apply_insert(engine: Engine, table: Table, entry: Dict, ts: int,
     values = dict(entry["new_values"] or {})
     # Duplicate detection: the paper's endless-convergence hazard.
     snapshot = engine.clock.snapshot()
-    for columns in table.unique_column_sets():
-        key = tuple(values.get(c) for c in columns)
-        if any(v is None for v in key):
+    for columns, index in table.unique_indexes:
+        key = tuple(map(values.get, columns))
+        if None in key:
             continue
-        for candidate in table.unique_candidates(columns, key):
+        for candidate in index.probe(key):
             if version_visible(candidate, snapshot, None):
                 report.conflicts.append(
                     f"duplicate key {key} applying INSERT into "

@@ -33,6 +33,8 @@ are instantaneous and time is charged separately.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .state import ShippedCommit, StandbyState
 
 
@@ -56,11 +58,14 @@ class StateShipper:
         self.state.certifier_log = middleware.certifier.export_log()
         self.state.seq = middleware.certifier.current_seq
         self.state.purged_seq = middleware.recovery_log.purged_seq
+        # in seq order, as the mirror keeps it: the recovery log may
+        # hold a 2PC unit after higher seqs
         self.state.commits = [
             ShippedCommit(entry.seq, frozenset(), entry.kind,
                           entry.payload, entry.tables, entry.user,
                           entry.database, acked=True)
-            for entry in middleware.recovery_log.entries
+            for entry in sorted(middleware.recovery_log.entries,
+                                key=attrgetter("seq"))
         ]
         self.state.sticky = dict(middleware.config.balancer._sticky)
         self.state.master_name = middleware._master_name
@@ -87,7 +92,7 @@ class StateShipper:
         self.state.apply_prepare(shipped)
         self._inflight[seq] = shipped
         self.stats["prepares"] += 1
-        span = request.span
+        span = request.span_source.active_span
         if span:
             span.event("ha.ship", phase="prepare", seq=seq)
         return shipped
@@ -105,7 +110,7 @@ class StateShipper:
         self.state.sticky = dict(self.middleware.config.balancer._sticky)
         self.state.master_name = self.middleware._master_name
         self.stats["acks"] += 1
-        span = request.span
+        span = request.span_source.active_span
         if span:
             span.event("ha.ship", phase="ack", seq=seq)
 

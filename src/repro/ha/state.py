@@ -27,6 +27,7 @@ through its :class:`~repro.ha.link.HALink`):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 PENDING = "pending"
@@ -217,7 +218,9 @@ class StandbyState:
         self.master_name: Optional[str] = None
 
     def apply_prepare(self, shipped: ShippedCommit) -> None:
-        """Phase 1 of a shipment: runs before any replica commits."""
+        """Phase 1 of a shipment: runs before any replica commits.  A
+        unit is shipped as it is sequenced, so both mirrors grow in seq
+        order (a bootstrap copies them in that order too)."""
         self.certifier_log.append((shipped.seq, shipped.keys))
         self.seq = max(self.seq, shipped.seq)
         self.commits.append(shipped)
@@ -235,11 +238,17 @@ class StandbyState:
 
     def truncate(self, cut: int) -> None:
         """The leader's log maintenance, mirrored: drop every commit and
-        certifier entry at or below ``cut``."""
-        self.commits = [c for c in self.commits if c.seq > cut]
-        self.certifier_log = [(seq, keys)
-                              for seq, keys in self.certifier_log
-                              if seq > cut]
+        certifier entry at or below ``cut``.  Both are in seq order (see
+        :meth:`apply_prepare`), so that is a prefix of each: the commits
+        are walked up to the first one kept, the log is bisected."""
+        count = 0
+        for shipped in self.commits:
+            if shipped.seq > cut:
+                break
+            count += 1
+        del self.commits[:count]
+        # (cut + 1,) sorts before every (cut + 1, keys) entry
+        del self.certifier_log[:bisect_left(self.certifier_log, (cut + 1,))]
         self.purged_seq = max(self.purged_seq, cut)
 
     def __repr__(self) -> str:

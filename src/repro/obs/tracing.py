@@ -16,8 +16,21 @@ time), deterministic ids, no wall-clock reads, no dependencies.
 * :class:`Tracer` — creates spans, keeps finished ones grouped by trace
   in a bounded FIFO store (old traces are evicted whole), and exposes
   counters for :meth:`~repro.core.middleware.ReplicationMiddleware.trace_snapshot`.
-* :data:`NULL_SPAN` — the no-op span a disabled tracer hands out, so
-  instrumentation sites never need an ``if tracing:`` guard.
+* :data:`NULL_SPAN` — the no-op span a disabled or sampled-out tracer
+  hands out.
+
+The dark-door rule: a trace that is off costs one truth test per
+statement door and nothing below it.  The doors are the places a
+statement enters a tier — ``ShardedSession._execute_one``,
+``MiddlewareSession._execute_one`` and the result cache's hit path —
+and each reads :attr:`Tracer.enabled` there, per statement, because a
+tracer can be switched after the cluster is built.  With it off, a door
+opens no span, so the session's ``active_span`` stays ``None``; every
+site below the door tests the span it holds (``if span:``) before it
+builds tag arguments, slices SQL text or calls into this module, so a
+dark statement makes no call here at all.  A sampled-out statement
+holds :data:`NULL_SPAN` instead, which is falsy too: its children stay
+dark rather than opening roots of their own.
 
 Span-name conventions (documented in ``docs/OBSERVABILITY.md``):
 ``request`` (timed-driver root), ``timed.statement`` (simulated service

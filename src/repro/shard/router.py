@@ -475,23 +475,28 @@ class ShardedSession:
 
         cluster = self.cluster
         info, spec, key_plan, range_plan = cluster._route_plan(statement)
+        # the routing door: with tracing off, this flag test is all a
+        # statement pays for observability (see repro.obs.tracing)
         span = cluster.tracer.start_span(
             "shard.route", session=self.id, sql=sql_text[:80],
-            map_version=cluster.map.version)
+            map_version=cluster.map.version) \
+            if cluster.tracer.enabled else None
+        table = targets = kind = None
         try:
             if info.is_ddl or spec is None:
+                kind = "broadcast" if info.is_write or info.is_ddl \
+                    else "global_read"
                 return self._dispatch_global(statement, sql_text, params,
-                                             info, span)
-            span.set_tag("table", spec.table)
+                                             info)
+            table = spec.table
             targets = self._resolve_targets(spec, params, info, key_plan,
                                             range_plan)
-            span.set_tag("targets", len(targets))
             if isinstance(statement, ast.ExplainStatement):
-                span.set_tag("kind", "explain")
+                kind = "explain"
                 return self._dispatch_explain(statement, sql_text, params,
                                               sorted(targets))
             if len(targets) == 1:
-                span.set_tag("kind", "single")
+                kind = "single"
                 cluster.stats["single_shard"] += 1
                 target = next(iter(targets))
                 self._note_route("single", (target,), info.is_write)
@@ -501,15 +506,22 @@ class ShardedSession:
                     self._txn_write_groups.add(target)
                 return result
             if info.is_write:
-                span.set_tag("kind", "multi_write")
+                kind = "multi_write"
                 return self._dispatch_multi_write(statement, sql_text,
                                                   params, info, spec,
                                                   sorted(targets))
-            span.set_tag("kind", "scatter")
+            kind = "scatter"
             return self._dispatch_scatter(statement, sql_text, params,
                                           sorted(targets), spec)
         finally:
-            span.end()
+            if span:
+                if table is not None:
+                    span.set_tag("table", table)
+                if targets is not None:
+                    span.set_tag("targets", len(targets))
+                if kind is not None:
+                    span.set_tag("kind", kind)
+                span.end()
 
     # -- target resolution ----------------------------------------------
 
@@ -557,11 +569,9 @@ class ShardedSession:
                            "write": is_write, "commit": commit}
 
     def _dispatch_global(self, statement: ast.Statement, sql_text: str,
-                         params: List[Any], info: StatementInfo,
-                         span) -> Result:
+                         params: List[Any], info: StatementInfo) -> Result:
         cluster = self.cluster
         if info.is_write or info.is_ddl:
-            span.set_tag("kind", "broadcast")
             cluster.stats["broadcast"] += 1
             every = tuple(range(len(cluster.groups)))
             self._note_route("broadcast", every, True)
@@ -572,7 +582,6 @@ class ShardedSession:
                 if self.in_transaction:
                     self._txn_write_groups.add(index)
             return result
-        span.set_tag("kind", "global_read")
         self._note_route("global_read", (0,), False)
         return self._execute_on(0, statement, sql_text, params)
 
@@ -701,12 +710,14 @@ class ShardedSession:
                 span = cluster.tracer.start_span(
                     "shard.2pc", session=self.id,
                     participants=len(write_groups),
-                    map_version=cluster.map.version)
+                    map_version=cluster.map.version) \
+                    if cluster.tracer.enabled else None
                 try:
                     cluster.twopc.commit(self, write_groups,
                                          parent_span=span)
                 finally:
-                    span.end()
+                    if span:
+                        span.end()
                 cluster.stats["twopc_commits"] += 1
         except Exception:
             # (a MiddlewareDown's label says whether the client can

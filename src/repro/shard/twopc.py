@@ -96,7 +96,7 @@ class TwoPCCoordinator:
                 span = tracer.child_span(
                     "shard.2pc.prepare", parent_span, txn=txn_id,
                     shard=middleware.name, keys=len(request.keys),
-                    start_seq=request.start_seq)
+                    start_seq=request.start_seq) if parent_span else None
                 outcome = middleware.certifier.certify(request.start_seq,
                                                        request.keys)
                 self.stats["prepares"] += 1
@@ -108,14 +108,17 @@ class TwoPCCoordinator:
                         "ok": outcome.ok, "seq": outcome.seq,
                         "conflict_seq": outcome.conflict_seq,
                     })
-                span.set_tag("ok", outcome.ok)
+                if span:
+                    span.set_tag("ok", outcome.ok)
                 if not outcome.ok:
-                    span.set_tag("conflict_seq", outcome.conflict_seq)
-                    span.end()
+                    if span:
+                        span.set_tag("conflict_seq", outcome.conflict_seq)
+                        span.end()
                     conflict = (middleware, outcome)
                     break
-                span.set_tag("seq", outcome.seq)
-                span.end()
+                if span:
+                    span.set_tag("seq", outcome.seq)
+                    span.end()
                 # a certified-but-unshipped entry must be resolvable, so
                 # record the prepare *before* the ship call can fail
                 prepared.append((index, middleware, group_session,
@@ -144,11 +147,11 @@ class TwoPCCoordinator:
                   for _, middleware, _, _, seq in prepared},
             reason=("participant_down" if participant_down is not None
                     else "conflict" if conflict is not None else None))
-        decide_span = tracer.child_span(
-            "shard.2pc.decide", parent_span, txn=txn_id,
-            decision=decision, record_seq=record.seq,
-            participants=len(prepared) + len(plain))
-        decide_span.end()
+        if parent_span:
+            tracer.child_span(
+                "shard.2pc.decide", parent_span, txn=txn_id,
+                decision=decision, record_seq=record.seq,
+                participants=len(prepared) + len(plain)).end()
 
         if decision == "commit":
             for index, middleware, group_session, request, seq in prepared:
@@ -162,10 +165,12 @@ class TwoPCCoordinator:
                     self._replay_decision(index, middleware, request,
                                           txn_id, parent_span=parent_span)
                     continue
-                span = tracer.child_span(
-                    "shard.2pc.commit", parent_span, txn=txn_id,
-                    shard=middleware.name, seq=seq)
-                with span:
+                if parent_span:
+                    with tracer.child_span(
+                            "shard.2pc.commit", parent_span, txn=txn_id,
+                            shard=middleware.name, seq=seq):
+                        middleware.group_commit.commit_prepared(request)
+                else:
                     middleware.group_commit.commit_prepared(request)
                 middleware.stats["commits"] += 1
                 group_session.txn.end()
@@ -185,10 +190,12 @@ class TwoPCCoordinator:
                 # making promotion resurrect the aborted txn as
                 # committed — so leave it to the promotion path.
                 continue
-            span = tracer.child_span(
-                "shard.2pc.abort", parent_span, txn=txn_id,
-                shard=middleware.name, seq=seq)
-            with span:
+            if parent_span:
+                with tracer.child_span(
+                        "shard.2pc.abort", parent_span, txn=txn_id,
+                        shard=middleware.name, seq=seq):
+                    middleware.group_commit.abort_prepared(request)
+            else:
                 middleware.group_commit.abort_prepared(request)
             self.stats["rescinds"] += 1
             if group_session.txn is not None:
@@ -228,8 +235,8 @@ class TwoPCCoordinator:
             database=request.database, txn_id=request.txn_id)
         self.stats.setdefault("decision_replays", 0)
         self.stats["decision_replays"] += 1
-        span = cluster.tracer.child_span(
-            "shard.2pc.commit", parent_span, txn=txn_id,
-            shard=leader.name, seq=seq, replayed=True)
-        span.end()
+        if parent_span:
+            cluster.tracer.child_span(
+                "shard.2pc.commit", parent_span, txn=txn_id,
+                shard=leader.name, seq=seq, replayed=True).end()
         return seq

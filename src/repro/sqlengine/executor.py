@@ -83,13 +83,18 @@ class Executor:
     def __init__(self, engine):
         self.engine = engine
         self._trigger_depth = 0
-        # Access paths chosen by the most recent statement, newest last —
-        # EXPLAIN-style introspection for tests and benchmarks.
-        self.last_access_paths: List[str] = []
+        # Access plans chosen by the most recent statement, newest last —
+        # EXPLAIN-style introspection for tests (last_access_paths).
+        self.access_plans: List[AccessPlan] = []
         #: what each statement tree (and each column DEFAULT) compiles
         #: to, by tree identity; nothing in it reads the schema, so
         #: entries carry no stamp and live as long as the LRU keeps them
         self.compiled = Memo()
+
+    @property
+    def last_access_paths(self) -> List[str]:
+        """The most recent statement's access paths, described when read."""
+        return [plan.describe() for plan in self.access_plans]
 
     def _compile_once(self, tree, build):
         """``build(tree)``, built at the tree's first execution here —
@@ -133,7 +138,7 @@ class Executor:
         stats = self.engine.stats
         plan = (plan_table_access_cached(table, binding, where, ctx)
                 if self.engine.use_indexes else AccessPlan(SEQ_SCAN, table))
-        self.last_access_paths.append(plan.describe())
+        self.access_plans.append(plan)
         if plan.is_index:
             stats["index_probes"] += 1
             row_ids = set()
@@ -191,7 +196,7 @@ class Executor:
                 variables: Optional[Dict[str, Any]] = None) -> Result:
         params = params or []
         if self._trigger_depth == 0:
-            self.last_access_paths = []
+            self.access_plans = []
         # Exact-type checks for the four DML classes that make up ~all of
         # any OLTP run; everything else (DDL, grants, subclasses) takes
         # the isinstance chain in _execute_cold.
@@ -782,21 +787,21 @@ class Executor:
         return lastrowid
 
     def _primary_key_of(self, table: Table, row: Dict[str, Any]):
-        pk_columns = table.primary_key_columns
-        if not pk_columns:
+        pk_names = table.primary_key_names
+        if not pk_names:
             return None
-        return tuple(row.get(c.name.lower()) for c in pk_columns)
+        return tuple(map(row.get, pk_names))
 
     def _check_unique(self, session, database_name: str, table: Table,
                       row: Dict[str, Any], exclude_row_id: Optional[int]) -> None:
         txn = session.txn
         txn_id = txn.id if txn is not None else 0
-        snapshot = self.engine.clock.snapshot()
-        for columns in table.unique_column_sets():
-            key = tuple(row.get(c) for c in columns)
-            if any(v is None for v in key):
+        snapshot = None
+        for columns, index in table.unique_indexes:
+            key = tuple(map(row.get, columns))
+            if None in key:
                 continue
-            for candidate in table.unique_candidates(columns, key):
+            for candidate in index.probe(key):
                 if exclude_row_id is not None and candidate.row_id == exclude_row_id:
                     continue
                 if candidate.creator_txn == txn_id and candidate.deleter_txn == txn_id:
@@ -809,6 +814,8 @@ class Executor:
                         candidate.creator_txn,
                         should_die=txn_id > candidate.creator_txn)
                 # Committed or own version: visible -> duplicate.
+                if snapshot is None:
+                    snapshot = self.engine.clock.snapshot()
                 if version_visible(candidate, snapshot, txn_id):
                     raise IntegrityError(
                         f"duplicate key {key} for unique columns "
@@ -949,6 +956,8 @@ class Executor:
         if table.temporary or database_name == "#temp":
             return
         database = self.engine.database(database_name)
+        if not database.triggers:
+            return
         triggers = database.triggers_for(table.name, timing, event,
                                          session.user_name)
         if not triggers:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import IntegrityError, NameError_
 from .stmtcache import Memo
@@ -86,8 +88,10 @@ class Table:
         # here with ``auto=True`` and cannot be dropped by DROP INDEX.
         self.indexes: Dict[str, "IndexDef"] = {}
         # Bumped on any schema change (columns, indexes); compiled access
-        # plans (repro.sqlengine.planner) revalidate against it.
-        self.schema_epoch = 0
+        # plans (repro.sqlengine.planner) revalidate against it.  The
+        # first _schema_changed takes it to 0 and derives the facts.
+        self.schema_epoch = -1
+        self._schema_changed()
         #: the planner's compiled access shapes for this table; owned
         #: here so they die with the rows they describe
         self.access_shapes = Memo()
@@ -122,13 +126,34 @@ class Table:
     def primary_key_columns(self) -> List[Column]:
         return [c for c in self.columns if c.primary_key]
 
+    def _schema_changed(self) -> None:
+        """Every change to the columns or the indexes ends here: bump
+        ``schema_epoch`` and re-derive what the schema decides for every
+        row, which the row paths read as plain attributes — the primary
+        key's column names (``()`` when there is none) and its index,
+        one unique index per distinct column tuple as ``(columns,
+        index)``, and the NOT NULL columns as ``(key, name)``."""
+        self.schema_epoch += 1
+        self.primary_key_names: Tuple[str, ...] = tuple(
+            c.name.lower() for c in self.columns if c.primary_key)
+        self.primary_key_index: Optional[IndexDef] = self.index_for_columns(
+            self.primary_key_names) if self.primary_key_names else None
+        unique: Dict[tuple, IndexDef] = {}
+        for index in self.indexes.values():
+            if index.unique:
+                unique.setdefault(index.key_columns, index)
+        self.unique_indexes: List[Tuple[tuple, IndexDef]] = \
+            list(unique.items())
+        self.not_null_columns: List[Tuple[str, str]] = [
+            (c.name.lower(), c.name) for c in self.columns if not c.nullable]
+
     def add_column(self, column: Column) -> None:
         if self.has_column(column.name):
             raise IntegrityError(
                 f"column {column.name!r} already exists in {self.name!r}")
         self.columns.append(column)
         self._column_map[column.name.lower()] = column
-        self.schema_epoch += 1
+        self._schema_changed()
         default = None
         for versions in self._rows.values():
             for version in versions:
@@ -217,17 +242,33 @@ class Table:
         all collected or rolled back, or that is gone, drops out."""
         removed = 0
         rows = self._rows
+        indexes = list(self.indexes.values())
         keep: Set[int] = set()
         for row_id in self._dirty:
             chain = rows.get(row_id)
             if chain is None:
                 continue
-            dead = [v for v in chain
-                    if v.deleted_ts is not None and v.deleted_ts <= horizon_ts]
-            for version in dead:
-                self.remove_version(version)
-            removed += len(dead)
-            if any(v.deleter_txn is not None for v in chain):
+            # one pass: each version is kept, or unlinked from the
+            # indexes and dropped with the rest of the chain's dead
+            survivors = []
+            held = False
+            for version in chain:
+                deleted_ts = version.deleted_ts
+                if deleted_ts is not None and deleted_ts <= horizon_ts:
+                    for index in indexes:
+                        index.discard(version)
+                    continue
+                survivors.append(version)
+                if version.deleter_txn is not None:
+                    held = True
+            dead = len(chain) - len(survivors)
+            if dead:
+                removed += dead
+                if survivors:
+                    chain[:] = survivors
+                else:
+                    del rows[row_id]
+            if held:
                 keep.add(row_id)
         self._dirty = keep
         return removed
@@ -238,7 +279,7 @@ class Table:
         """Attach ``index`` and populate it from the existing versions."""
         index.rebuild(self.versions())
         self.indexes[index.name.lower()] = index
-        self.schema_epoch += 1
+        self._schema_changed()
         return index
 
     def create_index(self, name: str, columns: Sequence[str],
@@ -252,7 +293,7 @@ class Table:
         if index is None or index.auto:
             return False
         del self.indexes[name.lower()]
-        self.schema_epoch += 1
+        self._schema_changed()
         return True
 
     def index_for_columns(self, columns: Sequence[str]) -> Optional["IndexDef"]:
@@ -267,28 +308,6 @@ class Table:
                 best = best or index
         return best
 
-    @property
-    def primary_key_index(self) -> Optional["IndexDef"]:
-        pk_columns = tuple(c.name.lower() for c in self.primary_key_columns)
-        if not pk_columns:
-            return None
-        return self.index_for_columns(pk_columns)
-
-    def unique_column_sets(self) -> List[tuple]:
-        seen = []
-        for index in self.indexes.values():
-            if index.unique and index.key_columns not in seen:
-                seen.append(index.key_columns)
-        return seen
-
-    def unique_candidates(self, columns: tuple, key: tuple) -> set:
-        """Versions sharing ``key`` on the unique column tuple ``columns``
-        (uniqueness/visibility filtering is the executor's job)."""
-        index = self.index_for_columns(columns)
-        if index is None:
-            return set()
-        return index.probe(key)
-
     def coerce_row(self, values: Dict[str, Any]) -> Dict[str, Any]:
         """Validate and coerce a column->value mapping into a full row dict
         keyed by lowercase column name."""
@@ -299,10 +318,10 @@ class Table:
         return row
 
     def check_not_null(self, row: Dict[str, Any]) -> None:
-        for column in self.columns:
-            if not column.nullable and row.get(column.name.lower()) is None:
+        for key, name in self.not_null_columns:
+            if row.get(key) is None:
                 raise IntegrityError(
-                    f"null value in column {column.name!r} of table "
+                    f"null value in column {name!r} of table "
                     f"{self.name!r} violates not-null constraint")
 
     # -- stats ------------------------------------------------------------------
@@ -369,10 +388,10 @@ class IndexDef:
         return tuple(self.columns)
 
     def key_for(self, row: Dict[str, Any]) -> tuple:
-        return tuple(row.get(c) for c in self.columns)
+        return tuple(map(row.get, self.columns))
 
     def add(self, version: RowVersion) -> None:
-        key = self.key_for(version.values)
+        key = tuple(map(version.values.get, self.columns))
         versions = self.entries.get(key)
         if versions is not None:
             versions.add(version)
@@ -394,7 +413,7 @@ class IndexDef:
             self.ordered = None
 
     def discard(self, version: RowVersion) -> None:
-        key = self.key_for(version.values)
+        key = tuple(map(version.values.get, self.columns))
         versions = self.entries.get(key)
         if versions is not None:
             versions.discard(version)

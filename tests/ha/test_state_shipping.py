@@ -96,3 +96,49 @@ def test_session_token_restores_read_your_writes():
     fresh = pair.connect(database=DATABASE, client_id="carol")
     assert fresh.view.last_commit_seq >= committed_seq
     fresh.close()
+
+
+def _prepare_unit(middleware, sql):
+    """A certified and shipped but undecided unit — a 2PC participant
+    between its prepare and the decision."""
+    session = middleware.connect(database=DATABASE)
+    session.begin()
+    session.execute(sql)
+    request = session.txn.stage_commit_request()
+    outcome = middleware.certifier.certify(request.start_seq, request.keys)
+    middleware.group_commit.prepare(request, outcome.seq)
+    return session, request
+
+
+def test_truncate_keeps_exactly_the_entries_above_the_cut():
+    """The mirror is cut as a prefix, so it must stay in seq order: the
+    leader's recovery log holds a 2PC unit after a higher seq, which the
+    bootstrap sorts, and a 2PC no-op keeps its place."""
+    middleware = make_leader(rows=4)
+    writer = middleware.connect(database=DATABASE)
+    late, late_request = _prepare_unit(middleware,
+                                       "UPDATE kv SET v = 1 WHERE k = 0")
+    writer.execute("UPDATE kv SET v = 2 WHERE k = 1")
+    middleware.group_commit.commit_prepared(late_request)
+    late.txn.end()
+    seqs = [entry.seq for entry in middleware.recovery_log.entries]
+    assert seqs != sorted(seqs)          # the late unit sits after it
+    pair = HAPair(middleware)
+    writer.execute("UPDATE kv SET v = 3 WHERE k = 2")
+    aborted, request = _prepare_unit(middleware,
+                                     "UPDATE kv SET v = 4 WHERE k = 3")
+    middleware.group_commit.abort_prepared(request)
+    aborted.rollback()
+    writer.execute("UPDATE kv SET v = 5 WHERE k = 3")
+    state = pair.state
+    top = max(seqs)
+    assert [c.seq for c in state.commits] == \
+        sorted(seqs) + [top + 1, top + 2, top + 3]
+    assert [e[0] for e in state.certifier_log] == \
+        sorted(seqs) + [top + 1, top + 2, top + 3]
+    for cut in range(state.seq + 2):
+        commits, log = list(state.commits), list(state.certifier_log)
+        state.truncate(cut)
+        assert state.commits == [c for c in commits if c.seq > cut]
+        assert state.certifier_log == [e for e in log if e[0] > cut]
+        state.commits, state.certifier_log = commits, log
