@@ -31,7 +31,7 @@ def run_policy(policy) -> float:
         cold_read_penalty=COLD_PENALTY, policy=policy,
         level=BalancingLevel.QUERY)
     for replica in middleware.replicas:
-        replica.hot_tables._items.clear()
+        replica.hot_tables.clear()
     return metrics.rate(2.5)
 
 

@@ -37,10 +37,13 @@ _UNSAFE = frozenset({"RAND", "RANDOM", "UUID"})
 
 
 class StatementInfo:
-    """Everything the middleware needs to route one statement."""
+    """Everything the middleware needs to route one statement.
+    ``is_read_only`` (neither a write nor DDL) is settled when
+    :func:`analyze` returns."""
 
     __slots__ = (
-        "statement", "is_write", "is_ddl", "tables_read", "tables_written",
+        "statement", "is_write", "is_ddl", "is_read_only",
+        "tables_read", "tables_written",
         "nondeterministic_calls", "rewritable_calls", "unsafe_calls",
         "limit_without_order_in_write", "is_procedure_call",
         "creates_temp_table", "touches_temp_names", "databases",
@@ -51,6 +54,7 @@ class StatementInfo:
         self.statement = statement
         self.is_write = False
         self.is_ddl = False
+        self.is_read_only = True
         self.tables_read: Set[str] = set()
         self.tables_written: Set[str] = set()
         self.nondeterministic_calls: List[str] = []
@@ -62,10 +66,6 @@ class StatementInfo:
         self.touches_temp_names: Set[str] = set()
         self.databases: Set[str] = set()
         self._sorted_tables: Optional[List[str]] = None
-
-    @property
-    def is_read_only(self) -> bool:
-        return not self.is_write and not self.is_ddl
 
     @property
     def is_deterministic(self) -> bool:
@@ -157,6 +157,7 @@ def analyze(statement: ast.Statement) -> StatementInfo:
         pass
     else:
         info.is_write = True  # unknown statements are treated as writes
+    info.is_read_only = not info.is_write and not info.is_ddl
     return info
 
 

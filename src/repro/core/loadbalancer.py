@@ -174,12 +174,20 @@ class LoadBalancer:
         # add zero replica load.  Counted so load accounting (decisions vs
         # actual traffic) stays explainable in experiments.
         self.cache_bypasses = 0
-        # Why the last `choose` picked what it picked — read by the
-        # tracing layer to tag the balancer.choose span (repro.obs).
-        # One dict mutated in place: consumers read it synchronously
-        # right after `choose` returns, so reusing the allocation is
-        # safe and keeps the per-read garbage flat.
-        self.last_decision: Optional[dict] = None
+        # (chosen, candidate count, sticky) of the last `choose`; see
+        # `last_decision`
+        self._last: Optional[tuple] = None
+
+    @property
+    def last_decision(self) -> Optional[dict]:
+        """Why the last ``choose`` picked what it picked — read by the
+        tracing layer to tag the balancer.choose span (repro.obs) right
+        after ``choose`` returns; built only when read."""
+        if self._last is None:
+            return None
+        chosen, candidates, sticky = self._last
+        return {"policy": self.policy.name, "replica": chosen.name,
+                "candidates": candidates, "sticky": sticky}
 
     def note_cache_hit(self) -> None:
         """A read was served from the middleware result cache instead of
@@ -210,29 +218,19 @@ class LoadBalancer:
 
         if self.level is BalancingLevel.QUERY or context.session_id is None:
             chosen = self.policy.choose(candidates, context)
-            self._note_decision(chosen, candidates, sticky=False)
+            self._last = (chosen, len(candidates), False)
             return chosen
 
         sticky_name = self._sticky.get(context.session_id)
         if sticky_name is not None:
             for replica in candidates:
                 if replica.name == sticky_name:
-                    self._note_decision(replica, candidates, sticky=True)
+                    self._last = (replica, len(candidates), True)
                     return replica
         chosen = self.policy.choose(candidates, context)
         self._sticky[context.session_id] = chosen.name
-        self._note_decision(chosen, candidates, sticky=False)
+        self._last = (chosen, len(candidates), False)
         return chosen
-
-    def _note_decision(self, chosen: Replica, candidates: List[Replica],
-                       sticky: bool) -> None:
-        decision = self.last_decision
-        if decision is None:
-            decision = self.last_decision = {}
-        decision["policy"] = self.policy.name
-        decision["replica"] = chosen.name
-        decision["candidates"] = len(candidates)
-        decision["sticky"] = sticky
 
     def end_transaction(self, session_id: int) -> None:
         """Transaction-level balancing drops stickiness at commit."""

@@ -430,13 +430,12 @@ class ReplicationMiddleware:
 
         cluster = self.cluster_view()
         protocol = self.config.consistency
-        tables = info.sorted_tables() if info else []
-        context = RoutingContext(tables=tables, session_id=session.id)
-        candidates = [
-            r for r in self.online_replicas()
-            if protocol.read_eligible(r, session.view, cluster)
-        ]
+        eligible, view = protocol.read_eligible, session.view
+        candidates = [r for r in self.replicas
+                      if r.is_online and eligible(r, view, cluster)]
         if candidates:
+            context = session.routing
+            context.tables = info.sorted_tables() if info else []
             chosen = self.config.balancer.choose(candidates, context)
             if span:
                 decision = self.config.balancer.last_decision or {}
@@ -706,6 +705,9 @@ class MiddlewareSession:
         self.active_span = None
         self.trace_context = None
         self._cache_note: Optional[str] = None
+        # what the balancer sees of this session's read, refilled per
+        # read choice (a policy reads it before ``choose`` returns)
+        self.routing = RoutingContext(session_id=session_id)
 
     @property
     def in_transaction(self) -> bool:
@@ -906,6 +908,12 @@ class MiddlewareSession:
         if info.creates_temp_table:
             self.temp_tables |= info.touches_temp_names
         if isinstance(statement, (ast.UseStatement, ast.SetStatement)):
+            if isinstance(statement, ast.SetStatement) \
+                    and statement.name == "isolation_level":
+                raise UnsupportedStatementError(
+                    "SET TRANSACTION ISOLATION LEVEL would change one "
+                    "replica connection of this session (section 4.1.2); "
+                    "name the level in BEGIN ISOLATION LEVEL instead")
             # connection-local state the cache key cannot witness
             self._cache_ineligible = True
 
@@ -979,7 +987,7 @@ class MiddlewareSession:
             gate.fill(self, statement, sql_text, params, info, replica,
                       result)
         replica.stats["served_reads"] += 1
-        replica.note_hot_tables(sorted(info.all_tables()))
+        replica.note_hot_tables(info.sorted_tables())
         if middleware.resilience is not None:
             middleware.resilience.record_success(replica.name)
         middleware.config.consistency.note_read(self.view, replica.applied_seq)

@@ -66,8 +66,9 @@ class Replica:
             node.on_crash(lambda _n: self.mark_failed())
             node.on_recover(lambda _n: self._node_recovered())
         # Memory-aware balancing state (Tashkent+-like): tables assumed
-        # resident in this replica's buffer pool.
-        self.hot_tables: "OrderedSetLike" = OrderedSetLike()
+        # resident in this replica's buffer pool, an LRU set (dict keys
+        # in order of last use, oldest first).
+        self.hot_tables: Dict[str, None] = {}
 
     # -- state machine --------------------------------------------------------
 
@@ -143,8 +144,13 @@ class Replica:
     def note_hot_tables(self, tables, capacity: int = 8) -> None:
         """Record recently-touched tables (an LRU 'working set' stand-in
         for Tashkent+'s in-memory-execution awareness)."""
+        hot = self.hot_tables
         for table in tables:
-            self.hot_tables.touch(table, capacity)
+            if table in hot:
+                del hot[table]
+            hot[table] = None
+        while len(hot) > capacity:
+            del hot[next(iter(hot))]
 
     def hotness(self, tables) -> float:
         if not tables:
@@ -156,26 +162,3 @@ class Replica:
         return (f"Replica({self.name!r}, {self.state.value}, "
                 f"applied={self.applied_seq}, queue={len(self.apply_queue)})")
 
-
-class OrderedSetLike:
-    """A tiny LRU set (insertion-ordered dict keys)."""
-
-    def __init__(self):
-        self._items: Dict[str, None] = {}
-
-    def touch(self, item: str, capacity: int) -> None:
-        if item in self._items:
-            del self._items[item]
-        self._items[item] = None
-        while len(self._items) > capacity:
-            oldest = next(iter(self._items))
-            del self._items[oldest]
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)

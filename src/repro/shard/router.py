@@ -326,11 +326,11 @@ class ShardedSession:
         # template + extracted values, or the text as sent + the
         # caller's params — so the groups' cache keys and statement
         # logs, span tags and split-INSERT text all agree
-        result = Result()
+        result = None
         for statement, text, values in \
                 self.cluster.statements.script(sql, params):
             result = self._execute_one(statement, text, list(values))
-        return result
+        return Result() if result is None else result
 
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
                            params: Optional[List[Any]] = None) -> Result:

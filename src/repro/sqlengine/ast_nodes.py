@@ -33,22 +33,20 @@ class QualifiedName(Node):
     queries* (paper section 4.1.1) expressible.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "name", "database", "schema")
 
     def __init__(self, parts: Sequence[str]):
+        # a name never changes after parsing: its pieces are read as
+        # plain attributes on every statement that resolves it
         self.parts = tuple(parts)
+        self.name: str = self.parts[-1]
+        self.database: Optional[str] = \
+            self.parts[0] if len(self.parts) >= 2 else None
+        self.schema: Optional[str] = \
+            self.parts[1] if len(self.parts) == 3 else None
 
-    @property
-    def name(self) -> str:
-        return self.parts[-1]
-
-    @property
-    def database(self) -> Optional[str]:
-        return self.parts[0] if len(self.parts) >= 2 else None
-
-    @property
-    def schema(self) -> Optional[str]:
-        return self.parts[1] if len(self.parts) == 3 else None
+    def __repr__(self) -> str:
+        return f"QualifiedName(parts={self.parts!r})"
 
     def __str__(self) -> str:
         return ".".join(self.parts)
@@ -203,15 +201,18 @@ class ExistsSubquery(Expression):
 # ---------------------------------------------------------------------------
 
 class TableRef(Node):
-    __slots__ = ("name", "alias")
+    """``binding`` is the name the table's rows are bound under: the
+    alias, else the table name, lower-cased."""
+
+    __slots__ = ("name", "alias", "binding")
 
     def __init__(self, name: QualifiedName, alias: Optional[str] = None):
         self.name = name
         self.alias = alias
+        self.binding = (alias or name.name).lower()
 
-    @property
-    def binding(self) -> str:
-        return (self.alias or self.name.name).lower()
+    def __repr__(self) -> str:
+        return f"TableRef(name={self.name!r}, alias={self.alias!r})"
 
 
 class Join(Node):

@@ -77,6 +77,10 @@ class TempSpace:
         self._tables.clear()
 
 
+# what an unset isolation cache holds: equal to no isolation value
+_UNSET = object()
+
+
 class Connection:
     """One client session against one engine."""
 
@@ -89,6 +93,10 @@ class Connection:
         self.temp_space = TempSpace()
         self.variables: Dict[str, Any] = {}
         self.default_isolation = engine.dialect.default_isolation
+        # (default_isolation, the level it normalizes to): an implicit
+        # transaction begins at the cached level for as long as
+        # default_isolation still holds the value it was worked out from
+        self._default_level = (_UNSET, None)
         self.last_insert_id: Optional[int] = None
         self.closed = False
 
@@ -145,7 +153,8 @@ class Connection:
             return
         self.engine.commit(txn)
         self.txn = None
-        self._drop_transaction_temp_tables(txn)
+        if txn.temp_tables_created:
+            self._drop_transaction_temp_tables(txn)
 
     def rollback(self) -> None:
         self._check_usable()
@@ -154,7 +163,8 @@ class Connection:
             return
         self.engine.rollback(txn)
         self.txn = None
-        self._drop_transaction_temp_tables(txn)
+        if txn.temp_tables_created:
+            self._drop_transaction_temp_tables(txn)
 
     def _drop_transaction_temp_tables(self, txn: Transaction) -> None:
         if self.engine.dialect.temp_table_scope == "transaction":
@@ -171,10 +181,10 @@ class Connection:
         """Parse and execute ``sql`` (one or more ``;``-separated
         statements); returns the result of the last one."""
         self._check_usable()
-        result = Result()
+        result = None
         for statement, _text, values in self.engine.script(sql, params):
             result = self._execute_one(statement, list(values))
-        return result
+        return Result() if result is None else result
 
     def execute_statement(self, statement: ast.Statement,
                           params: Optional[List[Any]] = None) -> Result:
@@ -196,8 +206,12 @@ class Connection:
 
         implicit = self.txn is None
         if implicit:
-            self.txn = self.engine.begin_transaction(
-                self, self.normalize_isolation(None), explicit=False)
+            value, level = self._default_level
+            if value is not self.default_isolation:
+                level = self.normalize_isolation(None)
+                self._default_level = (self.default_isolation, level)
+            self.txn = self.engine.begin_transaction(self, level,
+                                                     explicit=False)
         txn = self.txn
 
         if txn.status is TransactionStatus.FAILED:

@@ -31,12 +31,12 @@ from .expressions import (
 from .functions import AGGREGATE_FUNCTIONS
 from .locks import LockConflict, LockMode
 from .mvcc import (
-    READ_UNCOMMITTED, SERIALIZABLE, Snapshot, latest_committed_change,
-    uncommitted_writer, version_visible, visible_in_range, visible_rows,
-    visible_version,
+    READ_UNCOMMITTED, SERIALIZABLE,
+    latest_committed_change, uncommitted_writer, version_visible,
+    visible_in_range, visible_probed, visible_rows,
 )
-from .planner import (AccessPlan, INDEX_RANGE, SEQ_SCAN, plan_table_access,
-                      plan_table_access_cached)
+from .planner import (AccessPlan, INDEX_PROBE, INDEX_RANGE, SEQ_SCAN,
+                      plan_table_access, plan_table_access_cached)
 from .sequences import Sequence
 from .procedures import Procedure
 from .stmtcache import Memo
@@ -139,20 +139,13 @@ class Executor:
         plan = (plan_table_access_cached(table, binding, where, ctx)
                 if self.engine.use_indexes else AccessPlan(SEQ_SCAN, table))
         self.access_plans.append(plan)
-        if plan.is_index:
+        kind = plan.kind
+        if kind == INDEX_PROBE:
             stats["index_probes"] += 1
-            row_ids = set()
-            for key in plan.keys:
-                for candidate in plan.index.probe(key):
-                    row_ids.add(candidate.row_id)
-            stats["rows_scanned"] += len(row_ids)
-            versions = []
-            for row_id in row_ids:
-                version = visible_version(table, row_id, snapshot, txn_id,
-                                          dirty=dirty)
-                if version is not None:
-                    versions.append(version)
-        elif plan.kind == INDEX_RANGE:
+            versions, looked_at = visible_probed(
+                table, plan.index, plan.keys, snapshot, txn_id, dirty)
+            stats["rows_scanned"] += looked_at
+        elif kind == INDEX_RANGE:
             stats["index_probes"] += 1
             index = plan.index
             if top is not None and index.unique \
@@ -194,6 +187,12 @@ class Executor:
     def execute(self, session, statement: ast.Statement,
                 params: Optional[List[Any]] = None,
                 variables: Optional[Dict[str, Any]] = None) -> Result:
+        """Run one statement for ``session``, always inside its open
+        transaction: ``Connection._execute_one`` opens the implicit one
+        first and is the only caller outside this class (trigger and
+        procedure bodies run in their statement's transaction), so
+        ``session.txn`` is never ``None`` here — every row change is
+        stamped at that transaction's commit."""
         params = params or []
         if self._trigger_depth == 0:
             self.access_plans = []
@@ -202,8 +201,8 @@ class Executor:
         # the isinstance chain in _execute_cold.
         cls = statement.__class__
         if cls is ast.SelectStatement:
-            return self._execute_select_statement(session, statement,
-                                                  params, variables)
+            return self._run_select(session, statement, EvalContext(
+                self, session, params=params, variables=variables))
         if cls is ast.UpdateStatement:
             return self._execute_update(session, statement, params, variables)
         if cls is ast.InsertStatement:
@@ -216,7 +215,8 @@ class Executor:
                       params: List[Any],
                       variables: Optional[Dict[str, Any]]) -> Result:
         if isinstance(statement, ast.SelectStatement):
-            return self._execute_select_statement(session, statement, params, variables)
+            return self._run_select(session, statement, EvalContext(
+                self, session, params=params, variables=variables))
         if isinstance(statement, ast.ExplainStatement):
             return self._execute_explain(session, statement, params, variables)
         if isinstance(statement, ast.InsertStatement):
@@ -273,21 +273,23 @@ class Executor:
                        privilege: Optional[str] = None):
         """Return (database_name, table).  Unqualified names check the
         session's temp-table space first (section 4.1.4)."""
-        if name.database is None:
-            temp = session.temp_space.get(name.name)
+        table_name = name.name
+        database_name = name.database
+        if database_name is None:
+            temp = session.temp_space.get(table_name)
             if temp is not None:
                 return ("#temp", temp)
-        database_name = name.database or session.current_database_name()
-        if information_schema.is_information_schema(database_name):
+            database_name = session.current_database_name()
+        if database_name.lower() == information_schema.DATABASE_NAME:
             if privilege not in (None, "SELECT"):
                 raise AccessDeniedError(
                     "information_schema views are read-only")
-            view = information_schema.build_view(self.engine, name.name)
+            view = information_schema.build_view(self.engine, table_name)
             return (information_schema.DATABASE_NAME, view)
-        database = self.engine.database(database_name)
-        table = database.table(name.name)
+        table = self.engine.database(database_name).table(table_name)
         if privilege is not None:
-            self._check_privilege(session, privilege, database_name, name.name)
+            self._check_privilege(session, privilege, database_name,
+                                  table_name)
         return (database_name, table)
 
     def _resolve_database(self, session, name: ast.QualifiedName):
@@ -312,19 +314,6 @@ class Executor:
     # snapshots & locks
     # ------------------------------------------------------------------
 
-    def _read_snapshot(self, session) -> Snapshot:
-        statement_snapshot = self.engine.clock.snapshot()
-        txn = session.txn
-        if txn is None:
-            return statement_snapshot
-        return txn.read_snapshot(statement_snapshot)
-
-    def _lock_for_read(self, session, database: str, table: Table) -> None:
-        txn = session.txn
-        if txn is not None and txn.isolation == SERIALIZABLE and not table.temporary:
-            self.engine.locks.acquire(
-                txn.id, f"{database}.{table.name}".lower(), LockMode.SHARED)
-
     def _lock_for_write(self, session, database: str, table: Table) -> None:
         txn = session.txn
         if txn is not None and txn.isolation == SERIALIZABLE and not table.temporary:
@@ -335,16 +324,12 @@ class Executor:
     # SELECT
     # ------------------------------------------------------------------
 
-    def _execute_select_statement(self, session, statement, params,
-                                  variables) -> Result:
-        ctx = EvalContext(self, session, params=params, variables=variables or {})
-        return self._run_select(session, statement, ctx)
-
     def _run_select(self, session, statement: ast.SelectStatement,
                     outer_ctx: EvalContext) -> Result:
         parts = self._compile_once(statement, _SelectParts)
-        snapshot = self._read_snapshot(session)
-        dirty = session.txn is not None and session.txn.isolation == READ_UNCOMMITTED
+        txn = session.txn
+        snapshot = txn.read_snapshot(self.engine.clock.now)
+        dirty = txn.isolation == READ_UNCOMMITTED
 
         top = parts.top
         if top is not None:
@@ -401,7 +386,8 @@ class Executor:
             rows = self._order_rows(statement, parts, rows, columns,
                                     row_bindings, outer_ctx)
 
-        rows = self._apply_limit(statement, rows, outer_ctx)
+        if statement.limit is not None or statement.offset is not None:
+            rows = self._apply_limit(statement, rows, outer_ctx)
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
     def _build_source(self, session, conditions, source, snapshot, dirty,
@@ -425,7 +411,12 @@ class Executor:
         if isinstance(source, ast.TableRef):
             database_name, table = self._resolve_table(
                 session, source.name, privilege="SELECT")
-            self._lock_for_read(session, database_name, table)
+            txn = session.txn
+            if txn is not None and txn.isolation == SERIALIZABLE \
+                    and not table.temporary:
+                self.engine.locks.acquire(
+                    txn.id, f"{database_name}.{table.name}".lower(),
+                    LockMode.SHARED)
             binding = source.binding
             rows = [
                 {binding: version.values}
@@ -433,7 +424,7 @@ class Executor:
                     session, table, binding, where, snapshot, outer_ctx,
                     dirty, top, keep)
             ]
-            return rows, [(binding, [c.lower() for c in table.column_names])]
+            return rows, [(binding, table.column_keys)]
         if isinstance(source, ast.SubquerySource):
             result = self._run_select(session, source.select, outer_ctx)
             binding = source.binding
@@ -478,7 +469,11 @@ class Executor:
 
     def _plain_output(self, statement, parts, source_rows, source_columns,
                       outer_ctx):
-        columns = self._output_column_names(statement, source_columns)
+        columns = parts.names
+        if columns is None:     # a ``*`` names what the sources hold
+            columns = self._output_column_names(statement, source_columns)
+        else:
+            columns = list(columns)
         rows = []
         for bindings in source_rows:
             row = []
@@ -616,7 +611,7 @@ class Executor:
         """Describe the access path the planner would choose, without
         executing the statement."""
         ctx = EvalContext(self, session, params=params,
-                          variables=variables or {})
+                          variables=variables)
         inner = statement.statement
         rows: List[tuple] = []
         if isinstance(inner, ast.SelectStatement):
@@ -713,7 +708,7 @@ class Executor:
         database_name, table = self._resolve_table(
             session, statement.table, privilege="INSERT")
         self._lock_for_write(session, database_name, table)
-        ctx = EvalContext(self, session, params=params, variables=variables or {})
+        ctx = EvalContext(self, session, params=params, variables=variables)
 
         if statement.select is not None:
             select_result = self._run_select(session, statement.select, ctx)
@@ -752,9 +747,8 @@ class Executor:
                 if column.auto_increment:
                     row[key] = table.next_auto_value(key)
                     lastrowid = row[key]
-                    if txn is not None:
-                        txn.auto_increment_effects.append(
-                            (database_name, table.name, row[key]))
+                    txn.auto_increment_effects.append(
+                        (database_name, table.name, row[key]))
                 elif column.default is not None and key not in row:
                     default = self._compile_once(column.default,
                                                  compile_expression)
@@ -771,16 +765,14 @@ class Executor:
         self._fire_triggers(session, database_name, table, "INSERT",
                             timing="BEFORE", old=None, new=full_row)
 
-        txn_id = txn.id if txn is not None else 0
-        version = table.insert_version(full_row, txn_id)
+        version = table.insert_version(full_row, txn.id)
         table.last_inserted_id = lastrowid
-        if txn is not None:
-            txn.note_created(table, version)
-            if not table.temporary:
-                txn.writeset.add(WritesetEntry(
-                    database_name, table.name.lower(), "INSERT",
-                    self._primary_key_of(table, full_row), None,
-                    dict(full_row), version.row_id))
+        txn.note_created(table, version)
+        if not table.temporary:
+            txn.writeset.add(WritesetEntry(
+                database_name, table.name.lower(), "INSERT",
+                self._primary_key_of(table, full_row), None,
+                dict(full_row), version.row_id))
 
         self._fire_triggers(session, database_name, table, "INSERT",
                             timing="AFTER", old=None, new=full_row)
@@ -827,10 +819,10 @@ class Executor:
         database_name, table = self._resolve_table(
             session, statement.table, privilege="UPDATE")
         self._lock_for_write(session, database_name, table)
-        ctx = EvalContext(self, session, params=params, variables=variables or {})
+        ctx = EvalContext(self, session, params=params, variables=variables)
         txn = session.txn
-        txn_id = txn.id if txn is not None else 0
-        snapshot = self._read_snapshot(session)
+        txn_id = txn.id
+        snapshot = txn.read_snapshot(self.engine.clock.now)
         binding = statement.table.name.lower()
         keep, assignments = self._compile_once(statement, _write_parts)
 
@@ -858,17 +850,13 @@ class Executor:
             table.mark_deleted(version, txn_id)
             new_version = table.insert_version(
                 new_values, txn_id, row_id=version.row_id)
-            if txn is not None:
-                txn.note_deleted(version)
-                txn.note_created(table, new_version)
-                if not table.temporary:
-                    txn.writeset.add(WritesetEntry(
-                        database_name, table.name.lower(), "UPDATE",
-                        self._primary_key_of(table, old_values),
-                        old_values, dict(new_values), version.row_id))
-            else:
-                # autocommit single statement: stamp immediately
-                self._stamp_autocommit(version, new_version)
+            txn.note_deleted(version)
+            txn.note_created(table, new_version)
+            if not table.temporary:
+                txn.writeset.add(WritesetEntry(
+                    database_name, table.name.lower(), "UPDATE",
+                    self._primary_key_of(table, old_values),
+                    old_values, dict(new_values), version.row_id))
 
             self._fire_triggers(session, database_name, table, "UPDATE",
                                 timing="AFTER", old=old_values, new=new_values)
@@ -881,10 +869,10 @@ class Executor:
         database_name, table = self._resolve_table(
             session, statement.table, privilege="DELETE")
         self._lock_for_write(session, database_name, table)
-        ctx = EvalContext(self, session, params=params, variables=variables or {})
+        ctx = EvalContext(self, session, params=params, variables=variables)
         txn = session.txn
-        txn_id = txn.id if txn is not None else 0
-        snapshot = self._read_snapshot(session)
+        txn_id = txn.id
+        snapshot = txn.read_snapshot(self.engine.clock.now)
         binding = statement.table.name.lower()
         keep, _ = self._compile_once(statement, _write_parts)
 
@@ -899,27 +887,16 @@ class Executor:
             self._fire_triggers(session, database_name, table, "DELETE",
                                 timing="BEFORE", old=old_values, new=None)
             table.mark_deleted(version, txn_id)
-            if txn is not None:
-                txn.note_deleted(version)
-                if not table.temporary:
-                    txn.writeset.add(WritesetEntry(
-                        database_name, table.name.lower(), "DELETE",
-                        self._primary_key_of(table, old_values),
-                        old_values, None, version.row_id))
-            else:
-                version.deleted_ts = self.engine.clock.tick()
+            txn.note_deleted(version)
+            if not table.temporary:
+                txn.writeset.add(WritesetEntry(
+                    database_name, table.name.lower(), "DELETE",
+                    self._primary_key_of(table, old_values),
+                    old_values, None, version.row_id))
             self._fire_triggers(session, database_name, table, "DELETE",
                                 timing="AFTER", old=old_values, new=None)
             deleted += 1
         return Result(rowcount=deleted)
-
-    def _stamp_autocommit(self, old_version: Optional[RowVersion],
-                          new_version: Optional[RowVersion]) -> None:
-        ts = self.engine.clock.tick()
-        if old_version is not None:
-            old_version.deleted_ts = ts
-        if new_version is not None:
-            new_version.created_ts = ts
 
     def _check_write_conflict(self, session, database_name: str,
                               table: Table, version: RowVersion) -> None:
@@ -1148,11 +1125,13 @@ class Executor:
 
     def _execute_set(self, session, statement, params) -> Result:
         if statement.name == "isolation_level":
-            session.default_isolation = statement.value
+            # refused before anything changes: a level this dialect
+            # lacks leaves the connection as it was
+            level = session.normalize_isolation(statement.value)
+            session.default_isolation = level
             if session.txn is not None and session.txn.is_active \
                     and session.txn.writeset.is_empty():
-                session.txn.isolation = session.normalize_isolation(
-                    statement.value)
+                session.txn.isolation = level
             return Result()
         ctx = EvalContext(self, session, params=params)
         value = statement.value
@@ -1188,7 +1167,7 @@ class Executor:
         self._check_privilege(session, "EXECUTE", database_name,
                               procedure.name)
         ctx = EvalContext(self, session, params=params,
-                          variables=variables or {})
+                          variables=variables)
         args = evaluate_each(statement.args, ctx)
         if len(args) != len(procedure.params):
             raise TypeError_(
@@ -1238,8 +1217,8 @@ class _SelectParts:
     ctx)``, as is ``having``; ``conditions`` maps ``id(join)`` to the
     join's compiled ON clause; ``top`` is :func:`_top_shape`."""
 
-    __slots__ = ("keep", "where", "grouped", "columns", "group_by",
-                 "having", "order_by", "conditions", "top")
+    __slots__ = ("keep", "where", "grouped", "columns", "names",
+                 "group_by", "having", "order_by", "conditions", "top")
 
     def __init__(self, statement: ast.SelectStatement):
         source = statement.source
@@ -1253,6 +1232,11 @@ class _SelectParts:
         self.columns = [
             None if isinstance(expr, ast.Star) and not self.grouped
             else compiled(expr, binding) for expr, _alias in statement.columns]
+        # the output names, unless a ``*`` takes them from the source
+        self.names = None if any(
+            isinstance(expr, ast.Star) for expr, _alias in statement.columns
+        ) else tuple(_output_name(index, expr, alias) for index, (expr, alias)
+                     in enumerate(statement.columns))
         self.keep = self.where = None
         if statement.where is not None:
             if isinstance(source, ast.TableRef):

@@ -47,6 +47,10 @@ from .functions import AGGREGATE_FUNCTIONS, call_scalar
 Compiled = Callable[[Dict[str, Dict[str, Any]], "EvalContext"], Any]
 
 
+#: what an absent ``bindings`` / ``variables`` reads as (never mutated)
+_NOTHING: Dict[str, Any] = {}
+
+
 class EvalContext:
     """Everything an expression might need beside the row.
 
@@ -64,9 +68,9 @@ class EvalContext:
                  parent: Optional["EvalContext"] = None):
         self.executor = executor
         self.session = session
-        self.bindings = bindings or {}
-        self.params = params or []
-        self.variables = variables or {}
+        self.bindings = bindings or _NOTHING
+        self.params = params or ()
+        self.variables = variables or _NOTHING
         self.parent = parent
 
     def child(self, bindings: Dict[str, Dict]) -> "EvalContext":

@@ -14,7 +14,7 @@ The views are materialized per statement from live catalog state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from .errors import NameError_
 from .storage import Table
@@ -27,10 +27,6 @@ DATABASE_NAME = "information_schema"
 
 _VIEWS = ("tables", "columns", "sequences", "triggers", "procedures",
           "users")
-
-
-def is_information_schema(database_name: Optional[str]) -> bool:
-    return (database_name or "").lower() == DATABASE_NAME
 
 
 def view_names() -> List[str]:

@@ -97,7 +97,10 @@ class LockManager:
 
     def release_all(self, txn_id: int) -> None:
         """Two-phase locking: everything is released at commit/abort."""
-        for resource in self._by_txn.pop(txn_id, set()):
+        resources = self._by_txn.pop(txn_id, None)
+        if resources is None:
+            return
+        for resource in resources:
             holders = self._held.get(resource)
             if holders is not None:
                 holders.pop(txn_id, None)

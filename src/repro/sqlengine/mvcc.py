@@ -155,6 +155,50 @@ def visible_in_range(table: Table, index, positions: range,
     return found, looked_at
 
 
+def visible_probed(table: Table, index, keys, snapshot: Snapshot,
+                   txn_id: Optional[int],
+                   dirty: bool = False) -> Tuple[List[RowVersion], int]:
+    """``(versions, rows)``: the visible versions of the rows ``index``
+    holds under any of ``keys`` (key tuples), and how many rows were
+    looked at.
+
+    One key held by one version whose chain is that version alone — a
+    primary-key read of a row nobody has updated since the last vacuum
+    — is answered by the visibility test written out, as in
+    :func:`visible_rows`; anything else ranks each row's chain as
+    :func:`visible_version` does, rows in the order of their ids' set."""
+    chains, entries = table._rows, index.entries
+    if len(keys) == 1:
+        candidates = entries.get(keys[0], ())
+        if len(candidates) == 1:
+            version, = candidates
+            if len(chains[version.row_id]) == 1:
+                if dirty:
+                    visible = version.deleter_txn is None \
+                        and version.deleted_ts is None
+                else:
+                    ts = snapshot.timestamp
+                    me = _NOBODY if txn_id is None else txn_id
+                    created = version.created_ts
+                    deleted = version.deleted_ts
+                    visible = (created is not None and created <= ts
+                               or version.creator_txn == me) \
+                        and version.deleter_txn != me \
+                        and (deleted is None or deleted > ts)
+                return ([version] if visible else []), 1
+    row_ids = set()
+    for key in keys:
+        for candidate in entries.get(key, ()):
+            row_ids.add(candidate.row_id)
+    versions = []
+    for row_id in row_ids:
+        version = _newest_visible(chains.get(row_id, ()), snapshot, txn_id,
+                                  dirty)
+        if version is not None:
+            versions.append(version)
+    return versions, len(row_ids)
+
+
 def visible_version(table: Table, row_id: int, snapshot: Snapshot,
                     txn_id: Optional[int],
                     dirty: bool = False) -> Optional[RowVersion]:
@@ -220,18 +264,17 @@ def uncommitted_writer(chain: List[RowVersion],
 
 class CommitClock:
     """Monotonic commit-timestamp source shared by all transactions of one
-    engine.  Timestamps double as the global committed-state version."""
+    engine.  Timestamps double as the global committed-state version;
+    ``now`` is the latest one handed out (only :meth:`tick` moves it)."""
+
+    __slots__ = ("now",)
 
     def __init__(self):
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
+        self.now = 0
 
     def tick(self) -> int:
-        self._now += 1
-        return self._now
+        self.now += 1
+        return self.now
 
     def snapshot(self) -> Snapshot:
-        return Snapshot(self._now)
+        return Snapshot(self.now)

@@ -201,7 +201,7 @@ class _ProbeShape:
                     values.append(value)
             per_column_values.append(values)
         if len(per_column_values) == 1:
-            keys = [(value,) for value in per_column_values[0]]
+            keys = list(zip(per_column_values[0]))
         else:
             keys = [tuple(key)
                     for key in itertools.product(*per_column_values)]

@@ -132,8 +132,11 @@ class Table:
         row, which the row paths read as plain attributes — the primary
         key's column names (``()`` when there is none) and its index,
         one unique index per distinct column tuple as ``(columns,
-        index)``, and the NOT NULL columns as ``(key, name)``."""
+        index)``, the NOT NULL columns as ``(key, name)``, and the
+        lower-cased column names a SELECT binds its rows under."""
         self.schema_epoch += 1
+        self.column_keys: Tuple[str, ...] = tuple(
+            c.name.lower() for c in self.columns)
         self.primary_key_names: Tuple[str, ...] = tuple(
             c.name.lower() for c in self.columns if c.primary_key)
         self.primary_key_index: Optional[IndexDef] = self.index_for_columns(

@@ -67,6 +67,8 @@ class WritesetEntry:
 class Writeset:
     """Ordered list of row changes made by one transaction."""
 
+    __slots__ = ("entries",)
+
     def __init__(self):
         self.entries: List[WritesetEntry] = []
 
@@ -93,6 +95,12 @@ class Writeset:
 
 class Transaction:
     """A transaction running inside one engine."""
+
+    __slots__ = ("id", "isolation", "snapshot", "user", "explicit",
+                 "status", "start_ts", "commit_ts", "writeset",
+                 "created_versions", "deleted_versions", "sequence_effects",
+                 "auto_increment_effects", "temp_tables_created",
+                 "_statement_error")
 
     def __init__(self, txn_id: int, isolation: str, snapshot: Snapshot,
                  user: str, explicit: bool = True):
@@ -124,12 +132,16 @@ class Transaction:
 
     # -- snapshots --------------------------------------------------------
 
-    def read_snapshot(self, statement_snapshot: Snapshot) -> Snapshot:
-        """The snapshot a statement should read at: the transaction-wide one
-        for snapshot-class isolation, the per-statement one otherwise."""
-        if self.isolation in SNAPSHOT_LEVELS:
-            return self.snapshot
-        return statement_snapshot
+    def read_snapshot(self, now: int) -> Snapshot:
+        """The snapshot a statement should read at, the commit clock
+        standing at ``now``: the transaction-wide one for snapshot-class
+        isolation, else one at ``now`` — the transaction's own when
+        nothing committed since it began (always so for an implicit
+        transaction's one statement)."""
+        snapshot = self.snapshot
+        if snapshot.timestamp == now or self.isolation in SNAPSHOT_LEVELS:
+            return snapshot
+        return Snapshot(now)
 
     @property
     def uses_transaction_snapshot(self) -> bool:

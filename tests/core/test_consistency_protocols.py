@@ -122,3 +122,101 @@ def test_harness_report_rendering():
     assert "yes" in text and "no" in text
     assert "0.00100" in text        # small floats keep precision
     assert "a note" in text
+
+
+# -- the middleware's read choice under each protocol ------------------------
+
+READ = "SELECT v FROM kv WHERE k = 1"
+
+
+def _lagging_cluster(name):
+    """Two replicas under protocol ``name`` — asynchronous writesets,
+    except 1SR, whose eager broadcast is synchronous statements — and one
+    committed UPDATE that is still queued at the replica it did not run
+    on.  Returns ``(middleware, writer session, the reader's parsed
+    read)``."""
+    from repro.bench.harness import build_cluster
+    from repro.core.analysis import analyze
+
+    eager = PROTOCOLS[name].write_mode == "broadcast"
+    mw = build_cluster(2, replication="statement" if eager else "writeset",
+                       consistency=name,
+                       propagation="sync" if eager else "async")
+    writer = mw.connect(database="shop")
+    writer.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+    writer.execute("INSERT INTO kv (k, v) VALUES (1, 10)")
+    mw.drain_all()
+    writer.execute("UPDATE kv SET v = 11 WHERE k = 1")
+    queued = sorted(len(r.apply_queue) for r in mw.replicas)
+    assert queued == ([0, 0] if eager else [0, 1])
+    info = analyze(mw.statements.parse(READ)[0])
+    return mw, writer, info
+
+
+def _check_choices(mw, session, info, reads=4):
+    """Each of ``reads`` choices lands on a replica the protocol calls
+    eligible — the balancer covering all of them — or, when none is,
+    on the most caught-up online replica with ``min_read_seq`` to wait
+    for.  Returns the eligible replicas' names."""
+    protocol = mw.config.consistency
+    cluster = mw.cluster_view()
+    eligible = {r.name for r in mw.online_replicas()
+                if protocol.read_eligible(r, session.view, cluster)}
+    chosen = set()
+    for _ in range(reads):
+        replica, needed = mw.choose_read_replica(session, info)
+        chosen.add(replica.name)
+        if eligible:
+            assert needed is None and replica.name in eligible
+        else:
+            assert needed == protocol.min_read_seq(session.view, cluster)
+            assert replica.applied_seq == max(
+                r.applied_seq for r in mw.online_replicas())
+    assert chosen == (eligible or chosen)
+    return eligible
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_each_protocols_read_choice_keeps_its_eligibility(name):
+    mw, writer, info = _lagging_cluster(name)
+    protocol = mw.config.consistency
+    reader = mw.connect(database="shop")
+    for session in (reader, writer):
+        assert _check_choices(mw, session, info)    # the origin is fresh
+        value = session.execute(READ).scalar()
+        cluster = mw.cluster_view()
+        if protocol.min_read_seq(session.view, cluster) \
+                >= writer.view.last_commit_seq:
+            assert value == 11
+        else:
+            assert value in (10, 11)
+    # the fresh replica fails: whatever is eligible now is the stale one
+    fresh = max(mw.replicas, key=lambda r: r.applied_seq)
+    if fresh.applied_seq == min(r.applied_seq for r in mw.replicas):
+        return      # 1SR: nothing was stale
+    fresh.mark_failed()
+    for session in (mw.connect(database="shop"), writer):
+        # the first of these reads may drain the stale replica
+        stale_seq = max(r.applied_seq for r in mw.online_replicas())
+        eligible = _check_choices(mw, session, info)
+        needed = protocol.min_read_seq(session.view, mw.cluster_view())
+        assert bool(eligible) == (needed <= stale_seq)
+        fresh_enough = max(needed, stale_seq) >= writer.view.last_commit_seq
+        assert session.execute(READ).scalar() == (11 if fresh_enough
+                                                  else 10)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_traced_read_choice_keeps_its_span_tags(name):
+    mw, writer, _info = _lagging_cluster(name)
+    mw.tracer.enabled = True
+    for session in (mw.connect(database="shop"), writer):
+        session.execute(READ)
+    choices = [span for span in mw.tracer.finished_spans()
+               if span.name == "balancer.choose"]
+    assert len(choices) == 2
+    for span in choices:
+        assert span.tags["why"] == "balanced"
+        assert span.tags["policy"] == "round_robin"
+        assert 1 <= span.tags["candidates"] <= 2
+        assert span.tags["replica"] in {r.name for r in mw.replicas}

@@ -16,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import build_cluster
 from repro.core import MiddlewareConfig, ReplicationMiddleware
-from repro.core.errors import ReplicaUnavailable
+from repro.core.errors import ReplicaUnavailable, UnsupportedStatementError
 from repro.sqlengine import Engine
+from repro.sqlengine.dialects import mysql
 
 from tests.conftest import KV_SCHEMA, make_replicas, seed_kv
 
@@ -154,3 +156,35 @@ def test_removed_holders_and_batch_api_stay_gone():
         text = path.read_text()
         for name in GONE:
             assert name not in text, (path, name)
+
+
+@pytest.mark.parametrize("replication", ["writeset", "statement"])
+@pytest.mark.parametrize("level", ["SERIALIZABLE", "SNAPSHOT"])
+def test_set_isolation_is_refused_and_changes_no_connection(replication,
+                                                            level):
+    """``SET TRANSACTION ISOLATION LEVEL`` is connection-local state at
+    one engine; the session holds one connection per replica, so the
+    middleware refuses it (section 4.1.2) instead of running it as a
+    write at whichever replica the write lands on.  Before, the SET
+    reached one of three connections, and on MySQL replicas a refused
+    SNAPSHOT left that connection failing every later statement."""
+    mw = build_cluster(3, replication=replication, consistency="gsi",
+                       dialect_factory=mysql)
+    session = mw.connect(database="shop")
+    session.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+    session.execute("INSERT INTO kv (k, v) VALUES (1, 10)")
+    for _ in range(3):
+        session.execute("SELECT v FROM kv WHERE k = 1")
+    with pytest.raises(UnsupportedStatementError):
+        session.execute(f"SET TRANSACTION ISOLATION LEVEL {level}")
+    default = mw.replicas[0].engine.dialect.default_isolation
+    assert len(session.connections) == 3
+    assert {c.default_isolation for c in session.connections.values()} \
+        == {default}
+    for _ in range(6):      # round robin: every replica twice
+        assert session.execute("SELECT v FROM kv WHERE k = 1").scalar() \
+            == 10
+    session.execute("UPDATE kv SET v = 11 WHERE k = 1")
+    session.execute("BEGIN ISOLATION LEVEL READ COMMITTED")
+    assert session.execute("SELECT v FROM kv WHERE k = 1").scalar() == 11
+    session.execute("COMMIT")

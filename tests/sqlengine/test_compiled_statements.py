@@ -12,20 +12,22 @@ scan underneath them.
 * What a scan does per row is call closures: the number of
   ``EvalContext`` objects and of closure builds a statement costs does
   not depend on the row count, and a second execution builds nothing.
-* ``visible_rows`` and ``visible_in_range`` — with their one-version
-  fast paths — against ``visible_version`` row by row, over the chains
-  the schedules of ``test_range_differential`` leave behind.
+* ``visible_rows``, ``visible_in_range`` and ``visible_probed`` — with
+  their one-version fast paths — against ``visible_version`` row by row,
+  over the chains the schedules of ``test_range_differential`` leave
+  behind.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlengine import Engine, NameError_, generic, parse_script
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import executor as executor_module
 from repro.sqlengine import expressions
 from repro.sqlengine.mvcc import (
-    Snapshot, visible_in_range, visible_rows, visible_version,
+    Snapshot, visible_in_range, visible_probed, visible_rows,
+    visible_version,
 )
 
 from .test_range_differential import _Arm, _IDS, _STEP, _US, _WS, _SS
@@ -243,6 +245,11 @@ def test_the_first_execution_builds_once_per_node_not_per_row(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(before=st.lists(_STEP, max_size=14), moved=_IDS,
        inserted=st.tuples(st.integers(40, 45), _US, _WS, _SS), deleted=_IDS)
+# rows nobody updated: one-version chains, one of them deleted by the
+# open transaction, one inserted by it
+@example(before=[("INSERT INTO t VALUES (?, ?, ?, ?)", (k, k, 1, "a"))
+                 for k in range(5)],
+         moved=0, inserted=(40, None, None, None), deleted=10)
 def test_visible_rows_is_visible_version_row_by_row(before, moved, inserted,
                                                     deleted):
     arm = _Arm(True)
@@ -289,3 +296,18 @@ def test_visible_rows_is_visible_version_row_by_row(before, moved, inserted,
             assert looked_at == sum(
                 len({c.row_id for c in index.entries[key]})
                 for key in index.ordered)
+        # a probe of one key, and of every key at once: the visible
+        # version of each row with a version under any of them
+        for index in table.indexes.values():
+            keys = list(index.entries)
+            for probed in [[key] for key in keys] + [keys]:
+                row_ids = {c.row_id for key in probed
+                           for c in index.entries[key]}
+                want = [version for version in (
+                    visible_version(table, row_id, snapshot, txn_id,
+                                    dirty=dirty)
+                    for row_id in row_ids) if version is not None]
+                got, looked_at = visible_probed(table, index, probed,
+                                                snapshot, txn_id, dirty)
+                assert sorted(map(id, got)) == sorted(map(id, want))
+                assert looked_at == len(row_ids)

@@ -3,13 +3,18 @@ ordered index against its map.
 
 Two engines are fed one generated schedule — inserts, key-changing
 updates, range deletes, rollbacks, ``vacuum()``, then a second session's
-open transaction that moved one key and inserted another — and differ in
-one thing: ``use_indexes`` (E23's scan-baseline arm).  Whatever access
-path the planner picks, every statement must answer like the scan: the
-same row multisets from inside and outside the open transaction at READ
-COMMITTED, SNAPSHOT and READ UNCOMMITTED, the same order wherever ORDER
-BY is on a unique key, and the same sort-column sequence where ties make
-the rest the engine's choice.  The statements are the shapes of the
+open transaction that moved one key, inserted another, deleted a third
+and updated a fourth in place — and differ in one thing: ``use_indexes``
+(E23's scan-baseline arm).  Whatever access path the planner picks,
+every statement must answer like the scan: the same row multisets from
+inside and outside the open transaction at READ COMMITTED, SNAPSHOT,
+READ UNCOMMITTED and SERIALIZABLE, the same order wherever ORDER BY is
+on a unique key, and the same sort-column sequence where ties make the
+rest the engine's choice.  Point reads (``id = ?``, ``u = ?``) of every
+key that transaction touched run from each of those readers, and again
+right after the closing ``vacuum()``: a probe that meets one candidate
+on a one-version chain answers it by the visibility test written out,
+and must agree with the scan's.  The statements are the shapes of the
 ``scan_range`` workload and more: row reads, ``ORDER BY … LIMIT``,
 ``COUNT`` / ``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` with and without a
 ``GROUP BY``, over literal ranges and over ``col = ?`` / ``col BETWEEN ?
@@ -41,7 +46,7 @@ from repro.sqlengine import (
     dump_engine, generic, parse_script, restore_engine,
 )
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.mvcc import READ_UNCOMMITTED, Snapshot
+from repro.sqlengine.mvcc import READ_UNCOMMITTED
 
 from . import reference_interpreter as reference
 from .reference_interpreter import sort_key
@@ -286,7 +291,7 @@ def _visible_values(engine, conn):
     txn = conn.txn
     timestamp, txn_id, dirty = engine.clock.now, None, False
     if txn is not None:
-        timestamp = txn.read_snapshot(Snapshot(timestamp)).timestamp
+        timestamp = txn.read_snapshot(timestamp).timestamp
         txn_id, dirty = txn.id, txn.isolation == READ_UNCOMMITTED
     chains = {}
     for version in engine.database("shop").table("t").versions():
@@ -447,34 +452,61 @@ def _property(max_examples):
         for step in after:
             indexed, scan = (arm.step(step) for arm in arms)
             assert indexed == scan, step
-        # a second session's open transaction: one key moved, one inserted
+        # a second session's open transaction: one key moved, one
+        # inserted, one deleted and one updated in place
+        deleted, updated = (moved + 1) % 20, (moved + 2) % 20
+        ids = (moved, moved + 100, inserted[0], deleted, updated)
+        found = _Arm.run(arms[1].writer, "SELECT u FROM t WHERE id IN "
+                         "(?, ?, ?, ?, ?)", ids)
+        points = _point_reads(ids, {inserted[1]} | {u for u, in found[0]})
         inside = [arm.connect() for arm in arms]
         for conn in inside:
             conn.execute("BEGIN")
             _Arm.run(conn, "UPDATE t SET id = id + 100 WHERE id = ?", [moved])
             _Arm.run(conn, "INSERT INTO t VALUES (?, ?, ?, ?)", inserted)
+            _Arm.run(conn, "DELETE FROM t WHERE id = ?", [deleted])
+            _Arm.run(conn, "UPDATE t SET u = NULL, w = 3 WHERE id = ?",
+                     [updated])
         dirty = [arm.connect() for arm in arms]
         for conn in dirty:
             conn.execute("BEGIN ISOLATION LEVEL READ UNCOMMITTED")
+        serial = [arm.connect() for arm in arms]
+        for conn in serial:
+            conn.execute("BEGIN ISOLATION LEVEL SERIALIZABLE")
         readers = {"committed": [arm.writer for arm in arms], "snapshot": old,
-                   "inside": inside, "dirty": dirty}
-        for sql, params, sort_index, unique in queries:
-            for name, (indexed, scan) in readers.items():
-                brute = _brute(arms[1].engine, scan, sql, params)
-                answer = _Arm.run(scan, sql, params)
-                _agree(answer, brute, sort_index, unique, (name, sql, params),
-                       exact=True)
-                _agree(_Arm.run(indexed, sql, params), answer, sort_index,
-                       unique, (name, sql, params))
+                   "inside": inside, "dirty": dirty, "serializable": serial}
+        _answer_alike(arms, readers, queries + points)
         # the old reader held the deletions of ``after`` above the horizon;
         # once it commits, the next vacuum collects them
         for conn in old:
             conn.execute("COMMIT")
         indexed, scan = (arm.step(("vacuum", None)) for arm in arms)
         assert indexed == scan
+        _answer_alike(arms, readers, points)
         for arm in arms:
             _assert_ordered_views(arm.engine)
     return answers_like_the_scan
+
+
+def _point_reads(ids, us):
+    """``id = ?`` of each of ``ids`` and ``u = ?`` of each of ``us``, as
+    ``_queries`` items."""
+    return [(f"SELECT id, u, w, s FROM t WHERE {column} = ?", (key,), None,
+             False)
+            for column, keys in (("id", ids), ("u", us)) for key in keys]
+
+
+def _answer_alike(arms, readers, queries):
+    """Every query from every reader: the scan arm answers like brute
+    force, the indexed arm like the scan."""
+    for sql, params, sort_index, unique in queries:
+        for name, (indexed, scan) in readers.items():
+            brute = _brute(arms[1].engine, scan, sql, params)
+            answer = _Arm.run(scan, sql, params)
+            _agree(answer, brute, sort_index, unique, (name, sql, params),
+                   exact=True)
+            _agree(_Arm.run(indexed, sql, params), answer, sort_index,
+                   unique, (name, sql, params))
 
 
 test_every_access_path_answers_like_the_scan = _property(120)

@@ -190,6 +190,46 @@ def test_snapshot_unsupported_dialect(mysql_engine):
         connection.execute("BEGIN ISOLATION LEVEL SNAPSHOT")
 
 
+def test_a_refused_set_isolation_changes_nothing(mysql_engine):
+    connection = mysql_engine.connect(database="shop")
+    connection.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+    with pytest.raises(UnsupportedFeatureError):
+        connection.execute("SET TRANSACTION ISOLATION LEVEL SNAPSHOT")
+    assert connection.default_isolation == \
+        mysql_engine.dialect.default_isolation
+    connection.execute("INSERT INTO t VALUES (1)")
+    assert connection.execute("SELECT COUNT(*) FROM t").scalar() == 1
+
+
+def test_set_isolation_holds_for_every_later_implicit_transaction(kv):
+    kv.execute("SET TRANSACTION ISOLATION LEVEL serializable")
+    assert kv.default_isolation == "SERIALIZABLE"
+    kv.execute("BEGIN")
+    assert kv.txn.isolation == "SERIALIZABLE"
+    kv.execute("ROLLBACK")
+    kv.execute("SET TRANSACTION ISOLATION LEVEL READ COMMITTED")
+    kv.execute("BEGIN")
+    assert kv.txn.isolation == "READ COMMITTED"
+    kv.execute("ROLLBACK")
+
+
+def test_an_implicit_transaction_begins_at_the_default_level(kv):
+    levels = []
+    begin = kv.engine.begin_transaction
+
+    def recording(session, isolation, explicit):
+        levels.append(isolation)
+        return begin(session, isolation, explicit)
+    kv.engine.begin_transaction = recording
+    kv.execute("SELECT v FROM kv WHERE k = 1")
+    kv.execute("SET TRANSACTION ISOLATION LEVEL SERIALIZABLE")
+    kv.execute("SELECT v FROM kv WHERE k = 1")
+    kv.default_isolation = "snapshot"
+    kv.execute("SELECT v FROM kv WHERE k = 1")
+    assert levels == ["READ COMMITTED", "READ COMMITTED", "SERIALIZABLE",
+                      "SNAPSHOT"]
+
+
 def test_pg_error_poisons_transaction(pg_engine):
     connection = pg_engine.connect(database="shop")
     connection.execute("CREATE TABLE t (id INT PRIMARY KEY)")
