@@ -26,12 +26,14 @@ Two-level retry design (the repo-wide convention: state changes are
 instantaneous, time is charged separately): the in-session resilience
 layer (:mod:`repro.core.resilience`) retries instantly when an
 alternative replica exists *right now* and accumulates its backoff on
-the session (``pending_backoff``); this harness charges that backoff to
-the session's own request as simulated time and owns the *timed*
+the session (``pending_backoff``); the timed client loop the requests
+run in (:class:`repro.bench.simdriver.ClientLoop`) charges that backoff
+to the session's own request as simulated time and owns the *timed*
 retries — the ones that only succeed because simulated time passes (a
 new master gets promoted, a crashed node repairs).  ``NodeDown``
-surfaces only here, because only the timed layer charges service time
-on nodes.
+surfaces only there, because only the timed layer charges service time
+on nodes.  This harness keeps the fault schedule, the healing, the
+failover wiring and the invariant checks.
 """
 
 from __future__ import annotations
@@ -40,26 +42,42 @@ import random
 from typing import Dict, List, Optional, Set
 
 from ..cluster.failures import FaultInjector, random_schedule
-from ..cluster.nodes import NodeDown
 from ..cluster.sim import Environment
-from ..core.errors import (
-    RETRY_AFTER_FAILOVER, RETRY_SAFE, MiddlewareDown, Overloaded,
-    RequestTimeout, RetryExhausted, retry_label,
-)
 from ..core.failover import FailoverManager, VirtualIP
 from ..core.middleware import ReplicationMiddleware
 from ..core.replica import ReplicaState
 from ..core.resilience import ResiliencePolicy, RetryPolicy
 from ..ha import HAPair, cold_restart, cold_restart_duration
 from ..metrics.availability import AvailabilityTracker
+from ..workloads.generator import TxnSpec
 from .harness import build_cluster
-from .simdriver import TimedCluster
-
-DATABASE = "shop"
+from .simdriver import DATABASE, ClientLoop, TimedCluster
 
 #: resolution-bound slack: one freshness wait (max 2.0 s in the timed
 #: driver) plus one in-flight service/commit charge
 RESOLUTION_EPSILON = 2.5
+
+# the load: a request is a read, else a write, which runs as a
+# multi-statement transaction (exercising replay on a survivor) at
+# TXN_WRITE_FRACTION; KV_ROWS keys
+READ_FRACTION = 0.7
+TXN_WRITE_FRACTION = 0.4
+KV_ROWS = 50
+# the automatic operator: how long the failure detector takes before
+# failover reacts, and the resync delay before a repaired replica
+# fails back; the availability canary's period
+DETECTION_DELAY = 0.5
+FAILBACK_DELAY = 0.5
+PROBE_INTERVAL = 0.25
+# per-request tracing (repro.obs): every client request gets a root
+# span; retention is raised above the middleware default so a whole
+# run's requests survive for fault-timeline analysis
+TRACING = True
+TRACE_RETENTION = 2048
+# a middleware kill without a standby restarts cold
+# (repro.ha.promotion.cold_restart_duration)
+COLD_RESTART_BASE = 0.5
+COLD_RESTART_PER_REPLICA = 0.25
 
 
 class ChaosConfig:
@@ -70,57 +88,30 @@ class ChaosConfig:
                  seed: int = 1,
                  duration: float = 60.0,
                  rate_tps: float = 40.0,
-                 read_fraction: float = 0.7,
-                 txn_write_fraction: float = 0.4,
-                 kv_rows: int = 50,
                  n_faults: int = 4,
                  fault_spec: Optional[dict] = None,
                  resilience: Optional[ResiliencePolicy] = None,
-                 detection_delay: float = 0.5,
-                 failback_delay: float = 0.5,
-                 probe_interval: float = 0.25,
                  drain_grace: float = 30.0,
-                 tracing: bool = True,
-                 trace_retention: int = 2048,
                  middleware_kills: Optional[List[float]] = None,
                  ha_standby: bool = False,
-                 mw_detection_delay: float = 0.3,
-                 cold_restart_base: float = 0.5,
-                 cold_restart_per_replica: float = 0.25):
+                 mw_detection_delay: float = 0.3):
         self.replicas = replicas
         self.seed = seed
         self.duration = duration
         self.rate_tps = rate_tps
-        self.read_fraction = read_fraction
-        # fraction of writes that run as a multi-statement transaction
-        # (exercises transaction replay on a survivor)
-        self.txn_write_fraction = txn_write_fraction
-        self.kv_rows = kv_rows
         self.n_faults = n_faults
         self.fault_spec = fault_spec
         self.resilience = resilience
-        # how long the "failure detector" takes before failover reacts
-        self.detection_delay = detection_delay
-        self.failback_delay = failback_delay
-        self.probe_interval = probe_interval
         # extra simulated time after the load stops for in-flight
         # requests and repairs to resolve
         self.drain_grace = drain_grace
-        # per-request tracing (repro.obs): every client request gets a
-        # root span; retention is raised above the middleware default so
-        # a whole run's requests survive for fault-timeline analysis
-        self.tracing = tracing
-        self.trace_retention = trace_retention
         # middleware-tier faults (E26): simulated times at which the
         # *active* middleware process is killed.  With ``ha_standby`` a
         # fenced promotion follows after ``mw_detection_delay``; without
-        # one, a cold state-retrieval restart is charged via
-        # :func:`repro.ha.promotion.cold_restart_duration`.
+        # one, a cold state-retrieval restart is charged.
         self.middleware_kills = middleware_kills
         self.ha_standby = ha_standby
         self.mw_detection_delay = mw_detection_delay
-        self.cold_restart_base = cold_restart_base
-        self.cold_restart_per_replica = cold_restart_per_replica
 
     def resolved_fault_spec(self, node_names: List[str]) -> dict:
         if self.fault_spec is not None:
@@ -130,16 +121,18 @@ class ChaosConfig:
                                n_faults=self.n_faults)
 
 
-class RequestRecord:
-    """One client request's fate."""
+class RequestRecord(TxnSpec):
+    """One client request — the transaction the client loop runs — and
+    its fate."""
 
-    __slots__ = ("id", "kind", "start", "end", "ok", "error", "write_id",
+    __slots__ = ("id", "start", "end", "ok", "error", "write_id",
                  "trace_id")
 
     def __init__(self, id: int, kind: str, start: float,
-                 write_id: Optional[int] = None):
+                 statements: List[str], write_id: Optional[int] = None):
+        super().__init__([(sql, []) for sql in statements],
+                         kind == "read", kind=kind)
         self.id = id
-        self.kind = kind            # "read" | "write" | "txn"
         self.start = start
         self.end: Optional[float] = None
         self.ok = False
@@ -224,13 +217,11 @@ class ChaosRun:
             name="chaos")
         self.pair: Optional[HAPair] = None
         self.cluster = TimedCluster(self.env, self.middleware)
-        self.middleware.tracer.enabled = config.tracing
-        self.middleware.tracer.max_traces = config.trace_retention
+        self.middleware.tracer.enabled = TRACING
+        self.middleware.tracer.max_traces = TRACE_RETENTION
         self.result = ChaosResult(config)
         self.tracker = AvailabilityTracker(start_time=0.0)
-        self._next_write_id = 0
-        self._next_request = 0
-        self._load_done = False
+        self.load = ChaosLoad(self.cluster, config, self.result)
         self._setup_schema()
         if config.ha_standby:
             # built after the schema exists so the bootstrap transfer
@@ -254,8 +245,8 @@ class ChaosRun:
         """Promotion happened: repoint the timed cluster and the replica
         failover manager at the new leader (replica callbacks are wired
         on the shared replica objects, so they follow automatically)."""
-        new_mw.tracer.enabled = self.config.tracing
-        new_mw.tracer.max_traces = self.config.trace_retention
+        new_mw.tracer.enabled = TRACING
+        new_mw.tracer.max_traces = TRACE_RETENTION
         self.cluster.middleware = new_mw
         self.manager = FailoverManager(new_mw, self.manager.virtual_ip)
 
@@ -266,7 +257,7 @@ class ChaosRun:
         session.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
         session.execute(
             "CREATE TABLE chaos_log (id INT PRIMARY KEY, client INT)")
-        for key in range(self.config.kv_rows):
+        for key in range(KV_ROWS):
             session.execute(f"INSERT INTO kv (k, v) VALUES ({key}, 0)")
         session.close()
 
@@ -289,14 +280,14 @@ class ChaosRun:
                              name=f"failback:{replica.name}")
 
     def _promotion(self, failed_name: str):
-        yield self.env.timeout(self.config.detection_delay)
+        yield self.env.timeout(DETECTION_DELAY)
         master = self.middleware.master
         if master.name != failed_name or master.is_online:
             return  # already handled, or it came back
         self.manager.handle_replica_failure(failed_name)
 
     def _failback(self, name: str):
-        yield self.env.timeout(self.config.failback_delay)
+        yield self.env.timeout(FAILBACK_DELAY)
         replica = self.middleware.replica_by_name(name)
         if replica.state is not ReplicaState.RECOVERING:
             return  # crashed again (flapping) or already handled
@@ -337,240 +328,10 @@ class ChaosRun:
             else:
                 yield self.env.timeout(cold_restart_duration(
                     len(self._mw.replicas),
-                    base=self.config.cold_restart_base,
-                    per_replica=self.config.cold_restart_per_replica))
+                    base=COLD_RESTART_BASE,
+                    per_replica=COLD_RESTART_PER_REPLICA))
                 cold_restart(self._mw)
             self.result.mw_recoveries.append(self.env.now)
-
-    # -- load ----------------------------------------------------------------
-
-    def _arrivals(self):
-        env = self.env
-        rng = random.Random(self.config.seed * 977 + 13)
-        deadline = env.now + self.config.duration
-        while env.now < deadline:
-            yield env.timeout(rng.expovariate(self.config.rate_tps))
-            record = self._make_request(rng)
-            env.process(self._run_request(record),
-                        name=f"req{record.id}")
-        self._load_done = True
-
-    def _make_request(self, rng: random.Random) -> RequestRecord:
-        request_id = self._next_request
-        self._next_request += 1
-        if rng.random() < self.config.read_fraction:
-            record = RequestRecord(request_id, "read", self.env.now)
-        else:
-            self._next_write_id += 1
-            kind = ("txn" if rng.random() < self.config.txn_write_fraction
-                    else "write")
-            record = RequestRecord(request_id, kind, self.env.now,
-                                   write_id=self._next_write_id)
-        self.result.records.append(record)
-        return record
-
-    def _request_sql(self, record: RequestRecord,
-                     rng: random.Random) -> List[str]:
-        key = rng.randrange(self.config.kv_rows)
-        if record.kind == "read":
-            return [f"SELECT v FROM kv WHERE k = {key}"]
-        insert = (f"INSERT INTO chaos_log (id, client) "
-                  f"VALUES ({record.write_id}, {record.id})")
-        if record.kind == "write":
-            return [insert]
-        return ["BEGIN", insert,
-                f"UPDATE kv SET v = v + 1 WHERE k = {key}", "COMMIT"]
-
-    # -- the resilient timed request loop ------------------------------------
-
-    def _run_request(self, record: RequestRecord):
-        resilience = self.middleware.resilience
-        rng = random.Random(self.config.seed * 31 + record.id)
-        statements = self._request_sql(record, rng)
-        is_write = record.kind != "read"
-
-        # One root span per client request; child spans (timed.statement,
-        # mw.statement, ...) hang off it via session.trace_context.
-        root = self.middleware.tracer.start_span(
-            "request", kind=record.kind, request=record.id)
-        if root:
-            record.trace_id = root.trace_id
-
-        session = None
-        ticket = None
-        try:
-            if resilience is not None:
-                ticket, _reason = resilience.admission.try_admit(
-                    "commit" if is_write else "read")
-                if ticket is None:
-                    self.result.shed += 1
-                    root.event("admission_shed")
-                    self._resolve(record, ok=False, error="Overloaded")
-                    return
-            try:
-                session = self.middleware.connect(database=DATABASE)
-            except Exception as exc:  # noqa: BLE001 — middleware down
-                self._resolve(record, ok=False, error=type(exc).__name__)
-                return
-            deadline = (resilience.deadline() if resilience is not None
-                        else None)
-            self._prepare_session(session, record, root, deadline)
-
-            retry = (resilience.policy.retry if resilience is not None
-                     else RetryPolicy(max_attempts=1))
-            attempt = 1
-            while True:
-                if attempt > 1 and is_write \
-                        and self._ledger_committed(record):
-                    # exactly-once replay: the ledger proves the earlier
-                    # attempt's commit landed — answer success without
-                    # re-applying anything (repro.ha)
-                    root.event("ha.dedup", txn=self._txn_key(record))
-                    self.result.dedup_commits += 1
-                    self._resolve(record, ok=True)
-                    return
-                try:
-                    for sql in statements:
-                        yield from self.cluster._timed_statement(
-                            session, sql, [])
-                        yield from self._charge_backoff(resilience,
-                                                        session, root)
-                    self._resolve(record, ok=True)
-                    return
-                except (RequestTimeout, Overloaded) as exc:
-                    self._abort_quietly(session)
-                    self._resolve(record, ok=False,
-                                  error=type(exc).__name__)
-                    return
-                except Exception as exc:  # noqa: BLE001 — by its label
-                    self._abort_quietly(session)
-                    ambiguous = isinstance(exc, RetryExhausted) \
-                        and exc.ambiguous
-                    if resilience is None or not (
-                            ambiguous or self._timed_retryable(exc)):
-                        self._resolve(record, ok=False,
-                                      error=type(exc).__name__)
-                        return
-                    yield from self._charge_backoff(resilience, session,
-                                                    root)
-                    # A commit ledger turns 'ambiguous' into 'resolvable':
-                    # COMMITTED dedups on replay, PENDING is settled at
-                    # promotion, and a commit that never reached prepare
-                    # is provably un-applied — so keep retrying.
-                    if ambiguous and not (is_write and
-                                          self.middleware.ha is not None):
-                        self._resolve(record, ok=False,
-                                      error=type(exc).__name__)
-                        return
-                    # With a deadline, the deadline is the retry budget:
-                    # keep backing off in simulated time (so the cluster
-                    # can repair/promote underneath us) until it would
-                    # expire.  Without one, the attempt cap bounds us.
-                    if deadline is None and retry.spent(attempt):
-                        self._resolve(record, ok=False,
-                                      error=type(exc).__name__)
-                        return
-                    backoff = retry.backoff(attempt, key=record.id)
-                    if deadline is not None \
-                            and deadline.remaining() <= backoff:
-                        self._resolve(record, ok=False,
-                                      error="RequestTimeout")
-                        return
-                    root.event("backoff", duration=round(backoff, 9),
-                               attempt=attempt, source="timed",
-                               error=type(exc).__name__)
-                    yield self.env.timeout(backoff)
-                    attempt += 1
-                    if session.closed \
-                            or session.middleware is not self.middleware:
-                        # the middleware died under us; re-resolve the
-                        # virtual IP (the promoted standby or the
-                        # restarted process) and check the commit ledger
-                        # before replaying a write
-                        try:
-                            session = self.middleware.connect(
-                                database=DATABASE)
-                        except Exception:  # noqa: BLE001 — still down
-                            continue  # next lap backs off again
-                        self._prepare_session(session, record, root,
-                                              deadline)
-                        root.event("mw_reconnect",
-                                   target=self.middleware.name)
-        finally:
-            if session is not None:
-                session.deadline = None
-                session.trace_context = None
-                if not session.closed:
-                    session.close()
-            if ticket is not None:
-                ticket.settle(record.ok)
-            root.set_tag("ok", record.ok)
-            if record.error:
-                root.set_tag("error", record.error)
-            root.end()
-
-    @staticmethod
-    def _timed_retryable(exc: Exception) -> bool:
-        """May the timed layer go round again (resilient runs only)?
-        What the error's label says, plus what only a harness knows:
-        ``NodeDown`` is the simulator's broken connection, and a
-        ``MiddlewareDown`` of *either* label is worth waiting out —
-        simulated time passing is what fixes it (a standby is promoted,
-        or this harness's operator completes the cold restart a
-        ``fatal`` asks for) and the session reconnects through the VIP."""
-        return isinstance(exc, (NodeDown, MiddlewareDown)) \
-            or retry_label(exc) in (RETRY_SAFE, RETRY_AFTER_FAILOVER)
-
-    def _charge_backoff(self, resilience, session, span=None):
-        """Synchronous in-session retries accumulate their backoff; the
-        timed layer charges it here as simulated delay.  The `backoff`
-        event carries a `duration` attr because this is where the wait
-        actually costs simulated time (breakdowns count it as a stage)."""
-        if resilience is None:
-            return
-        delay = resilience.consume_backoff(session)
-        if delay > 0:
-            if span:
-                span.event("backoff", duration=round(delay, 9),
-                           source="resilience")
-            yield self.env.timeout(delay)
-
-    def _prepare_session(self, session, record: RequestRecord, root,
-                         deadline) -> None:
-        """Attach trace context, deadline and (for writes) the client
-        transaction identity the exactly-once ledger keys on; the
-        request's one admission ticket is ``_run_request``'s."""
-        session.trace_context = root
-        session.deadline = deadline
-        session._admission_held = True
-        if record.kind != "read":
-            session.client_id = f"c{record.id}"
-            session.client_txn_id = self._txn_key(record)
-
-    @staticmethod
-    def _txn_key(record: RequestRecord) -> str:
-        return f"req{record.id}"
-
-    def _ledger_committed(self, record: RequestRecord) -> bool:
-        ha = self.middleware.ha
-        return (ha is not None
-                and ha.ledger.committed(self._txn_key(record)))
-
-    def _abort_quietly(self, session) -> None:
-        if session is None or session.closed:
-            return
-        try:
-            session.execute("ROLLBACK")
-        except Exception:  # noqa: BLE001
-            pass
-
-    def _resolve(self, record: RequestRecord, ok: bool,
-                 error: str = "") -> None:
-        record.end = self.env.now
-        record.ok = ok
-        record.error = error
-        if ok and record.write_id is not None:
-            self.result.acked_ids.add(record.write_id)
 
     # -- availability probe --------------------------------------------------
 
@@ -578,11 +339,11 @@ class ChaosRun:
         """A canary write on the instantaneous path drives the MTTR /
         availability timeline: the service is 'up' when a fresh client
         can commit a write right now."""
-        probe_key = self.config.kv_rows  # a row the workload never touches
+        probe_key = KV_ROWS  # a row the workload never touches
         session = self.middleware.connect(database=DATABASE)
         session._admission_held = True  # the canary is never shed
         session.execute(f"INSERT INTO kv (k, v) VALUES ({probe_key}, 0)")
-        while not self._load_done:
+        while not self.load.done:
             try:
                 session.execute(
                     f"UPDATE kv SET v = v + 1 WHERE k = {probe_key}")
@@ -595,7 +356,7 @@ class ChaosRun:
                         session._admission_held = True
                     except Exception:  # noqa: BLE001
                         pass
-            yield self.env.timeout(self.config.probe_interval)
+            yield self.env.timeout(PROBE_INTERVAL)
         session.close()
 
     # -- run + invariants ----------------------------------------------------
@@ -607,7 +368,7 @@ class ChaosRun:
                                           self.middleware.replicas
                                           if r.node is not None]
                                          or self.middleware.replicas)
-        self.env.process(self._arrivals(), name="chaos_arrivals")
+        self.load.start(config.duration)
         self.env.process(self._probe(), name="chaos_probe")
         if config.middleware_kills:
             self.env.process(self._middleware_faults(), name="chaos_mw")
@@ -615,6 +376,8 @@ class ChaosRun:
         self.injector.stop()
         self.tracker.finish(min(self.env.now, config.duration))
         self.result.elapsed = config.duration
+        self.result.shed = self.load.shed_txns
+        self.result.dedup_commits = self.load.dedup_commits
         self.result.mttr = self.tracker.mttr()
         self.result.availability = self.tracker.availability()
         self.result.fault_spec = self.spec
@@ -694,6 +457,67 @@ class ChaosRun:
             return {row[0] for row in result.rows}
         finally:
             connection.close()
+
+
+class ChaosLoad(ClientLoop):
+    """Open-loop Poisson requests into the one client loop: each arrival
+    is one request on a fresh session, recorded for the invariant
+    checks.  Records are numbered in arrival order, as the loop numbers
+    its requests."""
+
+    pooled = False
+    traced = TRACING
+
+    def __init__(self, cluster: TimedCluster, config: ChaosConfig,
+                 result: ChaosResult):
+        super().__init__(cluster, seed=config.seed)
+        self.config = config
+        self.result = result
+        self.done = False
+        self._writes = 0
+
+    def start(self, duration: float) -> None:
+        self.env.process(self._arrivals(duration), name="chaos_arrivals")
+
+    def _arrivals(self, duration: float):
+        env = self.env
+        rng = random.Random(self.seed * 977 + 13)
+        deadline = env.now + duration
+        while env.now < deadline:
+            yield env.timeout(rng.expovariate(self.config.rate_tps))
+            record = self._request(rng)
+            env.process(self._client(None, 1, spec=record),
+                        name=f"req{record.id}")
+        self.done = True
+
+    def _request(self, rng: random.Random) -> RequestRecord:
+        records = self.result.records
+        request_id = len(records)
+        key = random.Random(self.seed * 31 + request_id).randrange(KV_ROWS)
+        kind, write_id = "read", None
+        statements = [f"SELECT v FROM kv WHERE k = {key}"]
+        if rng.random() >= READ_FRACTION:
+            self._writes += 1
+            write_id = self._writes
+            statements = [f"INSERT INTO chaos_log (id, client) "
+                          f"VALUES ({write_id}, {request_id})"]
+            kind = "txn" if rng.random() < TXN_WRITE_FRACTION else "write"
+            if kind == "txn":
+                statements.append(f"UPDATE kv SET v = v + 1 WHERE k = {key}")
+        records.append(RequestRecord(request_id, kind, self.env.now,
+                                     statements, write_id))
+        return records[-1]
+
+    def _settle(self, record: RequestRecord, start: float, error: str,
+                root, admitted: bool = True) -> None:
+        record.end = self.env.now
+        record.ok = not error
+        record.error = error
+        if root:
+            record.trace_id = root.trace_id
+        if record.ok and record.write_id is not None:
+            self.result.acked_ids.add(record.write_id)
+        super()._settle(record, start, error, root, admitted)
 
 
 class GroupKillTrack:

@@ -11,11 +11,16 @@ waiting for that replica's apply worker where the synchronous path would
 drain it for free — and executes the statement with that replica as an
 explicit ``replica=`` argument, so the state change lands where the time
 was charged.
+
+Every simulated client runs in one loop, :class:`ClientLoop`; a driver
+(closed clients, Poisson transactions, rate-curve sessions, the chaos
+harness's requests) is only the arrival process that starts them.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.nodes import NodeDown
@@ -24,9 +29,15 @@ from ..core.admission import AdmissionGate
 from ..core.analysis import analyze_cached
 from ..core.applysched import conflict_groups, lane_makespan
 from ..core.costmodel import CostModel
+from ..core.errors import (
+    RETRY_AFTER_FAILOVER, RETRY_SAFE, MiddlewareDown, Overloaded,
+    RequestTimeout, RetryExhausted, retry_label,
+)
 from ..core.middleware import MiddlewareSession, ReplicationMiddleware
 from ..core.transaction import write_replica
+from ..ha.client import committed_before
 from ..metrics.perf import LatencyRecorder, ThroughputMeter, TimeSeries
+from ..obs.tracing import NULL_SPAN
 from ..sqlengine import ast_nodes as ast
 from ..workloads.generator import TxnSpec, Workload
 from ..workloads.openloop import OpenLoopWorkload, RateCurve, arrival_times
@@ -192,33 +203,18 @@ class TimedCluster:
     # timed statement execution
     # ------------------------------------------------------------------
 
-    def run_transaction(self, session: MiddlewareSession, spec: TxnSpec):
-        """Generator: execute ``spec`` with simulated timing.  Returns
-        (latency_seconds, ok, error_kind)."""
-        start = self.env.now
-        try:
-            if len(spec.statements) == 1:
-                sql, params = spec.statements[0]
-                yield from self._timed_statement(session, sql, params)
-            else:
-                yield from self._timed_statement(session, "BEGIN", [])
-                for sql, params in spec.statements:
-                    yield from self._timed_statement(session, sql, params)
-                yield from self._timed_statement(session, "COMMIT", [])
-            return (self.env.now - start, True, "")
-        except Exception as exc:  # noqa: BLE001 — abort accounting
-            try:
-                session.execute("ROLLBACK")
-            except Exception:  # noqa: BLE001
-                pass
-            return (self.env.now - start, False, type(exc).__name__)
+    @property
+    def resilience(self):
+        """The middleware's request-resilience layer, or ``None``: the
+        client loop's timed retry follows whoever leads right now."""
+        return self.middleware.resilience
 
-    def _timed_statement(self, session: MiddlewareSession, sql: str,
-                         params: list):
-        """One SQL string with simulated timing.  Inside a traced request
-        (the driver set ``session.trace_context``, e.g. the chaos
-        harness) the whole charge window runs under a ``timed.statement``
-        span, and middleware spans nest beneath it."""
+    def timed_statement(self, session: MiddlewareSession, sql: str,
+                        params):
+        """Generator: one SQL string with simulated timing.  Inside a
+        traced request (the client loop set ``session.trace_context``)
+        the whole charge window runs under a ``timed.statement`` span,
+        and middleware spans nest beneath it."""
         parent = session.trace_context
         if parent is None or not parent:
             yield from self._timed_statement_inner(session, sql, params)
@@ -501,8 +497,21 @@ class TimedCluster:
 
 
 # ---------------------------------------------------------------------------
-# load drivers
+# the client loop
 # ---------------------------------------------------------------------------
+
+#: the database every simulated client's session opens
+DATABASE = "shop"
+#: a closed client backs off this long after a failed transaction, and
+#: this long when it cannot reconnect
+RETRY_BACKOFF = 0.05
+RECONNECT_BACKOFF = 0.5
+#: most sessions an open transaction stream holds (more arrivals drop)
+MAX_SESSIONS = 256
+
+_BEGIN = (("BEGIN", ()),)
+_COMMIT = (("COMMIT", ()),)
+
 
 class RunMetrics:
     """Collected by every driver."""
@@ -533,243 +542,385 @@ class RunMetrics:
         return self.throughput.rate(until)
 
 
-class ClosedLoopDriver:
+class ClientLoop:
+    """The one timed client loop.  A driver is only an arrival process
+    that starts :meth:`_client` processes; what a client does is written
+    here once: session acquire / release, admission (one ticket per
+    transaction, settled once), BEGIN / statements / COMMIT over the
+    cluster's ``timed_statement`` with a rollback on error, the timed
+    retry, the exactly-once replay check, goodput / deadline accounting
+    and the root span.  The timed retry runs when the middleware has a
+    resilience policy; without one a transaction gets one attempt.
+    Requests are numbered in arrival order."""
+
+    #: released sessions are pooled (else closed)
+    pooled = True
+    #: most sessions open at once (0: no cap)
+    session_cap = 0
+    #: each request gets a ``request`` root span on the middleware's tracer
+    traced = False
+
+    def __init__(self, cluster, workload: Optional[Workload] = None,
+                 seed: int = 0, admission: Optional[AdmissionGate] = None,
+                 txn_deadline: float = float("inf")):
+        self.cluster = cluster
+        self.env = cluster.env
+        self.workload = workload
+        self.seed = seed
+        self.gate = admission
+        self.txn_deadline = txn_deadline
+        self.metrics = RunMetrics(cluster.env)
+        self._pool: List = []
+        self._sessions = self._active = self.peak_concurrency = 0
+        self.requests = self.txns_issued = self.shed_txns = 0
+        self.sessions_completed = self.sessions_shed = 0
+        self.goodput = self.deadline_misses = 0
+        self.acked_commits = self.dedup_commits = 0
+
+    def _acquire(self):
+        """A pooled session, else a new one (``None`` at the cap); raises
+        what the cluster raises when it refuses a connection."""
+        while self._pool:
+            session = self._pool.pop()
+            if not session.closed:
+                return session
+        if self.session_cap and self._sessions >= self.session_cap:
+            return None
+        session = self.cluster.middleware.connect(database=DATABASE)
+        self._sessions += 1
+        return session
+
+    def _release(self, session) -> None:
+        if not session.closed and self.pooled:
+            self._pool.append(session)
+            return
+        session.close()
+        self._sessions -= 1
+
+    def _client(self, rng, count: int = 0, until: float = float("inf"),
+                session=None, spec=None):
+        """One simulated client: ``count`` transactions (0: as many as
+        fit before ``until``), drawn from ``rng`` unless the arrival
+        process brought one.  A client that draws its own holds one
+        session throughout; a brought request opens its session once
+        admitted.  A counted client leaves when shed or failed; an
+        unbounded (closed) one backs off, reconnects and goes on."""
+        env, timed = self.env, self.cluster
+        if session is None and spec is None:
+            session = self._open(None, env.now, NULL_SPAN, None)
+            if session is None:
+                return
+        self._active += 1
+        self.peak_concurrency = max(self.peak_concurrency, self._active)
+        done = 0
+        try:
+            while env.now < until:
+                if spec is None:
+                    spec = self.workload.next_transaction(rng)
+                request, start = self.requests, env.now
+                self.requests += 1
+                resilience = timed.resilience
+                root = NULL_SPAN
+                if self.traced:
+                    root = timed.middleware.tracer.start_span(
+                        "request", kind=spec.kind, request=request)
+                gate = self.gate if resilience is None \
+                    else resilience.admission
+                ticket = None
+                if gate is not None:
+                    ticket, _reason = gate.try_admit(
+                        "read" if spec.is_read_only else "commit")
+                    if ticket is None:
+                        # a shed user goes away, not into a retry storm
+                        self.sessions_shed += 1
+                        root.event("admission_shed")
+                        self._settle(spec, start, "Overloaded", root,
+                                     admitted=False)
+                        return
+                self.txns_issued += 1
+                if session is None:
+                    session = self._open(spec, start, root, ticket)
+                    if session is None:
+                        return
+                bound = resilience is not None or self.traced
+                deadline = None if resilience is None \
+                    else resilience.deadline()
+                if bound:
+                    self._bind(session, spec, request, root, deadline)
+                attempt = 1
+                while True:
+                    if attempt > 1 and not spec.is_read_only \
+                            and committed_before(timed.middleware,
+                                                 session.client_txn_id):
+                        # the ledger proves an earlier attempt committed:
+                        # answer success, re-apply nothing
+                        root.event("ha.dedup", txn=session.client_txn_id)
+                        self.dedup_commits += 1
+                        error = ""
+                        break
+                    exc = yield from self._attempt(session, spec,
+                                                   resilience, root)
+                    error = "" if exc is None else type(exc).__name__
+                    if exc is None or resilience is None \
+                            or isinstance(exc, (RequestTimeout, Overloaded)):
+                        break
+                    ambiguous = isinstance(exc, RetryExhausted) \
+                        and exc.ambiguous
+                    if not (ambiguous or timed_retryable(exc)):
+                        break
+                    yield from self._charge_backoff(resilience, session,
+                                                    root)
+                    # a commit ledger makes an ambiguous write resolvable
+                    if ambiguous and (spec.is_read_only
+                                      or timed.middleware.ha is None):
+                        break
+                    # the deadline, if any, is the retry budget: back off
+                    # in simulated time so the cluster can repair or
+                    # promote underneath; else the attempt cap bounds us
+                    retry = resilience.policy.retry
+                    if deadline is None and retry.spent(attempt):
+                        break
+                    backoff = retry.backoff(attempt, key=request)
+                    if deadline is not None \
+                            and deadline.remaining() <= backoff:
+                        error = "RequestTimeout"
+                        break
+                    root.event("backoff", duration=round(backoff, 9),
+                               attempt=attempt, source="timed",
+                               error=error)
+                    yield env.timeout(backoff)
+                    attempt += 1
+                    if session.closed \
+                            or session.middleware is not timed.middleware:
+                        # the middleware died under us: re-resolve the
+                        # virtual IP; the ledger is asked before a replay
+                        try:
+                            session = self._acquire()
+                        except Exception:  # noqa: BLE001 — still down
+                            continue
+                        self._bind(session, spec, request, root, deadline)
+                        root.event("mw_reconnect",
+                                   target=timed.middleware.name)
+                if bound:
+                    session.deadline = session.trace_context = None
+                if ticket is not None:
+                    ticket.settle(not error)
+                self._settle(spec, start, error, root)
+                spec = None
+                done += 1
+                if error:
+                    if count:
+                        return
+                    yield env.timeout(RETRY_BACKOFF)
+                if done == count:
+                    break
+                if session.closed:
+                    try:
+                        session = self._acquire()
+                    except Exception:  # noqa: BLE001 — middleware down
+                        yield env.timeout(RECONNECT_BACKOFF)
+                        continue
+                pause = self._think(rng)
+                if pause > 0:
+                    yield env.timeout(pause)
+            self.sessions_completed += 1
+        finally:
+            self._active -= 1
+            if session is not None:
+                self._release(session)
+
+    def _open(self, spec, start: float, root, ticket):
+        """:meth:`_acquire`, or ``None`` once the refusal is settled as
+        the request's failure."""
+        try:
+            return self._acquire()
+        except Exception as exc:  # noqa: BLE001 — middleware down
+            if ticket is not None:
+                ticket.settle(False)
+            self._settle(spec, start, type(exc).__name__, root)
+            return None
+
+    def _think(self, rng) -> float:
+        return 0.0
+
+    def _attempt(self, session, spec: TxnSpec, resilience, root):
+        """Generator: one attempt at ``spec`` (one statement, else
+        BEGIN / statements / COMMIT), charging the resilience layer's
+        in-session backoff after each statement.  Returns ``None``, or
+        what ended it after a quiet rollback."""
+        timed = self.cluster.timed_statement
+        statements = spec.statements
+        if len(statements) > 1:
+            statements = chain(_BEGIN, statements, _COMMIT)
+        try:
+            for sql, params in statements:
+                yield from timed(session, sql, params)
+                if resilience is not None:
+                    yield from self._charge_backoff(resilience, session,
+                                                    root)
+            return None
+        except Exception as exc:  # noqa: BLE001 — the loop's verdict
+            try:
+                session.rollback()
+            except Exception:  # noqa: BLE001
+                pass
+            return exc
+
+    def _charge_backoff(self, resilience, session, root):
+        """The backoff the in-session retries accumulated, charged as
+        simulated time (a ``backoff`` event with a ``duration``, which
+        trace breakdowns count as a stage)."""
+        delay = resilience.consume_backoff(session)
+        if delay > 0:
+            root.event("backoff", duration=round(delay, 9),
+                       source="resilience")
+            yield self.env.timeout(delay)
+
+    @staticmethod
+    def _bind(session, spec: TxnSpec, request: int, root, deadline) -> None:
+        """Attach the request to ``session``: root span, deadline, and for
+        a write the client transaction id the exactly-once ledger keys
+        on.  The loop holds the request's admission ticket."""
+        session.trace_context = root
+        session.deadline = deadline
+        session._admission_held = True
+        if not spec.is_read_only:
+            session.client_id = f"c{request}"
+            session.client_txn_id = f"req{request}"
+
+    def _settle(self, spec, start: float, error: str, root,
+                admitted: bool = True) -> None:
+        """Account one request that ended (``error`` is "" on success).
+        A shed request is counted apart from failures; a success later
+        than ``txn_deadline`` is a deadline miss, not goodput."""
+        root.set_tag("ok", not error)
+        if error:
+            root.set_tag("error", error)
+        root.end()
+        if not admitted:
+            self.shed_txns += 1
+            return
+        latency = self.env.now - start
+        self.metrics.note(spec, latency, not error, error)
+        if error:
+            return
+        if latency <= self.txn_deadline:
+            self.goodput += 1
+        else:
+            self.deadline_misses += 1
+        if not spec.is_read_only:
+            self.acked_commits += 1
+
+
+def timed_retryable(exc: Exception) -> bool:
+    """May the timed retry go round again?  What the error's label says,
+    plus what only simulated time knows: ``NodeDown`` is the simulator's
+    broken connection, and a ``MiddlewareDown`` of either label is worth
+    waiting out (a standby is promoted, or the cold restart a ``fatal``
+    asks for completes) before reconnecting through the virtual IP."""
+    return isinstance(exc, (NodeDown, MiddlewareDown)) \
+        or retry_label(exc) in (RETRY_SAFE, RETRY_AFTER_FAILOVER)
+
+
+class ClosedLoopDriver(ClientLoop):
     """N clients, each running transactions back-to-back with optional
     think time — the classic (criticized) academic load shape."""
 
+    pooled = False
+
     def __init__(self, cluster: TimedCluster, workload: Workload,
                  clients: int = 8, think_time: float = 0.0,
-                 seed: int = 31, database: str = "shop",
-                 retry_backoff: float = 0.05):
-        self.cluster = cluster
-        self.workload = workload
+                 seed: int = 31):
+        super().__init__(cluster, workload, seed)
         self.clients = clients
         self.think_time = think_time
-        self.seed = seed
-        self.database = database
-        # real clients back off after an error instead of hammering a
-        # half-failed cluster
-        self.retry_backoff = retry_backoff
-        self.metrics = RunMetrics(cluster.env)
 
     def start(self, duration: float) -> None:
-        env = self.cluster.env
-        deadline = env.now + duration
+        until = self.env.now + duration
         for client in range(self.clients):
-            env.process(self._client_loop(client, deadline),
-                        name=f"client{client}")
+            rng = random.Random(self.seed + client * 101)
+            self.env.process(self._client(rng, until=until),
+                             name=f"client{client}")
 
-    def _client_loop(self, client_id: int, deadline: float):
-        env = self.cluster.env
-        rng = random.Random(self.seed + client_id * 101)
-        session = self.cluster.middleware.connect(database=self.database)
-        while env.now < deadline:
-            spec = self.workload.next_transaction(rng)
-            outcome = yield from self.cluster.run_transaction(session, spec)
-            latency, ok, error_kind = outcome
-            self.metrics.note(spec, latency, ok, error_kind)
-            if not ok and self.retry_backoff > 0:
-                yield env.timeout(self.retry_backoff)
-            if session.closed:
-                # middleware died under us: reconnect when it returns
-                try:
-                    session = self.cluster.middleware.connect(
-                        database=self.database)
-                except Exception:  # noqa: BLE001
-                    yield env.timeout(0.5)
-                    continue
-            if self.think_time > 0:
-                yield env.timeout(self.think_time)
-        session.close()
+    def _think(self, rng) -> float:
+        return self.think_time
 
 
-class OpenLoopDriver:
+class OpenLoopDriver(ClientLoop):
     """Poisson arrivals at a fixed rate, independent of completions — the
     non-closed-loop generator the paper's agenda calls for (section 5.1).
     Under overload, latency grows without bound instead of the generator
     politely slowing down."""
 
+    session_cap = MAX_SESSIONS
+
     def __init__(self, cluster: TimedCluster, workload: Workload,
-                 rate_tps: float = 100.0, seed: int = 37,
-                 database: str = "shop", max_sessions: int = 256):
-        self.cluster = cluster
-        self.workload = workload
+                 rate_tps: float = 100.0, seed: int = 37):
+        super().__init__(cluster, workload, seed)
         self.rate = rate_tps
-        self.seed = seed
-        self.database = database
-        self.max_sessions = max_sessions
-        self.metrics = RunMetrics(cluster.env)
-        self._free_sessions: List[MiddlewareSession] = []
-        self._session_count = 0
         self.dropped_arrivals = 0
 
     def start(self, duration: float) -> None:
-        self.cluster.env.process(self._arrivals(duration), name="arrivals")
+        self.env.process(self._arrivals(duration), name="arrivals")
 
     def _arrivals(self, duration: float):
-        env = self.cluster.env
+        env = self.env
         rng = random.Random(self.seed)
         deadline = env.now + duration
         while env.now < deadline:
             yield env.timeout(rng.expovariate(self.rate))
             spec = self.workload.next_transaction(rng)
-            session = self._acquire_session()
+            try:
+                session = self._acquire()
+            except Exception:  # noqa: BLE001 — middleware down
+                session = None
             if session is None:
                 self.dropped_arrivals += 1
-                continue
-            env.process(self._one_transaction(session, spec))
-
-    def _acquire_session(self) -> Optional[MiddlewareSession]:
-        while self._free_sessions:
-            session = self._free_sessions.pop()
-            if not session.closed:
-                return session
-        if self._session_count >= self.max_sessions:
-            return None
-        try:
-            session = self.cluster.middleware.connect(database=self.database)
-        except Exception:  # noqa: BLE001 — middleware down
-            return None
-        self._session_count += 1
-        return session
-
-    def _one_transaction(self, session: MiddlewareSession, spec: TxnSpec):
-        outcome = yield from self.cluster.run_transaction(session, spec)
-        latency, ok, error_kind = outcome
-        self.metrics.note(spec, latency, ok, error_kind)
-        if not session.closed:
-            self._free_sessions.append(session)
-        else:
-            self._session_count -= 1
+            else:
+                env.process(self._client(None, 1, session=session,
+                                         spec=spec))
 
 
-class SessionArrivalDriver:
-    """The million-user open-loop tier (ROADMAP item 4): *sessions*
-    arrive per a :class:`RateCurve` (non-homogeneous Poisson, thinning),
-    each runs a short Zipf-popular transaction sequence with think gaps,
-    and an optional :class:`AdmissionGate` sheds excess arrivals at the
-    door with labeled reasons.
+class SessionArrivalDriver(ClientLoop):
+    """The million-user open-loop tier: *sessions* arrive per a
+    :class:`RateCurve` (non-homogeneous Poisson, thinning), each runs a
+    short Zipf-popular transaction sequence with think gaps, and an
+    optional :class:`AdmissionGate` sheds excess arrivals at the door
+    with labeled reasons.  Unlike :class:`OpenLoopDriver`, the unit of
+    arrival is a session — the thing a flash crowd multiplies — and
+    there is no pool cap.  A transaction answered after
+    ``txn_deadline`` is a deadline miss: the overload mode where
+    shedding beats queueing."""
 
-    Unlike :class:`OpenLoopDriver`'s fixed-rate transaction stream, the
-    unit of arrival is a session — the thing a flash crowd multiplies —
-    and there is no pool cap: arrivals never politely wait.  Goodput
-    accounting models impatient clients: a transaction that completes
-    after ``txn_deadline`` simulated seconds still consumed server time
-    (and an acked commit stays durable) but does not count as goodput —
-    exactly the overload mode where shedding beats queueing.
-    """
-
-    def __init__(self, cluster: TimedCluster, workload: OpenLoopWorkload,
-                 curve: RateCurve, seed: int = 41, database: str = "shop",
+    def __init__(self, cluster, workload: OpenLoopWorkload,
+                 curve: RateCurve, seed: int = 41,
                  admission: Optional[AdmissionGate] = None,
-                 txn_deadline: float = 0.75,
-                 session_limit: int = 0):
-        self.cluster = cluster
-        self.workload = workload
+                 txn_deadline: float = 0.75):
+        super().__init__(cluster, workload, seed, admission, txn_deadline)
         self.curve = curve
-        self.seed = seed
-        self.database = database
-        self.gate = admission
-        self.txn_deadline = txn_deadline
-        self.session_limit = session_limit
-        self.metrics = RunMetrics(cluster.env)
-        self._pool: List[MiddlewareSession] = []
-        self.peak_concurrency = 0
-        self._active = 0
-        # goodput / overload accounting
         self.sessions_arrived = 0
-        self.sessions_completed = 0
-        self.sessions_shed = 0
-        self.shed_txns = 0
-        self.goodput = 0
-        self.deadline_misses = 0
-        self.acked_commits = 0
-        self.txns_issued = 0
 
     def start(self, duration: float) -> None:
-        self.cluster.env.process(self._arrivals(duration),
-                                 name="session_arrivals")
+        self.env.process(self._arrivals(duration), name="session_arrivals")
 
     def _arrivals(self, duration: float):
-        env = self.cluster.env
+        env = self.env
         rng = random.Random(self.seed)
-        start = env.now
-        last = start
-        for offset in arrival_times(self.curve, duration, rng,
-                                    limit=self.session_limit):
-            target = start + offset
-            if target > last:
-                yield env.timeout(target - last)
-                last = target
+        last = start = env.now
+        for offset in arrival_times(self.curve, duration, rng):
+            if start + offset > last:
+                yield env.timeout(start + offset - last)
+                last = start + offset
             self.sessions_arrived += 1
             # independent per-session stream: workload content stays
             # identical across admission arms with the same seed
             session_rng = random.Random(
                 (self.seed * 1_000_003) ^ (self.sessions_arrived * 2654435761))
-            env.process(self._session(session_rng))
+            env.process(self._client(
+                session_rng, self.workload.session_length(session_rng)))
 
-    def _session(self, rng: random.Random):
-        env = self.cluster.env
-        count = self.workload.session_length(rng)
-        session = self._acquire_session()
-        if session is None:
-            self.metrics.errors["connect"] = \
-                self.metrics.errors.get("connect", 0) + 1
-            return
-        self._active += 1
-        if self._active > self.peak_concurrency:
-            self.peak_concurrency = self._active
-        try:
-            for index in range(count):
-                spec = self.workload.next_transaction(rng)
-                kind = "read" if spec.is_read_only else "commit"
-                ticket = None
-                if self.gate is not None:
-                    ticket, _reason = self.gate.try_admit(kind)
-                    if ticket is None:
-                        # a shed user goes away, not into a retry storm
-                        self.shed_txns += 1
-                        self.sessions_shed += 1
-                        return
-                self.txns_issued += 1
-                outcome = yield from self.cluster.run_transaction(
-                    session, spec)
-                latency, ok, error_kind = outcome
-                self.metrics.note(spec, latency, ok, error_kind)
-                if ok and kind == "commit":
-                    # the middleware acknowledged a durable commit — from
-                    # here on it must never be shed or lost
-                    self.acked_commits += 1
-                    if ticket is not None:
-                        ticket.ack()
-                if ticket is not None:
-                    ticket.finish(ok)
-                if ok and latency <= self.txn_deadline:
-                    self.goodput += 1
-                elif ok:
-                    self.deadline_misses += 1
-                if not ok:
-                    return
-                if index + 1 < count:
-                    yield env.timeout(self.workload.think_time(rng))
-            self.sessions_completed += 1
-        finally:
-            self._active -= 1
-            self._release_session(session)
-
-    def _acquire_session(self) -> Optional[MiddlewareSession]:
-        while self._pool:
-            session = self._pool.pop()
-            if not session.closed:
-                return session
-        try:
-            return self.cluster.middleware.connect(database=self.database)
-        except Exception:  # noqa: BLE001 — middleware down
-            return None
-
-    def _release_session(self, session: MiddlewareSession) -> None:
-        if not session.closed:
-            self._pool.append(session)
+    def _think(self, rng) -> float:
+        return self.workload.think_time(rng)
 
     def goodput_rate(self, duration: float) -> float:
         return self.goodput / duration if duration > 0 else 0.0
@@ -797,10 +948,10 @@ class SessionArrivalDriver:
 
 class TimedShardedCluster:
     """Wires a :class:`~repro.shard.router.ShardedCluster` into the
-    simulation environment, duck-typing what the load drivers need
-    (``env``, ``middleware.connect``, ``run_transaction``) so
-    :class:`ClosedLoopDriver` and :class:`SessionArrivalDriver` drive the
-    shard tier unchanged (E29 rides E28's open-loop session tier).
+    simulation environment, duck-typing what the client loop needs
+    (``env``, ``middleware.connect``, ``resilience``, ``timed_statement``)
+    so every driver runs on the shard tier unchanged (E29 rides E28's
+    open-loop session tier).
 
     Cost model, per the repo convention (state changes instantaneous,
     time charged separately): every statement pays the client hop plus
@@ -832,6 +983,10 @@ class TimedShardedCluster:
             lock.put(1)
             self._order_locks.append(lock)
 
+    #: the shard tier has no request-resilience layer of its own: a
+    #: transaction gets one attempt
+    resilience = None
+
     @property
     def middleware(self):
         """Driver duck-typing: the connectable frontend is the shard
@@ -840,28 +995,9 @@ class TimedShardedCluster:
 
     # ------------------------------------------------------------------
 
-    def run_transaction(self, session, spec: TxnSpec):
-        """Generator: execute ``spec`` against the shard tier with
-        simulated timing.  Returns (latency_seconds, ok, error_kind)."""
-        start = self.env.now
-        try:
-            if len(spec.statements) == 1:
-                sql, params = spec.statements[0]
-                yield from self._timed_statement(session, sql, params)
-            else:
-                yield from self._timed_statement(session, "BEGIN", [])
-                for sql, params in spec.statements:
-                    yield from self._timed_statement(session, sql, params)
-                yield from self._timed_statement(session, "COMMIT", [])
-            return (self.env.now - start, True, "")
-        except Exception as exc:  # noqa: BLE001 — abort accounting
-            try:
-                session.rollback()
-            except Exception:  # noqa: BLE001
-                pass
-            return (self.env.now - start, False, type(exc).__name__)
-
-    def _timed_statement(self, session, sql: str, params: list):
+    def timed_statement(self, session, sql: str, params):
+        """Generator: one SQL string against the shard tier with
+        simulated timing."""
         yield self.env.timeout(self.client_latency
                                + self.cost.middleware_cost())
         for statement, sql, params in self.cluster.statements.script(

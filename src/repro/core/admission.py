@@ -30,8 +30,9 @@ mid-pipeline (the invariant benchmark E28 and the hypothesis suite
 assert).
 
 It is the only admission mechanism, and it stands in two places: at the
-driver's door, deciding whether a *transaction* enters the system at all
-(``SessionArrivalDriver``, :func:`default_gate`), and inside each
+timed client loop's door, deciding whether a *transaction* enters the
+system at all (``repro.bench.simdriver.ClientLoop``, one ticket per
+transaction settled once, :func:`default_gate`), and inside each
 group's resilience layer (``repro.core.resilience``), bucketless, where
 a lower ``watermark`` on the commit class sheds writes first and
 :attr:`AdmissionGate.saturated` turns on degraded-mode reads.

@@ -198,12 +198,10 @@ class LoadBalancer:
                           health: Optional[Callable[[str], bool]]) -> None:
         self._health_filter = health
 
-    def choose(self, replicas: List[Replica], context: RoutingContext,
-               exclude: Optional[set] = None) -> Replica:
-        candidates = [
-            r for r in replicas
-            if r.can_serve and (exclude is None or r.name not in exclude)
-        ]
+    def choose(self, candidates: List[Replica],
+               context: RoutingContext) -> Replica:
+        """One of ``candidates`` — the online replicas the caller found
+        eligible (every caller filters on ``is_online``)."""
         if not candidates:
             raise NoReplicaAvailable("no online replica can serve the request")
         if self._health_filter is not None:

@@ -23,6 +23,16 @@ COMMITTED = "committed"
 DEDUPED = "deduped"
 
 
+def committed_before(middleware, txn_id: Optional[str]) -> bool:
+    """The exactly-once replay check: did an earlier attempt of client
+    transaction ``txn_id`` commit?  Asked before replaying a write after
+    a failure; only a leader's commit ledger can answer, so without one
+    the answer is no.  Both :class:`HAClient` and the timed client loop
+    (``repro.bench.simdriver``) ask it."""
+    ha = middleware.ha
+    return ha is not None and ha.ledger.committed(txn_id)
+
+
 class HAClient:
     """A client that survives middleware failover transparently."""
 
@@ -71,7 +81,7 @@ class HAClient:
             try:
                 session = self._ensure_session()
                 if attempt > 0:
-                    if self.pair.active.ha.ledger.committed(txn_id):
+                    if committed_before(self.pair.active, txn_id):
                         self.stats["dedup_hits"] += 1
                         self.pair.active.monitor.record(
                             "ha_client_dedup", self.client_id,

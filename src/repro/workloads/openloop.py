@@ -17,7 +17,9 @@ fixed client pool) with:
 
 Arrivals are drawn from a non-homogeneous Poisson process by thinning
 (:func:`arrival_times`), so any :class:`RateCurve` shape is exact.  The
-driver side lives in :class:`repro.bench.simdriver.SessionArrivalDriver`.
+sessions run in the timed client loop,
+:class:`repro.bench.simdriver.ClientLoop`; its session arrival process
+is :class:`repro.bench.simdriver.SessionArrivalDriver`.
 """
 
 from __future__ import annotations

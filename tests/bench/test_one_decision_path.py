@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import TimedCluster, build_cluster, load_workload
+from repro.bench.simdriver import ClientLoop
 from repro.cluster import Environment
 from repro.core import (
     CostModel, MemoryAwarePolicy, ResiliencePolicy, RetryPolicy,
@@ -83,6 +84,22 @@ class RecordingCluster(TimedCluster):
         yield from self._check("write", super()._timed_write(*args))
 
 
+class OutcomeLoop(ClientLoop):
+    """The client loop, noting each transaction's (latency, ok, error)."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.outcomes = []
+
+    def _settle(self, spec, start, error, root, admitted=True):
+        super()._settle(spec, start, error, root, admitted)
+        self.outcomes.append((self.env.now - start, not error, error))
+
+    def run(self, session, spec):
+        """Generator: ``spec`` on ``session``, one transaction."""
+        yield from self._client(None, 1, session=session, spec=spec)
+
+
 class MixedWorkload(MicroWorkload):
     """Autocommit reads and writes, read-only transactions and write
     transactions that read before and after they write, over two tables
@@ -116,17 +133,15 @@ POLICIES = {"round_robin": RoundRobinPolicy, "memory_aware": MemoryAwarePolicy}
 
 def _run(env, cluster, workload, session, count, seed=5):
     rng = random.Random(seed)
-    outcomes = []
+    loop = OutcomeLoop(cluster)
 
     def client():
         for _ in range(count):
-            outcome = yield from cluster.run_transaction(
-                session, workload.next_transaction(rng))
-            outcomes.append(outcome)
+            yield from loop.run(session, workload.next_transaction(rng))
     env.process(client())
     env.run(until=60.0)
     cluster.stop()
-    return outcomes
+    return loop.outcomes
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -189,18 +204,18 @@ def _timed(count=3, consistency="gsi", propagation="async",
 def _client(env, cluster, session, steps, until=10.0):
     """Run ``steps`` — SQL strings, or callables run between them — as
     one simulated client; returns each statement's outcome."""
-    outcomes = []
+    loop = OutcomeLoop(cluster)
 
     def client():
         for step in steps:
             if callable(step):
                 step()
                 continue
-            outcomes.append((yield from cluster.run_transaction(
-                session, TxnSpec([(step, [])], step.startswith("SELECT")))))
+            yield from loop.run(
+                session, TxnSpec([(step, [])], step.startswith("SELECT")))
     env.process(client())
     env.run(until=env.now + until)
-    return outcomes
+    return loop.outcomes
 
 
 def test_no_online_replica_fails_a_read_at_once():

