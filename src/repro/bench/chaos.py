@@ -166,8 +166,9 @@ class ChaosResult:
         self.elapsed = 0.0
         self.resilience_stats: Dict[str, int] = {}
         self.middleware_stats: Dict[str, float] = {}
-        # retained span traces (list of span lists) + tracer counters,
-        # captured at run end for fault-timeline reconstruction (E25)
+        # retained span traces (list of span lists) + tracer counters
+        # of every leader the run had, captured at run end for
+        # fault-timeline reconstruction (E25)
         self.traces: List[list] = []
         self.trace_stats: Dict[str, int] = {}
         # middleware-tier fault timeline (E26)
@@ -216,6 +217,8 @@ class ChaosRun:
             propagation="sync", env=self.env, resilience=config.resilience,
             name="chaos")
         self.pair: Optional[HAPair] = None
+        #: every instance that served as leader, in the order they did
+        self._leaders: List[ReplicationMiddleware] = [self._mw]
         self.cluster = TimedCluster(self.env, self.middleware)
         self.middleware.tracer.enabled = TRACING
         self.middleware.tracer.max_traces = TRACE_RETENTION
@@ -247,6 +250,7 @@ class ChaosRun:
         on the shared replica objects, so they follow automatically)."""
         new_mw.tracer.enabled = TRACING
         new_mw.tracer.max_traces = TRACE_RETENTION
+        self._leaders.append(new_mw)
         self.cluster.middleware = new_mw
         self.manager = FailoverManager(new_mw, self.manager.virtual_ip)
 
@@ -387,10 +391,21 @@ class ChaosRun:
                 self.middleware.resilience.stats)
         self.result.middleware_stats = dict(self.middleware.stats)
         self._heal_cluster()
-        self.result.trace_stats = self.middleware.tracer.snapshot()
-        self.result.traces = self.middleware.tracer.traces()
+        self._collect_traces()
         self._check_invariants()
         return self.result
+
+    def _collect_traces(self) -> None:
+        """The retained traces of every leader the run had, in the order
+        they served (a deposed leader's tracer still holds the requests
+        it started), and their tracer counters summed."""
+        stats: Dict[str, int] = {}
+        for leader in self._leaders:
+            for name, value in leader.tracer.snapshot().items():
+                stats[name] = stats.get(name, 0) + value
+        self.result.trace_stats = stats
+        self.result.traces = [trace for leader in self._leaders
+                              for trace in leader.tracer.traces()]
 
     def _heal_cluster(self) -> None:
         """Repair every node and fail every replica back, so the

@@ -356,7 +356,7 @@ def _apply_insert(engine: Engine, table: Table, entry: Dict, ts: int,
                     f"{entry['database']}.{entry['table']}")
                 return
     version = table.insert_version(values, creator_txn=0)
-    version.created_ts = ts
+    table.stamp_created(version, ts)
     if compensate_counters:
         for column in table.columns:
             if column.auto_increment:
@@ -379,7 +379,7 @@ def _apply_update(engine: Engine, table: Table, entry: Dict, ts: int,
     version.deleted_ts = ts
     new_version = table.insert_version(
         dict(entry["new_values"] or {}), creator_txn=0, row_id=version.row_id)
-    new_version.created_ts = ts
+    table.stamp_created(new_version, ts)
     report.applied += 1
 
 

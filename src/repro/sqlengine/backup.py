@@ -138,7 +138,7 @@ def restore_engine(engine: Engine, dump: EngineDump,
             ts = engine.clock.tick()
             for row in rows:
                 version = table.insert_version(dict(row), creator_txn=0)
-                version.created_ts = ts
+                table.stamp_created(version, ts)
             counters = dump.auto_counters.get(db_name, {}).get(table_name)
             if counters:
                 for column, value in counters.items():

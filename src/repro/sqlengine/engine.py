@@ -401,8 +401,8 @@ class Engine:
         if txn.status is not TransactionStatus.ACTIVE:
             raise SQLError(f"cannot commit transaction in state {txn.status}")
         ts = self.clock.tick()
-        for _table, version in txn.created_versions:
-            version.created_ts = ts
+        for table, version in txn.created_versions:
+            table.stamp_created(version, ts)
         for version in txn.deleted_versions:
             if version.deleter_txn == txn.id:
                 version.deleted_ts = ts

@@ -14,6 +14,7 @@ or the discrete-event simulator — decides what to do.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import compress
 from typing import Any, Dict, List, Optional
 
@@ -340,9 +341,10 @@ class Executor:
                             if expr is not None),)
             except SQLError:
                 top = None      # _apply_limit raises it
+        fold = parts.fold
         source_rows, source_columns = self._build_source(
             session, parts.conditions, statement.source, snapshot, dirty,
-            outer_ctx, statement.where, parts.keep, top)
+            outer_ctx, statement.where, parts.keep, top, bind=fold is None)
 
         if statement.for_update and isinstance(statement.source,
                                                ast.TableRef):
@@ -359,7 +361,10 @@ class Executor:
                 source_rows, parts.where(source_rows, outer_ctx)))
 
         row_bindings: Optional[List[Dict]] = None
-        if parts.grouped:
+        if fold is not None:
+            rows, columns = self._folded_output(
+                statement, parts, source_rows, outer_ctx)
+        elif parts.grouped:
             rows, columns = self._grouped_output(
                 statement, parts, source_rows, outer_ctx)
         else:
@@ -391,7 +396,7 @@ class Executor:
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
     def _build_source(self, session, conditions, source, snapshot, dirty,
-                      outer_ctx, where=None, keep=None, top=None):
+                      outer_ctx, where=None, keep=None, top=None, bind=True):
         """Returns (list of binding dicts, ordered [(binding, column_names)]).
 
         ``where`` is the enclosing statement's predicate, pushed down so
@@ -404,7 +409,10 @@ class Executor:
 
         A table's rows are bound as the versions' own value dicts, not
         copies: a SELECT writes to no row dict, and what it returns is
-        tuples of values, so no dict outlives the statement.
+        tuples of values, so no dict outlives the statement.  With
+        ``bind`` false (a statement with a ``fold``: its whole source is
+        one table) the kept versions come back as they are, with
+        ``None`` for the columns.
         """
         if source is None:
             return [{}], []
@@ -418,12 +426,12 @@ class Executor:
                     txn.id, f"{database_name}.{table.name}".lower(),
                     LockMode.SHARED)
             binding = source.binding
-            rows = [
-                {binding: version.values}
-                for version in self._table_versions(
-                    session, table, binding, where, snapshot, outer_ctx,
-                    dirty, top, keep)
-            ]
+            versions = self._table_versions(
+                session, table, binding, where, snapshot, outer_ctx, dirty,
+                top, keep)
+            if not bind:
+                return versions, None
+            rows = [{binding: version.values} for version in versions]
             return rows, [(binding, table.column_keys)]
         if isinstance(source, ast.SubquerySource):
             result = self._run_select(session, source.select, outer_ctx)
@@ -540,46 +548,88 @@ class Executor:
                                for output in parts.columns]))
         return rows, columns
 
+    def _folded_output(self, statement, parts, versions, outer_ctx):
+        """:meth:`_grouped_output` for a statement with a ``parts.fold``,
+        over its kept versions: the group keys, the aggregates' arguments
+        and the plain columns are read from each version's values in
+        place, and no row is bound."""
+        fold = parts.fold
+        binding = statement.source.binding
+        try:
+            groups = fold.groups(versions)
+            facts = [fold.read(group) for group in groups]
+        except KeyError:
+            # a version without one of the columns (a writeset's row
+            # that lacks it): the closures' name walk decides what it
+            # reads
+            return self._grouped_output(statement, parts, [
+                {binding: version.values} for version in versions],
+                outer_ctx)
+        rows = []
+        for group, (arguments, firsts) in zip(groups, facts):
+            row = []
+            for kind, what in fold.outputs:
+                if kind == _ROW_COUNT:
+                    row.append(len(group))
+                elif kind == _AGGREGATE:
+                    row.append(_aggregate(what[0], arguments[what[1]]))
+                else:
+                    row.append(firsts[what])
+            rows.append(tuple(row))
+        return rows, self._output_column_names(statement, [])
+
     def _order_rows(self, statement, parts, rows, columns, row_bindings,
                     outer_ctx):
-        """Sort output rows.  When source bindings are available (plain
-        queries), ORDER BY expressions may reference source columns that
-        were not projected; otherwise they resolve against the output."""
+        """Sort output rows: a stable sort per ORDER BY term, last term
+        first, on the term's value for each row (:meth:`_order_values`).
+        When source bindings are available (plain queries), ORDER BY
+        expressions may reference source columns that were not
+        projected; otherwise they resolve against the output."""
         lowered = [c.lower() for c in columns]
         indexed = list(range(len(rows)))
+        for (expr, ascending), closure in reversed(
+                list(zip(statement.order_by, parts.order_by))):
+            keys = sort_keys(self._order_values(
+                expr, closure, indexed, rows, lowered, row_bindings,
+                outer_ctx))
+            order = sorted(range(len(indexed)), key=keys.__getitem__,
+                           reverse=not ascending)
+            indexed = [indexed[position] for position in order]
+        return [rows[i] for i in indexed]
 
-        def value_for(index, expr, closure):
-            row = rows[index]
-            # alias / output column name
-            if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                name = expr.name.lower()
-                if name in lowered:
-                    return row[lowered.index(name)]
-            # ordinal: ORDER BY 2
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                ordinal = expr.value - 1
-                if 0 <= ordinal < len(row):
-                    return row[ordinal]
+    def _order_values(self, expr, closure, indexed, rows, lowered,
+                      row_bindings, outer_ctx) -> List[Any]:
+        """One ORDER BY term's value on each row of ``indexed``, in that
+        order.  What the term means is decided once, from its shape: an
+        output column's name or alias, or an ordinal, reads that output
+        column.  Any other term tries each row's bindings (a plain
+        query's) and then its output row, where a name that neither holds
+        reads NULL — in a grouped query, whose rows have no bindings, only
+        the output row.  A bare column reference, which has no side
+        effects, first tries every row's bindings at once, and goes row
+        by row when one of them does not hold it."""
+        position = _output_position(expr, lowered)
+        if position is not None:
+            return [rows[i][position] for i in indexed]
+        if row_bindings is not None and isinstance(expr, ast.ColumnRef):
+            try:
+                return [closure(row_bindings[i], outer_ctx) for i in indexed]
+            except NameError_:
+                pass    # not a column of every row: row by row, then
+        values = []
+        for i in indexed:
             if row_bindings is not None:
                 try:
-                    return closure(row_bindings[index], outer_ctx)
+                    values.append(closure(row_bindings[i], outer_ctx))
+                    continue
                 except NameError_:
                     pass    # not a source column: an output column, then
             try:
-                return closure({"__out__": dict(zip(lowered, row))},
-                               outer_ctx)
+                values.append(closure(
+                    {"__out__": dict(zip(lowered, rows[i]))}, outer_ctx))
             except NameError_:
-                return None
-
-        # Stable multi-key sort: apply keys from last to first.
-        for (expr, ascending), closure in reversed(
-                list(zip(statement.order_by, parts.order_by))):
-            indexed = sorted(
-                indexed,
-                key=lambda i: sort_key(value_for(i, expr, closure)),
-                reverse=not ascending,
-            )
-        return [rows[i] for i in indexed]
+                values.append(None)
+        return values
 
     def _row_count(self, expr, ctx, clause: str) -> int:
         """The value of a LIMIT / OFFSET expression: a non-negative
@@ -1215,10 +1265,14 @@ class _SelectParts:
     ``columns`` holds one row closure per select-list item (``None`` for
     a ``*``) or, when ``grouped``, one group closure ``fn(group_rows,
     ctx)``, as is ``having``; ``conditions`` maps ``id(join)`` to the
-    join's compiled ON clause; ``top`` is :func:`_top_shape`."""
+    join's compiled ON clause; ``top`` is :func:`_top_shape`; ``fold``
+    is the :class:`_Fold` of a grouped statement over one table that
+    reads only its columns, ``COUNT(*)`` and plain aggregates of them,
+    else ``None``."""
 
     __slots__ = ("keep", "where", "grouped", "columns", "names",
-                 "group_by", "having", "order_by", "conditions", "top")
+                 "group_by", "having", "order_by", "conditions", "top",
+                 "fold")
 
     def __init__(self, statement: ast.SelectStatement):
         source = statement.source
@@ -1259,6 +1313,131 @@ class _SelectParts:
                         node.condition)
                 pending += (node.left, node.right)
         self.top = _top_shape(statement)
+        self.fold = _Fold.plan(statement) \
+            if self.grouped and isinstance(source, ast.TableRef) else None
+
+
+#: what a :class:`_Fold` output reads
+_ROW_COUNT, _AGGREGATE, _FIRST = range(3)
+
+
+class _Fold:
+    """How a grouped SELECT over one table reads its kept versions when
+    every GROUP BY term and every select-list item is a column of that
+    table, ``COUNT(*)`` or a non-DISTINCT aggregate of a column, and
+    there is no HAVING: one pass groups the versions' value dicts, keyed
+    as :func:`sort_keys` keys the GROUP BY values, and each group's
+    aggregates are fed from lists read off those dicts in place.
+
+    ``keys`` are the GROUP BY columns.  ``arguments`` are the columns
+    whose non-NULL values a group hands to its aggregates, each read
+    once however many aggregates take it; ``firsts`` the columns read
+    off a group's first row.  ``outputs`` holds one ``(kind, what)`` per
+    select-list item: ``_ROW_COUNT`` for ``COUNT(*)``, ``_AGGREGATE``
+    with ``(name, position in arguments)`` for an aggregate, and
+    ``_FIRST`` with a position in ``firsts`` for a column."""
+
+    __slots__ = ("keys", "arguments", "firsts", "outputs")
+
+    def __init__(self, keys, arguments, firsts, outputs):
+        self.keys = keys
+        self.arguments = arguments
+        self.firsts = firsts
+        self.outputs = outputs
+
+    @classmethod
+    def plan(cls, statement: ast.SelectStatement) -> Optional["_Fold"]:
+        """The fold of ``statement``, or ``None`` when it has a HAVING or
+        a GROUP BY term or select-list item the fold does not read (its
+        group closures answer it)."""
+        if statement.having is not None:
+            return None
+        binding = statement.source.binding
+        keys = tuple(_column_of(expr, binding) for expr in statement.group_by)
+        if None in keys:
+            return None
+        arguments: List[str] = []
+        firsts: List[str] = []
+        outputs = []
+        for expr, _alias in statement.columns:
+            column = _column_of(expr, binding)
+            if column is not None:
+                outputs.append((_FIRST, _slot(firsts, column)))
+                continue
+            if expr.__class__ is not ast.FunctionCall \
+                    or expr.name not in AGGREGATE_FUNCTIONS or expr.distinct:
+                return None
+            if expr.name == "COUNT" and (
+                    not expr.args or isinstance(expr.args[0], ast.Star)):
+                outputs.append((_ROW_COUNT, None))
+                continue
+            column = _column_of(expr.args[0], binding) if expr.args else None
+            if column is None:
+                return None
+            outputs.append((_AGGREGATE, (expr.name, _slot(arguments, column))))
+        return cls(keys, tuple(arguments), tuple(firsts), outputs)
+
+    def groups(self, versions: List[RowVersion]) -> List[List[Dict]]:
+        """The versions' value dicts, grouped, groups in first-seen
+        order (one group of all of them without a GROUP BY)."""
+        keys = self.keys
+        if not keys:
+            return [[version.values for version in versions]]
+        groups: Dict[Any, List[Dict]] = defaultdict(list)
+        if len(keys) == 1:
+            name, = keys
+            for version in versions:
+                values = version.values
+                value = values[name]
+                groups[(1, 0, value) if type(value) is int
+                       else sort_key(value)].append(values)
+        else:
+            for version in versions:
+                values = version.values
+                groups[tuple(sort_keys([values[name] for name in keys]))] \
+                    .append(values)
+        return list(groups.values())
+
+    def read(self, group: List[Dict]) -> tuple:
+        """``(arguments, firsts)`` of one group: each argument column's
+        non-NULL values in row order, and the first row's value of each
+        of ``firsts`` (NULL for an empty group)."""
+        arguments = [[value for values in group
+                      if (value := values[column]) is not None]
+                     for column in self.arguments]
+        if group:
+            first = group[0]
+            return arguments, [first[column] for column in self.firsts]
+        return arguments, [None] * len(self.firsts)
+
+
+def _column_of(expr, binding: str) -> Optional[str]:
+    """The column name ``expr`` reads from the rows bound as ``binding``
+    when it is a plain column reference to them, else ``None``."""
+    if expr.__class__ is ast.ColumnRef \
+            and expr.table_lower in (None, binding):
+        return expr.name_lower
+    return None
+
+
+def _slot(names: List[str], name: str) -> int:
+    """``name``'s position in ``names``, appended first if absent."""
+    if name not in names:
+        names.append(name)
+    return names.index(name)
+
+
+def _output_position(expr, lowered: List[str]) -> Optional[int]:
+    """The output column an ORDER BY term names: an unqualified name
+    that is an output column's name or alias (the first such), or an
+    ordinal within the row; else ``None``."""
+    if isinstance(expr, ast.ColumnRef) and expr.table is None \
+            and expr.name_lower in lowered:
+        return lowered.index(expr.name_lower)
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
+            and 0 < expr.value <= len(lowered):
+        return expr.value - 1
+    return None
 
 
 def _top_shape(statement: ast.SelectStatement) -> Optional[tuple]:
@@ -1353,26 +1532,33 @@ def _aggregate_closure(call: ast.FunctionCall, binding):
                     seen.add(key)
                     distinct_values.append(value)
             values = distinct_values
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        try:
-            if name == "SUM":
-                return sum(values)
-            if name == "AVG":
-                return sum(values) / len(values)
-        except TypeError as exc:
-            kinds = sorted({type(value).__name__ for value in values})
-            raise TypeError_(f"{name}() needs numbers, got "
-                             f"{', '.join(kinds)}") from exc
-        if name in ("MIN", "MAX"):
-            # the first value under the least / greatest key, as
-            # min(values, key=sort_key) picks it
-            keys = sort_keys(values)
-            return values[keys.index((min if name == "MIN" else max)(keys))]
-        raise TypeError_(f"unknown aggregate {name}")
+        return _aggregate(name, values)
     return aggregate
+
+
+def _aggregate(name: str, values: List[Any]) -> Any:
+    """Aggregate ``name`` over its argument's non-NULL ``values``, in row
+    order: SUM and AVG are ``sum()`` over the list (on 3.12 a compensated
+    sum, which a running ``+=`` would not reproduce)."""
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    try:
+        if name == "SUM":
+            return sum(values)
+        if name == "AVG":
+            return sum(values) / len(values)
+    except TypeError as exc:
+        kinds = sorted({type(value).__name__ for value in values})
+        raise TypeError_(f"{name}() needs numbers, got "
+                         f"{', '.join(kinds)}") from exc
+    if name in ("MIN", "MAX"):
+        # the first value under the least / greatest key, as
+        # min(values, key=sort_key) picks it
+        keys = sort_keys(values)
+        return values[keys.index((min if name == "MIN" else max)(keys))]
+    raise TypeError_(f"unknown aggregate {name}")
 
 
 def _output_name(index: int, expr, alias: Optional[str]) -> str:

@@ -57,7 +57,7 @@ def _bool(name: str) -> Column:
 def _fill(table: Table, rows) -> Table:
     for row in rows:
         version = table.insert_version(row, creator_txn=0)
-        version.created_ts = 0   # visible to every snapshot
+        table.stamp_created(version, 0)     # visible to every snapshot
     return table
 
 

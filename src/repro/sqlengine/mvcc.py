@@ -14,6 +14,19 @@ The engine runs transactions under one of four isolation levels:
 Visibility is the classic MVCC rule: a version is visible to transaction T
 with snapshot S when it was created by T itself or committed no later than
 S, and not deleted by T or by a transaction that committed no later than S.
+
+The all-visible rule (PostgreSQL's visibility map, at table grain): a
+table nobody is writing proves that rule for every version at once.
+When every chain is one version, no version has a deleter, none waits
+for its creator's commit, and the newest commit stamped in the table is
+at or before S (:meth:`~repro.sqlengine.storage.Table.settled_at`), every
+version passes for every reader at S — its own transaction, another, or
+READ UNCOMMITTED.  :func:`visible_rows` and
+:func:`visible_in_range` test that once per call and then hand over each
+chain's one version with no per-version test: the same versions, in the
+same order, with the same count of rows looked at.  Any table with a
+write in flight, a deletion not yet vacuumed or a commit newer than S
+takes the per-version path.
 """
 
 from __future__ import annotations
@@ -83,8 +96,12 @@ def visible_rows(table: Table, snapshot: Snapshot,
     vacuum — is answered by the visibility test alone, written out in the
     loop (it is :func:`version_visible` / :func:`version_visible_dirty`):
     with nothing to rank it against, :func:`visible_version` would return
-    it or None.  Longer chains are ranked."""
+    it or None.  Longer chains are ranked.  A settled table (the
+    all-visible rule above) is answered without a test per chain."""
     ts = snapshot.timestamp
+    if table.settled_at(ts):
+        # each chain is one version (unpacking it would fail otherwise)
+        return [version for version, in table._rows.values()]
     me = _NOBODY if txn_id is None else txn_id
     rows = []
     for chain in table._rows.values():
@@ -120,9 +137,18 @@ def visible_in_range(table: Table, index, positions: range,
     of the walk.  A key held by one version whose chain is that version
     alone is answered by the visibility test written out, as in
     :func:`visible_rows`; any other key ranks each of its rows'
-    chains."""
+    chains.  On a settled table (the all-visible rule above) whose keys
+    in the walk each hold one row, no key is tested."""
     chains, entries = table._rows, index.entries
     ts = snapshot.timestamp
+    if table.settled_at(ts):
+        # every candidate is visible and its row's only version: when
+        # each key holds one (no key's set is empty), that is the
+        # answer; a key held by several rows is ranked below
+        keys = index.ordered[positions.start:positions.stop]
+        found = [version for key in keys for version in entries[key]]
+        if len(found) == len(keys):
+            return found, len(found)
     me = _NOBODY if txn_id is None else txn_id
     found = []
     looked_at = 0

@@ -69,6 +69,12 @@ class Table:
         #: row ids whose chain holds a version with a deleter — every
         #: chain vacuum may have to visit, filled by :meth:`mark_deleted`
         self._dirty: Set[int] = set()
+        #: all versions, those whose creator has not committed
+        #: (``created_ts`` is None), and the newest ``created_ts`` ever
+        #: stamped here: with ``_dirty`` they decide :meth:`settled_at`
+        self._versions = 0
+        self._unstamped = 0
+        self._newest_ts = 0
         self._row_counter = itertools.count(1)
         # Auto-increment counters are deliberately *non-transactional*:
         # a rollback does not give numbers back (paper section 4.2.3 /
@@ -202,9 +208,37 @@ class Table:
             row_id = self.new_row_id()
         version = RowVersion(row_id, values, creator_txn)
         self._rows.setdefault(row_id, []).append(version)
+        self._versions += 1
+        self._unstamped += 1
         for index in self.indexes.values():
             index.add(version)
         return version
+
+    def stamp_created(self, version: RowVersion, ts: int) -> None:
+        """Stamp ``ts`` as the commit timestamp of ``version``'s creator
+        — the one place a version gains one, as :meth:`mark_deleted` is
+        for a deleter."""
+        if version.created_ts is None:
+            self._unstamped -= 1
+        version.created_ts = ts
+        if ts > self._newest_ts:
+            self._newest_ts = ts
+
+    def settled_at(self, ts: int) -> bool:
+        """Whether every version of this table is visible, and the only
+        one of its chain, to every reader at snapshot ``ts`` — the
+        table's all-visible fact.
+
+        It holds when every chain is one version, no version has a
+        deleter (``_dirty`` is empty), none waits for its creator's
+        commit, and the newest commit stamped here is at or before
+        ``ts``: the per-version test then passes for every reader at
+        ``ts`` — its own transaction, any other, or READ UNCOMMITTED —
+        so a scan may skip it.  (A chain of two versions with no deleter
+        is rare but real: a writeset's update applied over a local
+        transaction's update of the same row, both committed.)"""
+        return not self._dirty and not self._unstamped \
+            and self._versions == len(self._rows) and self._newest_ts <= ts
 
     def versions(self) -> Iterable[RowVersion]:
         for chain in self._rows.values():
@@ -221,6 +255,10 @@ class Table:
             chain.remove(version)
         except ValueError:
             pass
+        else:
+            self._versions -= 1
+            if version.created_ts is None:
+                self._unstamped -= 1
         if not chain:
             del self._rows[version.row_id]
         for index in self.indexes.values():
@@ -274,6 +312,7 @@ class Table:
             if held:
                 keep.add(row_id)
         self._dirty = keep
+        self._versions -= removed
         return removed
 
     # -- indexes & unique constraints -----------------------------------------

@@ -250,6 +250,13 @@ def test_a_chaos_run_with_a_middleware_kill_replays_exactly():
     result = run_standby_chaos()
     assert result.all_invariants_hold, result.violations
     assert chaos_observed(result) == STANDBY_CHAOS
+    # the traces of both leaders, the deposed one's 106 first, then the
+    # 83 of the standby promoted after the kill
+    assert len(result.traces) == 189
+    assert result.trace_stats["retained_traces"] == 189
+    assert result.trace_stats["traces_started"] == 189
+    starts = [min(span.start for span in trace) for trace in result.traces]
+    assert min(starts[:106]) < KILL_AT < min(starts[106:])
 
 
 def test_a_session_arrival_run_on_the_shard_tier_replays_exactly():

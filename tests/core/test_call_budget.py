@@ -16,6 +16,12 @@ trace costs a flag test per statement door and nothing below it, so
 bare ``Engine.connect()`` pins the engine's share apart from the tiers
 above it.  A statement over its ceiling fails with its frames per
 package and its ten hottest functions.
+
+The scan path is pinned on the bare engine too, with ``scan_range``'s
+four shapes over its 4 000-row table: frames per statement, and C calls
+per scanned row, where the work of a scan is.  Those C counts were the
+same on 3.10, 3.11 and 3.12, and halved when a settled table stopped
+testing each version and a grouped SELECT stopped binding each row.
 """
 
 import os
@@ -41,6 +47,25 @@ from repro.sqlengine.dialects import postgresql
 UPDATE_CEILING = 209
 SELECT_CEILING = 97
 ENGINE_SELECT_CEILING = 52
+
+#: scan_range's shapes on a bare engine: (SQL, the span its key is drawn
+#: from, its parameters from that key, frames per statement, C calls per
+#: scanned row).  The ceilings are the counts on 3.10 / 3.11 (3.12
+#: enters fewer frames) plus about 5 % of frames and 10 % of C calls,
+#: rounded up; before the settled-table scan and the one-pass GROUP BY
+#: the counts were 58 / 6.02, 112 / 17.71, 138 / 7.26 and 60 / 4.01
+SCAN_ROWS = 4000
+SCAN_SHAPES = {
+    "count_sum": ("SELECT COUNT(*), SUM(v) FROM ev WHERE k BETWEEN ? AND ?",
+                  SCAN_ROWS - 50, lambda key: [key, key + 49], 64, 3.5),
+    "top": ("SELECT k, v FROM ev WHERE k >= ? ORDER BY k LIMIT 10",
+            SCAN_ROWS, lambda key: [key], 95, 12.6),
+    "grouped": ("SELECT grp, COUNT(*), AVG(v) FROM ev "
+                "WHERE k BETWEEN ? AND ? GROUP BY grp",
+                SCAN_ROWS - 400, lambda key: [key, key + 399], 112, 3.7),
+    "min_max": ("SELECT MIN(k), MAX(k) FROM ev WHERE v = ?",
+                1000, lambda key: [key], 64, 2.3),
+}
 
 ROWS = 2000
 WARMUP = 50
@@ -82,13 +107,29 @@ def connection():
     connection.close()
 
 
+@pytest.fixture(scope="module")
+def scan_connection():
+    engine = Engine("bare", dialect=postgresql(), seed=1000)
+    engine.create_database("shop")
+    connection = engine.connect(database="shop")
+    connection.execute("CREATE TABLE ev (k INT PRIMARY KEY, grp INT, v INT)")
+    for base in range(0, SCAN_ROWS, 100):
+        connection.execute("INSERT INTO ev (k, grp, v) VALUES " + ", ".join(
+            f"({k}, {k % 10}, {(k * 17 + 1) % 1000})"
+            for k in range(base, base + 100)))
+    engine.vacuum()
+    yield connection
+    connection.close()
+
+
 class Frames:
     """The frames under ``src/repro`` that statements entered, by
-    function (``package/module.py:line name``)."""
+    function (``package/module.py:line name``), and the C calls."""
 
-    def __init__(self, functions: Counter, statements: int):
+    def __init__(self, functions: Counter, statements: int, c_calls: int):
         self.functions = functions
         self.statements = statements
+        self.c_calls = c_calls
 
     def per_statement(self, package: str = "") -> float:
         return sum(count for name, count in self.functions.items()
@@ -108,29 +149,35 @@ class Frames:
         return "\n".join(lines)
 
 
-def frames_per_statement(session, sql) -> Frames:
+def frames_per_statement(session, sql, params=None) -> Frames:
     """What ``MEASURED`` executions of ``sql`` entered, after a warm-up,
-    on keys from a fixed seed."""
+    on parameters ``params(keys)`` (a key of ``kv`` by default) from a
+    fixed seed."""
+    params = params or (lambda keys: [keys.randrange(ROWS)])
     keys = random.Random(3)
     for _ in range(WARMUP):
-        session.execute(sql, [keys.randrange(ROWS)])
+        session.execute(sql, params(keys))
     functions = Counter()
+    c_calls = 0
 
     def profile(frame, event, _arg):
+        nonlocal c_calls
         if event == "call":
             code = frame.f_code
             path = code.co_filename
             if path.startswith(PACKAGE):
                 functions[f"{path[len(PACKAGE):]}:{code.co_firstlineno} "
                           f"{code.co_name}"] += 1
+        elif event == "c_call":
+            c_calls += 1
 
     sys.setprofile(profile)
     try:
         for _ in range(MEASURED):
-            session.execute(sql, [keys.randrange(ROWS)])
+            session.execute(sql, params(keys))
     finally:
         sys.setprofile(None)
-    return Frames(functions, MEASURED)
+    return Frames(functions, MEASURED, c_calls)
 
 
 def test_a_composed_update_stays_within_its_call_budget(session):
@@ -151,3 +198,21 @@ def test_an_engine_point_read_stays_within_its_call_budget(connection):
     frames = frames_per_statement(
         connection, "SELECT v FROM kv WHERE k = ?")
     assert frames.per_statement() <= ENGINE_SELECT_CEILING, frames.report()
+
+
+@pytest.mark.parametrize("shape", sorted(SCAN_SHAPES))
+def test_a_scan_stays_within_its_call_budget(scan_connection, shape):
+    sql, span, params, frame_ceiling, c_ceiling = SCAN_SHAPES[shape]
+    stats = scan_connection.engine.stats
+    scanned = stats["rows_scanned"]
+    frames = frames_per_statement(
+        scan_connection, sql, lambda keys: params(keys.randrange(span)))
+    scanned = stats["rows_scanned"] - scanned
+    assert frames.per_statement() <= frame_ceiling, frames.report()
+    # rows_scanned counts the warm-up too: per measured statement, the
+    # same number of rows each
+    rows = scanned / (WARMUP + MEASURED)
+    assert rows == {"count_sum": 50, "top": 10, "grouped": 400,
+                    "min_max": SCAN_ROWS}[shape]
+    per_row = frames.c_calls / (MEASURED * rows)
+    assert per_row <= c_ceiling, (per_row, frames.report())
